@@ -99,6 +99,11 @@ def _check_inputs(h: MultiPoly, e: Sequence[RationalLike], name: str = "h") -> l
     return point
 
 
+def _check_box(box: int) -> None:
+    if box < 1:
+        raise ValueError(f"box must be at least 1, got {box}: a smaller box samples no line")
+
+
 def is_hyperbolic_sampled(
     h: MultiPoly,
     e: Sequence[RationalLike],
@@ -110,8 +115,10 @@ def is_hyperbolic_sampled(
 
     The first failing line yields status "refuted" with an exact witness;
     otherwise "no-counterexample" (the universal quantifier over all real v
-    is not decided by sampling).  The sample v = e is skipped.
+    is not decided by sampling).  The sample v = e is skipped.  ``box``
+    must be at least 1: box 0 would draw only v = 0 and test no line.
     """
+    _check_box(box)
     point = _check_inputs(h, e)
     run = 0
     for index in range(samples):
@@ -138,7 +145,9 @@ def interlaces_sampled(
 
     Along each line the roots of the degree d restriction of h and the
     degree d-1 restriction of g must form the weak alternating chain.
+    ``box`` must be at least 1, as for :func:`is_hyperbolic_sampled`.
     """
+    _check_box(box)
     point = _check_inputs(h, e)
     _check_inputs(g, e, name="g")
     if g.ring != h.ring:

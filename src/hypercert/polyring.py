@@ -6,6 +6,16 @@ variable, and whether Gaussian (complex) coefficients are allowed.
 ``UniPoly`` is the dense univariate companion used by the real-root
 machinery.
 
+The multivariate kernel works on integers.  A product scales each operand
+by the lcm of its coefficient denominators, packs every exponent vector
+into one int (sums of packed keys are packed sums, and the order of the
+keys is graded-lex order), carries the imaginary unit as one more packed
+exponent so that real and Gaussian rings share the loop, accumulates Python
+int numerators, and divides back into a normalised Fraction once per output
+term.  Exact division keeps the remainder as one dict of int numerators on
+packed keys, updated in place, and finds its leading term with a max-heap
+of those keys.  Only the results are converted back to GaussianRational.
+
 The ASCII grammar implemented by :func:`parse` / ``MultiPoly.__str__`` is the
 single wire format for polynomials in files, CLI arguments and matrix JSON:
 identifiers from the ring, operators ``+ - * ^`` with standard precedence,
@@ -15,15 +25,21 @@ parentheses, integer and ``p/q`` rational literals, and the literal token
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from heapq import heapify, heappop, heappush
+from operator import mul
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .scalars import (
+    _ZERO,
     GR_ONE,
     GR_ZERO,
     GaussianRational,
     RationalLike,
+    _gaussian,
     as_fraction,
 )
 
@@ -93,8 +109,95 @@ class Ring:
         )
 
 
+class _Keys:
+    """Packs exponent vectors, each exponent at most ``bound``, into ints.
+
+    Bits 0-1 are left for a power of i (0, 1 or 2) in products.  Above them
+    sits one field per variable, the first variable highest, each with a
+    spare top bit (``guard``), and above those the weighted degree.  So the
+    sum of two keys is the key of the summed exponents, integer order is
+    graded-lex order, and ``key + guard - other`` keeps every guard bit
+    exactly when each exponent of ``key`` is at least that of ``other``.
+    """
+
+    __slots__ = ("scales", "shifts", "mask", "guard")
+
+    def __init__(self, weights: tuple[int, ...], bound: int):
+        width = bound.bit_length() + 1
+        n = len(weights)
+        self.shifts = [2 + width * (n - 1 - k) for k in range(n)]
+        top = 2 + width * n
+        # key = sum_k e_k * scale_k places e_k in its field and adds w_k*e_k
+        # to the degree field.
+        self.scales = [(1 << s) + (w << top) for s, w in zip(self.shifts, weights)]
+        self.mask = (1 << width) - 1
+        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
+
+    def pack(self, expo: tuple[int, ...]) -> int:
+        return sum(map(mul, expo, self.scales))
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        mask = self.mask
+        return tuple([(key >> s) & mask for s in self.shifts])
+
+
+_keys = lru_cache(maxsize=256)(_Keys)
+
+
+def _max_total_degree(poly: "MultiPoly") -> int:
+    return max(map(sum, poly.terms))
+
+
+def _numerators(
+    terms: dict[tuple[int, ...], GaussianRational], pack: Callable[[tuple[int, ...]], int]
+) -> tuple[list[tuple[int, int]], int]:
+    """The terms times the lcm of their denominators, as (packed key, int
+    numerator) pairs, and that lcm.  An imaginary part's key carries i^1."""
+    parts = []
+    for expo, c in terms.items():
+        key = pack(expo)
+        re, im = c.re, c.im
+        n = re.numerator
+        if n:
+            parts.append((key, n, re.denominator))
+        if im is not _ZERO:
+            parts.append((key + 1, im.numerator, im.denominator))
+    den = math.lcm(*[d for _, _, d in parts])
+    if den == 1:
+        return [(k, n) for k, n, _ in parts], 1
+    return [(k, n * (den // d)) for k, n, d in parts], den
+
+
+def _from_numerators(
+    acc: dict[int, int], den: int, unpack: Callable[[int], tuple[int, ...]]
+) -> dict[tuple[int, ...], GaussianRational]:
+    """Terms from packed numerators over ``den``: folds i^2 = -1, drops
+    zeros and normalises each coefficient once."""
+    get = acc.get
+    for key in [k for k in acc if k & 2]:
+        acc[key - 2] = get(key - 2, 0) - acc.pop(key)
+    frac = Fraction if den == 1 else lambda num: Fraction(num, den)
+    terms: dict[tuple[int, ...], GaussianRational] = {}
+    for key, num in acc.items():
+        if key & 1:
+            if key - 1 in acc:
+                continue  # taken with its real part
+            key, re, im = key - 1, 0, num
+        else:
+            re, im = num, get(key + 1, 0)
+        if re or im:
+            terms[unpack(key)] = _gaussian(frac(re) if re else _ZERO, frac(im) if im else _ZERO)
+    return terms
+
+
 class MultiPoly:
-    """Sparse polynomial: exponent-vector -> nonzero GaussianRational."""
+    """Sparse polynomial: exponent-vector -> nonzero GaussianRational.
+
+    The dict is the only storage.  Products and exact division convert it to
+    packed integer keys and integer numerators for their inner loops (see
+    the module docstring) and back, so their results are the same
+    normalised dicts that term-by-term arithmetic would give.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -203,7 +306,7 @@ class MultiPoly:
     # -- arithmetic ----------------------------------------------------------
 
     def _check_ring(self, other: "MultiPoly") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("ring mismatch")
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
@@ -231,24 +334,18 @@ class MultiPoly:
         self._check_ring(other)
         if not self.terms or not other.terms:
             return MultiPoly.zero(self.ring)
-        a, b = self.terms, other.terms
+        keys = _keys(self.ring.weights, _max_total_degree(self) + _max_total_degree(other))
+        a, den_a = _numerators(self.terms, keys.pack)
+        b, den_b = _numerators(other.terms, keys.pack)
         if len(a) > len(b):
             a, b = b, a
-        terms: dict[tuple[int, ...], GaussianRational] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                expo = tuple(x + y for x, y in zip(ea, eb))
-                prod = ca * cb
-                acc = terms.get(expo)
-                if acc is None:
-                    terms[expo] = prod
-                else:
-                    s = acc + prod
-                    if s.is_zero():
-                        del terms[expo]
-                    else:
-                        terms[expo] = s
-        return MultiPoly(self.ring, terms)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for ka, na in a:
+            for kb, nb in b:
+                k = ka + kb
+                acc[k] = get(k, 0) + na * nb
+        return MultiPoly(self.ring, _from_numerators(acc, den_a * den_b, keys.unpack))
 
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
@@ -374,24 +471,81 @@ class MultiPoly:
         Long division by the graded-lex leading term.  In an integral domain
         the leading monomial of the remainder strictly decreases, so this
         terminates, and exactness fails loudly.
+
+        The remainder is one dict of int numerators over a common
+        denominator ``scale``, on packed keys (an imaginary part at key + 1),
+        updated in place; a max-heap of its keys yields the leading term (a
+        key whose term cancelled is skipped when popped).  A quotient term is
+        R*conj(L)/N(L) for the remainder's leading numerator R and the
+        divisor's L; the remainder is multiplied through only by the part of
+        N(L) that does not cancel, which is 1 whenever the quotient term is
+        integral in the remainder's scale.
         """
         self._check_ring(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return self
-        d_expo, d_coeff = divisor.leading_term()
+        # A remainder exponent is at most the weighted degree of self.
+        degree = max(_max_total_degree(self), _max_total_degree(divisor))
+        keys = _keys(self.ring.weights, degree * max(self.ring.weights, default=1))
+        parts, scale = _numerators(self.terms, keys.pack)
+        rem = dict(parts)
+        heap = [-k for k in rem]
+        heapify(heap)
+        d_parts, den = _numerators(divisor.terms, keys.pack)
+        d_key = max(k for k, _ in d_parts) & ~3
+        lead_re = lead_im = 0
+        times_re: list[tuple[int, int]] = []  # the divisor's other terms
+        times_im: list[tuple[int, int]] = []  # the same times i
+        for k, n in d_parts:
+            if k & ~3 == d_key:
+                if k & 1:
+                    lead_im = n
+                else:
+                    lead_re = n
+                continue
+            times_re.append((k - d_key, n))
+            times_im.append((k - d_key - 1, -n) if k & 1 else (k - d_key + 1, n))
+        norm = lead_re * lead_re + lead_im * lead_im
+        guard = keys.guard
+        get = rem.get
         quotient: dict[tuple[int, ...], GaussianRational] = {}
-        rem = self
-        while rem.terms:
-            r_expo, r_coeff = rem.leading_term()
-            step = tuple(a - b for a, b in zip(r_expo, d_expo))
-            if any(e < 0 for e in step):
+        while heap:
+            key = -heappop(heap) & ~3
+            r_re = rem.pop(key, 0)
+            r_im = rem.pop(key + 1, 0)
+            if not (r_re or r_im):
+                continue
+            if (key + guard - d_key) & guard != guard:
                 raise ArithmeticError("polynomial division is not exact")
-            q = r_coeff / d_coeff
-            quotient[step] = q
-            mono = MultiPoly(self.ring, {step: q})
-            rem = rem - mono * divisor
+            t_re = r_re * lead_re + r_im * lead_im
+            t_im = r_im * lead_re - r_re * lead_im
+            g = math.gcd(t_re, t_im, norm)
+            u, v, f = t_re // g, t_im // g, norm // g
+            quotient[keys.unpack(key - d_key)] = _gaussian(
+                Fraction(u * den, scale * f) if u else _ZERO,
+                Fraction(v * den, scale * f) if v else _ZERO,
+            )
+            if f != 1:
+                for k in rem:
+                    rem[k] *= f
+                scale *= f
+            for mult, times in ((u, times_re), (v, times_im)):
+                if not mult:
+                    continue
+                for offset, n in times:
+                    k = key + offset
+                    old = get(k)
+                    if old is None:
+                        rem[k] = -mult * n
+                        heappush(heap, -k)
+                    else:
+                        old -= mult * n
+                        if old:
+                            rem[k] = old
+                        else:
+                            del rem[k]
         return MultiPoly(self.ring, quotient)
 
     # -- formatting ------------------------------------------------------------
@@ -732,9 +886,7 @@ class UniPoly:
     def _int_coeffs(self) -> list[int]:
         if not self.coeffs:
             return []
-        lcm = 1
-        for c in self.coeffs:
-            lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
+        lcm = math.lcm(*[c.denominator for c in self.coeffs])
         return [int(c * lcm) for c in self.coeffs]
 
     def primitive(self) -> "UniPoly":
@@ -742,9 +894,7 @@ class UniPoly:
         ints = self._int_coeffs()
         if not ints:
             return UniPoly.zero()
-        g = 0
-        for c in ints:
-            g = _gcd(g, abs(c))
+        g = math.gcd(*ints)
         if ints[-1] < 0:
             g = -g
         return UniPoly([Fraction(c, g) for c in ints])
@@ -824,20 +974,12 @@ class UniPoly:
         return f"UniPoly({self.format()})"
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def _int_primitive(coeffs: list[int]) -> list[int]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
         return []
-    g = 0
-    for c in coeffs:
-        g = _gcd(g, c)
+    g = math.gcd(*coeffs)
     if coeffs[-1] < 0:
         g = -g
     return [c // g for c in coeffs]
@@ -983,21 +1125,17 @@ def real_square_factorization(p: MultiPoly) -> Optional[tuple[Fraction, MultiPol
 
 def _poly_content(p: MultiPoly) -> Fraction:
     """Positive rational content of a real polynomial (gcd of coefficients)."""
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = _gcd(num, abs(c.re.numerator))
-        den = den * c.re.denominator // _gcd(den, c.re.denominator)
+    values = p.terms.values()
+    num = math.gcd(*[c.re.numerator for c in values])
+    den = math.lcm(*[c.re.denominator for c in values])
     return Fraction(num, den)
 
 
 def _rational_sqrt(c: Fraction) -> Optional[Fraction]:
     if c < 0:
         return None
-    import math as _math
-
-    n = _math.isqrt(c.numerator)
-    d = _math.isqrt(c.denominator)
+    n = math.isqrt(c.numerator)
+    d = math.isqrt(c.denominator)
     if n * n == c.numerator and d * d == c.denominator:
         return Fraction(n, d)
     return None

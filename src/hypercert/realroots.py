@@ -7,6 +7,7 @@ rational bisection, and weak/strict interlacing of root multisets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -60,18 +61,9 @@ def _positive_content_scaled(p: UniPoly) -> UniPoly:
     (sign-flipping normalization would corrupt a Sturm chain)."""
     if p.is_zero():
         return p
-    num = 0
-    den = 1
-    for c in p.coeffs:
-        num = _int_gcd(num, abs(c.numerator))
-        den = den * c.denominator // _int_gcd(den, c.denominator)
+    num = math.gcd(*[c.numerator for c in p.coeffs])
+    den = math.lcm(*[c.denominator for c in p.coeffs])
     return p.scale(Fraction(den, num))
-
-
-def _int_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def sturm_chain(f: UniPoly) -> list[UniPoly]:
@@ -126,7 +118,13 @@ def count_distinct_roots(
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    g = f.squarefree_part()
+    return _count_squarefree(f.squarefree_part(), lo, hi)
+
+
+def _count_squarefree(
+    g: UniPoly, lo: Optional[RationalLike] = None, hi: Optional[RationalLike] = None
+) -> int:
+    """count_distinct_roots for a g that is already squarefree."""
     if g.degree == 0:
         return 0
     lo_f = None if lo is None else as_fraction(lo)
@@ -156,7 +154,7 @@ def is_real_rooted(f: UniPoly) -> bool:
     if f.degree == 0:
         return True
     g = f.squarefree_part()
-    return count_distinct_roots(g) == g.degree
+    return _count_squarefree(g) == g.degree
 
 
 def _isolate_squarefree(g: UniPoly) -> list[tuple[Fraction, Fraction]]:
@@ -339,11 +337,13 @@ def interlaces_univariate(f: UniPoly, g: UniPoly, strict: bool = False) -> bool:
     if f1.degree <= 0:
         return True
     tagged = []
-    for lo, hi in _isolate_squarefree(f1.squarefree_part()):
-        tagged.append((lo, hi, f1.squarefree_part(), "f"))
+    f_sq = f1.squarefree_part()
+    for lo, hi in _isolate_squarefree(f_sq):
+        tagged.append((lo, hi, f_sq, "f"))
     if g1.degree > 0:
-        for lo, hi in _isolate_squarefree(g1.squarefree_part()):
-            tagged.append((lo, hi, g1.squarefree_part(), "g"))
+        g_sq = g1.squarefree_part()
+        for lo, hi in _isolate_squarefree(g_sq):
+            tagged.append((lo, hi, g_sq, "g"))
     merged = _refine_all_disjoint(tagged)
     pattern = [tag for _, _, tag in merged]
     if len(pattern) != 2 * f1.degree - 1:

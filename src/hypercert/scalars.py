@@ -40,14 +40,16 @@ class GaussianRational:
     """An exact element a + b*i of Q(i).
 
     Immutable; real and imaginary parts are Fractions.  ``conj`` is an
-    involution and ``z * z.conj()`` is real and nonnegative.
+    involution and ``z * z.conj()`` is real and nonnegative.  A zero
+    imaginary part is the shared ``_ZERO`` Fraction, which the arithmetic
+    uses to take its real fast paths without a Fraction call.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
         object.__setattr__(self, "re", as_fraction(re))
-        object.__setattr__(self, "im", as_fraction(im))
+        object.__setattr__(self, "im", as_fraction(im) or _ZERO)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -66,31 +68,37 @@ class GaussianRational:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if self.im is _ZERO and other.im is _ZERO:
+            return _gaussian(self.re + other.re, _ZERO)
+        return _gaussian(self.re + other.re, (self.im + other.im) or _ZERO)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if self.im is _ZERO and other.im is _ZERO:
+            return _gaussian(self.re - other.re, _ZERO)
+        return _gaussian(self.re - other.re, (self.im - other.im) or _ZERO)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        im = self.im
+        return _gaussian(-self.re, _ZERO if im is _ZERO else -im)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        if not self.im and not other.im:
-            return GaussianRational(self.re * other.re)
+        if self.im is _ZERO and other.im is _ZERO:
+            return _gaussian(self.re * other.re, _ZERO)
         a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussianRational(a * c - b * d, a * d + b * c)
+        return _gaussian(a * c - b * d, (a * d + b * c) or _ZERO)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
+        if self.im is _ZERO and other.im is _ZERO and other.re:
+            return _gaussian(self.re / other.re, _ZERO)
         if other.is_zero():
             raise ZeroDivisionError("division by zero Gaussian rational")
-        if not self.im and not other.im:
-            return GaussianRational(self.re / other.re)
         n = other.norm()
         a, b, c, d = self.re, self.im, other.re, -other.im
-        return GaussianRational((a * c - b * d) / n, (a * d + b * c) / n)
+        return _gaussian((a * c - b * d) / n, ((a * d + b * c) / n) or _ZERO)
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        im = self.im
+        return _gaussian(self.re, _ZERO if im is _ZERO else -im)
 
     def norm(self) -> Fraction:
         """z * conj(z) as a rational (always >= 0)."""
@@ -98,7 +106,7 @@ class GaussianRational:
 
     def scale(self, c: RationalLike) -> "GaussianRational":
         c = as_fraction(c)
-        return GaussianRational(self.re * c, self.im * c)
+        return _gaussian(self.re * c, (self.im * c) or _ZERO)
 
     # -- comparisons and hashing -----------------------------------------
 
@@ -142,6 +150,21 @@ def _imag_str(b: Fraction) -> str:
     if b == -1:
         return "-i"
     return f"{format_rational(b)}*i"
+
+
+_ZERO = Fraction(0)
+_new_object = object.__new__
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+
+
+def _gaussian(re: Fraction, im: Fraction) -> GaussianRational:
+    """Trusted constructor for the arithmetic: both parts must already be
+    Fractions, and a zero imaginary part must be ``_ZERO``."""
+    z = _new_object(GaussianRational)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 GR_ZERO = GaussianRational(0)
@@ -326,15 +349,31 @@ def identity_matrix(n: int, kind: str = KIND_SYMMETRIC) -> ConstMatrix:
 
 
 def pencil_value(matrices: Sequence[ConstMatrix], point: Sequence[RationalLike]) -> ConstMatrix:
-    """Evaluate sum_i point_i * A_i."""
+    """Evaluate sum_i point_i * A_i, touching only the nonzero entries.
+
+    The result keeps the slices' common kind, or is KIND_NONE if they differ.
+    """
     if len(matrices) != len(point):
         raise ValueError("pencil length does not match point arity")
     if not matrices:
         raise ValueError("empty pencil")
-    acc = matrices[0].scale(point[0])
-    for c, mat in zip(point[1:], matrices[1:]):
-        acc = acc.add(mat.scale(c))
-    return acc
+    m = matrices[0].size
+    if any(mat.size != m for mat in matrices):
+        raise ValueError("size mismatch")
+    kind = matrices[0].kind
+    if any(mat.kind != kind for mat in matrices):
+        kind = KIND_NONE
+    acc = [[GR_ZERO] * m for _ in range(m)]
+    for c, mat in zip(point, matrices):
+        c = as_fraction(c)
+        if not c:
+            continue
+        factor = _gaussian(c, _ZERO)
+        for acc_row, row in zip(acc, mat.entries):
+            for j, entry in enumerate(row):
+                if entry:
+                    acc_row[j] = acc_row[j] + entry * factor
+    return ConstMatrix(acc, kind)
 
 
 def leading_principal_minors(matrix: ConstMatrix) -> list[Fraction]:

@@ -59,6 +59,17 @@ class TestCheckHyperbolic:
     def test_bad_flag_exit_64(self, files):
         assert main(["check-hyperbolic", "--nope"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("box", ["0", "-3"])
+    def test_box_below_one_exit_64(self, files, capsys, box):
+        # box 0 would sample only v = 0 and report no counterexample on the
+        # sphere without testing a single line.
+        code = main(
+            ["check-hyperbolic", "--poly", files["sphere.txt"], "--dir", "1,0,0",
+             "--samples", "50", "--box", box]
+        )
+        assert code == EXIT_USAGE
+        assert "box must be at least 1" in capsys.readouterr().err
+
 
 class TestCheckInterlacer:
     def test_directional_derivative(self, files, tmp_path, capsys):
@@ -71,6 +82,18 @@ class TestCheckInterlacer:
              "--dir", "1,0,0", "--samples", "50", "--seed", "3"]
         )
         assert code == EXIT_OK
+
+    def test_box_below_one_exit_64(self, files, tmp_path, capsys):
+        g = tmp_path / "g.txt"
+        g.write_text(
+            "ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\n2*x0\n", encoding="ascii"
+        )
+        code = main(
+            ["check-interlacer", "--poly", files["q.txt"], "--interlacer", str(g),
+             "--dir", "1,0,0", "--samples", "50", "--box", "0"]
+        )
+        assert code == EXIT_USAGE
+        assert "box must be at least 1" in capsys.readouterr().err
 
 
 class TestVerifyDetrep:
