@@ -15,7 +15,6 @@ from .detrep import (
     PolyMatrix,
     SosDecomposition,
     detrep_to_sos,
-    leibniz_det,
     plucker_line,
     poly_det,
     polymatrix_from_json,
@@ -109,7 +108,6 @@ __all__ = [
     "is_positive_definite",
     "is_real_rooted",
     "isolate_roots",
-    "leibniz_det",
     "normalize_at_direction",
     "parse",
     "pencil_to_polymatrix",

@@ -12,9 +12,8 @@ a companion-form representation det(y*I - Q) = (y^2 - P)^(2^k).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .detrep import DetRepReport, PolyMatrix, verify_companion
 from .polyring import MultiPoly, Ring
@@ -25,15 +24,12 @@ MAX_GENERATORS = 8  # representation size 2^(n+1) caps at 512
 
 @dataclass(frozen=True)
 class CliffordGenerators:
-    """Left-multiplication matrices of the generators e_1..e_n.
-
-    ``matrices`` are dense 2^n x 2^n integer matrices with entries in
-    {0, +-1}; ``perms``/``signs`` are the same data in sparse form:
-    column j of matrix i holds ``signs[i][j]`` in row ``perms[i][j]``.
+    """Left-multiplication matrices of the generators e_1..e_n, stored
+    sparsely: the 2^n x 2^n matrix A_i has entries in {0, +-1}, and its
+    column j holds ``signs[i][j]`` in row ``perms[i][j]`` and zeros elsewhere.
     """
 
     n: int
-    matrices: tuple[tuple[tuple[int, ...], ...], ...]
     perms: tuple[tuple[int, ...], ...]
     signs: tuple[tuple[int, ...], ...]
 
@@ -77,14 +73,7 @@ def clifford_generators(n: int) -> CliffordGenerators:
         perms.append(tuple(perm))
         signs.append(tuple(sign))
 
-    matrices = []
-    for perm, sign in zip(perms, signs):
-        rows = [[0] * dim for _ in range(dim)]
-        for col in range(dim):
-            rows[perm[col]][col] = sign[col]
-        matrices.append(tuple(tuple(r) for r in rows))
-
-    gens = CliffordGenerators(n, tuple(matrices), tuple(perms), tuple(signs))
+    gens = CliffordGenerators(n, tuple(perms), tuple(signs))
     _assert_invariants(gens)
     return gens
 
@@ -173,15 +162,9 @@ def build_Q(forms: Sequence[MultiPoly]) -> PolyMatrix:
     p_total = MultiPoly.zero(ring)
     for g in forms:
         p_total = p_total + g * g
-    sq = q.matmul(q)
-    for i in range(m):
-        for j in range(m):
-            entry = sq.rows[i][j]
-            if i == j:
-                if entry != p_total:
-                    raise AssertionError("internal error: Q^2 != P*I on the diagonal")
-            elif not entry.is_zero():
-                raise AssertionError("internal error: Q^2 != P*I off the diagonal")
+    bad = q.matmul(q).scalar_mismatch(p_total)
+    if bad is not None:
+        raise AssertionError(f"internal error: Q^2 != P*I at entry {bad[:2]}")
     return q
 
 

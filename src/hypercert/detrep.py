@@ -10,9 +10,9 @@ every failed check carries a witness that re-verifies independently.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 from typing import Optional, Sequence, Union
 
 from .polyring import MultiPoly, Ring, parse, real_square_factorization
@@ -27,6 +27,7 @@ from .scalars import (
     GaussianRational,
     RationalLike,
     as_fraction,
+    bareiss,
     first_nonpositive_minor,
     pencil_value,
 )
@@ -99,16 +100,6 @@ class PolyMatrix:
             total = total + self.rows[k][k]
         return total
 
-    def add(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.size != other.size or self.ring != other.ring:
-            raise ValueError("matrix shape/ring mismatch")
-        kind = self.kind if self.kind == other.kind else KIND_NONE
-        return PolyMatrix(
-            self.ring,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            kind,
-        )
-
     def sub(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.size != other.size or self.ring != other.ring:
             raise ValueError("matrix shape/ring mismatch")
@@ -138,6 +129,15 @@ class PolyMatrix:
                         acc[j] = acc[j] + p * q
             out.append(acc)
         return PolyMatrix(self.ring, out, KIND_NONE)
+
+    def scalar_mismatch(self, p: MultiPoly) -> Optional[tuple[int, int, MultiPoly]]:
+        """First entry (i, j, value), row by row, where this matrix differs
+        from p*I, or None.  Checks an involution A^2 = p*I on A.matmul(A)."""
+        for i, row in enumerate(self.rows):
+            for j, entry in enumerate(row):
+                if (entry != p) if i == j else entry:
+                    return (i, j, entry)
+        return None
 
     def eval_at(self, point: Sequence[RationalLike], kind: Optional[str] = None) -> ConstMatrix:
         pt = [as_fraction(c) for c in point]
@@ -183,12 +183,6 @@ def polymatrix_from_json(data: Union[str, dict]) -> PolyMatrix:
     return PolyMatrix.from_strings(ring, data["entries"], data.get("kind", KIND_NONE))
 
 
-def identity_polymatrix(ring: Ring, n: int, kind: str = KIND_SYMMETRIC) -> PolyMatrix:
-    one = MultiPoly.constant(ring, 1)
-    zero = MultiPoly.zero(ring)
-    return PolyMatrix(ring, [[one if i == j else zero for j in range(n)] for i in range(n)], kind)
-
-
 def scalar_polymatrix(p: MultiPoly, n: int, kind: str = KIND_SYMMETRIC) -> PolyMatrix:
     zero = MultiPoly.zero(p.ring)
     return PolyMatrix(p.ring, [[p if i == j else zero for j in range(n)] for i in range(n)], kind)
@@ -200,103 +194,22 @@ def scalar_polymatrix(p: MultiPoly, n: int, kind: str = KIND_SYMMETRIC) -> PolyM
 
 
 def poly_det(matrix: PolyMatrix) -> MultiPoly:
-    """Exact determinant by fraction-free Bareiss elimination.
-
-    Divisions are exact in the polynomial ring; row swaps flip the sign.
-    """
-    n = matrix.size
-    ring = matrix.ring
-    if n == 0:
-        return MultiPoly.constant(ring, 1)
-    a = [list(row) for row in matrix.rows]
-    zero = MultiPoly.zero(ring)
-    sign = 1
-    prev = MultiPoly.constant(ring, 1)
-    for k in range(n - 1):
-        pivot_row = k
-        while pivot_row < n and a[pivot_row][k].is_zero():
-            pivot_row += 1
-        if pivot_row == n:
-            return zero
-        if pivot_row != k:
-            a[pivot_row], a[k] = a[k], a[pivot_row]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            if aik.is_zero():
-                for j in range(k + 1, n):
-                    if row_i[j]:
-                        row_i[j] = (pivot * row_i[j]).divide_exact(prev)
-            else:
-                for j in range(k + 1, n):
-                    row_i[j] = (pivot * row_i[j] - aik * row_k[j]).divide_exact(prev)
-            row_i[k] = zero
-        prev = pivot
-    det = a[n - 1][n - 1]
-    return det if sign > 0 else -det
-
-
-def leibniz_det(matrix: PolyMatrix) -> MultiPoly:
-    """Permutation-expansion determinant; the independent oracle for small sizes."""
-    n = matrix.size
-    if n > 6:
-        raise ValueError("Leibniz expansion is only meant for small matrices")
-    total = MultiPoly.zero(matrix.ring)
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        term = MultiPoly.constant(matrix.ring, sign)
-        for i in range(n):
-            term = term * matrix.rows[i][perm[i]]
-            if term.is_zero():
-                break
-        total = total + term
-    return total
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """Exact determinant by fraction-free Bareiss elimination; the divisions
+    are exact in the polynomial ring."""
+    return _det(matrix.rows, MultiPoly.constant(matrix.ring, 1), MultiPoly.divide_exact)
 
 
 def const_det(matrix: ConstMatrix) -> GaussianRational:
     """Exact determinant of a constant matrix (fraction-free elimination)."""
-    n = matrix.size
-    a = [list(row) for row in matrix.entries]
-    sign = 1
-    prev = GR_ONE
-    for k in range(n - 1):
-        pivot_row = k
-        while pivot_row < n and not a[pivot_row][k]:
-            pivot_row += 1
-        if pivot_row == n:
-            return GR_ZERO
-        if pivot_row != k:
-            a[pivot_row], a[k] = a[k], a[pivot_row]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                a[i][j] = (pivot * a[i][j] - aik * a[k][j]) / prev
-            a[i][k] = GR_ZERO
-        prev = pivot
-    det = a[n - 1][n - 1] if n else GR_ONE
-    return det if sign > 0 else -det
+    return _det(matrix.entries, GR_ONE, operator.truediv)
+
+
+def _det(rows, one, divide):
+    """sign * last pivot: zero once a column has no pivot, ``one`` when 0x0."""
+    pivots, sign = bareiss([list(row) for row in rows], one, divide, pivoting=True)
+    if not pivots:
+        return one
+    return pivots[-1] if sign > 0 else -pivots[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -517,15 +430,8 @@ def _det_identity_shortcut(
     q = ell_m.sub(pencil_matrix)  # traceless by construction
     q_sq = q.matmul(q)
     p = q_sq.rows[0][0]
-    for i in range(m):
-        for j in range(m):
-            expected = p if i == j else None
-            entry = q_sq.rows[i][j]
-            if expected is None:
-                if not entry.is_zero():
-                    return None
-            elif entry != p:
-                return None
+    if q_sq.scalar_mismatch(p) is not None:
+        return None
     branch = ell * ell - p
     scalar, witness = _match_scalar(branch, h, up_to_scalar)
     if witness is not None:
@@ -648,16 +554,9 @@ def _companion_shortcut(
     )
     if not matrix.trace().is_zero():
         return None
-    sq = matrix.matmul(matrix)
+    if matrix.matmul(matrix).scalar_mismatch(p) is not None:
+        return None
     m = matrix.size
-    for i in range(m):
-        for j in range(m):
-            entry = sq.rows[i][j]
-            if i == j:
-                if entry != p:
-                    return None
-            elif not entry.is_zero():
-                return None
     notes["method"] = "minimal-polynomial-shortcut"
     square = real_square_factorization(p)
     notes["branch-not-a-square"] = (
@@ -716,15 +615,11 @@ def detrep_to_sos(matrix: PolyMatrix, p: MultiPoly, column: int = 0) -> SosDecom
     m = matrix.size
     if not 0 <= column < m:
         raise ValueError("column index out of range")
-    sq = matrix.matmul(matrix)
-    for i in range(m):
-        for j in range(m):
-            expected_diag = i == j
-            entry = sq.rows[i][j]
-            if expected_diag and entry != p:
-                raise ValueError(f"A^2 != p*I: diagonal entry ({i},{j}) is {_truncate(str(entry))}")
-            if not expected_diag and not entry.is_zero():
-                raise ValueError(f"A^2 != p*I: off-diagonal entry ({i},{j}) is {_truncate(str(entry))}")
+    bad = matrix.matmul(matrix).scalar_mismatch(p)
+    if bad is not None:
+        i, j, entry = bad
+        where = "diagonal" if i == j else "off-diagonal"
+        raise ValueError(f"A^2 != p*I: {where} entry ({i},{j}) is {_truncate(str(entry))}")
 
     squares: list[MultiPoly] = []
     for j in range(m):

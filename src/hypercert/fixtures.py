@@ -148,20 +148,9 @@ def _run_f3(fixture_id: str, spec: dict) -> FixtureResult:
         CheckOutcome("hermitian", bad is None, "ok" if bad is None else f"entry {bad}")
     )
 
-    sq = matrix.matmul(matrix)
-    involutive = True
-    detail = "A^2 = p*I"
-    for i in range(matrix.size):
-        for j in range(matrix.size):
-            expected = p if i == j else None
-            entry = sq.rows[i][j]
-            if (expected is None and not entry.is_zero()) or (
-                expected is not None and entry != expected
-            ):
-                involutive = False
-                detail = f"A^2 entry ({i},{j}) is {entry}"
-                break
-    result.checks.append(CheckOutcome("involution", involutive, detail))
+    bad = matrix.matmul(matrix).scalar_mismatch(p)
+    detail = "A^2 = p*I" if bad is None else f"A^2 entry ({bad[0]},{bad[1]}) is {bad[2]}"
+    result.checks.append(CheckOutcome("involution", bad is None, detail))
 
     report = verify_companion(matrix, h, r, method="direct")
     result.checks.append(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -72,15 +73,34 @@ class SampledVerdict:
 
 def sample_direction(seed: int, index: int, arity: int, box: int) -> tuple[int, ...]:
     """Deterministic integer point in [-box, box]^arity, independent of
-    sample order: digits of SHA-256(seed:index) in base 2*box+1."""
-    digest = hashlib.sha256(f"{seed}:{index}".encode("ascii")).digest()
-    value = int.from_bytes(digest, "big")
+    sample order: base 2*box+1 digits of SHA-256 digests.
+
+    One 256-bit digest holds k full digits, k the largest count with
+    (2*box+1)^k <= 2^256 (at least 1).  The first k coordinates come from
+    SHA-256(seed:index), each further k from SHA-256(seed:index:block) for
+    block = 1, 2, ...
+    """
     base = 2 * box + 1
-    coords = []
-    for _ in range(arity):
-        value, digit = divmod(value, base)
-        coords.append(digit - box)
+    per_block = _digits_per_digest(base)
+    coords: list[int] = []
+    block = 0
+    while len(coords) < arity:
+        label = f"{seed}:{index}" if block == 0 else f"{seed}:{index}:{block}"
+        value = int.from_bytes(hashlib.sha256(label.encode("ascii")).digest(), "big")
+        for _ in range(min(per_block, arity - len(coords))):
+            value, digit = divmod(value, base)
+            coords.append(digit - box)
+        block += 1
     return tuple(coords)
+
+
+@lru_cache(maxsize=16)
+def _digits_per_digest(base: int) -> int:
+    k, span = 0, base
+    while span <= 1 << 256:
+        k += 1
+        span *= base
+    return max(k, 1)
 
 
 def _check_inputs(h: MultiPoly, e: Sequence[RationalLike], name: str = "h") -> list[Fraction]:

@@ -297,12 +297,6 @@ class MultiPoly:
         degrees = {wd(e) for e in self.terms}
         return len(degrees) == 1
 
-    def homogeneous_degree(self) -> Optional[int]:
-        """The common weighted degree, or raises if inhomogeneous."""
-        if not self.is_weighted_homogeneous():
-            raise ValueError("polynomial is not weighted-homogeneous")
-        return self.weighted_degree()
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check_ring(self, other: "MultiPoly") -> None:
@@ -898,11 +892,6 @@ class UniPoly:
         if ints[-1] < 0:
             g = -g
         return UniPoly([Fraction(c, g) for c in ints])
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.leading())
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Primitive gcd via a primitive pseudo-remainder sequence."""

@@ -2,7 +2,9 @@
 
 Sturm chains over Q, root counting on intervals, isolation with
 multiplicities (via Yun's squarefree decomposition), interval refinement by
-rational bisection, and weak/strict interlacing of root multisets.
+rational bisection, and weak/strict interlacing of root multisets.  One
+refine-until-disjoint loop separates the intervals of coprime squarefree
+polynomials, for isolation (Yun factors) and interlacing (f against g).
 """
 
 from __future__ import annotations
@@ -214,35 +216,48 @@ def refine_interval(
     return (lo, hi)
 
 
+def _refine_all_disjoint(items: list[tuple[Fraction, Fraction, UniPoly, object]]) -> list[tuple]:
+    """Refine (lo, hi, g, tag) intervals, each isolating a root of its
+    squarefree g, until pairwise disjoint; returns sorted (lo, hi, tag).
+
+    The roots must be distinct, so quartering the widths of every
+    overlapping pair terminates.
+    """
+    work = list(items)
+    changed = True
+    while changed:
+        changed = False
+        work.sort(key=lambda t: (t[0], t[1]))
+        for a in range(len(work) - 1):
+            lo1, hi1, g1, t1 = work[a]
+            lo2, hi2, g2, t2 = work[a + 1]
+            if hi1 < lo2:
+                continue
+            if hi1 > lo1:
+                lo1, hi1 = refine_interval(g1, lo1, hi1, (hi1 - lo1) / 4)
+                work[a] = (lo1, hi1, g1, t1)
+            if hi2 > lo2:
+                lo2, hi2 = refine_interval(g2, lo2, hi2, (hi2 - lo2) / 4)
+                work[a + 1] = (lo2, hi2, g2, t2)
+            changed = True
+    return [(lo, hi, tag) for lo, hi, _, tag in work]
+
+
 def isolate_roots(f: UniPoly) -> list[IsolatingInterval]:
     """Sorted, pairwise-disjoint isolating intervals with multiplicities.
 
     Multiplicities are taken from Yun's squarefree decomposition; the
-    intervals across factors are refined until disjoint.
+    intervals of all factors, tagged with their multiplicity, go through the
+    refine loop that interlacing uses too.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    tagged: list[tuple[Fraction, Fraction, int, UniPoly]] = []
-    for factor, mult in f.squarefree_decomposition():
-        for lo, hi in _isolate_squarefree(factor):
-            tagged.append((lo, hi, mult, factor))
-    # Refine until the intervals are pairwise disjoint (roots are distinct,
-    # so quartering the widths terminates).
-    changed = True
-    while changed:
-        changed = False
-        tagged.sort(key=lambda t: (t[0], t[1]))
-        for a in range(len(tagged) - 1):
-            lo1, hi1, m1, g1 = tagged[a]
-            lo2, hi2, m2, g2 = tagged[a + 1]
-            if hi1 < lo2:
-                continue
-            if hi1 > lo1:
-                tagged[a] = (*refine_interval(g1, lo1, hi1, (hi1 - lo1) / 4), m1, g1)
-            if hi2 > lo2:
-                tagged[a + 1] = (*refine_interval(g2, lo2, hi2, (hi2 - lo2) / 4), m2, g2)
-            changed = True
-    return [IsolatingInterval(lo, hi, m) for lo, hi, m, _ in tagged]
+    tagged = [
+        (lo, hi, factor, mult)
+        for factor, mult in f.squarefree_decomposition()
+        for lo, hi in _isolate_squarefree(factor)
+    ]
+    return [IsolatingInterval(lo, hi, mult) for lo, hi, mult in _refine_all_disjoint(tagged)]
 
 
 def refine_isolation(
@@ -269,31 +284,6 @@ def refine_isolation(
 # ---------------------------------------------------------------------------
 # Interlacing
 # ---------------------------------------------------------------------------
-
-
-def _refine_all_disjoint(
-    items: list[tuple[Fraction, Fraction, UniPoly, str]]
-) -> list[tuple[Fraction, Fraction, str]]:
-    """Refine tagged intervals (all from squarefree coprime polynomials)
-    until pairwise disjoint; returns sorted (lo, hi, tag)."""
-    work = list(items)
-    changed = True
-    while changed:
-        changed = False
-        work.sort(key=lambda t: (t[0], t[1]))
-        for a in range(len(work) - 1):
-            lo1, hi1, g1, t1 = work[a]
-            lo2, hi2, g2, t2 = work[a + 1]
-            if hi1 < lo2:
-                continue
-            if hi1 > lo1:
-                lo1, hi1 = refine_interval(g1, lo1, hi1, (hi1 - lo1) / 4)
-                work[a] = (lo1, hi1, g1, t1)
-            if hi2 > lo2:
-                lo2, hi2 = refine_interval(g2, lo2, hi2, (hi2 - lo2) / 4)
-                work[a + 1] = (lo2, hi2, g2, t2)
-            changed = True
-    return [(lo, hi, tag) for lo, hi, _, tag in work]
 
 
 def interlaces_univariate(f: UniPoly, g: UniPoly, strict: bool = False) -> bool:

@@ -2,15 +2,18 @@
 
 Rationals are ``fractions.Fraction`` throughout (always normalized, positive
 denominator).  On top of that this module provides Gaussian rationals,
-Lagrange four-square decompositions of positive rationals, and Sylvester
-positive-definiteness tests for constant symmetric/hermitian matrices.
+Lagrange four-square decompositions of positive rationals, the one
+fraction-free (Bareiss) elimination behind every exact determinant and
+minor, and Sylvester positive-definiteness tests for constant
+symmetric/hermitian matrices.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -169,7 +172,6 @@ def _gaussian(re: Fraction, im: Fraction) -> GaussianRational:
 
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -318,18 +320,6 @@ class ConstMatrix:
             [[e.scale(c) for e in row] for row in self.entries], self.kind
         )
 
-    def add(self, other: "ConstMatrix") -> "ConstMatrix":
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        kind = self.kind if self.kind == other.kind else KIND_NONE
-        return ConstMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            kind,
-        )
-
     def is_diagonal(self) -> bool:
         return all(
             not self.entries[i][j]
@@ -376,34 +366,61 @@ def pencil_value(matrices: Sequence[ConstMatrix], point: Sequence[RationalLike])
     return ConstMatrix(acc, kind)
 
 
-def leading_principal_minors(matrix: ConstMatrix) -> list[Fraction]:
-    """All leading principal minors, via fraction-free (Bareiss) elimination.
+def bareiss(rows: list[list], one, divide: Callable, pivoting: bool) -> tuple[list, int]:
+    """Fraction-free (Bareiss) elimination of the square ``rows``, in place.
 
-    Stops early when a minor vanishes (later ones are then not computable by
-    this scheme; a zero entry is recorded and the list is truncated there).
-    For symmetric/hermitian input every minor is real; an imaginary residue
-    would mean the invariant is broken and raises.
+    Works on any entry type with ``*``, ``-`` and truth testing; ``divide``
+    is the exact division of that type (``operator.truediv`` for Gaussian
+    rationals, ``MultiPoly.divide_exact`` for polynomials) and ``one`` its
+    unit.  Returns (pivots, sign), the pivots ending at the first zero one.
+    Without ``pivoting`` pivot k is the leading principal minor of order
+    k + 1.  With ``pivoting`` a zero pivot is swapped for a nonzero entry
+    below it (each swap flips ``sign``), so a full list ends in sign * det
+    and a zero pivot means det = 0.  Zero entries are skipped.
     """
-    n = matrix.size
-    a = [list(row) for row in matrix.entries]
-    minors: list[Fraction] = []
-    prev = GR_ONE
+    n = len(rows)
+    pivots = []
+    sign = 1
+    prev = one
     for k in range(n):
-        pivot = a[k][k]
+        if pivoting and not rows[k][k]:
+            for p in range(k + 1, n):
+                if rows[p][k]:
+                    rows[k], rows[p] = rows[p], rows[k]
+                    sign = -sign
+                    break
+        row_k = rows[k]
+        pivot = row_k[k]
+        pivots.append(pivot)
+        if not pivot:
+            break
+        for row_i in rows[k + 1 :]:
+            aik = row_i[k]
+            if aik:
+                for j in range(k + 1, n):
+                    row_i[j] = divide(pivot * row_i[j] - aik * row_k[j], prev)
+            else:
+                for j in range(k + 1, n):
+                    if row_i[j]:
+                        row_i[j] = divide(pivot * row_i[j], prev)
+        prev = pivot
+    return pivots, sign
+
+
+def leading_principal_minors(matrix: ConstMatrix) -> list[Fraction]:
+    """All leading principal minors, by Bareiss elimination without row swaps.
+
+    Stops at the first vanishing minor (the scheme cannot go past it; that
+    zero is the last entry).  For symmetric/hermitian input every minor is
+    real; an imaginary one means the invariant is broken and raises.
+    """
+    pivots, _ = bareiss([list(row) for row in matrix.entries], GR_ONE, operator.truediv, pivoting=False)
+    for k, pivot in enumerate(pivots):
         if pivot.im:
             raise ArithmeticError(
                 f"leading principal minor {k + 1} is not real; hermitian invariant broken"
             )
-        minors.append(pivot.re)
-        if not pivot:
-            break
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                a[i][j] = (pivot * a[i][j] - aik * a[k][j]) / prev
-            a[i][k] = GR_ZERO
-        prev = pivot
-    return minors
+    return [pivot.re for pivot in pivots]
 
 
 def first_nonpositive_minor(matrix: ConstMatrix) -> Optional[tuple[int, Fraction]]:
@@ -421,12 +438,9 @@ def first_nonpositive_minor(matrix: ConstMatrix) -> Optional[tuple[int, Fraction
             if prod <= 0:
                 return (k + 1, prod)
         return None
-    minors = leading_principal_minors(matrix)
-    for k, value in enumerate(minors):
+    for k, value in enumerate(leading_principal_minors(matrix)):
         if value <= 0:
             return (k + 1, value)
-    if len(minors) < matrix.size:  # pragma: no cover - guarded by <=0 above
-        return (len(minors), Fraction(0))
     return None
 
 

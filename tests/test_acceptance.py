@@ -10,7 +10,6 @@ from hypercert import quadratic
 from hypercert.clifford import build_Q, clifford_generators
 from hypercert.detrep import (
     const_det,
-    leibniz_det,
     pencil_to_polymatrix,
     poly_det,
     verify_pencil,
@@ -28,6 +27,7 @@ from hypercert.realroots import (
     is_real_rooted,
 )
 from hypercert.scalars import ConstMatrix
+from oracles import leibniz_det
 
 from test_detrep import random_sparse_matrix
 from test_hyperbolicity import lagrange_interpolate

@@ -14,6 +14,7 @@ from hypercert.clifford import (
 from hypercert.detrep import PolyMatrix, poly_det, scalar_polymatrix
 from hypercert.polyring import MultiPoly, Ring, parse
 from hypercert.scalars import GaussianRational
+from oracles import dense_generators
 
 
 def _dense_mul(a, b):
@@ -27,12 +28,12 @@ def _dense_mul(a, b):
 class TestGenerators:
     def test_n1_matrix(self):
         g = clifford_generators(1)
-        assert g.matrices[0] == ((0, -1), (1, 0))
+        assert dense_generators(g)[0] == ((0, -1), (1, 0))
 
     def test_entries_in_unit_set(self):
         for n in range(1, 5):
             g = clifford_generators(n)
-            for m in g.matrices:
+            for m in dense_generators(g):
                 assert all(v in (-1, 0, 1) for row in m for v in row)
                 # exactly one nonzero per column
                 for col in range(g.dimension):
@@ -44,15 +45,15 @@ class TestGenerators:
             g = clifford_generators(n)
             dim = g.dimension
             ident = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-            for a in g.matrices:
-                rows = [list(r) for r in a]
+            dense = [[list(r) for r in a] for a in dense_generators(g)]
+            for rows in dense:
                 assert [list(r) for r in zip(*rows)] == [[-v for v in r] for r in rows]
                 sq = _dense_mul(rows, rows)
                 assert sq == [[-v for v in r] for r in ident]
             for i in range(n):
                 for j in range(i + 1, n):
-                    ab = _dense_mul([list(r) for r in g.matrices[i]], [list(r) for r in g.matrices[j]])
-                    ba = _dense_mul([list(r) for r in g.matrices[j]], [list(r) for r in g.matrices[i]])
+                    ab = _dense_mul(dense[i], dense[j])
+                    ba = _dense_mul(dense[j], dense[i])
                     assert all(
                         ab[r][c] + ba[r][c] == 0 for r in range(dim) for c in range(dim)
                     )

@@ -9,7 +9,6 @@ from hypercert.detrep import (
     PolyMatrix,
     const_det,
     detrep_to_sos,
-    leibniz_det,
     pencil_to_polymatrix,
     plucker_line,
     poly_det,
@@ -20,6 +19,7 @@ from hypercert.detrep import (
 from hypercert.fixtures import load_fixture_matrix, load_fixture_poly
 from hypercert.polyring import MultiPoly, Ring, parse
 from hypercert.scalars import ConstMatrix, GaussianRational
+from oracles import leibniz_det
 
 R3 = Ring.standard(("x0", "x1", "x2"))
 R4 = Ring.standard(("x0", "x1", "x2", "x3"))
@@ -253,6 +253,74 @@ class TestDetrepToSos:
         for g in sos.squares:
             total = total + g * g
         assert total == p
+
+
+class TestScalarMismatch:
+    """PolyMatrix.scalar_mismatch, the one A^2 = p*I check."""
+
+    def test_none_on_involutions(self):
+        from hypercert.clifford import build_Q
+
+        m = load_fixture_matrix("F3_matrix.json")
+        assert m.matmul(m).scalar_mismatch(load_fixture_poly("F3_p.txt")) is None
+        forms = [parse("x0 + x1", R3), parse("x2", R3), parse("x0 - 2*x2", R3)]
+        q = build_Q(forms)
+        p = MultiPoly.zero(R3)
+        for g in forms:
+            p = p + g * g
+        assert q.matmul(q).scalar_mismatch(p) is None
+        assert q.matmul(q).scalar_mismatch(p.scale(2)) == (0, 0, p)
+
+    def _perturbed(self, changes):
+        from hypercert.clifford import build_Q
+
+        forms = [parse("x0", R3), parse("x1 - x2", R3)]
+        q = build_Q(forms)
+        p = parse("x0^2 + (x1 - x2)^2", R3)
+        rows = [list(row) for row in q.matmul(q).rows]
+        for (i, j), text in changes.items():
+            rows[i][j] = parse(text, R3)
+        return PolyMatrix(R3, rows), p
+
+    def test_first_bad_diagonal_entry(self):
+        sq, p = self._perturbed({(5, 5): "x0^2", (2, 2): "x1^2"})
+        assert sq.scalar_mismatch(p) == (2, 2, parse("x1^2", R3))
+
+    def test_first_bad_offdiagonal_entry(self):
+        sq, p = self._perturbed({(6, 1): "x2", (3, 4): "x0*x1"})
+        assert sq.scalar_mismatch(p) == (3, 4, parse("x0*x1", R3))
+
+    def test_row_order_decides_between_kinds(self):
+        sq, p = self._perturbed({(4, 4): "0", (3, 7): "1"})
+        assert sq.scalar_mismatch(p)[:2] == (3, 7)
+        sq, p = self._perturbed({(3, 3): "0", (3, 7): "1"})
+        assert sq.scalar_mismatch(p)[:2] == (3, 3)
+
+    def test_detrep_to_sos_names_the_entry(self):
+        ring = Ring.standard(("x1",))
+        p = parse("x1^2", ring)
+        off = PolyMatrix.from_strings(ring, [["0", "x1"], ["x1", "x1"]], "symmetric")
+        with pytest.raises(ValueError, match=r"^A\^2 != p\*I: off-diagonal entry \(0,1\) is x1\^2$"):
+            detrep_to_sos(off, p)
+        diag = PolyMatrix.from_strings(ring, [["x1", "0"], ["0", "2*x1"]], "symmetric")
+        with pytest.raises(ValueError, match=r"^A\^2 != p\*I: diagonal entry \(1,1\) is 4\*x1\^2$"):
+            detrep_to_sos(diag, p)
+
+    def test_pencil_shortcut_falls_back_when_q_squared_is_not_scalar(self):
+        # diag(A, T A T^T) with T = diag(2, 1): det = 4 h^2, but the
+        # traceless part Q of the pencil has a non-scalar square.
+        h = parse("x0^2 - x1^2 - x2^2", R3)
+        rows = [
+            ["x0 + x1", "x2", "0", "0"],
+            ["x2", "x0 - x1", "0", "0"],
+            ["0", "0", "4*x0 + 4*x1", "2*x2"],
+            ["0", "0", "2*x2", "x0 - x1"],
+        ]
+        pencil = polymatrix_to_pencil(PolyMatrix.from_strings(R3, rows, "symmetric"))
+        report = verify_pencil(pencil, h, 2, (1, 0, 0), up_to_scalar=True, method="shortcut")
+        assert report.ok and report.scalar == 4
+        assert report.notes["method"] == "bareiss"
+        assert report.notes["shortcut"] == "inapplicable; fell back to the direct determinant"
 
 
 class TestPlucker:

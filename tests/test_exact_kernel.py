@@ -1,5 +1,7 @@
 """Oracles for the exact kernel: MultiPoly products and exact division over
-real, Gaussian and weighted rings, Bareiss determinants, pencil values.
+real, Gaussian and weighted rings, the shared Bareiss elimination
+(polynomial and constant determinants, leading principal minors), pencil
+values.
 
 The references here are written term by term on (re, im) Fraction pairs, so
 they share no code with the packed integer kernel or with GaussianRational
@@ -14,7 +16,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercert.detrep import pencil_to_polymatrix, poly_det
+from hypercert.detrep import PolyMatrix, const_det, pencil_to_polymatrix, poly_det
 from hypercert.polyring import MultiPoly, Ring, parse
 from hypercert.scalars import (
     KIND_HERMITIAN,
@@ -22,6 +24,7 @@ from hypercert.scalars import (
     KIND_SYMMETRIC,
     ConstMatrix,
     GaussianRational,
+    leading_principal_minors,
     pencil_value,
 )
 
@@ -250,6 +253,83 @@ def test_poly_det_matches_sympy(m, hermitian):
         ours = poly_det(pencil_to_polymatrix(pencil, ring))
         assert ours.is_real()
         assert sympy.expand(matrix.det(method="berkowitz") - sympy_poly(ours, symbols)) == 0
+
+
+def random_gaussian_matrix(rng, m, density):
+    """Random Gaussian-rational entries, zero with probability 1 - density."""
+    def entry():
+        if rng.random() > density:
+            return GaussianRational(0)
+        return GaussianRational(Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))), rng.randint(-3, 3))
+    return [[entry() for _ in range(m)] for _ in range(m)]
+
+
+def sympy_det(rows):
+    # Gaussian elimination over sympy's QQ<I> domain: field arithmetic, no
+    # fraction-free steps, so it shares no scheme with ours.
+    return sympy.expand(sympy.Matrix([[sympy_number(z) for z in row] for row in rows]).det(method="domain-ge"))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_const_det_matches_sympy(m):
+    rng = random.Random(f"const_det:{m}")
+    for trial in range(12):
+        rows = random_gaussian_matrix(rng, m, density=(0.4, 0.7, 1.0)[trial % 3])
+        if trial % 4 == 1 and m > 1:
+            # Singular: the last row is a combination of the first two.
+            c = GaussianRational(Fraction(rng.randint(-3, 3), 2), rng.randint(-2, 2))
+            rows[-1] = [a * c + b for a, b in zip(rows[0], rows[1 % (m - 1)])]
+        if trial % 4 == 2:
+            rows[0][0] = GaussianRational(0)  # forces a row swap
+        ours = const_det(ConstMatrix(rows))
+        assert sympy.expand(sympy_number(ours) - sympy_det(rows)) == 0
+
+
+def test_const_det_row_swaps_and_singular_cases():
+    rows = [[0, 1, 2], [0, 3, 4], [5, 6, 7]]  # two zero pivots in column 0
+    assert const_det(ConstMatrix.from_rows(rows)) == GaussianRational(-10)
+    assert const_det(ConstMatrix.from_rows([[0, 1], [0, 2]])).is_zero()  # zero column
+    assert const_det(ConstMatrix.from_rows([[1, 2], [2, 4]])).is_zero()
+    assert const_det(ConstMatrix([])) == GaussianRational(1)
+
+
+def random_small_hermitian(rng, m, hermitian):
+    """Entries in {-1, 0, 1} (+ i{-1, 0, 1}): leading minors often vanish."""
+    rows = [[None] * m for _ in range(m)]
+    for i in range(m):
+        rows[i][i] = GaussianRational(rng.randint(-1, 2))
+        for j in range(i + 1, m):
+            z = GaussianRational(rng.randint(-1, 1), rng.randint(-1, 1) if hermitian else 0)
+            rows[i][j], rows[j][i] = z, z.conj()
+    return ConstMatrix(rows, KIND_HERMITIAN if hermitian else KIND_SYMMETRIC)
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_leading_principal_minors_match_sympy(hermitian):
+    rng = random.Random(f"minors:{hermitian}")
+    stopped_early = 0
+    for _ in range(60):
+        m = rng.randint(1, 5)
+        matrix = random_small_hermitian(rng, m, hermitian)
+        expected = []
+        for k in range(1, m + 1):
+            expected.append(sympy_det([row[:k] for row in matrix.entries[:k]]))
+            if expected[-1] == 0:
+                break
+        minors = leading_principal_minors(matrix)
+        assert [sympy.Rational(q.numerator, q.denominator) for q in minors] == expected
+        stopped_early += len(minors) < m
+    assert stopped_early > 0  # the first-zero cut-off was exercised
+
+
+def test_poly_det_with_zero_first_pivot():
+    ring = Ring.standard(("x0", "x1", "x2"))
+    matrix = PolyMatrix.from_strings(
+        ring, [["0", "x0", "x1"], ["x2", "x0 + x1", "0"], ["x1", "0", "x0 - x2"]]
+    )
+    x0, x1, x2 = symbols = sympy.symbols(ring.variables)
+    reference = sympy.Matrix([[0, x0, x1], [x2, x0 + x1, 0], [x1, 0, x0 - x2]]).det()
+    assert sympy.expand(reference - sympy_poly(poly_det(matrix), symbols)) == 0
 
 
 # -- pencil values ----------------------------------------------------------------

@@ -80,6 +80,36 @@ class TestSampling:
         for k in range(10):
             assert again[k] == first[k]
 
+    def test_every_coordinate_varies_at_large_arity_and_box(self):
+        # (2*10^8 + 1)^12 is far above 2^256: one digest cannot fill all
+        # twelve coordinates, and a single-digest sampler pinned the last
+        # ones at -box.
+        draws = [sample_direction(1, k, 12, 10**8) for k in range(200)]
+        for coord in range(12):
+            assert len({d[coord] for d in draws}) > 190
+
+    def test_further_coordinates_come_from_chained_digests(self):
+        import hashlib
+
+        # Nine base-(2*10^8 + 1) digits fit one digest; the tenth coordinate
+        # is the first digit of SHA-256("seed:index:1").
+        box = 10**8
+        v = sample_direction(3, 5, 12, box)
+        assert v[:9] == sample_direction(3, 5, 9, box)
+        block = int.from_bytes(hashlib.sha256(b"3:5:1").digest(), "big")
+        assert v[9] == block % (2 * box + 1) - box
+
+    @pytest.mark.parametrize(
+        "seed, arity, box, first",
+        [
+            (90402, 5, 10, [(8, 7, 9, -1, -4), (4, 9, -7, -9, 8), (0, 5, -8, 0, 6)]),  # F4
+            (7, 4, 50, [(48, 18, -12, -35), (46, 45, 41, -32), (-36, 22, 28, 16)]),  # F5
+            (7, 3, 50, [(48, 18, -12), (46, 45, 41), (-36, 22, 28)]),  # F5 control
+        ],
+    )
+    def test_outputs_pinned_at_fixture_parameters(self, seed, arity, box, first):
+        assert [sample_direction(seed, k, arity, box) for k in range(3)] == first
+
     def test_direction_equal_to_sample_is_skipped(self):
         # h = x0^2 is real-rooted along every line, whatever the direction
         # with nonzero first coordinate; pick e equal to sample 0.

@@ -202,3 +202,129 @@ class TestInterlacing:
             f = UniPoly.from_roots(a)
             g = UniPoly.from_roots(b)
             assert interlaces_univariate(f, g) == chain
+
+
+# -- sympy oracles (tests only) ---------------------------------------------------
+
+sympy = pytest.importorskip("sympy")
+X = sympy.Symbol("x")
+
+# Irreducible quadratics over Q with real roots: t^2 - 2, t^2 - 3, t^2 - 2t - 1
+# (roots 1 +- sqrt 2) and 4t^2 - 5.
+REAL_QUADRATICS = ([-2, 0, 1], [-3, 0, 1], [-1, -2, 1], [-5, 0, 4])
+
+
+def to_sympy(f):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], X)
+
+
+def random_factored(rng, max_factors=4, max_mult=3):
+    """A product of powers of rational linear factors, irreducible real
+    quadratics and one optional positive quadratic (no real roots)."""
+    f = UniPoly([Fraction(rng.randrange(1, 4), rng.randrange(1, 3))])
+    for _ in range(rng.randrange(1, max_factors + 1)):
+        if rng.random() < 0.6:
+            factor = UniPoly.from_roots([random_rational(rng, span=4, max_den=3)])
+        else:
+            factor = UniPoly(rng.choice(REAL_QUADRATICS))
+        for _ in range(rng.randrange(1, max_mult + 1)):
+            f = f * factor
+    if rng.random() < 0.3:
+        f = f * UniPoly([1, 0, 1])
+    return f
+
+
+def check_isolation(f):
+    roots = sympy.real_roots(to_sympy(f))
+    distinct = sorted(set(roots), key=lambda r: float(r))
+    ivs = isolate_roots(f)
+    assert len(ivs) == len(distinct)
+    for a, b in zip(ivs, ivs[1:]):
+        assert a.hi < b.lo
+    for iv, root in zip(ivs, distinct):
+        lo, hi = sympy.Rational(iv.lo), sympy.Rational(iv.hi)
+        inside = [r for r in distinct if lo <= r <= hi]
+        assert inside == [root]
+        assert iv.multiplicity == roots.count(root)
+    return ivs
+
+
+class TestIsolationOracle:
+    def test_random_products_against_sympy(self):
+        rng = random.Random(4001)
+        for _ in range(40):
+            check_isolation(random_factored(rng))
+
+    def test_repeated_roots_over_several_yun_factors(self):
+        # Yun factors of multiplicity 1, 2, 3 and 4, each holding rational
+        # and irrational roots.
+        f = UniPoly.from_roots([Fraction(1, 3)])
+        for mult, quad, root in ((2, [-2, 0, 1], -1), (3, [-3, 0, 1], 2), (4, [-1, -2, 1], Fraction(-5, 2))):
+            for _ in range(mult):
+                f = f * UniPoly(quad) * UniPoly.from_roots([root])
+        assert sorted(m for _, m in f.squarefree_decomposition()) == [1, 2, 3, 4]
+        ivs = check_isolation(f)
+        assert sorted(iv.multiplicity for iv in ivs) == [1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
+
+    def test_rational_root_at_a_bisection_midpoint_is_deflated(self):
+        # Isolation starts from (-B, B), B the Cauchy bound, so its first
+        # midpoint is 0.  For t (t^2 - 2) that is a root, which is deflated
+        # out; with multiplicity 2 the deflation happens inside a Yun factor.
+        f = UniPoly([0, -2, 0, 1])
+        for mult, poly in ((1, f), (2, f * f)):
+            ivs = check_isolation(poly)
+            points = [iv for iv in ivs if iv.is_point()]
+            assert [(p.lo, p.multiplicity) for p in points] == [(0, mult)]
+
+    def test_deflation_next_to_a_close_root(self):
+        # 0 is hit at the first midpoint while 1/1024 must still be separated.
+        f = UniPoly.from_roots([0, Fraction(1, 1024), -1]) * UniPoly([-2, 0, 1])
+        ivs = check_isolation(f)
+        assert any(iv.is_point() and iv.lo == 0 for iv in ivs)
+
+
+def sympy_chain(f, g, strict):
+    """The (weak or strict) interlacing chain from sympy's sorted roots."""
+    a = sorted(sympy.real_roots(to_sympy(f)), key=lambda r: float(r))
+    b = sorted(sympy.real_roots(to_sympy(g)), key=lambda r: float(r))
+    if len(a) != f.degree or len(b) != g.degree:
+        return None
+    if strict:
+        return all(a[k] < b[k] < a[k + 1] for k in range(len(b)))
+    return all(a[k] <= b[k] <= a[k + 1] for k in range(len(b)))
+
+
+class TestInterlacingOracle:
+    def test_random_real_rooted_pairs_against_sympy(self):
+        rng = random.Random(4003)
+        seen = set()
+        for trial in range(60):
+            f = random_factored(rng, max_factors=3, max_mult=2)
+            while not is_real_rooted(f) or f.degree < 2:
+                f = random_factored(rng, max_factors=3, max_mult=2)
+            kind = trial % 3
+            if kind == 0:
+                g = f.derivative()  # Rolle: always interlaces weakly
+            elif kind == 1:
+                # Drop one root of a rational linear factor, if there is one.
+                linear = [h for h, _ in _linear_factors(f)]
+                g = f.divide_exact(rng.choice(linear)) if linear else f.derivative()
+            else:
+                g = random_factored(rng, max_factors=3, max_mult=2)
+                while not is_real_rooted(g) or g.degree != f.degree - 1:
+                    g = random_factored(rng, max_factors=3, max_mult=2)
+            for strict in (False, True):
+                expected = sympy_chain(f, g, strict)
+                assert expected is not None
+                assert interlaces_univariate(f, g, strict=strict) == expected, (f, g, strict)
+                seen.add((strict, expected))
+        assert seen == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def _linear_factors(f):
+    """(t - r, r) for the distinct rational roots r of f."""
+    out = []
+    for r in sympy.roots(to_sympy(f), filter="Q"):
+        q = Fraction(int(r.p), int(r.q))
+        out.append((UniPoly.from_roots([q]), q))
+    return out
