@@ -7,6 +7,7 @@ report carries the witness), 64 = usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -199,6 +200,7 @@ def _cmd_fixtures(args) -> int:
     return EXIT_OK if report.ok else EXIT_REFUTED
 
 
+@functools.cache  # built once; main reuses it on every call
 def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="hypercert",

@@ -842,9 +842,6 @@ class UniPoly:
                     rem[k + j] -= c * oc
         return UniPoly(quo), UniPoly(rem)
 
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[1]
 

@@ -1,10 +1,12 @@
 """Exact univariate real-root machinery.
 
-Sturm chains over Q, root counting on intervals, isolation with
-multiplicities (via Yun's squarefree decomposition), interval refinement by
-rational bisection, and weak/strict interlacing of root multisets.  One
-refine-until-disjoint loop separates the intervals of coprime squarefree
-polynomials, for isolation (Yun factors) and interlacing (f against g).
+Real-rootedness and interlacing are decided by counting, not isolating:
+the sign variations V(a) - V(b) of the signed remainder sequence of (f, g)
+give the Cauchy index of g/f on (a, b) (Basu-Pollack-Roy, *Algorithms in
+Real Algebraic Geometry*, Thm 2.58), for g = f' the number of distinct real
+roots of f (Sturm).  Root isolation with multiplicities (via Yun's
+squarefree decomposition) and refinement by rational bisection serve
+``isolate_roots`` and ``refine_isolation``.
 """
 
 from __future__ import annotations
@@ -68,9 +70,10 @@ def _positive_content_scaled(p: UniPoly) -> UniPoly:
     return p.scale(Fraction(den, num))
 
 
-def sturm_chain(f: UniPoly) -> list[UniPoly]:
-    """Signed remainder sequence f, f', -rem(...), ... down to the gcd."""
-    chain = [f, f.derivative()]
+def sturm_chain(f: UniPoly, g: Optional[UniPoly] = None) -> list[UniPoly]:
+    """Signed remainder sequence f, g, -rem, ... (g defaults to f'), each
+    remainder divided by its positive content; it ends in gcd(f, g)."""
+    chain = [f, f.derivative() if g is None else g]
     if chain[-1].is_zero():
         chain.pop()
         return chain
@@ -86,29 +89,30 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _variations(signs: Sequence[int]) -> int:
+def _variations(chain: Sequence[UniPoly], x: Optional[Fraction], minus_inf: bool = False) -> int:
+    """Sign variations at x, zeros skipped; None is +oo (-oo if minus_inf)."""
     count = 0
     prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            count += 1
-        prev = s
-    return count
-
-
-def _variations_at(chain: Sequence[UniPoly], x: Optional[Fraction], at_minus_inf: bool = False) -> int:
-    signs = []
     for p in chain:
         if x is None:
-            s = _sign(p.leading()) if p else 0
-            if at_minus_inf and p and p.degree % 2 == 1:
+            s = _sign(p.leading())
+            if minus_inf and p.degree % 2 == 1:
                 s = -s
         else:
             s = _sign(p.eval(x))
-        signs.append(s)
-    return _variations(signs)
+        if s:
+            if prev and s != prev:
+                count += 1
+            prev = s
+    return count
+
+
+def _index(chain: Sequence[UniPoly], lo: Optional[Fraction] = None, hi: Optional[Fraction] = None) -> int:
+    """V(lo) - V(hi), None meaning -oo for lo and +oo for hi: for the chain
+    of (f, g) the Cauchy index of g/f on (lo, hi) if neither end is a root
+    of f (Basu-Pollack-Roy, Thm 2.58); for g = f' the number of distinct
+    real roots of f there (Sturm)."""
+    return _variations(chain, lo, minus_inf=True) - _variations(chain, hi)
 
 
 def count_distinct_roots(
@@ -116,28 +120,17 @@ def count_distinct_roots(
 ) -> int:
     """Number of distinct real roots of f in (lo, hi]; None means +-infinity.
 
-    Finite endpoints must not be roots of the squarefree part.
+    Sturm's theorem holds on the full chain of (f, f'), squarefree or not.
+    Finite endpoints must not be roots of f.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    return _count_squarefree(f.squarefree_part(), lo, hi)
-
-
-def _count_squarefree(
-    g: UniPoly, lo: Optional[RationalLike] = None, hi: Optional[RationalLike] = None
-) -> int:
-    """count_distinct_roots for a g that is already squarefree."""
-    if g.degree == 0:
-        return 0
     lo_f = None if lo is None else as_fraction(lo)
     hi_f = None if hi is None else as_fraction(hi)
     for name, x in (("lo", lo_f), ("hi", hi_f)):
-        if x is not None and not g.eval(x):
+        if x is not None and not f.eval(x):
             raise ValueError(f"endpoint {name}={x} is a root; counting is ambiguous there")
-    chain = sturm_chain(g)
-    va = _variations_at(chain, lo_f, at_minus_inf=lo_f is None)
-    vb = _variations_at(chain, hi_f)
-    return va - vb
+    return _index(sturm_chain(f), lo_f, hi_f)
 
 
 def cauchy_root_bound(f: UniPoly) -> Fraction:
@@ -150,13 +143,12 @@ def cauchy_root_bound(f: UniPoly) -> Fraction:
 
 def is_real_rooted(f: UniPoly) -> bool:
     """True iff every complex root of f is real (multiplicities immaterial):
-    the squarefree part g must have exactly deg(g) distinct real roots."""
+    the Sturm count of distinct real roots must be deg f - deg gcd(f, f'),
+    the number of distinct complex ones; the chain ends in that gcd."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    if f.degree == 0:
-        return True
-    g = f.squarefree_part()
-    return _count_squarefree(g) == g.degree
+    chain = sturm_chain(f)
+    return _index(chain) == f.degree - chain[-1].degree
 
 
 def _isolate_squarefree(g: UniPoly) -> list[tuple[Fraction, Fraction]]:
@@ -173,7 +165,7 @@ def _isolate_squarefree(g: UniPoly) -> list[tuple[Fraction, Fraction]]:
     stack = [(-bound, bound)]
     while stack:
         a, b = stack.pop()
-        k = _variations_at(chain, a) - _variations_at(chain, b)
+        k = _index(chain, a, b)
         if k == 0:
             continue
         if k == 1:
@@ -201,15 +193,11 @@ def refine_interval(
     if lo == hi:
         return (lo, hi)
     chain = sturm_chain(g)
-
-    def count(a: Fraction, b: Fraction) -> int:
-        return _variations_at(chain, a) - _variations_at(chain, b)
-
     while hi - lo > max_width:
         mid = (lo + hi) / 2
         if not g.eval(mid):
             return (mid, mid)
-        if count(lo, mid) == 1:
+        if _index(chain, lo, mid) == 1:
             hi = mid
         else:
             lo = mid
@@ -247,8 +235,8 @@ def isolate_roots(f: UniPoly) -> list[IsolatingInterval]:
     """Sorted, pairwise-disjoint isolating intervals with multiplicities.
 
     Multiplicities are taken from Yun's squarefree decomposition; the
-    intervals of all factors, tagged with their multiplicity, go through the
-    refine loop that interlacing uses too.
+    intervals of all factors, tagged with their multiplicity, are refined
+    until they no longer overlap.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -267,15 +255,27 @@ def refine_isolation(
     max_width (point intervals stay points).
 
     Yun factors are indexed by multiplicity, so each interval's owning
-    squarefree factor is the one matching its multiplicity tag.
+    squarefree factor is the one matching its multiplicity tag.  An interval
+    must isolate exactly one root of its owner: a point interval must be a
+    root, any other must hold one root strictly inside and none at its
+    endpoints.  ValueError otherwise.
     """
     width = as_fraction(max_width)
     by_mult = {mult: g for g, mult in f.squarefree_decomposition()}
     out = []
     for iv in intervals:
         owner = by_mult.get(iv.multiplicity)
-        if owner is None:  # pragma: no cover - defensive
-            raise AssertionError("interval does not match any squarefree factor")
+        if iv.is_point():
+            isolates = owner is not None and not owner.eval(iv.lo)
+        else:
+            isolates = (
+                owner is not None
+                and bool(owner.eval(iv.lo))
+                and bool(owner.eval(iv.hi))
+                and _index(sturm_chain(owner), iv.lo, iv.hi) == 1
+            )
+        if not isolates:
+            raise ValueError(f"interval {iv} does not isolate one root of multiplicity {iv.multiplicity}")
         lo, hi = refine_interval(owner, iv.lo, iv.hi, width)
         out.append(IsolatingInterval(lo, hi, iv.multiplicity))
     return out
@@ -291,10 +291,13 @@ def interlaces_univariate(f: UniPoly, g: UniPoly, strict: bool = False) -> bool:
     the roots of g (all real, counted with multiplicity, deg g = deg f - 1),
     decide a_1 <= b_1 <= a_2 <= ... <= b_{d-1} <= a_d.
 
-    Common roots are stripped as gcd(f, g) -- they pair up as a_i = b_i in
-    the weak chain.  After stripping, any repeated root forces a failure, and
-    the simple roots must strictly alternate starting and ending with f.
-    With ``strict=True`` the chain must hold with strict inequalities.
+    Common roots pair up as a_i = b_i, so the chain holds iff f1 = f/gcd
+    and g1 = g/gcd have simple real roots strictly alternating from f1 to
+    f1, i.e. iff |Ind(g1/f1)| = deg f1 (the Cauchy index is at most the
+    number of distinct real roots of f1).  The chain of (f, g) ends in the
+    gcd and its terms are the gcd times positive multiples of those for
+    (f1, g1), so its variations at +-infinity give Ind(g1/f1).  With
+    ``strict=True`` the inequalities must be strict: no common root.
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("interlacing needs nonzero polynomials")
@@ -306,37 +309,8 @@ def interlaces_univariate(f: UniPoly, g: UniPoly, strict: bool = False) -> bool:
         raise NotRealRootedError("f")
     if not is_real_rooted(g):
         raise NotRealRootedError("g")
-    if f.degree == 1:
-        return True  # single root of f, no g-roots required
-    common = f.gcd(g)
-    if strict and common.degree > 0:
+    chain = sturm_chain(f, g)
+    common = chain[-1].degree  # deg gcd(f, g)
+    if strict and common:
         return False
-    f1 = f.divide_exact(common)
-    g1 = g.divide_exact(common)
-    # After stripping the common part, a repeated root of either side would
-    # need an equal root on the other side, which no longer exists.
-    for poly in (f1, g1):
-        for _, mult in poly.squarefree_decomposition():
-            if mult > 1:
-                return False
-    if strict:
-        for poly in (f, g):
-            for _, mult in poly.squarefree_decomposition():
-                if mult > 1:
-                    return False
-    if f1.degree <= 0:
-        return True
-    tagged = []
-    f_sq = f1.squarefree_part()
-    for lo, hi in _isolate_squarefree(f_sq):
-        tagged.append((lo, hi, f_sq, "f"))
-    if g1.degree > 0:
-        g_sq = g1.squarefree_part()
-        for lo, hi in _isolate_squarefree(g_sq):
-            tagged.append((lo, hi, g_sq, "g"))
-    merged = _refine_all_disjoint(tagged)
-    pattern = [tag for _, _, tag in merged]
-    if len(pattern) != 2 * f1.degree - 1:
-        return False
-    expected = ["f" if k % 2 == 0 else "g" for k in range(len(pattern))]
-    return pattern == expected
+    return abs(_index(chain)) == f.degree - common

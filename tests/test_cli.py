@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hypercert.cli import EXIT_OK, EXIT_REFUTED, EXIT_USAGE, main
+from hypercert.cli import EXIT_OK, EXIT_REFUTED, EXIT_USAGE, build_parser, main
 
 QUADRIC = "ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\nx0^2 - x1^2 - x2^2\n"
 SPHERE = "ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\nx0^2 + x1^2 + x2^2\n"
@@ -187,3 +187,16 @@ class TestFixturesCommand:
         assert first == second
         payload = json.loads(first)
         assert payload["passed"] == payload["total"] == 6
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_do_not_leak_options(self, capsys):
+        # A --json call, then a usage error, then a text call on the reused parser.
+        assert main(["fixtures", "run", "--id", "F1", "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["total"] == 1
+        assert main(["fixtures", "run", "--id", "F1", "--nope"]) == EXIT_USAGE
+        assert main(["fixtures", "run", "--id", "F1"]) == EXIT_OK
+        assert "F1 pass" in capsys.readouterr().out

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hypercert import fixtures
 from hypercert.fixtures import FIXTURE_IDS, run_fixture, run_fixtures
 from hypercert.polyring import ParseError, Ring
 from hypercert.scalars import ConstMatrix
@@ -29,6 +30,24 @@ class TestCorpus:
         assert result.ok
         names = [c.name for c in result.checks]
         assert "three-square-identity" in names
+
+    def test_f3_reports_a_failed_involution(self, monkeypatch):
+        load = fixtures.load_fixture_poly
+
+        def doubled_p(name):
+            p = load(name)
+            return p + p if name == "F3_p.txt" else p
+
+        monkeypatch.setattr(fixtures, "load_fixture_poly", doubled_p)
+        result = run_fixture("F3")
+        checks = {c.name: c for c in result.checks}
+        assert not result.ok
+        assert checks["hermitian"].ok
+        assert not checks["involution"].ok
+        assert "entry (0,0)" in checks["involution"].detail
+        for name in ("three-square-identity", "sos-sums-to-p"):
+            assert not checks[name].ok
+            assert "A^2 != p*I" in checks[name].detail
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):

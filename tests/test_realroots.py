@@ -1,5 +1,6 @@
 """Sturm chains, root isolation, and interlacing."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypercert.polyring import UniPoly
 from hypercert.realroots import (
     DegreeMismatchError,
+    IsolatingInterval,
     NotRealRootedError,
     count_distinct_roots,
     interlaces_univariate,
@@ -132,6 +134,23 @@ class TestIsolation:
         # sqrt(2) to 6 digits
         assert abs(narrow[1].midpoint() - Fraction(1414213562, 10**9)) < Fraction(1, 10**4)
 
+    @pytest.mark.parametrize(
+        "roots_of_f, interval",
+        [
+            ("sqrt2", IsolatingInterval(Fraction(5), Fraction(6), 1)),  # no root inside
+            ("sqrt2", IsolatingInterval(Fraction(-2), Fraction(2), 1)),  # two roots inside
+            ("sqrt2", IsolatingInterval(Fraction(1), Fraction(2), 2)),  # no Yun factor of mult 2
+            ("sqrt2", IsolatingInterval(Fraction(1), Fraction(1), 1)),  # point that is no root
+            ("double1", IsolatingInterval(Fraction(1), Fraction(1), 1)),  # root of the wrong mult
+            ("double1", IsolatingInterval(Fraction(1), Fraction(3), 2)),  # root at an endpoint
+        ],
+        ids=["no-root", "two-roots", "no-such-mult", "point-no-root", "point-wrong-mult", "root-at-end"],
+    )
+    def test_refine_isolation_rejects_a_non_isolating_interval(self, roots_of_f, interval):
+        f = UniPoly([-2, 0, 1]) if roots_of_f == "sqrt2" else UniPoly.from_roots([1, 1, -2])
+        with pytest.raises(ValueError):
+            refine_isolation(f, [interval], Fraction(1, 100))
+
 
 class TestInterlacing:
     def test_rolle_example(self):
@@ -190,6 +209,27 @@ class TestInterlacing:
             assert interlaces_univariate(f, g.scale(scale)) == verdict
             q = random_rational(rng, span=4)
             assert interlaces_univariate(f.shift(q), g.shift(q)) == verdict
+
+    def test_sign_symmetry(self):
+        # Negating f or g flips the sign of the Cauchy index of g/f, which
+        # reaches -deg f1 when exactly one of them is negated.
+        rng = random.Random(83)
+        seen = set()
+        for _ in range(150):
+            d = rng.randrange(1, 5)
+            a = sorted(Fraction(rng.randrange(-4, 5), rng.randrange(1, 3)) for _ in range(d))
+            b = sorted(Fraction(rng.randrange(-4, 5), rng.randrange(1, 3)) for _ in range(d - 1))
+            f = UniPoly.from_roots(a, lead=rng.randrange(1, 4))
+            g = UniPoly.from_roots(b, lead=rng.randrange(1, 4))
+            for strict in (False, True):
+                if strict:
+                    chain = all(a[k] < b[k] < a[k + 1] for k in range(d - 1))
+                else:
+                    chain = all(a[k] <= b[k] <= a[k + 1] for k in range(d - 1))
+                for sf, sg in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+                    assert interlaces_univariate(f.scale(sf), g.scale(sg), strict) == chain
+                seen.add((strict, chain))
+        assert len(seen) == 4
 
     def test_brute_force_multiset_oracle(self):
         # Rational-rooted pairs: compare against the sorted multiset chain.
@@ -283,6 +323,28 @@ class TestIsolationOracle:
         assert any(iv.is_point() and iv.lo == 0 for iv in ivs)
 
 
+class TestCountOracle:
+    def test_repeated_roots_against_sympy(self):
+        rng = random.Random(4007)
+        mults = set()
+        for _ in range(40):
+            f = random_factored(rng, max_factors=3, max_mult=4)
+            mults.update(m for _, m in f.squarefree_decomposition())
+            roots = sympy.real_roots(to_sympy(f))
+            distinct = sorted(set(roots), key=lambda r: float(r))
+            assert is_real_rooted(f) == (len(roots) == f.degree)
+            assert count_distinct_roots(f) == len(distinct)
+            # Finite ends: below, between and above the roots.
+            floats = [float(r) for r in distinct] or [0.0]
+            cuts = [floats[0] - 1, *((x + y) / 2 for x, y in zip(floats, floats[1:])), floats[-1] + 1]
+            ends = [Fraction(c).limit_denominator(1000) for c in cuts]
+            ends = [e for e in ends if f.eval(e)]
+            for lo, hi in itertools.combinations(ends, 2):
+                expected = sum(1 for r in distinct if sympy.Rational(lo) < r <= sympy.Rational(hi))
+                assert count_distinct_roots(f, lo, hi) == expected
+        assert {2, 3, 4} <= mults
+
+
 def sympy_chain(f, g, strict):
     """The (weak or strict) interlacing chain from sympy's sorted roots."""
     a = sorted(sympy.real_roots(to_sympy(f)), key=lambda r: float(r))
@@ -328,3 +390,23 @@ def _linear_factors(f):
         q = Fraction(int(r.p), int(r.q))
         out.append((UniPoly.from_roots([q]), q))
     return out
+
+
+class TestInterlacingCommonFactors:
+    @pytest.mark.parametrize("common", [UniPoly([-2, 0, 1]), UniPoly([-2, 0, 1]) * UniPoly([-2, 0, 1])])
+    def test_shared_irrational_factor_against_sympy(self, common):
+        # f = common * f1, g = common * g1 with f1 of degree 1..3 (degree 1
+        # leaves g1 constant); the roots of f1, g1 may meet those of common.
+        rng = random.Random(4011)
+        seen = set()
+        for trial in range(40):
+            d = trial % 3 + 1
+            a = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(d)]
+            b = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(d - 1)]
+            f = common * UniPoly.from_roots(a, lead=rng.choice([-2, 1, 3]))
+            g = common * UniPoly.from_roots(b, lead=rng.choice([-1, 1, 2]))
+            for strict in (False, True):
+                expected = sympy_chain(f, g, strict)
+                assert interlaces_univariate(f, g, strict=strict) == expected, (f, g, strict)
+                seen.add((d == 1, strict, expected))
+        assert {(True, False, True), (True, True, False), (False, False, True), (False, False, False)} <= seen
