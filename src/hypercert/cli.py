@@ -22,9 +22,10 @@ from .detrep import (
     verify_companion,
     verify_pencil,
 )
-from .hyperbolicity import is_hyperbolic_sampled, interlaces_sampled
+from .hyperbolicity import DEFAULT_BOX, DEFAULT_SAMPLES, interlaces_sampled, is_hyperbolic_sampled
 from .polyring import ParseError
 from .quadratic import PipelineError, quadratic_detrep
+from .scalars import KIND_SYMMETRIC
 from .wire import (
     load_poly_file,
     load_squares_file,
@@ -164,8 +165,14 @@ def _cmd_quadratic_detrep(args) -> int:
             payload["witness_line"] = [str(c) for c in err.witness_line]
         _emit(payload, args.json, [f"failed: {err}"])
         return EXIT_REFUTED
-    payload = rep.to_json_dict()
-    payload["pencil"] = pencil_to_json_dict(rep.pencil, h.ring.variables, h.ring.gaussian)
+    payload = {
+        "r": rep.power,
+        "c": str(rep.scalar),
+        "coordinate_map": [[str(v) for v in row] for row in rep.transform],
+        "kind": KIND_SYMMETRIC,
+        "pencil": pencil_to_json_dict(rep.pencil, h.ring.variables, h.ring.gaussian),
+        "report": rep.report.to_json_dict(),
+    }
     lines = [
         f"pencil of size {rep.pencil[0].size}: det = {rep.scalar} * h^{rep.power}, definite at e",
     ]
@@ -213,22 +220,25 @@ def build_parser() -> _ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed for sampling")
-        p.add_argument("--samples", type=int, default=500, help="number of sampled lines")
-        p.add_argument("--box", type=int, default=50, help="coordinate box for sampled points")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
+
+    def sampling(p):
+        p.add_argument("--seed", type=int, default=0, help="RNG seed for sampling")
+        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="number of sampled lines")
+        p.add_argument("--box", type=int, default=DEFAULT_BOX, help="coordinate box for sampled points")
+        common(p)
 
     p = sub.add_parser("check-hyperbolic", help="sampled hyperbolicity test")
     p.add_argument("--poly", required=True, help="polynomial file")
     p.add_argument("--dir", required=True, help="direction e, comma-separated rationals")
-    common(p)
+    sampling(p)
     p.set_defaults(func=_cmd_check_hyperbolic)
 
     p = sub.add_parser("check-interlacer", help="sampled interlacing test")
     p.add_argument("--poly", required=True, help="polynomial file for h")
     p.add_argument("--interlacer", required=True, help="polynomial file for g")
     p.add_argument("--dir", required=True)
-    common(p)
+    sampling(p)
     p.set_defaults(func=_cmd_check_interlacer)
 
     p = sub.add_parser("verify-detrep", help="verify a determinantal representation")
@@ -236,9 +246,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--poly", required=True, help="polynomial file for h")
     p.add_argument("--power", type=int, default=1, help="power r in det = c*h^r")
     p.add_argument("--dir", help="direction e for the definiteness check (pencil mode)")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--pencil", action="store_true", help="treat input as a linear pencil (default)")
-    mode.add_argument("--companion", action="store_true", help="treat input as companion form y*I - A")
+    p.add_argument("--companion", action="store_true", help="treat input as companion form y*I - A (default: pencil)")
     p.add_argument("--up-to-scalar", action="store_true", help="allow det = c*h^r with c > 0")
     common(p)
     p.set_defaults(func=_cmd_verify_detrep)

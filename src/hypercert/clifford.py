@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .detrep import DetRepReport, PolyMatrix, verify_companion
-from .polyring import MultiPoly, Ring
+from .polyring import MultiPoly, Ring, _sum_of_squares
 from .scalars import KIND_SYMMETRIC
 
 MAX_GENERATORS = 8  # representation size 2^(n+1) caps at 512
@@ -159,10 +159,7 @@ def build_Q(forms: Sequence[MultiPoly]) -> PolyMatrix:
         raise AssertionError("internal error: Q is not symmetric")
     if not q.trace().is_zero():
         raise AssertionError("internal error: trace(Q) != 0")
-    p_total = MultiPoly.zero(ring)
-    for g in forms:
-        p_total = p_total + g * g
-    bad = q.matmul(q).scalar_mismatch(p_total)
+    bad = q.matmul(q).scalar_mismatch(_sum_of_squares(ring, forms))
     if bad is not None:
         raise AssertionError(f"internal error: Q^2 != P*I at entry {bad[:2]}")
     return q
@@ -185,10 +182,7 @@ def sos_to_detrep(forms: Sequence[MultiPoly], method: str = "auto") -> Companion
     ring = q.ring
     weight_e = forms[0].weighted_degree()
     ring_h = Ring(("y",) + ring.variables, (weight_e,) + ring.weights, ring.gaussian)
-    p_total = MultiPoly.zero(ring)
-    for g in forms:
-        p_total = p_total + g * g
-    h = MultiPoly.variable(ring_h, "y") ** 2 - p_total.lift(ring_h)
+    h = MultiPoly.variable(ring_h, "y") ** 2 - _sum_of_squares(ring, forms).lift(ring_h)
     r = q.size // 2
     report = verify_companion(q, h, r, method=method)
     if not report.ok:

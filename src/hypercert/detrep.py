@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .polyring import MultiPoly, Ring, parse, real_square_factorization
+from .polyring import MultiPoly, Ring, _sum_of_squares, parse, real_square_factorization
 from .scalars import (
     GR_ONE,
     GR_ZERO,
@@ -26,6 +26,8 @@ from .scalars import (
     ConstMatrix,
     GaussianRational,
     RationalLike,
+    _common_kind,
+    _kind_violation,
     as_fraction,
     bareiss,
     first_nonpositive_minor,
@@ -73,19 +75,8 @@ class PolyMatrix:
         return self.ring == other.ring and self.rows == other.rows and self.kind == other.kind
 
     def kind_violation(self) -> Optional[tuple[int, int]]:
-        n = self.size
-        if self.kind == KIND_SYMMETRIC:
-            for i in range(n):
-                for j in range(i, n):
-                    a, b = self.rows[i][j], self.rows[j][i]
-                    if not a.is_real() or not b.is_real() or a != b:
-                        return (i, j)
-        elif self.kind == KIND_HERMITIAN:
-            for i in range(n):
-                for j in range(i, n):
-                    if self.rows[i][j] != self.rows[j][i].conjugate():
-                        return (i, j)
-        return None
+        """First entry (i, j) breaking the declared symmetry kind, or None."""
+        return _kind_violation(self.rows, self.kind, MultiPoly.conjugate)
 
     def transpose(self) -> "PolyMatrix":
         n = self.size
@@ -261,8 +252,6 @@ def pencil_to_polymatrix(matrices: Sequence[ConstMatrix], ring: Ring) -> PolyMat
     m = matrices[0].size
     if any(mat.size != m for mat in matrices):
         raise ValueError("pencil matrices must share one size")
-    kinds = {mat.kind for mat in matrices}
-    kind = kinds.pop() if len(kinds) == 1 else KIND_NONE
     rows = []
     for i in range(m):
         row = []
@@ -275,7 +264,7 @@ def pencil_to_polymatrix(matrices: Sequence[ConstMatrix], ring: Ring) -> PolyMat
                     items.append((expo, coeff))
             row.append(MultiPoly.from_terms(ring, items))
         rows.append(row)
-    return PolyMatrix(ring, rows, kind)
+    return PolyMatrix(ring, rows, _common_kind(matrices))
 
 
 def polymatrix_to_pencil(matrix: PolyMatrix) -> list[ConstMatrix]:
@@ -641,10 +630,7 @@ def detrep_to_sos(matrix: PolyMatrix, p: MultiPoly, column: int = 0) -> SosDecom
                 if not part.is_zero():
                     squares.append(_normalize_sign(part))
 
-    total = MultiPoly.zero(matrix.ring)
-    for g in squares:
-        total = total + g * g
-    if total != p:
+    if _sum_of_squares(matrix.ring, squares) != p:
         raise AssertionError("internal error: extracted squares do not sum to p")
 
     notes = {

@@ -31,7 +31,7 @@ from .hyperbolicity import (
     is_hyperbolic_sampled,
     sample_direction,
 )
-from .polyring import MultiPoly, parse
+from .polyring import MultiPoly, _sum_of_squares, parse
 from .realroots import is_real_rooted
 from .scalars import is_positive_definite
 from .wire import parse_point, parse_poly_text
@@ -176,9 +176,7 @@ def _run_f3(fixture_id: str, spec: dict) -> FixtureResult:
             f"squares: {[str(g) for g in sos.squares]}",
         )
     )
-    total = MultiPoly.zero(matrix.ring)
-    for g in sos.squares:
-        total = total + g * g
+    total = _sum_of_squares(matrix.ring, sos.squares)
     result.checks.append(
         CheckOutcome("sos-sums-to-p", total == p, "exact" if total == p else str(total - p))
     )

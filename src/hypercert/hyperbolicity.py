@@ -78,7 +78,10 @@ def sample_direction(seed: int, index: int, arity: int, box: int) -> tuple[int, 
     One 256-bit digest holds k full digits, k the largest count with
     (2*box+1)^k <= 2^256 (at least 1).  The first k coordinates come from
     SHA-256(seed:index), each further k from SHA-256(seed:index:block) for
-    block = 1, 2, ...
+    block = 1, 2, ...  A digest that gives m digits is used only below
+    (2*box+1)^m * floor(2^256 / (2*box+1)^m), where its last m digits are
+    uniform; otherwise SHA-256(label/1), SHA-256(label/2), ... replace it
+    (no label of a first digest contains "/").
     """
     base = 2 * box + 1
     per_block = _digits_per_digest(base)
@@ -86,12 +89,22 @@ def sample_direction(seed: int, index: int, arity: int, box: int) -> tuple[int, 
     block = 0
     while len(coords) < arity:
         label = f"{seed}:{index}" if block == 0 else f"{seed}:{index}:{block}"
-        value = int.from_bytes(hashlib.sha256(label.encode("ascii")).digest(), "big")
-        for _ in range(min(per_block, arity - len(coords))):
+        take = min(per_block, arity - len(coords))
+        span = base**take
+        limit = (1 << 256) // span * span
+        value, retry = _digest(label), 0
+        while value >= limit:
+            retry += 1
+            value = _digest(f"{label}/{retry}")
+        for _ in range(take):
             value, digit = divmod(value, base)
             coords.append(digit - box)
         block += 1
     return tuple(coords)
+
+
+def _digest(label: str) -> int:
+    return int.from_bytes(hashlib.sha256(label.encode("ascii")).digest(), "big")
 
 
 @lru_cache(maxsize=16)

@@ -891,19 +891,9 @@ class UniPoly:
         return UniPoly([Fraction(c, g) for c in ints])
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Primitive gcd via a primitive pseudo-remainder sequence."""
-        a, b = self.primitive(), other.primitive()
-        if a.is_zero():
-            return b
-        if b.is_zero():
-            return a
-        if a.degree < b.degree:
-            a, b = b, a
-        fa, fb = a._int_coeffs(), b._int_coeffs()
-        while fb:
-            fr = _int_prem(fa, fb)
-            fa, fb = fb, _int_primitive(fr)
-        return UniPoly(fa).primitive()
+        """Primitive gcd: the last term of the signed remainder sequence of
+        (self, other), made primitive."""
+        return sturm_chain(self, other)[-1].primitive()
 
     def squarefree_part(self) -> "UniPoly":
         if self.is_zero():
@@ -960,35 +950,29 @@ class UniPoly:
         return f"UniPoly({self.format()})"
 
 
-def _int_primitive(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        return []
-    g = math.gcd(*coeffs)
-    if coeffs[-1] < 0:
-        g = -g
-    return [c // g for c in coeffs]
+def _positive_content_scaled(p: UniPoly) -> UniPoly:
+    """Divide out the positive rational content, preserving signs
+    (sign-flipping normalization would corrupt a Sturm chain)."""
+    if p.is_zero():
+        return p
+    num = math.gcd(*[c.numerator for c in p.coeffs])
+    den = math.lcm(*[c.denominator for c in p.coeffs])
+    return p.scale(Fraction(den, num))
 
 
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of integer coefficient lists (ascending)."""
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(r) - 1 >= db and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
+def sturm_chain(f: UniPoly, g: Optional[UniPoly] = None) -> list[UniPoly]:
+    """Signed remainder sequence f, g, -rem, ... (g defaults to f'), each
+    remainder divided by its positive content; it ends in gcd(f, g)."""
+    chain = [f, f.derivative() if g is None else g]
+    if chain[-1].is_zero():
+        chain.pop()
+        return chain
+    while chain[-1].degree > 0:
+        rem = chain[-2] % chain[-1]
+        if rem.is_zero():
             break
-        lr = r[-1]
-        shift = len(r) - 1 - db
-        r = [c * lb for c in r]
-        for j in range(db + 1):
-            r[shift + j] -= lr * b[j]
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+        chain.append(_positive_content_scaled(-rem))
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -1063,6 +1047,14 @@ def directional_derivative(h: MultiPoly, e: Sequence[RationalLike]) -> MultiPoly
 # ---------------------------------------------------------------------------
 # Squares in R[x]
 # ---------------------------------------------------------------------------
+
+
+def _sum_of_squares(ring: Ring, forms: Iterable[MultiPoly]) -> MultiPoly:
+    """sum g*g over the forms, all in ``ring`` (zero when there are none)."""
+    total = MultiPoly.zero(ring)
+    for g in forms:
+        total = total + g * g
+    return total
 
 
 def real_square_factorization(p: MultiPoly) -> Optional[tuple[Fraction, MultiPoly]]:

@@ -31,7 +31,7 @@ from .detrep import (
     scalar_polymatrix,
     verify_pencil,
 )
-from .polyring import MultiPoly, Ring
+from .polyring import MultiPoly, Ring, _sum_of_squares
 from .scalars import (
     KIND_SYMMETRIC,
     ConstMatrix,
@@ -86,35 +86,6 @@ class QuadraticNormalForm:
     flipped: bool
 
 
-def _identity_rows(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def _mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    n = len(a)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _mat_inverse(mat: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    work = [list(row) + ident for row, ident in zip(mat, _identity_rows(n))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
-    return [row[n:] for row in work]
-
-
 def normalize_at_direction(h: MultiPoly, e: Sequence[RationalLike]) -> QuadraticNormalForm:
     """Deterministic completion of the square at direction e.
 
@@ -140,12 +111,15 @@ def normalize_at_direction(h: MultiPoly, e: Sequence[RationalLike]) -> Quadratic
 
     n = ring.arity
     pivot = next(k for k in range(n) if point[k])
-    basis_cols = [point] + [
-        [Fraction(1 if r == j else 0) for r in range(n)] for j in range(n) if j != pivot
-    ]
-    # inverse[r][c]: column c of T^-1 is basis_cols[c].
-    inverse = [[basis_cols[c][r] for c in range(n)] for r in range(n)]
-    transform = _mat_inverse(inverse)
+    others = [j for j in range(n) if j != pivot]
+    inverse = [[point[r]] + [Fraction(r == j) for j in others] for r in range(n)]
+    # x = u0*e + sum_c u_c*(unit vector others[c-1]), solved for u:
+    # u0 = x_p/e_p and u_c = x_j - (e_j/e_p)*x_p with j = others[c-1].
+    transform = [[Fraction(0)] * n for _ in range(n)]
+    transform[0][pivot] = 1 / point[pivot]
+    for c, j in enumerate(others, 1):
+        transform[c][j] = Fraction(1)
+        transform[c][pivot] = -point[j] / point[pivot]
 
     ring_prime = Ring.standard(tuple(f"u{k}" for k in range(n)))
     # x_r = sum_j inverse[r][j] * u_j
@@ -234,15 +208,15 @@ def diagonalize_quadratic_form(p: MultiPoly) -> list[tuple[Fraction, tuple[Fract
         raise ValueError("input must be a homogeneous quadratic form")
     n = p.ring.arity
     gram = _gram_matrix(p)
-    # x = U z for the accumulated splits; emitted rows live in z coordinates.
-    basis = _identity_rows(n)
-    emitted: list[tuple[Fraction, list[Fraction]]] = []
+    # z = inv x for the accumulated splits; each form is emitted in x.
+    inv = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    out = []
     while True:
         k = next((i for i in range(n) if gram[i][i]), None)
         if k is not None:
             a = gram[k][k]
             row = [gram[k][j] / a for j in range(n)]
-            emitted.append((a, row))
+            out.append((a, tuple(sum(row[t] * inv[t][s] for t in range(n)) for s in range(n))))
             for i in range(n):
                 if row[i]:
                     for j in range(n):
@@ -254,24 +228,14 @@ def diagonalize_quadratic_form(p: MultiPoly) -> list[tuple[Fraction, tuple[Fract
         if pair is None:
             break
         i, j = pair
-        split = _identity_rows(n)
-        split[i][i], split[i][j] = Fraction(1), Fraction(1)
-        split[j][i], split[j][j] = Fraction(1), Fraction(-1)
-        # gram <- E^T gram E; old z = E * new z.
-        gram = _mat_mul([list(r) for r in zip(*split)], _mat_mul(gram, split))
-        basis = _mat_mul(basis, split)
-        emitted = [
-            (c, [sum(row[t] * split[t][s] for t in range(n)) for s in range(n)])
-            for c, row in emitted
-        ]
-    # Convert rows from final z coordinates back to x: z = basis^-1 x.
-    basis_inv = _mat_inverse(basis)
-    out = []
-    for c, row in emitted:
-        coeffs = [
-            sum(row[t] * basis_inv[t][s] for t in range(n)) for s in range(n)
-        ]
-        out.append((c, tuple(coeffs)))
+        # Old z = E * new z with E the identity but [[1, 1], [1, -1]] on
+        # (i, j): gram <- E^T gram E by column then row operations, and
+        # inv <- E^-1 inv, E^-1 being E with that block halved.
+        for r in gram:
+            r[i], r[j] = r[i] + r[j], r[i] - r[j]
+        gi, gj, vi, vj = gram[i], gram[j], inv[i], inv[j]
+        gram[i], gram[j] = [x + y for x, y in zip(gi, gj)], [x - y for x, y in zip(gi, gj)]
+        inv[i], inv[j] = [(x + y) / 2 for x, y in zip(vi, vj)], [(x - y) / 2 for x, y in zip(vi, vj)]
     return out
 
 
@@ -341,10 +305,7 @@ def rational_sos_quadratic(p: MultiPoly) -> list[MultiPoly]:
         for q in four_square_decompose(c):
             if q:
                 forms.append(ell.scale(q))
-    total = MultiPoly.zero(p.ring)
-    for g in forms:
-        total = total + g * g
-    if total != p:  # pragma: no cover - defensive
+    if _sum_of_squares(p.ring, forms) != p:  # pragma: no cover - defensive
         raise AssertionError("SOS expansion does not reproduce the form")
     return forms
 
@@ -364,16 +325,6 @@ class QuadraticDetRep:
     transform: tuple[tuple[Fraction, ...], ...]
     report: DetRepReport
     normal_form: QuadraticNormalForm
-
-    def to_json_dict(self) -> dict:
-        return {
-            "r": self.power,
-            "c": str(self.scalar),
-            "coordinate_map": [[str(v) for v in row] for row in self.transform],
-            "kind": KIND_SYMMETRIC,
-            "pencil": [mat.to_rows() for mat in self.pencil],
-            "report": self.report.to_json_dict(),
-        }
 
 
 def _hyperbolicity_witness_line(

@@ -4,19 +4,19 @@ Real-rootedness and interlacing are decided by counting, not isolating:
 the sign variations V(a) - V(b) of the signed remainder sequence of (f, g)
 give the Cauchy index of g/f on (a, b) (Basu-Pollack-Roy, *Algorithms in
 Real Algebraic Geometry*, Thm 2.58), for g = f' the number of distinct real
-roots of f (Sturm).  Root isolation with multiplicities (via Yun's
-squarefree decomposition) and refinement by rational bisection serve
-``isolate_roots`` and ``refine_isolation``.
+roots of f (Sturm).  The sequence is ``polyring.sturm_chain``, the one
+Euclid that also gives ``UniPoly.gcd``.  Root isolation with multiplicities
+(via Yun's squarefree decomposition) and refinement by rational bisection
+serve ``isolate_roots`` and ``refine_isolation``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .polyring import UniPoly
+from .polyring import UniPoly, sturm_chain
 from .scalars import RationalLike, as_fraction
 
 
@@ -58,31 +58,6 @@ class IsolatingInterval:
 
     def disjoint_from(self, other: "IsolatingInterval") -> bool:
         return self.hi < other.lo or other.hi < self.lo
-
-
-def _positive_content_scaled(p: UniPoly) -> UniPoly:
-    """Divide out the positive rational content, preserving signs
-    (sign-flipping normalization would corrupt a Sturm chain)."""
-    if p.is_zero():
-        return p
-    num = math.gcd(*[c.numerator for c in p.coeffs])
-    den = math.lcm(*[c.denominator for c in p.coeffs])
-    return p.scale(Fraction(den, num))
-
-
-def sturm_chain(f: UniPoly, g: Optional[UniPoly] = None) -> list[UniPoly]:
-    """Signed remainder sequence f, g, -rem, ... (g defaults to f'), each
-    remainder divided by its positive content; it ends in gcd(f, g)."""
-    chain = [f, f.derivative() if g is None else g]
-    if chain[-1].is_zero():
-        chain.pop()
-        return chain
-    while chain[-1].degree > 0:
-        rem = chain[-2] % chain[-1]
-        if rem.is_zero():
-            break
-        chain.append(_positive_content_scaled(-rem))
-    return chain
 
 
 def _sign(x: Fraction) -> int:
@@ -298,6 +273,11 @@ def interlaces_univariate(f: UniPoly, g: UniPoly, strict: bool = False) -> bool:
     gcd and its terms are the gcd times positive multiples of those for
     (f1, g1), so its variations at +-infinity give Ind(g1/f1).  With
     ``strict=True`` the inequalities must be strict: no common root.
+
+    A passing index test makes g real-rooted (g1 changes sign between
+    consecutive roots of f1, and the gcd divides the real-rooted f), so
+    g's own real-rootedness is decided only on the way to False, where it
+    chooses between False and ``NotRealRootedError("g")``.
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("interlacing needs nonzero polynomials")
@@ -307,10 +287,10 @@ def interlaces_univariate(f: UniPoly, g: UniPoly, strict: bool = False) -> bool:
         )
     if not is_real_rooted(f):
         raise NotRealRootedError("f")
-    if not is_real_rooted(g):
-        raise NotRealRootedError("g")
     chain = sturm_chain(f, g)
     common = chain[-1].degree  # deg gcd(f, g)
-    if strict and common:
-        return False
-    return abs(_index(chain)) == f.degree - common
+    if not (strict and common) and abs(_index(chain)) == f.degree - common:
+        return True
+    if not is_real_rooted(g):
+        raise NotRealRootedError("g")
+    return False

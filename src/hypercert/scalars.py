@@ -136,16 +136,6 @@ class GaussianRational:
     def __repr__(self) -> str:
         return f"GaussianRational({self})"
 
-    @staticmethod
-    def parse(text: str) -> "GaussianRational":
-        """Parse "a+b*i" (literal token i); accepts any constant expression
-        in the polynomial grammar over the empty Gaussian ring."""
-        from . import polyring
-
-        ring = polyring.Ring(variables=(), weights=(), gaussian=True)
-        poly = polyring.parse(text, ring)
-        return poly.constant_value()
-
 
 def _imag_str(b: Fraction) -> str:
     if b == 1:
@@ -295,19 +285,7 @@ class ConstMatrix:
 
     def kind_violation(self) -> Optional[tuple[int, int]]:
         """First entry (i, j) breaking the declared symmetry kind, or None."""
-        n = self.size
-        if self.kind == KIND_SYMMETRIC:
-            for i in range(n):
-                for j in range(i, n):
-                    a, b = self.entries[i][j], self.entries[j][i]
-                    if a.im or b.im or a != b:
-                        return (i, j)
-        elif self.kind == KIND_HERMITIAN:
-            for i in range(n):
-                for j in range(i, n):
-                    if self.entries[i][j] != self.entries[j][i].conj():
-                        return (i, j)
-        return None
+        return _kind_violation(self.entries, self.kind, GaussianRational.conj)
 
     def validate_kind(self) -> None:
         bad = self.kind_violation()
@@ -332,6 +310,28 @@ class ConstMatrix:
         return [[str(e) for e in row] for row in self.entries]
 
 
+def _kind_violation(rows: Sequence[Sequence], kind: str, conj: Callable) -> Optional[tuple[int, int]]:
+    """First (i, j) with i <= j, row by row, where the square ``rows`` break
+    ``kind``, or None: symmetric needs rows[i][j] = rows[j][i] real,
+    hermitian rows[i][j] = conj(rows[j][i]).  Entries are Gaussian rationals
+    or polynomials; ``conj`` is their conjugation."""
+    if kind == KIND_NONE:
+        return None
+    hermitian = kind == KIND_HERMITIAN
+    for i, row in enumerate(rows):
+        for j in range(i, len(rows)):
+            a, b = row[j], rows[j][i]
+            if (a != conj(b)) if hermitian else (not a.is_real() or a != b):
+                return (i, j)
+    return None
+
+
+def _common_kind(matrices: Sequence[ConstMatrix]) -> str:
+    """The matrices' common symmetry kind, or KIND_NONE if they differ."""
+    kinds = {mat.kind for mat in matrices}
+    return kinds.pop() if len(kinds) == 1 else KIND_NONE
+
+
 def identity_matrix(n: int, kind: str = KIND_SYMMETRIC) -> ConstMatrix:
     return ConstMatrix.from_rows(
         [[1 if i == j else 0 for j in range(n)] for i in range(n)], kind
@@ -350,9 +350,6 @@ def pencil_value(matrices: Sequence[ConstMatrix], point: Sequence[RationalLike])
     m = matrices[0].size
     if any(mat.size != m for mat in matrices):
         raise ValueError("size mismatch")
-    kind = matrices[0].kind
-    if any(mat.kind != kind for mat in matrices):
-        kind = KIND_NONE
     acc = [[GR_ZERO] * m for _ in range(m)]
     for c, mat in zip(point, matrices):
         c = as_fraction(c)
@@ -363,7 +360,7 @@ def pencil_value(matrices: Sequence[ConstMatrix], point: Sequence[RationalLike])
             for j, entry in enumerate(row):
                 if entry:
                     acc_row[j] = acc_row[j] + entry * factor
-    return ConstMatrix(acc, kind)
+    return ConstMatrix(acc, _common_kind(matrices))
 
 
 def bareiss(rows: list[list], one, divide: Callable, pivoting: bool) -> tuple[list, int]:

@@ -19,9 +19,11 @@ from pathlib import Path
 from typing import Sequence, Union
 
 from .polyring import MultiPoly, ParseError, Ring, parse
-from .scalars import KIND_NONE, ConstMatrix, GaussianRational, as_fraction
+from .scalars import KIND_NONE, ConstMatrix, GaussianRational, _common_kind, as_fraction
 
 PathLike = Union[str, Path]
+
+_CELL_RING = Ring((), (), gaussian=True)
 
 
 def parse_ring_header(line: str) -> Ring:
@@ -102,14 +104,18 @@ def pencil_to_json_dict(
 ) -> dict:
     if len(matrices) != len(variables):
         raise ValueError("one matrix per variable required")
-    kinds = {m.kind for m in matrices}
-    kind = kinds.pop() if len(kinds) == 1 else KIND_NONE
     return {
         "vars": list(variables),
         "gaussian": gaussian,
-        "kind": kind,
+        "kind": _common_kind(matrices),
         "matrices": [m.to_rows() for m in matrices],
     }
+
+
+def _parse_cell(text: str) -> GaussianRational:
+    """A pencil entry "a+b*i" (literal token i): any constant expression in
+    the polynomial grammar, parsed over the empty Gaussian ring."""
+    return parse(text, _CELL_RING).constant_value()
 
 
 def pencil_from_json(data: Union[str, dict]) -> tuple[list[ConstMatrix], Ring]:
@@ -121,7 +127,7 @@ def pencil_from_json(data: Union[str, dict]) -> tuple[list[ConstMatrix], Ring]:
     kind = data.get("kind", KIND_NONE)
     matrices = []
     for block in data["matrices"]:
-        rows = [[GaussianRational.parse(cell) for cell in row] for row in block]
+        rows = [[_parse_cell(cell) for cell in row] for row in block]
         matrices.append(ConstMatrix(rows, kind))
     if len(matrices) != len(names):
         raise ParseError("pencil needs one constant matrix per variable")

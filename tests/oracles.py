@@ -1,5 +1,6 @@
 """Independent reference implementations used only by the tests."""
 
+from fractions import Fraction
 from itertools import permutations
 
 from hypercert.polyring import MultiPoly
@@ -50,3 +51,22 @@ def dense_generators(gens):
             rows[perm[col]][col] = sign[col]
         out.append(tuple(tuple(r) for r in rows))
     return out
+
+
+def mat_inverse(mat):
+    """Inverse of a square matrix of Fractions by Gauss-Jordan elimination;
+    ValueError if it is singular."""
+    n = len(mat)
+    work = [list(row) + [Fraction(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = 1 / work[col][col]
+        work[col] = [v * inv for v in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                factor = work[r][col]
+                work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
+    return [row[n:] for row in work]

@@ -137,6 +137,31 @@ class TestVerifyDetrep:
         )
         assert code == EXIT_REFUTED  # c = 256 != 1 without --up-to-scalar
 
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--samples", "5"], ["--box", "3"], ["--pencil"]])
+    def test_sampling_and_mode_flags_are_unknown_exit_64(self, files, tmp_path, capsys, flag):
+        out = tmp_path / "pencil.json"
+        main(["quadratic-detrep", "--poly", files["q.txt"], "--dir", "1,0,0", "--out", str(out)])
+        capsys.readouterr()
+        code = main(
+            ["verify-detrep", "--matrix", str(out), "--poly", files["q.txt"],
+             "--power", "4", "--dir", "1,0,0", "--up-to-scalar"] + flag
+        )
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detrep-to-sos", "--matrix", "m.json", "--poly", "p.txt"],
+            ["sos-to-detrep", "--squares", "s.txt"],
+            ["quadratic-detrep", "--poly", "p.txt", "--dir", "1,0,0"],
+            ["fixtures", "run"],
+        ],
+    )
+    def test_commands_that_never_sample_take_no_seed(self, capsys, argv):
+        assert main(argv + ["--seed", "1"]) == EXIT_USAGE
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
 
 class TestSosRoundtrip:
     def test_sos_to_detrep_and_back(self, files, tmp_path, capsys):

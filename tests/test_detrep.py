@@ -323,6 +323,32 @@ class TestScalarMismatch:
         assert report.notes["shortcut"] == "inapplicable; fell back to the direct determinant"
 
 
+class TestKindViolation:
+    # One check serves both matrix types: the same rows as constants and as
+    # polynomials (times x) name the same first bad entry (i, j), i <= j.
+    @pytest.mark.parametrize(
+        "kind, rows, expected",
+        [
+            ("symmetric", [["1", "2"], ["2", "3"]], None),
+            ("symmetric", [["1", "i"], ["i", "3"]], (0, 1)),  # equal, not real
+            ("symmetric", [["1", "0"], ["0", "2*i"]], (1, 1)),
+            ("symmetric", [["1", "2", "0"], ["2", "1", "5"], ["0", "4", "1"]], (1, 2)),
+            ("hermitian", [["1", "2+i"], ["2-i", "3"]], None),
+            ("hermitian", [["1", "2+i"], ["2+i", "3"]], (0, 1)),
+            ("hermitian", [["i", "0"], ["0", "1"]], (0, 0)),
+            ("none", [["1", "i"], ["5", "3"]], None),
+        ],
+    )
+    def test_const_and_poly_matrices_agree(self, kind, rows, expected):
+        from hypercert.wire import _parse_cell
+
+        const = ConstMatrix([[_parse_cell(c) for c in row] for row in rows], kind)
+        ring = Ring.standard(("x",), gaussian=True)
+        poly = PolyMatrix.from_strings(ring, [[f"({c})*x" for c in row] for row in rows], kind)
+        assert const.kind_violation() == expected
+        assert poly.kind_violation() == expected
+
+
 class TestPlucker:
     def test_unit_lines(self):
         coords = plucker_line((0, 0, 0, 1, 0), (0, 0, 0, 0, 1))

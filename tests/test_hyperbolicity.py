@@ -99,6 +99,24 @@ class TestSampling:
         block = int.from_bytes(hashlib.sha256(b"3:5:1").digest(), "big")
         assert v[9] == block % (2 * box + 1) - box
 
+    def test_digest_in_the_biased_tail_is_rehashed(self):
+        import hashlib
+
+        # At box 50 one digest gives 38 digits, and 2^256 is not a multiple
+        # of 101^38: a digest at or above 101^38 * floor(2^256 / 101^38)
+        # would draw the last coordinate's top values too rarely, so it is
+        # replaced by SHA-256("seed:index/1").
+        base = 101
+        limit = (1 << 256) // base**38 * base**38
+        assert int.from_bytes(hashlib.sha256(b"5:8").digest(), "big") >= limit
+        value = int.from_bytes(hashlib.sha256(b"5:8/1").digest(), "big")
+        assert value < limit
+        expected = []
+        for _ in range(38):
+            value, digit = divmod(value, base)
+            expected.append(digit - 50)
+        assert sample_direction(5, 8, 38, 50) == tuple(expected)
+
     @pytest.mark.parametrize(
         "seed, arity, box, first",
         [

@@ -16,6 +16,7 @@ from hypercert.quadratic import (
     rational_sos_quadratic,
 )
 from hypercert.realroots import is_real_rooted
+from oracles import mat_inverse
 
 R2 = Ring.standard(("x0", "x1"))
 R3 = Ring.standard(("x0", "x1", "x2"))
@@ -180,6 +181,27 @@ class TestRationalSos:
             assert total == p
             count += 1
 
+    def test_diagonalization_identity_with_splits(self):
+        # Forms with a zero diagonal need the x_i = u + v, x_j = u - v split;
+        # the emitted forms must still sum to p exactly.
+        rng = random.Random(137)
+        ring = Ring.standard(("x1", "x2", "x3", "x4"))
+        splits = 0
+        for _ in range(60):
+            p = random_quadratic(rng, ring)
+            if rng.random() < 0.5:
+                p = MultiPoly(ring, {e: c for e, c in p.terms.items() if 2 not in e})
+            if p.is_zero():
+                continue
+            diag = diagonalize_quadratic_form(p)
+            splits += all(not p.terms.get(tuple(2 * (t == k) for t in range(4))) for k in range(4))
+            total = MultiPoly.zero(ring)
+            for c, row in diag:
+                ell = MultiPoly.from_terms(ring, [(tuple(int(t == k) for t in range(4)), v) for k, v in enumerate(row)])
+                total = total + (ell * ell).scale(c)
+            assert total == p
+        assert splits >= 20
+
     def test_indefiniteness_witnesses_are_exact(self):
         rng = random.Random(131)
         ring = Ring.standard(("x1", "x2", "x3"))
@@ -265,10 +287,8 @@ def random_hyperbolic_quadratic(rng, n_vars):
             [Fraction(rng.randrange(-2, 3)) for _ in range(n_vars)]
             for _ in range(n_vars)
         ]
-        from hypercert.quadratic import _mat_inverse
-
         try:
-            inv = _mat_inverse(cols)
+            inv = mat_inverse(cols)
             break
         except ValueError:
             continue

@@ -5,12 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from hypercert.polyring import UniPoly
+from hypercert.polyring import UniPoly, sturm_chain
 from hypercert.realroots import (
     DegreeMismatchError,
     IsolatingInterval,
     NotRealRootedError,
+    _index,
     count_distinct_roots,
     interlaces_univariate,
     is_real_rooted,
@@ -410,3 +413,57 @@ class TestInterlacingCommonFactors:
                 assert interlaces_univariate(f, g, strict=strict) == expected, (f, g, strict)
                 seen.add((d == 1, strict, expected))
         assert {(True, False, True), (True, True, False), (False, False, True), (False, False, False)} <= seen
+
+
+# -- interlacing against the order that decided g's real-rootedness first ---------
+
+
+def interlaces_g_checked_first(f, g, strict=False):
+    """Reference: both operands' real-rootedness before the index test."""
+    if not is_real_rooted(f):
+        raise NotRealRootedError("f")
+    if not is_real_rooted(g):
+        raise NotRealRootedError("g")
+    chain = sturm_chain(f, g)
+    common = chain[-1].degree
+    if strict and common:
+        return False
+    return abs(_index(chain)) == f.degree - common
+
+
+def _outcome(fn, f, g, strict):
+    try:
+        return fn(f, g, strict)
+    except NotRealRootedError as err:
+        return ("not-real-rooted", err.which)
+
+
+@st.composite
+def interlacing_pairs(draw):
+    """(f, g) with deg g = deg f - 1, roots from a small pool so that common
+    roots are frequent, and an optional t^2 + 1 factor in either."""
+    root = st.sampled_from([Fraction(k, 2) for k in range(-4, 5)])
+    f_complex = draw(st.sampled_from([False, False, False, True]))
+    f_roots = draw(st.lists(root, min_size=1, max_size=4))
+    g_degree = len(f_roots) + 2 * f_complex - 1
+    g_complex = g_degree >= 2 and draw(st.booleans())
+    g_roots = draw(st.lists(root, min_size=g_degree - 2 * g_complex, max_size=g_degree - 2 * g_complex))
+    f = UniPoly.from_roots(f_roots, lead=draw(st.sampled_from([-2, 1, 3])))
+    g = UniPoly.from_roots(g_roots, lead=draw(st.sampled_from([-1, 1, 2])))
+    if f_complex:
+        f = f * UniPoly([1, 0, 1])
+    if g_complex:
+        g = g * UniPoly([1, 0, 1])
+    return f, g
+
+
+class TestInterlacingOrder:
+    @given(interlacing_pairs(), st.booleans())
+    @example((UniPoly.from_roots([0, 1, 2]), UniPoly([1, 0, 1])), False)  # g not real-rooted
+    @example((UniPoly.from_roots([0, 1, 2]), UniPoly([1, 0, 1])), True)
+    @example((UniPoly.from_roots([0, 1, 1]), UniPoly.from_roots([1, 1])), True)  # strict, common root
+    @example((UniPoly.from_roots([0, 1, 1]), UniPoly.from_roots([1, 1])), False)
+    @example((UniPoly.from_roots([0, 1, 1]) * UniPoly([1, 0, 1]), UniPoly.from_roots([1, Fraction(1, 2)]) * UniPoly([1, 0, 1])), True)
+    def test_same_verdict_as_checking_g_first(self, pair, strict):
+        f, g = pair
+        assert _outcome(interlaces_univariate, f, g, strict) == _outcome(interlaces_g_checked_first, f, g, strict)

@@ -16,6 +16,7 @@ from hypercert.scalars import (
     leading_principal_minors,
     pencil_value,
 )
+from hypercert.wire import _parse_cell
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=50
@@ -49,13 +50,13 @@ class TestGaussianRational:
 
     @given(gaussians)
     def test_string_round_trip(self, z):
-        assert GaussianRational.parse(str(z)) == z
+        assert _parse_cell(str(z)) == z
 
     def test_wire_format(self):
         assert str(GaussianRational(Fraction(1, 2), Fraction(-3))) == "1/2-3*i"
         assert str(GaussianRational(0, 1)) == "i"
         assert str(GaussianRational(-2, 0)) == "-2"
-        assert GaussianRational.parse("1/2-3*i") == GaussianRational(
+        assert _parse_cell("1/2-3*i") == GaussianRational(
             Fraction(1, 2), Fraction(-3)
         )
 
