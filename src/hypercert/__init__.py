@@ -54,13 +54,10 @@ from .quadratic import (
 )
 from .realroots import (
     DegreeMismatchError,
-    IsolatingInterval,
     NotRealRootedError,
     count_distinct_roots,
     interlaces_univariate,
     is_real_rooted,
-    isolate_roots,
-    refine_isolation,
 )
 from .scalars import (
     ConstMatrix,
@@ -80,7 +77,6 @@ __all__ = [
     "DetRepReport",
     "GaussianRational",
     "IndefiniteFormError",
-    "IsolatingInterval",
     "MultiPoly",
     "NotRealRootedError",
     "ParseError",
@@ -107,7 +103,6 @@ __all__ = [
     "is_hyperbolic_sampled",
     "is_positive_definite",
     "is_real_rooted",
-    "isolate_roots",
     "normalize_at_direction",
     "parse",
     "pencil_to_polymatrix",
@@ -118,7 +113,6 @@ __all__ = [
     "quadratic_detrep",
     "rational_sos_quadratic",
     "real_square_factorization",
-    "refine_isolation",
     "restrict_to_line",
     "sos_to_detrep",
     "verify_companion",

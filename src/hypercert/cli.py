@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import fixtures as fixtures_mod
+from .clifford import sos_to_detrep
 from .detrep import (
     detrep_to_sos,
     polymatrix_from_json,
@@ -132,8 +133,6 @@ def _cmd_detrep_to_sos(args) -> int:
 
 
 def _cmd_sos_to_detrep(args) -> int:
-    from .clifford import sos_to_detrep
-
     forms = load_squares_file(args.squares)
     rep = sos_to_detrep(forms)
     payload = {

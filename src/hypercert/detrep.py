@@ -321,6 +321,8 @@ def verify_pencil(
     is "direct" (Bareiss determinant), "shortcut" (minimal-polynomial route
     for pencils of the shape ell*I - Q with Q^2 = P*I), or "auto".
     """
+    if r < 1:
+        raise ValueError(f"power r = {r} must be at least 1")
     ring = h.ring
     if any(w != 1 for w in ring.weights):
         raise ValueError("pencil verification needs an unweighted ring")
@@ -444,6 +446,8 @@ def verify_companion(
     shortcut is used when it applies (A symmetric/hermitian, A^2 = p*I,
     trace 0 for h = y^2 - p); otherwise the Bareiss determinant decides.
     """
+    if r < 1:
+        raise ValueError(f"power r = {r} must be at least 1")
     ring_h = h.ring
     if "y" not in ring_h.variables:
         raise ValueError("companion form needs a distinguished variable named 'y'")

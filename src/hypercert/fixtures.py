@@ -19,6 +19,8 @@ from .detrep import (
     PolyMatrix,
     const_det,
     detrep_to_sos,
+    pencil_to_polymatrix,
+    plucker_line,
     poly_det,
     polymatrix_from_json,
     polymatrix_to_pencil,
@@ -31,7 +33,7 @@ from .hyperbolicity import (
     is_hyperbolic_sampled,
     sample_direction,
 )
-from .polyring import MultiPoly, _sum_of_squares, parse
+from .polyring import MultiPoly, _sum_of_squares, parse, restrict_to_line
 from .realroots import is_real_rooted
 from .scalars import is_positive_definite
 from .wire import parse_point, parse_poly_text
@@ -208,8 +210,6 @@ def _run_f4(fixture_id: str, spec: dict) -> FixtureResult:
     )
 
     # The spanning line of the hyperbolicity subspace: x34 = 1, the rest 0.
-    from .detrep import plucker_line
-
     e_coords = plucker_line((0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
     at_e = matrix.eval_at(e_coords)
     is_twice_identity = all(
@@ -291,8 +291,6 @@ def _run_f5(fixture_id: str, spec: dict) -> FixtureResult:
         )
     )
     if refuted.witness is not None:
-        from .polyring import restrict_to_line
-
         again = restrict_to_line(control, e_control, refuted.witness.v)
         sound = again == refuted.witness.restricted and not is_real_rooted(again)
         result.checks.append(
@@ -318,8 +316,6 @@ def _run_f6(fixture_id: str, spec: dict) -> FixtureResult:
             f"size {size}, r = {rep.power}, c = {rep.scalar}",
         )
     )
-    from .detrep import pencil_to_polymatrix
-
     det = poly_det(pencil_to_polymatrix(rep.pencil, h.ring))
     target = (h ** 4).scale(Fraction(256))
     result.checks.append(

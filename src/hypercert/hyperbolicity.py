@@ -18,12 +18,7 @@ from typing import Optional, Sequence
 
 from .detrep import DetRepReport, verify_pencil
 from .polyring import MultiPoly, UniPoly, restrict_to_line
-from .realroots import (
-    DegreeMismatchError,
-    NotRealRootedError,
-    interlaces_univariate,
-    is_real_rooted,
-)
+from .realroots import NotRealRootedError, interlaces_univariate, is_real_rooted
 from .scalars import ConstMatrix, RationalLike, as_fraction
 
 STATUS_NO_COUNTEREXAMPLE = "no-counterexample"

@@ -690,7 +690,10 @@ def parse(text: str, ring: Ring) -> MultiPoly:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial text")
-    return _Parser(tokens, ring).parse()
+    try:
+        return _Parser(tokens, ring).parse()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply") from None
 
 
 def _monomial_str(ring: Ring, expo: tuple[int, ...]) -> str:
@@ -895,35 +898,12 @@ class UniPoly:
         (self, other), made primitive."""
         return sturm_chain(self, other)[-1].primitive()
 
+    # Kept only as a hook of perfbench's tracer, until the benchmark drops it.
     def squarefree_part(self) -> "UniPoly":
         if self.is_zero():
             raise ValueError("zero polynomial has no squarefree part")
         g = self.gcd(self.derivative())
         return self.divide_exact(g).primitive()
-
-    def squarefree_decomposition(self) -> list[tuple["UniPoly", int]]:
-        """Yun's algorithm: pairwise-coprime squarefree factors with
-        multiplicities; the product of g^m recovers self up to a constant."""
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        f = self.primitive()
-        if f.degree == 0:
-            return []
-        df = f.derivative()
-        a = f.gcd(df)
-        out: list[tuple[UniPoly, int]] = []
-        v = f.divide_exact(a)
-        w = df.divide_exact(a)
-        m = 1
-        while v.degree > 0:
-            z = w - v.derivative()
-            g = v.gcd(z)
-            if g.degree > 0:
-                out.append((g.primitive(), m))
-            v = v.divide_exact(g)
-            w = z.divide_exact(g)
-            m += 1
-        return out
 
     def format(self, var: str = "t") -> str:
         if not self.coeffs:

@@ -35,7 +35,6 @@ from .polyring import MultiPoly, Ring, _sum_of_squares
 from .scalars import (
     KIND_SYMMETRIC,
     ConstMatrix,
-    GaussianRational,
     RationalLike,
     as_fraction,
     four_square_decompose,

@@ -5,14 +5,13 @@ the sign variations V(a) - V(b) of the signed remainder sequence of (f, g)
 give the Cauchy index of g/f on (a, b) (Basu-Pollack-Roy, *Algorithms in
 Real Algebraic Geometry*, Thm 2.58), for g = f' the number of distinct real
 roots of f (Sturm).  The sequence is ``polyring.sturm_chain``, the one
-Euclid that also gives ``UniPoly.gcd``.  Root isolation with multiplicities
-(via Yun's squarefree decomposition) and refinement by rational bisection
-serve ``isolate_roots`` and ``refine_isolation``.
+Euclid that also gives ``UniPoly.gcd``.  The library isolates no roots;
+``_isolate_squarefree`` and ``refine_interval`` remain only as benchmark
+hooks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -30,34 +29,6 @@ class NotRealRootedError(ValueError):
 
 class DegreeMismatchError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class IsolatingInterval:
-    """A closed rational interval holding exactly one distinct real root.
-
-    ``lo == hi`` records an exact rational root.  ``multiplicity`` is the
-    root's multiplicity in the subject polynomial.
-    """
-
-    lo: Fraction
-    hi: Fraction
-    multiplicity: int
-
-    def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}] x {self.multiplicity}"
-
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def disjoint_from(self, other: "IsolatingInterval") -> bool:
-        return self.hi < other.lo or other.hi < self.lo
 
 
 def _sign(x: Fraction) -> int:
@@ -126,6 +97,7 @@ def is_real_rooted(f: UniPoly) -> bool:
     return _index(chain) == f.degree - chain[-1].degree
 
 
+# Kept only as a hook of perfbench's tracer, until the benchmark drops it.
 def _isolate_squarefree(g: UniPoly) -> list[tuple[Fraction, Fraction]]:
     """Sorted intervals, one distinct root of squarefree g each.
 
@@ -160,6 +132,7 @@ def _isolate_squarefree(g: UniPoly) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
+# Kept only as a hook of perfbench's tracer, until the benchmark drops it.
 def refine_interval(
     g: UniPoly, lo: Fraction, hi: Fraction, max_width: Fraction
 ) -> tuple[Fraction, Fraction]:
@@ -177,83 +150,6 @@ def refine_interval(
         else:
             lo = mid
     return (lo, hi)
-
-
-def _refine_all_disjoint(items: list[tuple[Fraction, Fraction, UniPoly, object]]) -> list[tuple]:
-    """Refine (lo, hi, g, tag) intervals, each isolating a root of its
-    squarefree g, until pairwise disjoint; returns sorted (lo, hi, tag).
-
-    The roots must be distinct, so quartering the widths of every
-    overlapping pair terminates.
-    """
-    work = list(items)
-    changed = True
-    while changed:
-        changed = False
-        work.sort(key=lambda t: (t[0], t[1]))
-        for a in range(len(work) - 1):
-            lo1, hi1, g1, t1 = work[a]
-            lo2, hi2, g2, t2 = work[a + 1]
-            if hi1 < lo2:
-                continue
-            if hi1 > lo1:
-                lo1, hi1 = refine_interval(g1, lo1, hi1, (hi1 - lo1) / 4)
-                work[a] = (lo1, hi1, g1, t1)
-            if hi2 > lo2:
-                lo2, hi2 = refine_interval(g2, lo2, hi2, (hi2 - lo2) / 4)
-                work[a + 1] = (lo2, hi2, g2, t2)
-            changed = True
-    return [(lo, hi, tag) for lo, hi, _, tag in work]
-
-
-def isolate_roots(f: UniPoly) -> list[IsolatingInterval]:
-    """Sorted, pairwise-disjoint isolating intervals with multiplicities.
-
-    Multiplicities are taken from Yun's squarefree decomposition; the
-    intervals of all factors, tagged with their multiplicity, are refined
-    until they no longer overlap.
-    """
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    tagged = [
-        (lo, hi, factor, mult)
-        for factor, mult in f.squarefree_decomposition()
-        for lo, hi in _isolate_squarefree(factor)
-    ]
-    return [IsolatingInterval(lo, hi, mult) for lo, hi, mult in _refine_all_disjoint(tagged)]
-
-
-def refine_isolation(
-    f: UniPoly, intervals: Sequence[IsolatingInterval], max_width: RationalLike
-) -> list[IsolatingInterval]:
-    """Re-refine an isolation of f until every interval is narrower than
-    max_width (point intervals stay points).
-
-    Yun factors are indexed by multiplicity, so each interval's owning
-    squarefree factor is the one matching its multiplicity tag.  An interval
-    must isolate exactly one root of its owner: a point interval must be a
-    root, any other must hold one root strictly inside and none at its
-    endpoints.  ValueError otherwise.
-    """
-    width = as_fraction(max_width)
-    by_mult = {mult: g for g, mult in f.squarefree_decomposition()}
-    out = []
-    for iv in intervals:
-        owner = by_mult.get(iv.multiplicity)
-        if iv.is_point():
-            isolates = owner is not None and not owner.eval(iv.lo)
-        else:
-            isolates = (
-                owner is not None
-                and bool(owner.eval(iv.lo))
-                and bool(owner.eval(iv.hi))
-                and _index(sturm_chain(owner), iv.lo, iv.hi) == 1
-            )
-        if not isolates:
-            raise ValueError(f"interval {iv} does not isolate one root of multiplicity {iv.multiplicity}")
-        lo, hi = refine_interval(owner, iv.lo, iv.hi, width)
-        out.append(IsolatingInterval(lo, hi, iv.multiplicity))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,13 @@ class TestCheckHyperbolic:
         code = main(["check-hyperbolic", "--poly", str(bad), "--dir", "1"])
         assert code == EXIT_USAGE
 
+    def test_deeply_nested_poly_exit_64(self, tmp_path, capsys):
+        deep = tmp_path / "deep.txt"
+        deep.write_text("ring: vars=x0,x1 weights=1,1 gaussian=false\n" + "(" * 3000 + "x0" + ")" * 3000)
+        code = main(["check-hyperbolic", "--poly", str(deep), "--dir", "1,0"])
+        assert code == EXIT_USAGE
+        assert "input error: expression is nested too deeply" in capsys.readouterr().err
+
     def test_bad_flag_exit_64(self, files):
         assert main(["check-hyperbolic", "--nope"]) == EXIT_USAGE
 
@@ -136,6 +143,25 @@ class TestVerifyDetrep:
              "--power", "4", "--dir", "1,0,0"]
         )
         assert code == EXIT_REFUTED  # c = 256 != 1 without --up-to-scalar
+
+    @pytest.mark.parametrize("power", ["0", "-1"])
+    def test_power_below_one_exit_64(self, tmp_path, capsys, power):
+        # Empty pencils and matrices: with r = 0 they used to "verify" any h.
+        h = tmp_path / "h.txt"
+        h.write_text("ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\nx0^2 + x1^2 + x2^2 + 5*x0*x1\n")
+        pencil = tmp_path / "pencil.json"
+        pencil.write_text(json.dumps({"vars": ["x0", "x1", "x2"], "kind": "symmetric", "matrices": [[], [], []]}))
+        h_y = tmp_path / "h_y.txt"
+        h_y.write_text("ring: vars=y,x0,x1 weights=1,1,1 gaussian=false\ny^2 + x0^2 + x1^2\n")
+        matrix = tmp_path / "matrix.json"
+        ring = {"vars": ["x0", "x1"], "weights": [1, 1], "gaussian": False}
+        matrix.write_text(json.dumps({"ring": ring, "kind": "symmetric", "entries": []}))
+        for argv in (
+            ["--matrix", str(pencil), "--poly", str(h), "--dir", "1,0,0"],
+            ["--matrix", str(matrix), "--poly", str(h_y), "--companion"],
+        ):
+            assert main(["verify-detrep", "--power", power, *argv]) == EXIT_USAGE
+            assert "at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--seed", "1"], ["--samples", "5"], ["--box", "3"], ["--pencil"]])
     def test_sampling_and_mode_flags_are_unknown_exit_64(self, files, tmp_path, capsys, flag):

@@ -135,6 +135,17 @@ class TestVerifyPencil:
         with pytest.raises(ValueError):
             verify_pencil(QUADRIC_PENCIL, h, 2, (1, 0, 0))
 
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_power_below_one_raises(self, r):
+        # Three 0x0 matrices match deg(h) * 0 = 0 and have an empty, "definite"
+        # value at e; r = 0 would certify any h, hyperbolic or not.
+        h = parse("x0^2 + x1^2 + x2^2 + 5*x0*x1", R3)
+        empty = [ConstMatrix([], "symmetric")] * 3
+        with pytest.raises(ValueError, match="at least 1"):
+            verify_pencil(empty, h, r, (1, 0, 0))
+        with pytest.raises(ValueError, match="at least 1"):
+            verify_pencil(QUADRIC_PENCIL, parse("x0^2 - x1^2 - x2^2", R3), r, (1, 0, 0))
+
     def test_kind_violation_reported(self):
         h = parse("x0^2 - x1^2 - x2^2", R3)
         broken = [
@@ -190,6 +201,14 @@ class TestVerifyCompanion:
         h = load_fixture_poly("F3_h.txt")
         with pytest.raises(ValueError):
             verify_companion(m, h, 2)  # size/degree mismatch
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_power_below_one_raises(self, r):
+        ring_h = Ring(("y", "x0", "x1"), (1, 1, 1))
+        h = parse("y^2 + x0^2 + x1^2", ring_h)
+        empty = PolyMatrix(Ring.standard(("x0", "x1")), [], "symmetric")
+        with pytest.raises(ValueError, match="at least 1"):
+            verify_companion(empty, h, r)
 
     def test_grading_violation(self):
         ring_h = Ring(("y", "x0", "x1"), (2, 1, 1))

@@ -17,7 +17,7 @@ from hypercert.hyperbolicity import (
     sample_direction,
 )
 from hypercert.polyring import Ring, UniPoly, directional_derivative, parse, restrict_to_line
-from hypercert.realroots import interlaces_univariate, is_real_rooted, isolate_roots
+from hypercert.realroots import interlaces_univariate, is_real_rooted
 from hypercert.scalars import ConstMatrix
 
 R2 = Ring.standard(("x0", "x1"))
@@ -186,15 +186,13 @@ class TestInterlacerSampling:
         verdict = interlaces_sampled(g, h, e, samples=samples, seed=seed)
         assert verdict.status == STATUS_REFUTED
         assert verdict.witness.v == expected
-        # Oracle re-check on the witness line via exact isolation.
+        # Oracle re-check on the witness line: g restricts to t - (v0 - 3*v1).
         fh = restrict_to_line(h, e, verdict.witness.v)
         fg = restrict_to_line(g, e, verdict.witness.v)
         assert is_real_rooted(fh) and is_real_rooted(fg)
         assert not interlaces_univariate(fh, fg)
-        roots_h = [iv.midpoint() for iv in isolate_roots(fh)]
-        root_g = isolate_roots(fg)[0]
         v0, v1 = verdict.witness.v
-        assert root_g.lo <= v0 - 3 * v1 <= root_g.hi
+        assert fg.eval(v0 - 3 * v1) == 0
 
     def test_interlacer_vanishing_at_e_rejected(self):
         h = parse("x0^2 - x1^2", R2)
@@ -234,6 +232,13 @@ class TestCertification:
         with pytest.raises(CertificationError) as info:
             certify_from_pencil(LORENTZ, 1, (0, 1, 0), pencil)
         assert any(f.name == "positive-definite" for f in info.value.report.failures)
+
+    def test_power_zero_gives_no_certificate(self):
+        # The empty pencil would "certify" h^0 = 1 for a non-hyperbolic h.
+        h = parse("x0^2 + x1^2 + x2^2 + 5*x0*x1", R3)
+        assert is_hyperbolic_sampled(h, (1, 0, 0), samples=50, seed=0).status == STATUS_REFUTED
+        with pytest.raises(ValueError, match="at least 1"):
+            certify_from_pencil(h, 0, (1, 0, 0), [ConstMatrix([], "symmetric")] * 3)
 
     def test_certified_implies_sampled(self):
         cases = [

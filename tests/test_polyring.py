@@ -245,6 +245,45 @@ class TestSquareFactorization:
             c, root = got
             assert (root * root).scale(c) == p
 
+    def test_against_sympy_factor_list(self):
+        # p = c*q^2 for a random form q of degree 1..3, a third of the time
+        # plus a random form of degree 2*deg q.  p is a real square iff sympy
+        # finds a positive content and only even multiplicities.
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols("x0 x1 x2")
+        rng = random.Random(4013)
+        seen = set()
+        for _ in range(150):
+            d = rng.randrange(1, 4)
+            q = random_form(rng, R3, d)
+            c = Fraction(rng.choice([-3, -1, 1, 2, 3, 4]), rng.randrange(1, 4))
+            p = (q * q).scale(c)
+            if rng.random() < 1 / 3:
+                p = p + random_form(rng, R3, 2 * d)
+            assert not p.is_zero()
+            coeffs = {expo: sympy.Rational(a.re.numerator, a.re.denominator) for expo, a in p.terms.items()}
+            content, factors = sympy.Poly.from_dict(coeffs, *xs).factor_list()
+            expected = content > 0 and all(m % 2 == 0 for _, m in factors)
+            got = real_square_factorization(p)
+            assert (got is not None) == expected, p
+            if got is not None:
+                assert (got[1] * got[1]).scale(got[0]) == p
+            seen.add(expected)
+        assert seen == {True, False}
+
+
+def random_form(rng, ring, d, max_terms=4, span=5):
+    """A nonzero form of degree d with up to max_terms random monomials."""
+    while True:
+        items = []
+        for _ in range(rng.randrange(1, max_terms + 1)):
+            cuts = sorted(rng.randrange(0, d + 1) for _ in range(ring.arity - 1))
+            expo = tuple(b - a for a, b in zip([0, *cuts], [*cuts, d]))
+            items.append((expo, GaussianRational(Fraction(rng.randrange(-span, span + 1)))))
+        form = MultiPoly.from_terms(ring, items)
+        if not form.is_zero():
+            return form
+
 
 class TestUniPoly:
     def test_divmod(self):
@@ -266,11 +305,6 @@ class TestUniPoly:
             assert a.divide_exact(g) is not None
             assert b.divide_exact(g) is not None
             assert g.degree >= shared.degree
-
-    def test_squarefree_decomposition(self):
-        f = UniPoly.from_roots([1, 1, -2])
-        decomp = f.squarefree_decomposition()
-        assert [(str(g.format()), m) for g, m in decomp] == [("t + 2", 1), ("t - 1", 2)]
 
     def test_shift(self):
         f = UniPoly([1, 2, 3])

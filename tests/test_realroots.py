@@ -1,4 +1,4 @@
-"""Sturm chains, root isolation, and interlacing."""
+"""Sturm chains, root counting, and interlacing."""
 
 import itertools
 import random
@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 from hypercert.polyring import UniPoly, sturm_chain
 from hypercert.realroots import (
     DegreeMismatchError,
-    IsolatingInterval,
     NotRealRootedError,
     _index,
+    _isolate_squarefree,
     count_distinct_roots,
     interlaces_univariate,
     is_real_rooted,
-    isolate_roots,
-    refine_isolation,
+    refine_interval,
 )
 
 
@@ -76,83 +75,6 @@ class TestSturmCount:
         f = UniPoly.from_roots([2])
         with pytest.raises(ValueError):
             count_distinct_roots(f, 2, 5)
-
-
-class TestIsolation:
-    def test_sqrt2(self):
-        ivs = isolate_roots(UniPoly([-2, 0, 1]))
-        assert len(ivs) == 2
-        assert all(iv.multiplicity == 1 for iv in ivs)
-        assert ivs[0].hi < ivs[1].lo
-        assert ivs[0].lo < Fraction(-1) < ivs[0].hi or ivs[0].hi < -1
-        # each interval brackets one of +-sqrt(2)
-        f = UniPoly([-2, 0, 1])
-        for iv in ivs:
-            if iv.is_point():
-                assert f.eval(iv.lo) == 0
-            else:
-                assert f.eval(iv.lo) * f.eval(iv.hi) < 0
-
-    def test_multiplicity_example(self):
-        ivs = isolate_roots(UniPoly.from_roots([1, 1, -2]))
-        assert [(iv.multiplicity) for iv in ivs] == [1, 2]
-        assert ivs[0].lo <= -2 <= ivs[0].hi
-        assert ivs[1].lo <= 1 <= ivs[1].hi
-
-    def test_interval_format(self):
-        ivs = isolate_roots(UniPoly.from_roots([1, 1, -2]))
-        assert str(ivs[1]) == "[1, 1] x 2"
-
-    def test_construct_then_recover(self):
-        rng = random.Random(61)
-        for _ in range(100):
-            roots = sorted({random_rational(rng, span=6) for _ in range(6)})
-            f = UniPoly.from_roots(roots, lead=Fraction(rng.randrange(1, 5)))
-            ivs = isolate_roots(f)
-            assert len(ivs) == len(roots)
-            for iv, root in zip(ivs, roots):
-                assert iv.lo <= root <= iv.hi
-                assert iv.multiplicity == 1
-            for a, b in zip(ivs, ivs[1:]):
-                assert a.disjoint_from(b)
-
-    def test_multiplicities_sum(self):
-        rng = random.Random(67)
-        for _ in range(100):
-            distinct = sorted({random_rational(rng, span=5) for _ in range(rng.randrange(1, 5))})
-            mults = [rng.randrange(1, 4) for _ in distinct]
-            f = UniPoly([1])
-            for root, m in zip(distinct, mults):
-                f = f * UniPoly.from_roots([root] * m)
-            ivs = isolate_roots(f)
-            assert sorted(iv.multiplicity for iv in ivs) == sorted(mults)
-            assert sum(iv.multiplicity for iv in ivs) == sum(mults)
-
-    def test_refinement_width(self):
-        f = UniPoly([-2, 0, 1])
-        ivs = isolate_roots(f)
-        narrow = refine_isolation(f, ivs, Fraction(1, 10**6))
-        for iv in narrow:
-            assert iv.width() <= Fraction(1, 10**6)
-        # sqrt(2) to 6 digits
-        assert abs(narrow[1].midpoint() - Fraction(1414213562, 10**9)) < Fraction(1, 10**4)
-
-    @pytest.mark.parametrize(
-        "roots_of_f, interval",
-        [
-            ("sqrt2", IsolatingInterval(Fraction(5), Fraction(6), 1)),  # no root inside
-            ("sqrt2", IsolatingInterval(Fraction(-2), Fraction(2), 1)),  # two roots inside
-            ("sqrt2", IsolatingInterval(Fraction(1), Fraction(2), 2)),  # no Yun factor of mult 2
-            ("sqrt2", IsolatingInterval(Fraction(1), Fraction(1), 1)),  # point that is no root
-            ("double1", IsolatingInterval(Fraction(1), Fraction(1), 1)),  # root of the wrong mult
-            ("double1", IsolatingInterval(Fraction(1), Fraction(3), 2)),  # root at an endpoint
-        ],
-        ids=["no-root", "two-roots", "no-such-mult", "point-no-root", "point-wrong-mult", "root-at-end"],
-    )
-    def test_refine_isolation_rejects_a_non_isolating_interval(self, roots_of_f, interval):
-        f = UniPoly([-2, 0, 1]) if roots_of_f == "sqrt2" else UniPoly.from_roots([1, 1, -2])
-        with pytest.raises(ValueError):
-            refine_isolation(f, [interval], Fraction(1, 100))
 
 
 class TestInterlacing:
@@ -277,53 +199,53 @@ def random_factored(rng, max_factors=4, max_mult=3):
     return f
 
 
-def check_isolation(f):
-    roots = sympy.real_roots(to_sympy(f))
-    distinct = sorted(set(roots), key=lambda r: float(r))
-    ivs = isolate_roots(f)
-    assert len(ivs) == len(distinct)
-    for a, b in zip(ivs, ivs[1:]):
-        assert a.hi < b.lo
-    for iv, root in zip(ivs, distinct):
-        lo, hi = sympy.Rational(iv.lo), sympy.Rational(iv.hi)
-        inside = [r for r in distinct if lo <= r <= hi]
-        assert inside == [root]
-        assert iv.multiplicity == roots.count(root)
-    return ivs
+def check_squarefree_isolation(f, width=Fraction(1, 10**6)):
+    """_isolate_squarefree on f's squarefree part against sympy's distinct
+    real roots, then refine_interval on each interval down to ``width``."""
+    g = f.squarefree_part()
+    distinct = sorted(set(sympy.real_roots(to_sympy(f))), key=lambda r: float(r))
+    pairs = _isolate_squarefree(g)
+    assert len(pairs) == len(distinct)
+    for (lo, hi), root in zip(pairs, distinct):
+        narrow = refine_interval(g, lo, hi, width)
+        assert narrow[1] - narrow[0] <= width
+        # A deflated rational root may be the end of a neighbour's interval,
+        # so a non-point interval holds its one root strictly inside.
+        for a, b in ((lo, hi), narrow):
+            if a == b:
+                assert a == root
+            else:
+                assert [r for r in distinct if sympy.Rational(a) < r < sympy.Rational(b)] == [root]
+    return pairs
 
 
 class TestIsolationOracle:
     def test_random_products_against_sympy(self):
         rng = random.Random(4001)
         for _ in range(40):
-            check_isolation(random_factored(rng))
+            check_squarefree_isolation(random_factored(rng))
 
-    def test_repeated_roots_over_several_yun_factors(self):
-        # Yun factors of multiplicity 1, 2, 3 and 4, each holding rational
-        # and irrational roots.
+    def test_repeated_roots_of_several_multiplicities(self):
+        # Multiplicities 1 to 4, each with rational and irrational roots.
         f = UniPoly.from_roots([Fraction(1, 3)])
         for mult, quad, root in ((2, [-2, 0, 1], -1), (3, [-3, 0, 1], 2), (4, [-1, -2, 1], Fraction(-5, 2))):
             for _ in range(mult):
                 f = f * UniPoly(quad) * UniPoly.from_roots([root])
-        assert sorted(m for _, m in f.squarefree_decomposition()) == [1, 2, 3, 4]
-        ivs = check_isolation(f)
-        assert sorted(iv.multiplicity for iv in ivs) == [1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
+        assert len(check_squarefree_isolation(f)) == 10
 
     def test_rational_root_at_a_bisection_midpoint_is_deflated(self):
         # Isolation starts from (-B, B), B the Cauchy bound, so its first
-        # midpoint is 0.  For t (t^2 - 2) that is a root, which is deflated
-        # out; with multiplicity 2 the deflation happens inside a Yun factor.
+        # midpoint is 0, a root of t (t^2 - 2), which is deflated out.
         f = UniPoly([0, -2, 0, 1])
-        for mult, poly in ((1, f), (2, f * f)):
-            ivs = check_isolation(poly)
-            points = [iv for iv in ivs if iv.is_point()]
-            assert [(p.lo, p.multiplicity) for p in points] == [(0, mult)]
+        for poly in (f, f * f):
+            pairs = check_squarefree_isolation(poly)
+            assert [lo for lo, hi in pairs if lo == hi] == [0]
 
     def test_deflation_next_to_a_close_root(self):
         # 0 is hit at the first midpoint while 1/1024 must still be separated.
         f = UniPoly.from_roots([0, Fraction(1, 1024), -1]) * UniPoly([-2, 0, 1])
-        ivs = check_isolation(f)
-        assert any(iv.is_point() and iv.lo == 0 for iv in ivs)
+        pairs = check_squarefree_isolation(f, width=Fraction(1, 4096))
+        assert (0, 0) in pairs
 
 
 class TestCountOracle:
@@ -332,7 +254,7 @@ class TestCountOracle:
         mults = set()
         for _ in range(40):
             f = random_factored(rng, max_factors=3, max_mult=4)
-            mults.update(m for _, m in f.squarefree_decomposition())
+            mults.update(m for _, m in sympy.sqf_list(to_sympy(f))[1])
             roots = sympy.real_roots(to_sympy(f))
             distinct = sorted(set(roots), key=lambda r: float(r))
             assert is_real_rooted(f) == (len(roots) == f.degree)
