@@ -159,7 +159,7 @@ def build_Q(forms: Sequence[MultiPoly]) -> PolyMatrix:
         raise AssertionError("internal error: Q is not symmetric")
     if not q.trace().is_zero():
         raise AssertionError("internal error: trace(Q) != 0")
-    bad = q.matmul(q).scalar_mismatch(_sum_of_squares(ring, forms))
+    bad = q.square().scalar_mismatch(_sum_of_squares(ring, forms))
     if bad is not None:
         raise AssertionError(f"internal error: Q^2 != P*I at entry {bad[:2]}")
     return q
@@ -175,7 +175,7 @@ class CompanionRepresentation:
     report: DetRepReport
 
 
-def sos_to_detrep(forms: Sequence[MultiPoly], method: str = "auto") -> CompanionRepresentation:
+def sos_to_detrep(forms: Sequence[MultiPoly]) -> CompanionRepresentation:
     """From P = sum G_i^2 build Q (size 2^(k+1)) and certify
     det(y*I - Q) = (y^2 - P)^(2^k) via verify_companion."""
     q = build_Q(forms)
@@ -184,7 +184,7 @@ def sos_to_detrep(forms: Sequence[MultiPoly], method: str = "auto") -> Companion
     ring_h = Ring(("y",) + ring.variables, (weight_e,) + ring.weights, ring.gaussian)
     h = MultiPoly.variable(ring_h, "y") ** 2 - _sum_of_squares(ring, forms).lift(ring_h)
     r = q.size // 2
-    report = verify_companion(q, h, r, method=method)
+    report = verify_companion(q, h, r)
     if not report.ok:
         raise AssertionError(f"internal error: companion verification failed: {report.to_json_dict()}")
     return CompanionRepresentation(q, h, r, report)

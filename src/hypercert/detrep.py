@@ -5,6 +5,12 @@ Two input shapes are supported: pencils sum_i x_i A_i with constant
 matrices A_i (entries degree 1), and companion forms y*I - A(x) where A has
 homogeneous entries of the weight of y.  Verification reports are exact:
 every failed check carries a witness that re-verifies independently.
+
+Both verifiers choose the determinant by one rule.  If trace Q = 0 and
+Q^2 = P*I then det(y*I - Q) = (y^2 - P)^(m/2) (:func:`_involution`), so
+an input of that shape -- a pencil ell*I - Q for quadratic h, or a
+symmetric/hermitian A with h = y^2 - P -- is decided by forming Q^2 once;
+every other input gets the Bareiss determinant.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .scalars import (
 class PolyMatrix:
     """Square matrix of MultiPoly entries with a symmetry-kind tag."""
 
-    __slots__ = ("ring", "rows", "kind")
+    __slots__ = ("ring", "rows", "kind", "_square")
 
     def __init__(self, ring: Ring, rows: Sequence[Sequence[MultiPoly]], kind: str = KIND_NONE):
         if kind not in MATRIX_KINDS:
@@ -54,6 +60,7 @@ class PolyMatrix:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", mat)
         object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "_square", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -77,10 +84,6 @@ class PolyMatrix:
     def kind_violation(self) -> Optional[tuple[int, int]]:
         """First entry (i, j) breaking the declared symmetry kind, or None."""
         return _kind_violation(self.rows, self.kind, MultiPoly.conjugate)
-
-    def transpose(self) -> "PolyMatrix":
-        n = self.size
-        return PolyMatrix(self.ring, [[self.rows[j][i] for j in range(n)] for i in range(n)], self.kind)
 
     def conjugate(self) -> "PolyMatrix":
         return PolyMatrix(self.ring, [[p.conjugate() for p in row] for row in self.rows], self.kind)
@@ -121,9 +124,15 @@ class PolyMatrix:
             out.append(acc)
         return PolyMatrix(self.ring, out, KIND_NONE)
 
+    def square(self) -> "PolyMatrix":
+        """self.matmul(self), formed once per (immutable) matrix."""
+        if self._square is None:
+            object.__setattr__(self, "_square", self.matmul(self))
+        return self._square
+
     def scalar_mismatch(self, p: MultiPoly) -> Optional[tuple[int, int, MultiPoly]]:
         """First entry (i, j, value), row by row, where this matrix differs
-        from p*I, or None.  Checks an involution A^2 = p*I on A.matmul(A)."""
+        from p*I, or None.  Checks an involution A^2 = p*I on A.square()."""
         for i, row in enumerate(self.rows):
             for j, entry in enumerate(row):
                 if (entry != p) if i == j else entry:
@@ -218,9 +227,9 @@ class CheckFailure:
 class DetRepReport:
     """Outcome of a determinantal-representation verification.
 
-    ``ok`` implies no failures and scalar > 0.  ``notes`` records method
-    details (e.g. whether the minimal-polynomial shortcut was used, or that
-    squareness of a branch polynomial could not be decided).
+    ``ok`` implies no failures and scalar > 0.  ``notes["method"]`` names
+    the determinant route ("minimal-polynomial-shortcut" or "bareiss"), and
+    the companion route records whether its branch P is a square.
     """
 
     ok: bool
@@ -288,9 +297,10 @@ def polymatrix_to_pencil(matrix: PolyMatrix) -> list[ConstMatrix]:
 
 
 def _match_scalar(
-    det: MultiPoly, target: MultiPoly, up_to_scalar: bool
+    det: MultiPoly, target: MultiPoly, up_to_scalar: bool, lhs: str = "det", rhs: str = "h^r"
 ) -> tuple[Fraction, Optional[str]]:
-    """Find c with det == c * target; (c, None) on success else (c, witness)."""
+    """Find c with det == c * target; (c, None) on success else (c, witness).
+    ``lhs`` and ``rhs`` name det and target in the witness."""
     if target.is_zero():
         return (Fraction(0), "target polynomial is zero")
     if det.is_zero():
@@ -303,7 +313,7 @@ def _match_scalar(
     diff = det - target.scale(c)
     if diff.is_zero():
         return (c, None)
-    return (c, _truncate(f"det - {c}*h^r = {diff}"))
+    return (c, _truncate(f"{lhs} - {c}*{rhs} = {diff}"))
 
 
 def verify_pencil(
@@ -312,14 +322,14 @@ def verify_pencil(
     r: int,
     e: Sequence[RationalLike],
     up_to_scalar: bool = False,
-    method: str = "auto",
 ) -> DetRepReport:
     """Check that det(sum x_i A_i) = c * h^r with definite value at e.
 
     Three named checks: symmetry kind, determinant identity (c = 1 unless
-    ``up_to_scalar``), and positive definiteness of sum e_i A_i.  ``method``
-    is "direct" (Bareiss determinant), "shortcut" (minimal-polynomial route
-    for pencils of the shape ell*I - Q with Q^2 = P*I), or "auto".
+    ``up_to_scalar``), and positive definiteness of sum e_i A_i.  For
+    quadratic h whose pencil is ell*I - Q with Q^2 = P*I (see
+    :func:`_involution`) the determinant is (ell^2 - P)^r; every other
+    pencil gets the Bareiss determinant.
     """
     if r < 1:
         raise ValueError(f"power r = {r} must be at least 1")
@@ -354,9 +364,13 @@ def verify_pencil(
             )
 
     pencil_matrix = pencil_to_polymatrix(matrices, ring)
-    scalar, det_witness = _verify_det_identity(
-        pencil_matrix, h, r, up_to_scalar, method, notes
-    )
+    matched = _match_branch(pencil_matrix, h, r, up_to_scalar) if deg == 2 else None
+    if matched is not None:
+        notes["method"] = "minimal-polynomial-shortcut"
+        scalar, det_witness = matched
+    else:
+        notes["method"] = "bareiss"
+        scalar, det_witness = _match_scalar(poly_det(pencil_matrix), h ** r, up_to_scalar)
     if det_witness is not None:
         failures.append(CheckFailure("determinant", det_witness))
     elif scalar <= 0:
@@ -377,74 +391,59 @@ def verify_pencil(
     return DetRepReport(ok=ok, scalar=scalar, power=r, failures=failures, notes=notes)
 
 
-def _verify_det_identity(
-    pencil_matrix: PolyMatrix,
-    h: MultiPoly,
-    r: int,
-    up_to_scalar: bool,
-    method: str,
-    notes: dict,
-) -> tuple[Fraction, Optional[str]]:
-    m = pencil_matrix.size
-    if method not in ("auto", "direct", "shortcut"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "direct" if m <= 8 else "shortcut"
-    if method == "shortcut":
-        result = _det_identity_shortcut(pencil_matrix, h, r, up_to_scalar)
-        if result is not None:
-            notes["method"] = "minimal-polynomial-shortcut"
-            return result
-        notes["shortcut"] = "inapplicable; fell back to the direct determinant"
-        method = "direct"
-    notes["method"] = "bareiss"
-    det = poly_det(pencil_matrix)
-    return _match_scalar(det, h ** r, up_to_scalar)
+def _involution(q: PolyMatrix) -> Optional[MultiPoly]:
+    """P when trace(q) = 0 and q^2 = P*I, else None.
+
+    Then det(y*I - q) = (y^2 - P)^(m/2) exactly: for P != 0 the minimal
+    polynomial divides the squarefree y^2 - P, so the eigenvalues are
+    +-sqrt(P), equally often since the trace is 0; for P = 0, q is nilpotent.
+    """
+    if not q.trace().is_zero():
+        return None
+    square = q.square()
+    p = square.rows[0][0]
+    return p if square.scalar_mismatch(p) is None else None
 
 
-def _det_identity_shortcut(
+def _match_branch(
     pencil_matrix: PolyMatrix, h: MultiPoly, r: int, up_to_scalar: bool
 ) -> Optional[tuple[Fraction, Optional[str]]]:
-    """Minimal-polynomial route for quadratic h.
+    """(c, witness) as _match_scalar gives for the Bareiss determinant, or
+    None when the traceless part Q = ell*I - M of the pencil M, with
+    ell = trace(M)/m, is not an involution.
 
-    If M = ell*I - Q with trace(Q) = 0 and Q^2 = P*I, the characteristic
-    polynomial of Q is (y^2 - P)^(m/2), hence det M = (ell^2 - P)^(m/2)
-    exactly.  It remains to match ell^2 - P against a positive multiple of h.
+    Otherwise det M = (ell^2 - P)^r, which is a multiple c of h^r exactly
+    when the branch ell^2 - P is a multiple s of h, and then c = s^r.
     """
-    ring = pencil_matrix.ring
     m = pencil_matrix.size
-    if m % 2 != 0 or h.weighted_degree() != 2 or r != m // 2:
+    ell = pencil_matrix.trace().scale(Fraction(1, m))
+    p = _involution(scalar_polymatrix(ell, m, KIND_NONE).sub(pencil_matrix))
+    if p is None:
         return None
-    trace = pencil_matrix.trace()
-    ell = trace.scale(Fraction(1, m))
-    ell_m = scalar_polymatrix(ell, m, KIND_NONE)
-    q = ell_m.sub(pencil_matrix)  # traceless by construction
-    q_sq = q.matmul(q)
-    p = q_sq.rows[0][0]
-    if q_sq.scalar_mismatch(p) is not None:
-        return None
-    branch = ell * ell - p
-    scalar, witness = _match_scalar(branch, h, up_to_scalar)
-    if witness is not None:
-        return (scalar, witness)
-    if scalar <= 0:
-        return (scalar, f"branch scalar {scalar} is not positive")
-    return (scalar ** r, None)
+    s, witness = _match_scalar(ell * ell - p, h, True, "ell^2 - P", "h")
+    c = s ** r
+    if up_to_scalar or not c:  # c = 0: a zero or non-real determinant
+        return (c, witness)
+    if witness is None and c != 1:
+        witness = f"det = {c}*h^r, not h^r"
+    return (Fraction(1), witness)
 
 
-def verify_companion(
-    matrix: PolyMatrix,
-    h: MultiPoly,
-    r: int,
-    method: str = "auto",
-) -> DetRepReport:
+def char_matrix(matrix: PolyMatrix, ring_h: Ring) -> PolyMatrix:
+    """y*I - A over ``ring_h``, the ring of A with the variable y added."""
+    lifted = PolyMatrix(ring_h, [[p.lift(ring_h) for p in row] for row in matrix.rows])
+    y_poly = MultiPoly.variable(ring_h, "y")
+    return scalar_polymatrix(y_poly, matrix.size, KIND_NONE).sub(lifted)
+
+
+def verify_companion(matrix: PolyMatrix, h: MultiPoly, r: int) -> DetRepReport:
     """Check det(y*I - A) = h^r exactly for companion-form input.
 
     ``h`` lives in a ring containing the distinguished variable ``y`` of
     weight equal to the common degree of A's entries; ``matrix`` lives in the
-    same ring without y.  With ``method="auto"`` the minimal-polynomial
-    shortcut is used when it applies (A symmetric/hermitian, A^2 = p*I,
-    trace 0 for h = y^2 - p); otherwise the Bareiss determinant decides.
+    same ring without y.  When A is symmetric or hermitian and
+    h = y^2 - P with A^2 = P*I and trace 0 (see :func:`_involution`), the
+    identity holds; every other input gets the Bareiss determinant.
     """
     if r < 1:
         raise ValueError(f"power r = {r} must be at least 1")
@@ -490,74 +489,24 @@ def verify_companion(
                 CheckFailure("kind", f"entry {bad} breaks {matrix.kind} symmetry")
             )
 
-    if method not in ("auto", "direct", "shortcut"):
-        raise ValueError(f"unknown method {method!r}")
-    applied = None
-    if method in ("auto", "shortcut"):
-        applied = _companion_shortcut(matrix, h, r, d, notes)
-        if applied is None and method == "shortcut":
-            failures.append(
-                CheckFailure("determinant", "minimal-polynomial shortcut is not applicable")
-            )
-            return DetRepReport(False, Fraction(0), r, failures, notes)
-    if applied is not None:
-        det_witness = applied[1]
+    p = None
+    if d == 2 and matrix.kind in (KIND_SYMMETRIC, KIND_HERMITIAN):
+        p = _involution(matrix)
+    if p is not None and MultiPoly.variable(ring_h, "y") ** 2 - p.lift(ring_h) == h:
+        notes["method"] = "minimal-polynomial-shortcut"
+        square = real_square_factorization(p)
+        notes["branch-not-a-square"] = (
+            "verified" if square is None else f"p = {square[0]}*({square[1]})^2"
+        )
     else:
         notes["method"] = "bareiss"
-        lifted = PolyMatrix(
-            ring_h,
-            [[p.lift(ring_h) for p in row] for row in matrix.rows],
-            matrix.kind,
-        )
-        y_poly = MultiPoly.variable(ring_h, "y")
-        char_matrix = scalar_polymatrix(y_poly, m, KIND_NONE).sub(lifted)
-        det = poly_det(char_matrix)
+        det = poly_det(char_matrix(matrix, ring_h))
         _, det_witness = _match_scalar(det, h ** r, up_to_scalar=False)
-    if det_witness is not None:
-        failures.append(CheckFailure("determinant", det_witness))
+        if det_witness is not None:
+            failures.append(CheckFailure("determinant", det_witness))
 
     ok = not failures
     return DetRepReport(ok=ok, scalar=Fraction(1), power=r, failures=failures, notes=notes)
-
-
-def _companion_shortcut(
-    matrix: PolyMatrix, h: MultiPoly, r: int, d: int, notes: dict
-) -> Optional[tuple[bool, Optional[str]]]:
-    """(holds, witness) when the shortcut applies, None when it does not.
-
-    Applies to h = y^2 - p with A symmetric/hermitian, A^2 = p*I and
-    trace(A) = 0: then char(A) = (y^2 - p)^(m/2) exactly.
-    """
-    if d != 2 or matrix.kind not in (KIND_SYMMETRIC, KIND_HERMITIAN):
-        return None
-    ring_h = h.ring
-    y_sq = MultiPoly.variable(ring_h, "y") ** 2
-    p_in_h = y_sq - h
-    if any(expo[ring_h.index("y")] for expo in p_in_h.terms):
-        return None  # h is not of the shape y^2 - p(x)
-    # Drop y from p's exponent vectors.
-    ring_x = matrix.ring
-    y_idx = ring_h.index("y")
-    p = MultiPoly.from_terms(
-        ring_x,
-        [
-            (expo[:y_idx] + expo[y_idx + 1 :], coeff)
-            for expo, coeff in p_in_h.terms.items()
-        ],
-    )
-    if not matrix.trace().is_zero():
-        return None
-    if matrix.matmul(matrix).scalar_mismatch(p) is not None:
-        return None
-    m = matrix.size
-    notes["method"] = "minimal-polynomial-shortcut"
-    square = real_square_factorization(p)
-    notes["branch-not-a-square"] = (
-        "verified" if square is None else f"p = {square[0]}*({square[1]})^2"
-    )
-    if r != m // 2:
-        return (False, f"power mismatch: the characteristic polynomial is (y^2-p)^{m // 2}")
-    return (True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +557,7 @@ def detrep_to_sos(matrix: PolyMatrix, p: MultiPoly, column: int = 0) -> SosDecom
     m = matrix.size
     if not 0 <= column < m:
         raise ValueError("column index out of range")
-    bad = matrix.matmul(matrix).scalar_mismatch(p)
+    bad = matrix.square().scalar_mismatch(p)
     if bad is not None:
         i, j, entry = bad
         where = "diagonal" if i == j else "off-diagonal"

@@ -127,7 +127,9 @@ def _check_inputs(h: MultiPoly, e: Sequence[RationalLike], name: str = "h") -> l
     return point
 
 
-def _check_box(box: int) -> None:
+def _check_sampling(samples: int, box: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}: fewer test no line")
     if box < 1:
         raise ValueError(f"box must be at least 1, got {box}: a smaller box samples no line")
 
@@ -143,10 +145,11 @@ def is_hyperbolic_sampled(
 
     The first failing line yields status "refuted" with an exact witness;
     otherwise "no-counterexample" (the universal quantifier over all real v
-    is not decided by sampling).  The sample v = e is skipped.  ``box``
-    must be at least 1: box 0 would draw only v = 0 and test no line.
+    is not decided by sampling).  The sample v = e is skipped.  ``samples``
+    and ``box`` must be at least 1: fewer samples test no line, and box 0
+    would draw only v = 0.
     """
-    _check_box(box)
+    _check_sampling(samples, box)
     point = _check_inputs(h, e)
     run = 0
     for index in range(samples):
@@ -173,9 +176,10 @@ def interlaces_sampled(
 
     Along each line the roots of the degree d restriction of h and the
     degree d-1 restriction of g must form the weak alternating chain.
-    ``box`` must be at least 1, as for :func:`is_hyperbolic_sampled`.
+    ``samples`` and ``box`` must be at least 1, as for
+    :func:`is_hyperbolic_sampled`.
     """
-    _check_box(box)
+    _check_sampling(samples, box)
     point = _check_inputs(h, e)
     _check_inputs(g, e, name="g")
     if g.ring != h.ring:
@@ -246,13 +250,12 @@ def certify_from_pencil(
     r: int,
     e: Sequence[RationalLike],
     pencil: Sequence[ConstMatrix],
-    method: str = "auto",
 ) -> PencilCertificate:
     """Verify the pencil and wrap it as an exact hyperbolicity certificate.
 
     Raises :class:`CertificationError` (with the report) on any failed check.
     """
-    report = verify_pencil(pencil, h, r, e, up_to_scalar=True, method=method)
+    report = verify_pencil(pencil, h, r, e, up_to_scalar=True)
     if not report.ok:
         raise CertificationError(report)
     return PencilCertificate(

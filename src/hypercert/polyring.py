@@ -765,13 +765,6 @@ class UniPoly:
     def zero(cls) -> "UniPoly":
         return cls(())
 
-    @classmethod
-    def from_roots(cls, roots: Sequence[RationalLike], lead: RationalLike = 1) -> "UniPoly":
-        poly = cls([lead])
-        for r in roots:
-            poly = poly * cls([-as_fraction(r), 1])
-        return poly
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -863,17 +856,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             total = total * x + c
         return total
-
-    def shift(self, q: RationalLike) -> "UniPoly":
-        """t -> t + q."""
-        q = as_fraction(q)
-        result = UniPoly.zero()
-        base = UniPoly([q, 1])
-        power = UniPoly([1])
-        for c in self.coeffs:
-            result = result + power.scale(c)
-            power = power * base
-        return result
 
     # -- integer normal forms (coefficient-growth control) -------------------
 

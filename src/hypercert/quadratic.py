@@ -396,7 +396,7 @@ def quadratic_detrep(h: MultiPoly, e: Sequence[RationalLike]) -> QuadraticDetRep
     matrix = PolyMatrix(ring, rows, KIND_SYMMETRIC)
     pencil = tuple(polymatrix_to_pencil(matrix))
 
-    report = verify_pencil(pencil, h, r, e, up_to_scalar=True, method="auto")
+    report = verify_pencil(pencil, h, r, e, up_to_scalar=True)
     if not report.ok:
         raise PipelineError(
             "verify",

@@ -264,10 +264,6 @@ class ConstMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ConstMatrix is immutable")
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[RationalLike]], kind: str = KIND_NONE) -> "ConstMatrix":
-        return cls([[GaussianRational(v) for v in row] for row in rows], kind)
-
     @property
     def size(self) -> int:
         return len(self.entries)
@@ -330,12 +326,6 @@ def _common_kind(matrices: Sequence[ConstMatrix]) -> str:
     """The matrices' common symmetry kind, or KIND_NONE if they differ."""
     kinds = {mat.kind for mat in matrices}
     return kinds.pop() if len(kinds) == 1 else KIND_NONE
-
-
-def identity_matrix(n: int, kind: str = KIND_SYMMETRIC) -> ConstMatrix:
-    return ConstMatrix.from_rows(
-        [[1 if i == j else 0 for j in range(n)] for i in range(n)], kind
-    )
 
 
 def pencil_value(matrices: Sequence[ConstMatrix], point: Sequence[RationalLike]) -> ConstMatrix:

@@ -27,7 +27,7 @@ from hypercert.realroots import (
     is_real_rooted,
 )
 from hypercert.scalars import ConstMatrix
-from oracles import leibniz_det
+from oracles import const_matrix, from_roots, leibniz_det
 
 from test_detrep import random_sparse_matrix
 from test_hyperbolicity import lagrange_interpolate
@@ -112,13 +112,13 @@ def test_criterion_7_property_suites():
         mults = [rng.randrange(1, 3) for _ in distinct]
         f = UniPoly([1])
         for root, mult in zip(distinct, mults):
-            f = f * UniPoly.from_roots([root] * mult)
+            f = f * from_roots([root] * mult)
         ok = ok and count_distinct_roots(f) == len(distinct)
 
     # interlaces(f, f') for 100 random real-rooted f.
     for _ in range(100):
         roots = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(rng.randrange(2, 6))]
-        f = UniPoly.from_roots(roots)
+        f = from_roots(roots)
         ok = ok and interlaces_univariate(f, f.derivative())
 
     # End-to-end quadratic pipeline with a posteriori certification, 100 cases.
@@ -192,9 +192,9 @@ def test_criterion_8_witness_soundness():
     # independent determinant (Leibniz-style elimination on the submatrix).
     quadric = parse("x0^2 - x1^2 - x2^2", ring3)
     pencil = [
-        ConstMatrix.from_rows([[1, 0], [0, 1]], "symmetric"),
-        ConstMatrix.from_rows([[1, 0], [0, -1]], "symmetric"),
-        ConstMatrix.from_rows([[0, 1], [1, 0]], "symmetric"),
+        const_matrix([[1, 0], [0, 1]], "symmetric"),
+        const_matrix([[1, 0], [0, -1]], "symmetric"),
+        const_matrix([[0, 1], [1, 0]], "symmetric"),
     ]
     for e_bad in ((0, 1, 0), (0, 0, 1), (-1, 0, 0), (1, 2, 0), (0, 1, 1)):
         report = verify_pencil(pencil, quadric, 1, e_bad)

@@ -77,6 +77,17 @@ class TestCheckHyperbolic:
         assert code == EXIT_USAGE
         assert "box must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_samples_below_one_exit_64(self, files, capsys, samples):
+        # No sampled line would be tested, yet the sphere was reported as
+        # "no-counterexample (0 lines)" with exit 0.
+        code = main(
+            ["check-hyperbolic", "--poly", files["sphere.txt"], "--dir", "1,0,0",
+             "--samples", samples]
+        )
+        assert code == EXIT_USAGE
+        assert "samples must be at least 1" in capsys.readouterr().err
+
 
 class TestCheckInterlacer:
     def test_directional_derivative(self, files, tmp_path, capsys):
@@ -101,6 +112,18 @@ class TestCheckInterlacer:
         )
         assert code == EXIT_USAGE
         assert "box must be at least 1" in capsys.readouterr().err
+
+    def test_samples_below_one_exit_64(self, files, tmp_path, capsys):
+        g = tmp_path / "g.txt"
+        g.write_text(
+            "ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\n2*x0\n", encoding="ascii"
+        )
+        code = main(
+            ["check-interlacer", "--poly", files["q.txt"], "--interlacer", str(g),
+             "--dir", "1,0,0", "--samples", "0"]
+        )
+        assert code == EXIT_USAGE
+        assert "samples must be at least 1" in capsys.readouterr().err
 
 
 class TestVerifyDetrep:
@@ -143,6 +166,23 @@ class TestVerifyDetrep:
              "--power", "4", "--dir", "1,0,0"]
         )
         assert code == EXIT_REFUTED  # c = 256 != 1 without --up-to-scalar
+
+    def test_negative_at_direction_certified(self, tmp_path, capsys):
+        # h(e) = -1 < 0: the branch is -4*h and c = (-4)^8 = 65536.  This
+        # used to fail at stage 'verify' with "branch scalar -4 is not positive".
+        h = tmp_path / "h.txt"
+        h.write_text("ring: vars=x0,x1 weights=1,1 gaussian=false\n3*x1^2 - x0^2\n")
+        out = tmp_path / "pencil.json"
+        code = main(["quadratic-detrep", "--poly", str(h), "--dir", "1,0", "--out", str(out), "--json"])
+        assert code == EXIT_OK, capsys.readouterr()
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["r"], payload["c"]) == (8, "65536")
+        code = main(
+            ["verify-detrep", "--matrix", str(out), "--poly", str(h),
+             "--power", "8", "--dir", "1,0", "--up-to-scalar", "--json"]
+        )
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["scalar"] == "65536"
 
     @pytest.mark.parametrize("power", ["0", "-1"])
     def test_power_below_one_exit_64(self, tmp_path, capsys, power):

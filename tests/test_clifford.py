@@ -146,6 +146,20 @@ class TestBuildQ:
 
 
 class TestSosToDetrep:
+    def test_q_squared_is_formed_once(self, monkeypatch):
+        # build_Q's postcondition and verify_companion share one Q*Q.
+        calls = []
+        matmul = PolyMatrix.matmul
+
+        def counting(self, other):
+            calls.append(self is other)
+            return matmul(self, other)
+
+        monkeypatch.setattr(PolyMatrix, "matmul", counting)
+        rep = sos_to_detrep([parse("x1", R2), parse("x1 - 2*x2", R2)])
+        assert rep.report.notes["method"] == "minimal-polynomial-shortcut"
+        assert calls == [True]
+
     def test_single_square(self):
         rep = sos_to_detrep([parse("x1", R2)])
         assert rep.power == 2
@@ -177,7 +191,7 @@ class TestSosToDetrep:
         assert rep.h == parse("y^2 - 4*x1^2 - 4*x2^2", ring_h)
 
     def test_quartic_terms_shortcut_with_specialized_oracle(self):
-        # 16x16: certify via the minimal-polynomial shortcut, then
+        # 16x16: certified via the minimal-polynomial shortcut, then
         # cross-check the Bareiss determinant at random rational x-points
         # (exact univariate determinants in y).
         ring = Ring.standard(("x0", "x1", "x2"))
@@ -186,7 +200,7 @@ class TestSosToDetrep:
             parse("x0^2 - x1*x2", ring),
             parse("x0*x1 + x0*x2", ring),
         ]
-        rep = sos_to_detrep(forms, method="shortcut")
+        rep = sos_to_detrep(forms)
         assert rep.power == 8
         assert rep.report.notes.get("method") == "minimal-polynomial-shortcut"
         p = MultiPoly.zero(ring)

@@ -4,22 +4,27 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from hypercert.clifford import build_Q
 from hypercert.detrep import (
     PolyMatrix,
+    char_matrix,
     const_det,
     detrep_to_sos,
     pencil_to_polymatrix,
     plucker_line,
     poly_det,
     polymatrix_to_pencil,
+    scalar_polymatrix,
     verify_companion,
     verify_pencil,
 )
 from hypercert.fixtures import load_fixture_matrix, load_fixture_poly
 from hypercert.polyring import MultiPoly, Ring, parse
 from hypercert.scalars import ConstMatrix, GaussianRational
-from oracles import leibniz_det
+from oracles import companion_det, const_matrix, leibniz_det, pencil_reference, transpose
 
 R3 = Ring.standard(("x0", "x1", "x2"))
 R4 = Ring.standard(("x0", "x1", "x2", "x3"))
@@ -76,14 +81,14 @@ class TestDeterminants:
         for _ in range(50):
             m = random_sparse_matrix(rng, gring, 3, gaussian=True)
             d = poly_det(m)
-            assert poly_det(m.transpose()) == d
+            assert poly_det(transpose(m)) == d
             assert poly_det(m.conjugate()) == d.conjugate()
 
 
 QUADRIC_PENCIL = [
-    ConstMatrix.from_rows([[1, 0], [0, 1]], "symmetric"),
-    ConstMatrix.from_rows([[1, 0], [0, -1]], "symmetric"),
-    ConstMatrix.from_rows([[0, 1], [1, 0]], "symmetric"),
+    const_matrix([[1, 0], [0, 1]], "symmetric"),
+    const_matrix([[1, 0], [0, -1]], "symmetric"),
+    const_matrix([[0, 1], [1, 0]], "symmetric"),
 ]
 
 
@@ -149,9 +154,9 @@ class TestVerifyPencil:
     def test_kind_violation_reported(self):
         h = parse("x0^2 - x1^2 - x2^2", R3)
         broken = [
-            ConstMatrix.from_rows([[1, 5], [0, 1]], "symmetric"),
-            ConstMatrix.from_rows([[1, 0], [0, -1]], "symmetric"),
-            ConstMatrix.from_rows([[0, 1], [1, 0]], "symmetric"),
+            const_matrix([[1, 5], [0, 1]], "symmetric"),
+            const_matrix([[1, 0], [0, -1]], "symmetric"),
+            const_matrix([[0, 1], [1, 0]], "symmetric"),
         ]
         report = verify_pencil(broken, h, 1, (1, 0, 0))
         assert not report.ok
@@ -162,19 +167,20 @@ class TestVerifyPencil:
 
         h = parse("x0^2 - x1^2 - x2^2", R3)
         rep = quadratic_detrep(h, (1, 0, 0))
-        direct = verify_pencil(rep.pencil, h, rep.power, (1, 0, 0), up_to_scalar=True, method="direct")
-        short = verify_pencil(rep.pencil, h, rep.power, (1, 0, 0), up_to_scalar=True, method="shortcut")
-        assert direct.ok and short.ok
-        assert direct.scalar == short.scalar == 256
+        report = verify_pencil(rep.pencil, h, rep.power, (1, 0, 0), up_to_scalar=True)
+        assert report.ok and report.scalar == 256
+        assert report.notes["method"] == "minimal-polynomial-shortcut"
+        assert poly_det(pencil_to_polymatrix(rep.pencil, R3)) == (h ** rep.power).scale(256)
 
 
 class TestVerifyCompanion:
     def test_ternary_quartic(self):
         m = load_fixture_matrix("F3_matrix.json")
         h = load_fixture_poly("F3_h.txt")
-        for method in ("direct", "shortcut", "auto"):
-            report = verify_companion(m, h, 1, method=method)
-            assert report.ok, report.to_json_dict()
+        report = verify_companion(m, h, 1)
+        assert report.ok, report.to_json_dict()
+        assert report.notes["method"] == "minimal-polynomial-shortcut"
+        assert poly_det(char_matrix(m, h.ring)) == h
 
     def test_zero_matrix_degree_one(self):
         ring_h = Ring(("y",), (1,))
@@ -191,10 +197,10 @@ class TestVerifyCompanion:
         q = build_Q([parse("x1", ring), parse("x2", ring)])
         ring_h = Ring(("y", "x1", "x2"), (1, 1, 1))
         h = parse("y^2 - x1^2 - x2^2", ring_h)
-        report = verify_companion(q, h, 4, method="direct")
+        report = verify_companion(q, h, 4)
         assert report.ok
-        report2 = verify_companion(q, h, 4, method="shortcut")
-        assert report2.ok
+        assert report.notes["method"] == "minimal-polynomial-shortcut"
+        assert poly_det(char_matrix(q, ring_h)) == h ** 4
 
     def test_wrong_power_fails(self):
         m = load_fixture_matrix("F3_matrix.json")
@@ -335,11 +341,11 @@ class TestScalarMismatch:
             ["0", "0", "4*x0 + 4*x1", "2*x2"],
             ["0", "0", "2*x2", "x0 - x1"],
         ]
-        pencil = polymatrix_to_pencil(PolyMatrix.from_strings(R3, rows, "symmetric"))
-        report = verify_pencil(pencil, h, 2, (1, 0, 0), up_to_scalar=True, method="shortcut")
+        matrix = PolyMatrix.from_strings(R3, rows, "symmetric")
+        report = verify_pencil(polymatrix_to_pencil(matrix), h, 2, (1, 0, 0), up_to_scalar=True)
         assert report.ok and report.scalar == 4
-        assert report.notes["method"] == "bareiss"
-        assert report.notes["shortcut"] == "inapplicable; fell back to the direct determinant"
+        assert report.notes == {"method": "bareiss"}
+        assert poly_det(matrix) == (h ** 2).scale(4)
 
 
 class TestKindViolation:
@@ -434,3 +440,145 @@ class TestPencilRoundTrip:
         pencil = polymatrix_to_pencil(m)
         rebuilt = pencil_to_polymatrix(pencil, m.ring)
         assert rebuilt.rows == m.rows
+
+
+G3 = Ring.standard(("x0", "x1", "x2"), gaussian=True)
+I_UNIT = GaussianRational(0, 1)
+
+
+@st.composite
+def linear_forms(draw, ring, nonzero=False):
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=ring.arity, max_size=ring.arity))
+    assume(not nonzero or any(coeffs))
+    form = MultiPoly.zero(ring)
+    for name, c in zip(ring.variables, coeffs):
+        form = form + MultiPoly.variable(ring, name).scale(c)
+    return form
+
+
+def _with_pair(matrix, i, j, delta):
+    """matrix + delta at (i, j) and its mirror (the conjugate if hermitian)."""
+    rows = [list(row) for row in matrix.rows]
+    mirror = delta.conjugate() if matrix.kind == "hermitian" else delta
+    rows[i][j] = rows[i][j] + delta
+    if i != j:
+        rows[j][i] = rows[j][i] + mirror
+    return PolyMatrix(matrix.ring, rows, matrix.kind)
+
+
+@st.composite
+def quadratic_pencils(draw):
+    """(matrices, h, r, e, up_to_scalar, involutive) for ell*I - Q with
+    Q^2 = P*I: valid, with h a (possibly negative) multiple of ell^2 - P,
+    then maybe tampered through ell, h, or one entry pair."""
+    shape = draw(st.sampled_from(["2x2", "2x2-hermitian", "clifford-4", "clifford-8"]))
+    ring = G3 if shape == "2x2-hermitian" else R3
+    if shape.startswith("2x2"):
+        a, b, c = (draw(linear_forms(ring)) for _ in range(3))
+        if shape == "2x2":
+            q = PolyMatrix(ring, [[a, b], [b, -a]], "symmetric")
+        else:
+            off = b + c.scale(I_UNIT)
+            q = PolyMatrix(ring, [[a, off], [off.conjugate(), -a]], "hermitian")
+    else:
+        k = 1 if shape == "clifford-4" else 2
+        q = build_Q([draw(linear_forms(ring, nonzero=True)) for _ in range(k)])
+    m = q.size
+    ell = draw(linear_forms(ring))
+    branch = ell * ell - q.matmul(q).rows[0][0]
+    assume(not branch.is_zero())
+    h = branch.scale(draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3), 2])))
+    matrix = PolyMatrix(ring, scalar_polymatrix(ell, m).sub(q).rows, q.kind)
+    variant = draw(st.sampled_from(["valid", "valid", "shifted-ell", "tampered-h", "entry"]))
+    x = MultiPoly.variable(ring, draw(st.sampled_from(ring.variables)))
+    delta = x.scale(draw(st.sampled_from([1, -2, 3])))
+    if variant == "shifted-ell":  # still involutive, det no longer c*h^r
+        matrix = PolyMatrix(ring, scalar_polymatrix(ell + delta, m).sub(q).rows, q.kind)
+    elif variant == "tampered-h":
+        h = h + delta * delta
+        assume(not h.is_zero())
+    elif variant == "entry":  # usually no longer involutive: the Bareiss route
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        matrix = _with_pair(matrix, i, j, delta)
+    e = tuple(draw(st.lists(st.integers(-2, 2), min_size=3, max_size=3)))
+    assume(any(e))
+    return polymatrix_to_pencil(matrix), h, m // 2, e, draw(st.booleans()), variant != "entry"
+
+
+@st.composite
+def companion_inputs(draw):
+    """(A, h, r): Clifford Q from 1-3 forms or F3's A, with h = y^2 - P,
+    then maybe perturbed in one entry pair or in h (negated, or shifted)."""
+    source = draw(st.sampled_from(["clifford", "F3"]))
+    if source == "F3":
+        a = load_fixture_matrix("F3_matrix.json")
+        ring_h = load_fixture_poly("F3_h.txt").ring
+        forms_ring = a.ring
+    else:
+        forms_ring = Ring.standard(("x1", "x2"))
+        k = draw(st.integers(1, 3))
+        a = build_Q([draw(linear_forms(forms_ring, nonzero=True)) for _ in range(k)])
+        ring_h = Ring(("y", "x1", "x2"), (1, 1, 1))
+    weight = ring_h.weights[ring_h.index("y")]
+    p = a.matmul(a).rows[0][0]
+    h = MultiPoly.variable(ring_h, "y") ** 2 - p.lift(ring_h)
+    # A real form of the entries' degree, as a perturbation.
+    g = MultiPoly.constant(forms_ring, 1)
+    for _ in range(weight):
+        g = g * draw(linear_forms(forms_ring, nonzero=True))
+    variant = draw(st.sampled_from(["valid", "entry", "negated-h", "shifted-h"]))
+    if variant == "entry":
+        i, j = draw(st.integers(0, a.size - 1)), draw(st.integers(0, a.size - 1))
+        a = _with_pair(a, i, j, g)
+    elif variant == "negated-h":  # (-h)^r = h^r exactly when r is even
+        h = -h
+    elif variant == "shifted-h":
+        h = h + (g * g).lift(ring_h)
+    return a, h, a.size // 2
+
+
+class TestRouteAgreement:
+    """The involution route decides exactly as the Bareiss determinant."""
+
+    @given(quadratic_pencils())
+    def test_pencil_matches_bareiss_reference(self, case):
+        matrices, h, r, e, up_to_scalar, involutive = case
+        report = verify_pencil(matrices, h, r, e, up_to_scalar=up_to_scalar)
+        got = (report.ok, report.scalar, sorted(f.name for f in report.failures))
+        assert got == pencil_reference(matrices, h, r, e, up_to_scalar)
+        if involutive:
+            assert report.notes["method"] == "minimal-polynomial-shortcut"
+
+    @given(companion_inputs())
+    def test_companion_ok_iff_bareiss_identity(self, case):
+        a, h, r = case
+        report = verify_companion(a, h, r)
+        assert report.ok == (companion_det(a, h.ring) == h ** r)
+
+    def test_involution_needs_trace_zero(self):
+        # A = x1*I squares to x1^2*I, but det(y*I - A) = (y - x1)^2.
+        ring = Ring.standard(("x1",))
+        a = PolyMatrix.from_strings(ring, [["x1", "0"], ["0", "x1"]], "symmetric")
+        h = parse("y^2 - x1^2", Ring(("y", "x1"), (1, 1)))
+        report = verify_companion(a, h, 1)
+        assert not report.ok and report.notes["method"] == "bareiss"
+        assert companion_det(a, h.ring) != h
+
+    def test_flipped_sign_two_by_two(self):
+        # det = h = -1 * (-h): c = -1 with r = 1 is refused, as by Bareiss.
+        h = parse("x1^2 + x2^2 - x0^2", R3)
+        report = verify_pencil(QUADRIC_PENCIL, h, 1, (1, 0, 0), up_to_scalar=True)
+        assert report.notes["method"] == "minimal-polynomial-shortcut"
+        assert [f.name for f in report.failures] == ["scalar-positivity"]
+        assert report.scalar == -1
+
+    def test_flipped_sign_even_power(self):
+        # diag(M, M) against -h with r = 2: det = h^2 = (-h)^2, so c = 1.
+        h = parse("x1^2 + x2^2 - x0^2", R3)
+        block = [["x0 + x1", "x2", "0", "0"], ["x2", "x0 - x1", "0", "0"],
+                 ["0", "0", "x0 + x1", "x2"], ["0", "0", "x2", "x0 - x1"]]
+        pencil = polymatrix_to_pencil(PolyMatrix.from_strings(R3, block, "symmetric"))
+        for up_to_scalar in (False, True):
+            report = verify_pencil(pencil, h, 2, (1, 0, 0), up_to_scalar=up_to_scalar)
+            assert report.ok and report.scalar == 1
+            assert report.notes["method"] == "minimal-polynomial-shortcut"

@@ -27,6 +27,7 @@ from hypercert.scalars import (
     leading_principal_minors,
     pencil_value,
 )
+from oracles import const_matrix
 
 R3 = Ring.standard(("x0", "x1", "x2"))
 G3 = Ring.standard(("x0", "x1", "x2"), gaussian=True)
@@ -287,9 +288,9 @@ def test_const_det_matches_sympy(m):
 
 def test_const_det_row_swaps_and_singular_cases():
     rows = [[0, 1, 2], [0, 3, 4], [5, 6, 7]]  # two zero pivots in column 0
-    assert const_det(ConstMatrix.from_rows(rows)) == GaussianRational(-10)
-    assert const_det(ConstMatrix.from_rows([[0, 1], [0, 2]])).is_zero()  # zero column
-    assert const_det(ConstMatrix.from_rows([[1, 2], [2, 4]])).is_zero()
+    assert const_det(const_matrix(rows)) == GaussianRational(-10)
+    assert const_det(const_matrix([[0, 1], [0, 2]])).is_zero()  # zero column
+    assert const_det(const_matrix([[1, 2], [2, 4]])).is_zero()
     assert const_det(ConstMatrix([])) == GaussianRational(1)
 
 
@@ -358,9 +359,9 @@ def test_pencil_value_matches_dense_sum(seed, m, hermitian):
 
 
 def test_pencil_value_kind_rule():
-    a = ConstMatrix.from_rows([[1, 0], [0, 1]], KIND_SYMMETRIC)
-    b = ConstMatrix.from_rows([[0, 2], [2, 0]], KIND_HERMITIAN)
+    a = const_matrix([[1, 0], [0, 1]], KIND_SYMMETRIC)
+    b = const_matrix([[0, 2], [2, 0]], KIND_HERMITIAN)
     assert pencil_value([a, a], [1, 1]).kind == KIND_SYMMETRIC
     assert pencil_value([a, b], [1, 0]).kind == KIND_NONE
     with pytest.raises(ValueError):
-        pencil_value([a, ConstMatrix.from_rows([[1]], KIND_SYMMETRIC)], [1, 1])
+        pencil_value([a, const_matrix([[1]], KIND_SYMMETRIC)], [1, 1])

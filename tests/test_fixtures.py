@@ -7,7 +7,6 @@ import pytest
 from hypercert import fixtures
 from hypercert.fixtures import FIXTURE_IDS, run_fixture, run_fixtures
 from hypercert.polyring import ParseError, Ring
-from hypercert.scalars import ConstMatrix
 from hypercert.wire import (
     dump_poly_text,
     parse_point,
@@ -17,6 +16,7 @@ from hypercert.wire import (
     pencil_from_json,
     pencil_to_json_dict,
 )
+from oracles import const_matrix
 
 
 class TestCorpus:
@@ -48,6 +48,19 @@ class TestCorpus:
         for name in ("three-square-identity", "sos-sums-to-p"):
             assert not checks[name].ok
             assert "A^2 != p*I" in checks[name].detail
+
+    def test_f3_reports_a_failed_companion_determinant(self, monkeypatch):
+        load = fixtures.load_fixture_poly
+
+        def shifted_h(name):
+            h = load(name)
+            return h + h if name == "F3_h.txt" else h
+
+        monkeypatch.setattr(fixtures, "load_fixture_poly", shifted_h)
+        checks = {c.name: c for c in run_fixture("F3").checks}
+        assert checks["involution"].ok
+        assert not checks["companion-determinant"].ok
+        assert checks["companion-determinant"].detail.startswith("det(y*I - A) - h^1 = -y^2")
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):
@@ -92,8 +105,8 @@ class TestWire:
 
     def test_pencil_round_trip(self):
         matrices = [
-            ConstMatrix.from_rows([[1, 0], [0, 1]], "symmetric"),
-            ConstMatrix.from_rows([[1, 0], [0, -1]], "symmetric"),
+            const_matrix([[1, 0], [0, 1]], "symmetric"),
+            const_matrix([[1, 0], [0, -1]], "symmetric"),
         ]
         data = pencil_to_json_dict(matrices, ("x0", "x1"), gaussian=False)
         back, ring = pencil_from_json(json.dumps(data))

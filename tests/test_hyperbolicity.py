@@ -19,6 +19,7 @@ from hypercert.hyperbolicity import (
 from hypercert.polyring import Ring, UniPoly, directional_derivative, parse, restrict_to_line
 from hypercert.realroots import interlaces_univariate, is_real_rooted
 from hypercert.scalars import ConstMatrix
+from oracles import const_matrix
 
 R2 = Ring.standard(("x0", "x1"))
 R3 = Ring.standard(("x0", "x1", "x2"))
@@ -72,6 +73,13 @@ class TestSampling:
         assert a.to_json_dict() == b.to_json_dict()
         c = is_hyperbolic_sampled(SPHERE, (1, 0, 0), samples=40, seed=6)
         assert a.seed != c.seed
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_samples_below_one_raise(self, samples):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            is_hyperbolic_sampled(SPHERE, (1, 0, 0), samples=samples)
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            interlaces_sampled(parse("x0", R3), SPHERE, (1, 0, 0), samples=samples)
 
     def test_sample_stream_is_order_independent(self):
         first = [sample_direction(9, k, 3, 50) for k in range(10)]
@@ -209,9 +217,9 @@ class TestInterlacerSampling:
 class TestCertification:
     def test_quadric_pencil_certificate(self):
         pencil = [
-            ConstMatrix.from_rows([[1, 0], [0, 1]], "symmetric"),
-            ConstMatrix.from_rows([[1, 0], [0, -1]], "symmetric"),
-            ConstMatrix.from_rows([[0, 1], [1, 0]], "symmetric"),
+            const_matrix([[1, 0], [0, 1]], "symmetric"),
+            const_matrix([[1, 0], [0, -1]], "symmetric"),
+            const_matrix([[0, 1], [1, 0]], "symmetric"),
         ]
         cert = certify_from_pencil(LORENTZ, 1, (1, 0, 0), pencil)
         assert cert.scalar == 1
@@ -225,9 +233,9 @@ class TestCertification:
 
     def test_pd_failure_gives_no_certificate(self):
         pencil = [
-            ConstMatrix.from_rows([[1, 0], [0, 1]], "symmetric"),
-            ConstMatrix.from_rows([[1, 0], [0, -1]], "symmetric"),
-            ConstMatrix.from_rows([[0, 1], [1, 0]], "symmetric"),
+            const_matrix([[1, 0], [0, 1]], "symmetric"),
+            const_matrix([[1, 0], [0, -1]], "symmetric"),
+            const_matrix([[0, 1], [1, 0]], "symmetric"),
         ]
         with pytest.raises(CertificationError) as info:
             certify_from_pencil(LORENTZ, 1, (0, 1, 0), pencil)
@@ -243,9 +251,9 @@ class TestCertification:
     def test_certified_implies_sampled(self):
         cases = [
             (LORENTZ, 1, (1, 0, 0), [
-                ConstMatrix.from_rows([[1, 0], [0, 1]], "symmetric"),
-                ConstMatrix.from_rows([[1, 0], [0, -1]], "symmetric"),
-                ConstMatrix.from_rows([[0, 1], [1, 0]], "symmetric"),
+                const_matrix([[1, 0], [0, 1]], "symmetric"),
+                const_matrix([[1, 0], [0, -1]], "symmetric"),
+                const_matrix([[0, 1], [1, 0]], "symmetric"),
             ]),
         ]
         matrix = load_fixture_matrix("F1_matrix.json")

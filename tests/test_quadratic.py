@@ -242,6 +242,16 @@ class TestQuadraticDetrep:
         assert rep.scalar == Fraction(4) ** 16
         assert rep.report.notes.get("method") == "minimal-polynomial-shortcut"
 
+    def test_negative_at_direction(self):
+        # h(e) = -1: the branch ell^2 - P is -4*h, and c = (-4)^8 > 0.
+        h = parse("3*x1^2 - x0^2", R2)
+        rep = quadratic_detrep(h, (1, 0))
+        assert rep.report.ok, rep.report.to_json_dict()
+        assert (rep.power, rep.scalar) == (8, 65536)
+        from hypercert.detrep import pencil_to_polymatrix, poly_det
+
+        assert poly_det(pencil_to_polymatrix(rep.pencil, R2)) == (h ** 8).scale(65536)
+
     def test_non_hyperbolic_fails_with_witnesses(self):
         h = parse("x0^2 + x1^2", R2)
         with pytest.raises(PipelineError) as info:

@@ -19,6 +19,7 @@ from hypercert.realroots import (
     is_real_rooted,
     refine_interval,
 )
+from oracles import from_roots, shift
 
 
 def random_rational(rng, span=10, max_den=4):
@@ -29,7 +30,7 @@ class TestRealRooted:
     def test_examples(self):
         assert is_real_rooted(UniPoly([-2, 0, 1]))  # t^2 - 2
         assert not is_real_rooted(UniPoly([1, 0, 1]))  # t^2 + 1
-        assert is_real_rooted(UniPoly.from_roots([1, 1, -2]))
+        assert is_real_rooted(from_roots([1, 1, -2]))
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -39,7 +40,7 @@ class TestRealRooted:
         rng = random.Random(47)
         for _ in range(100):
             roots = [random_rational(rng) for _ in range(rng.randrange(1, 6))]
-            assert is_real_rooted(UniPoly.from_roots(roots))
+            assert is_real_rooted(from_roots(roots))
 
     def test_random_with_complex_factor(self):
         rng = random.Random(53)
@@ -49,7 +50,7 @@ class TestRealRooted:
             b = rng.randrange(1, 6)
             # (t - a)^2 + b^2 has no real roots
             complex_factor = UniPoly([a * a + b * b, -2 * a, 1])
-            assert not is_real_rooted(UniPoly.from_roots(roots) * complex_factor)
+            assert not is_real_rooted(from_roots(roots) * complex_factor)
 
 
 class TestSturmCount:
@@ -62,7 +63,7 @@ class TestSturmCount:
             mults = [rng.randrange(1, 3) for _ in distinct]
             f = UniPoly([1])
             for root, m in zip(distinct, mults):
-                f = f * UniPoly.from_roots([root] * m)
+                f = f * from_roots([root] * m)
             a = min(distinct) - 1 + Fraction(1, 7)
             b = max(distinct) + Fraction(1, 7)
             while any(r == a for r in distinct):
@@ -72,7 +73,7 @@ class TestSturmCount:
             assert count_distinct_roots(f) == len(distinct)
 
     def test_endpoint_root_rejected(self):
-        f = UniPoly.from_roots([2])
+        f = from_roots([2])
         with pytest.raises(ValueError):
             count_distinct_roots(f, 2, 5)
 
@@ -87,23 +88,23 @@ class TestInterlacing:
         assert not interlaces_univariate(UniPoly([-1, 0, 1]), UniPoly([-2, 1]))
 
     def test_shared_roots_weak_chain(self):
-        f = UniPoly.from_roots([1, 1, -1])
-        g = UniPoly.from_roots([1, -1])
+        f = from_roots([1, 1, -1])
+        g = from_roots([1, -1])
         assert interlaces_univariate(f, g)
         # strict mode rejects the equality case
         assert not interlaces_univariate(f, g, strict=True)
 
     def test_repeated_root_needs_matching_partner(self):
         # roots {-2, 1, 1, 1} vs {1, 1, b}: weak chain iff -2 <= b <= 1
-        f = UniPoly.from_roots([1, 1, 1, -2])
-        assert interlaces_univariate(f, UniPoly.from_roots([1, 1, 0]))
-        assert interlaces_univariate(f, UniPoly.from_roots([1, 1, -2]))
-        assert not interlaces_univariate(f, UniPoly.from_roots([1, 1, 2]))
-        assert not interlaces_univariate(f, UniPoly.from_roots([1, 5, 0]))
+        f = from_roots([1, 1, 1, -2])
+        assert interlaces_univariate(f, from_roots([1, 1, 0]))
+        assert interlaces_univariate(f, from_roots([1, 1, -2]))
+        assert not interlaces_univariate(f, from_roots([1, 1, 2]))
+        assert not interlaces_univariate(f, from_roots([1, 5, 0]))
 
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatchError):
-            interlaces_univariate(UniPoly.from_roots([1, 2, 3]), UniPoly.from_roots([0]))
+            interlaces_univariate(from_roots([1, 2, 3]), from_roots([0]))
 
     def test_non_real_rooted_reports_which(self):
         with pytest.raises(NotRealRootedError) as info:
@@ -111,7 +112,7 @@ class TestInterlacing:
         assert info.value.which == "f"
         with pytest.raises(NotRealRootedError) as info:
             interlaces_univariate(
-                UniPoly.from_roots([0, 1, 2]), UniPoly([1, 0, 1])
+                from_roots([0, 1, 2]), UniPoly([1, 0, 1])
             )
         assert info.value.which == "g"
 
@@ -119,21 +120,21 @@ class TestInterlacing:
         rng = random.Random(71)
         for _ in range(100):
             roots = [random_rational(rng, span=8) for _ in range(rng.randrange(2, 6))]
-            f = UniPoly.from_roots(roots)
+            f = from_roots(roots)
             assert interlaces_univariate(f, f.derivative())
 
     def test_invariance_under_scaling_and_shift(self):
         rng = random.Random(73)
         for _ in range(50):
             fr = [random_rational(rng, span=6) for _ in range(3)]
-            f = UniPoly.from_roots(fr)
+            f = from_roots(fr)
             g = f.derivative()
             verdict = interlaces_univariate(f, g)
             scale = Fraction(rng.randrange(1, 7), rng.randrange(1, 4))
             assert interlaces_univariate(f.scale(scale), g) == verdict
             assert interlaces_univariate(f, g.scale(scale)) == verdict
             q = random_rational(rng, span=4)
-            assert interlaces_univariate(f.shift(q), g.shift(q)) == verdict
+            assert interlaces_univariate(shift(f, q), shift(g, q)) == verdict
 
     def test_sign_symmetry(self):
         # Negating f or g flips the sign of the Cauchy index of g/f, which
@@ -144,8 +145,8 @@ class TestInterlacing:
             d = rng.randrange(1, 5)
             a = sorted(Fraction(rng.randrange(-4, 5), rng.randrange(1, 3)) for _ in range(d))
             b = sorted(Fraction(rng.randrange(-4, 5), rng.randrange(1, 3)) for _ in range(d - 1))
-            f = UniPoly.from_roots(a, lead=rng.randrange(1, 4))
-            g = UniPoly.from_roots(b, lead=rng.randrange(1, 4))
+            f = from_roots(a, lead=rng.randrange(1, 4))
+            g = from_roots(b, lead=rng.randrange(1, 4))
             for strict in (False, True):
                 if strict:
                     chain = all(a[k] < b[k] < a[k + 1] for k in range(d - 1))
@@ -164,8 +165,8 @@ class TestInterlacing:
             a = sorted(Fraction(rng.randrange(-4, 5)) for _ in range(d))
             b = sorted(Fraction(rng.randrange(-4, 5)) for _ in range(d - 1))
             chain = all(a[k] <= b[k] <= a[k + 1] for k in range(d - 1))
-            f = UniPoly.from_roots(a)
-            g = UniPoly.from_roots(b)
+            f = from_roots(a)
+            g = from_roots(b)
             assert interlaces_univariate(f, g) == chain
 
 
@@ -189,7 +190,7 @@ def random_factored(rng, max_factors=4, max_mult=3):
     f = UniPoly([Fraction(rng.randrange(1, 4), rng.randrange(1, 3))])
     for _ in range(rng.randrange(1, max_factors + 1)):
         if rng.random() < 0.6:
-            factor = UniPoly.from_roots([random_rational(rng, span=4, max_den=3)])
+            factor = from_roots([random_rational(rng, span=4, max_den=3)])
         else:
             factor = UniPoly(rng.choice(REAL_QUADRATICS))
         for _ in range(rng.randrange(1, max_mult + 1)):
@@ -227,10 +228,10 @@ class TestIsolationOracle:
 
     def test_repeated_roots_of_several_multiplicities(self):
         # Multiplicities 1 to 4, each with rational and irrational roots.
-        f = UniPoly.from_roots([Fraction(1, 3)])
+        f = from_roots([Fraction(1, 3)])
         for mult, quad, root in ((2, [-2, 0, 1], -1), (3, [-3, 0, 1], 2), (4, [-1, -2, 1], Fraction(-5, 2))):
             for _ in range(mult):
-                f = f * UniPoly(quad) * UniPoly.from_roots([root])
+                f = f * UniPoly(quad) * from_roots([root])
         assert len(check_squarefree_isolation(f)) == 10
 
     def test_rational_root_at_a_bisection_midpoint_is_deflated(self):
@@ -243,7 +244,7 @@ class TestIsolationOracle:
 
     def test_deflation_next_to_a_close_root(self):
         # 0 is hit at the first midpoint while 1/1024 must still be separated.
-        f = UniPoly.from_roots([0, Fraction(1, 1024), -1]) * UniPoly([-2, 0, 1])
+        f = from_roots([0, Fraction(1, 1024), -1]) * UniPoly([-2, 0, 1])
         pairs = check_squarefree_isolation(f, width=Fraction(1, 4096))
         assert (0, 0) in pairs
 
@@ -313,7 +314,7 @@ def _linear_factors(f):
     out = []
     for r in sympy.roots(to_sympy(f), filter="Q"):
         q = Fraction(int(r.p), int(r.q))
-        out.append((UniPoly.from_roots([q]), q))
+        out.append((from_roots([q]), q))
     return out
 
 
@@ -328,8 +329,8 @@ class TestInterlacingCommonFactors:
             d = trial % 3 + 1
             a = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(d)]
             b = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(d - 1)]
-            f = common * UniPoly.from_roots(a, lead=rng.choice([-2, 1, 3]))
-            g = common * UniPoly.from_roots(b, lead=rng.choice([-1, 1, 2]))
+            f = common * from_roots(a, lead=rng.choice([-2, 1, 3]))
+            g = common * from_roots(b, lead=rng.choice([-1, 1, 2]))
             for strict in (False, True):
                 expected = sympy_chain(f, g, strict)
                 assert interlaces_univariate(f, g, strict=strict) == expected, (f, g, strict)
@@ -370,8 +371,8 @@ def interlacing_pairs(draw):
     g_degree = len(f_roots) + 2 * f_complex - 1
     g_complex = g_degree >= 2 and draw(st.booleans())
     g_roots = draw(st.lists(root, min_size=g_degree - 2 * g_complex, max_size=g_degree - 2 * g_complex))
-    f = UniPoly.from_roots(f_roots, lead=draw(st.sampled_from([-2, 1, 3])))
-    g = UniPoly.from_roots(g_roots, lead=draw(st.sampled_from([-1, 1, 2])))
+    f = from_roots(f_roots, lead=draw(st.sampled_from([-2, 1, 3])))
+    g = from_roots(g_roots, lead=draw(st.sampled_from([-1, 1, 2])))
     if f_complex:
         f = f * UniPoly([1, 0, 1])
     if g_complex:
@@ -381,11 +382,11 @@ def interlacing_pairs(draw):
 
 class TestInterlacingOrder:
     @given(interlacing_pairs(), st.booleans())
-    @example((UniPoly.from_roots([0, 1, 2]), UniPoly([1, 0, 1])), False)  # g not real-rooted
-    @example((UniPoly.from_roots([0, 1, 2]), UniPoly([1, 0, 1])), True)
-    @example((UniPoly.from_roots([0, 1, 1]), UniPoly.from_roots([1, 1])), True)  # strict, common root
-    @example((UniPoly.from_roots([0, 1, 1]), UniPoly.from_roots([1, 1])), False)
-    @example((UniPoly.from_roots([0, 1, 1]) * UniPoly([1, 0, 1]), UniPoly.from_roots([1, Fraction(1, 2)]) * UniPoly([1, 0, 1])), True)
+    @example((from_roots([0, 1, 2]), UniPoly([1, 0, 1])), False)  # g not real-rooted
+    @example((from_roots([0, 1, 2]), UniPoly([1, 0, 1])), True)
+    @example((from_roots([0, 1, 1]), from_roots([1, 1])), True)  # strict, common root
+    @example((from_roots([0, 1, 1]), from_roots([1, 1])), False)
+    @example((from_roots([0, 1, 1]) * UniPoly([1, 0, 1]), from_roots([1, Fraction(1, 2)]) * UniPoly([1, 0, 1])), True)
     def test_same_verdict_as_checking_g_first(self, pair, strict):
         f, g = pair
         assert _outcome(interlaces_univariate, f, g, strict) == _outcome(interlaces_g_checked_first, f, g, strict)

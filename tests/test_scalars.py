@@ -11,12 +11,12 @@ from hypercert.scalars import (
     ConstMatrix,
     GaussianRational,
     four_square_decompose,
-    identity_matrix,
     is_positive_definite,
     leading_principal_minors,
     pencil_value,
 )
 from hypercert.wire import _parse_cell
+from oracles import const_matrix, identity_matrix
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=50
@@ -96,7 +96,7 @@ def _random_symmetric(rng, n=4, span=6):
             v = Fraction(rng.randrange(-span, span + 1))
             rows[i][j] = v
             rows[j][i] = v
-    return ConstMatrix.from_rows(rows, "symmetric")
+    return const_matrix(rows, "symmetric")
 
 
 def _quadratic_form_value(matrix, v):
@@ -113,11 +113,11 @@ class TestPositiveDefinite:
         assert is_positive_definite(identity_matrix(3))
 
     def test_indefinite_diag(self):
-        m = ConstMatrix.from_rows([[1, 0], [0, -1]], "symmetric")
+        m = const_matrix([[1, 0], [0, -1]], "symmetric")
         assert not is_positive_definite(m)
 
     def test_requires_kind(self):
-        m = ConstMatrix.from_rows([[1, 0], [0, 1]], "none")
+        m = const_matrix([[1, 0], [0, 1]], "none")
         with pytest.raises(ValueError):
             is_positive_definite(m)
 
@@ -166,8 +166,8 @@ class TestPositiveDefinite:
 class TestPencilValue:
     def test_linear_combination(self):
         a0 = identity_matrix(2)
-        a1 = ConstMatrix.from_rows([[1, 0], [0, -1]], "symmetric")
-        a2 = ConstMatrix.from_rows([[0, 1], [1, 0]], "symmetric")
+        a1 = const_matrix([[1, 0], [0, -1]], "symmetric")
+        a2 = const_matrix([[0, 1], [1, 0]], "symmetric")
         v = pencil_value([a0, a1, a2], [1, 0, 0])
         assert v == identity_matrix(2)
         v2 = pencil_value([a0, a1, a2], [Fraction(1), Fraction(2), Fraction(3)])
