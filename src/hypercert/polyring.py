@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import mul
+from operator import getitem, mul
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .scalars import (
@@ -344,14 +344,18 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.constant(self.ring, 1)
+        if n == 0:
+            return MultiPoly.constant(self.ring, 1)
+        # Square and multiply, the result starting from the first factor.
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def scale(self, c: CoeffLike) -> "MultiPoly":
         c = _as_coeff(c)
@@ -942,10 +946,92 @@ def sturm_chain(f: UniPoly, g: Optional[UniPoly] = None) -> list[UniPoly]:
 # ---------------------------------------------------------------------------
 
 
+class _TaylorTable:
+    """The rows (D_e^k h) / k!, k = 0..deg(h), of Taylor's formula
+    h(t*e - v) = sum_k t^k/k! * (D_e^k h)(-v).
+
+    Row k is a list of (exponent vector, int numerator) pairs over the
+    denominator ``dens[k]``; ``top[j]`` is the largest exponent of variable
+    j in any row.
+    """
+
+    __slots__ = ("h", "e", "rows", "dens", "top")
+
+    def __init__(self, h: MultiPoly, e: tuple[Fraction, ...]):
+        if not h.is_real():
+            raise ValueError("restriction needs real coefficients")
+        self.h, self.e = h, e
+        self.rows: list[list[tuple[tuple[int, ...], int]]] = []
+        self.dens: list[int] = []
+        top = [0] * h.ring.arity
+        derivative, factorial = h, 1
+        while derivative:
+            den = math.lcm(*[c.re.denominator for c in derivative.terms.values()])
+            row = []
+            for expo, c in derivative.terms.items():
+                row.append((expo, c.re.numerator * (den // c.re.denominator)))
+                top = list(map(max, top, expo))
+            self.rows.append(row)
+            self.dens.append(den * factorial)
+            derivative = _derivative(derivative, e)
+            factorial *= len(self.rows)
+        self.top = top
+
+    def at(self, v: Sequence[Fraction]) -> UniPoly:
+        """The coefficients of h(t*e - v): each row evaluated at w = -v."""
+        # With w_j = p_j / q_j, powers[j][a] = p_j^a * q_j^(top_j - a), so
+        # every monomial w^a is prod_j powers[j][a_j] over one denominator,
+        # prod_j q_j^top_j.
+        powers = []
+        scale = 1
+        for c, top in zip(v, self.top):
+            p, q = -c.numerator, c.denominator
+            col = [1]
+            for _ in range(top):
+                col.append(col[-1] * p)
+            if q != 1:
+                scale *= q**top
+                col = [x * q ** (top - a) for a, x in enumerate(col)]
+            powers.append(col)
+        coeffs = []
+        for row, den in zip(self.rows, self.dens):
+            total = 0
+            for expo, num in row:
+                total += num * math.prod(map(getitem, powers, expo))
+            coeffs.append(Fraction(total, den * scale))
+        return UniPoly(coeffs)
+
+
+# The two most recent tables, oldest first; interlaces_sampled alternates
+# between h and g along one e.  A table is found by the identity of h, since
+# hashing a MultiPoly builds a frozenset of its terms, and by the value of
+# e.  Each table holds h, so the id of a cached h is never reused.
+_taylor_tables: list[_TaylorTable] = []
+
+
+def _taylor_table(h: MultiPoly, e: tuple[Fraction, ...]) -> _TaylorTable:
+    for table in _taylor_tables:
+        if table.h is h and table.e == e:
+            return table
+    table = _TaylorTable(h, e)
+    _taylor_tables.append(table)
+    if len(_taylor_tables) > 2:
+        del _taylor_tables[0]
+    return table
+
+
 def restrict_to_line(
     h: MultiPoly, e: Sequence[RationalLike], v: Sequence[RationalLike]
 ) -> UniPoly:
     """The univariate restriction t -> h(t*e - v).
+
+    It is read off Taylor's formula along e at -v,
+    h(t*e - v) = sum_k t^k/k! * (D_e^k h)(-v), with D_e the directional
+    derivative.  The table of the (D_e^k h) / k! as int numerators is built
+    once per (h, e) and cached for the two most recent pairs, found by the
+    identity of h and the value of e; each line then evaluates the table at
+    -v.  Any ring is accepted, weights play no part, and h must have real
+    coefficients.
 
     For homogeneous h with h(e) != 0 the result has degree deg(h) with
     leading coefficient h(e).
@@ -953,42 +1039,8 @@ def restrict_to_line(
     ring = h.ring
     if len(e) != ring.arity or len(v) != ring.arity:
         raise ValueError("direction/point arity mismatch")
-    if not h.is_real():
-        raise ValueError("restriction needs real coefficients")
-    ev = [as_fraction(c) for c in e]
-    vv = [as_fraction(c) for c in v]
-    lines = [UniPoly([-vv[k], ev[k]]) for k in range(ring.arity)]
-    total = UniPoly.zero()
-    cache: list[dict[int, UniPoly]] = [dict() for _ in lines]
-
-    def line_power(k: int, n: int) -> UniPoly:
-        if n == 0:
-            return UniPoly([1])
-        got = cache[k].get(n)
-        if got is None:
-            got = _unipow(lines[k], n)
-            cache[k][n] = got
-        return got
-
-    for expo, coeff in h.terms.items():
-        term = UniPoly([coeff.re])
-        for k, n in enumerate(expo):
-            if n:
-                term = term * line_power(k, n)
-        total = total + term
-    return total
-
-
-def _unipow(p: UniPoly, n: int) -> UniPoly:
-    result = UniPoly([1])
-    base = p
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
+    table = _taylor_table(h, tuple([as_fraction(c) for c in e]))
+    return table.at([as_fraction(c) for c in v])
 
 
 def directional_derivative(h: MultiPoly, e: Sequence[RationalLike]) -> MultiPoly:
@@ -998,9 +1050,13 @@ def directional_derivative(h: MultiPoly, e: Sequence[RationalLike]) -> MultiPoly
         raise ValueError("direction arity mismatch")
     if any(w != 1 for w in ring.weights):
         raise ValueError("directional derivative needs an unweighted ring")
-    total = MultiPoly.zero(ring)
+    return _derivative(h, [as_fraction(c) for c in e])
+
+
+def _derivative(h: MultiPoly, e: Sequence[Fraction]) -> MultiPoly:
+    """sum_k e_k * dh/dx_k, in a ring of any weights."""
+    total = MultiPoly.zero(h.ring)
     for k, c in enumerate(e):
-        c = as_fraction(c)
         if c:
             total = total + h.partial(k).scale(c)
     return total

@@ -110,6 +110,20 @@ def shift(f, q):
     return result
 
 
+def restrict_reference(h, e, v):
+    """h(t*e - v) as a UniPoly, expanded term by term: each term of h times
+    the powers of the lines (e_k*t - v_k), with repeated products."""
+    lines = [UniPoly([-as_fraction(vk), as_fraction(ek)]) for ek, vk in zip(e, v)]
+    total = UniPoly.zero()
+    for expo, coeff in h.terms.items():
+        term = UniPoly([coeff.re])
+        for line, n in zip(lines, expo):
+            for _ in range(n):
+                term = term * line
+        total = total + term
+    return total
+
+
 def pencil_reference(matrices, h, r, e, up_to_scalar):
     """(ok, scalar, sorted failure names) that verify_pencil must report,
     with the determinant always expanded by Bareiss (poly_det)."""

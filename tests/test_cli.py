@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hypercert import hyperbolicity
 from hypercert.cli import EXIT_OK, EXIT_REFUTED, EXIT_USAGE, build_parser, main
 
 QUADRIC = "ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\nx0^2 - x1^2 - x2^2\n"
@@ -124,6 +125,42 @@ class TestCheckInterlacer:
         )
         assert code == EXIT_USAGE
         assert "samples must be at least 1" in capsys.readouterr().err
+
+
+class TestRestrictionCallCount:
+    """The benchmark traces ``restrict_to_line`` under the name it has in
+    ``hyperbolicity``: each tested line must go through that name, once for
+    h and once more for an interlacer."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        restrict = hyperbolicity.restrict_to_line
+
+        def counting(h, e, v):
+            calls.append(v)
+            return restrict(h, e, v)
+
+        monkeypatch.setattr(hyperbolicity, "restrict_to_line", counting)
+        return calls
+
+    @pytest.mark.parametrize("poly, code", [("q.txt", EXIT_OK), ("sphere.txt", EXIT_REFUTED)])
+    def test_check_hyperbolic(self, files, capsys, calls, poly, code):
+        assert main(
+            ["check-hyperbolic", "--poly", files[poly], "--dir", "1,0,0",
+             "--samples", "40", "--seed", "7", "--json"]
+        ) == code
+        assert len(calls) == json.loads(capsys.readouterr().out)["samples"]
+
+    @pytest.mark.parametrize("interlacer, code", [("2*x0", EXIT_OK), ("x0 + 5*x1", EXIT_REFUTED)])
+    def test_check_interlacer(self, files, tmp_path, capsys, calls, interlacer, code):
+        g = tmp_path / "g.txt"
+        g.write_text(f"ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\n{interlacer}\n", encoding="ascii")
+        assert main(
+            ["check-interlacer", "--poly", files["q.txt"], "--interlacer", str(g),
+             "--dir", "1,0,0", "--samples", "40", "--seed", "3", "--json"]
+        ) == code
+        assert len(calls) == 2 * json.loads(capsys.readouterr().out)["samples"]
 
 
 class TestVerifyDetrep:

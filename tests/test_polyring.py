@@ -19,7 +19,7 @@ from hypercert.polyring import (
     restrict_to_line,
 )
 from hypercert.scalars import GaussianRational
-from oracles import from_roots, shift
+from oracles import from_roots, restrict_reference, shift
 
 R3 = Ring.standard(("x0", "x1", "x2"))
 R4 = Ring.standard(("x0", "x1", "x2", "x3"))
@@ -181,6 +181,146 @@ class TestRestrictToLine:
         f = restrict_to_line(h, (2, 1, 0), (3, 5, 7))
         assert f.degree == 2
         assert f.leading() == h.eval_rational((2, 1, 0))
+
+
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-6, 6).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+LINE_RINGS = (
+    R3,
+    Ring.standard(("x0", "x1"), gaussian=True),  # real coefficients in a gaussian ring
+    Ring(("x", "y"), (1, 2)),  # weights play no part in a restriction
+    Ring.standard(("x0",)),
+)
+
+
+@st.composite
+def lines(draw):
+    """(h, e, v): h with up to 6 terms of any degrees (zero, constant and
+    non-homogeneous h included), and v free, equal to e, or parallel to it."""
+    ring = draw(st.sampled_from(LINE_RINGS))
+    n = ring.arity
+    top = draw(st.integers(0, 3))
+    expo = st.tuples(*[st.integers(0, top)] * n)
+    h = MultiPoly.from_terms(ring, draw(st.lists(st.tuples(expo, RATIONALS), max_size=6)))
+    e = draw(st.lists(RATIONALS, min_size=n, max_size=n))
+    kind = draw(st.sampled_from(("free", "equal", "parallel")))
+    if kind == "equal":
+        v = list(e)
+    elif kind == "parallel":
+        c = draw(RATIONALS)
+        v = [c * x for x in e]
+    else:
+        v = draw(st.lists(RATIONALS, min_size=n, max_size=n))
+    return h, e, v
+
+
+class TestRestrictionOracle:
+    @given(lines())
+    def test_equals_term_by_term_expansion(self, line):
+        h, e, v = line
+        assert restrict_to_line(h, e, v) == restrict_reference(h, e, v)
+        assert restrict_to_line(h, e, v) == restrict_reference(h, e, v)  # from the cached table
+
+    def test_zero_and_constant_h(self):
+        assert restrict_to_line(MultiPoly.zero(R3), (1, 0, 0), (1, 2, 3)) == UniPoly.zero()
+        c = MultiPoly.constant(R3, Fraction(-5, 3))
+        assert restrict_to_line(c, (1, 1, 0), (1, 2, 3)) == UniPoly([Fraction(-5, 3)])
+
+    def test_non_real_h_is_rejected(self):
+        h = parse("x0^2 + i*x1^2", Ring.standard(("x0", "x1"), gaussian=True))
+        for _ in range(2):  # a rejected h leaves nothing cached
+            with pytest.raises(ValueError, match="real coefficients"):
+                restrict_to_line(h, (1, 0), (0, 1))
+
+    def test_arity_mismatch_is_rejected(self):
+        h = parse("x0^2 - x1^2 - x2^2", R3)
+        restrict_to_line(h, (1, 0, 0), (0, 1, 0))  # cache the table for (h, e)
+        for e, v in (((1, 0), (0, 1, 0)), ((1, 0, 0), (0, 1)), ((1, 0, 0, 0), (0, 1, 0, 0))):
+            with pytest.raises(ValueError, match="arity mismatch"):
+                restrict_to_line(h, e, v)
+
+
+class TestRestrictionCache:
+    """restrict_to_line keeps the Taylor tables of its last two (h, e); a
+    call must never be answered from the table of another."""
+
+    def test_interleaved_polynomials(self):
+        # As interlaces_sampled calls it, plus a third polynomial that
+        # pushes the oldest table out.
+        h = parse("x0^3 - x0*x1^2 - x0*x2^2 + x1*x2^2", R3)
+        g = directional_derivative(h, (1, 0, 0))
+        k = parse("x0^2 - 2*x1^2 + x2", R3)
+        e = (1, 0, 0)
+        for step in range(4):
+            v = (step, 2 * step - 3, 1)
+            for p in (h, g, h, g, k):
+                assert restrict_to_line(p, e, v) == restrict_reference(p, e, v)
+
+    def test_equal_but_distinct_polynomials(self):
+        h1 = parse("x0^2 - x1^2 - x2^2", R3)
+        h2 = parse("x0^2 - x1^2 - x2^2", R3)
+        assert h1 == h2 and h1 is not h2
+        for step in range(3):
+            v = (step, 1, -step)
+            assert restrict_to_line(h1, (1, 0, 0), v) == restrict_to_line(h2, (1, 0, 0), v)
+            assert restrict_to_line(h2, (1, 0, 0), v) == restrict_reference(h1, (1, 0, 0), v)
+
+    def test_one_polynomial_two_directions(self):
+        h = parse("x0^2 - x1^2 - x2^2 + x0*x1", R3)
+        for step in range(3):
+            v = (step, 1, -step)
+            for e in ((1, 0, 0), (2, 1, 0), (Fraction(1, 2), 0, 0)):
+                assert restrict_to_line(h, e, v) == restrict_reference(h, e, v)
+
+    def test_freed_polynomial_replaced_by_a_new_one(self):
+        # CPython gives a new object the address, and so the id, of one of
+        # its size freed just before; the trusted constructor allocates
+        # nothing else in between.
+        terms = [parse(f"{k}*x0^2 - x1^2 + x2", R3).terms for k in range(1, 30)]
+        e, v = (1, 0, 0), (1, 2, 3)
+        expected = [restrict_reference(MultiPoly(R3, t), e, v) for t in terms]
+        for t, want in zip(terms, expected):
+            h = MultiPoly(R3, t)
+            assert restrict_to_line(h, e, v) == want
+            del h
+
+
+class TestPower:
+    @staticmethod
+    def count_products(monkeypatch):
+        calls = []
+        product = MultiPoly.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return product(self, other)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counting)
+        return calls
+
+    def test_first_power_forms_no_product(self, monkeypatch):
+        x = MultiPoly.variable(R3, "x0")
+        calls = self.count_products(monkeypatch)
+        assert x**1 == x
+        assert calls == []
+
+    def test_square_and_multiply_count(self, monkeypatch):
+        p = parse("x0 - 2*x1 + 1/3", R3)
+        calls = self.count_products(monkeypatch)
+        for n in range(1, 10):
+            calls.clear()
+            p**n
+            assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1
+
+    def test_equals_repeated_product(self):
+        for p in (parse("x0 - 2*x1 + 1/3", R3), parse("i*x1 + 2", G1), MultiPoly.zero(R3)):
+            expected = MultiPoly.constant(p.ring, 1)
+            for n in range(10):
+                assert p**n == expected
+                expected = expected * p
 
 
 class TestDirectionalDerivative:
