@@ -95,12 +95,17 @@ def _load_matrix_or_pencil(path: str):
 
 def _cmd_verify_detrep(args) -> int:
     h = load_poly_file(args.poly)
-    matrix, matrices, _ = _load_matrix_or_pencil(args.matrix)
+    matrix, matrices, ring = _load_matrix_or_pencil(args.matrix)
     if args.companion:
         if matrix is None:
             raise _UsageError("companion verification needs a polynomial matrix file")
         report = verify_companion(matrix, h, args.power)
     else:
+        # The slices are matched to h's variables by position.
+        if ring.variables != h.ring.variables:
+            raise ValueError(
+                f"pencil variables {list(ring.variables)} differ from h's variables {list(h.ring.variables)}"
+            )
         if matrices is None:
             matrices = polymatrix_to_pencil(matrix)
         if args.dir is None:

@@ -6,16 +6,29 @@ matrices A_i (entries degree 1), and companion forms y*I - A(x) where A has
 homogeneous entries of the weight of y.  Verification reports are exact:
 every failed check carries a witness that re-verifies independently.
 
-Both verifiers choose the determinant by one rule.  If trace Q = 0 and
-Q^2 = P*I then det(y*I - Q) = (y^2 - P)^(m/2) (:func:`_involution`), so
-an input of that shape -- a pencil ell*I - Q for quadratic h, or a
-symmetric/hermitian A with h = y^2 - P -- is decided by forming Q^2 once;
-every other input gets the Bareiss determinant.
+A determinant identity det = c*h^r is decided by one of three routes:
+
+- *involution*: if trace Q = 0 and Q^2 = P*I then
+  det(y*I - Q) = (y^2 - P)^(m/2) (:func:`_involution`), so an input of that
+  shape -- a pencil ell*I - Q for quadratic h, or a symmetric/hermitian A
+  with h = y^2 - P -- is decided by forming Q^2 once;
+- *lattice* (pencils only): a form of degree m in n variables is fixed by
+  its values at the T = C(m+n-1, n-1) points (1, b), b in N^(n-1) with
+  |b| <= m (the principal lattice of a simplex), so det(sum x_i A_i) is
+  interpolated exactly from T integer or Gaussian-integer determinants
+  (:func:`_lattice_det`).  Only a dense determinant repays T eliminations,
+  so this route is taken when h^r has at least T/2 terms;
+- *Bareiss*: every other input gets the fraction-free determinant over
+  polynomials (:func:`poly_det`).
+
+The lattice and Bareiss routes give the same polynomial, so the same scalar
+and witness; only ``notes["method"]`` names the route.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -212,6 +225,161 @@ def _det(rows, one, divide):
     return pivots[-1] if sign > 0 else -pivots[-1]
 
 
+class _GaussInt:
+    """A Gaussian integer re + im*i, with the operations of a lattice-point
+    determinant (Bareiss needs ``*``, ``-``, truth and an exact division)."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re = re
+        self.im = im
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def __add__(self, other: "_GaussInt") -> "_GaussInt":
+        return _GaussInt(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: "_GaussInt") -> "_GaussInt":
+        return _GaussInt(self.re - other.re, self.im - other.im)
+
+    def __neg__(self) -> "_GaussInt":
+        return _GaussInt(-self.re, -self.im)
+
+    def __mul__(self, other: "_GaussInt") -> "_GaussInt":
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _GaussInt(a * c - b * d, a * d + b * c)
+
+    def divide_exact(self, other: "_GaussInt") -> "_GaussInt":
+        a, b, c, d = self.re, self.im, other.re, other.im
+        norm = c * c + d * d
+        return _GaussInt((a * c + b * d) // norm, (b * c - a * d) // norm)
+
+
+def _lattice_det(matrices: Sequence[ConstMatrix], ring: Ring) -> MultiPoly:
+    """det(sum x_i A_i) over ``ring``, equal to poly_det of the pencil, from
+    its values on the simplex lattice (see the module docstring).
+
+    The pencil is scaled by the lcm D of its denominators, so each value is
+    D^m times the determinant, taken over Z (or Z[i] when an entry is not
+    real) by the one Bareiss elimination.  The input checks are those of
+    :func:`pencil_to_polymatrix`.
+    """
+    m = matrices[0].size
+    if any(mat.size != m for mat in matrices):
+        raise ValueError("pencil matrices must share one size")
+    cells = [[c for row in mat.entries for c in row] for mat in matrices]
+    gaussian = any(c.im for flat in cells for c in flat)
+    if gaussian and not ring.gaussian:
+        raise ValueError("imaginary coefficient in a non-gaussian ring")
+    den = math.lcm(*{q.denominator for flat in cells for c in flat for q in (c.re, c.im)})
+
+    def scaled(q: Fraction) -> int:
+        return q.numerator * (den // q.denominator)
+
+    if gaussian:
+        slices = [[_GaussInt(scaled(c.re), scaled(c.im)) for c in flat] for flat in cells]
+        one, divide = _GaussInt(1, 0), _GaussInt.divide_exact
+    else:
+        slices = [[scaled(c.re) for c in flat] for flat in cells]
+        one, divide = 1, operator.floordiv
+
+    def value(flat: list) -> tuple[int, int]:
+        det = _det([flat[i * m : (i + 1) * m] for i in range(m)], one, divide)
+        return (det.re, det.im) if gaussian else (det, 0)
+
+    return _from_lattice(ring, m, _on_lattice(slices, m, value), den**m)
+
+
+def _on_lattice(slices: Sequence[list], m: int, value) -> dict[tuple[int, ...], tuple[int, int]]:
+    """value(sum_i x_i * slices[i]) at x = (1, b) for every b in N^(n-1) with
+    |b| <= m, keyed by b.  The walk is depth first, so each point's sum is
+    an earlier point's plus one slice."""
+    values = {}
+
+    def walk(b: tuple[int, ...], total: list, k: int) -> None:
+        if k == len(slices):
+            values[b] = value(total)
+            return
+        for t in range(m - sum(b) + 1):
+            if t:
+                total = list(map(operator.add, total, slices[k]))
+            walk(b + (t,), total, k + 1)
+
+    walk((), slices[0], 1)
+    return values
+
+
+def _from_lattice(
+    ring: Ring, m: int, values: dict[tuple[int, ...], tuple[int, int]], den: int
+) -> MultiPoly:
+    """The form f of degree m over ``ring`` with den * f(1, b) = re + im*i
+    for each (re, im) = values[b] on the simplex lattice of :func:`_on_lattice`.
+
+    Newton forward differences along each coordinate give the integer
+    coefficients of f(1, b) in the basis prod_k C(b_k, a_k); the basis change
+    to monomials along each coordinate multiplies by m!, so every
+    coefficient is an integer over (m!)^(n-1) * den.  The coefficient of
+    b^beta is that of x_0^(m-|beta|) * x^beta.
+    """
+    free = ring.arity - 1
+    weights = _falling_factorial_weights(m)
+
+    def to_monomials(line: list[int]) -> list[int]:
+        return [sum(line[a] * weights[a][j] for a in range(j, len(line))) for j in range(len(line))]
+
+    re, im = ({b: v[part] for b, v in values.items()} for part in (0, 1))
+    for coeffs in (re, im):
+        if any(coeffs.values()):
+            for k in range(free):
+                _along_lines(coeffs, k, _forward_differences)
+            for k in range(free):
+                _along_lines(coeffs, k, to_monomials)
+    scale = math.factorial(m) ** free * den
+    return MultiPoly.from_terms(
+        ring,
+        [
+            ((m - sum(b),) + b, GaussianRational(Fraction(re[b], scale), Fraction(im[b], scale)))
+            for b in values
+            if re[b] or im[b]
+        ],
+    )
+
+
+def _along_lines(coeffs: dict[tuple[int, ...], int], k: int, transform) -> None:
+    """Replace the values on each line of the lattice along coordinate k
+    (b, b + e_k, b + 2 e_k, ... for b_k = 0) by ``transform`` of them."""
+    for start in [b for b in coeffs if not b[k]]:
+        line = []
+        point = start
+        while point in coeffs:
+            line.append(point)
+            point = point[:k] + (point[k] + 1,) + point[k + 1 :]
+        for point, c in zip(line, transform([coeffs[p] for p in line])):
+            coeffs[point] = c
+
+
+def _forward_differences(line: list[int]) -> list[int]:
+    """[Delta^a f(0) for a = 0..len-1] from [f(0), f(1), ...]."""
+    out = list(line)
+    for a in range(1, len(out)):
+        for j in range(len(out) - 1, a - 1, -1):
+            out[j] -= out[j - 1]
+    return out
+
+
+def _falling_factorial_weights(m: int) -> list[list[int]]:
+    """w[a][j] with m! * C(b, a) = sum_j w[a][j] * b^j, for a = 0..m."""
+    rows = []
+    falling = [1]  # coefficients of b(b-1)...(b-a+1), lowest degree first
+    for a in range(m + 1):
+        scale = math.factorial(m) // math.factorial(a)
+        rows.append([c * scale for c in falling])
+        falling = [x - a * y for x, y in zip([0] + falling, falling + [0])]  # times (b - a)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Verification reports
 # ---------------------------------------------------------------------------
@@ -228,8 +396,12 @@ class DetRepReport:
     """Outcome of a determinantal-representation verification.
 
     ``ok`` implies no failures and scalar > 0.  ``notes["method"]`` names
-    the determinant route ("minimal-polynomial-shortcut" or "bareiss"), and
-    the companion route records whether its branch P is a square.
+    the determinant route: "minimal-polynomial-shortcut" (an involution),
+    "lattice" (pencils whose h^r has at least half of the C(m+n-1, n-1)
+    monomials of degree m, interpolated from lattice values) or "bareiss"
+    (the polynomial elimination); the last two give the same determinant,
+    so the same scalar and witness.  The companion route records whether
+    its branch P is a square.
     """
 
     ok: bool
@@ -328,8 +500,12 @@ def verify_pencil(
     Three named checks: symmetry kind, determinant identity (c = 1 unless
     ``up_to_scalar``), and positive definiteness of sum e_i A_i.  For
     quadratic h whose pencil is ell*I - Q with Q^2 = P*I (see
-    :func:`_involution`) the determinant is (ell^2 - P)^r; every other
-    pencil gets the Bareiss determinant.
+    :func:`_involution`) the determinant is (ell^2 - P)^r.  Otherwise, with
+    T = C(m+n-1, n-1) the number of monomials of degree m in the n
+    variables, the determinant is interpolated from its values at T lattice
+    points (:func:`_lattice_det`) when h^r has at least T/2 terms, and
+    expanded by Bareiss (:func:`poly_det`) when h^r is sparser.  Both give
+    the same polynomial.
     """
     if r < 1:
         raise ValueError(f"power r = {r} must be at least 1")
@@ -363,14 +539,19 @@ def verify_pencil(
                 CheckFailure("kind", f"matrix {idx} entry {bad} breaks {kind} symmetry")
             )
 
-    pencil_matrix = pencil_to_polymatrix(matrices, ring)
-    matched = _match_branch(pencil_matrix, h, r, up_to_scalar) if deg == 2 else None
+    matched = _match_branch(pencil_to_polymatrix(matrices, ring), h, r, up_to_scalar) if deg == 2 else None
     if matched is not None:
         notes["method"] = "minimal-polynomial-shortcut"
         scalar, det_witness = matched
     else:
-        notes["method"] = "bareiss"
-        scalar, det_witness = _match_scalar(poly_det(pencil_matrix), h ** r, up_to_scalar)
+        target = h ** r
+        if 2 * len(target.terms) >= math.comb(m + ring.arity - 1, m):
+            notes["method"] = "lattice"
+            det = _lattice_det(matrices, ring)
+        else:
+            notes["method"] = "bareiss"
+            det = poly_det(pencil_to_polymatrix(matrices, ring))
+        scalar, det_witness = _match_scalar(det, target, up_to_scalar)
     if det_witness is not None:
         failures.append(CheckFailure("determinant", det_witness))
     elif scalar <= 0:

@@ -124,27 +124,48 @@ def restrict_reference(h, e, v):
     return total
 
 
+def _truncated(text, limit=200):
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 def pencil_reference(matrices, h, r, e, up_to_scalar):
-    """(ok, scalar, sorted failure names) that verify_pencil must report,
-    with the determinant always expanded by Bareiss (poly_det)."""
-    names = []
-    if matrices[0].kind == "none" or any(m.kind_violation() is not None for m in matrices):
-        names.append("kind")
+    """The report verify_pencil must give, as its to_json_dict() without
+    the notes, with the determinant always expanded by Bareiss (poly_det)
+    and each failure's witness worded as the library words it."""
+    failures = []
+    kind = matrices[0].kind
+    if kind == "none":
+        failures.append(("kind", "pencil has no declared symmetry kind"))
+    for idx, mat in enumerate(matrices):
+        bad = mat.kind_violation()
+        if bad is not None:
+            failures.append(("kind", f"matrix {idx} entry {bad} breaks {kind} symmetry"))
     det = poly_det(pencil_to_polymatrix(matrices, h.ring))
     target = h ** r
+    scalar, witness = Fraction(0), None
     if det.is_zero():
-        scalar = Fraction(0)
-    elif up_to_scalar:
-        scalar = det.leading_coefficient().re / target.leading_coefficient().re
+        witness = "determinant is identically zero"
+    elif det.leading_coefficient().im or target.leading_coefficient().im:
+        witness = "leading coefficient is not real"
     else:
-        scalar = Fraction(1)
-    if det.is_zero() or det != target.scale(scalar):
-        names.append("determinant")
+        scalar = det.leading_coefficient().re / target.leading_coefficient().re if up_to_scalar else Fraction(1)
+        diff = det - target.scale(scalar)
+        if diff:
+            witness = _truncated(f"det - {scalar}*h^r = {diff}")
+    if witness is not None:
+        failures.append(("determinant", witness))
     elif scalar <= 0:
-        names.append("scalar-positivity")
-    if "kind" not in names and first_nonpositive_minor(pencil_value(matrices, e)) is not None:
-        names.append("positive-definite")
-    return (not names and scalar > 0, scalar, sorted(names))
+        failures.append(("scalar-positivity", f"scalar c = {scalar} is not positive"))
+    if kind != "none" and all(name != "kind" for name, _ in failures):
+        bad = first_nonpositive_minor(pencil_value(matrices, e))
+        if bad is not None:
+            failures.append(("positive-definite", f"leading principal minor of order {bad[0]} at e is {bad[1]}"))
+    return {
+        "ok": not failures and scalar > 0,
+        "scalar": str(scalar),
+        "power": r,
+        "failures": [{"name": name, "witness": witness} for name, witness in failures],
+    }
 
 
 def companion_det(matrix, ring_h):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hypercert import hyperbolicity
+from hypercert import detrep, hyperbolicity
 from hypercert.cli import EXIT_OK, EXIT_REFUTED, EXIT_USAGE, build_parser, main
 
 QUADRIC = "ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\nx0^2 - x1^2 - x2^2\n"
@@ -264,6 +264,99 @@ class TestVerifyDetrep:
     def test_commands_that_never_sample_take_no_seed(self, capsys, argv):
         assert main(argv + ["--seed", "1"]) == EXIT_USAGE
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def _write_pencil(path, names, slices, kind="symmetric", gaussian=False):
+    path.write_text(json.dumps({"vars": names, "kind": kind, "gaussian": gaussian, "matrices": slices}))
+    return str(path)
+
+
+def _write_poly(path, names, text, gaussian=False):
+    path.write_text(f"ring: vars={','.join(names)} gaussian={'true' if gaussian else 'false'}\n{text}\n")
+    return str(path)
+
+
+# x0*I + x1*diag(1, -1) + x2*[[0, 1], [1, 0]], whose determinant is
+# x0^2 - x1^2 - x2^2 when the slices belong to x0, x1, x2 in this order.
+QUADRIC_SLICES = [[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]], [["0", "1"], ["1", "0"]]]
+
+
+class TestVerifyDetrepVariables:
+    """The pencil's variables must be h's, in h's order: slices are matched
+    to h's variables by position."""
+
+    def test_reordered_pencil_variables_exit_64(self, tmp_path, capsys):
+        # Declared in x1, x0, x2, this pencil represents x1^2 - x0^2 - x2^2.
+        pencil = _write_pencil(tmp_path / "p.json", ["x1", "x0", "x2"], QUADRIC_SLICES)
+        for name, text in (("by-position.txt", "x0^2 - x1^2 - x2^2"), ("by-name.txt", "x1^2 - x0^2 - x2^2")):
+            h = _write_poly(tmp_path / name, ["x0", "x1", "x2"], text)
+            code = main(["verify-detrep", "--matrix", pencil, "--poly", h, "--dir", "1,0,0"])
+            assert code == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "input error: pencil variables ['x1', 'x0', 'x2'] differ" in err
+            assert "['x0', 'x1', 'x2']" in err
+        # The same h over the pencil's own variable order verifies.
+        h = _write_poly(tmp_path / "own.txt", ["x1", "x0", "x2"], "x1^2 - x0^2 - x2^2")
+        assert main(["verify-detrep", "--matrix", pencil, "--poly", h, "--dir", "1,0,0"]) == EXIT_OK
+        assert "ok: True" in capsys.readouterr().out
+
+    def test_other_variable_names_exit_64(self, tmp_path, capsys):
+        pencil = _write_pencil(tmp_path / "p.json", ["a", "b", "c"], QUADRIC_SLICES)
+        h = _write_poly(tmp_path / "h.txt", ["x0", "x1", "x2"], "x0^2 - x1^2 - x2^2")
+        assert main(["verify-detrep", "--matrix", pencil, "--poly", h, "--dir", "1,0,0"]) == EXIT_USAGE
+        assert "pencil variables ['a', 'b', 'c'] differ" in capsys.readouterr().err
+
+    def test_polymatrix_variables_exit_64(self, tmp_path, capsys):
+        matrix = tmp_path / "m.json"
+        ring = {"vars": ["x1", "x0", "x2"], "weights": [1, 1, 1], "gaussian": False}
+        entries = [["x1 + x0", "x2"], ["x2", "x1 - x0"]]
+        matrix.write_text(json.dumps({"ring": ring, "kind": "symmetric", "entries": entries}))
+        h = _write_poly(tmp_path / "h.txt", ["x0", "x1", "x2"], "x0^2 - x1^2 - x2^2")
+        assert main(["verify-detrep", "--matrix", str(matrix), "--poly", h, "--dir", "1,0,0"]) == EXIT_USAGE
+        assert "pencil variables ['x1', 'x0', 'x2'] differ" in capsys.readouterr().err
+
+
+class TestVerifyDetrepLatticeInputChecks:
+    """The lattice route keeps the input checks of the polynomial route.
+
+    h = (x0 + x1)(x0 + x2)(x0 + x1 + x2) has 8 of the 10 cubic monomials, so
+    its pencils are decided by lattice evaluation; pencil_to_polymatrix,
+    which the other routes build, is replaced by a tripwire."""
+
+    FORMS = ([1, 1, 0], [1, 0, 1], [1, 1, 1])  # diag(forms) has det h
+
+    @pytest.fixture
+    def h(self, tmp_path, monkeypatch):
+        def tripwire(*args):
+            raise AssertionError("pencil_to_polymatrix called on the lattice route")
+
+        monkeypatch.setattr(detrep, "pencil_to_polymatrix", tripwire)
+        return _write_poly(tmp_path / "h.txt", ["x0", "x1", "x2"], "(x0 + x1)*(x0 + x2)*(x0 + x1 + x2)")
+
+    def slices(self):
+        return [
+            [[str(form[k]) if i == j else "0" for j in range(3)] for i, form in enumerate(self.FORMS)]
+            for k in range(3)
+        ]
+
+    def test_valid_pencil_takes_lattice(self, tmp_path, capsys, h):
+        pencil = _write_pencil(tmp_path / "p.json", ["x0", "x1", "x2"], self.slices())
+        assert main(["verify-detrep", "--matrix", pencil, "--poly", h, "--dir", "1,0,0", "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["notes"]["method"] == "lattice"
+
+    def test_slices_of_different_sizes_exit_64(self, tmp_path, capsys, h):
+        slices = self.slices()
+        slices[2] = [["0", "0"], ["0", "1"]]
+        pencil = _write_pencil(tmp_path / "p.json", ["x0", "x1", "x2"], slices)
+        assert main(["verify-detrep", "--matrix", pencil, "--poly", h, "--dir", "1,0,0"]) == EXIT_USAGE
+        assert "input error: pencil matrices must share one size" in capsys.readouterr().err
+
+    def test_imaginary_entry_for_real_h_exit_64(self, tmp_path, capsys, h):
+        slices = self.slices()
+        slices[2][0][1], slices[2][1][0] = "i", "-i"
+        pencil = _write_pencil(tmp_path / "p.json", ["x0", "x1", "x2"], slices, "hermitian", gaussian=True)
+        assert main(["verify-detrep", "--matrix", pencil, "--poly", h, "--dir", "1,0,0"]) == EXIT_USAGE
+        assert "input error: imaginary coefficient in a non-gaussian ring" in capsys.readouterr().err
 
 
 class TestSosRoundtrip:

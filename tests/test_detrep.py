@@ -1,5 +1,7 @@
 """Polynomial matrices, exact determinants, and representation checks."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +12,9 @@ from hypothesis import strategies as st
 from hypercert.clifford import build_Q
 from hypercert.detrep import (
     PolyMatrix,
+    _from_lattice,
+    _lattice_det,
+    _on_lattice,
     char_matrix,
     const_det,
     detrep_to_sos,
@@ -83,6 +88,78 @@ class TestDeterminants:
             d = poly_det(m)
             assert poly_det(transpose(m)) == d
             assert poly_det(m.conjugate()) == d.conjugate()
+
+
+def _rebuilt_from_lattice(f, m):
+    """_from_lattice of f's values on the points _on_lattice visits: the
+    slices are the unit vectors, so each visited sum is the point itself."""
+    n = f.ring.arity
+    den = math.lcm(*(q.denominator for c in f.terms.values() for q in (c.re, c.im)))
+    scaled = [(expo, c.re * den, c.im * den) for expo, c in f.terms.items()]
+
+    def value(point):
+        powers = [math.prod(x ** a for x, a in zip(point, expo)) for expo, _, _ in scaled]
+        return (
+            int(sum(p * re for p, (_, re, _) in zip(powers, scaled))),
+            int(sum(p * im for p, (_, _, im) in zip(powers, scaled))),
+        )
+
+    units = [[int(j == k) for j in range(n)] for k in range(n)]
+    return _from_lattice(f.ring, m, _on_lattice(units, m, value), den)
+
+
+def _random_form(rng, n, m, coefficients):
+    """A form of degree m in n variables, each monomial present with
+    probability 3/4, with integer, Gaussian or rational coefficients."""
+    ring = Ring.standard(tuple(f"x{k}" for k in range(n)), coefficients == "gaussian")
+    terms = []
+    for combo in itertools.combinations_with_replacement(range(n), m):
+        if rng.random() < 0.75:
+            expo = tuple(combo.count(k) for k in range(n))
+            den = rng.randint(1, 12) if coefficients == "rational" else 1
+            im = rng.randint(-9, 9) if coefficients == "gaussian" else 0
+            terms.append((expo, GaussianRational(Fraction(rng.randint(-99, 99), den), im)))
+    return MultiPoly.from_terms(ring, terms)
+
+
+class TestLatticeInterpolation:
+    """A form of degree m is rebuilt exactly from its values on the simplex
+    lattice {(1, b) : b in N^(n-1), |b| <= m} that the lattice route visits."""
+
+    @pytest.mark.parametrize("coefficients", ["integer", "gaussian", "rational"])
+    def test_random_forms(self, coefficients):
+        rng = random.Random(f"lattice:{coefficients}")
+        for n in range(1, 6):
+            for m in range(1, 7):
+                f = _random_form(rng, n, m, coefficients)
+                assert _rebuilt_from_lattice(f, m) == f, (n, m)
+
+    def test_every_single_monomial(self):
+        # Each monomial alone, so no coefficient can hide behind another.
+        for n, m in ((1, 1), (1, 6), (2, 1), (3, 4), (4, 5), (5, 1)):
+            ring = Ring.standard(tuple(f"x{k}" for k in range(n)))
+            for combo in itertools.combinations_with_replacement(range(n), m):
+                f = MultiPoly.from_terms(ring, [(tuple(combo.count(k) for k in range(n)), 1)])
+                assert _rebuilt_from_lattice(f, m) == f
+
+    def test_zero_values_give_the_zero_form(self):
+        f = MultiPoly.zero(R3)
+        assert _from_lattice(R3, 4, _on_lattice([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 4, lambda x: (0, 0)), 1) == f
+
+    def test_lattice_det_equals_poly_det(self):
+        rng = random.Random(97)
+        for trial in range(60):
+            n, m = rng.randint(1, 4), rng.randint(0, 5)
+            gaussian = trial % 2 == 1
+            ring = Ring.standard(tuple(f"x{k}" for k in range(n)), gaussian)
+            pencil = [
+                ConstMatrix([[GaussianRational(Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3])),
+                                               rng.randint(-3, 3) if gaussian else 0)
+                              if rng.random() < 0.7 else GaussianRational(0)
+                              for _ in range(m)] for _ in range(m)])
+                for _ in range(n)
+            ]
+            assert _lattice_det(pencil, ring) == poly_det(pencil_to_polymatrix(pencil, ring))
 
 
 QUADRIC_PENCIL = [
@@ -505,6 +582,79 @@ def quadratic_pencils(draw):
     return polymatrix_to_pencil(matrix), h, m // 2, e, draw(st.booleans()), variant != "entry"
 
 
+def _rational(draw, gaussian, span=3):
+    re = Fraction(draw(st.integers(-span, span)), draw(st.sampled_from([1, 1, 2, 3])))
+    im = Fraction(draw(st.integers(-span, span)), draw(st.sampled_from([1, 2]))) if gaussian else 0
+    return GaussianRational(re, im)
+
+
+def _const_product(a, b):
+    m = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(m)), GaussianRational(0)) for j in range(m)] for i in range(m)]
+
+
+@st.composite
+def dense_pencils(draw):
+    """(matrices, h, r, e, up_to_scalar): U^* diag(forms) U (symmetric,
+    hermitian) or U diag(forms) V (complex, kind none) with det U = det V
+    = 1, so det = prod(forms) = h up to the drawn scale of h; m = 3..5 and
+    n = 2..4, rational entries with denominators.  Forms on every variable
+    give a dense h, forms on one or two variables a sparse one.  Variants:
+    valid, tampered in one entry (pair), negative at e, singular."""
+    kind = draw(st.sampled_from(["symmetric", "hermitian", "none"]))
+    gaussian = kind != "symmetric"
+    n, m = draw(st.integers(2, 4)), draw(st.integers(3, 5))
+    ring = Ring.standard(tuple(f"x{k}" for k in range(n)), gaussian)
+    r = draw(st.sampled_from([1, 2])) if m == 4 else 1
+    e = (draw(st.integers(1, 2)),) + tuple(draw(st.integers(-1, 1)) for _ in range(n - 1))
+    dense = draw(st.booleans())
+    forms = []
+    for _ in range(m // r):
+        support = range(n) if dense else draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2))
+        coeffs = [_rational(draw, False).re if k in support else Fraction(0) for k in range(n)]
+        at_e = sum(c * x for c, x in zip(coeffs, e))
+        if not at_e:
+            coeffs[0] += 1
+            at_e = sum(c * x for c, x in zip(coeffs, e))
+        forms.append([c if at_e > 0 else -c for c in coeffs])
+    variant = draw(st.sampled_from(["valid", "tampered", "negative", "singular"]))
+    if variant == "negative":
+        forms[0] = [-c for c in forms[0]]
+    forms = forms * r
+    h = MultiPoly.constant(ring, draw(st.sampled_from([1, 1, 2, -1, Fraction(1, 3)])))
+    for form in forms[: m // r]:
+        h = h * MultiPoly.from_terms(ring, [(tuple(int(j == k) for j in range(n)), c) for k, c in enumerate(form)])
+    zero, one = GaussianRational(0), GaussianRational(1)
+
+    def unimodular():
+        u = [[one if i == j else zero for j in range(m)] for i in range(m)]
+        for _ in range(draw(st.integers(1, 2 * m))):
+            i, j = draw(st.permutations(range(m)))[:2]
+            c = _rational(draw, gaussian)
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+        if variant == "singular":
+            u[1] = list(u[0])
+        return u
+
+    left = unimodular()
+    if kind == "none":
+        right = unimodular()
+    else:
+        right, left = left, [[left[j][i].conj() for j in range(m)] for i in range(m)]
+    slices = []
+    for k in range(n):
+        diag = [[GaussianRational(forms[i][k]) if i == j else zero for j in range(m)] for i in range(m)]
+        slices.append(_const_product(_const_product(left, diag), right))
+    if variant == "tampered":
+        k, i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        delta = _rational(draw, gaussian and (i != j or kind == "none"))
+        assume(delta)
+        slices[k][i][j] = slices[k][i][j] + delta
+        if i != j and kind != "none":
+            slices[k][j][i] = slices[k][j][i] + (delta.conj() if kind == "hermitian" else delta)
+    return [ConstMatrix(rows, kind) for rows in slices], h, r, e, draw(st.booleans())
+
+
 @st.composite
 def companion_inputs(draw):
     """(A, h, r): Clifford Q from 1-3 forms or F3's A, with h = y^2 - P,
@@ -544,10 +694,48 @@ class TestRouteAgreement:
     def test_pencil_matches_bareiss_reference(self, case):
         matrices, h, r, e, up_to_scalar, involutive = case
         report = verify_pencil(matrices, h, r, e, up_to_scalar=up_to_scalar)
-        got = (report.ok, report.scalar, sorted(f.name for f in report.failures))
-        assert got == pencil_reference(matrices, h, r, e, up_to_scalar)
+        got = (report.ok, str(report.scalar), sorted(f.name for f in report.failures))
+        want = pencil_reference(matrices, h, r, e, up_to_scalar)
+        assert got == (want["ok"], want["scalar"], sorted(f["name"] for f in want["failures"]))
         if involutive:
             assert report.notes["method"] == "minimal-polynomial-shortcut"
+
+    @given(dense_pencils())
+    def test_dense_pencil_report_matches_bareiss_reference(self, case):
+        # Outside the involution route the whole report, witnesses included,
+        # is the one the Bareiss determinant gives; the route is set by the
+        # density of h^r alone.
+        matrices, h, r, e, up_to_scalar = case
+        report = verify_pencil(matrices, h, r, e, up_to_scalar=up_to_scalar).to_json_dict()
+        method = report.pop("notes")["method"]
+        if method == "minimal-polynomial-shortcut":
+            return
+        m, n = matrices[0].size, len(matrices)
+        dense = 2 * len((h ** r).terms) >= math.comb(m + n - 1, n - 1)
+        assert method == ("lattice" if dense else "bareiss")
+        assert report == pencil_reference(matrices, h, r, e, up_to_scalar)
+
+    @pytest.mark.parametrize(
+        "forms, method",
+        [
+            # (x0 + x1)(x0 + x2)(x0 + x1 + x2): 8 of the 10 cubic monomials.
+            (([1, 1, 0], [1, 0, 1], [1, 1, 1]), "lattice"),
+            # x0*x1*(x0 + x2): 2 of 10.
+            (([1, 0, 0], [0, 1, 0], [1, 0, 1]), "bareiss"),
+        ],
+    )
+    def test_route_follows_the_density_of_h(self, forms, method):
+        h = MultiPoly.constant(R3, 1)
+        for form in forms:
+            h = h * MultiPoly.from_terms(R3, [(tuple(int(j == k) for j in range(3)), c) for k, c in enumerate(form)])
+        diagonal = [const_matrix([[f[k] if i == j else 0 for j in range(3)] for i, f in enumerate(forms)],
+                                 "symmetric") for k in range(3)]
+        tampered = diagonal[:1] + [const_matrix([[1, 1, 0], [1, 0, 0], [0, 0, 0]], "symmetric")] + diagonal[2:]
+        for pencil in (diagonal, tampered):
+            report = verify_pencil(pencil, h, 1, (1, 1, 1)).to_json_dict()
+            assert report.pop("notes") == {"method": method}
+            assert report == pencil_reference(pencil, h, 1, (1, 1, 1), False)
+        assert report["failures"][0]["name"] == "determinant"
 
     @given(companion_inputs())
     def test_companion_ok_iff_bareiss_identity(self, case):
