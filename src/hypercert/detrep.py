@@ -12,13 +12,14 @@ A determinant identity det = c*h^r is decided by one of three routes:
   det(y*I - Q) = (y^2 - P)^(m/2) (:func:`_involution`), so an input of that
   shape -- a pencil ell*I - Q for quadratic h, or a symmetric/hermitian A
   with h = y^2 - P -- is decided by forming Q^2 once;
-- *lattice* (pencils only): a form of degree m in n variables is fixed by
-  its values at the T = C(m+n-1, n-1) points (1, b), b in N^(n-1) with
-  |b| <= m (the principal lattice of a simplex), so det(sum x_i A_i) is
-  interpolated exactly from T integer or Gaussian-integer determinants
-  (:func:`_lattice_det`).  Only a dense determinant repays T eliminations,
-  so this route is taken when h^r has at least T/2 terms;
-- *Bareiss*: every other input gets the fraction-free determinant over
+- *lattice* (pencils for h of any degree but 2): a form of degree m in n
+  variables is fixed by its values at the T = C(m+n-1, n-1) points (1, b),
+  b in N^(n-1) with |b| <= m (the principal lattice of a simplex), so
+  det(sum x_i A_i) is interpolated exactly from T integer or
+  Gaussian-integer determinants (:func:`_lattice_det`);
+- *Bareiss*: a pencil for quadratic h that is not an involution expands
+  the polynomial matrix the involution test already built, and a companion
+  outside the involution route gets the same fraction-free determinant over
   polynomials (:func:`poly_det`).
 
 The lattice and Bareiss routes give the same polynomial, so the same scalar
@@ -397,11 +398,11 @@ class DetRepReport:
 
     ``ok`` implies no failures and scalar > 0.  ``notes["method"]`` names
     the determinant route: "minimal-polynomial-shortcut" (an involution),
-    "lattice" (pencils whose h^r has at least half of the C(m+n-1, n-1)
-    monomials of degree m, interpolated from lattice values) or "bareiss"
-    (the polynomial elimination); the last two give the same determinant,
-    so the same scalar and witness.  The companion route records whether
-    its branch P is a square.
+    "lattice" (pencils for h of any degree but 2, interpolated from values on
+    the simplex lattice) or "bareiss" (the polynomial elimination, for
+    quadratic pencils and companions outside the involution route); the
+    last two give the same determinant, so the same scalar and witness.
+    The companion route records whether its branch P is a square.
     """
 
     ok: bool
@@ -500,12 +501,11 @@ def verify_pencil(
     Three named checks: symmetry kind, determinant identity (c = 1 unless
     ``up_to_scalar``), and positive definiteness of sum e_i A_i.  For
     quadratic h whose pencil is ell*I - Q with Q^2 = P*I (see
-    :func:`_involution`) the determinant is (ell^2 - P)^r.  Otherwise, with
-    T = C(m+n-1, n-1) the number of monomials of degree m in the n
-    variables, the determinant is interpolated from its values at T lattice
-    points (:func:`_lattice_det`) when h^r has at least T/2 terms, and
-    expanded by Bareiss (:func:`poly_det`) when h^r is sparser.  Both give
-    the same polynomial.
+    :func:`_involution`) the determinant is (ell^2 - P)^r; any other
+    quadratic pencil is expanded by Bareiss (:func:`poly_det`) from the
+    polynomial matrix that test built.  For h of any other degree the
+    determinant is interpolated from its values at the C(m+n-1, n-1)
+    lattice points (:func:`_lattice_det`).  Both give the same polynomial.
     """
     if r < 1:
         raise ValueError(f"power r = {r} must be at least 1")
@@ -539,19 +539,21 @@ def verify_pencil(
                 CheckFailure("kind", f"matrix {idx} entry {bad} breaks {kind} symmetry")
             )
 
-    matched = _match_branch(pencil_to_polymatrix(matrices, ring), h, r, up_to_scalar) if deg == 2 else None
+    matched = None
+    if deg == 2:
+        pencil_matrix = pencil_to_polymatrix(matrices, ring)
+        matched = _match_branch(pencil_matrix, h, r, up_to_scalar)
     if matched is not None:
         notes["method"] = "minimal-polynomial-shortcut"
         scalar, det_witness = matched
     else:
-        target = h ** r
-        if 2 * len(target.terms) >= math.comb(m + ring.arity - 1, m):
+        if deg == 2:
+            notes["method"] = "bareiss"
+            det = poly_det(pencil_matrix)
+        else:
             notes["method"] = "lattice"
             det = _lattice_det(matrices, ring)
-        else:
-            notes["method"] = "bareiss"
-            det = poly_det(pencil_to_polymatrix(matrices, ring))
-        scalar, det_witness = _match_scalar(det, target, up_to_scalar)
+        scalar, det_witness = _match_scalar(det, h ** r, up_to_scalar)
     if det_witness is not None:
         failures.append(CheckFailure("determinant", det_witness))
     elif scalar <= 0:

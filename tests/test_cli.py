@@ -319,9 +319,9 @@ class TestVerifyDetrepVariables:
 class TestVerifyDetrepLatticeInputChecks:
     """The lattice route keeps the input checks of the polynomial route.
 
-    h = (x0 + x1)(x0 + x2)(x0 + x1 + x2) has 8 of the 10 cubic monomials, so
-    its pencils are decided by lattice evaluation; pencil_to_polymatrix,
-    which the other routes build, is replaced by a tripwire."""
+    h = (x0 + x1)(x0 + x2)(x0 + x1 + x2) is a cubic, so its pencils are
+    decided by lattice evaluation; pencil_to_polymatrix, which the other
+    routes build, is replaced by a tripwire."""
 
     FORMS = ([1, 1, 0], [1, 0, 1], [1, 1, 1])  # diag(forms) has det h
 

@@ -704,27 +704,25 @@ class TestRouteAgreement:
     def test_dense_pencil_report_matches_bareiss_reference(self, case):
         # Outside the involution route the whole report, witnesses included,
         # is the one the Bareiss determinant gives; the route is set by the
-        # density of h^r alone.
+        # degree of h alone.
         matrices, h, r, e, up_to_scalar = case
         report = verify_pencil(matrices, h, r, e, up_to_scalar=up_to_scalar).to_json_dict()
         method = report.pop("notes")["method"]
         if method == "minimal-polynomial-shortcut":
             return
-        m, n = matrices[0].size, len(matrices)
-        dense = 2 * len((h ** r).terms) >= math.comb(m + n - 1, n - 1)
-        assert method == ("lattice" if dense else "bareiss")
+        assert method == ("bareiss" if h.weighted_degree() == 2 else "lattice")
         assert report == pencil_reference(matrices, h, r, e, up_to_scalar)
 
     @pytest.mark.parametrize(
-        "forms, method",
+        "forms",
         [
             # (x0 + x1)(x0 + x2)(x0 + x1 + x2): 8 of the 10 cubic monomials.
-            (([1, 1, 0], [1, 0, 1], [1, 1, 1]), "lattice"),
+            ([1, 1, 0], [1, 0, 1], [1, 1, 1]),
             # x0*x1*(x0 + x2): 2 of 10.
-            (([1, 0, 0], [0, 1, 0], [1, 0, 1]), "bareiss"),
+            ([1, 0, 0], [0, 1, 0], [1, 0, 1]),
         ],
     )
-    def test_route_follows_the_density_of_h(self, forms, method):
+    def test_cubic_pencils_take_the_lattice_route(self, forms):
         h = MultiPoly.constant(R3, 1)
         for form in forms:
             h = h * MultiPoly.from_terms(R3, [(tuple(int(j == k) for j in range(3)), c) for k, c in enumerate(form)])
@@ -733,7 +731,7 @@ class TestRouteAgreement:
         tampered = diagonal[:1] + [const_matrix([[1, 1, 0], [1, 0, 0], [0, 0, 0]], "symmetric")] + diagonal[2:]
         for pencil in (diagonal, tampered):
             report = verify_pencil(pencil, h, 1, (1, 1, 1)).to_json_dict()
-            assert report.pop("notes") == {"method": method}
+            assert report.pop("notes") == {"method": "lattice"}
             assert report == pencil_reference(pencil, h, 1, (1, 1, 1), False)
         assert report["failures"][0]["name"] == "determinant"
 
