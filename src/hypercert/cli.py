@@ -86,7 +86,7 @@ def _cmd_check_interlacer(args) -> int:
 
 def _load_matrix_or_pencil(path: str):
     data = json.loads(Path(path).read_text(encoding="ascii"))
-    if "matrices" in data:
+    if isinstance(data, dict) and "matrices" in data:
         matrices, ring = pencil_from_json(data)
         return None, matrices, ring
     matrix = polymatrix_from_json(data)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .polyring import MultiPoly, Ring, _sum_of_squares, parse, real_square_factorization
+from .polyring import MultiPoly, ParseError, Ring, _sum_of_squares, parse, real_square_factorization
 from .scalars import (
     GR_ONE,
     GR_ZERO,
@@ -53,6 +53,7 @@ from .scalars import (
     first_nonpositive_minor,
     pencil_value,
 )
+from .wire import _json_field, _json_flag, _json_list, _json_strings
 
 
 class PolyMatrix:
@@ -189,12 +190,16 @@ class PolyMatrix:
 def polymatrix_from_json(data: Union[str, dict]) -> PolyMatrix:
     if isinstance(data, str):
         data = json.loads(data)
-    ring = Ring(
-        tuple(data["ring"]["vars"]),
-        tuple(int(w) for w in data["ring"]["weights"]),
-        bool(data["ring"].get("gaussian", False)),
-    )
-    return PolyMatrix.from_strings(ring, data["entries"], data.get("kind", KIND_NONE))
+    header = _json_field(data, "ring", "polynomial matrix")
+    entries = _json_strings(_json_field(data, "entries", "polynomial matrix"), "entries", depth=2)
+    names = tuple(_json_strings(_json_field(header, "vars", "ring"), "ring.vars"))
+    weights = _json_list(_json_field(header, "weights", "ring"), "ring.weights")
+    try:
+        weights = tuple(int(w) for w in weights)
+    except (TypeError, ValueError):
+        raise ParseError(f"ring.weights must be integers, not {json.dumps(weights)}") from None
+    ring = Ring(names, weights, _json_flag(header, "gaussian", "ring.gaussian"))
+    return PolyMatrix.from_strings(ring, entries, data.get("kind", KIND_NONE))
 
 
 def scalar_polymatrix(p: MultiPoly, n: int, kind: str = KIND_SYMMETRIC) -> PolyMatrix:

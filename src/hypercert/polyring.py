@@ -20,17 +20,29 @@ The ASCII grammar implemented by :func:`parse` / ``MultiPoly.__str__`` is the
 single wire format for polynomials in files, CLI arguments and matrix JSON:
 identifiers from the ring, operators ``+ - * ^`` with standard precedence,
 parentheses, integer and ``p/q`` rational literals, and the literal token
-``i`` for the imaginary unit in Gaussian rings.  Whitespace is insignificant.
+``i`` for the imaginary unit in Gaussian rings.  Literals are ASCII digits
+and names ASCII identifiers; whitespace is insignificant, and any other
+character is a ParseError naming it and its position.
+
+Parsing builds terms directly.  Each subexpression is a dict from exponent
+vectors to (re, im) pairs of ints or Fractions: a sum adds its right-hand
+terms into the left dict in place, a product with a one-term factor shifts
+the exponent vectors and multiplies the pairs, and a one-term base is raised
+to its power directly.  Only a product or power of two multi-term
+subexpressions (parenthesised sums) runs the MultiPoly kernel.  The
+coefficients become GaussianRational once, at the end, where zero terms are
+dropped.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import getitem, mul
+from operator import add, getitem, mul
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .scalars import (
@@ -58,7 +70,7 @@ def _as_coeff(value: CoeffLike) -> GaussianRational:
 
 @dataclass(frozen=True)
 class Ring:
-    """An ordered list of variables with positive weights.
+    """An ordered list of variables (ASCII identifiers) with positive weights.
 
     ``gaussian`` enables coefficients in Q(i); otherwise any imaginary part
     is rejected.  A distinguished variable (conventionally ``y``) may carry
@@ -75,7 +87,7 @@ class Ring:
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
         for name in self.variables:
-            if not name.isidentifier():
+            if not (name.isascii() and name.isidentifier()):
                 raise ValueError(f"invalid variable name {name!r}")
         if self.gaussian and "i" in self.variables:
             raise ValueError("'i' denotes the imaginary unit in a gaussian ring")
@@ -258,16 +270,6 @@ class MultiPoly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
-    def constant_value(self) -> GaussianRational:
-        if self.is_zero():
-            return GR_ZERO
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
 
     def is_real(self) -> bool:
         return all(not c.im for c in self.terms.values())
@@ -559,143 +561,196 @@ class MultiPoly:
 # Parsing and formatting
 # ---------------------------------------------------------------------------
 
+# The tokens: an ASCII integer, an ASCII identifier or an operator.  Any
+# other character but whitespace is an error, found by ``_BAD_CHAR`` first.
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*^/()]")
+_BAD_CHAR = re.compile(r"[^\s0-9A-Za-z_*^/()+-]")
 _OPS = set("+-*^/()")
 
+# A parsed subexpression: exponent vector -> (re, im), each part an int or a
+# Fraction.  Zero coefficients may be present until the final conversion.
+_Terms = dict[tuple[int, ...], tuple[Union[int, Fraction], Union[int, Fraction]]]
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    k = 0
-    while k < len(text):
-        ch = text[k]
-        if ch.isspace():
-            k += 1
-            continue
-        if ch in _OPS:
-            tokens.append(("op", ch, k))
-            k += 1
-            continue
-        if ch.isdigit():
-            start = k
-            while k < len(text) and text[k].isdigit():
-                k += 1
-            tokens.append(("int", text[start:k], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = k
-            while k < len(text) and (text[k].isalnum() or text[k] == "_"):
-                k += 1
-            tokens.append(("name", text[start:k], start))
-            continue
-        raise ParseError(f"unexpected character {ch!r} at position {k}")
-    return tokens
+
+def _terms_of(poly: MultiPoly) -> _Terms:
+    return {e: (c.re, c.im) for e, c in poly.terms.items()}
+
+
+def _poly_of(ring: Ring, terms: _Terms) -> MultiPoly:
+    """The MultiPoly of a term dict: each coefficient becomes a
+    GaussianRational once, and zero terms are dropped."""
+    return MultiPoly(
+        ring,
+        {
+            e: _gaussian(as_fraction(re), as_fraction(im) if im else _ZERO)
+            for e, (re, im) in terms.items()
+            if re or im
+        },
+    )
+
+
+def _negate(terms: _Terms) -> _Terms:
+    for e, (re, im) in terms.items():
+        terms[e] = (-re, -im)
+    return terms
+
+
+def _pair_pow(re, im, n: int):
+    """(re + im*i)^n by square and multiply, for n >= 1."""
+    if not im:
+        return re**n, 0
+    out_re, out_im = 1, 0
+    while True:
+        if n & 1:
+            out_re, out_im = out_re * re - out_im * im, out_re * im + out_im * re
+        n >>= 1
+        if not n:
+            return out_re, out_im
+        re, im = re * re - im * im, 2 * re * im
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], ring: Ring):
+    """Recursive descent over the token list; every method returns a fresh
+    term dict that its caller may update in place."""
+
+    def __init__(self, text: str, ring: Ring):
+        bad = _BAD_CHAR.search(text)
+        if bad:
+            raise ParseError(f"unexpected character {bad.group()!r} at position {bad.start()}")
+        tokens = _TOKEN.findall(text)
+        if not tokens:
+            raise ParseError("empty polynomial text")
+        tokens.append("")  # end of input
+        self.text = text
         self.tokens = tokens
         self.ring = ring
         self.pos = 0
+        n = ring.arity
+        self.one = (0,) * n
+        self.units = {
+            name: tuple(1 if k == idx else 0 for k in range(n))
+            for idx, name in enumerate(ring.variables)
+        }
 
-    def peek(self) -> Optional[tuple[str, str, int]]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
+    def next(self) -> str:
+        tok = self.tokens[self.pos]
+        if not tok:
             raise ParseError("unexpected end of input")
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str) -> None:
-        tok = self.next()
-        if tok[0] != "op" or tok[1] != op:
-            raise ParseError(f"expected {op!r} at position {tok[2]}")
+    def start(self, k: int) -> int:
+        """Start position of token ``k``, found only for error messages."""
+        return [m.start() for m in _TOKEN.finditer(self.text)][k]
+
+    def at(self) -> int:
+        """Start position of the token last taken."""
+        return self.start(self.pos - 1)
 
     def parse(self) -> MultiPoly:
-        poly = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected token {tok[1]!r} at position {tok[2]}")
-        return poly
+        terms = self.expr()
+        tok = self.tokens[self.pos]
+        if tok:
+            raise ParseError(f"unexpected token {tok!r} at position {self.start(self.pos)}")
+        return _poly_of(self.ring, terms)
 
-    def expr(self) -> MultiPoly:
-        value = self.term()
+    def expr(self) -> _Terms:
+        terms = self.term()
+        get = terms.get
         while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] not in "+-":
-                return value
-            self.next()
+            op = self.tokens[self.pos]
+            if op != "+" and op != "-":
+                return terms
+            self.pos += 1
             rhs = self.term()
-            value = value + rhs if tok[1] == "+" else value - rhs
+            if op == "-":
+                _negate(rhs)
+            for e, c in rhs.items():
+                old = get(e)
+                terms[e] = c if old is None else (old[0] + c[0], old[1] + c[1])
 
-    def term(self) -> MultiPoly:
-        value = self.factor()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] != "*":
-                return value
-            self.next()
-            value = value * self.factor()
+    def term(self) -> _Terms:
+        terms = self.factor()
+        while self.tokens[self.pos] == "*":
+            self.pos += 1
+            terms = self.product(terms, self.factor())
+        return terms
 
-    def factor(self) -> MultiPoly:
-        tok = self.peek()
-        if tok is not None and tok[0] == "op" and tok[1] in "+-":
-            self.next()
-            inner = self.factor()
-            return inner if tok[1] == "+" else -inner
-        return self.power()
+    def product(self, a: _Terms, b: _Terms) -> _Terms:
+        if len(a) > 1 and len(b) > 1:
+            return _terms_of(_poly_of(self.ring, a) * _poly_of(self.ring, b))
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            return a
+        ((ea, (ra, ia)),) = a.items()
+        if any(ea):
+            b = {tuple(map(add, ea, e)): c for e, c in b.items()}
+        if ia:
+            return {e: (ra * re - ia * im, ra * im + ia * re) for e, (re, im) in b.items()}
+        return {e: (ra * re, ra * im if im else 0) for e, (re, im) in b.items()}
 
-    def power(self) -> MultiPoly:
+    def factor(self) -> _Terms:
+        sign = self.tokens[self.pos]
+        if sign != "+" and sign != "-":
+            return self.power()
+        self.pos += 1
+        terms = self.factor()
+        return _negate(terms) if sign == "-" else terms
+
+    def power(self) -> _Terms:
         base = self.atom()
-        tok = self.peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "^":
-            self.next()
-            exp_tok = self.next()
-            if exp_tok[0] != "int":
-                raise ParseError(f"exponent must be an integer at position {exp_tok[2]}")
-            return base ** int(exp_tok[1])
-        return base
-
-    def atom(self) -> MultiPoly:
+        if self.tokens[self.pos] != "^":
+            return base
+        self.pos += 1
         tok = self.next()
-        kind, text, pos = tok
-        if kind == "op" and text == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        if kind == "int":
-            value = Fraction(int(text))
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
-                self.next()
-                den_tok = self.next()
-                if den_tok[0] != "int":
+        if not tok.isdigit():
+            raise ParseError(f"exponent must be an integer at position {self.at()}")
+        n = int(tok)
+        if n == 0:
+            return {self.one: (1, 0)}
+        if len(base) > 1:
+            return _terms_of(_poly_of(self.ring, base) ** n)
+        return {tuple(k * n for k in e): _pair_pow(re, im, n) for e, (re, im) in base.items()}
+
+    def atom(self) -> _Terms:
+        tok = self.next()
+        if tok == "(":
+            terms = self.expr()
+            if self.next() != ")":
+                raise ParseError(f"expected ')' at position {self.at()}")
+            return terms
+        if tok.isdigit():
+            value = int(tok)
+            if self.tokens[self.pos] == "/":
+                self.pos += 1
+                den = self.next()
+                if not den.isdigit():
                     raise ParseError(
-                        f"rational literal needs an integer denominator at position {den_tok[2]}"
+                        f"rational literal needs an integer denominator at position {self.at()}"
                     )
-                den = int(den_tok[1])
-                if den == 0:
-                    raise ParseError(f"zero denominator at position {den_tok[2]}")
-                value /= den
-            return MultiPoly.constant(self.ring, value)
-        if kind == "name":
-            if text == "i" and self.ring.gaussian:
-                return MultiPoly.constant(self.ring, GaussianRational(0, 1))
-            if text == "i" and "i" not in self.ring.variables:
+                den = int(den)
+                if not den:
+                    raise ParseError(f"zero denominator at position {self.at()}")
+                value = Fraction(value, den)
+            return {self.one: (value, 0)}
+        if tok not in _OPS:
+            if tok == "i" and self.ring.gaussian:
+                return {self.one: (0, 1)}
+            if tok == "i" and "i" not in self.units:
                 raise ParseError("imaginary coefficient in a non-gaussian ring")
-            if text not in self.ring.variables:
-                raise ParseError(f"unknown variable {text!r} at position {pos}")
-            return MultiPoly.variable(self.ring, text)
-        raise ParseError(f"unexpected token {text!r} at position {pos}")
+            unit = self.units.get(tok)
+            if unit is None:
+                raise ParseError(f"unknown variable {tok!r} at position {self.at()}")
+            return {unit: (1, 0)}
+        raise ParseError(f"unexpected token {tok!r} at position {self.at()}")
 
 
 def parse(text: str, ring: Ring) -> MultiPoly:
     """Parse an expression in the polynomial grammar into ``ring``."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial text")
+    parser = _Parser(text, ring)
     try:
-        return _Parser(tokens, ring).parse()
+        return parser.parse()
     except RecursionError:
         raise ParseError("expression is nested too deeply") from None
 

@@ -9,6 +9,12 @@ polynomial grammar:
 Directions are comma-separated rationals ("1,0,0" or "1/2,-3,0").  Pencils
 serialize as JSON {"vars": [...], "kind": ..., "gaussian": ...,
 "matrices": [rows of "a+b*i" strings, one block per variable]}.
+
+Polynomials, squares-file lines, polynomial-matrix entries and pencil cells
+all go through the one parser, ``polyring.parse``, which builds each term
+dict directly (see the polyring docstring); its literals and names are
+ASCII.  A JSON file of the wrong shape is a ParseError that names the bad
+field or cell.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from pathlib import Path
 from typing import Sequence, Union
 
 from .polyring import MultiPoly, ParseError, Ring, parse
-from .scalars import KIND_NONE, ConstMatrix, GaussianRational, _common_kind, as_fraction
+from .scalars import GR_ZERO, KIND_NONE, ConstMatrix, GaussianRational, _common_kind, as_fraction
 
 PathLike = Union[str, Path]
 
@@ -115,18 +121,54 @@ def pencil_to_json_dict(
 def _parse_cell(text: str) -> GaussianRational:
     """A pencil entry "a+b*i" (literal token i): any constant expression in
     the polynomial grammar, parsed over the empty Gaussian ring."""
-    return parse(text, _CELL_RING).constant_value()
+    return parse(text, _CELL_RING).terms.get((), GR_ZERO)
+
+
+def _json_field(data, key: str, what: str):
+    """data[key], where data must be a JSON object that has the key."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    if key not in data:
+        raise ParseError(f"{what} has no {key!r} field")
+    return data[key]
+
+
+def _json_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where} must be a list, not {json.dumps(value)}")
+    return value
+
+
+def _json_flag(data: dict, key: str, where: str) -> bool:
+    """data[key] as a JSON boolean, False if absent (a string "false" is
+    not read as true)."""
+    value = data.get(key, False)
+    if not isinstance(value, bool):
+        raise ParseError(f"{where} must be true or false, not {json.dumps(value)}")
+    return value
+
+
+def _json_strings(value, where: str, depth: int = 1) -> list:
+    """A JSON list of strings, or with ``depth`` > 1 a list of such lists
+    (rows of a matrix, blocks of a pencil); the error names the first bad
+    item by its index path."""
+    for k, item in enumerate(_json_list(value, where)):
+        if depth > 1:
+            _json_strings(item, f"{where}[{k}]", depth - 1)
+        elif not isinstance(item, str):
+            raise ParseError(f"{where}[{k}] must be a string, not {json.dumps(item)}")
+    return value
 
 
 def pencil_from_json(data: Union[str, dict]) -> tuple[list[ConstMatrix], Ring]:
     if isinstance(data, str):
         data = json.loads(data)
-    names = tuple(data["vars"])
-    gaussian = bool(data.get("gaussian", False))
-    ring = Ring.standard(names, gaussian)
+    names = tuple(_json_strings(_json_field(data, "vars", "pencil"), "vars"))
+    blocks = _json_strings(_json_field(data, "matrices", "pencil"), "matrices", depth=3)
+    ring = Ring.standard(names, _json_flag(data, "gaussian", "gaussian"))
     kind = data.get("kind", KIND_NONE)
     matrices = []
-    for block in data["matrices"]:
+    for block in blocks:
         rows = [[_parse_cell(cell) for cell in row] for row in block]
         matrices.append(ConstMatrix(rows, kind))
     if len(matrices) != len(names):

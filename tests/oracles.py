@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from hypercert.detrep import PolyMatrix, pencil_to_polymatrix, poly_det
-from hypercert.polyring import MultiPoly, UniPoly
+from hypercert.polyring import MultiPoly, ParseError, UniPoly
 from hypercert.scalars import ConstMatrix, GaussianRational, as_fraction, first_nonpositive_minor, pencil_value
 
 
@@ -177,3 +177,151 @@ def companion_det(matrix, ring_h):
         for i, row in enumerate(matrix.rows)
     ]
     return poly_det(PolyMatrix(ring_h, rows))
+
+
+_OPS = set("+-*^/()")
+_ASCII_DIGITS = set("0123456789")
+_ASCII_NAME = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_") | _ASCII_DIGITS
+
+
+def _reference_tokenize(text):
+    tokens = []
+    k = 0
+    while k < len(text):
+        ch = text[k]
+        if ch.isspace():
+            k += 1
+            continue
+        if ch in _OPS:
+            tokens.append(("op", ch, k))
+            k += 1
+            continue
+        if ch in _ASCII_DIGITS:
+            start = k
+            while k < len(text) and text[k] in _ASCII_DIGITS:
+                k += 1
+            tokens.append(("int", text[start:k], start))
+            continue
+        if ch in _ASCII_NAME:
+            start = k
+            while k < len(text) and text[k] in _ASCII_NAME:
+                k += 1
+            tokens.append(("name", text[start:k], start))
+            continue
+        raise ParseError(f"unexpected character {ch!r} at position {k}")
+    return tokens
+
+
+class _ReferenceParser:
+    """Recursive descent that evaluates every node with MultiPoly
+    arithmetic: each sum copies its left operand, each product and power
+    runs the packed-key kernel."""
+
+    def __init__(self, tokens, ring):
+        self.tokens = tokens
+        self.ring = ring
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input")
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op):
+        tok = self.next()
+        if tok[0] != "op" or tok[1] != op:
+            raise ParseError(f"expected {op!r} at position {tok[2]}")
+
+    def parse(self):
+        poly = self.expr()
+        tok = self.peek()
+        if tok is not None:
+            raise ParseError(f"unexpected token {tok[1]!r} at position {tok[2]}")
+        return poly
+
+    def expr(self):
+        value = self.term()
+        while True:
+            tok = self.peek()
+            if tok is None or tok[0] != "op" or tok[1] not in "+-":
+                return value
+            self.next()
+            rhs = self.term()
+            value = value + rhs if tok[1] == "+" else value - rhs
+
+    def term(self):
+        value = self.factor()
+        while True:
+            tok = self.peek()
+            if tok is None or tok[0] != "op" or tok[1] != "*":
+                return value
+            self.next()
+            value = value * self.factor()
+
+    def factor(self):
+        tok = self.peek()
+        if tok is not None and tok[0] == "op" and tok[1] in "+-":
+            self.next()
+            inner = self.factor()
+            return inner if tok[1] == "+" else -inner
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        tok = self.peek()
+        if tok is not None and tok[0] == "op" and tok[1] == "^":
+            self.next()
+            exp_tok = self.next()
+            if exp_tok[0] != "int":
+                raise ParseError(f"exponent must be an integer at position {exp_tok[2]}")
+            return base ** int(exp_tok[1])
+        return base
+
+    def atom(self):
+        kind, text, pos = self.next()
+        if kind == "op" and text == "(":
+            inner = self.expr()
+            self.expect_op(")")
+            return inner
+        if kind == "int":
+            value = Fraction(int(text))
+            nxt = self.peek()
+            if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
+                self.next()
+                den_tok = self.next()
+                if den_tok[0] != "int":
+                    raise ParseError(
+                        f"rational literal needs an integer denominator at position {den_tok[2]}"
+                    )
+                den = int(den_tok[1])
+                if den == 0:
+                    raise ParseError(f"zero denominator at position {den_tok[2]}")
+                value /= den
+            return MultiPoly.constant(self.ring, value)
+        if kind == "name":
+            if text == "i" and self.ring.gaussian:
+                return MultiPoly.constant(self.ring, GaussianRational(0, 1))
+            if text == "i" and "i" not in self.ring.variables:
+                raise ParseError("imaginary coefficient in a non-gaussian ring")
+            if text not in self.ring.variables:
+                raise ParseError(f"unknown variable {text!r} at position {pos}")
+            return MultiPoly.variable(self.ring, text)
+        raise ParseError(f"unexpected token {text!r} at position {pos}")
+
+
+def reference_parse(text, ring):
+    """The polynomial grammar evaluated node by node with MultiPoly
+    arithmetic: the specification ``polyring.parse`` must match exactly,
+    value and error message alike."""
+    tokens = _reference_tokenize(text)
+    if not tokens:
+        raise ParseError("empty polynomial text")
+    try:
+        return _ReferenceParser(tokens, ring).parse()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply") from None

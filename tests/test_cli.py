@@ -316,6 +316,70 @@ class TestVerifyDetrepVariables:
         assert "pencil variables ['x1', 'x0', 'x2'] differ" in capsys.readouterr().err
 
 
+PENCIL = {"vars": ["x0", "x1", "x2"], "kind": "symmetric", "gaussian": False, "matrices": QUADRIC_SLICES}
+POLYMATRIX = {
+    "ring": {"vars": ["x0", "x1", "x2"], "weights": [1, 1, 1], "gaussian": False},
+    "kind": "symmetric",
+    "entries": [["x0 + x1", "x2"], ["x2", "x0 - x1"]],
+}
+
+
+def _changed(data, path, value):
+    """A copy of the JSON data with the item at ``path`` set to ``value``,
+    or deleted if ``value`` is ``...``."""
+    data = json.loads(json.dumps(data))
+    node = data
+    for k in path[:-1]:
+        node = node[k]
+    if value is ...:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return data
+
+
+class TestMalformedMatrixJson:
+    """A matrix file of the wrong shape is an input error (exit 64) that
+    names the bad field or cell, not a traceback out of main."""
+
+    CASES = [
+        (_changed(PENCIL, ["matrices", 0, 0, 0], 1), "matrices[0][0][0] must be a string, not 1"),
+        (_changed(PENCIL, ["matrices", 2, 1], "0"), 'matrices[2][1] must be a list, not "0"'),
+        (_changed(PENCIL, ["matrices", 1], None), "matrices[1] must be a list, not null"),
+        (_changed(PENCIL, ["matrices"], {"x0": []}), 'matrices must be a list, not {"x0": []}'),
+        (_changed(PENCIL, ["vars"], ...), "pencil has no 'vars' field"),
+        (_changed(PENCIL, ["vars"], "x0,x1,x2"), 'vars must be a list, not "x0,x1,x2"'),
+        (_changed(PENCIL, ["vars", 1], 1), "vars[1] must be a string, not 1"),
+        (_changed(PENCIL, ["gaussian"], "false"), 'gaussian must be true or false, not "false"'),
+        (_changed(POLYMATRIX, ["ring", "gaussian"], 0), "ring.gaussian must be true or false, not 0"),
+        (_changed(POLYMATRIX, ["ring"], ...), "polynomial matrix has no 'ring' field"),
+        (_changed(POLYMATRIX, ["entries"], ...), "polynomial matrix has no 'entries' field"),
+        (_changed(POLYMATRIX, ["ring"], ["x0", "x1", "x2"]), "ring must be a JSON object"),
+        (_changed(PENCIL, ["matrices", 0, 1], ["0", None]), "matrices[0][1][1] must be a string, not null"),
+        (_changed(POLYMATRIX, ["ring", "weights"], ...), "ring has no 'weights' field"),
+        (_changed(POLYMATRIX, ["ring", "vars"], ...), "ring has no 'vars' field"),
+        (_changed(POLYMATRIX, ["ring", "weights", 1], None), "ring.weights must be integers, not [1, null, 1]"),
+        (_changed(POLYMATRIX, ["entries", 1, 0], 2), "entries[1][0] must be a string, not 2"),
+        (_changed(POLYMATRIX, ["entries"], "x0"), 'entries must be a list, not "x0"'),
+        ([["x0"]], "polynomial matrix must be a JSON object"),
+        (5, "polynomial matrix must be a JSON object"),
+    ]
+
+    @pytest.mark.parametrize("data, message", CASES, ids=range(len(CASES)))
+    def test_exit_64_names_the_field(self, files, tmp_path, capsys, data, message):
+        matrix = tmp_path / "m.json"
+        matrix.write_text(json.dumps(data))
+        code = main(["verify-detrep", "--matrix", str(matrix), "--poly", files["q.txt"], "--dir", "1,0,0"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    def test_well_formed_files_still_verify(self, files, tmp_path, capsys):
+        for data in (PENCIL, POLYMATRIX):
+            matrix = tmp_path / "m.json"
+            matrix.write_text(json.dumps(data))
+            assert main(["verify-detrep", "--matrix", str(matrix), "--poly", files["q.txt"], "--dir", "1,0,0"]) == EXIT_OK
+
+
 class TestVerifyDetrepLatticeInputChecks:
     """The lattice route keeps the input checks of the polynomial route.
 

@@ -1,0 +1,82 @@
+"""Wire formats: text and JSON round-trips."""
+
+import json
+from fractions import Fraction
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from hypercert.polyring import MultiPoly, Ring
+from hypercert.scalars import MATRIX_KINDS, ConstMatrix, GaussianRational
+from hypercert.wire import (
+    dump_poly_text,
+    parse_point,
+    parse_poly_text,
+    parse_squares_text,
+    pencil_from_json,
+    pencil_to_json_dict,
+)
+
+fractions = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 50))
+# ASCII identifiers other than the imaginary unit.
+identifiers = st.sampled_from(["x0", "x1", "x12", "y", "Z", "_t", "a_b", "I", "ii"])
+
+
+@st.composite
+def rings(draw, max_arity=4):
+    names = draw(st.lists(identifiers, min_size=1, max_size=max_arity, unique=True))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(names), max_size=len(names)))
+    return Ring(tuple(names), tuple(weights), draw(st.booleans()))
+
+
+def coefficients(gaussian):
+    if not gaussian:
+        return fractions.map(GaussianRational)
+    return st.builds(GaussianRational, fractions, fractions)
+
+
+@st.composite
+def polys(draw, ring):
+    exponents = st.tuples(*[st.integers(0, 3)] * ring.arity)
+    items = draw(st.lists(st.tuples(exponents, coefficients(ring.gaussian)), max_size=6))
+    return MultiPoly.from_terms(ring, items)
+
+
+class TestRoundTrips:
+    @given(st.data())
+    def test_poly_file(self, data):
+        """The ring header (names, weights, the gaussian flag) and the
+        polynomial come back from dump_poly_text."""
+        p = data.draw(polys(data.draw(rings())))
+        q = parse_poly_text(dump_poly_text(p))
+        assert q.ring == p.ring
+        assert q == p
+
+    @given(st.data())
+    def test_squares_file(self, data):
+        ring = data.draw(rings())
+        forms = data.draw(st.lists(polys(ring), min_size=1, max_size=4))
+        header = dump_poly_text(MultiPoly.zero(ring)).splitlines()[0]
+        text = "\n".join([header] + [str(g) for g in forms]) + "\n"
+        assert parse_squares_text(text) == forms
+
+    @given(st.data())
+    def test_pencil_json(self, data):
+        names = data.draw(st.lists(identifiers, min_size=1, max_size=3, unique=True))
+        gaussian = data.draw(st.booleans())
+        kind = data.draw(st.sampled_from(MATRIX_KINDS))
+        m = data.draw(st.integers(1, 3))
+        count = m * m * len(names)
+        entries = data.draw(st.lists(coefficients(gaussian), min_size=count, max_size=count))
+        matrices = [
+            ConstMatrix([entries[k + i * m : k + (i + 1) * m] for i in range(m)], kind)
+            for k in range(0, len(entries), m * m)
+        ]
+        text = json.dumps(pencil_to_json_dict(matrices, names, gaussian))
+        back, ring = pencil_from_json(text)
+        assert ring == Ring.standard(names, gaussian)
+        assert back == matrices
+
+    @given(st.lists(fractions, min_size=1, max_size=6))
+    def test_point(self, point):
+        assert parse_point(",".join(str(Fraction(c)) for c in point)) == tuple(point)
