@@ -6,24 +6,21 @@ matrices A_i (entries degree 1), and companion forms y*I - A(x) where A has
 homogeneous entries of the weight of y.  Verification reports are exact:
 every failed check carries a witness that re-verifies independently.
 
-A determinant identity det = c*h^r is decided by one of three routes:
+A determinant identity det = c*h^r is decided by the involution route where
+it applies, else on the lattice for a pencil and by fraction-free Bareiss
+elimination over polynomials (:func:`poly_det`) for a companion:
 
 - *involution*: if trace Q = 0 and Q^2 = P*I then
   det(y*I - Q) = (y^2 - P)^(m/2) (:func:`_involution`), so an input of that
   shape -- a pencil ell*I - Q for quadratic h, or a symmetric/hermitian A
   with h = y^2 - P -- is decided by forming Q^2 once;
-- *lattice* (pencils for h of any degree but 2): a form of degree m in n
-  variables is fixed by its values at the T = C(m+n-1, n-1) points (1, b),
-  b in N^(n-1) with |b| <= m (the principal lattice of a simplex), so
-  det(sum x_i A_i) is interpolated exactly from T integer or
-  Gaussian-integer determinants (:func:`_lattice_det`);
-- *Bareiss*: a pencil for quadratic h that is not an involution expands
-  the polynomial matrix the involution test already built, and a companion
-  outside the involution route gets the same fraction-free determinant over
-  polynomials (:func:`poly_det`).
-
-The lattice and Bareiss routes give the same polynomial, so the same scalar
-and witness; only ``notes["method"]`` names the route.
+- *lattice* (every other pencil): two forms of degree m in n variables are
+  equal iff they agree at the T = C(m+n-1, n-1) points x = (1, b),
+  b in N^(n-1) with |b| <= m, the principal lattice of a simplex (Chung and
+  Yao, SIAM J. Numer. Anal. 14, 1977).  So det(sum x_i A_i) = c*h^r is
+  decided by comparing T integer or Gaussian-integer determinants with
+  c*h(x)^r (:func:`_lattice_match`), and a failure names the first point
+  where they differ, which one ``const_det(pencil_value(A, x))`` re-checks.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .polyring import MultiPoly, ParseError, Ring, _sum_of_squares, parse, real_square_factorization
+from .polyring import MultiPoly, ParseError, Ring, _pair_pow, _sum_of_squares, parse, real_square_factorization
 from .scalars import (
     GR_ONE,
     GR_ZERO,
@@ -263,23 +260,27 @@ class _GaussInt:
         return _GaussInt((a * c + b * d) // norm, (b * c - a * d) // norm)
 
 
-def _lattice_det(matrices: Sequence[ConstMatrix], ring: Ring) -> MultiPoly:
-    """det(sum x_i A_i) over ``ring``, equal to poly_det of the pencil, from
-    its values on the simplex lattice (see the module docstring).
+def _lattice_match(
+    matrices: Sequence[ConstMatrix], h: MultiPoly, r: int, up_to_scalar: bool
+) -> tuple[Fraction, Optional[str]]:
+    """(c, witness) for det(sum x_i A_i) = c * h^r, with witness None when
+    the identity holds, decided on the simplex lattice (see the module
+    docstring).
 
-    The pencil is scaled by the lcm D of its denominators, so each value is
-    D^m times the determinant, taken over Z (or Z[i] when an entry is not
-    real) by the one Bareiss elimination.  The input checks are those of
-    :func:`pencil_to_polymatrix`.
+    The pencil is scaled by the lcm D of its denominators, so each lattice
+    determinant is D^m times the value, taken over Z (or Z[i] when an entry
+    is not real) by the one Bareiss elimination.  The input checks are those
+    of :func:`pencil_to_polymatrix`.
     """
     m = matrices[0].size
     if any(mat.size != m for mat in matrices):
         raise ValueError("pencil matrices must share one size")
     cells = [[c for row in mat.entries for c in row] for mat in matrices]
     gaussian = any(c.im for flat in cells for c in flat)
-    if gaussian and not ring.gaussian:
+    if gaussian and not h.ring.gaussian:
         raise ValueError("imaginary coefficient in a non-gaussian ring")
     den = math.lcm(*{q.denominator for flat in cells for c in flat for q in (c.re, c.im)})
+    scale = den**m
 
     def scaled(q: Fraction) -> int:
         return q.numerator * (den // q.denominator)
@@ -295,13 +296,53 @@ def _lattice_det(matrices: Sequence[ConstMatrix], ring: Ring) -> MultiPoly:
         det = _det([flat[i * m : (i + 1) * m] for i in range(m)], one, divide)
         return (det.re, det.im) if gaussian else (det, 0)
 
-    return _from_lattice(ring, m, _on_lattice(slices, m, value), den**m)
+    dets = _on_lattice(slices, m, value)  # den^m * det at x = (1, b)
+    if not any(re or im for re, im in dets.values()):
+        return (Fraction(0), "determinant is identically zero")
+    h_den = math.lcm(*(q.denominator for c in h.terms.values() for q in (c.re, c.im)))
+    h_terms = [
+        (e[1:], c.re.numerator * (h_den // c.re.denominator), c.im.numerator * (h_den // c.im.denominator))
+        for e, c in h.terms.items()
+    ]
+
+    def target(b: tuple[int, ...]) -> tuple[int, int]:
+        """(h_den * h(1, b))^r over Z[i]."""
+        re = im = 0
+        for expo, a_re, a_im in h_terms:
+            mono = math.prod(map(pow, b, expo))
+            re += a_re * mono
+            im += a_im * mono
+        return _pair_pow(re, im, r)
+
+    targets = {b: target(b) for b in dets}
+    h_scale = h_den**r
+
+    def exact(pair: tuple[int, int], den: int) -> GaussianRational:
+        return GaussianRational(Fraction(pair[0], den), Fraction(pair[1], den))
+
+    def at(b: tuple[int, ...]) -> str:
+        return f"at x = {','.join(map(str, (1,) + b))}: det = {exact(dets[b], scale)}"
+
+    c = Fraction(1)
+    if up_to_scalar:  # h^r is a nonzero form of degree m, so some h(x) != 0
+        b = next(b for b, t in targets.items() if any(t))
+        ratio = exact(dets[b], scale) / exact(targets[b], h_scale)
+        if ratio.im:
+            return (Fraction(0), f"{at(b)}, h^r = {exact(targets[b], h_scale)}, not a real multiple")
+        c = ratio.re
+    # det = c * h^r at x, with c = p/q: q * h_scale * value = p * scale * target.
+    left, right = c.denominator * h_scale, c.numerator * scale
+    for b, (re, im) in dets.items():
+        t_re, t_im = targets[b]
+        if re * left != t_re * right or im * left != t_im * right:
+            return (c, f"{at(b)}, c*h^r = {exact(targets[b], h_scale).scale(c)}")
+    return (c, None)
 
 
 def _on_lattice(slices: Sequence[list], m: int, value) -> dict[tuple[int, ...], tuple[int, int]]:
     """value(sum_i x_i * slices[i]) at x = (1, b) for every b in N^(n-1) with
-    |b| <= m, keyed by b.  The walk is depth first, so each point's sum is
-    an earlier point's plus one slice."""
+    |b| <= m, keyed by b in lexicographic order.  The walk is depth first,
+    so each point's sum is an earlier point's plus one slice."""
     values = {}
 
     def walk(b: tuple[int, ...], total: list, k: int) -> None:
@@ -315,75 +356,6 @@ def _on_lattice(slices: Sequence[list], m: int, value) -> dict[tuple[int, ...], 
 
     walk((), slices[0], 1)
     return values
-
-
-def _from_lattice(
-    ring: Ring, m: int, values: dict[tuple[int, ...], tuple[int, int]], den: int
-) -> MultiPoly:
-    """The form f of degree m over ``ring`` with den * f(1, b) = re + im*i
-    for each (re, im) = values[b] on the simplex lattice of :func:`_on_lattice`.
-
-    Newton forward differences along each coordinate give the integer
-    coefficients of f(1, b) in the basis prod_k C(b_k, a_k); the basis change
-    to monomials along each coordinate multiplies by m!, so every
-    coefficient is an integer over (m!)^(n-1) * den.  The coefficient of
-    b^beta is that of x_0^(m-|beta|) * x^beta.
-    """
-    free = ring.arity - 1
-    weights = _falling_factorial_weights(m)
-
-    def to_monomials(line: list[int]) -> list[int]:
-        return [sum(line[a] * weights[a][j] for a in range(j, len(line))) for j in range(len(line))]
-
-    re, im = ({b: v[part] for b, v in values.items()} for part in (0, 1))
-    for coeffs in (re, im):
-        if any(coeffs.values()):
-            for k in range(free):
-                _along_lines(coeffs, k, _forward_differences)
-            for k in range(free):
-                _along_lines(coeffs, k, to_monomials)
-    scale = math.factorial(m) ** free * den
-    return MultiPoly.from_terms(
-        ring,
-        [
-            ((m - sum(b),) + b, GaussianRational(Fraction(re[b], scale), Fraction(im[b], scale)))
-            for b in values
-            if re[b] or im[b]
-        ],
-    )
-
-
-def _along_lines(coeffs: dict[tuple[int, ...], int], k: int, transform) -> None:
-    """Replace the values on each line of the lattice along coordinate k
-    (b, b + e_k, b + 2 e_k, ... for b_k = 0) by ``transform`` of them."""
-    for start in [b for b in coeffs if not b[k]]:
-        line = []
-        point = start
-        while point in coeffs:
-            line.append(point)
-            point = point[:k] + (point[k] + 1,) + point[k + 1 :]
-        for point, c in zip(line, transform([coeffs[p] for p in line])):
-            coeffs[point] = c
-
-
-def _forward_differences(line: list[int]) -> list[int]:
-    """[Delta^a f(0) for a = 0..len-1] from [f(0), f(1), ...]."""
-    out = list(line)
-    for a in range(1, len(out)):
-        for j in range(len(out) - 1, a - 1, -1):
-            out[j] -= out[j - 1]
-    return out
-
-
-def _falling_factorial_weights(m: int) -> list[list[int]]:
-    """w[a][j] with m! * C(b, a) = sum_j w[a][j] * b^j, for a = 0..m."""
-    rows = []
-    falling = [1]  # coefficients of b(b-1)...(b-a+1), lowest degree first
-    for a in range(m + 1):
-        scale = math.factorial(m) // math.factorial(a)
-        rows.append([c * scale for c in falling])
-        falling = [x - a * y for x, y in zip([0] + falling, falling + [0])]  # times (b - a)
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +375,13 @@ class DetRepReport:
 
     ``ok`` implies no failures and scalar > 0.  ``notes["method"]`` names
     the determinant route: "minimal-polynomial-shortcut" (an involution),
-    "lattice" (pencils for h of any degree but 2, interpolated from values on
-    the simplex lattice) or "bareiss" (the polynomial elimination, for
-    quadratic pencils and companions outside the involution route); the
-    last two give the same determinant, so the same scalar and witness.
-    The companion route records whether its branch P is a square.
+    "lattice" (every other pencil) or "bareiss" (companions outside the
+    involution route).  ``scalar`` is c = 1, or with ``up_to_scalar`` the c
+    with det = c*h^r: the ratio of leading coefficients on the involution
+    route, det/h^r at the first lattice point where h != 0 on the lattice
+    route.  The two agree whenever the identity holds; a failed check
+    reports the c it tried, and 0 for a zero determinant or a ratio that is
+    not real.  The companion route records whether its branch P is a square.
     """
 
     ok: bool
@@ -506,11 +480,10 @@ def verify_pencil(
     Three named checks: symmetry kind, determinant identity (c = 1 unless
     ``up_to_scalar``), and positive definiteness of sum e_i A_i.  For
     quadratic h whose pencil is ell*I - Q with Q^2 = P*I (see
-    :func:`_involution`) the determinant is (ell^2 - P)^r; any other
-    quadratic pencil is expanded by Bareiss (:func:`poly_det`) from the
-    polynomial matrix that test built.  For h of any other degree the
-    determinant is interpolated from its values at the C(m+n-1, n-1)
-    lattice points (:func:`_lattice_det`).  Both give the same polynomial.
+    :func:`_involution`) the determinant is (ell^2 - P)^r.  Every other
+    pencil is decided on its values at the simplex lattice
+    (:func:`_lattice_match`), and a failed identity is witnessed by the first
+    lattice point x where det(A(x)) != c*h(x)^r, with both exact values.
     """
     if r < 1:
         raise ValueError(f"power r = {r} must be at least 1")
@@ -546,19 +519,13 @@ def verify_pencil(
 
     matched = None
     if deg == 2:
-        pencil_matrix = pencil_to_polymatrix(matrices, ring)
-        matched = _match_branch(pencil_matrix, h, r, up_to_scalar)
+        matched = _match_branch(pencil_to_polymatrix(matrices, ring), h, r, up_to_scalar)
     if matched is not None:
         notes["method"] = "minimal-polynomial-shortcut"
         scalar, det_witness = matched
     else:
-        if deg == 2:
-            notes["method"] = "bareiss"
-            det = poly_det(pencil_matrix)
-        else:
-            notes["method"] = "lattice"
-            det = _lattice_det(matrices, ring)
-        scalar, det_witness = _match_scalar(det, h ** r, up_to_scalar)
+        notes["method"] = "lattice"
+        scalar, det_witness = _lattice_match(matrices, h, r, up_to_scalar)
     if det_witness is not None:
         failures.append(CheckFailure("determinant", det_witness))
     elif scalar <= 0:
@@ -596,7 +563,7 @@ def _involution(q: PolyMatrix) -> Optional[MultiPoly]:
 def _match_branch(
     pencil_matrix: PolyMatrix, h: MultiPoly, r: int, up_to_scalar: bool
 ) -> Optional[tuple[Fraction, Optional[str]]]:
-    """(c, witness) as _match_scalar gives for the Bareiss determinant, or
+    """(c, witness) for det M = c * h^r, with witness None when it holds, or
     None when the traceless part Q = ell*I - M of the pencil M, with
     ell = trace(M)/m, is not an involution.
 

@@ -647,6 +647,14 @@ class _Parser:
         """Start position of the token last taken."""
         return self.start(self.pos - 1)
 
+    def integer(self, tok: str) -> int:
+        """int(tok) for the digit token last taken; a literal longer than
+        int() converts (see sys.get_int_max_str_digits) is a ParseError."""
+        try:
+            return int(tok)
+        except ValueError:
+            raise ParseError(f"integer literal of {len(tok)} digits is too long at position {self.at()}") from None
+
     def parse(self) -> MultiPoly:
         terms = self.expr()
         tok = self.tokens[self.pos]
@@ -706,7 +714,7 @@ class _Parser:
         tok = self.next()
         if not tok.isdigit():
             raise ParseError(f"exponent must be an integer at position {self.at()}")
-        n = int(tok)
+        n = self.integer(tok)
         if n == 0:
             return {self.one: (1, 0)}
         if len(base) > 1:
@@ -721,7 +729,7 @@ class _Parser:
                 raise ParseError(f"expected ')' at position {self.at()}")
             return terms
         if tok.isdigit():
-            value = int(tok)
+            value = self.integer(tok)
             if self.tokens[self.pos] == "/":
                 self.pos += 1
                 den = self.next()
@@ -729,7 +737,7 @@ class _Parser:
                     raise ParseError(
                         f"rational literal needs an integer denominator at position {self.at()}"
                     )
-                den = int(den)
+                den = self.integer(den)
                 if not den:
                     raise ParseError(f"zero denominator at position {self.at()}")
                 value = Fraction(value, den)

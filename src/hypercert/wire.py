@@ -6,7 +6,8 @@ polynomial grammar:
     ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false
     x0^2 - x1^2 - x2^2
 
-Directions are comma-separated rationals ("1,0,0" or "1/2,-3,0").  Pencils
+Directions are comma-separated rationals ("1,0,0" or "1/2,-3,0"), in
+ASCII and without "_" like the header's weights.  Pencils
 serialize as JSON {"vars": [...], "kind": ..., "gaussian": ...,
 "matrices": [rows of "a+b*i" strings, one block per variable]}.
 
@@ -20,6 +21,7 @@ field or cell.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence, Union
@@ -30,6 +32,7 @@ from .scalars import GR_ZERO, KIND_NONE, ConstMatrix, GaussianRational, _common_
 PathLike = Union[str, Path]
 
 _CELL_RING = Ring((), (), gaussian=True)
+_NON_ASCII_NUMBER = re.compile(r"[^\x00-\x7f]|_")
 
 
 def parse_ring_header(line: str) -> Ring:
@@ -47,7 +50,7 @@ def parse_ring_header(line: str) -> Ring:
     names = tuple(v for v in fields["vars"].split(",") if v)
     if "weights" in fields:
         try:
-            weights = tuple(int(w) for w in fields["weights"].split(",") if w)
+            weights = tuple(int(_ascii(w)) for w in fields["weights"].split(",") if w)
         except ValueError as err:
             raise ParseError(f"bad weights in ring header: {err}") from None
     else:
@@ -98,9 +101,18 @@ def load_squares_file(path: PathLike) -> list[MultiPoly]:
     return parse_squares_text(Path(path).read_text(encoding="ascii"))
 
 
+def _ascii(number: str) -> str:
+    """``number`` if it holds only ASCII characters and no '_', which int()
+    and Fraction() would take as a digit or a digit separator."""
+    bad = _NON_ASCII_NUMBER.search(number)
+    if bad:
+        raise ValueError(f"unexpected character {bad.group()!r} in {number!r}")
+    return number
+
+
 def parse_point(text: str) -> tuple[Fraction, ...]:
     try:
-        return tuple(as_fraction(c) for c in text.split(","))
+        return tuple(as_fraction(_ascii(c)) for c in text.split(","))
     except (ValueError, ZeroDivisionError) as err:
         raise ParseError(f"bad point {text!r}: {err}") from None
 

@@ -1,7 +1,7 @@
 """Independent reference implementations used only by the tests."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from hypercert.detrep import PolyMatrix, pencil_to_polymatrix, poly_det
 from hypercert.polyring import MultiPoly, ParseError, UniPoly
@@ -124,14 +124,21 @@ def restrict_reference(h, e, v):
     return total
 
 
-def _truncated(text, limit=200):
-    return text if len(text) <= limit else text[: limit - 3] + "..."
+def lattice_points(n, m):
+    """The points x = (1, b), b in N^(n-1) with |b| <= m, in lexicographic
+    order of b."""
+    return [(1,) + b for b in product(range(m + 1), repeat=n - 1) if sum(b) <= m]
+
+
+def _point(x):
+    return ",".join(map(str, x))
 
 
 def pencil_reference(matrices, h, r, e, up_to_scalar):
-    """The report verify_pencil must give, as its to_json_dict() without
-    the notes, with the determinant always expanded by Bareiss (poly_det)
-    and each failure's witness worded as the library words it."""
+    """The report verify_pencil must give outside the involution route, as
+    its to_json_dict() without the notes.  The Bareiss determinant (poly_det)
+    decides the identity; c and the witness point come from evaluating it
+    and h^r at the lattice points in order."""
     failures = []
     kind = matrices[0].kind
     if kind == "none":
@@ -142,16 +149,22 @@ def pencil_reference(matrices, h, r, e, up_to_scalar):
             failures.append(("kind", f"matrix {idx} entry {bad} breaks {kind} symmetry"))
     det = poly_det(pencil_to_polymatrix(matrices, h.ring))
     target = h ** r
+    points = lattice_points(h.ring.arity, matrices[0].size)
     scalar, witness = Fraction(0), None
     if det.is_zero():
         witness = "determinant is identically zero"
-    elif det.leading_coefficient().im or target.leading_coefficient().im:
-        witness = "leading coefficient is not real"
     else:
-        scalar = det.leading_coefficient().re / target.leading_coefficient().re if up_to_scalar else Fraction(1)
-        diff = det - target.scale(scalar)
-        if diff:
-            witness = _truncated(f"det - {scalar}*h^r = {diff}")
+        c = GaussianRational(1)
+        if up_to_scalar:
+            x = next(x for x in points if target.eval(x))
+            c = det.eval(x) / target.eval(x)
+        if c.im:
+            witness = f"at x = {_point(x)}: det = {det.eval(x)}, h^r = {target.eval(x)}, not a real multiple"
+        else:
+            scalar = c.re
+            if det != target.scale(scalar):
+                x = next(x for x in points if det.eval(x) != target.eval(x).scale(scalar))
+                witness = f"at x = {_point(x)}: det = {det.eval(x)}, c*h^r = {target.eval(x).scale(scalar)}"
     if witness is not None:
         failures.append(("determinant", witness))
     elif scalar <= 0:
@@ -166,6 +179,15 @@ def pencil_reference(matrices, h, r, e, up_to_scalar):
         "power": r,
         "failures": [{"name": name, "witness": witness} for name, witness in failures],
     }
+
+
+def leading_scalar(det, target):
+    """The c with det = c * target if there is one, read off the leading
+    coefficients: None when det is zero or the ratio is not real."""
+    if det.is_zero():
+        return None
+    ratio = det.leading_coefficient() / target.leading_coefficient()
+    return None if ratio.im else ratio.re
 
 
 def companion_det(matrix, ring_h):

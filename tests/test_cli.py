@@ -7,6 +7,9 @@ import pytest
 
 from hypercert import detrep, hyperbolicity
 from hypercert.cli import EXIT_OK, EXIT_REFUTED, EXIT_USAGE, build_parser, main
+from hypercert.detrep import const_det
+from hypercert.scalars import pencil_value
+from hypercert.wire import load_poly_file, pencil_from_json
 
 QUADRIC = "ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\nx0^2 - x1^2 - x2^2\n"
 SPHERE = "ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\nx0^2 + x1^2 + x2^2\n"
@@ -421,6 +424,25 @@ class TestVerifyDetrepLatticeInputChecks:
         pencil = _write_pencil(tmp_path / "p.json", ["x0", "x1", "x2"], slices, "hermitian", gaussian=True)
         assert main(["verify-detrep", "--matrix", pencil, "--poly", h, "--dir", "1,0,0"]) == EXIT_USAGE
         assert "input error: imaginary coefficient in a non-gaussian ring" in capsys.readouterr().err
+
+
+class TestVerifyDetrepPointWitness:
+    """A wrong pencil is refuted at the first lattice point where det(A(x))
+    and c*h(x)^r differ, with both exact values."""
+
+    def test_tampered_pencil_exit_1_with_point_witness(self, tmp_path, capsys):
+        names = ["x0", "x1", "x2"]
+        h = _write_poly(tmp_path / "h.txt", names, "(x0 + x1)*(x0 + x2)*(x0 + x1 + x2)")
+        forms = ([1, 1, 0], [1, 0, 1], [1, 1, 1])
+        slices = [[[str(f[k]) if i == j else "0" for j, f in enumerate(forms)] for i in range(3)] for k in range(3)]
+        slices[1][0][0] = "3"  # det = (x0 + 3*x1)(x0 + x2)(x0 + x1 + x2)
+        pencil = _write_pencil(tmp_path / "p.json", names, slices)
+        assert main(["verify-detrep", "--matrix", pencil, "--poly", h, "--dir", "1,0,0", "--json"]) == EXIT_REFUTED
+        report = json.loads(capsys.readouterr().out)
+        assert report["failures"] == [{"name": "determinant", "witness": "at x = 1,1,0: det = 8, c*h^r = 4"}]
+        matrices, _ = pencil_from_json(Path(pencil).read_text())
+        assert const_det(pencil_value(matrices, (1, 1, 0))) == 8
+        assert load_poly_file(h).eval((1, 1, 0)) == 4
 
 
 class TestSosRoundtrip:

@@ -3,17 +3,17 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hypercert.clifford import build_Q
 from hypercert.detrep import (
     PolyMatrix,
-    _from_lattice,
-    _lattice_det,
     _on_lattice,
     char_matrix,
     const_det,
@@ -28,8 +28,16 @@ from hypercert.detrep import (
 )
 from hypercert.fixtures import load_fixture_matrix, load_fixture_poly
 from hypercert.polyring import MultiPoly, Ring, parse
-from hypercert.scalars import ConstMatrix, GaussianRational
-from oracles import companion_det, const_matrix, leibniz_det, pencil_reference, transpose
+from hypercert.scalars import ConstMatrix, GaussianRational, is_positive_definite, pencil_value
+from oracles import (
+    companion_det,
+    const_matrix,
+    lattice_points,
+    leading_scalar,
+    leibniz_det,
+    pencil_reference,
+    transpose,
+)
 
 R3 = Ring.standard(("x0", "x1", "x2"))
 R4 = Ring.standard(("x0", "x1", "x2", "x3"))
@@ -90,76 +98,45 @@ class TestDeterminants:
             assert poly_det(m.conjugate()) == d.conjugate()
 
 
-def _rebuilt_from_lattice(f, m):
-    """_from_lattice of f's values on the points _on_lattice visits: the
-    slices are the unit vectors, so each visited sum is the point itself."""
-    n = f.ring.arity
-    den = math.lcm(*(q.denominator for c in f.terms.values() for q in (c.re, c.im)))
-    scaled = [(expo, c.re * den, c.im * den) for expo, c in f.terms.items()]
+class TestLatticeUnisolvence:
+    """Two forms of degree m agree iff they agree on the simplex lattice that
+    the lattice route visits: its T x T matrix of monomial values has full
+    rank (checked by sympy, independently of the library)."""
 
-    def value(point):
-        powers = [math.prod(x ** a for x, a in zip(point, expo)) for expo, _, _ in scaled]
-        return (
-            int(sum(p * re for p, (_, re, _) in zip(powers, scaled))),
-            int(sum(p * im for p, (_, _, im) in zip(powers, scaled))),
-        )
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_monomial_values_have_full_rank(self, n):
+        units = [[int(j == k) for j in range(n)] for k in range(n)]
+        for m in range(1, 7):
+            visited = _on_lattice(units, m, tuple)  # each sum is the point itself
+            assert list(visited.items()) == [(x[1:], x) for x in lattice_points(n, m)]
+            monomials = list(itertools.combinations_with_replacement(range(n), m))
+            assert len(visited) == len(monomials) == math.comb(m + n - 1, n - 1)
+            values = sympy.Matrix([[math.prod(x[k] for k in mono) for mono in monomials] for x in visited.values()])
+            assert values.rank() == len(monomials), (n, m)
 
-    units = [[int(j == k) for j in range(n)] for k in range(n)]
-    return _from_lattice(f.ring, m, _on_lattice(units, m, value), den)
-
-
-def _random_form(rng, n, m, coefficients):
-    """A form of degree m in n variables, each monomial present with
-    probability 3/4, with integer, Gaussian or rational coefficients."""
-    ring = Ring.standard(tuple(f"x{k}" for k in range(n)), coefficients == "gaussian")
-    terms = []
-    for combo in itertools.combinations_with_replacement(range(n), m):
-        if rng.random() < 0.75:
-            expo = tuple(combo.count(k) for k in range(n))
-            den = rng.randint(1, 12) if coefficients == "rational" else 1
-            im = rng.randint(-9, 9) if coefficients == "gaussian" else 0
-            terms.append((expo, GaussianRational(Fraction(rng.randint(-99, 99), den), im)))
-    return MultiPoly.from_terms(ring, terms)
-
-
-class TestLatticeInterpolation:
-    """A form of degree m is rebuilt exactly from its values on the simplex
-    lattice {(1, b) : b in N^(n-1), |b| <= m} that the lattice route visits."""
-
-    @pytest.mark.parametrize("coefficients", ["integer", "gaussian", "rational"])
-    def test_random_forms(self, coefficients):
-        rng = random.Random(f"lattice:{coefficients}")
-        for n in range(1, 6):
-            for m in range(1, 7):
-                f = _random_form(rng, n, m, coefficients)
-                assert _rebuilt_from_lattice(f, m) == f, (n, m)
-
-    def test_every_single_monomial(self):
-        # Each monomial alone, so no coefficient can hide behind another.
-        for n, m in ((1, 1), (1, 6), (2, 1), (3, 4), (4, 5), (5, 1)):
-            ring = Ring.standard(tuple(f"x{k}" for k in range(n)))
-            for combo in itertools.combinations_with_replacement(range(n), m):
-                f = MultiPoly.from_terms(ring, [(tuple(combo.count(k) for k in range(n)), 1)])
-                assert _rebuilt_from_lattice(f, m) == f
-
-    def test_zero_values_give_the_zero_form(self):
-        f = MultiPoly.zero(R3)
-        assert _from_lattice(R3, 4, _on_lattice([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 4, lambda x: (0, 0)), 1) == f
-
-    def test_lattice_det_equals_poly_det(self):
-        rng = random.Random(97)
-        for trial in range(60):
-            n, m = rng.randint(1, 4), rng.randint(0, 5)
-            gaussian = trial % 2 == 1
-            ring = Ring.standard(tuple(f"x{k}" for k in range(n)), gaussian)
-            pencil = [
-                ConstMatrix([[GaussianRational(Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3])),
-                                               rng.randint(-3, 3) if gaussian else 0)
-                              if rng.random() < 0.7 else GaussianRational(0)
-                              for _ in range(m)] for _ in range(m)])
-                for _ in range(n)
-            ]
-            assert _lattice_det(pencil, ring) == poly_det(pencil_to_polymatrix(pencil, ring))
+    @pytest.mark.parametrize("offset", [GaussianRational(1), GaussianRational(0, 1)], ids=["real", "imaginary"])
+    def test_each_lattice_point_is_compared(self, offset):
+        # h = det + offset * L_b, where the Lagrange form L_b of the lattice
+        # (a product of m lines) vanishes at every lattice point but (1, b):
+        # the pencil is refuted there and nowhere else.
+        ring = Ring.standard(("x0", "x1", "x2"), gaussian=True)
+        forms = ([1, 1, 0], [1, 0, 1], [2, 1, 1])
+        pencil = [
+            const_matrix([[f[k] if i == j else 0 for j, f in enumerate(forms)] for i in range(3)], "symmetric")
+            for k in range(3)
+        ]
+        det = poly_det(pencil_to_polymatrix(pencil, ring))
+        x0, x1, x2 = (MultiPoly.variable(ring, v) for v in ring.variables)
+        m = 3
+        for x in lattice_points(3, m):
+            lagrange = MultiPoly.constant(ring, 1)
+            for line, count in zip((x1, x2, x0.scale(m) - x1 - x2), x[1:] + (m - sum(x[1:]),)):
+                for j in range(count):
+                    lagrange = lagrange * (line - x0.scale(j))
+            h = det + lagrange.scale(offset)
+            report = verify_pencil(pencil, h, 1, (1, 0, 0))
+            witness = f"at x = {','.join(map(str, x))}: det = {det.eval(x)}, c*h^r = {h.eval(x)}"
+            assert [(f.name, f.witness) for f in report.failures] == [("determinant", witness)]
 
 
 QUADRIC_PENCIL = [
@@ -421,7 +398,7 @@ class TestScalarMismatch:
         matrix = PolyMatrix.from_strings(R3, rows, "symmetric")
         report = verify_pencil(polymatrix_to_pencil(matrix), h, 2, (1, 0, 0), up_to_scalar=True)
         assert report.ok and report.scalar == 4
-        assert report.notes == {"method": "bareiss"}
+        assert report.notes == {"method": "lattice"}
         assert poly_det(matrix) == (h ** 2).scale(4)
 
 
@@ -687,8 +664,11 @@ def companion_inputs(draw):
     return a, h, a.size // 2
 
 
+WITNESS = re.compile(r"at x = (?P<x>1(,\d+)*): det = (?P<det>\S+), (?P<rhs>c\*h\^r|h\^r) = (?P<value>\S+)(, not a real multiple)?")
+
+
 class TestRouteAgreement:
-    """The involution route decides exactly as the Bareiss determinant."""
+    """Every route decides exactly as the Bareiss determinant."""
 
     @given(quadratic_pencils())
     def test_pencil_matches_bareiss_reference(self, case):
@@ -696,6 +676,11 @@ class TestRouteAgreement:
         report = verify_pencil(matrices, h, r, e, up_to_scalar=up_to_scalar)
         got = (report.ok, str(report.scalar), sorted(f.name for f in report.failures))
         want = pencil_reference(matrices, h, r, e, up_to_scalar)
+        if report.notes["method"] == "minimal-polynomial-shortcut" and up_to_scalar:
+            # The involution route reads c off the leading coefficients, which
+            # give the reference's c whenever the identity holds.
+            det = poly_det(pencil_to_polymatrix(matrices, h.ring))
+            want["scalar"] = str(leading_scalar(det, h ** r) or 0)
         assert got == (want["ok"], want["scalar"], sorted(f["name"] for f in want["failures"]))
         if involutive:
             assert report.notes["method"] == "minimal-polynomial-shortcut"
@@ -703,15 +688,53 @@ class TestRouteAgreement:
     @given(dense_pencils())
     def test_dense_pencil_report_matches_bareiss_reference(self, case):
         # Outside the involution route the whole report, witnesses included,
-        # is the one the Bareiss determinant gives; the route is set by the
-        # degree of h alone.
+        # is the one the Bareiss determinant gives.
         matrices, h, r, e, up_to_scalar = case
         report = verify_pencil(matrices, h, r, e, up_to_scalar=up_to_scalar).to_json_dict()
         method = report.pop("notes")["method"]
         if method == "minimal-polynomial-shortcut":
             return
-        assert method == ("bareiss" if h.weighted_degree() == 2 else "lattice")
+        assert method == "lattice"
         assert report == pencil_reference(matrices, h, r, e, up_to_scalar)
+
+    @given(dense_pencils())
+    def test_ok_iff_bareiss_identity(self, case):
+        # ok exactly when poly_det = c*h^r with c > 0, where c = 1 or, up to
+        # scalar, the ratio of leading coefficients, and the checks of kind
+        # and definiteness at e pass.  Quadratic h (m = 4, r = 2) is here
+        # with pencils that are not involutions.
+        matrices, h, r, e, up_to_scalar = case
+        report = verify_pencil(matrices, h, r, e, up_to_scalar=up_to_scalar)
+        det, target = poly_det(pencil_to_polymatrix(matrices, h.ring)), h ** r
+        c = leading_scalar(det, target) if up_to_scalar else Fraction(1)
+        identity = c is not None and det == target.scale(c)
+        definite = matrices[0].kind != "none" and all(mat.kind_violation() is None for mat in matrices)
+        definite = definite and is_positive_definite(pencil_value(matrices, e))
+        assert report.ok == (identity and c > 0 and definite)
+        assert (report.scalar == c) if identity else ("determinant" in {f.name for f in report.failures})
+
+    @given(dense_pencils())
+    def test_determinant_witnesses_recheck(self, case):
+        # Each point witness holds two exact values that differ: det(A(x))
+        # by const_det, and c*h(x)^r by MultiPoly.eval.
+        matrices, h, r, e, up_to_scalar = case
+        report = verify_pencil(matrices, h, r, e, up_to_scalar=up_to_scalar)
+        for failure in report.failures:
+            if failure.name != "determinant" or failure.witness == "determinant is identically zero":
+                continue
+            found = WITNESS.fullmatch(failure.witness)
+            assert found, failure.witness
+            x = tuple(int(c) for c in found["x"].split(","))
+            det = const_det(pencil_value(matrices, x))
+            h_r = GaussianRational(1)
+            for _ in range(r):
+                h_r = h_r * h.eval(x)
+            assert found["det"] == str(det)
+            if found["rhs"] == "c*h^r":
+                assert found["value"] == str(h_r.scale(report.scalar)) != found["det"]
+            else:  # no real c: det / h^r is not real at x
+                assert up_to_scalar and report.scalar == 0
+                assert found["value"] == str(h_r) and (det / h_r).im
 
     @pytest.mark.parametrize(
         "forms",

@@ -1,5 +1,6 @@
 """The polynomial grammar: term-dict parsing against the MultiPoly reference."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,31 @@ class TestAsciiOnly:
             Ring.standard(("x٣",))
         with pytest.raises(ParseError, match="invalid variable name"):
             parse_poly_text("ring: vars=é\né^2\n")
+
+
+class TestLongLiterals:
+    """A literal longer than int() converts (4,300 digits by default) is a
+    ParseError at its position, as value, denominator or exponent."""
+
+    LONG = "1" * 5000
+
+    @pytest.mark.parametrize(
+        "text, pos",
+        [
+            (LONG + "*x0", 0),
+            ("x0 + 1/" + LONG, 7),
+            ("x1 - x0^" + LONG, 8),
+        ],
+        ids=["value", "denominator", "exponent"],
+    )
+    def test_over_long_literal_is_a_parse_error(self, text, pos):
+        with pytest.raises(ParseError) as err:
+            parse(text, REAL)
+        assert str(err.value) == f"integer literal of 5000 digits is too long at position {pos}"
+
+    def test_longest_convertible_literal_parses(self):
+        digits = "7" * sys.get_int_max_str_digits()
+        assert parse(f"{digits}*x0", REAL) == parse("x0", REAL).scale(int(digits))
 
 
 class TestProductCount:

@@ -3,14 +3,17 @@
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypercert.polyring import MultiPoly, Ring
+from hypercert.cli import EXIT_USAGE, main
+from hypercert.polyring import MultiPoly, ParseError, Ring
 from hypercert.scalars import MATRIX_KINDS, ConstMatrix, GaussianRational
 from hypercert.wire import (
     dump_poly_text,
     parse_point,
+    parse_ring_header,
     parse_poly_text,
     parse_squares_text,
     pencil_from_json,
@@ -80,3 +83,27 @@ class TestRoundTrips:
     @given(st.lists(fractions, min_size=1, max_size=6))
     def test_point(self, point):
         assert parse_point(",".join(str(Fraction(c)) for c in point)) == tuple(point)
+
+
+class TestAsciiNumbers:
+    """Points and ring-header weights are read as ASCII numbers without '_',
+    as the polynomial grammar reads its literals."""
+
+    @pytest.mark.parametrize("text, char", [("٣,1", "٣"), ("1,1_0", "_"), ("1/２,0", "２")])
+    def test_point(self, text, char):
+        with pytest.raises(ParseError, match=f"^bad point .*unexpected character {char!r}"):
+            parse_point(text)
+
+    @pytest.mark.parametrize("weights, char", [("٢,1", "٢"), ("2,1_0", "_")])
+    def test_ring_header_weights(self, weights, char):
+        with pytest.raises(ParseError, match=f"^bad weights in ring header: unexpected character {char!r}"):
+            parse_ring_header(f"ring: vars=x0,x1 weights={weights}")
+
+    def test_cli_exits_64(self, tmp_path, capsys):
+        poly = tmp_path / "q.txt"
+        poly.write_text("ring: vars=x0,x1 weights=1_0,1\nx0^2 - x1^2\n", encoding="ascii")
+        assert main(["check-hyperbolic", "--poly", str(poly), "--dir", "1,0"]) == EXIT_USAGE
+        poly.write_text("ring: vars=x0,x1\nx0^2 - x1^2\n", encoding="ascii")
+        assert main(["check-hyperbolic", "--poly", str(poly), "--dir", "1,٣"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "unexpected character '_'" in err and "unexpected character '٣'" in err
