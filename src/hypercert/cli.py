@@ -7,6 +7,7 @@ report carries the witness), 64 = usage or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -49,6 +50,19 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@contextlib.contextmanager
+def _long_numbers():
+    """Lift the int-to-str digit limit (sys.set_int_max_str_digits) while a
+    report is serialized, since an exact value may be longer, and restore it
+    after: input parsing keeps it, so an over-long literal is a ParseError."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit(payload: dict, as_json: bool, text_lines: Sequence[str]) -> None:
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -57,17 +71,22 @@ def _emit(payload: dict, as_json: bool, text_lines: Sequence[str]) -> None:
             print(line)
 
 
+def _emit_sampled(verdict, as_json: bool, label: str) -> int:
+    with _long_numbers():
+        lines = [f"status: {verdict.status} ({verdict.samples_run} lines, seed {verdict.seed})"]
+        if verdict.witness is not None:
+            lines.append(f"witness line v = {','.join(map(str, verdict.witness.v))}")
+            lines.append(f"{label}: {verdict.witness.restricted.format('t')}")
+            lines.append(f"reason: {verdict.witness.reason}")
+        _emit(verdict.to_json_dict(), as_json, lines)
+    return EXIT_OK if not verdict.refuted() else EXIT_REFUTED
+
+
 def _cmd_check_hyperbolic(args) -> int:
     h = load_poly_file(args.poly)
     e = parse_point(args.dir)
     verdict = is_hyperbolic_sampled(h, e, samples=args.samples, seed=args.seed, box=args.box)
-    lines = [f"status: {verdict.status} ({verdict.samples_run} lines, seed {verdict.seed})"]
-    if verdict.witness is not None:
-        lines.append(f"witness line v = {','.join(map(str, verdict.witness.v))}")
-        lines.append(f"restriction: {verdict.witness.restricted.format('t')}")
-        lines.append(f"reason: {verdict.witness.reason}")
-    _emit(verdict.to_json_dict(), args.json, lines)
-    return EXIT_OK if not verdict.refuted() else EXIT_REFUTED
+    return _emit_sampled(verdict, args.json, "restriction")
 
 
 def _cmd_check_interlacer(args) -> int:
@@ -75,13 +94,7 @@ def _cmd_check_interlacer(args) -> int:
     g = load_poly_file(args.interlacer)
     e = parse_point(args.dir)
     verdict = interlaces_sampled(g, h, e, samples=args.samples, seed=args.seed, box=args.box)
-    lines = [f"status: {verdict.status} ({verdict.samples_run} lines, seed {verdict.seed})"]
-    if verdict.witness is not None:
-        lines.append(f"witness line v = {','.join(map(str, verdict.witness.v))}")
-        lines.append(f"restriction of h: {verdict.witness.restricted.format('t')}")
-        lines.append(f"reason: {verdict.witness.reason}")
-    _emit(verdict.to_json_dict(), args.json, lines)
-    return EXIT_OK if not verdict.refuted() else EXIT_REFUTED
+    return _emit_sampled(verdict, args.json, "restriction of h")
 
 
 def _load_matrix_or_pencil(path: str):
@@ -114,10 +127,10 @@ def _cmd_verify_detrep(args) -> int:
         report = verify_pencil(
             matrices, h, args.power, e, up_to_scalar=args.up_to_scalar
         )
-    lines = [f"ok: {report.ok} (c = {report.scalar}, r = {report.power})"]
-    for f in report.failures:
-        lines.append(f"failed {f.name}: {f.witness}")
-    _emit(report.to_json_dict(), args.json, lines)
+    with _long_numbers():
+        lines = [f"ok: {report.ok} (c = {report.scalar}, r = {report.power})"]
+        lines.extend(f"failed {f.name}: {f.witness}" for f in report.failures)
+        _emit(report.to_json_dict(), args.json, lines)
     return EXIT_OK if report.ok else EXIT_REFUTED
 
 
@@ -131,25 +144,25 @@ def _cmd_detrep_to_sos(args) -> int:
     except ValueError as err:
         print(f"refused: {err}", file=sys.stderr)
         return EXIT_REFUTED
-    lines = [f"{len(sos.squares)} squares summing to p:"]
-    lines.extend(f"  {g}" for g in sos.squares)
-    _emit(sos.to_json_dict(), args.json, lines)
+    with _long_numbers():
+        lines = [f"{len(sos.squares)} squares summing to p:"]
+        lines.extend(f"  {g}" for g in sos.squares)
+        _emit(sos.to_json_dict(), args.json, lines)
     return EXIT_OK
 
 
 def _cmd_sos_to_detrep(args) -> int:
     forms = load_squares_file(args.squares)
     rep = sos_to_detrep(forms)
-    payload = {
-        "h": str(rep.h),
-        "r": rep.power,
-        "matrix": rep.matrix.to_json_dict(),
-        "report": rep.report.to_json_dict(),
-    }
-    lines = [
-        f"companion matrix of size {rep.matrix.size} with det(y*I - Q) = ({rep.h})^{rep.power}",
-    ]
-    _emit(payload, args.json, lines)
+    with _long_numbers():
+        payload = {
+            "h": str(rep.h),
+            "r": rep.power,
+            "matrix": rep.matrix.to_json_dict(),
+            "report": rep.report.to_json_dict(),
+        }
+        lines = [f"companion matrix of size {rep.matrix.size} with det(y*I - Q) = ({rep.h})^{rep.power}"]
+        _emit(payload, args.json, lines)
     return EXIT_OK
 
 
@@ -159,32 +172,27 @@ def _cmd_quadratic_detrep(args) -> int:
     try:
         rep = quadratic_detrep(h, e)
     except PipelineError as err:
-        payload = {
-            "error": str(err),
-            "stage": err.stage,
-        }
-        if err.witness_vector is not None:
-            payload["witness_vector"] = [str(c) for c in err.witness_vector]
-        if err.witness_line is not None:
-            payload["witness_line"] = [str(c) for c in err.witness_line]
-        _emit(payload, args.json, [f"failed: {err}"])
+        with _long_numbers():
+            payload = {"error": str(err), "stage": err.stage}
+            if err.witness_vector is not None:
+                payload["witness_vector"] = [str(c) for c in err.witness_vector]
+            if err.witness_line is not None:
+                payload["witness_line"] = [str(c) for c in err.witness_line]
+            _emit(payload, args.json, [f"failed: {err}"])
         return EXIT_REFUTED
-    payload = {
-        "r": rep.power,
-        "c": str(rep.scalar),
-        "coordinate_map": [[str(v) for v in row] for row in rep.transform],
-        "kind": KIND_SYMMETRIC,
-        "pencil": pencil_to_json_dict(rep.pencil, h.ring.variables, h.ring.gaussian),
-        "report": rep.report.to_json_dict(),
-    }
-    lines = [
-        f"pencil of size {rep.pencil[0].size}: det = {rep.scalar} * h^{rep.power}, definite at e",
-    ]
-    _emit(payload, args.json, lines)
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps(payload["pencil"], indent=2, sort_keys=True) + "\n", encoding="ascii"
-        )
+    with _long_numbers():
+        payload = {
+            "r": rep.power,
+            "c": str(rep.scalar),
+            "coordinate_map": [[str(v) for v in row] for row in rep.transform],
+            "kind": KIND_SYMMETRIC,
+            "pencil": pencil_to_json_dict(rep.pencil, h.ring.variables, h.ring.gaussian),
+            "report": rep.report.to_json_dict(),
+        }
+        lines = [f"pencil of size {rep.pencil[0].size}: det = {rep.scalar} * h^{rep.power}, definite at e"]
+        _emit(payload, args.json, lines)
+        if args.out:
+            Path(args.out).write_text(json.dumps(payload["pencil"], indent=2, sort_keys=True) + "\n", encoding="ascii")
     return EXIT_OK
 
 
@@ -197,16 +205,14 @@ def _cmd_fixtures(args) -> int:
     except KeyError as err:
         raise _UsageError(str(err)) from None
     elapsed = time.perf_counter() - start
-    lines = []
-    for res in report.results:
-        status = "pass" if res.ok else "FAIL"
-        lines.append(f"{res.fixture_id} {status}: {res.title}")
-        for check in res.checks:
-            mark = "ok" if check.ok else "FAIL"
-            lines.append(f"  [{mark}] {check.name}: {check.detail}")
-    data = report.to_json_dict()
-    lines.append(f"{data['passed']}/{data['total']} fixtures passed")
-    _emit(data, args.json, lines)
+    with _long_numbers():
+        lines = []
+        for res in report.results:
+            lines.append(f"{res.fixture_id} {'pass' if res.ok else 'FAIL'}: {res.title}")
+            lines.extend(f"  [{'ok' if c.ok else 'FAIL'}] {c.name}: {c.detail}" for c in res.checks)
+        data = report.to_json_dict()
+        lines.append(f"{data['passed']}/{data['total']} fixtures passed")
+        _emit(data, args.json, lines)
     print(f"total runtime: {elapsed:.2f}s", file=sys.stderr)
     return EXIT_OK if report.ok else EXIT_REFUTED
 

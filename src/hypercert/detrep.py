@@ -6,21 +6,27 @@ matrices A_i (entries degree 1), and companion forms y*I - A(x) where A has
 homogeneous entries of the weight of y.  Verification reports are exact:
 every failed check carries a witness that re-verifies independently.
 
-A determinant identity det = c*h^r is decided by the involution route where
+Identities are decided on values: two forms of degree D in n variables
+are equal iff they agree at the T = C(D+n-1, n-1) points x = (1, b),
+b in N^(n-1) with |b| <= D, the principal lattice of a simplex (Chung and
+Yao, SIAM J. Numer. Anal. 14, 1977); two polynomials of degree <= D iff
+they agree at the x in N^n with |x| <= D (:func:`_lattice`).  A
+determinant identity det = c*h^r is decided by the involution route where
 it applies, else on the lattice for a pencil and by fraction-free Bareiss
 elimination over polynomials (:func:`poly_det`) for a companion:
 
 - *involution*: if trace Q = 0 and Q^2 = P*I then
-  det(y*I - Q) = (y^2 - P)^(m/2) (:func:`_involution`), so an input of that
-  shape -- a pencil ell*I - Q for quadratic h, or a symmetric/hermitian A
-  with h = y^2 - P -- is decided by forming Q^2 once;
-- *lattice* (every other pencil): two forms of degree m in n variables are
-  equal iff they agree at the T = C(m+n-1, n-1) points x = (1, b),
-  b in N^(n-1) with |b| <= m, the principal lattice of a simplex (Chung and
-  Yao, SIAM J. Numer. Anal. 14, 1977).  So det(sum x_i A_i) = c*h^r is
-  decided by comparing T integer or Gaussian-integer determinants with
-  c*h(x)^r (:func:`_lattice_match`), and a failure names the first point
-  where they differ, which one ``const_det(pencil_value(A, x))`` re-checks.
+  det(y*I - Q) = (y^2 - P)^(m/2) (:func:`_involution`), and Q^2 = P*I, a
+  matrix identity of degree 2d for entries of degree d, is decided by
+  squaring Q(x) over Z or Z[i] on that lattice (:func:`_square_on_lattice`).
+  That serves a pencil ell*I - Q for quadratic h, whose branch
+  ell^2 - P = s*h is compared on the same points, and a symmetric/hermitian
+  A with h = y^2 - P;
+- *lattice* (every other pencil): T integer or Gaussian-integer
+  determinants are compared with c*h(x)^r (:func:`_lattice_match`).
+
+A failed identity names the first lattice point where the two sides
+differ, which one ``const_det(pencil_value(A, x))`` re-checks.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from .wire import _json_field, _json_flag, _json_list, _json_strings
 class PolyMatrix:
     """Square matrix of MultiPoly entries with a symmetry-kind tag."""
 
-    __slots__ = ("ring", "rows", "kind", "_square")
+    __slots__ = ("ring", "rows", "kind")
 
     def __init__(self, ring: Ring, rows: Sequence[Sequence[MultiPoly]], kind: str = KIND_NONE):
         if kind not in MATRIX_KINDS:
@@ -72,7 +78,6 @@ class PolyMatrix:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", mat)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "_square", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -136,15 +141,9 @@ class PolyMatrix:
             out.append(acc)
         return PolyMatrix(self.ring, out, KIND_NONE)
 
-    def square(self) -> "PolyMatrix":
-        """self.matmul(self), formed once per (immutable) matrix."""
-        if self._square is None:
-            object.__setattr__(self, "_square", self.matmul(self))
-        return self._square
-
     def scalar_mismatch(self, p: MultiPoly) -> Optional[tuple[int, int, MultiPoly]]:
         """First entry (i, j, value), row by row, where this matrix differs
-        from p*I, or None.  Checks an involution A^2 = p*I on A.square()."""
+        from p*I, or None.  Checks an involution A^2 = p*I on A.matmul(A)."""
         for i, row in enumerate(self.rows):
             for j, entry in enumerate(row):
                 if (entry != p) if i == j else entry:
@@ -229,35 +228,52 @@ def _det(rows, one, divide):
 
 
 class _GaussInt:
-    """A Gaussian integer re + im*i, with the operations of a lattice-point
-    determinant (Bareiss needs ``*``, ``-``, truth and an exact division)."""
+    """A Gaussian integer real + imag*i, with the operations of a lattice
+    determinant and square (Bareiss needs ``*``, ``-``, truth and an exact
+    division).  Its ``real`` and ``imag`` are also those of a Python int."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
 
-    def __init__(self, re: int, im: int):
-        self.re = re
-        self.im = im
+    def __init__(self, real: int, imag: int):
+        self.real = real
+        self.imag = imag
 
     def __bool__(self) -> bool:
-        return bool(self.re or self.im)
+        return bool(self.real or self.imag)
+
+    def __eq__(self, other) -> bool:
+        return self.real == other.real and self.imag == other.imag
 
     def __add__(self, other: "_GaussInt") -> "_GaussInt":
-        return _GaussInt(self.re + other.re, self.im + other.im)
+        return _GaussInt(self.real + other.real, self.imag + other.imag)
 
     def __sub__(self, other: "_GaussInt") -> "_GaussInt":
-        return _GaussInt(self.re - other.re, self.im - other.im)
+        return _GaussInt(self.real - other.real, self.imag - other.imag)
 
     def __neg__(self) -> "_GaussInt":
-        return _GaussInt(-self.re, -self.im)
+        return _GaussInt(-self.real, -self.imag)
 
     def __mul__(self, other: "_GaussInt") -> "_GaussInt":
-        a, b, c, d = self.re, self.im, other.re, other.im
+        a, b, c, d = self.real, self.imag, other.real, other.imag
         return _GaussInt(a * c - b * d, a * d + b * c)
 
     def divide_exact(self, other: "_GaussInt") -> "_GaussInt":
-        a, b, c, d = self.re, self.im, other.re, other.im
+        a, b, c, d = self.real, self.imag, other.real, other.imag
         norm = c * c + d * d
         return _GaussInt((a * c + b * d) // norm, (b * c - a * d) // norm)
+
+
+def _over_integers(coeffs: Sequence[GaussianRational]):
+    """(D, number, scaled): the lcm D of the coefficients' denominators, the
+    type of their multiples by D (int, or _GaussInt when one is not real)
+    and the map c -> D*c into it."""
+    den = math.lcm(*{q.denominator for c in coeffs for q in (c.re, c.im)})
+    number = _GaussInt if any(c.im for c in coeffs) else lambda real, imag: real
+
+    def scaled(c: GaussianRational):
+        return number(c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+
+    return den, number, scaled
 
 
 def _lattice_match(
@@ -269,32 +285,20 @@ def _lattice_match(
 
     The pencil is scaled by the lcm D of its denominators, so each lattice
     determinant is D^m times the value, taken over Z (or Z[i] when an entry
-    is not real) by the one Bareiss elimination.  The input checks are those
-    of :func:`pencil_to_polymatrix`.
+    is not real) by the one Bareiss elimination.
     """
     m = matrices[0].size
-    if any(mat.size != m for mat in matrices):
-        raise ValueError("pencil matrices must share one size")
     cells = [[c for row in mat.entries for c in row] for mat in matrices]
-    gaussian = any(c.im for flat in cells for c in flat)
-    if gaussian and not h.ring.gaussian:
+    den, number, scaled = _over_integers([c for flat in cells for c in flat])
+    if number is _GaussInt and not h.ring.gaussian:
         raise ValueError("imaginary coefficient in a non-gaussian ring")
-    den = math.lcm(*{q.denominator for flat in cells for c in flat for q in (c.re, c.im)})
     scale = den**m
-
-    def scaled(q: Fraction) -> int:
-        return q.numerator * (den // q.denominator)
-
-    if gaussian:
-        slices = [[_GaussInt(scaled(c.re), scaled(c.im)) for c in flat] for flat in cells]
-        one, divide = _GaussInt(1, 0), _GaussInt.divide_exact
-    else:
-        slices = [[scaled(c.re) for c in flat] for flat in cells]
-        one, divide = 1, operator.floordiv
+    slices = [[scaled(c) for c in flat] for flat in cells]
+    one, divide = number(1, 0), _GaussInt.divide_exact if number is _GaussInt else operator.floordiv
 
     def value(flat: list) -> tuple[int, int]:
         det = _det([flat[i * m : (i + 1) * m] for i in range(m)], one, divide)
-        return (det.re, det.im) if gaussian else (det, 0)
+        return (det.real, det.imag)
 
     dets = _on_lattice(slices, m, value)  # den^m * det at x = (1, b)
     if not any(re or im for re, im in dets.values()):
@@ -358,6 +362,69 @@ def _on_lattice(slices: Sequence[list], m: int, value) -> dict[tuple[int, ...], 
     return values
 
 
+def _lattice(n: int, degree: int, homogeneous: bool) -> list[tuple[int, ...]]:
+    """The points that decide a polynomial of the given degree in n
+    variables, in lexicographic order (see the module docstring): x = (1, b)
+    with |b| <= degree for a form, x in N^n with |x| <= degree otherwise."""
+    if homogeneous and n:
+        return [(1,) + b for b in _lattice(n - 1, degree, False)]
+    if not n:
+        return [()]
+    return [(t,) + b for t in range(degree + 1) for b in _lattice(n - 1, degree - t, False)]
+
+
+def _square_on_lattice(
+    rows: Sequence[dict[int, dict[tuple[int, ...], GaussianRational]]],
+    points: Sequence[tuple[int, ...]],
+    p: Optional[MultiPoly] = None,
+) -> tuple[dict[tuple[int, ...], GaussianRational], Optional[tuple]]:
+    """Decide A^2 = p*I at ``points``, which must decide the entries of
+    A^2 - p*I (:func:`_lattice`); rows[i][j] holds the terms of entry (i, j)
+    of A, and an entry missing from rows[i] is 0.
+
+    D*A(x) is squared over Z or Z[i] (:func:`_over_integers`) row by row
+    through its nonzero entries, at most k+1 per row for a Clifford Q.
+    Without ``p``, p(x) is the (0, 0) entry of A(x)^2.  Returns (values,
+    witness): values[x] = p(x) at each point checked; witness None when
+    A(x)^2 = p(x)*I at every point, else (x, i, j, got, want) at the first
+    point, and its first entry in row order, where the two differ.
+    """
+    coeffs = [c for row in rows for terms in row.values() for c in terms.values()]
+    den, number, scaled = _over_integers(coeffs + list(p.terms.values()) if p is not None else coeffs)
+    zero = number(0, 0)
+
+    def exact(v) -> GaussianRational:
+        return GaussianRational(Fraction(v.real, den * den), Fraction(v.imag, den * den))
+
+    index: dict[tuple[int, ...], int] = {}  # monomial -> position in monos
+
+    def terms_of(terms: dict) -> list:
+        return [(index.setdefault(e, len(index)), scaled(c)) for e, c in terms.items()]
+
+    int_rows = [[(j, terms_of(terms)) for j, terms in row.items()] for row in rows]
+    p_terms = terms_of(p.terms) if p is not None else None  # D*p
+    values: dict[tuple[int, ...], GaussianRational] = {}
+    for x in points:
+        monos = [number(math.prod(map(pow, x, e)), 0) for e in index]
+        at = [{j: v for j, terms in row if (v := sum([c * monos[k] for k, c in terms], zero))} for row in int_rows]
+        want = None
+        for i, row in enumerate(at):
+            acc = {}
+            for k, a in row.items():
+                for j, b in at[k].items():
+                    acc[j] = acc.get(j, zero) + a * b
+            diag = acc.pop(i, zero)
+            if want is None:
+                want, values[x] = diag, exact(diag)
+                if p is not None and diag != sum([c * monos[k] for k, c in p_terms], zero) * den:
+                    return values, (x, 0, 0, values[x], p.eval(x))
+            bad = [j for j, v in acc.items() if v] + [i] * (diag != want)
+            if bad:
+                j = min(bad)
+                return values, (x, i, j, exact(acc.get(j, diag)), values[x] if j == i else GR_ZERO)
+    return values, None
+
+
 # ---------------------------------------------------------------------------
 # Verification reports
 # ---------------------------------------------------------------------------
@@ -377,11 +444,11 @@ class DetRepReport:
     the determinant route: "minimal-polynomial-shortcut" (an involution),
     "lattice" (every other pencil) or "bareiss" (companions outside the
     involution route).  ``scalar`` is c = 1, or with ``up_to_scalar`` the c
-    with det = c*h^r: the ratio of leading coefficients on the involution
-    route, det/h^r at the first lattice point where h != 0 on the lattice
-    route.  The two agree whenever the identity holds; a failed check
-    reports the c it tried, and 0 for a zero determinant or a ratio that is
-    not real.  The companion route records whether its branch P is a square.
+    with det = c*h^r, read at the first lattice point where h != 0: det/h^r
+    on the lattice route, s^r with s = (ell^2 - P)/h on the involution
+    route.  A failed check reports the c it tried, and 0 for a zero
+    determinant or a ratio that is not real.  The companion route records
+    whether its branch P is a square.
     """
 
     ok: bool
@@ -413,59 +480,35 @@ def pencil_to_polymatrix(matrices: Sequence[ConstMatrix], ring: Ring) -> PolyMat
     m = matrices[0].size
     if any(mat.size != m for mat in matrices):
         raise ValueError("pencil matrices must share one size")
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            items = []
-            for v, mat in enumerate(matrices):
-                coeff = mat.entries[i][j]
-                if coeff:
-                    expo = tuple(1 if k == v else 0 for k in range(ring.arity))
-                    items.append((expo, coeff))
-            row.append(MultiPoly.from_terms(ring, items))
-        rows.append(row)
+    units = [tuple(int(k == v) for k in range(ring.arity)) for v in range(ring.arity)]
+    rows = [
+        [MultiPoly.from_terms(ring, [(u, mat.entries[i][j]) for u, mat in zip(units, matrices) if mat.entries[i][j]])
+         for j in range(m)]
+        for i in range(m)
+    ]
     return PolyMatrix(ring, rows, _common_kind(matrices))
 
 
 def polymatrix_to_pencil(matrix: PolyMatrix) -> list[ConstMatrix]:
     """Decompose a matrix of homogeneous linear forms into constant slices."""
-    ring = matrix.ring
-    m = matrix.size
-    out = []
-    for v in range(ring.arity):
-        expo = tuple(1 if k == v else 0 for k in range(ring.arity))
-        rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                p = matrix.rows[i][j]
-                if p.weighted_degree() not in (None, 1):
-                    raise ValueError(f"entry ({i},{j}) is not a linear form")
-                row.append(p.terms.get(expo, GR_ZERO))
-            rows.append(row)
-        out.append(ConstMatrix(rows, matrix.kind))
-    return out
+    n = matrix.ring.arity
+    degrees = ((i, j, p.weighted_degree()) for i, row in enumerate(matrix.rows) for j, p in enumerate(row))
+    bad = next(((i, j) for i, j, d in degrees if d not in (None, 1)), None) if n else None
+    if bad is not None:
+        raise ValueError(f"entry ({bad[0]},{bad[1]}) is not a linear form")
+    units = [tuple(int(k == v) for k in range(n)) for v in range(n)]
+    return [ConstMatrix([[p.terms.get(u, GR_ZERO) for p in row] for row in matrix.rows], matrix.kind) for u in units]
 
 
-def _match_scalar(
-    det: MultiPoly, target: MultiPoly, up_to_scalar: bool, lhs: str = "det", rhs: str = "h^r"
-) -> tuple[Fraction, Optional[str]]:
-    """Find c with det == c * target; (c, None) on success else (c, witness).
-    ``lhs`` and ``rhs`` name det and target in the witness."""
-    if target.is_zero():
-        return (Fraction(0), "target polynomial is zero")
+def _companion_witness(det: MultiPoly, target: MultiPoly) -> Optional[str]:
+    """None when the Bareiss determinant equals the nonzero target h^r, else
+    the witness of the companion route."""
     if det.is_zero():
-        return (Fraction(0), "determinant is identically zero")
-    lc_det = det.leading_coefficient()
-    lc_target = target.leading_coefficient()
-    if lc_det.im or lc_target.im:
-        return (Fraction(0), "leading coefficient is not real")
-    c = lc_det.re / lc_target.re if up_to_scalar else Fraction(1)
-    diff = det - target.scale(c)
-    if diff.is_zero():
-        return (c, None)
-    return (c, _truncate(f"{lhs} - {c}*{rhs} = {diff}"))
+        return "determinant is identically zero"
+    if det.leading_coefficient().im or target.leading_coefficient().im:
+        return "leading coefficient is not real"
+    diff = det - target
+    return None if diff.is_zero() else _truncate(f"det - 1*h^r = {diff}")
 
 
 def verify_pencil(
@@ -479,11 +522,11 @@ def verify_pencil(
 
     Three named checks: symmetry kind, determinant identity (c = 1 unless
     ``up_to_scalar``), and positive definiteness of sum e_i A_i.  For
-    quadratic h whose pencil is ell*I - Q with Q^2 = P*I (see
-    :func:`_involution`) the determinant is (ell^2 - P)^r.  Every other
-    pencil is decided on its values at the simplex lattice
-    (:func:`_lattice_match`), and a failed identity is witnessed by the first
-    lattice point x where det(A(x)) != c*h(x)^r, with both exact values.
+    quadratic h whose pencil is ell*I - Q with Q^2 = P*I the determinant is
+    (ell^2 - P)^r (:func:`_match_branch`).  Every other pencil is decided on
+    its values at the simplex lattice (:func:`_lattice_match`).  A failed
+    identity is witnessed by the first lattice point x where the two sides
+    differ, with both exact values.
     """
     if r < 1:
         raise ValueError(f"power r = {r} must be at least 1")
@@ -500,6 +543,8 @@ def verify_pencil(
     m = matrices[0].size
     if deg * r != m:
         raise ValueError(f"size/degree mismatch: deg(h)*r = {deg * r} but matrices are {m}x{m}")
+    if any(mat.size != m for mat in matrices):
+        raise ValueError("pencil matrices must share one size")
 
     failures: list[CheckFailure] = []
     notes: dict = {}
@@ -513,75 +558,90 @@ def verify_pencil(
     for idx, mat in enumerate(matrices):
         bad = mat.kind_violation()
         if bad is not None:
-            failures.append(
-                CheckFailure("kind", f"matrix {idx} entry {bad} breaks {kind} symmetry")
-            )
+            failures.append(CheckFailure("kind", f"matrix {idx} entry {bad} breaks {kind} symmetry"))
 
-    matched = None
-    if deg == 2:
-        matched = _match_branch(pencil_to_polymatrix(matrices, ring), h, r, up_to_scalar)
-    if matched is not None:
-        notes["method"] = "minimal-polynomial-shortcut"
-        scalar, det_witness = matched
-    else:
-        notes["method"] = "lattice"
-        scalar, det_witness = _lattice_match(matrices, h, r, up_to_scalar)
+    matched = _match_branch(matrices, h, r, up_to_scalar) if deg == 2 else None
+    notes["method"] = "lattice" if matched is None else "minimal-polynomial-shortcut"
+    scalar, det_witness = matched or _lattice_match(matrices, h, r, up_to_scalar)
     if det_witness is not None:
         failures.append(CheckFailure("determinant", det_witness))
     elif scalar <= 0:
         failures.append(CheckFailure("scalar-positivity", f"scalar c = {scalar} is not positive"))
 
     if kind != KIND_NONE and not any(f.name == "kind" for f in failures):
-        value = pencil_value(matrices, [as_fraction(c) for c in e])
-        bad_minor = first_nonpositive_minor(value)
+        bad_minor = first_nonpositive_minor(pencil_value(matrices, [as_fraction(c) for c in e]))
         if bad_minor is not None:
-            failures.append(
-                CheckFailure(
-                    "positive-definite",
-                    f"leading principal minor of order {bad_minor[0]} at e is {bad_minor[1]}",
-                )
-            )
-
-    ok = not failures and scalar > 0
-    return DetRepReport(ok=ok, scalar=scalar, power=r, failures=failures, notes=notes)
+            order, minor = bad_minor
+            witness = f"leading principal minor of order {order} at e is {minor}"
+            failures.append(CheckFailure("positive-definite", witness))
+    return DetRepReport(ok=not failures and scalar > 0, scalar=scalar, power=r, failures=failures, notes=notes)
 
 
-def _involution(q: PolyMatrix) -> Optional[MultiPoly]:
-    """P when trace(q) = 0 and q^2 = P*I, else None.
+def _involution(a: PolyMatrix, degree: int) -> Optional[MultiPoly]:
+    """P when trace(a) = 0 and a^2 = P*I, else None, for a matrix of forms
+    of the given degree.
 
-    Then det(y*I - q) = (y^2 - P)^(m/2) exactly: for P != 0 the minimal
+    Then det(y*I - a) = (y^2 - P)^(m/2) exactly: for P != 0 the minimal
     polynomial divides the squarefree y^2 - P, so the eigenvalues are
-    +-sqrt(P), equally often since the trace is 0; for P = 0, q is nilpotent.
+    +-sqrt(P), equally often since the trace is 0; for P = 0, a is nilpotent.
+    a^2 = P*I is decided on the lattice of degree 2*degree, and
+    P = sum_j a_0j * a_j0 is read off one row.
     """
-    if not q.trace().is_zero():
+    rows = [{j: p.terms for j, p in enumerate(row) if p} for row in a.rows]
+    if a.trace() or _square_on_lattice(rows, _lattice(a.ring.arity, 2 * degree, True))[1]:
         return None
-    square = q.square()
-    p = square.rows[0][0]
-    return p if square.scalar_mismatch(p) is None else None
+    return sum((a.rows[0][j] * a.rows[j][0] for j in rows[0] if 0 in rows[j]), MultiPoly.zero(a.ring))
 
 
 def _match_branch(
-    pencil_matrix: PolyMatrix, h: MultiPoly, r: int, up_to_scalar: bool
+    matrices: Sequence[ConstMatrix], h: MultiPoly, r: int, up_to_scalar: bool
 ) -> Optional[tuple[Fraction, Optional[str]]]:
     """(c, witness) for det M = c * h^r, with witness None when it holds, or
-    None when the traceless part Q = ell*I - M of the pencil M, with
-    ell = trace(M)/m, is not an involution.
+    None when the traceless part Q = ell*I - M of the pencil
+    M = sum x_i A_i, with ell = trace(M)/m, is not an involution.
 
     Otherwise det M = (ell^2 - P)^r, which is a multiple c of h^r exactly
-    when the branch ell^2 - P is a multiple s of h, and then c = s^r.
+    when the branch ell^2 - P is a multiple s of h, and then c = s^r.  Q is
+    read off the slices; Q^2 = P*I and the branch identity are decided on
+    the lattice of degree 2, with s the ratio at its first point where
+    h(x) != 0.
     """
-    m = pencil_matrix.size
-    ell = pencil_matrix.trace().scale(Fraction(1, m))
-    p = _involution(scalar_polymatrix(ell, m, KIND_NONE).sub(pencil_matrix))
-    if p is None:
+    m, n = matrices[0].size, len(matrices)
+    units = [tuple(int(k == v) for k in range(n)) for v in range(n)]
+    ell = [sum((mat.entries[i][i] for i in range(m)), GR_ZERO).scale(Fraction(1, m)) for mat in matrices]
+    rows: list[dict] = [{} for _ in range(m)]
+    for unit, mat, ell_v in zip(units, matrices, ell):
+        for i, row in enumerate(mat.entries):
+            # Zero entries are often the shared GR_ZERO, which `is` finds fast.
+            for j in [j for j, c in enumerate(row) if c is not GR_ZERO and c]:
+                if row[j].im and not h.ring.gaussian:
+                    raise ValueError("imaginary coefficient in a non-gaussian ring")
+                rows[i].setdefault(j, {})[unit] = -row[j]
+            terms = rows[i].setdefault(i, {})
+            terms[unit] = terms.get(unit, GR_ZERO) + ell_v
+    values, witness = _square_on_lattice(rows, _lattice(n, 2, True))
+    if witness is not None:
         return None
-    s, witness = _match_scalar(ell * ell - p, h, True, "ell^2 - P", "h")
-    c = s ** r
-    if up_to_scalar or not c:  # c = 0: a zero or non-real determinant
+    ell_at = {x: sum((c.scale(t) for c, t in zip(ell, x)), GR_ZERO) for x in values}
+    branch = {x: ell_at[x] * ell_at[x] - p for x, p in values.items()}
+    if not any(branch.values()):
+        return (Fraction(0), "determinant is identically zero")
+    h_at = {x: h.eval(x) for x in branch}
+    first = next(x for x, value in h_at.items() if value)
+    ratio = branch[first] / h_at[first]
+
+    def at(x: tuple[int, ...], rhs: str) -> str:
+        return f"at x = {','.join(map(str, x))}: ell^2 - P = {branch[x]}, {rhs}"
+
+    if ratio.im:
+        return (Fraction(0), at(first, f"h = {h_at[first]}, not a real multiple"))
+    s = ratio.re
+    bad = next((x for x in branch if branch[x] != h_at[x].scale(s)), None)
+    witness = None if bad is None else at(bad, f"s*h = {h_at[bad].scale(s)}")
+    c = s**r
+    if up_to_scalar or not c:  # c = 0: a zero determinant or branch
         return (c, witness)
-    if witness is None and c != 1:
-        witness = f"det = {c}*h^r, not h^r"
-    return (Fraction(1), witness)
+    return (Fraction(1), witness if witness or c == 1 else f"det = {c}*h^r, not h^r")
 
 
 def char_matrix(matrix: PolyMatrix, ring_h: Ring) -> PolyMatrix:
@@ -627,41 +687,27 @@ def verify_companion(matrix: PolyMatrix, h: MultiPoly, r: int) -> DetRepReport:
 
     bad_entry = matrix.entry_degrees_homogeneous(weight_e)
     if bad_entry is not None:
-        failures.append(
-            CheckFailure(
-                "grading",
-                f"entry {bad_entry} is not homogeneous of degree {weight_e}",
-            )
-        )
+        failures.append(CheckFailure("grading", f"entry {bad_entry} is not homogeneous of degree {weight_e}"))
         return DetRepReport(False, Fraction(0), r, failures, notes)
 
     if matrix.kind == KIND_NONE:
         failures.append(CheckFailure("kind", "companion matrix has no declared symmetry kind"))
-    else:
-        bad = matrix.kind_violation()
-        if bad is not None:
-            failures.append(
-                CheckFailure("kind", f"entry {bad} breaks {matrix.kind} symmetry")
-            )
+    elif (bad := matrix.kind_violation()) is not None:
+        failures.append(CheckFailure("kind", f"entry {bad} breaks {matrix.kind} symmetry"))
 
     p = None
     if d == 2 and matrix.kind in (KIND_SYMMETRIC, KIND_HERMITIAN):
-        p = _involution(matrix)
+        p = _involution(matrix, weight_e)
     if p is not None and MultiPoly.variable(ring_h, "y") ** 2 - p.lift(ring_h) == h:
         notes["method"] = "minimal-polynomial-shortcut"
         square = real_square_factorization(p)
-        notes["branch-not-a-square"] = (
-            "verified" if square is None else f"p = {square[0]}*({square[1]})^2"
-        )
+        notes["branch-not-a-square"] = "verified" if square is None else f"p = {square[0]}*({square[1]})^2"
     else:
         notes["method"] = "bareiss"
-        det = poly_det(char_matrix(matrix, ring_h))
-        _, det_witness = _match_scalar(det, h ** r, up_to_scalar=False)
+        det_witness = _companion_witness(poly_det(char_matrix(matrix, ring_h)), h ** r)
         if det_witness is not None:
             failures.append(CheckFailure("determinant", det_witness))
-
-    ok = not failures
-    return DetRepReport(ok=ok, scalar=Fraction(1), power=r, failures=failures, notes=notes)
+    return DetRepReport(ok=not failures, scalar=Fraction(1), power=r, failures=failures, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +746,10 @@ def detrep_to_sos(matrix: PolyMatrix, p: MultiPoly, column: int = 0) -> SosDecom
 
     Symmetric A: the entries of one column already satisfy sum a_ji^2 = p.
     Hermitian A: real and imaginary parts of the column entries do.  The
-    identity is re-verified exactly before returning.
+    entries need not be homogeneous, so A^2 = p*I is decided at the x in
+    N^n with |x| <= D, D the largest degree of A^2 and p
+    (:func:`_square_on_lattice`); a failure names the point, the entry and
+    both values.  The extracted squares are re-summed exactly.
     """
     if matrix.kind not in (KIND_SYMMETRIC, KIND_HERMITIAN):
         raise ValueError("SOS extraction needs a symmetric or hermitian matrix")
@@ -712,11 +761,12 @@ def detrep_to_sos(matrix: PolyMatrix, p: MultiPoly, column: int = 0) -> SosDecom
     m = matrix.size
     if not 0 <= column < m:
         raise ValueError("column index out of range")
-    bad = matrix.square().scalar_mismatch(p)
+    degree = max([2 * sum(e) for row in matrix.rows for q in row for e in q.terms] + [sum(e) for e in p.terms] + [0])
+    rows = [{j: q.terms for j, q in enumerate(row) if q} for row in matrix.rows]
+    _, bad = _square_on_lattice(rows, _lattice(matrix.ring.arity, degree, False), p)
     if bad is not None:
-        i, j, entry = bad
-        where = "diagonal" if i == j else "off-diagonal"
-        raise ValueError(f"A^2 != p*I: {where} entry ({i},{j}) is {_truncate(str(entry))}")
+        x, i, j, got, want = bad
+        raise ValueError(f"A^2 != p*I at x = {','.join(map(str, x))}: entry ({i},{j}) of A^2 is {got}, of p*I {want}")
 
     squares: list[MultiPoly] = []
     for j in range(m):
@@ -725,18 +775,10 @@ def detrep_to_sos(matrix: PolyMatrix, p: MultiPoly, column: int = 0) -> SosDecom
             continue
         if matrix.kind == KIND_SYMMETRIC:
             squares.append(_normalize_sign(entry))
-        else:
-            re_part = MultiPoly(
-                matrix.ring,
-                {e: GaussianRational(c.re) for e, c in entry.terms.items() if c.re},
-            )
-            im_part = MultiPoly(
-                matrix.ring,
-                {e: GaussianRational(c.im) for e, c in entry.terms.items() if c.im},
-            )
-            for part in (re_part, im_part):
-                if not part.is_zero():
-                    squares.append(_normalize_sign(part))
+            continue
+        real = {e: GaussianRational(c.re) for e, c in entry.terms.items() if c.re}
+        imag = {e: GaussianRational(c.im) for e, c in entry.terms.items() if c.im}
+        squares.extend(_normalize_sign(MultiPoly(matrix.ring, part)) for part in (real, imag) if part)
 
     if _sum_of_squares(matrix.ring, squares) != p:
         raise AssertionError("internal error: extracted squares do not sum to p")

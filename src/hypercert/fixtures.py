@@ -151,7 +151,7 @@ def _run_f3(fixture_id: str, spec: dict) -> FixtureResult:
         CheckOutcome("hermitian", bad is None, "ok" if bad is None else f"entry {bad}")
     )
 
-    bad = matrix.square().scalar_mismatch(p)
+    bad = matrix.matmul(matrix).scalar_mismatch(p)
     detail = "A^2 = p*I" if bad is None else f"A^2 entry ({bad[0]},{bad[1]}) is {bad[2]}"
     result.checks.append(CheckOutcome("involution", bad is None, detail))
 

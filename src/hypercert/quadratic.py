@@ -135,24 +135,15 @@ def normalize_at_direction(h: MultiPoly, e: Sequence[RationalLike]) -> Quadratic
     ]
     hp = hw.substitute(images)
 
-    zero = MultiPoly.zero(ring_prime)
-    alpha_term = zero
-    q1 = zero
-    q2 = zero
+    # Split hp by its degree in u0; q1 is the u0-linear part divided by u0,
+    # which shifts the u0 exponent from 1 to 0.
+    parts: tuple[dict, dict, dict] = ({}, {}, {})
     for expo, coeff in hp.terms.items():
-        mono = MultiPoly(ring_prime, {expo: coeff})
-        if expo[0] == 2:
-            alpha_term = alpha_term + mono
-        elif expo[0] == 1:
-            q1 = q1 + mono
-        else:
-            q2 = q2 + mono
-    if alpha_term != MultiPoly.from_terms(
-        ring_prime, [((2,) + (0,) * (n - 1), alpha)]
-    ):
+        parts[expo[0]][(0,) + expo[1:]] = coeff
+    q2, q1, alpha_term = (MultiPoly(ring_prime, terms) for terms in parts)
+    if alpha_term != MultiPoly.constant(ring_prime, alpha):
         raise AssertionError("internal error: u0^2 coefficient must be h(e)")
     u0 = MultiPoly.variable(ring_prime, "u0")
-    q1 = q1.divide_exact(u0)
 
     branch = q1 * q1 - q2.scale(4 * alpha)
     ell = u0.scale(2 * alpha) + q1

@@ -134,11 +134,49 @@ def _point(x):
     return ",".join(map(str, x))
 
 
+def involution_reference(a):
+    """P when trace(a) = 0 and a^2 = P*I, else None, with a^2 formed as a
+    polynomial matrix (matmul) and compared entry by entry
+    (scalar_mismatch)."""
+    if not a.trace().is_zero():
+        return None
+    square = a.matmul(a)
+    p = square.rows[0][0]
+    return p if square.scalar_mismatch(p) is None else None
+
+
+def _branch_reference(branch, h, r, up_to_scalar):
+    """(c, witness) of the involution route, whose determinant is
+    branch^r with branch = ell^2 - P.  The polynomials decide
+    branch = s*h; s and the witness point come from evaluating both at the
+    lattice points of degree 2 in order."""
+    if branch.is_zero():
+        return Fraction(0), "determinant is identically zero"
+    points = lattice_points(h.ring.arity, 2)
+    x = next(x for x in points if h.eval(x))
+    ratio = branch.eval(x) / h.eval(x)
+    if ratio.im:
+        return Fraction(0), f"at x = {_point(x)}: ell^2 - P = {branch.eval(x)}, h = {h.eval(x)}, not a real multiple"
+    s, witness = ratio.re, None
+    if branch != h.scale(s):
+        x = next(x for x in points if branch.eval(x) != h.eval(x).scale(s))
+        witness = f"at x = {_point(x)}: ell^2 - P = {branch.eval(x)}, s*h = {h.eval(x).scale(s)}"
+    c = s**r
+    if up_to_scalar or not c:
+        return c, witness
+    if witness is None and c != 1:
+        witness = f"det = {c}*h^r, not h^r"
+    return Fraction(1), witness
+
+
 def pencil_reference(matrices, h, r, e, up_to_scalar):
-    """The report verify_pencil must give outside the involution route, as
-    its to_json_dict() without the notes.  The Bareiss determinant (poly_det)
-    decides the identity; c and the witness point come from evaluating it
-    and h^r at the lattice points in order."""
+    """The report verify_pencil must give, as its to_json_dict() without
+    the notes.  For quadratic h whose pencil M has an involution as its
+    traceless part Q = ell*I - M, ell = trace(M)/m (involution_reference
+    gives P), det M = (ell^2 - P)^r and :func:`_branch_reference` gives c
+    and the witness.  Otherwise the Bareiss determinant (poly_det) decides
+    the identity; c and the witness point come from evaluating it and h^r
+    at the lattice points in order."""
     failures = []
     kind = matrices[0].kind
     if kind == "none":
@@ -147,24 +185,17 @@ def pencil_reference(matrices, h, r, e, up_to_scalar):
         bad = mat.kind_violation()
         if bad is not None:
             failures.append(("kind", f"matrix {idx} entry {bad} breaks {kind} symmetry"))
-    det = poly_det(pencil_to_polymatrix(matrices, h.ring))
-    target = h ** r
-    points = lattice_points(h.ring.arity, matrices[0].size)
-    scalar, witness = Fraction(0), None
-    if det.is_zero():
-        witness = "determinant is identically zero"
+    pencil = pencil_to_polymatrix(matrices, h.ring)
+    p = None
+    if h.weighted_degree() == 2:
+        ell = pencil.trace().scale(Fraction(1, pencil.size))
+        zero = MultiPoly.zero(h.ring)
+        q = [[(ell if i == j else zero) - entry for j, entry in enumerate(row)] for i, row in enumerate(pencil.rows)]
+        p = involution_reference(PolyMatrix(h.ring, q))
+    if p is not None:
+        scalar, witness = _branch_reference(ell * ell - p, h, r, up_to_scalar)
     else:
-        c = GaussianRational(1)
-        if up_to_scalar:
-            x = next(x for x in points if target.eval(x))
-            c = det.eval(x) / target.eval(x)
-        if c.im:
-            witness = f"at x = {_point(x)}: det = {det.eval(x)}, h^r = {target.eval(x)}, not a real multiple"
-        else:
-            scalar = c.re
-            if det != target.scale(scalar):
-                x = next(x for x in points if det.eval(x) != target.eval(x).scale(scalar))
-                witness = f"at x = {_point(x)}: det = {det.eval(x)}, c*h^r = {target.eval(x).scale(scalar)}"
+        scalar, witness = _determinant_reference(poly_det(pencil), h ** r, matrices[0].size, up_to_scalar)
     if witness is not None:
         failures.append(("determinant", witness))
     elif scalar <= 0:
@@ -179,6 +210,25 @@ def pencil_reference(matrices, h, r, e, up_to_scalar):
         "power": r,
         "failures": [{"name": name, "witness": witness} for name, witness in failures],
     }
+
+
+def _determinant_reference(det, target, m, up_to_scalar):
+    """(c, witness) of the lattice route for the Bareiss determinant det
+    and target = h^r: c and the witness point come from evaluating both at
+    the lattice points of degree m in order."""
+    if det.is_zero():
+        return Fraction(0), "determinant is identically zero"
+    points = lattice_points(target.ring.arity, m)
+    c = GaussianRational(1)
+    if up_to_scalar:
+        x = next(x for x in points if target.eval(x))
+        c = det.eval(x) / target.eval(x)
+    if c.im:
+        return Fraction(0), f"at x = {_point(x)}: det = {det.eval(x)}, h^r = {target.eval(x)}, not a real multiple"
+    if det == target.scale(c.re):
+        return c.re, None
+    x = next(x for x in points if det.eval(x) != target.eval(x).scale(c.re))
+    return c.re, f"at x = {_point(x)}: det = {det.eval(x)}, c*h^r = {target.eval(x).scale(c.re)}"
 
 
 def leading_scalar(det, target):

@@ -1,6 +1,7 @@
 """CLI dispatch: exit codes, wire formats, report stability."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,30 @@ class TestCheckHyperbolic:
         )
         assert code == EXIT_USAGE
         assert "samples must be at least 1" in capsys.readouterr().err
+
+
+class TestLongNumbers:
+    """A report prints exact values of any length; the int-to-str digit
+    limit is lifted only while it is serialized, so parsing keeps it."""
+
+    def test_refutation_prints_a_long_witness(self, tmp_path, capsys):
+        poly = tmp_path / "long.txt"
+        poly.write_text("ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\nx0^2 + x1^2 + 10^5000*x2^2\n")
+        limit = sys.get_int_max_str_digits()
+        for as_json in ([], ["--json"]):
+            code = main(["check-hyperbolic", "--poly", str(poly), "--dir", "1,0,0", "--samples", "5"] + as_json)
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (EXIT_REFUTED, "")
+            assert sys.get_int_max_str_digits() == limit
+        payload = json.loads(captured.out)
+        assert payload["status"] == "refuted"
+        assert len(payload["witness"]["restricted_poly"]) > 5000
+
+    def test_a_long_literal_is_still_an_input_error(self, tmp_path, capsys):
+        poly = tmp_path / "literal.txt"
+        poly.write_text("ring: vars=x0 weights=1 gaussian=false\n" + "7" * 5000 + "*x0^2\n")
+        assert main(["check-hyperbolic", "--poly", str(poly), "--dir", "1", "--json"]) == EXIT_USAGE
+        assert "integer literal of 5000 digits is too long" in capsys.readouterr().err
 
 
 class TestCheckInterlacer:

@@ -11,10 +11,13 @@ from hypercert.clifford import (
     clifford_generators,
     sos_to_detrep,
 )
-from hypercert.detrep import PolyMatrix, poly_det, scalar_polymatrix
-from hypercert.polyring import MultiPoly, Ring, parse
+from hypercert import detrep
+from hypercert.detrep import PolyMatrix, poly_det, scalar_polymatrix, verify_companion, verify_pencil
+from hypercert.fixtures import load_fixture_matrix, load_fixture_poly
+from hypercert.polyring import MultiPoly, Ring, _sum_of_squares, parse
+from hypercert.quadratic import quadratic_detrep
 from hypercert.scalars import GaussianRational
-from oracles import dense_generators
+from oracles import dense_generators, involution_reference
 
 
 def _dense_mul(a, b):
@@ -98,16 +101,13 @@ class TestBuildQ:
     def test_single_form(self):
         q = build_Q([parse("x1", R2)])
         assert q.size == 4
-        sq = q.matmul(q)
-        target = parse("x1^2", R2)
-        for i in range(4):
-            assert sq.rows[i][i] == target
+        assert involution_reference(q) == parse("x1^2", R2)
 
     def test_two_forms(self):
         q = build_Q([parse("2*x1", R2), parse("2*x2", R2)])
         assert q.size == 8
         assert q.kind_violation() is None
-        assert q.trace().is_zero()
+        assert involution_reference(q) == parse("4*x1^2 + 4*x2^2", R2)
 
     def test_quartic_sos_terms(self):
         ring = Ring.standard(("x0", "x1", "x2"))
@@ -118,11 +118,11 @@ class TestBuildQ:
         ]
         q = build_Q(forms)
         assert q.size == 16
-        # Q^2 = p*I and symmetry are asserted inside build_Q; recheck p here.
         p = MultiPoly.zero(ring)
         for g in forms:
             p = p + g * g
-        assert q.matmul(q).rows[0][0] == p
+        assert q.kind_violation() is None
+        assert involution_reference(q) == p
 
     def test_mixed_degrees_rejected(self):
         with pytest.raises(ValueError):
@@ -139,26 +139,33 @@ class TestBuildQ:
             k = rng.randrange(1, 5)
             degree = rng.choice((2, 3))
             forms = random_forms(rng, R3, k, degree)
-            q = build_Q(forms)  # internal exact assertions do the work
+            q = build_Q(forms)
             assert q.size == 1 << (k + 1)
             assert q.kind_violation() is None
-            assert q.trace().is_zero()
+            # Trace 0 and Q^2 = (sum G_i^2)*I, by the polynomial square.
+            assert involution_reference(q) == _sum_of_squares(R3, forms)
 
 
 class TestSosToDetrep:
-    def test_q_squared_is_formed_once(self, monkeypatch):
-        # build_Q's postcondition and verify_companion share one Q*Q.
-        calls = []
-        matmul = PolyMatrix.matmul
+    def test_involution_routes_form_no_polynomial_square(self, monkeypatch):
+        # Q^2 = P*I is decided on lattice values: no route that proves it
+        # multiplies polynomial matrices or turns a pencil into one.
+        def tripwire(*args):
+            raise AssertionError("polynomial matrix formed on an involution route")
 
-        def counting(self, other):
-            calls.append(self is other)
-            return matmul(self, other)
-
-        monkeypatch.setattr(PolyMatrix, "matmul", counting)
-        rep = sos_to_detrep([parse("x1", R2), parse("x1 - 2*x2", R2)])
-        assert rep.report.notes["method"] == "minimal-polynomial-shortcut"
-        assert calls == [True]
+        monkeypatch.setattr(PolyMatrix, "matmul", tripwire)
+        monkeypatch.setattr(detrep, "pencil_to_polymatrix", tripwire)
+        ring = Ring.standard(("x0", "x1", "x2"))
+        h = parse("x0^2 - x1^2 - 2*x2^2", ring)
+        quadric = quadratic_detrep(h, (1, 0, 0))
+        reports = [
+            sos_to_detrep([parse("x1", R2), parse("x1 - 2*x2", R2)]).report,
+            quadric.report,
+            verify_pencil(quadric.pencil, h, quadric.power, (1, 0, 0), up_to_scalar=True),
+            verify_companion(load_fixture_matrix("F3_matrix.json"), load_fixture_poly("F3_h.txt"), 1),
+        ]
+        for report in reports:
+            assert report.ok and report.notes["method"] == "minimal-polynomial-shortcut"
 
     def test_single_square(self):
         rep = sos_to_detrep([parse("x1", R2)])

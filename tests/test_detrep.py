@@ -1,7 +1,9 @@
 """Polynomial matrices, exact determinants, and representation checks."""
 
+import functools
 import itertools
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from hypercert.clifford import build_Q
 from hypercert.detrep import (
     PolyMatrix,
+    _involution,
     _on_lattice,
     char_matrix,
     const_det,
@@ -32,6 +35,7 @@ from hypercert.scalars import ConstMatrix, GaussianRational, is_positive_definit
 from oracles import (
     companion_det,
     const_matrix,
+    involution_reference,
     lattice_points,
     leading_scalar,
     leibniz_det,
@@ -379,10 +383,11 @@ class TestScalarMismatch:
         ring = Ring.standard(("x1",))
         p = parse("x1^2", ring)
         off = PolyMatrix.from_strings(ring, [["0", "x1"], ["x1", "x1"]], "symmetric")
-        with pytest.raises(ValueError, match=r"^A\^2 != p\*I: off-diagonal entry \(0,1\) is x1\^2$"):
+        # x = 0 agrees; at x = 1, A^2 = [[1, 1], [1, 2]] against p*I = I.
+        with pytest.raises(ValueError, match=r"^A\^2 != p\*I at x = 1: entry \(0,1\) of A\^2 is 1, of p\*I 0$"):
             detrep_to_sos(off, p)
         diag = PolyMatrix.from_strings(ring, [["x1", "0"], ["0", "2*x1"]], "symmetric")
-        with pytest.raises(ValueError, match=r"^A\^2 != p\*I: diagonal entry \(1,1\) is 4\*x1\^2$"):
+        with pytest.raises(ValueError, match=r"^A\^2 != p\*I at x = 1: entry \(1,1\) of A\^2 is 4, of p\*I 1$"):
             detrep_to_sos(diag, p)
 
     def test_pencil_shortcut_falls_back_when_q_squared_is_not_scalar(self):
@@ -665,6 +670,9 @@ def companion_inputs(draw):
 
 
 WITNESS = re.compile(r"at x = (?P<x>1(,\d+)*): det = (?P<det>\S+), (?P<rhs>c\*h\^r|h\^r) = (?P<value>\S+)(, not a real multiple)?")
+BRANCH_WITNESS = re.compile(
+    r"at x = (?P<x>1(,\d+)*): ell\^2 - P = (?P<branch>[^,]+), (?P<rhs>s\*h|h) = (?P<value>[^,]+)(, not a real multiple)?"
+)
 
 
 class TestRouteAgreement:
@@ -672,18 +680,39 @@ class TestRouteAgreement:
 
     @given(quadratic_pencils())
     def test_pencil_matches_bareiss_reference(self, case):
+        # The whole report, scalar and witnesses included, on both routes:
+        # the reference squares ell*I - M as a polynomial matrix.
         matrices, h, r, e, up_to_scalar, involutive = case
-        report = verify_pencil(matrices, h, r, e, up_to_scalar=up_to_scalar)
-        got = (report.ok, str(report.scalar), sorted(f.name for f in report.failures))
-        want = pencil_reference(matrices, h, r, e, up_to_scalar)
-        if report.notes["method"] == "minimal-polynomial-shortcut" and up_to_scalar:
-            # The involution route reads c off the leading coefficients, which
-            # give the reference's c whenever the identity holds.
-            det = poly_det(pencil_to_polymatrix(matrices, h.ring))
-            want["scalar"] = str(leading_scalar(det, h ** r) or 0)
-        assert got == (want["ok"], want["scalar"], sorted(f["name"] for f in want["failures"]))
+        report = verify_pencil(matrices, h, r, e, up_to_scalar=up_to_scalar).to_json_dict()
+        method = report.pop("notes")["method"]
+        assert report == pencil_reference(matrices, h, r, e, up_to_scalar)
         if involutive:
-            assert report.notes["method"] == "minimal-polynomial-shortcut"
+            assert method == "minimal-polynomial-shortcut"
+
+    @given(quadratic_pencils())
+    def test_involution_witnesses_recheck(self, case):
+        # A branch witness at x holds ell(x)^2 - P(x), whose r-th power is
+        # det(A(x)) by one constant determinant, and a differing value.
+        matrices, h, r, e, up_to_scalar, _ = case
+        report = verify_pencil(matrices, h, r, e, up_to_scalar=up_to_scalar)
+        if report.notes["method"] != "minimal-polynomial-shortcut":
+            return
+        for failure in report.failures:
+            if failure.name != "determinant" or failure.witness == "determinant is identically zero":
+                continue
+            if failure.witness.startswith("det = "):  # the branch is s*h, but s^r != 1
+                continue
+            found = BRANCH_WITNESS.fullmatch(failure.witness)
+            assert found, failure.witness
+            x = tuple(int(c) for c in found["x"].split(","))
+            branch, value = (parse(found[k], G3).eval((0, 0, 0)) for k in ("branch", "value"))
+            power = GaussianRational(1)
+            for _ in range(r):
+                power = power * branch
+            assert const_det(pencil_value(matrices, x)) == power
+            assert branch != value
+            if found["rhs"] == "h":
+                assert value == h.eval(x) and (branch / value).im and report.scalar == 0
 
     @given(dense_pencils())
     def test_dense_pencil_report_matches_bareiss_reference(self, case):
@@ -791,3 +820,160 @@ class TestRouteAgreement:
             report = verify_pencil(pencil, h, 2, (1, 0, 0), up_to_scalar=up_to_scalar)
             assert report.ok and report.scalar == 1
             assert report.notes["method"] == "minimal-polynomial-shortcut"
+
+    def test_non_real_branch_ratio(self):
+        # M = [[x0, x1], [0, i*x0]]: det M = i*x0^2, not a real multiple of x0^2.
+        ring = Ring.standard(("x0", "x1"), gaussian=True)
+        one, zero = GaussianRational(1), GaussianRational(0)
+        pencil = [ConstMatrix([[one, zero], [zero, I_UNIT]]), ConstMatrix([[zero, one], [zero, zero]])]
+        h = parse("x0^2", ring)
+        report = verify_pencil(pencil, h, 1, (1, 0), up_to_scalar=True).to_json_dict()
+        assert report.pop("notes") == {"method": "minimal-polynomial-shortcut"}
+        assert report == pencil_reference(pencil, h, 1, (1, 0), True)
+        assert report["failures"][-1] == {
+            "name": "determinant", "witness": "at x = 1,0: ell^2 - P = i, h = 1, not a real multiple"}
+
+
+def _form(draw, ring, degree):
+    """A random form of the given degree with coefficients in -3..3."""
+    form = MultiPoly.zero(ring)
+    for expo in itertools.product(range(degree + 1), repeat=ring.arity):
+        if sum(expo) == degree:
+            form = form + MultiPoly.from_terms(ring, [(expo, draw(st.integers(-3, 3)))])
+    return form
+
+
+def _perturbed(draw, matrix, degree, pair):
+    """matrix with one coefficient of one entry moved by a real or imaginary
+    delta; ``pair`` moves the mirror entry too, keeping the kind."""
+    ring = matrix.ring
+    expo = draw(st.sampled_from([e for e in itertools.product(range(degree + 1), repeat=ring.arity) if sum(e) == degree]))
+    i, j = draw(st.integers(0, matrix.size - 1)), draw(st.integers(0, matrix.size - 1))
+    imaginary = draw(st.booleans()) and (not pair or matrix.kind == "hermitian" and i != j)
+    k = draw(st.sampled_from([1, -2, 3]))
+    delta = MultiPoly.from_terms(ring, [(expo, GaussianRational(0, k) if imaginary else k)])
+    if pair:
+        return _with_pair(matrix, i, j, delta)
+    rows = [list(row) for row in matrix.rows]
+    rows[i][j] = rows[i][j] + delta
+    return PolyMatrix(ring, rows, matrix.kind)
+
+
+def _last_point_pair(ring, k, degree):
+    """(a, c), forms of the given degree with a^2 - c^2 = f*g, where
+    f*g = prod_{t < 2*degree} (x_k - t*x0) vanishes at every lattice point
+    (1, b) with |b| < 2*degree but not at b = 2*degree*e_k."""
+    x0, xk = MultiPoly.variable(ring, "x0"), MultiPoly.variable(ring, f"x{k}")
+    roots = [xk - x0.scale(t) for t in range(2 * degree)]
+    f, g = functools.reduce(operator.mul, roots[:degree]), functools.reduce(operator.mul, roots[degree:])
+    return (f + g).scale(Fraction(1, 2)), (g - f).scale(Fraction(1, 2))
+
+
+def _diagonal(ring, entries, kind="symmetric"):
+    zero = MultiPoly.zero(ring)
+    return PolyMatrix(ring, [[p if i == j else zero for j in range(len(entries))] for i, p in enumerate(entries)], kind)
+
+
+@st.composite
+def involution_matrices(draw):
+    """(A, degree): a symmetric Clifford Q from build_Q on 1-3 random forms,
+    a hermitian [[a, b + i*c], [b - i*c, -a]], or diag(a, -a, c, -c) whose
+    square is scalar at every lattice point of degree 2*degree - 1 but not
+    at the last one (:func:`_last_point_pair`), of forms of degree 1 or 2 in
+    2-4 variables; maybe with one real or imaginary coefficient of one entry
+    perturbed."""
+    n, degree = draw(st.integers(2, 4)), draw(st.sampled_from([1, 2]))
+    ring = Ring.standard(tuple(f"x{k}" for k in range(n)), gaussian=True)
+    shape = draw(st.sampled_from(["clifford", "hermitian", "last-point"]))
+    if shape == "last-point":
+        a, c = _last_point_pair(ring, draw(st.integers(1, n - 1)), degree)
+        a = _diagonal(ring, [a, -a, c, -c])
+    elif shape == "clifford":
+        forms = [_form(draw, ring, degree) for _ in range(draw(st.integers(1, 3)))]
+        assume(all(forms))
+        a = build_Q(forms)
+    else:
+        x, y, z = (_form(draw, ring, degree) for _ in range(3))
+        off = y + z.scale(I_UNIT)
+        a = PolyMatrix(ring, [[x, off], [off.conjugate(), -x]], "hermitian")
+    if draw(st.booleans()):
+        a = _perturbed(draw, a, degree, pair=False)
+    return a, degree
+
+
+@st.composite
+def sos_inputs(draw):
+    """(A, p) for detrep_to_sos: A = [[a, b], [b, -a]] symmetric or
+    [[a, b + i*c], [b - i*c, -a]] hermitian, with entries of degree <= 2
+    that need not be homogeneous, and p = a^2 + b^2 (+ c^2); maybe with one
+    coefficient of p or of one entry pair perturbed."""
+    n = draw(st.integers(1, 3))
+    ring = Ring.standard(tuple(f"x{k}" for k in range(n)), gaussian=True)
+    a, b, c = (_form(draw, ring, 0) + _form(draw, ring, 1) + _form(draw, ring, draw(st.integers(0, 2)))
+               for _ in range(3))
+    if draw(st.booleans()):
+        matrix = PolyMatrix(ring, [[a, b], [b, -a]], "symmetric")
+        p = a * a + b * b
+    else:
+        off = b + c.scale(I_UNIT)
+        matrix = PolyMatrix(ring, [[a, off], [off.conjugate(), -a]], "hermitian")
+        p = a * a + b * b + c * c
+    variant = draw(st.sampled_from(["valid", "entry", "p"]))
+    if variant == "entry":
+        matrix = _perturbed(draw, matrix, draw(st.integers(0, 2)), pair=True)
+    elif variant == "p":
+        p = p + _form(draw, ring, draw(st.integers(0, 4)))
+    return matrix, p
+
+
+SOS_WITNESS = re.compile(r"A\^2 != p\*I at x = (?P<x>[\d,]*): entry \((?P<i>\d+),(?P<j>\d+)\) of A\^2 is (?P<got>\S+), of p\*I (?P<want>\S+)")
+
+
+class TestLatticeInvolution:
+    """_square_on_lattice against the polynomial square (matmul and
+    scalar_mismatch) of tests/oracles.py."""
+
+    @given(involution_matrices())
+    def test_same_verdict_and_p_as_polynomial_square(self, case):
+        a, degree = case
+        assert _involution(a, degree) == involution_reference(a)
+
+    def test_the_last_lattice_point_decides_a_pencil(self):
+        # Q = diag(a, -a, c, -c) squares to a scalar at (1, 0) and (1, 1)
+        # only, so the pencil x0*I - Q is no involution: det is not h^2.
+        ring = Ring.standard(("x0", "x1"))
+        a, c = _last_point_pair(ring, 1, 1)
+        x0 = MultiPoly.variable(ring, "x0")
+        pencil = polymatrix_to_pencil(_diagonal(ring, [x0 - a, x0 + a, x0 - c, x0 + c]))
+        h = x0 * x0 - a * a
+        report = verify_pencil(pencil, h, 2, (1, 0)).to_json_dict()
+        assert report.pop("notes") == {"method": "lattice"}
+        assert report == pencil_reference(pencil, h, 2, (1, 0), False) and not report["ok"]
+
+    def test_the_last_lattice_point_decides_detrep_to_sos(self):
+        # A = diag(a, -a, c, -c) with a = x - 1/2, c = -1/2 and p = a^2:
+        # A^2 = p*I at x = 0 and 1, where a^2 - c^2 = x*(x - 1) vanishes.
+        ring = Ring.standard(("x",))
+        a, c = parse("x - 1/2", ring), parse("-1/2", ring)
+        with pytest.raises(ValueError, match=r"^A\^2 != p\*I at x = 2: entry \(2,2\) of A\^2 is 1/4, of p\*I 9/4$"):
+            detrep_to_sos(_diagonal(ring, [a, -a, c, -c]), a * a)
+
+    @given(sos_inputs())
+    def test_detrep_to_sos_decides_as_polynomial_square(self, case):
+        matrix, p = case
+        mismatch = matrix.matmul(matrix).scalar_mismatch(p)
+        try:
+            sos = detrep_to_sos(matrix, p)
+        except ValueError as err:
+            found = SOS_WITNESS.fullmatch(str(err))
+            assert mismatch is not None and found, str(err)
+        else:
+            assert mismatch is None and sos.target == p
+            return
+        # The witness re-checks on constant matrices: A(x)^2 at (i, j) and p(x)*I.
+        x = tuple(int(v) for v in found["x"].split(","))
+        value = matrix.eval_at(x)
+        i, j = int(found["i"]), int(found["j"])
+        got = sum((value[i, k] * value[k, j] for k in range(matrix.size)), GaussianRational(0))
+        want = p.eval(x) if i == j else GaussianRational(0)
+        assert (str(got), str(want)) == (found["got"], found["want"]) and got != want
