@@ -273,7 +273,8 @@ def build_parser() -> _ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_sos_to_detrep)
 
-    p = sub.add_parser("quadratic-detrep", help="definite pencil for a quadratic hyperbolic polynomial")
+    p = sub.add_parser("quadratic-detrep", help="definite pencil for a quadratic hyperbolic polynomial "
+                       "(8x8 for up to 4 branch squares, 16x16 for up to 8, at most 512x512)")
     p.add_argument("--poly", required=True)
     p.add_argument("--dir", required=True)
     p.add_argument("--out", help="also write the pencil JSON to this file")

@@ -1,34 +1,37 @@
 """The Clifford-algebra bridge from sums of squares to determinantal
 representations.
 
-The left-regular representation of the generators of Cl_{0,n}(R) supplies
-skew integer matrices A_i (entries 0, +-1) with A_i^2 = -I and pairwise
-anticommutation.  For real forms G_1..G_k of a common degree, the block
-matrix Q = [[0, S], [S^T, 0]] with S = sum G_i A_i is symmetric, traceless,
-and satisfies Q^2 = (sum G_i^2) * I, which turns any SOS decomposition into
-a companion-form representation det(y*I - Q) = (y^2 - P)^(2^k).  The
-generators' relations are asserted when they are built; Q^2 = P*I itself is
-proven by the verifier that certifies Q, on lattice values.
+A generator table holds k signed-permutation d x d matrices M_t that satisfy
+the Hurwitz equations M_s M_t^T + M_t M_s^T = 2*delta_st*I: the paper's
+left-regular representation of Cl_{0,k}(R) (:func:`clifford_generators`,
+d = 2^k), or the compact :func:`hurwitz_radon` table (d = 1, 2, 4, 8 for
+k <= 8, then 16*d(k - 8)).  For real forms G_1..G_k of a common degree,
+Q = [[0, S], [S^T, 0]] with S = sum G_t M_t is symmetric, traceless, and
+satisfies Q^2 = (sum G_t^2) * I, which turns any SOS decomposition into a
+companion-form representation det(y*I - Q) = (y^2 - P)^d.  The Hurwitz
+equations are asserted when a table is built; Q^2 = P*I itself is proven by
+the verifier that certifies Q, on lattice values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Sequence
+from itertools import combinations, combinations_with_replacement
+from typing import Callable, Sequence
 
 from .detrep import DetRepReport, PolyMatrix, verify_companion
 from .polyring import MultiPoly, Ring, _sum_of_squares
 from .scalars import KIND_SYMMETRIC
 
-MAX_GENERATORS = 8  # representation size 2^(n+1) caps at 512
+MAX_GENERATORS = 8  # the paper table only: size 2^(k+1) caps at 512
+MAX_PENCIL = 512  # largest Q built from the compact table
 
 
 @dataclass(frozen=True)
 class CliffordGenerators:
-    """Left-multiplication matrices of the generators e_1..e_n, stored
-    sparsely: the 2^n x 2^n matrix A_i has entries in {0, +-1}, and its
-    column j holds ``signs[i][j]`` in row ``perms[i][j]`` and zeros elsewhere.
+    """A generator table M_1..M_n of signed permutations, stored sparsely:
+    column j of M_i holds ``signs[i][j]`` in row ``perms[i][j]`` and zeros
+    elsewhere.
     """
 
     n: int
@@ -37,7 +40,7 @@ class CliffordGenerators:
 
     @property
     def dimension(self) -> int:
-        return 1 << self.n
+        return len(self.perms[0])
 
 
 def clifford_generators(n: int) -> CliffordGenerators:
@@ -45,85 +48,121 @@ def clifford_generators(n: int) -> CliffordGenerators:
     {e_{i1}...e_{ir} : i1 < ... < ir}, sorted by (subset size, lex).
 
     Sign convention for e_i * e_S: a factor (-1) for each j in S with j < i,
-    and another (-1) when i is already in S (since e_i^2 = -1).  The type
-    invariants (skewness, A_i^2 = -I, anticommutation) are asserted after
-    construction.
+    and another (-1) when i is already in S (since e_i^2 = -1).  The
+    Hurwitz equations, here skewness, A_i^2 = -I and anticommutation, are
+    asserted after construction.
     """
     if not 1 <= n <= MAX_GENERATORS:
-        raise ValueError(f"generator count must be between 1 and {MAX_GENERATORS}")
+        raise ValueError(f"at most {MAX_GENERATORS} forms are supported")
     basis: list[tuple[int, ...]] = []
     for size in range(n + 1):
         basis.extend(combinations(range(1, n + 1), size))
     index = {s: k for k, s in enumerate(basis)}
-    dim = len(basis)
 
-    perms: list[tuple[int, ...]] = []
-    signs: list[tuple[int, ...]] = []
+    table = []
     for i in range(1, n + 1):
-        perm = [0] * dim
-        sign = [0] * dim
-        for col, subset in enumerate(basis):
-            swaps = sum(1 for j in subset if j < i)
-            s = -1 if swaps % 2 else 1
+        columns = []
+        for subset in basis:
+            s = -1 if sum(1 for j in subset if j < i) % 2 else 1
             if i in subset:
-                target = tuple(j for j in subset if j != i)
-                s = -s
+                target, s = tuple(j for j in subset if j != i), -s
             else:
                 target = tuple(sorted(subset + (i,)))
-            perm[col] = index[target]
-            sign[col] = s
-        perms.append(tuple(perm))
-        signs.append(tuple(sign))
-
-    gens = CliffordGenerators(n, tuple(perms), tuple(signs))
-    _assert_invariants(gens)
-    return gens
+            columns.append((index[target], s))
+        table.append(columns)
+    return _checked(table)
 
 
-def _assert_invariants(gens: CliffordGenerators) -> None:
-    dim = gens.dimension
-    for i in range(gens.n):
-        perm, sign = gens.perms[i], gens.signs[i]
-        # A_i^2 = -I
-        for col in range(dim):
-            row = perm[col]
-            if perm[row] != col or sign[col] * sign[row] != -1:
-                raise AssertionError(f"A_{i + 1}^2 != -I at column {col}")
-        # Skewness: A[r][c] = s means A[c][r] must be -s.
-        for col in range(dim):
-            row = perm[col]
-            if perm[row] != col or sign[row] != -sign[col]:
-                raise AssertionError(f"A_{i + 1} is not skew at column {col}")
-    for i in range(gens.n):
-        for j in range(i + 1, gens.n):
-            pi, si = gens.perms[i], gens.signs[i]
-            pj, sj = gens.perms[j], gens.signs[j]
-            for col in range(dim):
-                # (A_i A_j + A_j A_i) e_col = 0
-                r1 = pi[pj[col]]
-                s1 = si[pj[col]] * sj[col]
-                r2 = pj[pi[col]]
-                s2 = sj[pi[col]] * si[col]
-                if r1 != r2 or s1 + s2 != 0:
-                    raise AssertionError(f"A_{i + 1}, A_{j + 1} do not anticommute at column {col}")
+def _radon_dimension(k: int) -> int:
+    return 1 << (k - 1).bit_length() if k <= 8 else 16 * _radon_dimension(k - 8)
 
 
-def build_Q(forms: Sequence[MultiPoly]) -> PolyMatrix:
-    """Symmetric Q of size 2^(k+1) with Q^2 = (sum G_i^2)*I and trace 0.
+def hurwitz_radon(k: int) -> CliffordGenerators:
+    """k signed permutations of the least size d(k) with the Hurwitz
+    equations (Hurwitz 1923, Radon 1922), refused before they are built
+    when Q would exceed MAX_PENCIL rows.
 
-    S = sum G_i A_i is skew, so Q = [[0, S], [S^T, 0]] is symmetric and
-    Q^2 = diag(S S^T, S^T S) = (sum G_i^2) * I by the Clifford relations.
-    Symmetry (each entry of S is stored at (i, dim+j) and (dim+j, i)) and
-    trace 0 (zero diagonal blocks) hold by construction.  Nothing is
-    re-proven here: both callers certify Q with a verifier that checks its
-    kind and decides Q^2 = P*I on lattice values (:func:`sos_to_detrep`,
-    ``quadratic.quadratic_detrep``).
+    For k <= 8, M_t is left multiplication by the unit e_t of the
+    Cayley-Dickson algebra of dimension 1, 2, 4 or 8 (R, C, H, O; M_0 = I).
+    Beyond, the octonion table O_t and the table N_u for k - 8 combine as
+    S = [[S1 (x) I, -I (x) S2], [I (x) S2^T, S1^T (x) I]], so d(k) = 16*d(k - 8).
+    """
+    if k < 1:
+        raise ValueError("generator count must be at least 1")
+    size = 2 * _radon_dimension(k)
+    if size > MAX_PENCIL:
+        raise ValueError(f"{k} forms need a {size}x{size} pencil; at most {MAX_PENCIL} rows are supported")
+    return _checked(_radon_columns(k))
+
+
+def _unit_sign(a: int, b: int, bits: int) -> int:
+    """Sign of e_a * e_b = +-e_(a^b) in the Cayley-Dickson algebra of
+    dimension 2^bits, with (p, q)(r, s) = (pr - conj(s)q, sp + q conj(r))."""
+    if not bits:
+        return 1
+    half = 1 << (bits - 1)
+    hi_a, hi_b, a, b = a & half, b & half, a & (half - 1), b & (half - 1)
+    conj_b = -1 if b else 1
+    if not hi_a:
+        return _unit_sign(b, a, bits - 1) if hi_b else _unit_sign(a, b, bits - 1)
+    return -conj_b * _unit_sign(b, a, bits - 1) if hi_b else conj_b * _unit_sign(a, b, bits - 1)
+
+
+def _radon_columns(k: int) -> list[list[tuple[int, int]]]:
+    """Column j of each M_t as (row, sign)."""
+    if k <= 8:
+        bits = (k - 1).bit_length()
+        return [[(t ^ j, _unit_sign(t, j, bits)) for j in range(1 << bits)] for t in range(k)]
+    octonions, rest = _radon_columns(8), _radon_columns(k - 8)
+    eye8, eye = [(j, 1) for j in range(8)], [(j, 1) for j in range(len(rest[0]))]
+    half = 8 * len(eye)
+    return [_kron(o, eye) + [(half + r, s) for r, s in _kron(_transpose(o), eye)] for o in octonions] + [
+        [(half + r, s) for r, s in _kron(eye8, _transpose(n))] + [(r, -s) for r, s in _kron(eye8, n)] for n in rest
+    ]
+
+
+# Signed permutations as columns [(row, sign), ...].
+def _transpose(a: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    out = [(0, 0)] * len(a)  # a row no column reaches keeps sign 0
+    for j, (r, s) in enumerate(a):
+        out[r] = (j, s)
+    return out
+
+
+def _kron(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    return [(ra * len(b) + rb, sa * sb) for ra, sa in a for rb, sb in b]
+
+
+def _checked(table: list[list[tuple[int, int]]]) -> CliffordGenerators:
+    """The table, after asserting M_s M_t^T + M_t M_s^T = 2*delta_st*I.
+    Column j of A*B is s times column r of A, for column j = (r, s) of B."""
+    eye = [(j, 1) for j in range(len(table[0]))]
+    for s, t in combinations_with_replacement(range(len(table)), 2):
+        ab = [(table[s][r][0], table[s][r][1] * x) for r, x in _transpose(table[t])]
+        ba = [(table[t][r][0], -table[t][r][1] * x) for r, x in _transpose(table[s])]
+        if ab != (eye if s == t else ba):
+            raise AssertionError(f"M_{s}, M_{t} break the Hurwitz equations")
+    perms, signs = (tuple(tuple(column[i] for column in m) for m in table) for i in (0, 1))
+    return CliffordGenerators(len(table), perms, signs)
+
+
+def build_Q(
+    forms: Sequence[MultiPoly], generators: Callable[[int], CliffordGenerators] = clifford_generators
+) -> PolyMatrix:
+    """Symmetric Q of size 2d with Q^2 = (sum G_t^2)*I and trace 0, from
+    the table ``generators(k)`` of k d x d matrices.
+
+    S = sum G_t M_t has S S^T = S^T S = (sum G_t^2)*I by the Hurwitz
+    equations, so Q = [[0, S], [S^T, 0]] has Q^2 = diag(S S^T, S^T S) =
+    (sum G_t^2)*I.  Symmetry (each entry of S is stored at (i, d+j) and
+    (d+j, i)) and trace 0 (zero diagonal blocks) hold by construction.
+    Nothing is re-proven here: both callers certify Q with a verifier that
+    checks its kind and decides Q^2 = P*I on lattice values
+    (:func:`sos_to_detrep`, ``quadratic.quadratic_detrep``).
     """
     k = len(forms)
     if k < 1:
         raise ValueError("need at least one form")
-    if k > MAX_GENERATORS:
-        raise ValueError(f"at most {MAX_GENERATORS} forms are supported")
     ring = forms[0].ring
     degrees = set()
     for g in forms:
@@ -139,7 +178,7 @@ def build_Q(forms: Sequence[MultiPoly]) -> PolyMatrix:
     if len(degrees) != 1:
         raise ValueError(f"mixed degrees {sorted(degrees)}: forms must share one degree")
 
-    gens = clifford_generators(k)
+    gens = generators(k)
     dim = gens.dimension
     zero = MultiPoly.zero(ring)
 
@@ -167,9 +206,9 @@ class CompanionRepresentation:
 
 
 def sos_to_detrep(forms: Sequence[MultiPoly]) -> CompanionRepresentation:
-    """From P = sum G_i^2 build Q (size 2^(k+1)) and certify
+    """From P = sum G_i^2 build the paper's Q (size 2^(k+1)) and certify
     det(y*I - Q) = (y^2 - P)^(2^k) via verify_companion."""
-    q = build_Q(forms)
+    q = build_Q(forms, clifford_generators)
     ring = q.ring
     weight_e = forms[0].weighted_degree()
     ring_h = Ring(("y",) + ring.variables, (weight_e,) + ring.weights, ring.gaussian)

@@ -176,7 +176,7 @@ class PolyMatrix:
                 "gaussian": self.ring.gaussian,
             },
             "kind": self.kind,
-            "entries": [[str(p) for p in row] for row in self.rows],
+            "entries": [[str(p) if p else "0" for p in row] for row in self.rows],
         }
 
     def __repr__(self) -> str:
@@ -502,11 +502,10 @@ def polymatrix_to_pencil(matrix: PolyMatrix) -> list[ConstMatrix]:
 
 def _companion_witness(det: MultiPoly, target: MultiPoly) -> Optional[str]:
     """None when the Bareiss determinant equals the nonzero target h^r, else
-    the witness of the companion route."""
+    the witness of the companion route (c = 1 there, so det is compared
+    with h^r directly)."""
     if det.is_zero():
         return "determinant is identically zero"
-    if det.leading_coefficient().im or target.leading_coefficient().im:
-        return "leading coefficient is not real"
     diff = det - target
     return None if diff.is_zero() else _truncate(f"det - 1*h^r = {diff}")
 

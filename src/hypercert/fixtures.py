@@ -15,6 +15,7 @@ from importlib import resources
 from typing import Callable, Optional
 
 from . import quadratic
+from .clifford import clifford_generators
 from .detrep import (
     PolyMatrix,
     _truncate,
@@ -308,7 +309,7 @@ def _run_f6(fixture_id: str, spec: dict) -> FixtureResult:
     result = FixtureResult(fixture_id, spec["title"])
     h = load_fixture_poly(spec["files"]["poly"])
     e = parse_point(spec["params"]["dir"])
-    rep = quadratic.quadratic_detrep(h, e)
+    rep = quadratic.quadratic_detrep(h, e, clifford_generators)
     size = rep.pencil[0].size
     result.checks.append(
         CheckOutcome(
@@ -328,7 +329,7 @@ def _run_f6(fixture_id: str, spec: dict) -> FixtureResult:
 
     h5 = load_fixture_poly(spec["files"]["poly5"])
     e5 = parse_point(spec["params"]["dir5"])
-    rep5 = quadratic.quadratic_detrep(h5, e5)
+    rep5 = quadratic.quadratic_detrep(h5, e5, clifford_generators)
     size5 = rep5.pencil[0].size
     used_shortcut = rep5.report.notes.get("method") == "minimal-polynomial-shortcut"
     result.checks.append(

@@ -8,13 +8,14 @@ Completing the square exposes the branch form p = q1^2 - 4*alpha*q2 with
 
 If h is hyperbolic the branch p is positive semidefinite; a rational
 congruence diagonalization plus four-square decompositions writes it as a
-sum of squares of linear forms, and the Clifford bridge turns that into a
-symmetric pencil M = (2*alpha*u_0 + q1)*I - Q with
+sum of squares of linear forms, and the Clifford bridge turns k squares
+into a symmetric pencil M = (2*alpha*u_0 + q1)*I - Q of size 2d with
 
-    det M = (4*alpha)^(2^k) * h^(2^k),
+    det M = (4*alpha)^d * h^d,
 
-positive definite at e.  If p is indefinite the pipeline stops with an
-exact witness vector (and the line on which hyperbolicity fails).
+positive definite at e; d = d(k) <= 8 for k <= 8 squares (Hurwitz-Radon),
+or the paper's 2^k.  If p is indefinite the pipeline stops with an exact
+witness vector (and the line on which hyperbolicity fails).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .clifford import build_Q
+from .clifford import build_Q, hurwitz_radon
 from .detrep import (
     DetRepReport,
     PolyMatrix,
@@ -328,14 +329,17 @@ def _hyperbolicity_witness_line(
     )
 
 
-def quadratic_detrep(h: MultiPoly, e: Sequence[RationalLike]) -> QuadraticDetRep:
+def quadratic_detrep(h: MultiPoly, e: Sequence[RationalLike], generators=hurwitz_radon) -> QuadraticDetRep:
     """Compose normalize -> branch SOS -> Clifford Q -> pencil pullback.
 
-    Returns a pencil of size 2^(k+1) with r = 2^k and c = (4*alpha)^r, where
-    k is the number of squares in the branch decomposition; the final
-    verify_pencil (up to a positive scalar, definite at e) must pass.  If the
-    branch form p vanishes identically (h is a scalar multiple of a squared
-    linear form) a 4x4 pencil with r = 2 is returned instead.
+    Returns a pencil of size 2d with r = d and c = (4*alpha)^r, where d is
+    the size of the table ``generators(k)`` (:func:`hurwitz_radon` or
+    ``clifford_generators``) for the k squares of the branch.  h(e) < 0
+    needs r even, so a lone square g is then split as (3g/5)^2 + (4g/5)^2
+    when d = 1.  The final verify_pencil (up to a positive scalar, definite
+    at e) must pass.  If the branch form p vanishes identically (h is a
+    scalar multiple of a squared linear form) a 4x4 pencil with r = 2 is
+    returned instead.
     """
     try:
         nf = normalize_at_direction(h, e)
@@ -356,7 +360,9 @@ def quadratic_detrep(h: MultiPoly, e: Sequence[RationalLike]) -> QuadraticDetRep
     ring_prime = nf.ring_prime
     ell = MultiPoly.variable(ring_prime, "u0").scale(2 * nf.alpha) + nf.q1
     if forms:
-        q = build_Q(forms)
+        q = build_Q(forms, generators)
+        if nf.flipped and q.size % 4:
+            q = build_Q([forms[0].scale(Fraction(3, 5)), forms[0].scale(Fraction(4, 5))], generators)
         m = q.size
         matrix_prime = scalar_polymatrix(ell, m, KIND_SYMMETRIC).sub(q)
     else:

@@ -303,7 +303,7 @@ class ConstMatrix:
         )
 
     def to_rows(self) -> list[list[str]]:
-        return [[str(e) for e in row] for row in self.entries]
+        return [[str(e) if e else "0" for e in row] for row in self.entries]
 
 
 def _kind_violation(rows: Sequence[Sequence], kind: str, conj: Callable) -> Optional[tuple[int, int]]:
@@ -317,7 +317,11 @@ def _kind_violation(rows: Sequence[Sequence], kind: str, conj: Callable) -> Opti
     for i, row in enumerate(rows):
         for j in range(i, len(rows)):
             a, b = row[j], rows[j][i]
-            if (a != conj(b)) if hermitian else (not a.is_real() or a != b):
+            if a is b:  # a diagonal entry or the shared zero: it need only be real
+                bad = not a.is_real()
+            else:
+                bad = a != conj(b) if hermitian else not a.is_real() or a != b
+            if bad:
                 return (i, j)
     return None
 

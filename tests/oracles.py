@@ -55,6 +55,30 @@ def dense_generators(gens):
     return out
 
 
+def hurwitz_defect(gens):
+    """The first (s, t) with M_s M_t^T + M_t M_s^T != 2*delta_st*I, or None,
+    multiplying the dense matrices of ``gens`` as sparse row dicts."""
+    mats = [{(i, j): v for i, row in enumerate(m) for j, v in enumerate(row) if v} for m in dense_generators(gens)]
+
+    def add_product_with_transpose(total, a, b):
+        by_row = {}
+        for (j, k), w in b.items():
+            by_row.setdefault(k, []).append((j, w))
+        for (i, k), v in a.items():
+            for j, w in by_row.get(k, ()):
+                total[(i, j)] = total.get((i, j), 0) + v * w
+
+    for s, a in enumerate(mats):
+        for t in range(s, len(mats)):
+            total = {}
+            add_product_with_transpose(total, a, mats[t])
+            add_product_with_transpose(total, mats[t], a)
+            expected = {(i, i): 2 for i in range(gens.dimension)} if s == t else {}
+            if {ij: v for ij, v in total.items() if v} != expected:
+                return (s, t)
+    return None
+
+
 def mat_inverse(mat):
     """Inverse of a square matrix of Fractions by Gauss-Jordan elimination;
     ValueError if it is singular."""

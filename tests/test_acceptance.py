@@ -82,7 +82,7 @@ def test_criterion_7_property_suites():
     ok = True
 
     # Clifford generator invariants, exhaustive for n <= 6 (the constructor
-    # asserts skewness, squares and anticommutation over every basis column).
+    # asserts the Hurwitz equations over every basis column).
     for n in range(1, 7):
         gens = clifford_generators(n)
         ok = ok and gens.dimension == 1 << n

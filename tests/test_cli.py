@@ -200,17 +200,17 @@ class TestVerifyDetrep:
         )
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
-        assert payload["r"] == 4
-        assert payload["c"] == "256"
+        assert payload["r"] == 2  # two branch squares: the 4x4 Hurwitz-Radon pencil
+        assert payload["c"] == "16"
         assert "coordinate_map" in payload
         code = main(
             ["verify-detrep", "--matrix", str(out), "--poly", files["q.txt"],
-             "--power", "4", "--dir", "1,0,0", "--up-to-scalar", "--json"]
+             "--power", "2", "--dir", "1,0,0", "--up-to-scalar", "--json"]
         )
         assert code == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
-        assert report["scalar"] == "256"
+        assert report["scalar"] == "16"
 
     def test_wrong_power_exit_64(self, files, tmp_path, capsys):
         out = tmp_path / "pencil.json"
@@ -228,12 +228,12 @@ class TestVerifyDetrep:
         capsys.readouterr()
         code = main(
             ["verify-detrep", "--matrix", str(out), "--poly", files["q.txt"],
-             "--power", "4", "--dir", "1,0,0"]
+             "--power", "2", "--dir", "1,0,0"]
         )
-        assert code == EXIT_REFUTED  # c = 256 != 1 without --up-to-scalar
+        assert code == EXIT_REFUTED  # c = 16 != 1 without --up-to-scalar
 
     def test_negative_at_direction_certified(self, tmp_path, capsys):
-        # h(e) = -1 < 0: the branch is -4*h and c = (-4)^8 = 65536.  This
+        # h(e) = -1 < 0: the branch is -4*h and c = (-4)^4 = 256.  This
         # used to fail at stage 'verify' with "branch scalar -4 is not positive".
         h = tmp_path / "h.txt"
         h.write_text("ring: vars=x0,x1 weights=1,1 gaussian=false\n3*x1^2 - x0^2\n")
@@ -241,13 +241,13 @@ class TestVerifyDetrep:
         code = main(["quadratic-detrep", "--poly", str(h), "--dir", "1,0", "--out", str(out), "--json"])
         assert code == EXIT_OK, capsys.readouterr()
         payload = json.loads(capsys.readouterr().out)
-        assert (payload["r"], payload["c"]) == (8, "65536")
+        assert (payload["r"], payload["c"]) == (4, "256")
         code = main(
             ["verify-detrep", "--matrix", str(out), "--poly", str(h),
-             "--power", "8", "--dir", "1,0", "--up-to-scalar", "--json"]
+             "--power", "4", "--dir", "1,0", "--up-to-scalar", "--json"]
         )
         assert code == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["scalar"] == "65536"
+        assert json.loads(capsys.readouterr().out)["scalar"] == "256"
 
     @pytest.mark.parametrize("power", ["0", "-1"])
     def test_power_below_one_exit_64(self, tmp_path, capsys, power):
@@ -499,6 +499,27 @@ class TestQuadraticDetrepErrors:
         payload = json.loads(capsys.readouterr().out)
         assert payload["stage"] == "branch-sos"
         assert "witness_vector" in payload
+
+
+class TestQuadraticDetrepCompact:
+    def test_twelve_squares_certify_in_128_rows(self, tmp_path, capsys):
+        # 28 = 4^2 + 2^2 + 2^2 + 2^2 per variable: 12 branch squares, which
+        # the paper's table refused ("at most 8 forms").
+        h = _write_poly(tmp_path / "h.txt", ["x0", "x1", "x2", "x3"], "x0^2 - 7*x1^2 - 7*x2^2 - 7*x3^2")
+        assert main(["quadratic-detrep", "--poly", h, "--dir", "1,0,0,0", "--json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["pencil"]["matrices"][0]) == 128 and payload["r"] == 64
+        assert payload["report"]["ok"] is True
+
+    def test_eighteen_squares_refused_before_any_matrix(self, tmp_path, capsys, monkeypatch):
+        def tripwire(*args, **kwargs):
+            raise AssertionError("matrix allocated past the size limit")
+
+        monkeypatch.setattr(detrep.PolyMatrix, "__init__", tripwire)
+        names = [f"x{k}" for k in range(6)]
+        h = _write_poly(tmp_path / "h.txt", names, "x0^2 - 7*x1^2 - 7*x2^2 - 7*x3^2 - 7*x4^2 - 2*x5^2")
+        assert main(["quadratic-detrep", "--poly", h, "--dir", "1,0,0,0,0,0"]) == EXIT_USAGE
+        assert "input error: 18 forms need a 1024x1024 pencil; at most 512 rows" in capsys.readouterr().err
 
 
 class TestFixturesCommand:

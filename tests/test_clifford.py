@@ -4,11 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hypercert import clifford
 from hypercert.clifford import (
     CliffordGenerators,
     build_Q,
     clifford_generators,
+    hurwitz_radon,
     sos_to_detrep,
 )
 from hypercert import detrep
@@ -17,7 +21,7 @@ from hypercert.fixtures import load_fixture_matrix, load_fixture_poly
 from hypercert.polyring import MultiPoly, Ring, _sum_of_squares, parse
 from hypercert.quadratic import quadratic_detrep
 from hypercert.scalars import GaussianRational
-from oracles import dense_generators, involution_reference
+from oracles import companion_det, dense_generators, hurwitz_defect, involution_reference
 
 
 def _dense_mul(a, b):
@@ -62,11 +66,13 @@ class TestGenerators:
                     )
 
     def test_invariants_exhaustive_to_six(self):
-        # Construction asserts skewness, A_i^2 = -I and anticommutation
-        # exhaustively (sparse form); just drive it for every n <= 6.
+        # Construction asserts the Hurwitz equations (for these skew A_i:
+        # A_i^2 = -I and anticommutation) exhaustively; drive it for n <= 6
+        # and recheck them with the sparse oracle.
         for n in range(1, 7):
             g = clifford_generators(n)
             assert g.dimension == 1 << n
+            assert hurwitz_defect(g) is None
 
     def test_range_check(self):
         with pytest.raises(ValueError):
@@ -75,8 +81,49 @@ class TestGenerators:
             clifford_generators(9)
 
 
+RADON_DIMENSION = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8, 9: 16, 10: 32, 11: 64, 12: 64}
+RADON_DIMENSION.update({13: 128, 14: 128, 15: 128, 16: 128, 17: 256})
+
+
+class TestHurwitzRadon:
+    @given(st.integers(1, 17))
+    def test_hurwitz_equations_and_dimension(self, k):
+        gens = hurwitz_radon(k)
+        assert gens.n == k and gens.dimension == RADON_DIMENSION[k]
+        assert hurwitz_defect(gens) is None
+
+    def test_first_table_is_the_identity_then_imaginary_units(self):
+        # M_0 = I; M_1 on C = R^2 is multiplication by i: 1 -> i, i -> -1.
+        assert dense_generators(hurwitz_radon(2)) == [((1, 0), (0, 1)), ((0, -1), (1, 0))]
+
+    def test_broken_table_is_refused(self):
+        gens = hurwitz_radon(4)
+        columns = [list(zip(p, s)) for p, s in zip(gens.perms, gens.signs)]
+        columns[3][1] = (columns[3][1][0], -columns[3][1][1])
+        with pytest.raises(AssertionError, match="Hurwitz equations"):
+            clifford._checked(columns)
+
+    def test_size_limit_refused_before_building(self, monkeypatch):
+        def tripwire(*args):
+            raise AssertionError("table built past the size limit")
+
+        monkeypatch.setattr(clifford, "_radon_columns", tripwire)
+        with pytest.raises(ValueError, match="18 forms need a 1024x1024 pencil; at most 512 rows"):
+            hurwitz_radon(18)
+        with pytest.raises(ValueError):
+            hurwitz_radon(0)
+
+
 R2 = Ring.standard(("x1", "x2"))
 R3 = Ring.standard(("x1", "x2", "x3"))
+
+
+@st.composite
+def radon_forms(draw):
+    """1-9 nonzero linear forms in x1, x2 with small integer coefficients."""
+    k = draw(st.integers(1, 9))
+    coeffs = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any), min_size=k, max_size=k))
+    return [MultiPoly.from_terms(R2, [((1, 0), a), ((0, 1), b)]) for a, b in coeffs]
 
 
 def random_forms(rng, ring, k, degree):
@@ -144,6 +191,21 @@ class TestBuildQ:
             assert q.kind_violation() is None
             # Trace 0 and Q^2 = (sum G_i^2)*I, by the polynomial square.
             assert involution_reference(q) == _sum_of_squares(R3, forms)
+
+
+class TestBuildQHurwitzRadon:
+    @settings(max_examples=40)
+    @given(radon_forms())
+    def test_involution_and_companion_determinant(self, forms):
+        q = build_Q(forms, hurwitz_radon)
+        p = _sum_of_squares(R2, forms)
+        assert q.size == 2 * RADON_DIMENSION[len(forms)]
+        assert q.kind_violation() is None
+        assert involution_reference(q) == p
+        if q.size <= 16:
+            ring_h = Ring.standard(("y", "x1", "x2"))
+            h = MultiPoly.variable(ring_h, "y") ** 2 - p.lift(ring_h)
+            assert companion_det(q, ring_h) == h ** (q.size // 2)
 
 
 class TestSosToDetrep:

@@ -13,7 +13,7 @@ import sympy
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from hypercert.clifford import build_Q
+from hypercert.clifford import build_Q, clifford_generators
 from hypercert.detrep import (
     PolyMatrix,
     _involution,
@@ -224,7 +224,7 @@ class TestVerifyPencil:
         from hypercert.quadratic import quadratic_detrep
 
         h = parse("x0^2 - x1^2 - x2^2", R3)
-        rep = quadratic_detrep(h, (1, 0, 0))
+        rep = quadratic_detrep(h, (1, 0, 0), clifford_generators)
         report = verify_pencil(rep.pencil, h, rep.power, (1, 0, 0), up_to_scalar=True)
         assert report.ok and report.scalar == 256
         assert report.notes["method"] == "minimal-polynomial-shortcut"
@@ -247,6 +247,15 @@ class TestVerifyCompanion:
         a = PolyMatrix(ring_x, [[MultiPoly.zero(ring_x)]], "symmetric")
         report = verify_companion(a, h, 1)
         assert report.ok
+
+    def test_exact_gaussian_determinant_is_not_refused_for_its_leading_coefficient(self):
+        # det(y*I - A) = y - i*x1 = h exactly, though h's glex-leading
+        # coefficient is -i: c = 1 on this route, so no determinant failure.
+        ring_h = Ring(("x1", "y"), (1, 1), gaussian=True)
+        a = PolyMatrix(Ring(("x1",), (1,), gaussian=True), [[parse("i*x1", Ring(("x1",), (1,), gaussian=True))]])
+        report = verify_companion(a, parse("y - i*x1", ring_h), 1)
+        assert report.notes["method"] == "bareiss"
+        assert [f.name for f in report.failures] == ["kind"]  # A declares no kind
 
     def test_clifford_q_for_two_squares(self):
         from hypercert.clifford import build_Q
@@ -431,6 +440,14 @@ class TestKindViolation:
         poly = PolyMatrix.from_strings(ring, [[f"({c})*x" for c in row] for row in rows], kind)
         assert const.kind_violation() == expected
         assert poly.kind_violation() == expected
+
+    @pytest.mark.parametrize("kind", ["symmetric", "hermitian"])
+    def test_one_shared_entry_object(self, kind):
+        # An entry stored at (i, j) and (j, i) as one object is compared only
+        # for realness: the shared zero passes, a shared i fails either kind.
+        zero, unit = GaussianRational(0), GaussianRational(0, 1)
+        assert ConstMatrix([[zero, zero], [zero, zero]], kind).kind_violation() is None
+        assert ConstMatrix([[zero, unit], [unit, zero]], kind).kind_violation() == (0, 1)
 
 
 class TestPlucker:

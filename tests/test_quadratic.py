@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypercert.clifford import clifford_generators
 from hypercert.hyperbolicity import STATUS_NO_COUNTEREXAMPLE, certify_from_pencil, is_hyperbolic_sampled
 from hypercert.polyring import MultiPoly, Ring, parse, restrict_to_line
 from hypercert.quadratic import (
@@ -223,7 +224,7 @@ class TestRationalSos:
 class TestQuadraticDetrep:
     def test_circle(self):
         h = parse("x0^2 - x1^2 - x2^2", R3)
-        rep = quadratic_detrep(h, (1, 0, 0))
+        rep = quadratic_detrep(h, (1, 0, 0), clifford_generators)
         assert rep.power == 4
         assert rep.scalar == 256
         assert rep.pencil[0].size == 8
@@ -236,7 +237,7 @@ class TestQuadraticDetrep:
     def test_lorentz_five_vars_shortcut(self):
         ring = Ring.standard(("x0", "x1", "x2", "x3", "x4"))
         h = parse("x0^2 - x1^2 - x2^2 - x3^2 - x4^2", ring)
-        rep = quadratic_detrep(h, (1, 0, 0, 0, 0))
+        rep = quadratic_detrep(h, (1, 0, 0, 0, 0), clifford_generators)
         assert rep.power == 16
         assert rep.pencil[0].size == 32
         assert rep.scalar == Fraction(4) ** 16
@@ -245,7 +246,7 @@ class TestQuadraticDetrep:
     def test_negative_at_direction(self):
         # h(e) = -1: the branch ell^2 - P is -4*h, and c = (-4)^8 > 0.
         h = parse("3*x1^2 - x0^2", R2)
-        rep = quadratic_detrep(h, (1, 0))
+        rep = quadratic_detrep(h, (1, 0), clifford_generators)
         assert rep.report.ok, rep.report.to_json_dict()
         assert (rep.power, rep.scalar) == (8, 65536)
         from hypercert.detrep import pencil_to_polymatrix, poly_det
@@ -269,6 +270,17 @@ class TestQuadraticDetrep:
         assert rep.power == 2
         assert rep.pencil[0].size == 4
         assert rep.report.ok
+
+    def test_flipped_single_square_gets_even_power(self):
+        # h(e) = -1 < 0 needs r even: the lone branch square (2*u1)^2 would
+        # give a 2x2 pencil with det = -4*h, so it is split in two.
+        h = parse("x1^2 - x0^2", R2)
+        rep = quadratic_detrep(h, (1, 0))
+        assert rep.report.ok, rep.report.to_json_dict()
+        assert (rep.pencil[0].size, rep.power, rep.scalar) == (4, 2, 16)
+        from hypercert.detrep import pencil_to_polymatrix, poly_det
+
+        assert poly_det(pencil_to_polymatrix(rep.pencil, R2)) == (h ** 2).scale(16)
 
     def test_flipped_sign_direction(self):
         h = parse("0 - x0^2 + x1^2 + x2^2", R3)  # -Lorentz
