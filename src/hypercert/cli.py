@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 = verified/constructed, 1 = refuted or a check failed (the
-report carries the witness), 64 = usage or input error.
+report carries the witness), 64 = usage, input or capacity error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import fixtures as fixtures_mod
-from .clifford import sos_to_detrep
+from .clifford import CapacityError, sos_to_detrep
 from .detrep import (
     detrep_to_sos,
     polymatrix_from_json,
@@ -112,6 +112,9 @@ def _cmd_verify_detrep(args) -> int:
     if args.companion:
         if matrix is None:
             raise _UsageError("companion verification needs a polynomial matrix file")
+        flag = "--dir" if args.dir is not None else "--up-to-scalar" if args.up_to_scalar else None
+        if flag:  # the companion route checks det(y*I - A) = h^r only: no direction, c = 1
+            raise _UsageError(f"{flag} does not apply to companion verification")
         report = verify_companion(matrix, h, args.power)
     else:
         # The slices are matched to h's variables by position.
@@ -297,6 +300,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except CapacityError as err:
+        print(f"capacity error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (ParseError, FileNotFoundError, json.JSONDecodeError, ValueError) as err:
         print(f"input error: {err}", file=sys.stderr)

@@ -5,26 +5,41 @@ A generator table holds k signed-permutation d x d matrices M_t that satisfy
 the Hurwitz equations M_s M_t^T + M_t M_s^T = 2*delta_st*I: the paper's
 left-regular representation of Cl_{0,k}(R) (:func:`clifford_generators`,
 d = 2^k), or the compact :func:`hurwitz_radon` table (d = 1, 2, 4, 8 for
-k <= 8, then 16*d(k - 8)).  For real forms G_1..G_k of a common degree,
-Q = [[0, S], [S^T, 0]] with S = sum G_t M_t is symmetric, traceless, and
-satisfies Q^2 = (sum G_t^2) * I, which turns any SOS decomposition into a
-companion-form representation det(y*I - Q) = (y^2 - P)^d.  The Hurwitz
-equations are asserted when a table is built; Q^2 = P*I itself is proven by
-the verifier that certifies Q, on lattice values.
+k <= 8, then 16*d(k - 8)).  For real coefficients c_1..c_k (forms of one
+degree, or numbers), Q = [[0, S], [S^T, 0]] with S = sum c_t M_t is
+symmetric, traceless, and satisfies Q^2 = (sum c_t^2) * I, which turns any
+SOS decomposition into a companion-form representation
+det(y*I - Q) = (y^2 - P)^d.  One loop, :func:`_q_rows`, places Q for
+either table: :func:`build_Q` with forms, the quadratic pipeline with the
+numbers of each pencil slice.  The Hurwitz equations are asserted when a
+table is built; Q^2 = P*I itself is proven on lattice values by the
+verifier that certifies Q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 from .detrep import DetRepReport, PolyMatrix, verify_companion
 from .polyring import MultiPoly, Ring, _sum_of_squares
 from .scalars import KIND_SYMMETRIC
 
-MAX_GENERATORS = 8  # the paper table only: size 2^(k+1) caps at 512
-MAX_PENCIL = 512  # largest Q built from the compact table
+MAX_PENCIL = 512  # largest Q from either table: 8 forms in the paper's, 17 in the compact one
+
+
+class CapacityError(ValueError):
+    """k forms need a Q over MAX_PENCIL rows; raised before any table is built."""
+
+
+def _capped(k: int, dimension: int) -> None:
+    """Refuse k < 1 forms, or k forms whose d x d table gives Q more than
+    MAX_PENCIL rows: the one size check of both tables."""
+    if k < 1:
+        raise ValueError("generator count must be at least 1")
+    if (size := 2 * dimension) > MAX_PENCIL:
+        raise CapacityError(f"{k} forms need a {size}x{size} pencil; at most {MAX_PENCIL} rows are supported")
 
 
 @dataclass(frozen=True)
@@ -50,10 +65,10 @@ def clifford_generators(n: int) -> CliffordGenerators:
     Sign convention for e_i * e_S: a factor (-1) for each j in S with j < i,
     and another (-1) when i is already in S (since e_i^2 = -1).  The
     Hurwitz equations, here skewness, A_i^2 = -I and anticommutation, are
-    asserted after construction.
+    asserted after construction.  Beyond 8 forms Q would exceed MAX_PENCIL
+    rows, which is refused before the table is built.
     """
-    if not 1 <= n <= MAX_GENERATORS:
-        raise ValueError(f"at most {MAX_GENERATORS} forms are supported")
+    _capped(n, 1 << max(n, 0))
     basis: list[tuple[int, ...]] = []
     for size in range(n + 1):
         basis.extend(combinations(range(1, n + 1), size))
@@ -87,11 +102,7 @@ def hurwitz_radon(k: int) -> CliffordGenerators:
     Beyond, the octonion table O_t and the table N_u for k - 8 combine as
     S = [[S1 (x) I, -I (x) S2], [I (x) S2^T, S1^T (x) I]], so d(k) = 16*d(k - 8).
     """
-    if k < 1:
-        raise ValueError("generator count must be at least 1")
-    size = 2 * _radon_dimension(k)
-    if size > MAX_PENCIL:
-        raise ValueError(f"{k} forms need a {size}x{size} pencil; at most {MAX_PENCIL} rows are supported")
+    _capped(k, _radon_dimension(k))
     return _checked(_radon_columns(k))
 
 
@@ -146,19 +157,31 @@ def _checked(table: list[list[tuple[int, int]]]) -> CliffordGenerators:
     return CliffordGenerators(len(table), perms, signs)
 
 
-def build_Q(
-    forms: Sequence[MultiPoly], generators: Callable[[int], CliffordGenerators] = clifford_generators
-) -> PolyMatrix:
-    """Symmetric Q of size 2d with Q^2 = (sum G_t^2)*I and trace 0, from
-    the table ``generators(k)`` of k d x d matrices.
+def _q_rows(dim: int, zero, terms: Iterable[tuple]) -> list[list]:
+    """Rows of Q = [[0, S], [S^T, 0]] of size 2*dim, S = sum c_t M_t over
+    ``terms`` (c_t, perm_t, sign_t): coefficients of any type with + and
+    unary -, and the columns of M_t as a table stores them.
 
-    S = sum G_t M_t has S S^T = S^T S = (sum G_t^2)*I by the Hurwitz
-    equations, so Q = [[0, S], [S^T, 0]] has Q^2 = diag(S S^T, S^T S) =
-    (sum G_t^2)*I.  Symmetry (each entry of S is stored at (i, d+j) and
-    (d+j, i)) and trace 0 (zero diagonal blocks) hold by construction.
-    Nothing is re-proven here: both callers certify Q with a verifier that
-    checks its kind and decides Q^2 = P*I on lattice values
-    (:func:`sos_to_detrep`, ``quadratic.quadratic_detrep``).
+    S S^T = S^T S = (sum c_t^2)*I by the Hurwitz equations, so
+    Q^2 = diag(S S^T, S^T S) = (sum c_t^2)*I.  Symmetry (each entry of S is
+    stored at (i, dim+j) and (dim+j, i)) and trace 0 (zero diagonal blocks)
+    hold by construction.  Every row is a new list.
+    """
+    s_rows = [[zero] * dim for _ in range(dim)]
+    for c, perm, sign in terms:
+        for col, (row, s) in enumerate(zip(perm, sign)):
+            s_rows[row][col] = s_rows[row][col] + (c if s > 0 else -c)
+    zeros = [zero] * dim
+    return [zeros + row for row in s_rows] + [[row[j] for row in s_rows] + zeros for j in range(dim)]
+
+
+def build_Q(forms: Sequence[MultiPoly]) -> PolyMatrix:
+    """The paper's Q (:func:`_q_rows`) of size 2^(k+1) from the table
+    ``clifford_generators(k)`` for k forms, with Q^2 = (sum G_t^2)*I and
+    trace 0.
+
+    Nothing is re-proven here: :func:`sos_to_detrep` certifies Q with a
+    verifier that checks its kind and decides Q^2 = P*I on lattice values.
     """
     k = len(forms)
     if k < 1:
@@ -178,21 +201,9 @@ def build_Q(
     if len(degrees) != 1:
         raise ValueError(f"mixed degrees {sorted(degrees)}: forms must share one degree")
 
-    gens = generators(k)
-    dim = gens.dimension
-    zero = MultiPoly.zero(ring)
-
-    s_rows = [[zero] * dim for _ in range(dim)]
-    for t, g in enumerate(forms):
-        perm, sign = gens.perms[t], gens.signs[t]
-        for col in range(dim):
-            row = perm[col]
-            contrib = g if sign[col] > 0 else -g
-            s_rows[row][col] = s_rows[row][col] + contrib
-
-    zeros = [zero] * dim  # Q = [[0, S], [S^T, 0]]
-    q_rows = [zeros + row for row in s_rows] + [[row[j] for row in s_rows] + zeros for j in range(dim)]
-    return PolyMatrix(ring, q_rows, KIND_SYMMETRIC)
+    gens = clifford_generators(k)
+    rows = _q_rows(gens.dimension, MultiPoly.zero(ring), zip(forms, gens.perms, gens.signs))
+    return PolyMatrix(ring, rows, KIND_SYMMETRIC)
 
 
 @dataclass
@@ -208,7 +219,7 @@ class CompanionRepresentation:
 def sos_to_detrep(forms: Sequence[MultiPoly]) -> CompanionRepresentation:
     """From P = sum G_i^2 build the paper's Q (size 2^(k+1)) and certify
     det(y*I - Q) = (y^2 - P)^(2^k) via verify_companion."""
-    q = build_Q(forms, clifford_generators)
+    q = build_Q(forms)
     ring = q.ring
     weight_e = forms[0].weighted_degree()
     ring_h = Ring(("y",) + ring.variables, (weight_e,) + ring.weights, ring.gaussian)

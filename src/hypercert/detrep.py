@@ -90,9 +90,6 @@ class PolyMatrix:
     def size(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, ij: tuple[int, int]) -> MultiPoly:
-        return self.rows[ij[0]][ij[1]]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
@@ -102,23 +99,11 @@ class PolyMatrix:
         """First entry (i, j) breaking the declared symmetry kind, or None."""
         return _kind_violation(self.rows, self.kind, MultiPoly.conjugate)
 
-    def conjugate(self) -> "PolyMatrix":
-        return PolyMatrix(self.ring, [[p.conjugate() for p in row] for row in self.rows], self.kind)
-
     def trace(self) -> MultiPoly:
         total = MultiPoly.zero(self.ring)
         for k in range(self.size):
             total = total + self.rows[k][k]
         return total
-
-    def sub(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.size != other.size or self.ring != other.ring:
-            raise ValueError("matrix shape/ring mismatch")
-        return PolyMatrix(
-            self.ring,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            KIND_NONE,
-        )
 
     def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
         """Matrix product, skipping zero entries (matrices are often sparse)."""
@@ -196,11 +181,6 @@ def polymatrix_from_json(data: Union[str, dict]) -> PolyMatrix:
         raise ParseError(f"ring.weights must be integers, not {json.dumps(weights)}") from None
     ring = Ring(names, weights, _json_flag(header, "gaussian", "ring.gaussian"))
     return PolyMatrix.from_strings(ring, entries, data.get("kind", KIND_NONE))
-
-
-def scalar_polymatrix(p: MultiPoly, n: int, kind: str = KIND_SYMMETRIC) -> PolyMatrix:
-    zero = MultiPoly.zero(p.ring)
-    return PolyMatrix(p.ring, [[p if i == j else zero for j in range(n)] for i in range(n)], kind)
 
 
 # ---------------------------------------------------------------------------
@@ -645,9 +625,9 @@ def _match_branch(
 
 def char_matrix(matrix: PolyMatrix, ring_h: Ring) -> PolyMatrix:
     """y*I - A over ``ring_h``, the ring of A with the variable y added."""
-    lifted = PolyMatrix(ring_h, [[p.lift(ring_h) for p in row] for row in matrix.rows])
-    y_poly = MultiPoly.variable(ring_h, "y")
-    return scalar_polymatrix(y_poly, matrix.size, KIND_NONE).sub(lifted)
+    y, zero = MultiPoly.variable(ring_h, "y"), MultiPoly.zero(ring_h)
+    rows = [[(y if i == j else zero) - p.lift(ring_h) for j, p in enumerate(row)] for i, row in enumerate(matrix.rows)]
+    return PolyMatrix(ring_h, rows)
 
 
 def verify_companion(matrix: PolyMatrix, h: MultiPoly, r: int) -> DetRepReport:

@@ -8,13 +8,15 @@ Completing the square exposes the branch form p = q1^2 - 4*alpha*q2 with
 
 If h is hyperbolic the branch p is positive semidefinite; a rational
 congruence diagonalization plus four-square decompositions writes it as a
-sum of squares of linear forms, and the Clifford bridge turns k squares
+sum of squares of linear forms g_t, and the Clifford bridge turns k squares
 into a symmetric pencil M = (2*alpha*u_0 + q1)*I - Q of size 2d with
 
     det M = (4*alpha)^d * h^d,
 
 positive definite at e; d = d(k) <= 8 for k <= 8 squares (Hurwitz-Radon),
-or the paper's 2^k.  If p is indefinite the pipeline stops with an exact
+or the paper's 2^k.  Every entry of M is linear, so its slices in x are
+read off the generator table and the coefficients of each form pulled back
+along u = T*x.  If p is indefinite the pipeline stops with an exact
 witness vector (and the line on which hyperbolicity fails).
 """
 
@@ -24,18 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .clifford import build_Q, hurwitz_radon
-from .detrep import (
-    DetRepReport,
-    PolyMatrix,
-    polymatrix_to_pencil,
-    scalar_polymatrix,
-    verify_pencil,
-)
+from .clifford import _q_rows, hurwitz_radon
+from .detrep import DetRepReport, verify_pencil
 from .polyring import MultiPoly, Ring, _sum_of_squares
 from .scalars import (
+    GR_ZERO,
     KIND_SYMMETRIC,
     ConstMatrix,
+    GaussianRational,
     RationalLike,
     as_fraction,
     four_square_decompose,
@@ -122,19 +120,7 @@ def normalize_at_direction(h: MultiPoly, e: Sequence[RationalLike]) -> Quadratic
         transform[c][pivot] = -point[j] / point[pivot]
 
     ring_prime = Ring.standard(tuple(f"u{k}" for k in range(n)))
-    # x_r = sum_j inverse[r][j] * u_j
-    images = [
-        MultiPoly.from_terms(
-            ring_prime,
-            [
-                (tuple(1 if t == j else 0 for t in range(n)), inverse[r][j])
-                for j in range(n)
-                if inverse[r][j]
-            ],
-        )
-        for r in range(n)
-    ]
-    hp = hw.substitute(images)
+    hp = hw.substitute([_row_to_form(ring_prime, row) for row in inverse])  # x_r = sum_j inverse[r][j] * u_j
 
     # Split hp by its degree in u0; q1 is the u0-linear part divided by u0,
     # which shifts the u0 exponent from 1 to 0.
@@ -329,17 +315,28 @@ def _hyperbolicity_witness_line(
     )
 
 
+def _pulled_back(form: MultiPoly, transform: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+    """The coefficients on x of a linear form in u after u = T*x."""
+    coeffs = [Fraction(0)] * len(transform)
+    for expo, c in form.terms.items():
+        for s, t in enumerate(transform[expo.index(1)]):
+            coeffs[s] += c.re * t
+    return coeffs
+
+
 def quadratic_detrep(h: MultiPoly, e: Sequence[RationalLike], generators=hurwitz_radon) -> QuadraticDetRep:
-    """Compose normalize -> branch SOS -> Clifford Q -> pencil pullback.
+    """Compose normalize -> branch SOS -> Clifford slices -> verify.
 
     Returns a pencil of size 2d with r = d and c = (4*alpha)^r, where d is
     the size of the table ``generators(k)`` (:func:`hurwitz_radon` or
     ``clifford_generators``) for the k squares of the branch.  h(e) < 0
     needs r even, so a lone square g is then split as (3g/5)^2 + (4g/5)^2
-    when d = 1.  The final verify_pencil (up to a positive scalar, definite
-    at e) must pass.  If the branch form p vanishes identically (h is a
-    scalar multiple of a squared linear form) a 4x4 pencil with r = 2 is
-    returned instead.
+    when d = 1.  Slice s of ell*I - Q, pulled back along u = T*x, is
+    ell_s*I - [[0, S_s], [S_s^T, 0]] with S_s = sum_t (g_t T)_s M_t.  The
+    final verify_pencil (up to a positive scalar, definite at e) must pass.
+    If the branch form p vanishes identically (h is a scalar multiple of a
+    squared linear form) the same loop with no forms gives a 4x4 pencil
+    ell*I with r = 2.
     """
     try:
         nf = normalize_at_direction(h, e)
@@ -357,41 +354,27 @@ def quadratic_detrep(h: MultiPoly, e: Sequence[RationalLike], generators=hurwitz
             witness_line=line,
         ) from err
 
-    ring_prime = nf.ring_prime
-    ell = MultiPoly.variable(ring_prime, "u0").scale(2 * nf.alpha) + nf.q1
+    dim, columns = 2, []
     if forms:
-        q = build_Q(forms, generators)
-        if nf.flipped and q.size % 4:
-            q = build_Q([forms[0].scale(Fraction(3, 5)), forms[0].scale(Fraction(4, 5))], generators)
-        m = q.size
-        matrix_prime = scalar_polymatrix(ell, m, KIND_SYMMETRIC).sub(q)
-    else:
-        m = 4
-        matrix_prime = scalar_polymatrix(ell, m, KIND_SYMMETRIC)
-    r = m // 2
+        gens = generators(len(forms))
+        if nf.flipped and gens.dimension == 1:
+            forms = [forms[0].scale(Fraction(3, 5)), forms[0].scale(Fraction(4, 5))]
+            gens = generators(2)
+        dim, columns = gens.dimension, list(zip(gens.perms, gens.signs))
+    r = dim
     scalar = (4 * nf.alpha) ** r
 
-    # Pull the pencil back to the original coordinates: u = T x.
-    ring = h.ring
-    n = ring.arity
-    t_rows = nf.transform
-    images = [
-        MultiPoly.from_terms(
-            ring,
-            [
-                (tuple(1 if t == s else 0 for t in range(n)), t_rows[j][s])
-                for s in range(n)
-                if t_rows[j][s]
-            ],
-        )
-        for j in range(n)
-    ]
-    zero = MultiPoly.zero(ring)
-    rows = []
-    for row in matrix_prime.rows:
-        rows.append([p.substitute(images) if p else zero for p in row])
-    matrix = PolyMatrix(ring, rows, KIND_SYMMETRIC)
-    pencil = tuple(polymatrix_to_pencil(matrix))
+    ell = MultiPoly.variable(nf.ring_prime, "u0").scale(2 * nf.alpha) + nf.q1
+    pulled = [_pulled_back(g, nf.transform) for g in forms]
+    slices = []
+    for s, ell_s in enumerate(_pulled_back(ell, nf.transform)):
+        terms = [(GaussianRational(-g[s]), perm, sign) for g, (perm, sign) in zip(pulled, columns) if g[s]]
+        rows = _q_rows(dim, GR_ZERO, terms)
+        diagonal = GaussianRational(ell_s)
+        for i, row in enumerate(rows):
+            row[i] = diagonal
+        slices.append(ConstMatrix(rows, KIND_SYMMETRIC))
+    pencil = tuple(slices)
 
     report = verify_pencil(pencil, h, r, e, up_to_scalar=True)
     if not report.ok:

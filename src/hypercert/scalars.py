@@ -288,12 +288,6 @@ class ConstMatrix:
         if bad is not None:
             raise ValueError(f"matrix is not {self.kind}: entry {bad} violates the symmetry")
 
-    def scale(self, c: RationalLike) -> "ConstMatrix":
-        c = as_fraction(c)
-        return ConstMatrix(
-            [[e.scale(c) for e in row] for row in self.entries], self.kind
-        )
-
     def is_diagonal(self) -> bool:
         return all(
             not self.entries[i][j]

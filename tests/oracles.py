@@ -3,8 +3,9 @@
 from fractions import Fraction
 from itertools import permutations, product
 
-from hypercert.detrep import PolyMatrix, pencil_to_polymatrix, poly_det
+from hypercert.detrep import PolyMatrix, pencil_to_polymatrix, poly_det, polymatrix_to_pencil
 from hypercert.polyring import MultiPoly, ParseError, UniPoly
+from hypercert.quadratic import normalize_at_direction, rational_sos_quadratic
 from hypercert.scalars import ConstMatrix, GaussianRational, as_fraction, first_nonpositive_minor, pencil_value
 
 
@@ -114,6 +115,61 @@ def transpose(matrix):
     return PolyMatrix(matrix.ring, [[matrix.rows[j][i] for j in range(n)] for i in range(n)], matrix.kind)
 
 
+def conjugate(matrix):
+    """The entrywise complex conjugate of a PolyMatrix, with the same kind tag."""
+    return PolyMatrix(matrix.ring, [[p.conjugate() for p in row] for row in matrix.rows], matrix.kind)
+
+
+def scaled(matrix, c):
+    """c times a ConstMatrix, with the same kind tag."""
+    return ConstMatrix([[e.scale(as_fraction(c)) for e in row] for row in matrix.entries], matrix.kind)
+
+
+def ell_minus(ell, matrix):
+    """ell*I - A for a polynomial ell in A's ring, with A's kind tag."""
+    zero = MultiPoly.zero(matrix.ring)
+    rows = [[(ell if i == j else zero) - p for j, p in enumerate(row)] for i, row in enumerate(matrix.rows)]
+    return PolyMatrix(matrix.ring, rows, matrix.kind)
+
+
+def clifford_q(forms, gens):
+    """Q = [[0, S], [S^T, 0]] with S = sum G_t M_t, a symmetric PolyMatrix
+    summed over the dense matrices M_t of the table ``gens``."""
+    ring, dim = forms[0].ring, gens.dimension
+    zero = MultiPoly.zero(ring)
+    s = [[zero] * dim for _ in range(dim)]
+    for g, dense in zip(forms, dense_generators(gens)):
+        for i, row in enumerate(dense):
+            for j, v in enumerate(row):
+                if v:
+                    s[i][j] = s[i][j] + g.scale(v)
+    rows = [[zero] * dim + s[i] for i in range(dim)] + [[s[j][i] for j in range(dim)] + [zero] * dim for i in range(dim)]
+    return PolyMatrix(ring, rows, "symmetric")
+
+
+def quadratic_detrep_reference(h, e, generators):
+    """(pencil, r, c) that quadratic_detrep must return, built through
+    polynomial matrices: Q from the dense table over u, ell*I - Q with
+    ell = 2*alpha*u0 + q1, u = T*x substituted into every entry, and the
+    result cut into slices by polymatrix_to_pencil.  h(e) < 0 with a 1x1
+    table splits the lone square g as (3g/5)^2 + (4g/5)^2; a zero branch
+    gives ell*I of size 4."""
+    nf = normalize_at_direction(h, e)
+    forms = rational_sos_quadratic(nf.branch)
+    ell = MultiPoly.variable(nf.ring_prime, "u0").scale(2 * nf.alpha) + nf.q1
+    q = PolyMatrix(nf.ring_prime, [[MultiPoly.zero(nf.ring_prime)] * 4] * 4, "symmetric")
+    if forms:
+        q = clifford_q(forms, generators(len(forms)))
+        if nf.flipped and q.size % 4:
+            q = clifford_q([forms[0].scale(Fraction(3, 5)), forms[0].scale(Fraction(4, 5))], generators(2))
+    n = h.ring.arity
+    units = [tuple(int(k == s) for k in range(n)) for s in range(n)]
+    images = [MultiPoly.from_terms(h.ring, [(u, t) for u, t in zip(units, row) if t]) for row in nf.transform]
+    rows = [[p.substitute(images) for p in row] for row in ell_minus(ell, q).rows]
+    r = q.size // 2
+    return polymatrix_to_pencil(PolyMatrix(h.ring, rows, "symmetric")), r, (4 * nf.alpha) ** r
+
+
 def from_roots(roots, lead=1):
     """lead * prod (t - root) as a UniPoly."""
     poly = UniPoly([lead])
@@ -213,9 +269,7 @@ def pencil_reference(matrices, h, r, e, up_to_scalar):
     p = None
     if h.weighted_degree() == 2:
         ell = pencil.trace().scale(Fraction(1, pencil.size))
-        zero = MultiPoly.zero(h.ring)
-        q = [[(ell if i == j else zero) - entry for j, entry in enumerate(row)] for i, row in enumerate(pencil.rows)]
-        p = involution_reference(PolyMatrix(h.ring, q))
+        p = involution_reference(ell_minus(ell, pencil))
     if p is not None:
         scalar, witness = _branch_reference(ell * ell - p, h, r, up_to_scalar)
     else:
@@ -266,13 +320,8 @@ def leading_scalar(det, target):
 
 def companion_det(matrix, ring_h):
     """det(y*I - A) by Bareiss, with A lifted into ring_h (A's ring plus y)."""
-    y = MultiPoly.variable(ring_h, "y")
-    zero = MultiPoly.zero(ring_h)
-    rows = [
-        [(y if i == j else zero) - entry.lift(ring_h) for j, entry in enumerate(row)]
-        for i, row in enumerate(matrix.rows)
-    ]
-    return poly_det(PolyMatrix(ring_h, rows))
+    lifted = PolyMatrix(ring_h, [[entry.lift(ring_h) for entry in row] for row in matrix.rows])
+    return poly_det(ell_minus(MultiPoly.variable(ring_h, "y"), lifted))
 
 
 _OPS = set("+-*^/()")

@@ -1,12 +1,13 @@
 """CLI dispatch: exit codes, wire formats, report stability."""
 
+import hashlib
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from hypercert import detrep, hyperbolicity
+from hypercert import clifford, detrep, hyperbolicity, scalars
 from hypercert.cli import EXIT_OK, EXIT_REFUTED, EXIT_USAGE, build_parser, main
 from hypercert.detrep import const_det
 from hypercert.scalars import pencil_value
@@ -268,6 +269,18 @@ class TestVerifyDetrep:
             assert main(["verify-detrep", "--power", power, *argv]) == EXIT_USAGE
             assert "at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--dir", "1,0,0"], ["--up-to-scalar"]])
+    def test_companion_refuses_pencil_flags_exit_64(self, capsys, flag):
+        # The companion route checks no definiteness at e and accepts only
+        # c = 1, so both flags are refused rather than ignored.
+        data = Path(clifford.__file__).with_name("data")
+        argv = ["verify-detrep", "--companion", "--matrix", str(data / "F3_matrix.json"),
+                "--poly", str(data / "F3_h.txt")]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        assert main(argv + flag) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {flag[0]} does not apply to companion verification\n"
+
     @pytest.mark.parametrize("flag", [["--seed", "1"], ["--samples", "5"], ["--box", "3"], ["--pencil"]])
     def test_sampling_and_mode_flags_are_unknown_exit_64(self, files, tmp_path, capsys, flag):
         out = tmp_path / "pencil.json"
@@ -513,13 +526,42 @@ class TestQuadraticDetrepCompact:
 
     def test_eighteen_squares_refused_before_any_matrix(self, tmp_path, capsys, monkeypatch):
         def tripwire(*args, **kwargs):
-            raise AssertionError("matrix allocated past the size limit")
+            raise AssertionError("table or pencil built past the size limit")
 
-        monkeypatch.setattr(detrep.PolyMatrix, "__init__", tripwire)
+        monkeypatch.setattr(clifford, "_radon_columns", tripwire)
+        monkeypatch.setattr(scalars.ConstMatrix, "__init__", tripwire)
         names = [f"x{k}" for k in range(6)]
         h = _write_poly(tmp_path / "h.txt", names, "x0^2 - 7*x1^2 - 7*x2^2 - 7*x3^2 - 7*x4^2 - 2*x5^2")
         assert main(["quadratic-detrep", "--poly", h, "--dir", "1,0,0,0,0,0"]) == EXIT_USAGE
-        assert "input error: 18 forms need a 1024x1024 pencil; at most 512 rows" in capsys.readouterr().err
+        assert capsys.readouterr().err == "capacity error: 18 forms need a 1024x1024 pencil; at most 512 rows are supported\n"
+
+    def test_nine_squares_of_the_paper_table_are_a_capacity_error(self, tmp_path, capsys):
+        squares = tmp_path / "squares.txt"
+        squares.write_text("ring: vars=x1,x2 gaussian=false\n" + "".join(f"x1 + {k}*x2\n" for k in range(9)))
+        assert main(["sos-to-detrep", "--squares", str(squares)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "capacity error: 9 forms need a 1024x1024 pencil; at most 512 rows are supported\n"
+
+
+# SHA-256 of `quadratic-detrep --json` stdout, computed with the
+# polynomial-matrix construction of the pencil (Q as forms, ell*I - Q, u = T*x
+# substituted into every entry, then cut into slices) that
+# oracles.quadratic_detrep_reference keeps.
+QUADRATIC_DETREP_SHA256 = [
+    (["x0", "x1", "x2"], "x0^2 - x1^2 - x2^2", "1,0,0",
+     "7872bc519a9a4b663334c4916281075f0c0383581b4fa3204966aef82df19a5a"),
+    (["x0", "x1"], "3*x1^2 - x0^2", "1,0", "2c9fc5aef344c596a0546308f0fb63bde092235c4b61aa11c803869d2b4521b1"),
+    (["x0", "x1"], "(x0 + x1)^2", "1,0", "962f1f4c3734900f14d8bbe5e25edff51e524df377319dbbcbfa74f779a4e83d"),
+    (["x0", "x1", "x2", "x3"], "x0^2 - 7*x1^2 - 7*x2^2 - 7*x3^2", "1,0,0,0",
+     "d70c7cc5e795f51bf618890b0f5e058d811950466418050e5fbfe6d091565762"),
+]
+
+
+class TestQuadraticDetrepReportBytes:
+    @pytest.mark.parametrize("names, text, direction, digest", QUADRATIC_DETREP_SHA256)
+    def test_report_bytes_are_pinned(self, tmp_path, capsys, names, text, direction, digest):
+        h = _write_poly(tmp_path / "h.txt", names, text)
+        assert main(["quadratic-detrep", "--poly", h, "--dir", direction, "--json"]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
 
 
 class TestFixturesCommand:

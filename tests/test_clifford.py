@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hypercert import clifford
 from hypercert.clifford import (
+    CapacityError,
     CliffordGenerators,
     build_Q,
     clifford_generators,
@@ -16,7 +17,7 @@ from hypercert.clifford import (
     sos_to_detrep,
 )
 from hypercert import detrep
-from hypercert.detrep import PolyMatrix, poly_det, scalar_polymatrix, verify_companion, verify_pencil
+from hypercert.detrep import PolyMatrix, verify_companion, verify_pencil
 from hypercert.fixtures import load_fixture_matrix, load_fixture_poly
 from hypercert.polyring import MultiPoly, Ring, _sum_of_squares, parse
 from hypercert.quadratic import quadratic_detrep
@@ -77,7 +78,7 @@ class TestGenerators:
     def test_range_check(self):
         with pytest.raises(ValueError):
             clifford_generators(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(CapacityError, match="9 forms need a 1024x1024 pencil; at most 512 rows"):
             clifford_generators(9)
 
 
@@ -108,7 +109,7 @@ class TestHurwitzRadon:
             raise AssertionError("table built past the size limit")
 
         monkeypatch.setattr(clifford, "_radon_columns", tripwire)
-        with pytest.raises(ValueError, match="18 forms need a 1024x1024 pencil; at most 512 rows"):
+        with pytest.raises(CapacityError, match="18 forms need a 1024x1024 pencil; at most 512 rows"):
             hurwitz_radon(18)
         with pytest.raises(ValueError):
             hurwitz_radon(0)
@@ -197,7 +198,10 @@ class TestBuildQHurwitzRadon:
     @settings(max_examples=40)
     @given(radon_forms())
     def test_involution_and_companion_determinant(self, forms):
-        q = build_Q(forms, hurwitz_radon)
+        # The shared assembly loop with polynomial entries and the compact table.
+        gens = hurwitz_radon(len(forms))
+        rows = clifford._q_rows(gens.dimension, MultiPoly.zero(R2), zip(forms, gens.perms, gens.signs))
+        q = PolyMatrix(R2, rows, "symmetric")
         p = _sum_of_squares(R2, forms)
         assert q.size == 2 * RADON_DIMENSION[len(forms)]
         assert q.kind_violation() is None
@@ -235,29 +239,13 @@ class TestSosToDetrep:
         assert rep.matrix.size == 4
         assert rep.report.ok
         # det(yI - Q) = (y^2 - x1^2)^2 via the direct Bareiss oracle
-        ring_h = rep.h.ring
-        lifted = PolyMatrix(
-            ring_h,
-            [[p.lift(ring_h) for p in row] for row in rep.matrix.rows],
-            rep.matrix.kind,
-        )
-        y = MultiPoly.variable(ring_h, "y")
-        det = poly_det(scalar_polymatrix(y, 4, "none").sub(lifted))
-        assert det == rep.h ** 2
+        assert companion_det(rep.matrix, rep.h.ring) == rep.h ** 2
 
     def test_two_squares_det(self):
         rep = sos_to_detrep([parse("2*x1", R2), parse("2*x2", R2)])
         assert rep.power == 4
-        ring_h = rep.h.ring
-        lifted = PolyMatrix(
-            ring_h,
-            [[p.lift(ring_h) for p in row] for row in rep.matrix.rows],
-            rep.matrix.kind,
-        )
-        y = MultiPoly.variable(ring_h, "y")
-        det = poly_det(scalar_polymatrix(y, 8, "none").sub(lifted))
-        assert det == rep.h ** 4
-        assert rep.h == parse("y^2 - 4*x1^2 - 4*x2^2", ring_h)
+        assert companion_det(rep.matrix, rep.h.ring) == rep.h ** 4
+        assert rep.h == parse("y^2 - 4*x1^2 - 4*x2^2", rep.h.ring)
 
     def test_quartic_terms_shortcut_with_specialized_oracle(self):
         # 16x16: certified via the minimal-polynomial shortcut, then
@@ -288,8 +276,7 @@ class TestSosToDetrep:
                     ]
                 )
             y = MultiPoly.variable(ring_y, "y")
-            char = scalar_polymatrix(y, 16, "none").sub(PolyMatrix(ring_y, rows, "none"))
-            det = poly_det(char)
+            det = companion_det(PolyMatrix(ring_y, rows, "none"), ring_y)
             target = (y * y - MultiPoly.constant(ring_y, p.eval_rational(point))) ** 8
             assert det == target
 

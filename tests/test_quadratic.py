@@ -4,8 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hypercert.clifford import clifford_generators
+from hypercert import clifford, detrep
+from hypercert.clifford import clifford_generators, hurwitz_radon
+from hypercert.detrep import PolyMatrix
 from hypercert.hyperbolicity import STATUS_NO_COUNTEREXAMPLE, certify_from_pencil, is_hyperbolic_sampled
 from hypercert.polyring import MultiPoly, Ring, parse, restrict_to_line
 from hypercert.quadratic import (
@@ -17,7 +21,7 @@ from hypercert.quadratic import (
     rational_sos_quadratic,
 )
 from hypercert.realroots import is_real_rooted
-from oracles import mat_inverse
+from oracles import mat_inverse, quadratic_detrep_reference
 
 R2 = Ring.standard(("x0", "x1"))
 R3 = Ring.standard(("x0", "x1", "x2"))
@@ -363,3 +367,73 @@ class TestEndToEnd:
             assert rep.report.ok
             verdict = is_hyperbolic_sampled(h, e, samples=100, seed=41)
             assert verdict.status == STATUS_NO_COUNTEREXAMPLE
+
+
+@st.composite
+def hyperbolic_quadrics(draw):
+    """(h, e, paper): a*x0^2 - c1*x1^2 - c2*x2^2 in n = 2..6 variables, at
+    most two c_k nonzero (none: a zero branch), perhaps negated so that
+    h(e) < 0, pulled back through an invertible integer congruence C = L*U;
+    e = C^-1 y for a y inside the cone.  ``paper`` asks for the paper's
+    table when the branch has at most 4 squares."""
+    n = draw(st.sampled_from([6, 5, 4, 3, 2]))
+    values = [draw(st.sampled_from([1, 2, 3, 4, 7])) for _ in range(min(n - 1, draw(st.sampled_from([2, 1, 0]))))]
+    diagonal = [draw(st.integers(1, 3))] + [-c for c in values] + [0] * (n - 1 - len(values))
+    small = st.integers(-1, 1)
+    lower = [[1 if i == j else draw(small) if j < i else 0 for j in range(n)] for i in range(n)]
+    upper = [[draw(st.sampled_from([-1, 1])) if i == j else draw(small) if j > i else 0 for j in range(n)] for i in range(n)]
+    cong = [[Fraction(sum(lower[i][k] * upper[k][j] for k in range(n))) for j in range(n)] for i in range(n)]
+    ring = Ring.standard(tuple(f"x{k}" for k in range(n)))
+    units = [tuple(int(t == j) for t in range(n)) for j in range(n)]
+    rows = [MultiPoly.from_terms(ring, [(u, c) for u, c in zip(units, row) if c]) for row in cong]
+    sign = draw(st.sampled_from([1, -1]))
+    h = MultiPoly.zero(ring)
+    for d, row in zip(diagonal, rows):
+        if d:
+            h = h + (row * row).scale(sign * d)
+    y = [Fraction(1)] + [Fraction(draw(small), 4) for _ in range(n - 1)]
+    inverse = mat_inverse(cong)
+    e = tuple(sum(inverse[r][k] * y[k] for k in range(n)) for r in range(n))
+    return h, e, draw(st.booleans())
+
+
+class TestSlicesFromTheTable:
+    """quadratic_detrep reads each slice off the generator table; the
+    reference builds the same pencil through polynomial matrices."""
+
+    @staticmethod
+    def _agrees(h, e, generators):
+        rep = quadratic_detrep(h, e, generators)
+        pencil, r, c = quadratic_detrep_reference(h, e, generators)
+        assert rep.report.ok
+        assert (list(rep.pencil), rep.power, rep.scalar) == (pencil, r, c)
+        return rep
+
+    @given(hyperbolic_quadrics())
+    def test_slices_match_the_polynomial_route(self, drawn):
+        h, e, paper = drawn
+        k = len(rational_sos_quadratic(normalize_at_direction(h, e).branch))
+        self._agrees(h, e, clifford_generators if paper and k <= 4 else hurwitz_radon)
+
+    @pytest.mark.parametrize("generators", [hurwitz_radon, clifford_generators])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x1^2 - x0^2",  # h(e) < 0 with one branch square: split as 3/5, 4/5 under the compact table
+            "(x0 + x1)^2",  # a zero branch: ell*I of size 4
+            "0 - (x0 + x1)^2",
+            "3*x1^2 - x0^2",
+        ],
+    )
+    def test_split_and_zero_branch(self, generators, text):
+        self._agrees(parse(text, R2), (1, 0), generators)
+
+    @pytest.mark.parametrize("text", ["x0^2 - x1^2 - x2^2", "x2^2 - x0^2", "(x0 + x1 - x2)^2"])
+    def test_no_polynomial_matrix_is_built(self, monkeypatch, text):
+        def tripwire(*args, **kwargs):
+            raise AssertionError("polynomial matrix built on the quadric path")
+
+        monkeypatch.setattr(PolyMatrix, "__init__", tripwire)
+        monkeypatch.setattr(detrep, "polymatrix_to_pencil", tripwire)
+        monkeypatch.setattr(clifford, "build_Q", tripwire)
+        assert quadratic_detrep(parse(text, R3), (1, 0, 0)).report.ok
