@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 from . import fixtures as fixtures_mod
 from .clifford import CapacityError, sos_to_detrep
 from .detrep import (
+    SosRefusal,
     detrep_to_sos,
     polymatrix_from_json,
     polymatrix_to_pencil,
@@ -25,7 +26,6 @@ from .detrep import (
     verify_pencil,
 )
 from .hyperbolicity import DEFAULT_BOX, DEFAULT_SAMPLES, interlaces_sampled, is_hyperbolic_sampled
-from .polyring import ParseError
 from .quadratic import PipelineError, quadratic_detrep
 from .scalars import KIND_SYMMETRIC
 from .wire import (
@@ -144,7 +144,7 @@ def _cmd_detrep_to_sos(args) -> int:
     p = load_poly_file(args.poly)
     try:
         sos = detrep_to_sos(matrix, p, column=args.column)
-    except ValueError as err:
+    except SosRefusal as err:
         print(f"refused: {err}", file=sys.stderr)
         return EXIT_REFUTED
     with _long_numbers():
@@ -304,7 +304,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapacityError as err:
         print(f"capacity error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, FileNotFoundError, json.JSONDecodeError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -49,7 +49,6 @@ class CliffordGenerators:
     elsewhere.
     """
 
-    n: int
     perms: tuple[tuple[int, ...], ...]
     signs: tuple[tuple[int, ...], ...]
 
@@ -154,7 +153,7 @@ def _checked(table: list[list[tuple[int, int]]]) -> CliffordGenerators:
         if ab != (eye if s == t else ba):
             raise AssertionError(f"M_{s}, M_{t} break the Hurwitz equations")
     perms, signs = (tuple(tuple(column[i] for column in m) for m in table) for i in (0, 1))
-    return CliffordGenerators(len(table), perms, signs)
+    return CliffordGenerators(perms, signs)
 
 
 def _q_rows(dim: int, zero, terms: Iterable[tuple]) -> list[list]:

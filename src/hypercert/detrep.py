@@ -714,6 +714,11 @@ class SosDecomposition:
         }
 
 
+class SosRefusal(ValueError):
+    """detrep_to_sos refused A with a witness: an entry that breaks the
+    declared kind, or a point where A^2 != p*I."""
+
+
 def _normalize_sign(p: MultiPoly) -> MultiPoly:
     lc = p.leading_coefficient()
     key = lc.re if lc.re else lc.im
@@ -728,13 +733,14 @@ def detrep_to_sos(matrix: PolyMatrix, p: MultiPoly, column: int = 0) -> SosDecom
     entries need not be homogeneous, so A^2 = p*I is decided at the x in
     N^n with |x| <= D, D the largest degree of A^2 and p
     (:func:`_square_on_lattice`); a failure names the point, the entry and
-    both values.  The extracted squares are re-summed exactly.
+    both values.  Only such a refusal is a :class:`SosRefusal`.  The
+    extracted squares are re-summed exactly.
     """
     if matrix.kind not in (KIND_SYMMETRIC, KIND_HERMITIAN):
         raise ValueError("SOS extraction needs a symmetric or hermitian matrix")
     bad = matrix.kind_violation()
     if bad is not None:
-        raise ValueError(f"matrix entry {bad} breaks the declared {matrix.kind} symmetry")
+        raise SosRefusal(f"matrix entry {bad} breaks the declared {matrix.kind} symmetry")
     if p.ring != matrix.ring:
         raise ValueError("p must live in the matrix ring")
     m = matrix.size
@@ -745,7 +751,7 @@ def detrep_to_sos(matrix: PolyMatrix, p: MultiPoly, column: int = 0) -> SosDecom
     _, bad = _square_on_lattice(rows, _lattice(matrix.ring.arity, degree, False), p)
     if bad is not None:
         x, i, j, got, want = bad
-        raise ValueError(f"A^2 != p*I at x = {','.join(map(str, x))}: entry ({i},{j}) of A^2 is {got}, of p*I {want}")
+        raise SosRefusal(f"A^2 != p*I at x = {','.join(map(str, x))}: entry ({i},{j}) of A^2 is {got}, of p*I {want}")
 
     squares: list[MultiPoly] = []
     for j in range(m):
@@ -776,7 +782,6 @@ def detrep_to_sos(matrix: PolyMatrix, p: MultiPoly, column: int = 0) -> SosDecom
 # Pluecker coordinates of lines in P^4
 # ---------------------------------------------------------------------------
 
-PLUCKER_VARS = ("x01", "x02", "x03", "x04", "x12", "x13", "x14", "x23", "x24", "x34")
 _PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
 
@@ -784,7 +789,7 @@ def plucker_line(
     p: Sequence[RationalLike], q: Sequence[RationalLike]
 ) -> tuple[Fraction, ...]:
     """Pluecker coordinates x_ij = p_i q_j - p_j q_i of the line through two
-    points of P^4, ordered as PLUCKER_VARS."""
+    points of P^4, ordered x01, x02, x03, x04, x12, x13, x14, x23, x24, x34."""
     if len(p) != 5 or len(q) != 5:
         raise ValueError("points must have 5 homogeneous coordinates")
     pf = [as_fraction(c) for c in p]

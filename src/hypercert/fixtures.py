@@ -18,6 +18,7 @@ from . import quadratic
 from .clifford import clifford_generators
 from .detrep import (
     PolyMatrix,
+    SosRefusal,
     _truncate,
     char_matrix,
     const_det,
@@ -167,7 +168,7 @@ def _run_f3(fixture_id: str, spec: dict) -> FixtureResult:
 
     try:
         sos = detrep_to_sos(matrix, p, column=0)
-    except ValueError as err:  # not involutive: no squares to check
+    except SosRefusal as err:  # not involutive: no squares to check
         for name in ("three-square-identity", "sos-sums-to-p"):
             result.checks.append(CheckOutcome(name, False, str(err)))
         return result

@@ -1,11 +1,11 @@
-"""Hyperbolicity and interlacer testing on sampled rational lines, plus
-exact certification from a definite pencil.
+"""Hyperbolicity and interlacer testing on sampled rational lines.
 
 A homogeneous h is hyperbolic with respect to e when every line restriction
 t -> h(t*e - v) is real-rooted.  Sampling integer directions v can only ever
 refute (exactly, with a re-checkable witness line) or report
-"no-counterexample"; a verified definite pencil upgrades that to a theorem,
-since the minimal polynomial of a hermitian matrix has only real zeros.
+"no-counterexample".  Certification is ``detrep.verify_pencil``: a definite
+pencil with det = c*h^r upgrades that to a theorem, since the minimal
+polynomial of a hermitian matrix has only real zeros.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .detrep import DetRepReport, verify_pencil
 from .polyring import MultiPoly, UniPoly, restrict_to_line
 from .realroots import NotRealRootedError, interlaces_univariate, is_real_rooted
-from .scalars import ConstMatrix, RationalLike, as_fraction
+from .scalars import RationalLike, as_fraction
 
 STATUS_NO_COUNTEREXAMPLE = "no-counterexample"
 STATUS_REFUTED = "refuted"
@@ -207,62 +206,3 @@ def interlaces_sampled(
             return SampledVerdict(STATUS_REFUTED, run, seed, witness)
     return SampledVerdict(STATUS_NO_COUNTEREXAMPLE, run, seed)
 
-
-class CertificationError(ValueError):
-    """Pencil verification failed; the full report is attached."""
-
-    def __init__(self, report: DetRepReport):
-        details = "; ".join(f"{f.name}: {f.witness}" for f in report.failures)
-        super().__init__(f"pencil does not certify hyperbolicity: {details}")
-        self.report = report
-
-
-@dataclass(frozen=True)
-class PencilCertificate:
-    """An exact hyperbolicity certificate: a verified definite pencil with
-    det(sum x_i A_i) = scalar * h^power and sum e_i A_i positive definite.
-
-    Hyperbolicity of h with respect to e (and to every direction in the
-    connected component of e) is then a theorem; no sampling is involved.
-    """
-
-    h: MultiPoly
-    power: int
-    e: tuple[Fraction, ...]
-    pencil: tuple[ConstMatrix, ...]
-    scalar: Fraction
-    report: DetRepReport
-
-    def to_json_dict(self) -> dict:
-        return {
-            "h": str(self.h),
-            "power": self.power,
-            "e": [str(c) for c in self.e],
-            "scalar": str(self.scalar),
-            "kind": self.pencil[0].kind,
-            "pencil": [mat.to_rows() for mat in self.pencil],
-            "report": self.report.to_json_dict(),
-        }
-
-
-def certify_from_pencil(
-    h: MultiPoly,
-    r: int,
-    e: Sequence[RationalLike],
-    pencil: Sequence[ConstMatrix],
-) -> PencilCertificate:
-    """Verify the pencil and wrap it as an exact hyperbolicity certificate.
-
-    Raises :class:`CertificationError` (with the report) on any failed check.
-    """
-    report = verify_pencil(pencil, h, r, e, up_to_scalar=True)
-    if not report.ok:
-        raise CertificationError(report)
-    return PencilCertificate(
-        h=h,
-        power=r,
-        e=tuple(as_fraction(c) for c in e),
-        pencil=tuple(pencil),
-        scalar=report.scalar,
-        report=report,
-    )

@@ -1106,16 +1106,6 @@ def restrict_to_line(
     return table.at([as_fraction(c) for c in v])
 
 
-def directional_derivative(h: MultiPoly, e: Sequence[RationalLike]) -> MultiPoly:
-    """D_e h = sum_k e_k * dh/dx_k; homogeneous of degree deg(h) - 1."""
-    ring = h.ring
-    if len(e) != ring.arity:
-        raise ValueError("direction arity mismatch")
-    if any(w != 1 for w in ring.weights):
-        raise ValueError("directional derivative needs an unweighted ring")
-    return _derivative(h, [as_fraction(c) for c in e])
-
-
 def _derivative(h: MultiPoly, e: Sequence[Fraction]) -> MultiPoly:
     """sum_k e_k * dh/dx_k, in a ring of any weights."""
     total = MultiPoly.zero(h.ring)

@@ -325,7 +325,8 @@ def _pulled_back(form: MultiPoly, transform: Sequence[Sequence[Fraction]]) -> li
 
 
 def quadratic_detrep(h: MultiPoly, e: Sequence[RationalLike], generators=hurwitz_radon) -> QuadraticDetRep:
-    """Compose normalize -> branch SOS -> Clifford slices -> verify.
+    """Compose normalize -> branch SOS -> Clifford slices -> verify.  Input
+    that :func:`normalize_at_direction` rejects raises its ValueError.
 
     Returns a pencil of size 2d with r = d and c = (4*alpha)^r, where d is
     the size of the table ``generators(k)`` (:func:`hurwitz_radon` or
@@ -338,10 +339,7 @@ def quadratic_detrep(h: MultiPoly, e: Sequence[RationalLike], generators=hurwitz
     squared linear form) the same loop with no forms gives a 4x4 pencil
     ell*I with r = 2.
     """
-    try:
-        nf = normalize_at_direction(h, e)
-    except ValueError as err:
-        raise PipelineError("normalize", str(err)) from err
+    nf = normalize_at_direction(h, e)
     try:
         forms = rational_sos_quadratic(nf.branch)
     except IndefiniteFormError as err:

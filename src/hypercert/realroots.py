@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .polyring import UniPoly, sturm_chain
-from .scalars import RationalLike, as_fraction
 
 
 class NotRealRootedError(ValueError):
@@ -59,24 +58,6 @@ def _index(chain: Sequence[UniPoly], lo: Optional[Fraction] = None, hi: Optional
     of f (Basu-Pollack-Roy, Thm 2.58); for g = f' the number of distinct
     real roots of f there (Sturm)."""
     return _variations(chain, lo, minus_inf=True) - _variations(chain, hi)
-
-
-def count_distinct_roots(
-    f: UniPoly, lo: Optional[RationalLike] = None, hi: Optional[RationalLike] = None
-) -> int:
-    """Number of distinct real roots of f in (lo, hi]; None means +-infinity.
-
-    Sturm's theorem holds on the full chain of (f, f'), squarefree or not.
-    Finite endpoints must not be roots of f.
-    """
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    lo_f = None if lo is None else as_fraction(lo)
-    hi_f = None if hi is None else as_fraction(hi)
-    for name, x in (("lo", lo_f), ("hi", hi_f)):
-        if x is not None and not f.eval(x):
-            raise ValueError(f"endpoint {name}={x} is a root; counting is ambiguous there")
-    return _index(sturm_chain(f), lo_f, hi_f)
 
 
 def cauchy_root_bound(f: UniPoly) -> Fraction:

@@ -34,11 +34,6 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"not a rational value: {value!r}")
 
 
-def format_rational(q: Fraction) -> str:
-    """Wire format: "p/q", or plain "p" for integers."""
-    return str(q)
-
-
 class GaussianRational:
     """An exact element a + b*i of Q(i).
 
@@ -127,11 +122,11 @@ class GaussianRational:
 
     def __str__(self) -> str:
         if not self.im:
-            return format_rational(self.re)
+            return str(self.re)
         if not self.re:
             return _imag_str(self.im)
         sep = "+" if self.im > 0 else "-"
-        return f"{format_rational(self.re)}{sep}{_imag_str(abs(self.im))}"
+        return f"{self.re}{sep}{_imag_str(abs(self.im))}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self})"
@@ -142,7 +137,7 @@ def _imag_str(b: Fraction) -> str:
         return "i"
     if b == -1:
         return "-i"
-    return f"{format_rational(b)}*i"
+    return f"{b}*i"
 
 
 _ZERO = Fraction(0)
@@ -267,9 +262,6 @@ class ConstMatrix:
     @property
     def size(self) -> int:
         return len(self.entries)
-
-    def __getitem__(self, ij: tuple[int, int]) -> GaussianRational:
-        return self.entries[ij[0]][ij[1]]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConstMatrix):

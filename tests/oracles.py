@@ -4,8 +4,9 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from hypercert.detrep import PolyMatrix, pencil_to_polymatrix, poly_det, polymatrix_to_pencil
-from hypercert.polyring import MultiPoly, ParseError, UniPoly
+from hypercert.polyring import MultiPoly, ParseError, UniPoly, sturm_chain
 from hypercert.quadratic import normalize_at_direction, rational_sos_quadratic
+from hypercert.realroots import _index
 from hypercert.scalars import ConstMatrix, GaussianRational, as_fraction, first_nonpositive_minor, pencil_value
 
 
@@ -188,6 +189,22 @@ def shift(f, q):
         result = result + power.scale(c)
         power = power * base
     return result
+
+
+def count_distinct_roots(f, lo=None, hi=None):
+    """Number of distinct real roots of f in (lo, hi]; None means +-infinity.
+
+    Sturm's theorem holds on the full chain of (f, f'), squarefree or not.
+    Finite endpoints must not be roots of f.
+    """
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    lo_f = None if lo is None else as_fraction(lo)
+    hi_f = None if hi is None else as_fraction(hi)
+    for name, x in (("lo", lo_f), ("hi", hi_f)):
+        if x is not None and not f.eval(x):
+            raise ValueError(f"endpoint {name}={x} is a root; counting is ambiguous there")
+    return _index(sturm_chain(f), lo_f, hi_f)
 
 
 def restrict_reference(h, e, v):

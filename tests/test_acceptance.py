@@ -15,19 +15,11 @@ from hypercert.detrep import (
     verify_pencil,
 )
 from hypercert.fixtures import run_fixture
-from hypercert.hyperbolicity import (
-    STATUS_NO_COUNTEREXAMPLE,
-    certify_from_pencil,
-    is_hyperbolic_sampled,
-)
+from hypercert.hyperbolicity import STATUS_NO_COUNTEREXAMPLE, is_hyperbolic_sampled
 from hypercert.polyring import MultiPoly, Ring, UniPoly, parse, restrict_to_line
-from hypercert.realroots import (
-    count_distinct_roots,
-    interlaces_univariate,
-    is_real_rooted,
-)
+from hypercert.realroots import interlaces_univariate, is_real_rooted
 from hypercert.scalars import ConstMatrix
-from oracles import const_matrix, from_roots, leibniz_det
+from oracles import const_matrix, count_distinct_roots, from_roots, leibniz_det
 
 from test_detrep import random_sparse_matrix
 from test_hyperbolicity import lagrange_interpolate
@@ -126,8 +118,8 @@ def test_criterion_7_property_suites():
         n_vars = 3 if trial % 5 == 0 else 2
         h, e = random_hyperbolic_quadratic(rng, n_vars)
         rep = quadratic.quadratic_detrep(h, e)
-        cert = certify_from_pencil(h, rep.power, e, list(rep.pencil))
-        ok = ok and rep.report.ok and cert.scalar == rep.scalar
+        report = verify_pencil(list(rep.pencil), h, rep.power, e, up_to_scalar=True)
+        ok = ok and rep.report.ok and report.ok and report.scalar == rep.scalar
 
     elapsed = time.perf_counter() - start
     _report(7, "property suites (Clifford, Q^2, Bareiss=Leibniz, Sturm, Rolle, pipeline)", ok, elapsed, 300.0)

@@ -514,6 +514,60 @@ class TestQuadraticDetrepErrors:
         assert "witness_vector" in payload
 
 
+DATA = Path(clifford.__file__).with_name("data")
+
+
+def _quadratic(tmp_path, header, text, direction="1,0,0"):
+    h = tmp_path / "h.txt"
+    h.write_text(f"ring: {header}\n{text}\n")
+    return ["quadratic-detrep", "--poly", str(h), "--dir", direction]
+
+
+def _sos(tmp_path, entries):
+    """detrep-to-sos on a symmetric 2x2 matrix in x1, against p = x1^2."""
+    matrix = tmp_path / "a.json"
+    ring = {"vars": ["x1"], "weights": [1], "gaussian": False}
+    matrix.write_text(json.dumps({"ring": ring, "kind": "symmetric", "entries": entries}))
+    return ["detrep-to-sos", "--matrix", str(matrix), "--poly", _write_poly(tmp_path / "p.txt", ["x1"], "x1^2")]
+
+
+# Bad input: exit 64 with "input error: ..." on stderr, never a traceback
+# and never exit 1, which means refuted.
+BAD_INPUT = {
+    "poly-is-a-directory": lambda t: ["check-hyperbolic", "--poly", str(t), "--dir", "1,0,0"],
+    "out-is-a-directory": lambda t: _quadratic(t, "vars=x0,x1,x2", "x0^2 - x1^2 - x2^2") + ["--out", str(t)],
+    "quadratic-not-quadratic": lambda t: _quadratic(t, "vars=x0,x1,x2", "x0^3 - x0*x1^2"),
+    "quadratic-dir-arity": lambda t: _quadratic(t, "vars=x0,x1,x2", "x0^2 - x1^2 - x2^2", "1,0"),
+    "quadratic-h-of-e-is-zero": lambda t: _quadratic(t, "vars=x0,x1,x2", "x0^2 - x1^2 - x2^2", "1,1,0"),
+    "quadratic-weighted-ring": lambda t: _quadratic(t, "vars=x0,x1 weights=1,2", "x0^2 - x1", "1,0"),
+    "quadratic-complex": lambda t: _quadratic(t, "vars=x0,x1 gaussian=true", "x0^2 - x1^2 + i*x0*x1", "1,0"),
+    "sos-column-out-of-range": lambda t: ["detrep-to-sos", "--matrix", str(DATA / "F3_matrix.json"),
+                                          "--poly", str(DATA / "F3_p.txt"), "--column", "5"],
+    "sos-p-in-another-ring": lambda t: ["detrep-to-sos", "--matrix", str(DATA / "F3_matrix.json"),
+                                        "--poly", str(DATA / "F1_poly.txt")],
+}
+
+# detrep-to-sos refusals with a witness: exit 1, as for a refuted quadric
+# (TestQuadraticDetrepErrors).
+REFUTED = {
+    "sos-not-an-involution": (lambda t: _sos(t, [["0", "x1"], ["x1", "x1"]]), "refused: A^2 != p*I at x = 1"),
+    "sos-breaks-its-kind": (lambda t: _sos(t, [["0", "x1"], ["2*x1", "0"]]), "refused: matrix entry (0, 1)"),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("case", BAD_INPUT)
+    def test_bad_input_exits_64(self, tmp_path, capsys, case):
+        assert main(BAD_INPUT[case](tmp_path)) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("input error: ")
+
+    @pytest.mark.parametrize("case", REFUTED)
+    def test_refutation_exits_1(self, tmp_path, capsys, case):
+        argv, err = REFUTED[case]
+        assert main(argv(tmp_path)) == EXIT_REFUTED
+        assert capsys.readouterr().err.startswith(err)
+
+
 class TestQuadraticDetrepCompact:
     def test_twelve_squares_certify_in_128_rows(self, tmp_path, capsys):
         # 28 = 4^2 + 2^2 + 2^2 + 2^2 per variable: 12 branch squares, which

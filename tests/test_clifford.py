@@ -90,7 +90,7 @@ class TestHurwitzRadon:
     @given(st.integers(1, 17))
     def test_hurwitz_equations_and_dimension(self, k):
         gens = hurwitz_radon(k)
-        assert gens.n == k and gens.dimension == RADON_DIMENSION[k]
+        assert len(gens.perms) == k and gens.dimension == RADON_DIMENSION[k]
         assert hurwitz_defect(gens) is None
 
     def test_first_table_is_the_identity_then_imaginary_units(self):

@@ -993,6 +993,6 @@ class TestLatticeInvolution:
         x = tuple(int(v) for v in found["x"].split(","))
         value = matrix.eval_at(x)
         i, j = int(found["i"]), int(found["j"])
-        got = sum((value[i, k] * value[k, j] for k in range(matrix.size)), GaussianRational(0))
+        got = sum((value.entries[i][k] * value.entries[k][j] for k in range(matrix.size)), GaussianRational(0))
         want = p.eval(x) if i == j else GaussianRational(0)
         assert (str(got), str(want)) == (found["got"], found["want"]) and got != want

@@ -5,18 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from hypercert.detrep import polymatrix_to_pencil
+from hypercert.detrep import polymatrix_to_pencil, verify_pencil
 from hypercert.fixtures import load_fixture_matrix, load_fixture_poly
 from hypercert.hyperbolicity import (
     STATUS_NO_COUNTEREXAMPLE,
     STATUS_REFUTED,
-    CertificationError,
-    certify_from_pencil,
     interlaces_sampled,
     is_hyperbolic_sampled,
     sample_direction,
 )
-from hypercert.polyring import Ring, UniPoly, directional_derivative, parse, restrict_to_line
+from hypercert.polyring import Ring, UniPoly, _derivative, parse, restrict_to_line
 from hypercert.realroots import interlaces_univariate, is_real_rooted
 from hypercert.scalars import ConstMatrix
 from oracles import const_matrix
@@ -163,7 +161,7 @@ class TestSampling:
 class TestInterlacerSampling:
     def test_directional_derivative_of_product(self):
         h = parse("(x0 - 2*x1)*(x0 + 2*x1)*(x0 - x2)", R3)
-        g = directional_derivative(h, (1, 0, 0))
+        g = _derivative(h, (1, 0, 0))
         verdict = interlaces_sampled(g, h, (1, 0, 0), samples=100, seed=13)
         assert verdict.status == STATUS_NO_COUNTEREXAMPLE
 
@@ -221,15 +219,15 @@ class TestCertification:
             const_matrix([[1, 0], [0, -1]], "symmetric"),
             const_matrix([[0, 1], [1, 0]], "symmetric"),
         ]
-        cert = certify_from_pencil(LORENTZ, 1, (1, 0, 0), pencil)
-        assert cert.scalar == 1
-        assert cert.report.ok
+        report = verify_pencil(pencil, LORENTZ, 1, (1, 0, 0), up_to_scalar=True)
+        assert report.scalar == 1
+        assert report.ok
 
     def test_reducible_cubic_certificate(self):
         matrix = load_fixture_matrix("F1_matrix.json")
         h = load_fixture_poly("F1_poly.txt")
-        cert = certify_from_pencil(h, 1, (1, 0, 0, 0), polymatrix_to_pencil(matrix))
-        assert cert.scalar == 1
+        report = verify_pencil(polymatrix_to_pencil(matrix), h, 1, (1, 0, 0, 0), up_to_scalar=True)
+        assert report.ok and report.scalar == 1
 
     def test_pd_failure_gives_no_certificate(self):
         pencil = [
@@ -237,16 +235,16 @@ class TestCertification:
             const_matrix([[1, 0], [0, -1]], "symmetric"),
             const_matrix([[0, 1], [1, 0]], "symmetric"),
         ]
-        with pytest.raises(CertificationError) as info:
-            certify_from_pencil(LORENTZ, 1, (0, 1, 0), pencil)
-        assert any(f.name == "positive-definite" for f in info.value.report.failures)
+        report = verify_pencil(pencil, LORENTZ, 1, (0, 1, 0), up_to_scalar=True)
+        assert not report.ok
+        assert any(f.name == "positive-definite" for f in report.failures)
 
     def test_power_zero_gives_no_certificate(self):
         # The empty pencil would "certify" h^0 = 1 for a non-hyperbolic h.
         h = parse("x0^2 + x1^2 + x2^2 + 5*x0*x1", R3)
         assert is_hyperbolic_sampled(h, (1, 0, 0), samples=50, seed=0).status == STATUS_REFUTED
         with pytest.raises(ValueError, match="at least 1"):
-            certify_from_pencil(h, 0, (1, 0, 0), [ConstMatrix([], "symmetric")] * 3)
+            verify_pencil([ConstMatrix([], "symmetric")] * 3, h, 0, (1, 0, 0), up_to_scalar=True)
 
     def test_certified_implies_sampled(self):
         cases = [
@@ -263,6 +261,6 @@ class TestCertification:
         h2 = load_fixture_poly("F2_poly.txt")
         cases.append((h2, 1, (1, 0, 0, 0), polymatrix_to_pencil(matrix2)))
         for h, r, e, pencil in cases:
-            certify_from_pencil(h, r, e, pencil)
+            assert verify_pencil(pencil, h, r, e, up_to_scalar=True).ok
             verdict = is_hyperbolic_sampled(h, e, samples=500, seed=23)
             assert verdict.status == STATUS_NO_COUNTEREXAMPLE

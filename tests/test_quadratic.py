@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from hypercert import clifford, detrep
 from hypercert.clifford import clifford_generators, hurwitz_radon
-from hypercert.detrep import PolyMatrix
-from hypercert.hyperbolicity import STATUS_NO_COUNTEREXAMPLE, certify_from_pencil, is_hyperbolic_sampled
+from hypercert.detrep import PolyMatrix, verify_pencil
+from hypercert.hyperbolicity import STATUS_NO_COUNTEREXAMPLE, is_hyperbolic_sampled
 from hypercert.polyring import MultiPoly, Ring, parse, restrict_to_line
 from hypercert.quadratic import (
     IndefiniteFormError,
@@ -354,8 +354,8 @@ class TestEndToEnd:
             rep = quadratic_detrep(h, e)
             assert rep.report.ok
             assert rep.scalar > 0
-            cert = certify_from_pencil(h, rep.power, e, list(rep.pencil))
-            assert cert.scalar == rep.scalar
+            report = verify_pencil(list(rep.pencil), h, rep.power, e, up_to_scalar=True)
+            assert report.ok and report.scalar == rep.scalar
             sizes.append(rep.pencil[0].size)
         assert max(sizes) <= 512
 

@@ -14,12 +14,11 @@ from hypercert.realroots import (
     NotRealRootedError,
     _index,
     _isolate_squarefree,
-    count_distinct_roots,
     interlaces_univariate,
     is_real_rooted,
     refine_interval,
 )
-from oracles import from_roots, shift
+from oracles import count_distinct_roots, from_roots, shift
 
 
 def random_rational(rng, span=10, max_den=4):
