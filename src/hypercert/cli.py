@@ -192,10 +192,10 @@ def _cmd_quadratic_detrep(args) -> int:
             "pencil": pencil_to_json_dict(rep.pencil, h.ring.variables, h.ring.gaussian),
             "report": rep.report.to_json_dict(),
         }
+        if args.out:  # before the report, so a failed write prints no success
+            Path(args.out).write_text(json.dumps(payload["pencil"], indent=2, sort_keys=True) + "\n", encoding="ascii")
         lines = [f"pencil of size {rep.pencil[0].size}: det = {rep.scalar} * h^{rep.power}, definite at e"]
         _emit(payload, args.json, lines)
-        if args.out:
-            Path(args.out).write_text(json.dumps(payload["pencil"], indent=2, sort_keys=True) + "\n", encoding="ascii")
     return EXIT_OK
 
 

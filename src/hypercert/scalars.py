@@ -275,11 +275,6 @@ class ConstMatrix:
         """First entry (i, j) breaking the declared symmetry kind, or None."""
         return _kind_violation(self.entries, self.kind, GaussianRational.conj)
 
-    def validate_kind(self) -> None:
-        bad = self.kind_violation()
-        if bad is not None:
-            raise ValueError(f"matrix is not {self.kind}: entry {bad} violates the symmetry")
-
     def is_diagonal(self) -> bool:
         return all(
             not self.entries[i][j]
@@ -419,14 +414,3 @@ def first_nonpositive_minor(matrix: ConstMatrix) -> Optional[tuple[int, Fraction
         if value <= 0:
             return (k + 1, value)
     return None
-
-
-def is_positive_definite(matrix: ConstMatrix) -> bool:
-    """Sylvester test: all leading principal minors positive.
-
-    Requires a declared (and valid) symmetry kind.
-    """
-    if matrix.kind == KIND_NONE:
-        raise ValueError("positive definiteness needs a symmetric or hermitian matrix")
-    matrix.validate_kind()
-    return first_nonpositive_minor(matrix) is None

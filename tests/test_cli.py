@@ -531,11 +531,12 @@ def _sos(tmp_path, entries):
     return ["detrep-to-sos", "--matrix", str(matrix), "--poly", _write_poly(tmp_path / "p.txt", ["x1"], "x1^2")]
 
 
-# Bad input: exit 64 with "input error: ..." on stderr, never a traceback
-# and never exit 1, which means refuted.
+# Bad input: exit 64 with "input error: ..." on stderr and nothing on stdout,
+# never a traceback and never exit 1, which means refuted.
 BAD_INPUT = {
     "poly-is-a-directory": lambda t: ["check-hyperbolic", "--poly", str(t), "--dir", "1,0,0"],
     "out-is-a-directory": lambda t: _quadratic(t, "vars=x0,x1,x2", "x0^2 - x1^2 - x2^2") + ["--out", str(t)],
+    "out-is-a-directory-json": lambda t: _quadratic(t, "vars=x0,x1,x2", "x0^2 - x1^2 - x2^2") + ["--out", str(t), "--json"],
     "quadratic-not-quadratic": lambda t: _quadratic(t, "vars=x0,x1,x2", "x0^3 - x0*x1^2"),
     "quadratic-dir-arity": lambda t: _quadratic(t, "vars=x0,x1,x2", "x0^2 - x1^2 - x2^2", "1,0"),
     "quadratic-h-of-e-is-zero": lambda t: _quadratic(t, "vars=x0,x1,x2", "x0^2 - x1^2 - x2^2", "1,1,0"),
@@ -559,7 +560,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", BAD_INPUT)
     def test_bad_input_exits_64(self, tmp_path, capsys, case):
         assert main(BAD_INPUT[case](tmp_path)) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("input error: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: ")
+        assert captured.out == ""  # --out is written before the report
 
     @pytest.mark.parametrize("case", REFUTED)
     def test_refutation_exits_1(self, tmp_path, capsys, case):

@@ -3,8 +3,9 @@
 A definition in ``src/hypercert/*.py`` counts as used when code in
 ``src/`` outside its own body names it (as a bare name or an attribute),
 when ``hypercert.__all__`` exports it, or when the benchmark's tracer hooks
-it by (module, name).  Dunder methods are called implicitly and are skipped.
-Test-only helpers belong in ``tests/oracles.py``.
+it by (module, name); the definitions kept only by a hook are pinned.
+Dunder methods are called implicitly and are skipped.  Test-only helpers
+belong in ``tests/oracles.py``.
 """
 
 import ast
@@ -62,23 +63,45 @@ def hooked_names():
     raise AssertionError("perfbench/tracer.py defines no WRAPPED table")
 
 
-def test_no_unreferenced_definitions():
+def unreferenced(kept):
+    """(module, qualified name) of each definition that no code in src/
+    outside its own body names, unless ``kept(module, qualname, name)``."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
     uses = Counter(name for tree in trees.values() for name in referenced_names(tree))
-    exported = exported_names()
-    hooked = hooked_names()
-    unused = []
     for module, tree in trees.items():
         for qualname, node in definitions(tree):
             name = node.name
-            if name.startswith("__") and name.endswith("__"):
-                continue
-            if name in exported or (module, qualname) in hooked or (module, qualname) in ALLOWED:
+            if name.startswith("__") and name.endswith("__") or kept(module, qualname, name):
                 continue
             own = sum(1 for n in referenced_names(node) if n == name)
             if uses[name] - own == 0:
-                unused.append(f"{module}.{qualname}")
+                yield module, qualname
+
+
+def test_no_unreferenced_definitions():
+    exported, kept = exported_names(), hooked_names() | set(ALLOWED)
+    unused = [
+        f"{module}.{qualname}"
+        for module, qualname in unreferenced(lambda module, qualname, name: name in exported or (module, qualname) in kept)
+    ]
     assert unused == [], f"defined but never used in src/: {unused}"
+
+
+# Definitions that only the tracer's hooks keep alive: what can be deleted
+# once the benchmark drops those hooks.
+HOOK_ONLY = {
+    ("detrep", "poly_det"),
+    ("detrep", "pencil_to_polymatrix"),
+    ("polyring", "UniPoly.squarefree_part"),
+    ("realroots", "_isolate_squarefree"),
+    ("realroots", "refine_interval"),
+}
+
+
+def test_hook_only_definitions_are_pinned():
+    exported = exported_names()
+    only_hooked = set(unreferenced(lambda module, qualname, name: name in exported or (module, qualname) in ALLOWED))
+    assert only_hooked == HOOK_ONLY, "new hook-only code, or hook-only code now used or deleted"
 
 
 def test_allowlist_is_current():

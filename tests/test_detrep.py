@@ -18,7 +18,6 @@ from hypercert.detrep import (
     PolyMatrix,
     _involution,
     _on_lattice,
-    char_matrix,
     const_det,
     detrep_to_sos,
     pencil_to_polymatrix,
@@ -30,7 +29,7 @@ from hypercert.detrep import (
 )
 from hypercert.fixtures import load_fixture_matrix, load_fixture_poly
 from hypercert.polyring import MultiPoly, Ring, parse
-from hypercert.scalars import ConstMatrix, GaussianRational, is_positive_definite, pencil_value
+from hypercert.scalars import ConstMatrix, GaussianRational, first_nonpositive_minor, pencil_value
 from oracles import (
     companion_det,
     conjugate,
@@ -240,7 +239,7 @@ class TestVerifyCompanion:
         report = verify_companion(m, h, 1)
         assert report.ok, report.to_json_dict()
         assert report.notes["method"] == "minimal-polynomial-shortcut"
-        assert poly_det(char_matrix(m, h.ring)) == h
+        assert companion_det(m, h.ring) == h
 
     def test_zero_matrix_degree_one(self):
         ring_h = Ring(("y",), (1,))
@@ -256,7 +255,7 @@ class TestVerifyCompanion:
         ring_h = Ring(("x1", "y"), (1, 1), gaussian=True)
         a = PolyMatrix(Ring(("x1",), (1,), gaussian=True), [[parse("i*x1", Ring(("x1",), (1,), gaussian=True))]])
         report = verify_companion(a, parse("y - i*x1", ring_h), 1)
-        assert report.notes["method"] == "bareiss"
+        assert report.notes["method"] == "lattice"
         assert [f.name for f in report.failures] == ["kind"]  # A declares no kind
 
     def test_clifford_q_for_two_squares(self):
@@ -269,7 +268,7 @@ class TestVerifyCompanion:
         report = verify_companion(q, h, 4)
         assert report.ok
         assert report.notes["method"] == "minimal-polynomial-shortcut"
-        assert poly_det(char_matrix(q, ring_h)) == h ** 4
+        assert companion_det(q, ring_h) == h ** 4
 
     def test_wrong_power_fails(self):
         m = load_fixture_matrix("F3_matrix.json")
@@ -575,7 +574,7 @@ def quadratic_pencils(draw):
     elif variant == "tampered-h":
         h = h + delta * delta
         assume(not h.is_zero())
-    elif variant == "entry":  # usually no longer involutive: the Bareiss route
+    elif variant == "entry":  # usually no longer involutive: the lattice route
         i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
         matrix = _with_pair(matrix, i, j, delta)
     e = tuple(draw(st.lists(st.integers(-2, 2), min_size=3, max_size=3)))
@@ -689,6 +688,7 @@ def companion_inputs(draw):
 
 
 WITNESS = re.compile(r"at x = (?P<x>1(,\d+)*): det = (?P<det>\S+), (?P<rhs>c\*h\^r|h\^r) = (?P<value>\S+)(, not a real multiple)?")
+COMPANION_WITNESS = re.compile(r"at x = (?P<x>\d+(,\d+)*): det = (?P<det>\S+), c\*h\^r = (?P<value>\S+)")
 BRANCH_WITNESS = re.compile(
     r"at x = (?P<x>1(,\d+)*): ell\^2 - P = (?P<branch>[^,]+), (?P<rhs>s\*h|h) = (?P<value>[^,]+)(, not a real multiple)?"
 )
@@ -757,7 +757,7 @@ class TestRouteAgreement:
         c = leading_scalar(det, target) if up_to_scalar else Fraction(1)
         identity = c is not None and det == target.scale(c)
         definite = matrices[0].kind != "none" and all(mat.kind_violation() is None for mat in matrices)
-        definite = definite and is_positive_definite(pencil_value(matrices, e))
+        definite = definite and first_nonpositive_minor(pencil_value(matrices, e)) is None
         assert report.ok == (identity and c > 0 and definite)
         assert (report.scalar == c) if identity else ("determinant" in {f.name for f in report.failures})
 
@@ -812,14 +812,38 @@ class TestRouteAgreement:
         report = verify_companion(a, h, r)
         assert report.ok == (companion_det(a, h.ring) == h ** r)
 
+    @given(companion_inputs())
+    def test_companion_witnesses_recheck(self, case):
+        # Each point witness, y included in h's ring order, holds two exact
+        # values that differ: det(y*I - A(x)) by const_det, and h^r there.
+        a, h, r = case
+        y_idx = h.ring.index("y")
+        for failure in verify_companion(a, h, r).failures:
+            if failure.name != "determinant":
+                continue
+            found = COMPANION_WITNESS.fullmatch(failure.witness)
+            assert found, failure.witness
+            point = tuple(int(c) for c in found["x"].split(","))
+            y, value = point[y_idx], a.eval_at(point[:y_idx] + point[y_idx + 1 :])
+            shifted = [[GaussianRational(y if i == j else 0) - c for j, c in enumerate(row)]
+                       for i, row in enumerate(value.entries)]
+            h_r = GaussianRational(1)
+            for _ in range(r):
+                h_r = h_r * h.eval(point)
+            assert found["det"] == str(const_det(ConstMatrix(shifted)))
+            assert found["value"] == str(h_r) != found["det"]
+
     def test_involution_needs_trace_zero(self):
         # A = x1*I squares to x1^2*I, but det(y*I - A) = (y - x1)^2.
         ring = Ring.standard(("x1",))
         a = PolyMatrix.from_strings(ring, [["x1", "0"], ["0", "x1"]], "symmetric")
         h = parse("y^2 - x1^2", Ring(("y", "x1"), (1, 1)))
         report = verify_companion(a, h, 1)
-        assert not report.ok and report.notes["method"] == "bareiss"
+        assert not report.ok and report.notes["method"] == "lattice"
         assert companion_det(a, h.ring) != h
+        # At y = 0, x1 = 1: det(y*I - A) = (0 - 1)^2 = 1, while h = 0 - 1.
+        assert [(f.name, f.witness) for f in report.failures] == [
+            ("determinant", "at x = 0,1: det = 1, c*h^r = -1")]
 
     def test_flipped_sign_two_by_two(self):
         # det = h = -1 * (-h): c = -1 with r = 1 is refused, as by Bareiss.

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from hypercert import fixtures
+from hypercert.detrep import PolyMatrix
 from hypercert.fixtures import FIXTURE_IDS, run_fixture, run_fixtures
 from hypercert.polyring import ParseError, Ring
 from hypercert.wire import (
@@ -60,7 +61,24 @@ class TestCorpus:
         checks = {c.name: c for c in run_fixture("F3").checks}
         assert checks["involution"].ok
         assert not checks["companion-determinant"].ok
-        assert checks["companion-determinant"].detail.startswith("det(y*I - A) - h^1 = -y^2")
+        # At y = 0, x = (1, 0, 0): det(-A) = -1, while 2*h = 2*(0 - 1).
+        assert checks["companion-determinant"].detail == "at x = 0,1,0,0: det = -1, c*h^r = -2"
+
+    def test_f4_reports_a_nonpositive_minor_at_e(self, monkeypatch):
+        load = fixtures.load_fixture_matrix
+
+        def negated(name):
+            matrix = load(name)
+            if not name.startswith("F4"):
+                return matrix
+            return PolyMatrix(matrix.ring, [[-p for p in row] for row in matrix.rows], matrix.kind)
+
+        monkeypatch.setattr(fixtures, "load_fixture_matrix", negated)
+        checks = {c.name: c for c in run_fixture("F4").checks}
+        assert checks["hermitian"].ok
+        assert not checks["value-at-E-is-2I"].ok
+        assert not checks["positive-definite-at-E"].ok
+        assert checks["positive-definite-at-E"].detail == "leading principal minor of order 1 at E is -2"
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hypercert.scalars import (
     ConstMatrix,
     GaussianRational,
+    first_nonpositive_minor,
     four_square_decompose,
-    is_positive_definite,
     leading_principal_minors,
     pencil_value,
 )
@@ -110,16 +110,11 @@ def _quadratic_form_value(matrix, v):
 
 class TestPositiveDefinite:
     def test_identity(self):
-        assert is_positive_definite(identity_matrix(3))
+        assert first_nonpositive_minor(identity_matrix(3)) is None
 
     def test_indefinite_diag(self):
         m = const_matrix([[1, 0], [0, -1]], "symmetric")
-        assert not is_positive_definite(m)
-
-    def test_requires_kind(self):
-        m = const_matrix([[1, 0], [0, 1]], "none")
-        with pytest.raises(ValueError):
-            is_positive_definite(m)
+        assert first_nonpositive_minor(m) == (2, -1)
 
     def test_hermitian_example(self):
         i = GaussianRational(0, 1)
@@ -128,7 +123,7 @@ class TestPositiveDefinite:
         m = ConstMatrix([[two, i], [-i, one]], "hermitian")
         # minors 2 and 2*1 - i*(-i) = 1
         assert leading_principal_minors(m) == [2, 1]
-        assert is_positive_definite(m)
+        assert first_nonpositive_minor(m) is None
 
     def test_agrees_with_vector_oracle(self):
         # Exhaustive check v^T M v > 0 over random nonzero rational vectors:
@@ -136,7 +131,7 @@ class TestPositiveDefinite:
         rng = random.Random(1031)
         for _ in range(60):
             m = _random_symmetric(rng)
-            verdict = is_positive_definite(m)
+            verdict = first_nonpositive_minor(m) is None
             samples = []
             for _ in range(100):
                 v = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(4)]
