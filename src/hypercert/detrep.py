@@ -21,23 +21,26 @@ determinant identity det = c*h^r is decided by one of two routes:
   ell^2 - P = s*h is compared on the same points, and a symmetric/hermitian
   A with h = y^2 - P;
 - *lattice* (everything else): integer or Gaussian-integer determinants
-  are compared with c*h(x)^r (:func:`_match_values`) at the T lattice
-  points for a pencil (:func:`_lattice_match`), and for a companion at
-  y in {0..m} times the lattice of degree m*w (:func:`_companion_match`).
+  at the T lattice points for a pencil (:func:`_lattice_match`), and for a
+  companion at y in {0..m} times the lattice of degree m*w
+  (:func:`_companion_match`), are compared with c*h(x)^r.
 
-A failed identity names the first point where the two sides differ, which
-one constant determinant re-checks; no route expands a polynomial
-determinant.
+One comparer, :func:`_match_values`, reads the points lazily and stops at
+a failure's witness: the first point where the two sides differ, which one
+constant determinant re-checks.  No route expands a polynomial determinant.
+Definiteness at e is Sylvester's test on A(e) scaled into Z or Z[i]
+(:func:`~hypercert.scalars.first_nonpositive_minor_at`).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .polyring import MultiPoly, ParseError, Ring, _pair_pow, _sum_of_squares, parse, real_square_factorization
 from .scalars import (
@@ -51,11 +54,12 @@ from .scalars import (
     GaussianRational,
     RationalLike,
     _common_kind,
+    _GaussInt,
     _kind_violation,
+    _over_integers,
     as_fraction,
     bareiss,
-    first_nonpositive_minor,
-    pencil_value,
+    first_nonpositive_minor_at,
 )
 from .wire import _json_field, _json_flag, _json_list, _json_strings
 
@@ -206,59 +210,9 @@ def _det(rows, one, divide):
     return pivots[-1] if sign > 0 else -pivots[-1]
 
 
-class _GaussInt:
-    """A Gaussian integer real + imag*i, with the operations of a lattice
-    determinant and square (Bareiss needs ``*``, ``-``, truth and an exact
-    division).  Its ``real`` and ``imag`` are also those of a Python int."""
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real: int, imag: int):
-        self.real = real
-        self.imag = imag
-
-    def __bool__(self) -> bool:
-        return bool(self.real or self.imag)
-
-    def __eq__(self, other) -> bool:
-        return self.real == other.real and self.imag == other.imag
-
-    def __add__(self, other: "_GaussInt") -> "_GaussInt":
-        return _GaussInt(self.real + other.real, self.imag + other.imag)
-
-    def __sub__(self, other: "_GaussInt") -> "_GaussInt":
-        return _GaussInt(self.real - other.real, self.imag - other.imag)
-
-    def __neg__(self) -> "_GaussInt":
-        return _GaussInt(-self.real, -self.imag)
-
-    def __mul__(self, other: "_GaussInt") -> "_GaussInt":
-        a, b, c, d = self.real, self.imag, other.real, other.imag
-        return _GaussInt(a * c - b * d, a * d + b * c)
-
-    def divide_exact(self, other: "_GaussInt") -> "_GaussInt":
-        a, b, c, d = self.real, self.imag, other.real, other.imag
-        norm = c * c + d * d
-        return _GaussInt((a * c + b * d) // norm, (b * c - a * d) // norm)
-
-
-def _over_integers(coeffs: Sequence[GaussianRational]):
-    """(D, number, scaled): the lcm D of the coefficients' denominators, the
-    type of their multiples by D (int, or _GaussInt when one is not real)
-    and the map c -> D*c into it."""
-    den = math.lcm(*{q.denominator for c in coeffs for q in (c.re, c.im)})
-    number = _GaussInt if any(c.im for c in coeffs) else lambda real, imag: real
-
-    def scaled(c: GaussianRational):
-        return number(c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
-
-    return den, number, scaled
-
-
-def _int_det(rows: Sequence[list], number) -> tuple[int, int]:
-    """(re, im) of det(rows) over Z, or Z[i] when number is _GaussInt."""
-    det = _det(rows, number(1, 0), _GaussInt.divide_exact if number is _GaussInt else operator.floordiv)
-    return (det.real, det.imag)
+def _int_det(rows: Sequence[list], number) -> Union[int, _GaussInt]:
+    """det(rows) over Z, or Z[i] when number is _GaussInt."""
+    return _det(rows, number(1, 0), _GaussInt.divide_exact if number is _GaussInt else operator.floordiv)
 
 
 def _lattice_match(
@@ -266,12 +220,9 @@ def _lattice_match(
 ) -> tuple[Fraction, Optional[str]]:
     """(c, witness) for det(sum x_i A_i) = c * h^r, with witness None when
     the identity holds, decided on the simplex lattice (see the module
-    docstring).
-
-    The pencil is scaled by the lcm D of its denominators, so each lattice
-    determinant is D^m times the value, taken over Z (or Z[i] when an entry
-    is not real) and compared by :func:`_match_values`.
-    """
+    docstring).  The pencil is scaled by the lcm D of its denominators, so
+    each lattice determinant is D^m times the value, taken over Z (or Z[i]
+    when an entry is not real) and compared by :func:`_match_values`."""
     m = matrices[0].size
     cells = [[c for row in mat.entries for c in row] for mat in matrices]
     den, number, scaled = _over_integers([c for flat in cells for c in flat])
@@ -279,11 +230,8 @@ def _lattice_match(
         raise ValueError("imaginary coefficient in a non-gaussian ring")
     slices = [[scaled(c) for c in flat] for flat in cells]
 
-    def value(flat: list) -> tuple[int, int]:
-        return _int_det([flat[i * m : (i + 1) * m] for i in range(m)], number)
-
-    dets = _on_lattice(slices, m, value)
-    return _match_values({(1,) + b: v for b, v in dets.items()}, den**m, h, r, up_to_scalar)
+    dets = ((x, _int_det([flat[i * m : (i + 1) * m] for i in range(m)], number)) for x, flat in _on_lattice(slices, m))
+    return _match_values(dets, den**m, h, r, up_to_scalar)
 
 
 def _companion_match(matrix: PolyMatrix, h: MultiPoly, r: int) -> Optional[str]:
@@ -298,27 +246,32 @@ def _companion_match(matrix: PolyMatrix, h: MultiPoly, r: int) -> Optional[str]:
     den, number, scaled = _over_integers([c for row in matrix.rows for p in row for c in p.terms.values()])
     zero = number(0, 0)
     entries = [[[(e, scaled(c)) for e, c in p.terms.items()] for p in row] for row in matrix.rows]
-    dets = {}
-    for x in _lattice(matrix.ring.arity, m * h.ring.weights[y_idx], True):
-        at = [[sum([c * number(math.prod(map(pow, x, e)), 0) for e, c in entry], zero) for entry in row] for row in entries]
-        for y in range(m + 1):
-            rows = [[number(y * den, 0) - a if i == j else -a for j, a in enumerate(row)] for i, row in enumerate(at)]
-            dets[x[:y_idx] + (y,) + x[y_idx:]] = _int_det(rows, number)
-    return _match_values(dets, den**m, h, r, False)[1]
+
+    def dets():
+        for x in _lattice(matrix.ring.arity, m * h.ring.weights[y_idx], True):
+            at = [[sum([c * number(math.prod(map(pow, x, e)), 0) for e, c in entry], zero) for entry in row] for row in entries]
+            for y in range(m + 1):
+                rows = [[number(y * den, 0) - a if i == j else -a for j, a in enumerate(row)] for i, row in enumerate(at)]
+                yield x[:y_idx] + (y,) + x[y_idx:], _int_det(rows, number)
+
+    return _match_values(dets(), den**m, h, r, False)[1]
 
 
 def _match_values(
-    dets: dict[tuple[int, ...], tuple[int, int]], scale: int, h: MultiPoly, r: int, up_to_scalar: bool
+    dets: Iterable[tuple[tuple[int, ...], Union[int, _GaussInt]]], scale: int, h: MultiPoly, r: int, up_to_scalar: bool,
+    names: tuple[str, str, str] = ("det", "h^r", "c*h^r"),
 ) -> tuple[Fraction, Optional[str]]:
     """(c, witness) for det = c * h^r, with witness None when it holds, from
-    dets[x] = scale * det(x) as (re, im) at points x of h's ring that decide
-    the identity: c = 1, or with ``up_to_scalar`` det/h^r at the first x
-    where h(x) != 0.  The witness names the first point where the two sides
-    differ, with both exact values."""
-    if not any(re or im for re, im in dets.values()):
-        return (Fraction(0), "determinant is identically zero")
+    pairs (x, scale * det(x) over Z or Z[i]), in order, at points x of h's
+    ring that decide the identity: c = 1, or with ``up_to_scalar`` det/h^r
+    at the first x where h(x) != 0.  A failure is, in this precedence, a det
+    zero at every point, a ratio that is not real, or the first point where
+    the two sides differ, with both exact values labelled by ``names``.  The
+    pairs are read only until that is fixed: c known, a differing point and
+    a nonzero det seen."""
     h_den, _, scaled = _over_integers(list(h.terms.values()))
     h_terms = [(e, scaled(c)) for e, c in h.terms.items()]
+    h_scale = h_den**r
 
     def target(x: tuple[int, ...]) -> tuple[int, int]:
         """(h_den * h(x))^r over Z[i]."""
@@ -329,48 +282,50 @@ def _match_values(
             im += a.imag * mono
         return _pair_pow(re, im, r)
 
-    targets = {x: target(x) for x in dets}
-    h_scale = h_den**r
-
     def exact(pair: tuple[int, int], den: int) -> GaussianRational:
         return GaussianRational(Fraction(pair[0], den), Fraction(pair[1], den))
 
-    def at(x: tuple[int, ...]) -> str:
-        return f"at x = {','.join(map(str, x))}: det = {exact(dets[x], scale)}"
+    def at(x: tuple[int, ...], det) -> str:
+        return f"at x = {','.join(map(str, x))}: {names[0]} = {exact((det.real, det.imag), scale)}"
 
-    c = Fraction(1)
+    points = ((x, det, target(x)) for x, det in dets)
+    read, c = [], Fraction(1)  # read: the points up to the one that fixes c
     if up_to_scalar:  # h^r is a nonzero form, so some h(x) != 0
-        x = next(x for x, t in targets.items() if any(t))
-        ratio = exact(dets[x], scale) / exact(targets[x], h_scale)
-        if ratio.im:
-            return (Fraction(0), f"{at(x)}, h^r = {exact(targets[x], h_scale)}, not a real multiple")
+        for x, det, t in points:
+            read.append((x, det, t))
+            if any(t):
+                break
+        ratio = exact((det.real, det.imag), scale) / exact(t, h_scale)
+        if ratio.im:  # so det(x) != 0: the determinant is not identically zero
+            return (Fraction(0), f"{at(x, det)}, {names[1]} = {exact(t, h_scale)}, not a real multiple")
         c = ratio.re
     # det = c * h^r at x, with c = p/q: q * h_scale * value = p * scale * target.
     left, right = c.denominator * h_scale, c.numerator * scale
-    for x, (re, im) in dets.items():
-        t_re, t_im = targets[x]
-        if re * left != t_re * right or im * left != t_im * right:
-            return (c, f"{at(x)}, c*h^r = {exact(targets[x], h_scale).scale(c)}")
-    return (c, None)
+    nonzero, witness = False, None
+    for x, det, (t_re, t_im) in itertools.chain(read, points):
+        nonzero = nonzero or bool(det)
+        if witness is None and (det.real * left != t_re * right or det.imag * left != t_im * right):
+            witness = f"{at(x, det)}, {names[2]} = {exact((t_re, t_im), h_scale).scale(c)}"
+        if witness is not None and nonzero:
+            return (c, witness)
+    return (c, witness) if nonzero else (Fraction(0), "determinant is identically zero")
 
 
-def _on_lattice(slices: Sequence[list], m: int, value) -> dict[tuple[int, ...], tuple[int, int]]:
-    """value(sum_i x_i * slices[i]) at x = (1, b) for every b in N^(n-1) with
-    |b| <= m, keyed by b in lexicographic order.  The walk is depth first,
-    so each point's sum is an earlier point's plus one slice."""
-    values = {}
+def _on_lattice(slices: Sequence[list], m: int) -> Iterator[tuple[tuple[int, ...], list]]:
+    """(x, sum_i x_i * slices[i]) for x = (1, b), b in N^(n-1) with |b| <= m,
+    lazily and in lexicographic order.  The walk is depth first, so each
+    point's sum is an earlier point's plus one slice."""
 
-    def walk(b: tuple[int, ...], total: list, k: int) -> None:
+    def walk(b: tuple[int, ...], total: list, k: int):
         if k == len(slices):
-            values[b] = value(total)
+            yield (1,) + b, total
             return
         for t in range(m - sum(b) + 1):
             if t:
                 total = list(map(operator.add, total, slices[k]))
-            walk(b + (t,), total, k + 1)
+            yield from walk(b + (t,), total, k + 1)
 
-    walk((), slices[0], 1)
-    return values
+    return walk((), slices[0], 1)
 
 
 def _lattice(n: int, degree: int, homogeneous: bool) -> list[tuple[int, ...]]:
@@ -458,7 +413,9 @@ class DetRepReport:
     point where h != 0: det/h^r on the lattice route, s^r with
     s = (ell^2 - P)/h on the involution route.  A failed check reports the
     c it tried, and 0 for a zero determinant or a ratio that is not real.
-    The companion route records whether its branch P is a square.
+    The lattice walk stops at the first point that refutes the identity, and
+    Sylvester's test at e runs over Z or Z[i].  The companion route records
+    whether its branch P is a square.
     """
 
     ok: bool
@@ -517,10 +474,10 @@ def verify_pencil(
     """Check that det(sum x_i A_i) = c * h^r with definite value at e.
 
     Three named checks: symmetry kind, determinant identity (c = 1 unless
-    ``up_to_scalar``), and positive definiteness of sum e_i A_i.  For
-    quadratic h whose pencil is ell*I - Q with Q^2 = P*I the determinant is
-    (ell^2 - P)^r (:func:`_match_branch`).  Every other pencil is decided on
-    its values at the simplex lattice (:func:`_lattice_match`).  A failed
+    ``up_to_scalar``), and Sylvester's test on sum e_i A_i over Z or Z[i].
+    For quadratic h whose pencil is ell*I - Q with Q^2 = P*I the determinant
+    is (ell^2 - P)^r (:func:`_match_branch`).  Every other pencil is decided
+    on its values at the simplex lattice (:func:`_lattice_match`).  A failed
     identity is witnessed by the first lattice point x where the two sides
     differ, with both exact values.
     """
@@ -565,7 +522,7 @@ def verify_pencil(
         failures.append(CheckFailure("scalar-positivity", f"scalar c = {scalar} is not positive"))
 
     if kind != KIND_NONE and not any(f.name == "kind" for f in failures):
-        bad_minor = first_nonpositive_minor(pencil_value(matrices, [as_fraction(c) for c in e]))
+        bad_minor = first_nonpositive_minor_at(matrices, e)
         if bad_minor is not None:
             order, minor = bad_minor
             witness = f"leading principal minor of order {order} at e is {minor}"
@@ -599,8 +556,8 @@ def _match_branch(
     Otherwise det M = (ell^2 - P)^r, which is a multiple c of h^r exactly
     when the branch ell^2 - P is a multiple s of h, and then c = s^r.  Q is
     read off the slices; Q^2 = P*I and the branch identity are decided on
-    the lattice of degree 2, with s the ratio at its first point where
-    h(x) != 0.
+    the lattice of degree 2 (:func:`_match_values`), with s the ratio at
+    its first point where h(x) != 0.
     """
     m, n = matrices[0].size, len(matrices)
     units = [tuple(int(k == v) for k in range(n)) for v in range(n)]
@@ -620,20 +577,8 @@ def _match_branch(
         return None
     ell_at = {x: sum((c.scale(t) for c, t in zip(ell, x)), GR_ZERO) for x in values}
     branch = {x: ell_at[x] * ell_at[x] - p for x, p in values.items()}
-    if not any(branch.values()):
-        return (Fraction(0), "determinant is identically zero")
-    h_at = {x: h.eval(x) for x in branch}
-    first = next(x for x, value in h_at.items() if value)
-    ratio = branch[first] / h_at[first]
-
-    def at(x: tuple[int, ...], rhs: str) -> str:
-        return f"at x = {','.join(map(str, x))}: ell^2 - P = {branch[x]}, {rhs}"
-
-    if ratio.im:
-        return (Fraction(0), at(first, f"h = {h_at[first]}, not a real multiple"))
-    s = ratio.re
-    bad = next((x for x in branch if branch[x] != h_at[x].scale(s)), None)
-    witness = None if bad is None else at(bad, f"s*h = {h_at[bad].scale(s)}")
+    den, _, scaled = _over_integers(list(branch.values()))
+    s, witness = _match_values(((x, scaled(b)) for x, b in branch.items()), den, h, 1, True, ("ell^2 - P", "h", "s*h"))
     c = s**r
     if up_to_scalar or not c:  # c = 0: a zero determinant or branch
         return (c, witness)

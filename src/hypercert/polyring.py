@@ -566,6 +566,7 @@ class MultiPoly:
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*^/()]")
 _BAD_CHAR = re.compile(r"[^\s0-9A-Za-z_*^/()+-]")
 _OPS = set("+-*^/()")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 # A parsed subexpression: exponent vector -> (re, im), each part an int or a
 # Fraction.  Zero coefficients may be present until the final conversion.
@@ -755,7 +756,13 @@ class _Parser:
 
 
 def parse(text: str, ring: Ring) -> MultiPoly:
-    """Parse an expression in the polynomial grammar into ``ring``."""
+    """Parse an expression in the polynomial grammar into ``ring``.  One
+    integer literal, maybe negated, skips the grammar unless int() refuses it."""
+    if _INTEGER.fullmatch(text):
+        try:
+            return _poly_of(ring, {(0,) * ring.arity: (int(text), 0)})
+        except ValueError:  # too long: the grammar names its position
+            pass
     parser = _Parser(text, ring)
     try:
         return parser.parse()

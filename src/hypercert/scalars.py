@@ -4,12 +4,13 @@ Rationals are ``fractions.Fraction`` throughout (always normalized, positive
 denominator).  On top of that this module provides Gaussian rationals,
 Lagrange four-square decompositions of positive rationals, the one
 fraction-free (Bareiss) elimination behind every exact determinant and
-minor, and Sylvester positive-definiteness tests for constant
-symmetric/hermitian matrices.
+minor, Gaussian integers for it, and Sylvester's test of constant
+symmetric/hermitian matrices, run on their integer multiples.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -275,14 +276,6 @@ class ConstMatrix:
         """First entry (i, j) breaking the declared symmetry kind, or None."""
         return _kind_violation(self.entries, self.kind, GaussianRational.conj)
 
-    def is_diagonal(self) -> bool:
-        return all(
-            not self.entries[i][j]
-            for i in range(self.size)
-            for j in range(self.size)
-            if i != j
-        )
-
     def to_rows(self) -> list[list[str]]:
         return [[str(e) if e else "0" for e in row] for row in self.entries]
 
@@ -313,6 +306,7 @@ def _common_kind(matrices: Sequence[ConstMatrix]) -> str:
     return kinds.pop() if len(kinds) == 1 else KIND_NONE
 
 
+# Kept only as a hook of perfbench's tracer, until the benchmark drops it.
 def pencil_value(matrices: Sequence[ConstMatrix], point: Sequence[RationalLike]) -> ConstMatrix:
     """Evaluate sum_i point_i * A_i, touching only the nonzero entries.
 
@@ -379,38 +373,91 @@ def bareiss(rows: list[list], one, divide: Callable, pivoting: bool) -> tuple[li
     return pivots, sign
 
 
-def leading_principal_minors(matrix: ConstMatrix) -> list[Fraction]:
-    """All leading principal minors, by Bareiss elimination without row swaps.
+class _GaussInt:
+    """A Gaussian integer real + imag*i, with the operations of a lattice
+    determinant and square (Bareiss needs ``*``, ``-``, truth and an exact
+    division).  Its ``real`` and ``imag`` are also those of a Python int."""
 
-    Stops at the first vanishing minor (the scheme cannot go past it; that
-    zero is the last entry).  For symmetric/hermitian input every minor is
-    real; an imaginary one means the invariant is broken and raises.
-    """
-    pivots, _ = bareiss([list(row) for row in matrix.entries], GR_ONE, operator.truediv, pivoting=False)
-    for k, pivot in enumerate(pivots):
-        if pivot.im:
-            raise ArithmeticError(
-                f"leading principal minor {k + 1} is not real; hermitian invariant broken"
-            )
-    return [pivot.re for pivot in pivots]
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: int, imag: int):
+        self.real = real
+        self.imag = imag
+
+    def __bool__(self) -> bool:
+        return bool(self.real or self.imag)
+
+    def __eq__(self, other) -> bool:
+        return self.real == other.real and self.imag == other.imag
+
+    def __add__(self, other: "_GaussInt") -> "_GaussInt":
+        return _GaussInt(self.real + other.real, self.imag + other.imag)
+
+    def __sub__(self, other: "_GaussInt") -> "_GaussInt":
+        return _GaussInt(self.real - other.real, self.imag - other.imag)
+
+    def __neg__(self) -> "_GaussInt":
+        return _GaussInt(-self.real, -self.imag)
+
+    def __mul__(self, other: "_GaussInt") -> "_GaussInt":
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        return _GaussInt(a * c - b * d, a * d + b * c)
+
+    def divide_exact(self, other: "_GaussInt") -> "_GaussInt":
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        norm = c * c + d * d
+        return _GaussInt((a * c + b * d) // norm, (b * c - a * d) // norm)
+
+
+def _over_integers(coeffs: Sequence[GaussianRational]):
+    """(D, number, scaled): the lcm D of the coefficients' denominators, the
+    type of their multiples by D (int, or _GaussInt when one is not real)
+    and the map c -> D*c into it."""
+    den = math.lcm(*{q.denominator for c in coeffs for q in (c.re, c.im)})
+    if not any(c.im for c in coeffs):
+        return den, lambda real, imag: real, lambda c: c.re.numerator * (den // c.re.denominator)
+
+    def scaled(c: GaussianRational) -> _GaussInt:
+        return _GaussInt(c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+
+    return den, _GaussInt, scaled
 
 
 def first_nonpositive_minor(matrix: ConstMatrix) -> Optional[tuple[int, Fraction]]:
-    """(1-based size, value) of the first nonpositive leading minor, or None."""
-    if matrix.is_diagonal():
-        # Diagonal fast path: minors are prefix products of the diagonal.
-        prod = Fraction(1)
-        for k in range(matrix.size):
-            d = matrix.entries[k][k]
-            if d.im:
-                raise ArithmeticError(
-                    f"diagonal entry {k} is not real; hermitian invariant broken"
-                )
-            prod *= d.re
-            if prod <= 0:
-                return (k + 1, prod)
-        return None
-    for k, value in enumerate(leading_principal_minors(matrix)):
-        if value <= 0:
-            return (k + 1, value)
-    return None
+    """Sylvester's test on one matrix (:func:`first_nonpositive_minor_at`)."""
+    return first_nonpositive_minor_at([matrix], [1])
+
+
+def first_nonpositive_minor_at(
+    matrices: Sequence[ConstMatrix], point: Sequence[RationalLike]
+) -> Optional[tuple[int, Fraction]]:
+    """Sylvester's test on A = sum_i point_i * A_i: (1-based order k, value)
+    of its first nonpositive leading minor, or None.
+
+    s*A, for s = D*L with D the lcm of the denominators of the slices with
+    point_i != 0 and L that of the point's, is summed over Z or Z[i]
+    (:func:`_over_integers`) through those slices' nonzero entries.  Its
+    leading minors are s^k times A's: prefix products of its diagonal when
+    it is diagonal, else the pivots of :func:`bareiss` without pivoting.  An
+    imaginary minor breaks the symmetric/hermitian invariant and raises.
+    """
+    used = [(c, mat) for c, mat in zip(map(as_fraction, point), matrices) if c]
+    # Zero entries are often the shared GR_ZERO, which `is` finds fast.
+    cells = [[(i, j, a) for i, row in enumerate(mat.entries) for j, a in enumerate(row) if a is not GR_ZERO and a]
+             for _, mat in used]
+    den, number, scaled = _over_integers([a for nonzero in cells for _, _, a in nonzero])
+    point_den, zero = math.lcm(*(c.denominator for c, _ in used)), number(0, 0)
+    rows: list[dict] = [{} for _ in matrices[0].entries]
+    for (c, _), nonzero in zip(used, cells):
+        factor = number(c.numerator * (point_den // c.denominator), 0)
+        for i, j, a in nonzero:
+            rows[i][j] = rows[i].get(j, zero) + scaled(a) * factor
+    if all(i == j or not v for i, row in enumerate(rows) for j, v in row.items()):
+        pivots = list(itertools.accumulate([row.get(i, zero) for i, row in enumerate(rows)], operator.mul))
+    else:
+        divide = _GaussInt.divide_exact if number is _GaussInt else operator.floordiv
+        pivots = bareiss([[row.get(j, zero) for j in range(len(rows))] for row in rows], number(1, 0), divide, False)[0]
+    bad = next((k for k, pivot in enumerate(pivots, 1) if pivot.imag), None)
+    if bad is not None:
+        raise ArithmeticError(f"leading principal minor {bad} is not real; hermitian invariant broken")
+    return next(((k, Fraction(p.real, (den * point_den) ** k)) for k, p in enumerate(pivots, 1) if p.real <= 0), None)

@@ -1,13 +1,14 @@
 """Independent reference implementations used only by the tests."""
 
+import operator
 from fractions import Fraction
 from itertools import permutations, product
 
-from hypercert.detrep import PolyMatrix, pencil_to_polymatrix, poly_det, polymatrix_to_pencil
+from hypercert.detrep import PolyMatrix, const_det, pencil_to_polymatrix, poly_det, polymatrix_to_pencil
 from hypercert.polyring import MultiPoly, ParseError, UniPoly, sturm_chain
 from hypercert.quadratic import normalize_at_direction, rational_sos_quadratic
 from hypercert.realroots import _index
-from hypercert.scalars import ConstMatrix, GaussianRational, as_fraction, first_nonpositive_minor, pencil_value
+from hypercert.scalars import ConstMatrix, GaussianRational, as_fraction, bareiss, pencil_value
 
 
 def perm_sign(perm):
@@ -171,6 +172,24 @@ def quadratic_detrep_reference(h, e, generators):
     return polymatrix_to_pencil(PolyMatrix(h.ring, rows, "symmetric")), r, (4 * nf.alpha) ** r
 
 
+def leading_principal_minors(matrix):
+    """All leading principal minors of a ConstMatrix, as Fractions: the
+    pivots of Bareiss elimination over Q(i) without row swaps, ending at the
+    first zero one.  An imaginary minor (a broken hermitian invariant)
+    raises ArithmeticError."""
+    pivots, _ = bareiss([list(row) for row in matrix.entries], GaussianRational(1), operator.truediv, pivoting=False)
+    for k, pivot in enumerate(pivots):
+        if pivot.im:
+            raise ArithmeticError(f"leading principal minor {k + 1} is not real; hermitian invariant broken")
+    return [pivot.re for pivot in pivots]
+
+
+def sylvester_reference(matrix):
+    """(1-based order, value) of the first nonpositive leading minor of a
+    ConstMatrix, or None, from :func:`leading_principal_minors`."""
+    return next(((k + 1, v) for k, v in enumerate(leading_principal_minors(matrix)) if v <= 0), None)
+
+
 def from_roots(roots, lead=1):
     """lead * prod (t - root) as a UniPoly."""
     poly = UniPoly([lead])
@@ -296,7 +315,7 @@ def pencil_reference(matrices, h, r, e, up_to_scalar):
     elif scalar <= 0:
         failures.append(("scalar-positivity", f"scalar c = {scalar} is not positive"))
     if kind != "none" and all(name != "kind" for name, _ in failures):
-        bad = first_nonpositive_minor(pencil_value(matrices, e))
+        bad = sylvester_reference(pencil_value(matrices, e))
         if bad is not None:
             failures.append(("positive-definite", f"leading principal minor of order {bad[0]} at e is {bad[1]}"))
     return {
@@ -324,6 +343,46 @@ def _determinant_reference(det, target, m, up_to_scalar):
         return c.re, None
     x = next(x for x in points if det.eval(x) != target.eval(x).scale(c.re))
     return c.re, f"at x = {_point(x)}: det = {det.eval(x)}, c*h^r = {target.eval(x).scale(c.re)}"
+
+
+def match_values_reference(values, h, r, up_to_scalar):
+    """(c, witness) of the lattice comparer by a full walk: values[x] is
+    det(x), an exact Gaussian rational, at every point that decides the
+    identity, in order.  The rules, in turn: a determinant zero at every
+    point; up to scalar, a ratio det/h^r that is not real at the first x
+    with h(x) != 0, else c is that ratio; the first x with det != c*h^r."""
+    targets = {}
+    for x in values:
+        targets[x] = GaussianRational(1)
+        for _ in range(r):
+            targets[x] = targets[x] * h.eval(x)
+    if not any(values.values()):
+        return Fraction(0), "determinant is identically zero"
+    c = Fraction(1)
+    if up_to_scalar:
+        x = next(x for x, t in targets.items() if t)
+        ratio = values[x] / targets[x]
+        if ratio.im:
+            return Fraction(0), f"at x = {_point(x)}: det = {values[x]}, h^r = {targets[x]}, not a real multiple"
+        c = ratio.re
+    x = next((x for x in values if values[x] != targets[x].scale(c)), None)
+    return c, None if x is None else f"at x = {_point(x)}: det = {values[x]}, c*h^r = {targets[x].scale(c)}"
+
+
+def pencil_values(matrices, h):
+    """det(sum x_i A_i) at every lattice point of degree m, by const_det."""
+    return {x: const_det(pencil_value(matrices, x)) for x in lattice_points(h.ring.arity, matrices[0].size)}
+
+
+def companion_values(matrix, h):
+    """det(y*I - A) (:func:`companion_det`) at every x of the lattice of
+    degree m*w (w the weight of y) and, innermost, every y in 0..m; keyed
+    by the point in h's ring order."""
+    m, y_idx = matrix.size, h.ring.index("y")
+    det = companion_det(matrix, h.ring)
+    points = [x[:y_idx] + (y,) + x[y_idx:] for x in lattice_points(matrix.ring.arity, m * h.ring.weights[y_idx])
+              for y in range(m + 1)]
+    return {x: det.eval(x) for x in points}
 
 
 def leading_scalar(det, target):

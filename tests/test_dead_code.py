@@ -95,6 +95,7 @@ HOOK_ONLY = {
     ("polyring", "UniPoly.squarefree_part"),
     ("realroots", "_isolate_squarefree"),
     ("realroots", "refine_interval"),
+    ("scalars", "pencil_value"),
 }
 
 

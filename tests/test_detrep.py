@@ -10,13 +10,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypercert.clifford import build_Q, clifford_generators
 from hypercert.detrep import (
     PolyMatrix,
+    _companion_match,
     _involution,
+    _lattice_match,
+    _match_values,
     _on_lattice,
     const_det,
     detrep_to_sos,
@@ -29,9 +32,10 @@ from hypercert.detrep import (
 )
 from hypercert.fixtures import load_fixture_matrix, load_fixture_poly
 from hypercert.polyring import MultiPoly, Ring, parse
-from hypercert.scalars import ConstMatrix, GaussianRational, first_nonpositive_minor, pencil_value
+from hypercert.scalars import ConstMatrix, GaussianRational, pencil_value
 from oracles import (
     companion_det,
+    companion_values,
     conjugate,
     const_matrix,
     ell_minus,
@@ -39,8 +43,11 @@ from oracles import (
     lattice_points,
     leading_scalar,
     leibniz_det,
+    match_values_reference,
     pencil_reference,
+    pencil_values,
     scaled,
+    sylvester_reference,
     transpose,
 )
 
@@ -112,8 +119,8 @@ class TestLatticeUnisolvence:
     def test_monomial_values_have_full_rank(self, n):
         units = [[int(j == k) for j in range(n)] for k in range(n)]
         for m in range(1, 7):
-            visited = _on_lattice(units, m, tuple)  # each sum is the point itself
-            assert list(visited.items()) == [(x[1:], x) for x in lattice_points(n, m)]
+            visited = {x: tuple(total) for x, total in _on_lattice(units, m)}  # each sum is the point itself
+            assert list(visited.items()) == [(x, x) for x in lattice_points(n, m)]
             monomials = list(itertools.combinations_with_replacement(range(n), m))
             assert len(visited) == len(monomials) == math.comb(m + n - 1, n - 1)
             values = sympy.Matrix([[math.prod(x[k] for k in mono) for mono in monomials] for x in visited.values()])
@@ -757,7 +764,7 @@ class TestRouteAgreement:
         c = leading_scalar(det, target) if up_to_scalar else Fraction(1)
         identity = c is not None and det == target.scale(c)
         definite = matrices[0].kind != "none" and all(mat.kind_violation() is None for mat in matrices)
-        definite = definite and first_nonpositive_minor(pencil_value(matrices, e)) is None
+        definite = definite and sylvester_reference(pencil_value(matrices, e)) is None
         assert report.ok == (identity and c > 0 and definite)
         assert (report.scalar == c) if identity else ("determinant" in {f.name for f in report.failures})
 
@@ -875,6 +882,81 @@ class TestRouteAgreement:
         assert report == pencil_reference(pencil, h, 1, (1, 0), True)
         assert report["failures"][-1] == {
             "name": "determinant", "witness": "at x = 1,0: ell^2 - P = i, h = 1, not a real multiple"}
+
+
+class TestComparerStopsAtItsWitness:
+    """The lattice comparer reads points only until its verdict is fixed,
+    and gives the c and witness of a full walk over every point
+    (tests/oracles.py), on the pencil and the companion route."""
+
+    @given(dense_pencils())
+    def test_dense_pencils_match_a_full_walk(self, case):
+        matrices, h, r, _, up_to_scalar = case
+        expected = match_values_reference(pencil_values(matrices, h), h, r, up_to_scalar)
+        assert _lattice_match(matrices, h, r, up_to_scalar) == expected
+
+    @given(quadratic_pencils())
+    def test_quadratic_pencils_match_a_full_walk(self, case):
+        matrices, h, r, _, up_to_scalar, _ = case
+        expected = match_values_reference(pencil_values(matrices, h), h, r, up_to_scalar)
+        assert _lattice_match(matrices, h, r, up_to_scalar) == expected
+
+    @settings(max_examples=30)  # the full walk evaluates a degree-16 det at up to 289 points
+    @given(companion_inputs())
+    def test_companions_match_a_full_walk(self, case):
+        a, h, r = case
+        assert _companion_match(a, h, r) == match_values_reference(companion_values(a, h), h, r, False)[1]
+
+    # The lattice of degree 2 in x0..x2: (1,0,0), (1,0,1), (1,0,2), (1,1,0),
+    # (1,1,1), (1,2,0).  det = x1*(x0 + x2) vanishes at the first three.
+    @pytest.mark.parametrize(
+        "rows, h, up_to_scalar, expected",
+        [
+            # Zero determinants, equal to h, before the first differing point.
+            ([["x1", "0"], ["0", "x0 + x2"]], "x1*(x0 + 2*x2)", False, (1, "at x = 1,1,1: det = 2, c*h^r = 3")),
+            # The first differing point has a zero determinant: the walk goes
+            # on to a nonzero one before it can name it.
+            ([["x1", "0"], ["0", "x0 + x2"]], "x0^2", False, (1, "at x = 1,0,0: det = 0, c*h^r = 1")),
+            ([["x1", "x1"], ["x1", "x1"]], "x0^2", False, (0, "determinant is identically zero")),
+            ([["x1", "x1"], ["x1", "x1"]], "x0^2", True, (0, "determinant is identically zero")),
+            # h = 0 at the leading points: c = 2 is read at (1,1,0).
+            ([["2*x1", "0"], ["0", "x0 + x2"]], "x1*(x0 + x2)", True, (2, None)),
+            # ... and the points before it are compared once c is known.
+            ([["x1", "x2"], ["x2", "x0 + x2"]], "x1*(x0 + x2)", True, (1, "at x = 1,0,1: det = -1, c*h^r = 0")),
+            ([["x1", "0"], ["0", "i*(x0 + x2)"]], "x1*(x0 + x2)", True,
+             (0, "at x = 1,1,0: det = i, h^r = 1, not a real multiple")),
+            # A ratio that is not real outranks an earlier differing point.
+            ([["x1", "x2"], ["x2", "i*(x0 + x2)"]], "x1*(x0 + x2)", True,
+             (0, "at x = 1,1,0: det = i, h^r = 1, not a real multiple")),
+        ],
+        ids=["zeros-then-witness", "witness-at-a-zero", "zero", "zero-up-to-scalar", "h-zero-first",
+             "witness-before-c", "not-real", "not-real-after-a-witness"],
+    )
+    def test_pencil_cases(self, rows, h, up_to_scalar, expected):
+        pencil = polymatrix_to_pencil(PolyMatrix.from_strings(G3, rows))
+        h = parse(h, G3)
+        assert _lattice_match(pencil, h, 1, up_to_scalar) == expected
+        assert match_values_reference(pencil_values(pencil, h), h, 1, up_to_scalar) == expected
+
+    def test_companion_case_with_zero_determinants_first(self):
+        # det(y*I - diag(x1, x1)) = (y - x1)^2 against y^2 - x1^2: equal at
+        # y = 0 and where x1 = 0; the first difference is at x1 = 1, y = 1.
+        ring = Ring.standard(("x1",))
+        a = PolyMatrix.from_strings(ring, [["x1", "0"], ["0", "x1"]], "symmetric")
+        h = parse("y^2 - x1^2", Ring(("y", "x1"), (1, 1)))
+        assert _companion_match(a, h, 1) == "at x = 0,1: det = 1, c*h^r = -1"
+        assert match_values_reference(companion_values(a, h), h, 1, False)[1] == "at x = 0,1: det = 1, c*h^r = -1"
+
+    def test_reads_points_only_until_the_verdict_is_fixed(self):
+        h = parse("x0^2", R3)  # 1 at every point (1, b)
+
+        def points(dets):
+            yield from zip(lattice_points(3, 2), dets)
+            raise AssertionError("read past the verdict")
+
+        assert _match_values(points([1, 2]), 1, h, 1, False) == (1, "at x = 1,0,1: det = 2, c*h^r = 1")
+        assert _match_values(points([0, 0, 5]), 1, h, 1, False) == (1, "at x = 1,0,0: det = 0, c*h^r = 1")
+        assert _match_values(points([3, 4]), 1, h, 1, True) == (3, "at x = 1,0,1: det = 4, c*h^r = 3")
 
 
 def _form(draw, ring, degree):

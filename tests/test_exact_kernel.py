@@ -24,10 +24,9 @@ from hypercert.scalars import (
     KIND_SYMMETRIC,
     ConstMatrix,
     GaussianRational,
-    leading_principal_minors,
     pencil_value,
 )
-from oracles import const_matrix
+from oracles import const_matrix, leading_principal_minors
 
 R3 = Ring.standard(("x0", "x1", "x2"))
 G3 = Ring.standard(("x0", "x1", "x2"), gaussian=True)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypercert.polyring import MultiPoly, ParseError, Ring, parse
+from hypercert import polyring
+from hypercert.polyring import MultiPoly, ParseError, Ring, _Parser, parse
 from hypercert.scalars import _ZERO, GaussianRational
 from hypercert.wire import _parse_cell, parse_poly_text
 from oracles import reference_parse
@@ -209,6 +210,47 @@ class TestLongLiterals:
     def test_longest_convertible_literal_parses(self):
         digits = "7" * sys.get_int_max_str_digits()
         assert parse(f"{digits}*x0", REAL) == parse("x0", REAL).scale(int(digits))
+
+
+def outcome(parse_text, text, ring):
+    """(terms, None) of a parse, or (None, message) of its ParseError."""
+    try:
+        return parse_text(text, ring).terms, None
+    except ParseError as err:
+        return None, str(err)
+
+
+NEAR_MISSES = ["+3", " 3", "3 ", "1_0", "\u0663", "--3", "-", "", "-0", "007", "3\n", "- 3", "3-", "1/1", "3x0", "0x1"]
+
+
+class TestIntegerShortCircuit:
+    """A text that is one integer literal skips the grammar; the grammar
+    (_Parser) gives the same value or the same ParseError on it and on the
+    texts near it."""
+
+    @given(
+        st.one_of(
+            st.integers(-(10**40), 10**40).map(str),
+            st.sampled_from(NEAR_MISSES),
+            st.text("0123456789-+ _\u0663\n", max_size=6),
+            st.sampled_from(["", "-"]).map(lambda sign: sign + "7" * 5000),
+            st.sampled_from(["", "-"]).map(lambda sign: sign + "7" * sys.get_int_max_str_digits()),
+        ),
+        st.sampled_from(RINGS),
+    )
+    def test_agrees_with_the_grammar(self, text, ring):
+        assert outcome(parse, text, ring) == outcome(lambda s, r: _Parser(s, r).parse(), text, ring)
+
+    def test_an_integer_skips_the_grammar(self, monkeypatch):
+        monkeypatch.setattr(polyring, "_Parser", None)
+        assert parse("-12", REAL) == MultiPoly.constant(REAL, -12)
+        assert parse("0", GAUSSIAN).is_zero()
+
+    @pytest.mark.parametrize("sign, pos", [("", 0), ("-", 1)])
+    def test_over_long_integer_is_the_grammar_error(self, sign, pos):
+        with pytest.raises(ParseError) as err:
+            parse(sign + "1" * 5000, REAL)
+        assert str(err.value) == f"integer literal of 5000 digits is too long at position {pos}"
 
 
 class TestProductCount:

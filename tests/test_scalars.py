@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: Gaussian rationals, four squares, definiteness."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,15 +9,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypercert.scalars import (
+    GR_ZERO,
     ConstMatrix,
     GaussianRational,
     first_nonpositive_minor,
+    first_nonpositive_minor_at,
     four_square_decompose,
-    leading_principal_minors,
     pencil_value,
 )
 from hypercert.wire import _parse_cell
-from oracles import const_matrix, identity_matrix
+from oracles import const_matrix, identity_matrix, leading_principal_minors, sylvester_reference
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=50
@@ -156,6 +158,81 @@ class TestPositiveDefinite:
                 assert const_det(sub) == GaussianRational(minor)
                 if minor == 0:
                     break
+
+
+def random_pencil_at(rng):
+    """(slices, e): 1-3 symmetric or hermitian slices of size 1-5 with small
+    rational (Gaussian) entries, often zero and sometimes all diagonal, and
+    a rational e, maybe zero or negative in some coordinates, so that the
+    leading minors of A(e) are often zero or negative."""
+    hermitian, diagonal = rng.random() < 0.5, rng.random() < 0.3
+    m, n = rng.randint(1, 5), rng.randint(1, 3)
+
+    def rational():
+        return Fraction(rng.randint(-2, 3), rng.choice([1, 1, 2, 3]))
+
+    slices = []
+    for _ in range(n):
+        rows = [[GR_ZERO] * m for _ in range(m)]
+        for i in range(m):
+            rows[i][i] = GaussianRational(rational())
+            for j in range(i + 1, m):
+                if not diagonal and rng.random() < 0.7:
+                    z = GaussianRational(rational(), rational() if hermitian else 0)
+                    rows[i][j], rows[j][i] = z, z.conj()
+        slices.append(ConstMatrix(rows, "hermitian" if hermitian else "symmetric"))
+    e = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+    return slices, e
+
+
+class TestIntegerSylvester:
+    """The Sylvester test over Z or Z[i] gives the (order, minor) of the
+    Fraction oracle, leading_principal_minors (tests/oracles.py)."""
+
+    @given(st.integers(0, 10**9))
+    def test_matches_fraction_oracle(self, seed):
+        slices, e = random_pencil_at(random.Random(seed))
+        value = pencil_value(slices, e)
+        expected = sylvester_reference(value)
+        assert first_nonpositive_minor_at(slices, e) == expected
+        assert first_nonpositive_minor(value) == expected
+
+    def test_outcomes_cover_zero_negative_and_definite(self):
+        rng = random.Random(2008)
+        seen = set()
+        for _ in range(400):
+            slices, e = random_pencil_at(rng)
+            got = first_nonpositive_minor_at(slices, e)
+            assert got == sylvester_reference(pencil_value(slices, e))
+            seen.add("definite" if got is None else ("zero" if got[1] == 0 else "negative", got[0] > 1))
+        assert seen == {"definite", ("zero", False), ("zero", True), ("negative", False), ("negative", True)}
+
+    @pytest.mark.parametrize("rows", [[["1", "0"], ["0", "i"]], [["1", "1"], ["1", "i"]]], ids=["diagonal", "dense"])
+    def test_nonreal_minor_of_hermitian_input_raises(self, rows):
+        matrix = ConstMatrix([[_parse_cell(c) for c in row] for row in rows], "hermitian")
+        with pytest.raises(ArithmeticError, match="^leading principal minor 2 is not real"):
+            first_nonpositive_minor(matrix)
+        with pytest.raises(ArithmeticError, match="^leading principal minor 2 is not real"):
+            leading_principal_minors(matrix)
+
+    def test_diagonal_512_is_fast(self):
+        # The quadric pipeline checks A(e) = diag(...) up to 512 rows.
+        rng, m = random.Random(512), 512
+        diagonals = [[Fraction(rng.randint(1, 99), rng.randint(1, 9)) for _ in range(m)] for _ in range(2)]
+        diagonals[1][-1] = Fraction(-10**4)  # only the last minor is negative
+        slices = [
+            ConstMatrix([[GaussianRational(d[i]) if i == j else GR_ZERO for j in range(m)] for i in range(m)], "symmetric")
+            for d in diagonals
+        ]
+        e = (1, Fraction(1, 3))
+        start = time.perf_counter()
+        got = first_nonpositive_minor_at(slices, e)
+        elapsed = time.perf_counter() - start
+        minor = Fraction(1)
+        for a, b in zip(*diagonals):
+            minor *= a + b / 3
+        assert got == (m, minor) and minor < 0
+        assert elapsed < 0.5, elapsed  # about 0.02 s on a 2-CPU x86_64 container
 
 
 class TestPencilValue:
