@@ -270,16 +270,19 @@ def _match_values(
     pairs are read only until that is fixed: c known, a differing point and
     a nonzero det seen."""
     h_den, _, scaled = _over_integers(list(h.terms.values()))
-    h_terms = [(e, scaled(c)) for e, c in h.terms.items()]
     h_scale = h_den**r
+    # A term is its coefficient and the places of its nonzero exponents in
+    # the row of powers x_j^k, k < width, laid end to end over j.
+    width = max([k for expo in h.terms for k in expo], default=0) + 1
+    h_terms = [(scaled(c), [j * width + k for j, k in enumerate(expo) if k]) for expo, c in h.terms.items()]
+    h_re = [(a.real, places) for a, places in h_terms if a.real]
+    h_im = [(a.imag, places) for a, places in h_terms if a.imag]
 
     def target(x: tuple[int, ...]) -> tuple[int, int]:
-        """(h_den * h(x))^r over Z[i]."""
-        re = im = 0
-        for expo, a in h_terms:
-            mono = math.prod(map(pow, x, expo))
-            re += a.real * mono
-            im += a.imag * mono
+        """(h_den * h(x))^r over Z[i], from the powers of x built once."""
+        at = [c**k for c in x for k in range(width)].__getitem__
+        re = sum([a * math.prod(map(at, places)) for a, places in h_re])
+        im = sum([a * math.prod(map(at, places)) for a, places in h_im])
         return _pair_pow(re, im, r)
 
     def exact(pair: tuple[int, int], den: int) -> GaussianRational:

@@ -369,18 +369,6 @@ class MultiPoly:
         """Coefficient-wise complex conjugation (an involution)."""
         return MultiPoly(self.ring, {e: c.conj() for e, c in self.terms.items()})
 
-    def partial(self, var: Union[int, str]) -> "MultiPoly":
-        idx = var if isinstance(var, int) else self.ring.index(var)
-        terms: dict[tuple[int, ...], GaussianRational] = {}
-        for expo, coeff in self.terms.items():
-            k = expo[idx]
-            if k == 0:
-                continue
-            new = list(expo)
-            new[idx] = k - 1
-            terms[tuple(new)] = coeff.scale(k)
-        return MultiPoly(self.ring, terms)
-
     # -- evaluation and substitution ------------------------------------------
 
     def eval(self, point: Sequence[CoeffLike]) -> GaussianRational:
@@ -912,9 +900,6 @@ class UniPoly:
                     rem[k + j] -= c * oc
         return UniPoly(quo), UniPoly(rem)
 
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[1]
-
     def divide_exact(self, other: "UniPoly") -> "UniPoly":
         quo, rem = divmod(self, other)
         if not rem.is_zero():
@@ -934,10 +919,8 @@ class UniPoly:
     # -- integer normal forms (coefficient-growth control) -------------------
 
     def _int_coeffs(self) -> list[int]:
-        if not self.coeffs:
-            return []
         lcm = math.lcm(*[c.denominator for c in self.coeffs])
-        return [int(c * lcm) for c in self.coeffs]
+        return [c.numerator * (lcm // c.denominator) for c in self.coeffs]
 
     def primitive(self) -> "UniPoly":
         """Integer-primitive associate with positive leading coefficient."""
@@ -952,7 +935,7 @@ class UniPoly:
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Primitive gcd: the last term of the signed remainder sequence of
         (self, other), made primitive."""
-        return sturm_chain(self, other)[-1].primitive()
+        return UniPoly(sturm_chain(self, other)[-1]).primitive()
 
     # Kept only as a hook of perfbench's tracer, until the benchmark drops it.
     def squarefree_part(self) -> "UniPoly":
@@ -986,28 +969,52 @@ class UniPoly:
         return f"UniPoly({self.format()})"
 
 
-def _positive_content_scaled(p: UniPoly) -> UniPoly:
-    """Divide out the positive rational content, preserving signs
-    (sign-flipping normalization would corrupt a Sturm chain)."""
-    if p.is_zero():
-        return p
-    num = math.gcd(*[c.numerator for c in p.coeffs])
-    den = math.lcm(*[c.denominator for c in p.coeffs])
-    return p.scale(Fraction(den, num))
+def _int_primitive(coeffs: Sequence[int]) -> tuple[int, ...]:
+    """The integer coefficients divided by their positive content."""
+    g = math.gcd(*coeffs)
+    return tuple([c // g for c in coeffs]) if g > 1 else tuple(coeffs)
 
 
-def sturm_chain(f: UniPoly, g: Optional[UniPoly] = None) -> list[UniPoly]:
-    """Signed remainder sequence f, g, -rem, ... (g defaults to f'), each
-    remainder divided by its positive content; it ends in gcd(f, g)."""
-    chain = [f, f.derivative() if g is None else g]
-    if chain[-1].is_zero():
-        chain.pop()
-        return chain
-    while chain[-1].degree > 0:
-        rem = chain[-2] % chain[-1]
-        if rem.is_zero():
+def _negated_prem(a: Sequence[int], b: tuple[int, ...]) -> tuple[int, ...]:
+    """-rem(a, b) times a positive rational, primitive over Z: a
+    pseudo-remainder whose every step scales the running remainder by a
+    positive factor, |lc b| / gcd(lc b, lc r)."""
+    r, lb, db = list(a), b[-1], len(b) - 1
+    while len(r) > db:
+        lr = r[-1]
+        g0 = math.gcd(lb, lr)
+        keep, take = abs(lb) // g0, (lr if lb > 0 else -lr) // g0
+        k = len(r) - 1 - db
+        if keep != 1:
+            r = [c * keep for c in r]
+        for j, c in enumerate(b, k):
+            r[j] -= take * c
+        while r and not r[-1]:
+            r.pop()
+    return _int_primitive([-c for c in r]) if r else ()
+
+
+def sturm_chain(f: UniPoly, g: Optional[UniPoly] = None) -> list[tuple[int, ...]]:
+    """Primitive pseudo-remainder sequence of (f, g), g defaulting to f',
+    as int coefficient tuples (ascending); it ends in gcd(f, g).
+
+    Member k is a positive rational multiple of member k of the signed
+    remainder sequence f, g, -rem, ..., which is all sign variations need
+    (Basu-Pollack-Roy, *Algorithms in Real Algebraic Geometry*, Thm 2.58):
+    f and g cleared to primitive integers, then each -rem(a, b) as a
+    pseudo-remainder over Z divided by its positive content (Collins 1967;
+    Brown-Traub 1971).  No Fraction is formed.
+    """
+    first = _int_primitive(f._int_coeffs())
+    second = _int_primitive([k * c for k, c in enumerate(first)][1:] if g is None else g._int_coeffs())
+    if not second:
+        return [first]
+    chain = [first, second]
+    while len(chain[-1]) > 1:
+        rem = _negated_prem(chain[-2], chain[-1])
+        if not rem:
             break
-        chain.append(_positive_content_scaled(-rem))
+        chain.append(rem)
     return chain
 
 
@@ -1022,7 +1029,10 @@ class _TaylorTable:
 
     Row k is a list of (exponent vector, int numerator) pairs over the
     denominator ``dens[k]``; ``top[j]`` is the largest exponent of variable
-    j in any row.
+    j in h.  The rows are built in integers: with L the lcm of e's
+    denominators, row k + 1 is D_{L*e} of row k's numerators over
+    dens[k] * L * (k + 1), each row then divided by the gcd of its
+    numerators and denominator.
     """
 
     __slots__ = ("h", "e", "rows", "dens", "top")
@@ -1031,21 +1041,25 @@ class _TaylorTable:
         if not h.is_real():
             raise ValueError("restriction needs real coefficients")
         self.h, self.e = h, e
+        scale = math.lcm(*[c.denominator for c in e])
+        along = [(j, c.numerator * (scale // c.denominator)) for j, c in enumerate(e) if c]
+        den = math.lcm(*[c.re.denominator for c in h.terms.values()])
+        row = {expo: c.re.numerator * (den // c.re.denominator) for expo, c in h.terms.items()}
+        self.top = [max(col) for col in zip(*row)]
         self.rows: list[list[tuple[tuple[int, ...], int]]] = []
         self.dens: list[int] = []
-        top = [0] * h.ring.arity
-        derivative, factorial = h, 1
-        while derivative:
-            den = math.lcm(*[c.re.denominator for c in derivative.terms.values()])
-            row = []
-            for expo, c in derivative.terms.items():
-                row.append((expo, c.re.numerator * (den // c.re.denominator)))
-                top = list(map(max, top, expo))
-            self.rows.append(row)
-            self.dens.append(den * factorial)
-            derivative = _derivative(derivative, e)
-            factorial *= len(self.rows)
-        self.top = top
+        while row:
+            g = math.gcd(den, *row.values())
+            self.rows.append([(expo, c // g) for expo, c in row.items()])
+            self.dens.append(den // g)
+            den = self.dens[-1] * scale * len(self.rows)
+            derivative: dict[tuple[int, ...], int] = {}
+            for expo, c in self.rows[-1]:
+                for j, ej in along:
+                    if expo[j]:
+                        key = expo[:j] + (expo[j] - 1,) + expo[j + 1 :]
+                        derivative[key] = derivative.get(key, 0) + c * expo[j] * ej
+            row = {expo: c for expo, c in derivative.items() if c}
 
     def at(self, v: Sequence[Fraction]) -> UniPoly:
         """The coefficients of h(t*e - v): each row evaluated at w = -v."""
@@ -1111,15 +1125,6 @@ def restrict_to_line(
         raise ValueError("direction/point arity mismatch")
     table = _taylor_table(h, tuple([as_fraction(c) for c in e]))
     return table.at([as_fraction(c) for c in v])
-
-
-def _derivative(h: MultiPoly, e: Sequence[Fraction]) -> MultiPoly:
-    """sum_k e_k * dh/dx_k, in a ring of any weights."""
-    total = MultiPoly.zero(h.ring)
-    for k, c in enumerate(e):
-        if c:
-            total = total + h.partial(k).scale(c)
-    return total
 
 
 # ---------------------------------------------------------------------------

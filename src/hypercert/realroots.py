@@ -4,8 +4,12 @@ Real-rootedness and interlacing are decided by counting, not isolating:
 the sign variations V(a) - V(b) of the signed remainder sequence of (f, g)
 give the Cauchy index of g/f on (a, b) (Basu-Pollack-Roy, *Algorithms in
 Real Algebraic Geometry*, Thm 2.58), for g = f' the number of distinct real
-roots of f (Sturm).  The sequence is ``polyring.sturm_chain``, the one
-Euclid that also gives ``UniPoly.gcd``.  The library isolates no roots;
+roots of f (Sturm).  Variations only see signs, so any sequence whose
+members are positive multiples of those does: ``polyring.sturm_chain`` is
+the primitive pseudo-remainder sequence over Z (Collins 1967; Brown-Traub
+1971), int coefficient tuples with no Fraction, and the one Euclid that
+also gives ``UniPoly.gcd``.  Signs at +-infinity are read off each
+member's leading coefficient and length.  The library isolates no roots;
 ``_isolate_squarefree`` and ``refine_interval`` remain only as benchmark
 hooks.
 """
@@ -34,17 +38,18 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _variations(chain: Sequence[UniPoly], x: Optional[Fraction], minus_inf: bool = False) -> int:
-    """Sign variations at x, zeros skipped; None is +oo (-oo if minus_inf)."""
+def _variations(chain: Sequence[Sequence[int]], x: Optional[Fraction], minus_inf: bool = False) -> int:
+    """Sign variations at x of a chain of int coefficient tuples, zeros
+    skipped; None is +oo (-oo if minus_inf)."""
     count = 0
     prev = 0
     for p in chain:
         if x is None:
-            s = _sign(p.leading())
-            if minus_inf and p.degree % 2 == 1:
+            s = 1 if p[-1] > 0 else -1
+            if minus_inf and len(p) % 2 == 0:
                 s = -s
         else:
-            s = _sign(p.eval(x))
+            s = _sign(UniPoly(p).eval(x))
         if s:
             if prev and s != prev:
                 count += 1
@@ -52,7 +57,7 @@ def _variations(chain: Sequence[UniPoly], x: Optional[Fraction], minus_inf: bool
     return count
 
 
-def _index(chain: Sequence[UniPoly], lo: Optional[Fraction] = None, hi: Optional[Fraction] = None) -> int:
+def _index(chain: Sequence[Sequence[int]], lo: Optional[Fraction] = None, hi: Optional[Fraction] = None) -> int:
     """V(lo) - V(hi), None meaning -oo for lo and +oo for hi: for the chain
     of (f, g) the Cauchy index of g/f on (lo, hi) if neither end is a root
     of f (Basu-Pollack-Roy, Thm 2.58); for g = f' the number of distinct
@@ -75,7 +80,7 @@ def is_real_rooted(f: UniPoly) -> bool:
     if f.is_zero():
         raise ValueError("zero polynomial")
     chain = sturm_chain(f)
-    return _index(chain) == f.degree - chain[-1].degree
+    return _index(chain) == f.degree - (len(chain[-1]) - 1)
 
 
 # Kept only as a hook of perfbench's tracer, until the benchmark drops it.
@@ -165,7 +170,7 @@ def interlaces_univariate(f: UniPoly, g: UniPoly, strict: bool = False) -> bool:
     if not is_real_rooted(f):
         raise NotRealRootedError("f")
     chain = sturm_chain(f, g)
-    common = chain[-1].degree  # deg gcd(f, g)
+    common = len(chain[-1]) - 1  # deg gcd(f, g)
     if not (strict and common) and abs(_index(chain)) == f.degree - common:
         return True
     if not is_real_rooted(g):

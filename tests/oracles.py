@@ -3,6 +3,7 @@
 import operator
 from fractions import Fraction
 from itertools import permutations, product
+from math import gcd, lcm
 
 from hypercert.detrep import PolyMatrix, const_det, pencil_to_polymatrix, poly_det, polymatrix_to_pencil
 from hypercert.polyring import MultiPoly, ParseError, UniPoly, sturm_chain
@@ -224,6 +225,35 @@ def count_distinct_roots(f, lo=None, hi=None):
         if x is not None and not f.eval(x):
             raise ValueError(f"endpoint {name}={x} is a root; counting is ambiguous there")
     return _index(sturm_chain(f), lo_f, hi_f)
+
+
+def sturm_chain_reference(f, g=None):
+    """The signed remainder sequence f, g, -rem, ... over Q (g defaults to
+    f'), each remainder divided by its positive rational content: Euclid
+    with Fraction division, ending in gcd(f, g)."""
+    chain = [f, f.derivative() if g is None else g]
+    if chain[-1].is_zero():
+        chain.pop()
+        return chain
+    while chain[-1].degree > 0:
+        rem = divmod(chain[-2], chain[-1])[1]
+        if rem.is_zero():
+            break
+        num = gcd(*[c.numerator for c in rem.coeffs])
+        den = lcm(*[c.denominator for c in rem.coeffs])
+        chain.append(rem.scale(Fraction(-den, num)))
+    return chain
+
+
+def directional_derivative(h, e):
+    """sum_k e_k * dh/dx_k, term by term, in a ring of any weights."""
+    terms = {}
+    for expo, coeff in h.terms.items():
+        for k, c in enumerate(e):
+            if c and expo[k]:
+                key = expo[:k] + (expo[k] - 1,) + expo[k + 1 :]
+                terms[key] = terms.get(key, GaussianRational(0)) + coeff.scale(expo[k] * as_fraction(c))
+    return MultiPoly(h.ring, {key: c for key, c in terms.items() if c})
 
 
 def restrict_reference(h, e, v):

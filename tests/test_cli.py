@@ -621,6 +621,39 @@ class TestQuadraticDetrepReportBytes:
         assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
 
 
+E3 = "x0*x1*x2 + x0*x1*x3 + x0*x2*x3 + x1*x2*x3"
+E2 = "x0*x1 + x0*x2 + x0*x3 + x1*x2 + x1*x3 + x2*x3"
+
+# SHA-256 of the `--json` stdout of the sampled checks, computed with the
+# signed remainder sequence over Q (tests/oracles.py, sturm_chain_reference)
+# and a Taylor table differentiated as polynomials over Q(i): for each
+# command one run that finds no counterexample and one refuted run, whose
+# witness carries the restricted polynomial.  (h, g or None, e, samples,
+# exit code, digest); seed 11 throughout.
+SAMPLED_SHA256 = [
+    (E3, None, "1,2/3,1/2,3/7", "40", EXIT_OK, "d09ef02f3f28a66471ceddbbc104b585874cfb56168d3da996b5a315b68404bf"),
+    ("(x0^2 - x1^2 - x2^2 + 1/5*x3^2)*(x0 + 1/2*x1)", None, "3/2,1/3,0,0", "40", EXIT_REFUTED,
+     "53161c6aed9325f96ad1140992988544c2c6ef1132dd96a00cda699af26eeb91"),
+    (E3, E2, "1,1/2,1/3,1", "30", EXIT_OK, "2483125613c1862f2142ae65b0071ce5726f96af2464b7cf8d28f36ef599664b"),
+    (E3, E2 + " - 1/2*x3^2 - x0*x1", "1,1,1,1", "40", EXIT_REFUTED,
+     "4447dde031d091631222e54874ac4c155e5845b43f48dedd06d3bc8d3d226b26"),
+]
+
+
+class TestSampledReportBytes:
+    @pytest.mark.parametrize("h, g, direction, samples, code, digest", SAMPLED_SHA256)
+    def test_report_bytes_are_pinned(self, tmp_path, capsys, h, g, direction, samples, code, digest):
+        names = ["x0", "x1", "x2", "x3"]
+        argv = ["--poly", _write_poly(tmp_path / "h.txt", names, h), f"--dir={direction}",
+                "--samples", samples, "--seed", "11", "--json"]
+        if g is None:
+            argv = ["check-hyperbolic", *argv]
+        else:
+            argv = ["check-interlacer", "--interlacer", _write_poly(tmp_path / "g.txt", names, g), *argv]
+        assert main(argv) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
+
+
 class TestFixturesCommand:
     def test_single_fixture(self, capsys):
         code = main(["fixtures", "run", "--id", "F1"])

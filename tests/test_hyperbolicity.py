@@ -14,10 +14,10 @@ from hypercert.hyperbolicity import (
     is_hyperbolic_sampled,
     sample_direction,
 )
-from hypercert.polyring import Ring, UniPoly, _derivative, parse, restrict_to_line
+from hypercert.polyring import Ring, UniPoly, parse, restrict_to_line
 from hypercert.realroots import interlaces_univariate, is_real_rooted
 from hypercert.scalars import ConstMatrix
-from oracles import const_matrix
+from oracles import const_matrix, directional_derivative
 
 R2 = Ring.standard(("x0", "x1"))
 R3 = Ring.standard(("x0", "x1", "x2"))
@@ -161,7 +161,7 @@ class TestSampling:
 class TestInterlacerSampling:
     def test_directional_derivative_of_product(self):
         h = parse("(x0 - 2*x1)*(x0 + 2*x1)*(x0 - x2)", R3)
-        g = _derivative(h, (1, 0, 0))
+        g = directional_derivative(h, (1, 0, 0))
         verdict = interlaces_sampled(g, h, (1, 0, 0), samples=100, seed=13)
         assert verdict.status == STATUS_NO_COUNTEREXAMPLE
 

@@ -12,14 +12,13 @@ from hypercert.polyring import (
     ParseError,
     Ring,
     UniPoly,
-    _derivative,
     format_poly,
     parse,
     real_square_factorization,
     restrict_to_line,
 )
 from hypercert.scalars import GaussianRational
-from oracles import from_roots, restrict_reference, shift
+from oracles import directional_derivative, from_roots, restrict_reference, shift
 
 R3 = Ring.standard(("x0", "x1", "x2"))
 R4 = Ring.standard(("x0", "x1", "x2", "x3"))
@@ -154,16 +153,20 @@ class TestRestrictToLine:
         assert f == UniPoly([1, -2, 1])  # (t-1)^2
 
     def test_pointwise_evaluation_oracle(self):
+        # Integer directions, directions over 2, 3 or 7, and over all three
+        # at once (the table scales e by the lcm 42); h has rational
+        # coefficients with denominators up to 21.
         rng = random.Random(23)
-        for _ in range(50):
-            h = random_poly(rng, R3)
-            e = [Fraction(rng.randrange(-5, 6)) for _ in range(3)]
-            v = [Fraction(rng.randrange(-5, 6)) for _ in range(3)]
-            f = restrict_to_line(h, e, v)
-            for _ in range(10):
-                t = Fraction(rng.randrange(-20, 21), rng.randrange(1, 5))
-                point = [t * ei - vi for ei, vi in zip(e, v)]
-                assert f.eval(t) == h.eval_rational(point)
+        for dens in ((1, 1, 1), (2, 2, 2), (3, 3, 3), (7, 7, 7), (2, 3, 7)):
+            for _ in range(50):
+                h = random_poly(rng, R3).scale(Fraction(rng.randrange(1, 12), 7))
+                e = [Fraction(rng.randrange(-5, 6), d) for d in dens]
+                v = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(3)]
+                f = restrict_to_line(h, e, v)
+                for _ in range(10):
+                    t = Fraction(rng.randrange(-20, 21), rng.randrange(1, 5))
+                    point = [t * ei - vi for ei, vi in zip(e, v)]
+                    assert f.eval(t) == h.eval_rational(point)
 
     def test_linear_in_h(self):
         rng = random.Random(29)
@@ -251,7 +254,7 @@ class TestRestrictionCache:
         # As interlaces_sampled calls it, plus a third polynomial that
         # pushes the oldest table out.
         h = parse("x0^3 - x0*x1^2 - x0*x2^2 + x1*x2^2", R3)
-        g = _derivative(h, (1, 0, 0))
+        g = directional_derivative(h, (1, 0, 0))
         k = parse("x0^2 - 2*x1^2 + x2", R3)
         e = (1, 0, 0)
         for step in range(4):
@@ -326,16 +329,16 @@ class TestPower:
 class TestDirectionalDerivative:
     def test_cubic_example(self):
         h = parse("x0^3 - x0*(2*x1^2 + 2*x2^2 + x3^2) + x1^3 + x1*x2^2", R4)
-        d = _derivative(h, (1, 0, 0, 0))
+        d = directional_derivative(h, (1, 0, 0, 0))
         assert d == parse("3*x0^2 - 2*x1^2 - 2*x2^2 - x3^2", R4)
 
     def test_product_example(self):
         h = parse("x0*x1*x2", R3)
-        d = _derivative(h, (1, 1, 1))
+        d = directional_derivative(h, (1, 1, 1))
         assert d == parse("x1*x2 + x0*x2 + x0*x1", R3)
 
     def test_zero_input(self):
-        assert _derivative(MultiPoly.zero(R3), (1, 0, 0)).is_zero()
+        assert directional_derivative(MultiPoly.zero(R3), (1, 0, 0)).is_zero()
 
     def test_line_derivative_identity(self):
         # d/dt h(v + t*e) at t=0 equals (D_e h)(v).
@@ -346,7 +349,7 @@ class TestDirectionalDerivative:
             v = [Fraction(rng.randrange(-4, 5)) for _ in range(3)]
             f = restrict_to_line(h, e, [-vi for vi in v])  # h(t*e + v)
             slope = f.coeffs[1] if f.degree >= 1 else Fraction(0)
-            assert slope == _derivative(h, e).eval_rational(v)
+            assert slope == directional_derivative(h, e).eval_rational(v)
 
 
 class TestSquareFactorization:

@@ -18,7 +18,7 @@ from hypercert.realroots import (
     is_real_rooted,
     refine_interval,
 )
-from oracles import count_distinct_roots, from_roots, shift
+from oracles import count_distinct_roots, from_roots, shift, sturm_chain_reference
 
 
 def random_rational(rng, span=10, max_den=4):
@@ -167,6 +167,49 @@ class TestInterlacing:
             f = from_roots(a)
             g = from_roots(b)
             assert interlaces_univariate(f, g) == chain
+
+
+# -- the integer chain against the Fraction Euclid ---------------------------------
+
+QS = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@st.composite
+def q_polys(draw, max_degree=6):
+    """Polynomials over Q: free coefficients, or a product of chosen rational
+    roots (repeats frequent) with an optional t^2 + 1 factor."""
+    if draw(st.booleans()):
+        return UniPoly(draw(st.lists(QS, max_size=max_degree + 1)))
+    roots = draw(st.lists(st.sampled_from([Fraction(k, 2) for k in range(-3, 4)]), max_size=max_degree - 2))
+    f = from_roots(roots, lead=draw(QS.filter(bool)))
+    return f * UniPoly([1, 0, 1]) if draw(st.booleans()) else f
+
+
+def assert_positive_multiples(chain, reference):
+    assert [len(p) - 1 for p in chain] == [r.degree for r in reference]
+    for k, (p, r) in enumerate(zip(chain, reference)):
+        member = UniPoly(p)
+        if r.is_zero():
+            assert member.is_zero()
+            continue
+        ratio = r.leading() / member.leading()
+        assert ratio > 0 and member.scale(ratio) == r
+        if k >= 2:  # a remainder: the reference divides out its content too
+            assert member == r
+
+
+class TestSturmChainOracle:
+    @given(q_polys(), st.one_of(st.none(), q_polys()))
+    @example(from_roots([1, 1, 1, -2]), None)  # repeated roots
+    @example(UniPoly([Fraction(-3, 4)]), None)  # constant f: f' = 0
+    @example(UniPoly([Fraction(-3, 4)]), UniPoly([1, 2]))
+    @example(from_roots([0, 1]), UniPoly.zero())  # explicit zero g
+    @example(UniPoly.zero(), UniPoly([2, -1]))
+    @example(from_roots([Fraction(1, 2)], lead=-3), from_roots([5, 0, 1]))  # deg g > deg f
+    def test_positive_multiples_of_the_signed_remainder_sequence(self, f, g):
+        chain = sturm_chain(f, g)
+        assert all(type(c) is int for p in chain for c in p)
+        assert_positive_multiples(chain, sturm_chain_reference(f, g))
 
 
 # -- sympy oracles (tests only) ---------------------------------------------------
@@ -347,7 +390,7 @@ def interlaces_g_checked_first(f, g, strict=False):
     if not is_real_rooted(g):
         raise NotRealRootedError("g")
     chain = sturm_chain(f, g)
-    common = chain[-1].degree
+    common = len(chain[-1]) - 1
     if strict and common:
         return False
     return abs(_index(chain)) == f.degree - common
@@ -389,3 +432,37 @@ class TestInterlacingOrder:
     def test_same_verdict_as_checking_g_first(self, pair, strict):
         f, g = pair
         assert _outcome(interlaces_univariate, f, g, strict) == _outcome(interlaces_g_checked_first, f, g, strict)
+
+
+# -- real-rootedness and interlacing against sympy on integer polynomials ----------
+
+INT_ROOTS = st.lists(st.integers(-4, 4), max_size=5)
+
+
+def int_poly(roots, quadratic):
+    """prod (t - root) times an optional t^2 + b*t + c: integer coefficients."""
+    f = from_roots(roots)
+    return f * UniPoly(quadratic) if quadratic else f
+
+
+QUADRATICS = st.one_of(st.none(), st.tuples(st.integers(-5, 5), st.integers(-3, 3), st.just(1)))
+
+
+class TestRealRootedAgainstSympy:
+    @given(INT_ROOTS, QUADRATICS)
+    @example([1, 1, 1], (2, 0, 1))  # triple root and a complex pair
+    @example([0, 0], (-2, 0, 1))
+    def test_is_real_rooted(self, roots, quadratic):
+        f = int_poly(roots, quadratic)
+        p = sympy.Poly([int(c) for c in reversed(f.coeffs)], X)
+        assert len(sympy.real_roots(p)) <= f.degree  # counted with multiplicity
+        assert is_real_rooted(f) == (len(sympy.real_roots(p)) == f.degree)
+        assert count_distinct_roots(f) == p.count_roots()
+
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=5), st.data())
+    def test_interlaces_univariate(self, f_roots, data):
+        g_roots = data.draw(st.lists(st.integers(-3, 3), min_size=len(f_roots) - 1, max_size=len(f_roots) - 1))
+        lead_f, lead_g = data.draw(st.sampled_from([-2, 1, 3])), data.draw(st.sampled_from([-1, 1, 2]))
+        f, g = from_roots(f_roots, lead=lead_f), from_roots(g_roots, lead=lead_g)
+        for strict in (False, True):
+            assert interlaces_univariate(f, g, strict=strict) == sympy_chain(f, g, strict)
