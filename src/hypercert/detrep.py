@@ -55,6 +55,7 @@ from .scalars import (
     RationalLike,
     _common_kind,
     _GaussInt,
+    _integer_slices,
     _kind_violation,
     _over_integers,
     as_fraction,
@@ -215,21 +216,15 @@ def _int_det(rows: Sequence[list], number) -> Union[int, _GaussInt]:
     return _det(rows, number(1, 0), _GaussInt.divide_exact if number is _GaussInt else operator.floordiv)
 
 
-def _lattice_match(
-    matrices: Sequence[ConstMatrix], h: MultiPoly, r: int, up_to_scalar: bool
-) -> tuple[Fraction, Optional[str]]:
+def _lattice_match(pencil: tuple, h: MultiPoly, r: int, up_to_scalar: bool) -> tuple[Fraction, Optional[str]]:
     """(c, witness) for det(sum x_i A_i) = c * h^r, with witness None when
     the identity holds, decided on the simplex lattice (see the module
-    docstring).  The pencil is scaled by the lcm D of its denominators, so
-    each lattice determinant is D^m times the value, taken over Z (or Z[i]
-    when an entry is not real) and compared by :func:`_match_values`."""
-    m = matrices[0].size
-    cells = [[c for row in mat.entries for c in row] for mat in matrices]
-    den, number, scaled = _over_integers([c for flat in cells for c in flat])
-    if number is _GaussInt and not h.ring.gaussian:
-        raise ValueError("imaginary coefficient in a non-gaussian ring")
-    slices = [[scaled(c) for c in flat] for flat in cells]
-
+    docstring).  ``pencil`` is the slices scaled by the lcm D of their
+    denominators (:func:`~hypercert.scalars._integer_slices`), so each
+    lattice determinant is D^m times the value, taken over Z (or Z[i] when
+    an entry is not real) and compared by :func:`_match_values`."""
+    m, den, number, cells = pencil
+    slices = [[nonzero.get((i, j), number(0, 0)) for i in range(m) for j in range(m)] for nonzero in cells]
     dets = ((x, _int_det([flat[i * m : (i + 1) * m] for i in range(m)], number)) for x, flat in _on_lattice(slices, m))
     return _match_values(dets, den**m, h, r, up_to_scalar)
 
@@ -516,16 +511,19 @@ def verify_pencil(
         if bad is not None:
             failures.append(CheckFailure("kind", f"matrix {idx} entry {bad} breaks {kind} symmetry"))
 
+    pencil = _integer_slices(matrices)  # (m, D, number, slices)
+    if pencil[2] is _GaussInt and not ring.gaussian:
+        raise ValueError("imaginary coefficient in a non-gaussian ring")
     matched = _match_branch(matrices, h, r, up_to_scalar) if deg == 2 else None
     notes["method"] = "lattice" if matched is None else "minimal-polynomial-shortcut"
-    scalar, det_witness = matched or _lattice_match(matrices, h, r, up_to_scalar)
+    scalar, det_witness = matched or _lattice_match(pencil, h, r, up_to_scalar)
     if det_witness is not None:
         failures.append(CheckFailure("determinant", det_witness))
     elif scalar <= 0:
         failures.append(CheckFailure("scalar-positivity", f"scalar c = {scalar} is not positive"))
 
     if kind != KIND_NONE and not any(f.name == "kind" for f in failures):
-        bad_minor = first_nonpositive_minor_at(matrices, e)
+        bad_minor = first_nonpositive_minor_at(pencil, e)
         if bad_minor is not None:
             order, minor = bad_minor
             witness = f"leading principal minor of order {order} at e is {minor}"
@@ -570,8 +568,6 @@ def _match_branch(
         for i, row in enumerate(mat.entries):
             # Zero entries are often the shared GR_ZERO, which `is` finds fast.
             for j in [j for j, c in enumerate(row) if c is not GR_ZERO and c]:
-                if row[j].im and not h.ring.gaussian:
-                    raise ValueError("imaginary coefficient in a non-gaussian ring")
                 rows[i].setdefault(j, {})[unit] = -row[j]
             terms = rows[i].setdefault(i, {})
             terms[unit] = terms.get(unit, GR_ZERO) + ell_v

@@ -35,7 +35,7 @@ from .hyperbolicity import (
 )
 from .polyring import MultiPoly, _sum_of_squares, parse, restrict_to_line
 from .realroots import is_real_rooted
-from .scalars import first_nonpositive_minor
+from .scalars import _integer_slices, first_nonpositive_minor
 from .wire import parse_point, parse_poly_text
 
 FIXTURE_IDS = ("F1", "F2", "F3", "F4", "F5", "F6")
@@ -311,7 +311,7 @@ def _run_f6(fixture_id: str, spec: dict) -> FixtureResult:
             f"size {size}, r = {rep.power}, c = {rep.scalar}",
         )
     )
-    exact = _lattice_match(rep.pencil, h, 4, up_to_scalar=True) == (256, None)  # c = 256, no witness
+    exact = _lattice_match(_integer_slices(rep.pencil), h, 4, up_to_scalar=True) == (256, None)  # c = 256, no witness
     result.checks.append(CheckOutcome("determinant-256-h4", exact, "exact" if exact else "mismatch"))
     result.checks.append(
         CheckOutcome("positive-definite-at-e", rep.report.ok, json.dumps(rep.report.to_json_dict()["failures"]))

@@ -25,13 +25,16 @@ and names ASCII identifiers; whitespace is insignificant, and any other
 character is a ParseError naming it and its position.
 
 Parsing builds terms directly.  Each subexpression is a dict from exponent
-vectors to (re, im) pairs of ints or Fractions: a sum adds its right-hand
-terms into the left dict in place, a product with a one-term factor shifts
-the exponent vectors and multiplies the pairs, and a one-term base is raised
-to its power directly.  Only a product or power of two multi-term
-subexpressions (parenthesised sums) runs the MultiPoly kernel.  The
-coefficients become GaussianRational once, at the end, where zero terms are
-dropped.
+vectors to (re, im) pairs of ints or Fractions, and each signed term of a
+sum is added into it in place.  A term reads its simple factors (a name, the
+unit i or an integer literal, maybe raised to ^digits) straight into one
+exponent list and one (re, im) pair; the grammar parses any other factor
+from its first token, so every ParseError has one source.  A product with a
+one-term factor shifts the exponent vectors and multiplies the pairs, and a
+one-term base is raised to its power directly.  Only a product or power of
+two multi-term subexpressions (parenthesised sums) runs the MultiPoly
+kernel.  The coefficients become GaussianRational once, at the end, where
+zero terms are dropped.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ class Ring:
             raise KeyError(f"unknown variable {name!r}") from None
 
     def weighted_degree(self, expo: tuple[int, ...]) -> int:
-        return sum(w * e for w, e in zip(self.weights, expo))
+        return sum(map(mul, self.weights, expo))
 
     def without(self, name: str) -> "Ring":
         idx = self.index(name)
@@ -578,12 +581,6 @@ def _poly_of(ring: Ring, terms: _Terms) -> MultiPoly:
     )
 
 
-def _negate(terms: _Terms) -> _Terms:
-    for e, (re, im) in terms.items():
-        terms[e] = (-re, -im)
-    return terms
-
-
 def _pair_pow(re, im, n: int):
     """(re + im*i)^n by square and multiply, for n >= 1."""
     if not im:
@@ -599,8 +596,11 @@ def _pair_pow(re, im, n: int):
 
 
 class _Parser:
-    """Recursive descent over the token list; every method returns a fresh
-    term dict that its caller may update in place."""
+    """Recursive descent over the token list; ``term`` adds into the dict
+    of its sum, and the methods below it return a fresh term dict that
+    their caller may update in place."""
+
+    __slots__ = ("text", "tokens", "ring", "pos", "one", "index")
 
     def __init__(self, text: str, ring: Ring):
         bad = _BAD_CHAR.search(text)
@@ -609,17 +609,16 @@ class _Parser:
         tokens = _TOKEN.findall(text)
         if not tokens:
             raise ParseError("empty polynomial text")
-        tokens.append("")  # end of input
+        tokens += ("", "")  # end of input, and one token of look-ahead past it
         self.text = text
         self.tokens = tokens
         self.ring = ring
         self.pos = 0
-        n = ring.arity
-        self.one = (0,) * n
-        self.units = {
-            name: tuple(1 if k == idx else 0 for k in range(n))
-            for idx, name in enumerate(ring.variables)
-        }
+        self.one = (0,) * ring.arity
+        # A simple factor's name: a variable's place, or -1 for the unit i.
+        self.index = dict(zip(ring.variables, range(ring.arity)))
+        if ring.gaussian:
+            self.index["i"] = -1
 
     def next(self) -> str:
         tok = self.tokens[self.pos]
@@ -652,26 +651,50 @@ class _Parser:
         return _poly_of(self.ring, terms)
 
     def expr(self) -> _Terms:
-        terms = self.term()
-        get = terms.get
+        terms: _Terms = {}
+        op = self.tokens[self.pos]  # a leading sign, then the one before each term
         while True:
+            if op == "+" or op == "-":
+                self.pos += 1
+            self.term(terms, op == "-")
             op = self.tokens[self.pos]
             if op != "+" and op != "-":
                 return terms
-            self.pos += 1
-            rhs = self.term()
-            if op == "-":
-                _negate(rhs)
-            for e, c in rhs.items():
-                old = get(e)
-                terms[e] = c if old is None else (old[0] + c[0], old[1] + c[1])
 
-    def term(self) -> _Terms:
-        terms = self.factor()
-        while self.tokens[self.pos] == "*":
+    def term(self, terms: _Terms, negative: bool) -> None:
+        """Add a product of factors, negated or not, into ``terms``.  Simple
+        factors (a name, i or an integer literal, maybe raised to ^digits) go
+        straight into one exponent list and one (re, im) pair; factor() reads
+        any other from its first token, so every ParseError comes from there."""
+        tokens, index = self.tokens, self.index
+        expo, re, im, rest = [0] * len(self.one), -1 if negative else 1, 0, None
+        while True:
+            tok, after = tokens[self.pos], self.pos + 1
+            k, n = index.get(tok), 1
+            try:  # ValueError: not a name or an integer, p/q, ^ of no digits, too long
+                if k is None and tokens[after] == "/":
+                    raise ValueError("a rational literal")
+                if tokens[after] == "^":
+                    n, after = int(tokens[after + 1]), after + 2
+                if k is None:
+                    value = int(tok) ** n
+                    re, im = re * value, im * value
+                elif k >= 0:
+                    expo[k] += n
+                elif n % 4:  # times i^n
+                    re, im = ((-im, re), (-re, -im), (im, -re))[n % 4 - 1]
+                self.pos = after
+            except ValueError:
+                factor = self.factor()
+                rest = factor if rest is None else self.product(rest, factor)
+            if tokens[self.pos] != "*":
+                break
             self.pos += 1
-            terms = self.product(terms, self.factor())
-        return terms
+        mono = {tuple(expo): (re, im)}
+        get = terms.get
+        for e, (re, im) in (mono if rest is None else self.product(rest, mono)).items():
+            old = get(e)
+            terms[e] = (re, im) if old is None else (old[0] + re, old[1] + im)
 
     def product(self, a: _Terms, b: _Terms) -> _Terms:
         if len(a) > 1 and len(b) > 1:
@@ -693,7 +716,7 @@ class _Parser:
             return self.power()
         self.pos += 1
         terms = self.factor()
-        return _negate(terms) if sign == "-" else terms
+        return {e: (-re, -im) for e, (re, im) in terms.items()} if sign == "-" else terms
 
     def power(self) -> _Terms:
         base = self.atom()
@@ -732,14 +755,12 @@ class _Parser:
                 value = Fraction(value, den)
             return {self.one: (value, 0)}
         if tok not in _OPS:
-            if tok == "i" and self.ring.gaussian:
-                return {self.one: (0, 1)}
-            if tok == "i" and "i" not in self.units:
+            k = self.index.get(tok)
+            if k is None and tok == "i":
                 raise ParseError("imaginary coefficient in a non-gaussian ring")
-            unit = self.units.get(tok)
-            if unit is None:
+            if k is None:
                 raise ParseError(f"unknown variable {tok!r} at position {self.at()}")
-            return {unit: (1, 0)}
+            return {self.one: (0, 1)} if k < 0 else {tuple(int(j == k) for j in range(len(self.one))): (1, 0)}
         raise ParseError(f"unexpected token {tok!r} at position {self.at()}")
 
 

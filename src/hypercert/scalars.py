@@ -26,6 +26,8 @@ MATRIX_KINDS = (KIND_SYMMETRIC, KIND_HERMITIAN, KIND_NONE)
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce ints, strings ("p/q" or "p") and Fractions to Fraction."""
+    if type(value) is int:  # before isinstance(.., Fraction), an ABC check
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -246,7 +248,7 @@ class ConstMatrix:
     def __init__(self, entries: Sequence[Sequence[GaussianRational]], kind: str = KIND_NONE):
         if kind not in MATRIX_KINDS:
             raise ValueError(f"unknown matrix kind {kind!r}")
-        rows = tuple(tuple(e for e in row) for row in entries)
+        rows = tuple(map(tuple, entries))
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
@@ -423,35 +425,41 @@ def _over_integers(coeffs: Sequence[GaussianRational]):
     return den, _GaussInt, scaled
 
 
+def _integer_slices(matrices: Sequence[ConstMatrix]) -> tuple:
+    """(m, D, number, slices) for the m x m pencil sum_i x_i A_i: D the lcm
+    of its denominators, number the type of D*A_i (:func:`_over_integers`),
+    and each slice's nonzero entries as {(i, j): D*a}, found and scaled once."""
+    # Zero entries are often the shared GR_ZERO, which `is` finds fast.
+    cells = [{(i, j): a for i, row in enumerate(mat.entries) for j, a in enumerate(row) if a is not GR_ZERO and a}
+             for mat in matrices]
+    den, number, scaled = _over_integers([a for nonzero in cells for a in nonzero.values()])
+    return matrices[0].size, den, number, [{ij: scaled(a) for ij, a in nonzero.items()} for nonzero in cells]
+
+
 def first_nonpositive_minor(matrix: ConstMatrix) -> Optional[tuple[int, Fraction]]:
     """Sylvester's test on one matrix (:func:`first_nonpositive_minor_at`)."""
-    return first_nonpositive_minor_at([matrix], [1])
+    return first_nonpositive_minor_at(_integer_slices([matrix]), [1])
 
 
-def first_nonpositive_minor_at(
-    matrices: Sequence[ConstMatrix], point: Sequence[RationalLike]
-) -> Optional[tuple[int, Fraction]]:
+def first_nonpositive_minor_at(pencil: tuple, point: Sequence[RationalLike]) -> Optional[tuple[int, Fraction]]:
     """Sylvester's test on A = sum_i point_i * A_i: (1-based order k, value)
     of its first nonpositive leading minor, or None.
 
-    s*A, for s = D*L with D the lcm of the denominators of the slices with
-    point_i != 0 and L that of the point's, is summed over Z or Z[i]
-    (:func:`_over_integers`) through those slices' nonzero entries.  Its
+    s*A, for s = D*L with the slices scaled by D (:func:`_integer_slices`)
+    and L the lcm of the point's denominators, is summed over Z or Z[i]
+    through the nonzero entries of the slices with point_i != 0.  Its
     leading minors are s^k times A's: prefix products of its diagonal when
     it is diagonal, else the pivots of :func:`bareiss` without pivoting.  An
     imaginary minor breaks the symmetric/hermitian invariant and raises.
     """
-    used = [(c, mat) for c, mat in zip(map(as_fraction, point), matrices) if c]
-    # Zero entries are often the shared GR_ZERO, which `is` finds fast.
-    cells = [[(i, j, a) for i, row in enumerate(mat.entries) for j, a in enumerate(row) if a is not GR_ZERO and a]
-             for _, mat in used]
-    den, number, scaled = _over_integers([a for nonzero in cells for _, _, a in nonzero])
+    m, den, number, slices = pencil
+    used = [(c, cells) for c, cells in zip(map(as_fraction, point), slices) if c]
     point_den, zero = math.lcm(*(c.denominator for c, _ in used)), number(0, 0)
-    rows: list[dict] = [{} for _ in matrices[0].entries]
-    for (c, _), nonzero in zip(used, cells):
+    rows: list[dict] = [{} for _ in range(m)]
+    for c, cells in used:
         factor = number(c.numerator * (point_den // c.denominator), 0)
-        for i, j, a in nonzero:
-            rows[i][j] = rows[i].get(j, zero) + scaled(a) * factor
+        for (i, j), a in cells.items():
+            rows[i][j] = rows[i].get(j, zero) + a * factor
     if all(i == j or not v for i, row in enumerate(rows) for j, v in row.items()):
         pivots = list(itertools.accumulate([row.get(i, zero) for i, row in enumerate(rows)], operator.mul))
     else:

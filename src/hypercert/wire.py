@@ -12,14 +12,16 @@ serialize as JSON {"vars": [...], "kind": ..., "gaussian": ...,
 "matrices": [rows of "a+b*i" strings, one block per variable]}.
 
 Polynomials, squares-file lines, polynomial-matrix entries and pencil cells
-all go through the one parser, ``polyring.parse``, which builds each term
-dict directly (see the polyring docstring); its literals and names are
-ASCII.  A JSON file of the wrong shape is a ParseError that names the bad
-field or cell.
+all go through the one parser, ``polyring.parse`` (see the polyring
+docstring); its literals and names are ASCII.  A pencil's cells are parsed
+in the ring it declares, each distinct text once per file, so that equal
+cells share one value.  A JSON file of the wrong shape is a ParseError that
+names the bad field or cell.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -130,10 +132,10 @@ def pencil_to_json_dict(
     }
 
 
-def _parse_cell(text: str) -> GaussianRational:
+def _parse_cell(text: str, ring: Ring = _CELL_RING) -> GaussianRational:
     """A pencil entry "a+b*i" (literal token i): any constant expression in
-    the polynomial grammar, parsed over the empty Gaussian ring."""
-    return parse(text, _CELL_RING).terms.get((), GR_ZERO)
+    the polynomial grammar, parsed over an empty ring, Gaussian by default."""
+    return parse(text, ring).terms.get((), GR_ZERO)
 
 
 def _json_field(data, key: str, what: str):
@@ -177,12 +179,16 @@ def pencil_from_json(data: Union[str, dict]) -> tuple[list[ConstMatrix], Ring]:
         data = json.loads(data)
     names = tuple(_json_strings(_json_field(data, "vars", "pencil"), "vars"))
     blocks = _json_strings(_json_field(data, "matrices", "pencil"), "matrices", depth=3)
-    ring = Ring.standard(names, _json_flag(data, "gaussian", "gaussian"))
+    gaussian = _json_flag(data, "gaussian", "gaussian")
+    ring, cell_ring = Ring.standard(names, gaussian), Ring((), (), gaussian)
     kind = data.get("kind", KIND_NONE)
+    cells: dict[str, GaussianRational] = {}  # each distinct text is parsed once
     matrices = []
     for block in blocks:
-        rows = [[_parse_cell(cell) for cell in row] for row in block]
-        matrices.append(ConstMatrix(rows, kind))
+        for text in itertools.chain.from_iterable(block):
+            if text not in cells:
+                cells[text] = _parse_cell(text, cell_ring)
+        matrices.append(ConstMatrix([[cells[text] for text in row] for row in block], kind))
     if len(matrices) != len(names):
         raise ParseError("pencil needs one constant matrix per variable")
     return matrices, ring

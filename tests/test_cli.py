@@ -11,7 +11,7 @@ from hypercert import clifford, detrep, hyperbolicity, scalars
 from hypercert.cli import EXIT_OK, EXIT_REFUTED, EXIT_USAGE, build_parser, main
 from hypercert.detrep import const_det
 from hypercert.scalars import pencil_value
-from hypercert.wire import load_poly_file, pencil_from_json
+from hypercert.wire import load_poly_file, pencil_from_json, pencil_to_json_dict
 
 QUADRIC = "ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\nx0^2 - x1^2 - x2^2\n"
 SPHERE = "ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\nx0^2 + x1^2 + x2^2\n"
@@ -531,6 +531,16 @@ def _sos(tmp_path, entries):
     return ["detrep-to-sos", "--matrix", str(matrix), "--poly", _write_poly(tmp_path / "p.txt", ["x1"], "x1^2")]
 
 
+def _imaginary_cells_in_a_real_pencil(tmp_path):
+    """verify-detrep on a pencil declared "gaussian": false whose hermitian
+    cells 1+i and 1-i are not real, against an h in a Gaussian ring."""
+    pencil = tmp_path / "p.json"
+    pencil.write_text(json.dumps({"vars": ["x0", "x1"], "gaussian": False, "kind": "hermitian",
+                                  "matrices": [[["1", "0"], ["0", "1"]], [["0", "1+i"], ["1-i", "0"]]]}))
+    h = _write_poly(tmp_path / "h.txt", ["x0", "x1"], "x0^2 - 2*x1^2", gaussian=True)
+    return ["verify-detrep", "--matrix", str(pencil), "--poly", h, "--dir=1,0", "--json"]
+
+
 # Bad input: exit 64 with "input error: ..." on stderr and nothing on stdout,
 # never a traceback and never exit 1, which means refuted.
 BAD_INPUT = {
@@ -546,6 +556,7 @@ BAD_INPUT = {
                                           "--poly", str(DATA / "F3_p.txt"), "--column", "5"],
     "sos-p-in-another-ring": lambda t: ["detrep-to-sos", "--matrix", str(DATA / "F3_matrix.json"),
                                         "--poly", str(DATA / "F1_poly.txt")],
+    "pencil-imaginary-cell-not-gaussian": _imaginary_cells_in_a_real_pencil,
 }
 
 # detrep-to-sos refusals with a witness: exit 1, as for a refuted quadric
@@ -563,6 +574,12 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("input error: ")
         assert captured.out == ""  # --out is written before the report
+
+    def test_imaginary_cell_of_a_real_pencil(self, tmp_path, capsys):
+        # The cells are parsed in the ring the pencil declares, not in a
+        # Gaussian one that would certify it against a Gaussian h.
+        assert main(_imaginary_cells_in_a_real_pencil(tmp_path)) == EXIT_USAGE
+        assert capsys.readouterr().err == "input error: imaginary coefficient in a non-gaussian ring\n"
 
     @pytest.mark.parametrize("case", REFUTED)
     def test_refutation_exits_1(self, tmp_path, capsys, case):
@@ -652,6 +669,76 @@ class TestSampledReportBytes:
             argv = ["check-interlacer", "--interlacer", _write_poly(tmp_path / "g.txt", names, g), *argv]
         assert main(argv) == code
         assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
+
+
+# Dense 3x3 pencils U^* diag(l_1, l_2, l_3) U in x0, x1, x2, with U
+# unimodular (Gaussian for hermitian) so that det = l_1*l_2*l_3 = h, each
+# l_k positive at VERIFY_E.  "tampered" adds e1 to A0[0][0] and -e0 to
+# A1[0][0], which keeps A(e) and moves det off h; "negative" negates l_2,
+# which keeps det = h and makes A(e) indefinite.
+VERIFY_FORMS = [(1, 1, 0), (1, 0, -1), (2, 1, 1)]
+VERIFY_E = (2, 1, -1)
+UNIMODULAR = {
+    "symmetric": [[1, 1, 0], [0, 1, 2], [1, 1, 1]],
+    "hermitian": [[1, 1j, 0], [1 + 1j, 1j, 1 - 1j], [0, 1j, 2 + 1j]],
+}
+
+
+def _dense_pencil(tmp_path, kind, variant):
+    """verify-detrep --json on one pencil of the family above."""
+    u, names = UNIMODULAR[kind], ["x0", "x1", "x2"]
+    forms = [tuple(-c for c in f) if variant == "negative" and k == 1 else f for k, f in enumerate(VERIFY_FORMS)]
+    slices = []
+    for v in range(3):
+        rows = [[sum(u[k][i].conjugate() * forms[k][v] * u[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+        if variant == "tampered" and v < 2:
+            rows[0][0] += VERIFY_E[1] if v == 0 else -VERIFY_E[0]
+        slices.append(scalars.ConstMatrix([[scalars.GaussianRational(int(z.real), int(z.imag)) for z in row]
+                                           for row in rows], kind))
+    pencil = tmp_path / "pencil.json"
+    pencil.write_text(json.dumps(pencil_to_json_dict(slices, names, kind == "hermitian")))
+    text = "*".join("(" + " + ".join(f"{c}*{x}" for c, x in zip(f, names)) + ")" for f in forms)
+    h = _write_poly(tmp_path / "h.txt", names, text, gaussian=kind == "hermitian")
+    return ["verify-detrep", "--matrix", str(pencil), "--poly", h, f"--dir={','.join(map(str, VERIFY_E))}", "--json"]
+
+
+# SHA-256 of `verify-detrep --json` stdout, captured before pencil cells were
+# parsed once per file and the slices scaled once per pencil.
+VERIFY_SHA256 = [
+    ("symmetric", "valid", EXIT_OK, "f9f309a8fc385bd14df1fcb1a403c432f2802a5376601da357b979f696d56c28"),
+    ("symmetric", "tampered", EXIT_REFUTED, "4a09e36d07c580745d6231e9a3424fc37b7363a13ecc860b830854270afaaca7"),
+    ("symmetric", "negative", EXIT_REFUTED, "d98422e1f2d371d4579b155fd420d00ba3510153b0265599a25c56b3362d35a1"),
+    ("hermitian", "valid", EXIT_OK, "f9f309a8fc385bd14df1fcb1a403c432f2802a5376601da357b979f696d56c28"),
+    ("hermitian", "tampered", EXIT_REFUTED, "9d2adca07ee2da617fdd5a01e17837715257dbf4f1af7c2ef26bf4db02df4678"),
+    ("hermitian", "negative", EXIT_REFUTED, "716964c6860f765c1d7d853344f7fdf145630f0b8ce6961770a062ae7a28bba2"),
+]
+
+
+class TestVerifyReportBytes:
+    @pytest.mark.parametrize("kind, variant, code, digest", VERIFY_SHA256)
+    def test_report_bytes_are_pinned(self, tmp_path, capsys, kind, variant, code, digest):
+        assert main(_dense_pencil(tmp_path, kind, variant)) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
+
+
+class TestSharedCells:
+    """Equal cell texts of one pencil file are parsed once, into one shared
+    object; the kind check still refuses an entry that is shared with its
+    mirror but is not real, with the witness it gave before."""
+
+    @pytest.mark.parametrize("kind, cell", [("hermitian", "1+i"), ("symmetric", "i")])
+    def test_shared_cell_breaks_its_kind(self, tmp_path, capsys, kind, cell):
+        pencil = {"vars": ["x0", "x1"], "gaussian": True, "kind": kind,
+                  "matrices": [[["1", "0"], ["0", "1"]], [["0", cell], [cell, "0"]]]}
+        matrices, _ = pencil_from_json(pencil)
+        assert matrices[1].entries[0][1] is matrices[1].entries[1][0]
+        assert matrices[1].kind_violation() == (0, 1)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(pencil))
+        h = _write_poly(tmp_path / "h.txt", ["x0", "x1"], "x0^2 - 2*x1^2", gaussian=True)
+        assert main(["verify-detrep", "--matrix", str(path), "--poly", h, "--dir=1,0", "--json"]) == EXIT_REFUTED
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert failures[0] == {"name": "kind", "witness": f"matrix 1 entry (0, 1) breaks {kind} symmetry"}
 
 
 class TestFixturesCommand:

@@ -3,7 +3,8 @@
 A definition in ``src/hypercert/*.py`` counts as used when code in
 ``src/`` outside its own body names it (as a bare name or an attribute),
 when ``hypercert.__all__`` exports it, or when the benchmark's tracer hooks
-it by (module, name); the definitions kept only by a hook are pinned.
+it by (module, name); the definitions kept only by a hook are pinned, and
+so are those that only such definitions reach.
 Dunder methods are called implicitly and are skipped.  Test-only helpers
 belong in ``tests/oracles.py``.
 """
@@ -103,6 +104,47 @@ def test_hook_only_definitions_are_pinned():
     exported = exported_names()
     only_hooked = set(unreferenced(lambda module, qualname, name: name in exported or (module, qualname) in ALLOWED))
     assert only_hooked == HOOK_ONLY, "new hook-only code, or hook-only code now used or deleted"
+
+
+def reached_only_from(roots, kept):
+    """(module, qualified name) of each definition, outside ``roots``, whose
+    every use in src/ outside its own body lies in the body of a root or of
+    a definition found so far, unless ``kept(module, qualname, name)``: a
+    transitive pass by name, as in :func:`unreferenced`."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    uses = Counter(name for tree in trees.values() for name in referenced_names(tree))
+    defs = {(module, qualname): node for module, tree in trees.items() for qualname, node in definitions(tree)}
+    candidates = {}  # definition -> its uses outside its own body
+    for (module, qualname), node in defs.items():
+        name = node.name
+        if (module, qualname) in roots or name.startswith("__") and name.endswith("__") or kept(module, qualname, name):
+            continue
+        candidates[module, qualname] = uses[name] - sum(1 for n in referenced_names(node) if n == name)
+    reached = set(roots)
+    while True:
+        inside = Counter(name for key in reached for name in referenced_names(defs[key]))
+        found = {key for key, outside in candidates.items()
+                 if key not in reached and 0 < outside == inside[defs[key].name]}
+        if not found:
+            return reached - set(roots)
+        reached |= found
+
+
+# Definitions that only the hook-only code above calls, so that they go
+# with it.  A pass by name cannot tell apart two definitions that share a
+# name: math.gcd and the local ``derivative`` of ``_TaylorTable.__init__``
+# hide ``UniPoly.gcd`` and ``UniPoly.derivative``, which hook-only code
+# alone reaches too (and ``primitive`` and ``divide_exact`` with them).
+HOOK_ONLY_REACH = {
+    ("polyring", "UniPoly.leading"),
+    ("realroots", "cauchy_root_bound"),
+}
+
+
+def test_code_reached_only_from_hook_only_code_is_pinned():
+    exported = exported_names()
+    reach = reached_only_from(HOOK_ONLY, lambda module, qualname, name: name in exported or (module, qualname) in ALLOWED)
+    assert reach == HOOK_ONLY_REACH, "new code reached only from hook-only code, or such code now used or deleted"
 
 
 def test_allowlist_is_current():

@@ -32,7 +32,7 @@ from hypercert.detrep import (
 )
 from hypercert.fixtures import load_fixture_matrix, load_fixture_poly
 from hypercert.polyring import MultiPoly, Ring, parse
-from hypercert.scalars import ConstMatrix, GaussianRational, pencil_value
+from hypercert.scalars import ConstMatrix, GaussianRational, _integer_slices, pencil_value
 from oracles import (
     companion_det,
     companion_values,
@@ -893,13 +893,13 @@ class TestComparerStopsAtItsWitness:
     def test_dense_pencils_match_a_full_walk(self, case):
         matrices, h, r, _, up_to_scalar = case
         expected = match_values_reference(pencil_values(matrices, h), h, r, up_to_scalar)
-        assert _lattice_match(matrices, h, r, up_to_scalar) == expected
+        assert _lattice_match(_integer_slices(matrices), h, r, up_to_scalar) == expected
 
     @given(quadratic_pencils())
     def test_quadratic_pencils_match_a_full_walk(self, case):
         matrices, h, r, _, up_to_scalar, _ = case
         expected = match_values_reference(pencil_values(matrices, h), h, r, up_to_scalar)
-        assert _lattice_match(matrices, h, r, up_to_scalar) == expected
+        assert _lattice_match(_integer_slices(matrices), h, r, up_to_scalar) == expected
 
     @settings(max_examples=30)  # the full walk evaluates a degree-16 det at up to 289 points
     @given(companion_inputs())
@@ -935,7 +935,7 @@ class TestComparerStopsAtItsWitness:
     def test_pencil_cases(self, rows, h, up_to_scalar, expected):
         pencil = polymatrix_to_pencil(PolyMatrix.from_strings(G3, rows))
         h = parse(h, G3)
-        assert _lattice_match(pencil, h, 1, up_to_scalar) == expected
+        assert _lattice_match(_integer_slices(pencil), h, 1, up_to_scalar) == expected
         assert match_values_reference(pencil_values(pencil, h), h, 1, up_to_scalar) == expected
 
     def test_companion_case_with_zero_determinants_first(self):

@@ -253,6 +253,63 @@ class TestIntegerShortCircuit:
         assert str(err.value) == f"integer literal of 5000 digits is too long at position {pos}"
 
 
+def monomial_sums(ring):
+    """Sums of products of simple factors, the ones a term reads inline: a
+    name (i in a Gaussian ring) or an integer literal, maybe signed, maybe
+    raised to ^digits; now and then a p/q literal, which is not simple."""
+    simple = st.one_of(
+        st.sampled_from(names(ring)),
+        st.integers(0, 10**30).map(str),
+        st.sampled_from(["0", "1", "007"]),
+        st.tuples(st.integers(0, 12), st.integers(1, 6)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    )
+    exponents = st.sampled_from(["", "", "^0", "^1", "^2", "^3", "^5", "^12", "^007"])
+    factor = st.tuples(st.sampled_from(["", "", "-", "+"]), simple, exponents).map("".join)
+    term = st.lists(factor, min_size=1, max_size=5).map("*".join)
+    tail = st.lists(st.tuples(st.sampled_from([" + ", " - ", "-", "+"]), term).map("".join), max_size=4)
+    return st.tuples(term, tail).map(lambda t: t[0] + "".join(t[1]))
+
+
+class TestInlineFactors:
+    """A term reads its simple factors inline and hands every other token
+    to the grammar's factor(): values and ParseError messages are the
+    reference's at the edges of the inline path."""
+
+    EDGES = [
+        "x0^2^3", "2/3*x0", "x0*2/3", "x0^", "x0^x1", "x0^-1", "x0^+1", "2x0", "x0 x1", "i^3*x0", "-i^2*x0",
+        "z", "z*x0", "x0*z", "-z^2", "x0*", "x0*-", "x0*(", "*x0", "+-x0", "-+2^2*x0", "2^3/4", "x0/2",
+        "-2/3*x0^2", "0^0*x0", "3^0*x1^0", "x0^007*x1^1", "i*i*x0", "x0^2*-3*i^7", "2^2^2", "x0*(x1 + 1)^2*3",
+        "x0 - x0*1", "-x0 + x0",
+    ]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=["real", "gaussian", "weighted"])
+    @pytest.mark.parametrize("text", EDGES)
+    def test_edges_match_reference(self, ring, text):
+        assert outcome(parse, text, ring) == outcome(reference_parse, text, ring)
+
+    LONG = "1" * 5000
+
+    @pytest.mark.parametrize(
+        "text, pos",
+        [("-" + LONG + "*x0", 1), ("x0*" + LONG, 3), ("x0*x1^" + LONG, 6), ("-x1^" + LONG + "*x0", 4), ("2^" + LONG, 2),
+         ("i^" + LONG, 2)],
+        ids=["signed-value", "second-value", "exponent", "signed-exponent", "literal-exponent", "i-exponent"],
+    )
+    def test_over_long_literal_is_the_grammar_error(self, text, pos):
+        with pytest.raises(ParseError) as err:
+            parse(text, GAUSSIAN)
+        assert str(err.value) == f"integer literal of 5000 digits is too long at position {pos}"
+
+    def test_longest_convertible_exponent_parses(self):
+        digits = "7" * sys.get_int_max_str_digits()
+        assert parse(f"-x0^{digits}*x1", REAL).terms == {(int(digits), 1, 0): GaussianRational(-1)}
+
+    @given(st.data())
+    def test_monomial_sums_match_reference(self, data):
+        ring = data.draw(st.sampled_from(RINGS))
+        same_as_reference(data.draw(monomial_sums(ring)), ring)
+
+
 class TestProductCount:
     """Sums and one-term factors are built on term dicts; only a product or
     power of two multi-term subexpressions forms a MultiPoly product."""

@@ -12,6 +12,7 @@ from hypercert.scalars import (
     GR_ZERO,
     ConstMatrix,
     GaussianRational,
+    _integer_slices,
     first_nonpositive_minor,
     first_nonpositive_minor_at,
     four_square_decompose,
@@ -194,7 +195,7 @@ class TestIntegerSylvester:
         slices, e = random_pencil_at(random.Random(seed))
         value = pencil_value(slices, e)
         expected = sylvester_reference(value)
-        assert first_nonpositive_minor_at(slices, e) == expected
+        assert first_nonpositive_minor_at(_integer_slices(slices), e) == expected
         assert first_nonpositive_minor(value) == expected
 
     def test_outcomes_cover_zero_negative_and_definite(self):
@@ -202,7 +203,7 @@ class TestIntegerSylvester:
         seen = set()
         for _ in range(400):
             slices, e = random_pencil_at(rng)
-            got = first_nonpositive_minor_at(slices, e)
+            got = first_nonpositive_minor_at(_integer_slices(slices), e)
             assert got == sylvester_reference(pencil_value(slices, e))
             seen.add("definite" if got is None else ("zero" if got[1] == 0 else "negative", got[0] > 1))
         assert seen == {"definite", ("zero", False), ("zero", True), ("negative", False), ("negative", True)}
@@ -226,7 +227,7 @@ class TestIntegerSylvester:
         ]
         e = (1, Fraction(1, 3))
         start = time.perf_counter()
-        got = first_nonpositive_minor_at(slices, e)
+        got = first_nonpositive_minor_at(_integer_slices(slices), e)
         elapsed = time.perf_counter() - start
         minor = Fraction(1)
         for a, b in zip(*diagonals):
