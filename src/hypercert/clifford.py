@@ -19,6 +19,7 @@ verifier that certifies Q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
@@ -57,6 +58,7 @@ class CliffordGenerators:
         return len(self.perms[0])
 
 
+@cache
 def clifford_generators(n: int) -> CliffordGenerators:
     """Generator matrices of Cl_{0,n}(R) on the ordered basis
     {e_{i1}...e_{ir} : i1 < ... < ir}, sorted by (subset size, lex).
@@ -65,7 +67,7 @@ def clifford_generators(n: int) -> CliffordGenerators:
     and another (-1) when i is already in S (since e_i^2 = -1).  The
     Hurwitz equations, here skewness, A_i^2 = -I and anticommutation, are
     asserted after construction.  Beyond 8 forms Q would exceed MAX_PENCIL
-    rows, which is refused before the table is built.
+    rows, which every call refuses before building; a table is built once.
     """
     _capped(n, 1 << max(n, 0))
     basis: list[tuple[int, ...]] = []
@@ -164,12 +166,18 @@ def _q_rows(dim: int, zero, terms: Iterable[tuple]) -> list[list]:
     S S^T = S^T S = (sum c_t^2)*I by the Hurwitz equations, so
     Q^2 = diag(S S^T, S^T S) = (sum c_t^2)*I.  Symmetry (each entry of S is
     stored at (i, dim+j) and (dim+j, i)) and trace 0 (zero diagonal blocks)
-    hold by construction.  Every row is a new list.
+    hold by construction.  Every row is a new list, but entries are shared
+    (coefficients are immutable): an empty cell takes c_t or the term's one
+    -c_t, so Q holds at most 2k + 1 distinct objects and checks and
+    formatting run once per distinct one.  A cell two terms reach holds
+    their sum.
     """
     s_rows = [[zero] * dim for _ in range(dim)]
     for c, perm, sign in terms:
+        signed = (-c, c)
         for col, (row, s) in enumerate(zip(perm, sign)):
-            s_rows[row][col] = s_rows[row][col] + (c if s > 0 else -c)
+            cell, add = s_rows[row][col], signed[s > 0]
+            s_rows[row][col] = add if cell is zero else cell + add
     zeros = [zero] * dim
     return [zeros + row for row in s_rows] + [[row[j] for row in s_rows] + zeros for j in range(dim)]
 

@@ -65,8 +65,15 @@ from .scalars import (
 from .wire import _json_field, _json_flag, _json_list, _json_strings
 
 
+def _distinct(rows: Sequence[Sequence]) -> Iterable:
+    """Each distinct entry object of ``rows`` once, in row order."""
+    return {id(p): p for row in rows for p in row}.values()
+
+
 class PolyMatrix:
-    """Square matrix of MultiPoly entries with a symmetry-kind tag."""
+    """Square matrix of MultiPoly entries with a symmetry-kind tag.  Cells
+    may share an entry, which is safe as both are immutable; the ring and
+    degree checks and the JSON formatting run once per distinct entry."""
 
     __slots__ = ("ring", "rows", "kind")
 
@@ -77,10 +84,8 @@ class PolyMatrix:
         n = len(mat)
         if any(len(row) != n for row in mat):
             raise ValueError("matrix must be square")
-        for row in mat:
-            for p in row:
-                if p.ring != ring:
-                    raise ValueError("entry ring mismatch")
+        if any(p.ring is not ring and p.ring != ring for p in _distinct(mat)):
+            raise ValueError("entry ring mismatch")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", mat)
         object.__setattr__(self, "kind", kind)
@@ -90,7 +95,8 @@ class PolyMatrix:
 
     @classmethod
     def from_strings(cls, ring: Ring, rows: Sequence[Sequence[str]], kind: str = KIND_NONE) -> "PolyMatrix":
-        return cls(ring, [[parse(s, ring) for s in row] for row in rows], kind)
+        cells = {s: parse(s, ring) for s in dict.fromkeys(itertools.chain.from_iterable(rows))}  # in row order
+        return cls(ring, [[cells[s] for s in row] for row in rows], kind)
 
     @property
     def size(self) -> int:
@@ -103,13 +109,10 @@ class PolyMatrix:
 
     def kind_violation(self) -> Optional[tuple[int, int]]:
         """First entry (i, j) breaking the declared symmetry kind, or None."""
-        return _kind_violation(self.rows, self.kind, MultiPoly.conjugate)
+        return _kind_violation(self.rows, self.kind, lambda a, b: a == b.conjugate())
 
     def trace(self) -> MultiPoly:
-        total = MultiPoly.zero(self.ring)
-        for k in range(self.size):
-            total = total + self.rows[k][k]
-        return total
+        return sum(filter(None, (row[k] for k, row in enumerate(self.rows))), MultiPoly.zero(self.ring))
 
     def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
         """Matrix product, skipping zero entries (matrices are often sparse)."""
@@ -148,15 +151,13 @@ class PolyMatrix:
     def entry_degrees_homogeneous(self, degree: int) -> Optional[tuple[int, int]]:
         """First entry that is not weighted-homogeneous of the given degree
         (zero entries are fine), or None."""
-        for i, row in enumerate(self.rows):
-            for j, p in enumerate(row):
-                if p.is_zero():
-                    continue
-                if not p.is_weighted_homogeneous() or p.weighted_degree() != degree:
-                    return (i, j)
-        return None
+        bad = {id(p) for p in _distinct(self.rows)
+               if p and not (p.is_weighted_homogeneous() and p.weighted_degree() == degree)}
+        cells = ((i, j) for i, row in enumerate(self.rows) for j, p in enumerate(row) if id(p) in bad)
+        return next(cells) if bad else None
 
     def to_json_dict(self) -> dict:
+        text = {id(p): str(p) if p else "0" for p in _distinct(self.rows)}
         return {
             "ring": {
                 "vars": list(self.ring.variables),
@@ -164,7 +165,7 @@ class PolyMatrix:
                 "gaussian": self.ring.gaussian,
             },
             "kind": self.kind,
-            "entries": [[str(p) if p else "0" for p in row] for row in self.rows],
+            "entries": [[text[id(p)] for p in row] for row in self.rows],
         }
 
     def __repr__(self) -> str:
@@ -348,12 +349,14 @@ def _square_on_lattice(
 
     D*A(x) is squared over Z or Z[i] (:func:`_over_integers`) row by row
     through its nonzero entries, at most k+1 per row for a Clifford Q.
+    Each distinct terms dict is scaled once and evaluated once per point.
     Without ``p``, p(x) is the (0, 0) entry of A(x)^2.  Returns (values,
     witness): values[x] = p(x) at each point checked; witness None when
     A(x)^2 = p(x)*I at every point, else (x, i, j, got, want) at the first
     point, and its first entry in row order, where the two differ.
     """
-    coeffs = [c for row in rows for terms in row.values() for c in terms.values()]
+    cells = {id(terms): terms for row in rows for terms in row.values()}
+    coeffs = [c for terms in cells.values() for c in terms.values()]
     den, number, scaled = _over_integers(coeffs + list(p.terms.values()) if p is not None else coeffs)
     zero = number(0, 0)
 
@@ -365,12 +368,14 @@ def _square_on_lattice(
     def terms_of(terms: dict) -> list:
         return [(index.setdefault(e, len(index)), scaled(c)) for e, c in terms.items()]
 
-    int_rows = [[(j, terms_of(terms)) for j, terms in row.items()] for row in rows]
+    int_cells = {key: terms_of(terms) for key, terms in cells.items()}
+    int_rows = [[(j, id(terms)) for j, terms in row.items()] for row in rows]
     p_terms = terms_of(p.terms) if p is not None else None  # D*p
     values: dict[tuple[int, ...], GaussianRational] = {}
     for x in points:
         monos = [number(math.prod(map(pow, x, e)), 0) for e in index]
-        at = [{j: v for j, terms in row if (v := sum([c * monos[k] for k, c in terms], zero))} for row in int_rows]
+        cell_at = {key: sum([c * monos[k] for k, c in terms], zero) for key, terms in int_cells.items()}
+        at = [{j: v for j, key in row if (v := cell_at[key])} for row in int_rows]
         want = None
         for i, row in enumerate(at):
             acc = {}

@@ -276,17 +276,17 @@ class ConstMatrix:
 
     def kind_violation(self) -> Optional[tuple[int, int]]:
         """First entry (i, j) breaking the declared symmetry kind, or None."""
-        return _kind_violation(self.entries, self.kind, GaussianRational.conj)
+        return _kind_violation(self.entries, self.kind, lambda a, b: a.re == b.re and a.im == -b.im)
 
     def to_rows(self) -> list[list[str]]:
         return [[str(e) if e else "0" for e in row] for row in self.entries]
 
 
-def _kind_violation(rows: Sequence[Sequence], kind: str, conj: Callable) -> Optional[tuple[int, int]]:
+def _kind_violation(rows: Sequence[Sequence], kind: str, mirrors: Callable) -> Optional[tuple[int, int]]:
     """First (i, j) with i <= j, row by row, where the square ``rows`` break
     ``kind``, or None: symmetric needs rows[i][j] = rows[j][i] real,
     hermitian rows[i][j] = conj(rows[j][i]).  Entries are Gaussian rationals
-    or polynomials; ``conj`` is their conjugation."""
+    or polynomials; ``mirrors(a, b)`` tells whether a = conj(b)."""
     if kind == KIND_NONE:
         return None
     hermitian = kind == KIND_HERMITIAN
@@ -296,7 +296,7 @@ def _kind_violation(rows: Sequence[Sequence], kind: str, conj: Callable) -> Opti
             if a is b:  # a diagonal entry or the shared zero: it need only be real
                 bad = not a.is_real()
             else:
-                bad = a != conj(b) if hermitian else not a.is_real() or a != b
+                bad = not mirrors(a, b) if hermitian else not a.is_real() or a != b
             if bad:
                 return (i, j)
     return None

@@ -721,6 +721,34 @@ class TestVerifyReportBytes:
         assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
 
 
+# Linear forms in x0, x1, x2 for `sos-to-detrep`; a case is the first k
+# of them, or a list with a repeated form (equal but separately parsed).
+SOS_FORMS = ["x0 + 2*x1 - x2", "3*x0 - x1 + 1/2*x2", "2*x0 + x1 + 4*x2", "x0 - 5*x1 + 2*x2",
+             "4*x0 + 3*x1 - 3/2*x2", "5*x0 - 2*x1 + x2"]
+SOS_CASES = {1: SOS_FORMS[:1], 2: SOS_FORMS[:2], 4: SOS_FORMS[:4], 6: SOS_FORMS,
+             "repeated": [SOS_FORMS[0], SOS_FORMS[1], SOS_FORMS[0]]}
+
+# SHA-256 of `sos-to-detrep --json` stdout, captured before the companion
+# matrix shared its entries and checked and printed each distinct one once.
+SOS_SHA256 = [
+    (1, "e747e1185134472b750e4e96c1240e86f9bf91329fd323366153582f09002ad3"),
+    (2, "33f2d80de2def6fe423e0070e6cdabd7d123c26d1cf73cd19b5a12925503b820"),
+    (4, "cc48933cf92ad9c738e5667bc848f54eac9fbe2a1b9dde3996a80bfb1359fcf2"),
+    (6, "90b1ae45e115db654fae6bb48eb78b4bf3698aec86afc16d26b3af672b59024a"),
+    ("repeated", "9b651db971798588d2b05ff1f5dda63110802ee264db1cd817267285e2c4922b"),
+]
+
+
+class TestSosToDetrepReportBytes:
+    @pytest.mark.parametrize("case, digest", SOS_SHA256)
+    def test_report_bytes_are_pinned(self, tmp_path, capsys, case, digest):
+        squares = tmp_path / "squares.txt"
+        lines = ["ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false"] + SOS_CASES[case]
+        squares.write_text("".join(f"{line}\n" for line in lines))
+        assert main(["sos-to-detrep", "--squares", str(squares), "--json"]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
+
+
 class TestSharedCells:
     """Equal cell texts of one pencil file are parsed once, into one shared
     object; the kind check still refuses an entry that is shared with its

@@ -212,6 +212,33 @@ class TestBuildQHurwitzRadon:
             assert companion_det(q, ring_h) == h ** (q.size // 2)
 
 
+class TestSharedEntries:
+    """Q holds each distinct coefficient as one object: c_t, one -c_t per
+    term and the zero, and a cell is the same object as its mirror."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_build_q_has_at_most_2k_plus_1_distinct_entries(self, k):
+        forms = [parse(f"{t + 1}*x1 - {2 * t + 3}*x2 + x3", R3) for t in range(k)]
+        q = build_Q(forms)
+        assert len({id(p) for row in q.rows for p in row}) <= 2 * k + 1
+        m = q.size
+        assert all(q.rows[i][j] is q.rows[j][i] for i in range(m) for j in range(m))
+
+    def test_two_terms_in_one_cell_are_summed(self):
+        # Both terms reach the diagonal of S: S = x1*I + x2*diag(1, -1).
+        x1, x2, zero = parse("x1", R2), parse("x2", R2), MultiPoly.zero(R2)
+        rows = clifford._q_rows(2, zero, [(x1, (0, 1), (1, 1)), (x2, (0, 1), (1, -1))])
+        assert rows[0][2] == parse("x1 + x2", R2) and rows[1][3] == parse("x1 - x2", R2)
+        assert rows[0][3] is rows[1][2] is zero
+        assert rows[0][2] is rows[2][0] and rows[1][3] is rows[3][1]
+
+    def test_generators_are_built_once_and_refusals_repeat(self):
+        assert clifford_generators(3) is clifford_generators(3)
+        for _ in range(2):
+            with pytest.raises(CapacityError, match="9 forms need a 1024x1024 pencil"):
+                clifford_generators(9)
+
+
 class TestSosToDetrep:
     def test_involution_routes_form_no_polynomial_square(self, monkeypatch):
         # Q^2 = P*I is decided on lattice values: no route that proves it

@@ -31,7 +31,7 @@ from hypercert.detrep import (
     verify_pencil,
 )
 from hypercert.fixtures import load_fixture_matrix, load_fixture_poly
-from hypercert.polyring import MultiPoly, Ring, parse
+from hypercert.polyring import MultiPoly, ParseError, Ring, parse
 from hypercert.scalars import ConstMatrix, GaussianRational, _integer_slices, pencil_value
 from oracles import (
     companion_det,
@@ -437,6 +437,8 @@ class TestKindViolation:
             ("hermitian", [["1", "2+i"], ["2-i", "3"]], None),
             ("hermitian", [["1", "2+i"], ["2+i", "3"]], (0, 1)),
             ("hermitian", [["i", "0"], ["0", "1"]], (0, 0)),
+            ("hermitian", [["1", "2"], ["2", "3"]], None),
+            ("hermitian", [["1", "2+i"], ["3-i", "3"]], (0, 1)),  # imaginary parts mirror, real parts differ
             ("none", [["1", "i"], ["5", "3"]], None),
         ],
     )
@@ -456,6 +458,40 @@ class TestKindViolation:
         zero, unit = GaussianRational(0), GaussianRational(0, 1)
         assert ConstMatrix([[zero, zero], [zero, zero]], kind).kind_violation() is None
         assert ConstMatrix([[zero, unit], [unit, zero]], kind).kind_violation() == (0, 1)
+
+
+class TestDistinctEntries:
+    """Checks and formatting run once per distinct entry object, and give
+    what the cell-by-cell versions gave."""
+
+    R2 = Ring.standard(("x1", "x2"))
+
+    def test_first_cell_of_a_shared_bad_entry(self):
+        good, zero = parse("x1^2", self.R2), MultiPoly.zero(self.R2)
+        bad, other_bad = parse("x1", self.R2), parse("x2^3", self.R2)
+        rows = [[good, parse("x1^2", self.R2), zero], [zero, good, bad], [bad, other_bad, bad]]
+        assert PolyMatrix(self.R2, rows).entry_degrees_homogeneous(2) == (1, 2)
+        rows[1][2] = good
+        assert PolyMatrix(self.R2, rows).entry_degrees_homogeneous(2) == (2, 0)
+        assert PolyMatrix(self.R2, [[good, zero], [zero, good]]).entry_degrees_homogeneous(2) is None
+
+    def test_json_entries_equal_the_cell_by_cell_form(self):
+        a, a_copy = parse("x1 - 2/3*x2", self.R2), parse("x1 - 2/3*x2", self.R2)
+        zero, zero_copy = MultiPoly.zero(self.R2), MultiPoly.zero(self.R2)
+        rows = [[a, a_copy, zero], [-a, zero_copy, a], [a_copy, -a_copy, zero]]
+        entries = PolyMatrix(self.R2, rows).to_json_dict()["entries"]
+        assert entries == [[str(p) if p else "0" for p in row] for row in rows]
+
+    def test_equal_cell_texts_parse_to_one_object(self):
+        matrix = PolyMatrix.from_strings(self.R2, [["x1", "x2 - x1"], ["x2 - x1", "x1"]], "symmetric")
+        assert matrix.rows[0][1] is matrix.rows[1][0] and matrix.rows[0][0] is matrix.rows[1][1]
+        assert matrix.rows[0][1] == parse("x2 - x1", self.R2)
+
+    def test_parse_error_names_the_first_bad_cell_in_row_order(self):
+        with pytest.raises(ParseError, match="^unknown variable 'x9' at position 0$"):
+            PolyMatrix.from_strings(self.R2, [["x1", "x9"], ["x1 +", "x9"]])
+        with pytest.raises(ParseError, match="^unexpected end of input$"):
+            PolyMatrix.from_strings(self.R2, [["x1", "x1 +"], ["x9", "x1 +"]])
 
 
 class TestPlucker:
