@@ -437,9 +437,9 @@ class TestKindViolation:
             ("hermitian", [["1", "2+i"], ["2-i", "3"]], None),
             ("hermitian", [["1", "2+i"], ["2+i", "3"]], (0, 1)),
             ("hermitian", [["i", "0"], ["0", "1"]], (0, 0)),
+            ("none", [["1", "i"], ["5", "3"]], None),
             ("hermitian", [["1", "2"], ["2", "3"]], None),
             ("hermitian", [["1", "2+i"], ["3-i", "3"]], (0, 1)),  # imaginary parts mirror, real parts differ
-            ("none", [["1", "i"], ["5", "3"]], None),
         ],
     )
     def test_const_and_poly_matrices_agree(self, kind, rows, expected):
