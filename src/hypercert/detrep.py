@@ -16,19 +16,22 @@ determinant identity det = c*h^r is decided by one of two routes:
 - *involution*: if trace Q = 0 and Q^2 = P*I then
   det(y*I - Q) = (y^2 - P)^(m/2) (:func:`_involution`), and Q^2 = P*I, a
   matrix identity of degree 2d for entries of degree d, is decided by
-  squaring Q(x) over Z or Z[i] on that lattice (:func:`_square_on_lattice`).
-  That serves a pencil ell*I - Q for quadratic h, whose branch
-  ell^2 - P = s*h is compared on the same points, and a symmetric/hermitian
-  A with h = y^2 - P;
-- *lattice* (everything else): integer or Gaussian-integer determinants
-  at the T lattice points for a pencil (:func:`_lattice_match`), and for a
-  companion at y in {0..m} times the lattice of degree m*w
-  (:func:`_companion_match`), are compared with c*h(x)^r.
+  squaring Q(x) on that lattice (:func:`_square_on_lattice`).  That serves
+  a pencil ell*I - Q for quadratic h, whose branch ell^2 - P = s*h is
+  compared on the same points, and a symmetric/hermitian A with h = y^2 - P;
+- *lattice* (everything else): determinants at the T lattice points for a
+  pencil (:func:`_lattice_match`), and for a companion at y in {0..m} times
+  the lattice of degree m*w (:func:`_companion_match`), are compared with
+  c*h(x)^r.
 
-One comparer, :func:`_match_values`, reads the points lazily and stops at
-a failure's witness: the first point where the two sides differ, which one
-constant determinant re-checks.  No route expands a polynomial determinant.
-Definiteness at e is Sylvester's test on A(e) scaled into Z or Z[i]
+Values are D times the true ones, over Z or Z[i]: a pencil summed slice by
+slice along the lattice (:func:`_on_lattice`), every other polynomial (the
+cells of Q or A, p and h) by one evaluator, :func:`_evaluator`, each
+distinct monomial once per point.  One comparer, :func:`_match_values`,
+reads the points lazily and stops at a failure's witness: the first point
+where the two sides differ, which one constant determinant re-checks.  No
+route expands a polynomial determinant.  Definiteness at e is Sylvester's
+test on A(e) scaled into Z or Z[i]
 (:func:`~hypercert.scalars.first_nonpositive_minor_at`).
 """
 
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .polyring import MultiPoly, ParseError, Ring, _pair_pow, _sum_of_squares, parse, real_square_factorization
+from .polyring import MultiPoly, ParseError, Ring, _sum_of_squares, parse, real_square_factorization
 from .scalars import (
     GR_ONE,
     GR_ZERO,
@@ -212,11 +215,6 @@ def _det(rows, one, divide):
     return pivots[-1] if sign > 0 else -pivots[-1]
 
 
-def _int_det(rows: Sequence[list], number) -> Union[int, _GaussInt]:
-    """det(rows) over Z, or Z[i] when number is _GaussInt."""
-    return _det(rows, number(1, 0), _GaussInt.divide_exact if number is _GaussInt else operator.floordiv)
-
-
 def _lattice_match(pencil: tuple, h: MultiPoly, r: int, up_to_scalar: bool) -> tuple[Fraction, Optional[str]]:
     """(c, witness) for det(sum x_i A_i) = c * h^r, with witness None when
     the identity holds, decided on the simplex lattice (see the module
@@ -224,9 +222,10 @@ def _lattice_match(pencil: tuple, h: MultiPoly, r: int, up_to_scalar: bool) -> t
     denominators (:func:`~hypercert.scalars._integer_slices`), so each
     lattice determinant is D^m times the value, taken over Z (or Z[i] when
     an entry is not real) and compared by :func:`_match_values`."""
-    m, den, number, cells = pencil
-    slices = [[nonzero.get((i, j), number(0, 0)) for i in range(m) for j in range(m)] for nonzero in cells]
-    dets = ((x, _int_det([flat[i * m : (i + 1) * m] for i in range(m)], number)) for x, flat in _on_lattice(slices, m))
+    m, den, cells = pencil
+    slices = [[nonzero.get((i, j), 0) for i in range(m) for j in range(m)] for nonzero in cells]
+    dets = ((x, _det([flat[i * m : (i + 1) * m] for i in range(m)], 1, operator.floordiv))
+            for x, flat in _on_lattice(slices, m))
     return _match_values(dets, den**m, h, r, up_to_scalar)
 
 
@@ -235,20 +234,22 @@ def _companion_match(matrix: PolyMatrix, h: MultiPoly, r: int) -> Optional[str]:
     without y, y of weight w and m = deg_y(h)*r.  Both sides are polynomials
     in y of degree <= m with forms of degree <= m*w in x as coefficients, so
     y in {0..m} times the lattice of degree m*w decides the identity.  There
-    det((y*D)*I - D*A(x)) = D^m * det(y*I - A(x)) over Z or Z[i]
-    (:func:`_over_integers`) is compared with h^r (:func:`_match_values`).
+    det((y*D)*I - D*A(x)) = D^m * det(y*I - A(x)), with each distinct entry
+    of D*A(x) taken once by :func:`_evaluator`, is compared with h^r
+    (:func:`_match_values`).
     """
     m, y_idx = matrix.size, h.ring.index("y")
-    den, number, scaled = _over_integers([c for row in matrix.rows for p in row for c in p.terms.values()])
-    zero = number(0, 0)
-    entries = [[[(e, scaled(c)) for e, c in p.terms.items()] for p in row] for row in matrix.rows]
+    entries = list(_distinct(matrix.rows))
+    place = {id(p): k for k, p in enumerate(entries)}
+    cells = [[place[id(p)] for p in row] for row in matrix.rows]
+    den, values = _evaluator([p.terms for p in entries])
 
     def dets():
         for x in _lattice(matrix.ring.arity, m * h.ring.weights[y_idx], True):
-            at = [[sum([c * number(math.prod(map(pow, x, e)), 0) for e, c in entry], zero) for entry in row] for row in entries]
+            at = values(x)
             for y in range(m + 1):
-                rows = [[number(y * den, 0) - a if i == j else -a for j, a in enumerate(row)] for i, row in enumerate(at)]
-                yield x[:y_idx] + (y,) + x[y_idx:], _int_det(rows, number)
+                rows = [[y * den - at[k] if i == j else -at[k] for j, k in enumerate(row)] for i, row in enumerate(cells)]
+                yield x[:y_idx] + (y,) + x[y_idx:], _det(rows, 1, operator.floordiv)
 
     return _match_values(dets(), den**m, h, r, False)[1]
 
@@ -265,46 +266,31 @@ def _match_values(
     the two sides differ, with both exact values labelled by ``names``.  The
     pairs are read only until that is fixed: c known, a differing point and
     a nonzero det seen."""
-    h_den, _, scaled = _over_integers(list(h.terms.values()))
+    h_den, h_at = _evaluator([h.terms])
     h_scale = h_den**r
-    # A term is its coefficient and the places of its nonzero exponents in
-    # the row of powers x_j^k, k < width, laid end to end over j.
-    width = max([k for expo in h.terms for k in expo], default=0) + 1
-    h_terms = [(scaled(c), [j * width + k for j, k in enumerate(expo) if k]) for expo, c in h.terms.items()]
-    h_re = [(a.real, places) for a, places in h_terms if a.real]
-    h_im = [(a.imag, places) for a, places in h_terms if a.imag]
-
-    def target(x: tuple[int, ...]) -> tuple[int, int]:
-        """(h_den * h(x))^r over Z[i], from the powers of x built once."""
-        at = [c**k for c in x for k in range(width)].__getitem__
-        re = sum([a * math.prod(map(at, places)) for a, places in h_re])
-        im = sum([a * math.prod(map(at, places)) for a, places in h_im])
-        return _pair_pow(re, im, r)
-
-    def exact(pair: tuple[int, int], den: int) -> GaussianRational:
-        return GaussianRational(Fraction(pair[0], den), Fraction(pair[1], den))
 
     def at(x: tuple[int, ...], det) -> str:
-        return f"at x = {','.join(map(str, x))}: {names[0]} = {exact((det.real, det.imag), scale)}"
+        return f"at x = {','.join(map(str, x))}: {names[0]} = {_exact(det, scale)}"
 
-    points = ((x, det, target(x)) for x, det in dets)
+    # h_at(x) is [h_den * h(x)], whose r-th power is the target.
+    points = ((x, det, math.prod([v] * r)) for x, det in dets for v in h_at(x))
     read, c = [], Fraction(1)  # read: the points up to the one that fixes c
     if up_to_scalar:  # h^r is a nonzero form, so some h(x) != 0
         for x, det, t in points:
             read.append((x, det, t))
-            if any(t):
+            if t:
                 break
-        ratio = exact((det.real, det.imag), scale) / exact(t, h_scale)
+        ratio = _exact(det, scale) / _exact(t, h_scale)
         if ratio.im:  # so det(x) != 0: the determinant is not identically zero
-            return (Fraction(0), f"{at(x, det)}, {names[1]} = {exact(t, h_scale)}, not a real multiple")
+            return (Fraction(0), f"{at(x, det)}, {names[1]} = {_exact(t, h_scale)}, not a real multiple")
         c = ratio.re
     # det = c * h^r at x, with c = p/q: q * h_scale * value = p * scale * target.
     left, right = c.denominator * h_scale, c.numerator * scale
     nonzero, witness = False, None
-    for x, det, (t_re, t_im) in itertools.chain(read, points):
+    for x, det, t in itertools.chain(read, points):
         nonzero = nonzero or bool(det)
-        if witness is None and (det.real * left != t_re * right or det.imag * left != t_im * right):
-            witness = f"{at(x, det)}, {names[2]} = {exact((t_re, t_im), h_scale).scale(c)}"
+        if witness is None and (det.real * left != t.real * right or det.imag * left != t.imag * right):
+            witness = f"{at(x, det)}, {names[2]} = {_exact(t, h_scale).scale(c)}"
         if witness is not None and nonzero:
             return (c, witness)
     return (c, witness) if nonzero else (Fraction(0), "determinant is identically zero")
@@ -338,6 +324,30 @@ def _lattice(n: int, degree: int, homogeneous: bool) -> list[tuple[int, ...]]:
     return [(t,) + b for t in range(degree + 1) for b in _lattice(n - 1, degree - t, False)]
 
 
+def _evaluator(polys: Sequence[dict[tuple[int, ...], GaussianRational]]) -> tuple:
+    """(D, values): D the lcm of the denominators in the terms dicts
+    ``polys`` and values(x) the list of D*poly(x) over Z or Z[i]
+    (:func:`~hypercert.scalars._over_integers`) at an integer point x, each
+    distinct monomial once per point, from one table of the powers of x."""
+    den, scaled = _over_integers([c for terms in polys for c in terms.values()])
+    index: dict[tuple[int, ...], int] = {}  # monomial -> position in monos
+    scaled_polys = [[(index.setdefault(e, len(index)), scaled(c)) for e, c in terms.items()] for terms in polys]
+    width = max([k for e in index for k in e], default=0) + 1  # the table: x_j^k, k < width, in one row
+    places = [[j * width + k for j, k in enumerate(e) if k] for e in index]  # of each monomial's factors
+
+    def values(x: tuple[int, ...]) -> list:
+        at = [c**k for c in x for k in range(width)].__getitem__
+        monos = [math.prod(map(at, p)) for p in places]
+        return [sum([c * monos[k] for k, c in terms]) for terms in scaled_polys]
+
+    return den, values
+
+
+def _exact(v, den: int) -> GaussianRational:
+    """The int or Gaussian integer v divided by den, as a Gaussian rational."""
+    return GaussianRational(Fraction(v.real, den), Fraction(v.imag, den))
+
+
 def _square_on_lattice(
     rows: Sequence[dict[int, dict[tuple[int, ...], GaussianRational]]],
     points: Sequence[tuple[int, ...]],
@@ -347,50 +357,37 @@ def _square_on_lattice(
     A^2 - p*I (:func:`_lattice`); rows[i][j] holds the terms of entry (i, j)
     of A, and an entry missing from rows[i] is 0.
 
-    D*A(x) is squared over Z or Z[i] (:func:`_over_integers`) row by row
-    through its nonzero entries, at most k+1 per row for a Clifford Q.
-    Each distinct terms dict is scaled once and evaluated once per point.
-    Without ``p``, p(x) is the (0, 0) entry of A(x)^2.  Returns (values,
-    witness): values[x] = p(x) at each point checked; witness None when
-    A(x)^2 = p(x)*I at every point, else (x, i, j, got, want) at the first
-    point, and its first entry in row order, where the two differ.
+    D*A(x), each distinct terms dict evaluated once per point with D*p(x)
+    by :func:`_evaluator`, is squared row by row through its nonzero
+    entries, at most k+1 per row for a Clifford Q.  Without ``p``, p(x) is
+    the (0, 0) entry of A(x)^2.  Returns (values, witness): values[x] = p(x)
+    at each point checked; witness None when A(x)^2 = p(x)*I at every point,
+    else (x, i, j, got, want) at the first point, and its first entry in row
+    order, where the two differ.
     """
-    cells = {id(terms): terms for row in rows for terms in row.values()}
-    coeffs = [c for terms in cells.values() for c in terms.values()]
-    den, number, scaled = _over_integers(coeffs + list(p.terms.values()) if p is not None else coeffs)
-    zero = number(0, 0)
-
-    def exact(v) -> GaussianRational:
-        return GaussianRational(Fraction(v.real, den * den), Fraction(v.imag, den * den))
-
-    index: dict[tuple[int, ...], int] = {}  # monomial -> position in monos
-
-    def terms_of(terms: dict) -> list:
-        return [(index.setdefault(e, len(index)), scaled(c)) for e, c in terms.items()]
-
-    int_cells = {key: terms_of(terms) for key, terms in cells.items()}
-    int_rows = [[(j, id(terms)) for j, terms in row.items()] for row in rows]
-    p_terms = terms_of(p.terms) if p is not None else None  # D*p
+    polys = list(_distinct([row.values() for row in rows]))
+    place = {id(terms): k for k, terms in enumerate(polys)}
+    cells = [[(j, place[id(terms)]) for j, terms in row.items()] for row in rows]
+    den, values_at = _evaluator(polys + [p.terms] if p is not None else polys)
     values: dict[tuple[int, ...], GaussianRational] = {}
     for x in points:
-        monos = [number(math.prod(map(pow, x, e)), 0) for e in index]
-        cell_at = {key: sum([c * monos[k] for k, c in terms], zero) for key, terms in int_cells.items()}
-        at = [{j: v for j, key in row if (v := cell_at[key])} for row in int_rows]
+        vals = values_at(x)
+        at = [{j: v for j, k in row if (v := vals[k])} for row in cells]
         want = None
         for i, row in enumerate(at):
             acc = {}
             for k, a in row.items():
                 for j, b in at[k].items():
-                    acc[j] = acc.get(j, zero) + a * b
-            diag = acc.pop(i, zero)
+                    acc[j] = acc.get(j, 0) + a * b
+            diag = acc.pop(i, 0)
             if want is None:
-                want, values[x] = diag, exact(diag)
-                if p is not None and diag != sum([c * monos[k] for k, c in p_terms], zero) * den:
+                want, values[x] = diag, _exact(diag, den * den)
+                if p is not None and diag != vals[-1] * den:
                     return values, (x, 0, 0, values[x], p.eval(x))
             bad = [j for j, v in acc.items() if v] + [i] * (diag != want)
             if bad:
                 j = min(bad)
-                return values, (x, i, j, exact(acc.get(j, diag)), values[x] if j == i else GR_ZERO)
+                return values, (x, i, j, _exact(acc.get(j, diag), den * den), values[x] if j == i else GR_ZERO)
     return values, None
 
 
@@ -516,8 +513,8 @@ def verify_pencil(
         if bad is not None:
             failures.append(CheckFailure("kind", f"matrix {idx} entry {bad} breaks {kind} symmetry"))
 
-    pencil = _integer_slices(matrices)  # (m, D, number, slices)
-    if pencil[2] is _GaussInt and not ring.gaussian:
+    pencil = _integer_slices(matrices)  # (m, D, slices)
+    if not ring.gaussian and any(a.imag for cells in pencil[2] for a in cells.values()):
         raise ValueError("imaginary coefficient in a non-gaussian ring")
     matched = _match_branch(matrices, h, r, up_to_scalar) if deg == 2 else None
     notes["method"] = "lattice" if matched is None else "minimal-polynomial-shortcut"
@@ -581,7 +578,7 @@ def _match_branch(
         return None
     ell_at = {x: sum((c.scale(t) for c, t in zip(ell, x)), GR_ZERO) for x in values}
     branch = {x: ell_at[x] * ell_at[x] - p for x, p in values.items()}
-    den, _, scaled = _over_integers(list(branch.values()))
+    den, scaled = _over_integers(list(branch.values()))
     s, witness = _match_values(((x, scaled(b)) for x, b in branch.items()), den, h, 1, True, ("ell^2 - P", "h", "s*h"))
     c = s**r
     if up_to_scalar or not c:  # c = 0: a zero determinant or branch

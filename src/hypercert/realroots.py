@@ -143,7 +143,7 @@ def refine_interval(
 # ---------------------------------------------------------------------------
 
 
-def interlaces_univariate(f: UniPoly, g: UniPoly, strict: bool = False) -> bool:
+def interlaces_univariate(f: UniPoly, g: UniPoly) -> bool:
     """Weak interlacing of root multisets: with a_i the roots of f and b_i
     the roots of g (all real, counted with multiplicity, deg g = deg f - 1),
     decide a_1 <= b_1 <= a_2 <= ... <= b_{d-1} <= a_d.
@@ -153,8 +153,7 @@ def interlaces_univariate(f: UniPoly, g: UniPoly, strict: bool = False) -> bool:
     f1, i.e. iff |Ind(g1/f1)| = deg f1 (the Cauchy index is at most the
     number of distinct real roots of f1).  The chain of (f, g) ends in the
     gcd and its terms are the gcd times positive multiples of those for
-    (f1, g1), so its variations at +-infinity give Ind(g1/f1).  With
-    ``strict=True`` the inequalities must be strict: no common root.
+    (f1, g1), so its variations at +-infinity give Ind(g1/f1).
 
     A passing index test makes g real-rooted (g1 changes sign between
     consecutive roots of f1, and the gcd divides the real-rooted f), so
@@ -170,8 +169,7 @@ def interlaces_univariate(f: UniPoly, g: UniPoly, strict: bool = False) -> bool:
     if not is_real_rooted(f):
         raise NotRealRootedError("f")
     chain = sturm_chain(f, g)
-    common = len(chain[-1]) - 1  # deg gcd(f, g)
-    if not (strict and common) and abs(_index(chain)) == f.degree - common:
+    if abs(_index(chain)) == f.degree - (len(chain[-1]) - 1):  # deg f1 = deg f - deg gcd(f, g)
         return True
     if not is_real_rooted(g):
         raise NotRealRootedError("g")

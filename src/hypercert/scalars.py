@@ -4,8 +4,9 @@ Rationals are ``fractions.Fraction`` throughout (always normalized, positive
 denominator).  On top of that this module provides Gaussian rationals,
 Lagrange four-square decompositions of positive rationals, the one
 fraction-free (Bareiss) elimination behind every exact determinant and
-minor, Gaussian integers for it, and Sylvester's test of constant
-symmetric/hermitian matrices, run on their integer multiples.
+minor, and Sylvester's test of constant symmetric/hermitian matrices, run
+on their integer multiples in Z, or in Z[i] as Gaussian integers that mix
+with ``int``, so that one integer code path serves both rings.
 """
 
 from __future__ import annotations
@@ -338,9 +339,10 @@ def bareiss(rows: list[list], one, divide: Callable, pivoting: bool) -> tuple[li
     """Fraction-free (Bareiss) elimination of the square ``rows``, in place.
 
     Works on any entry type with ``*``, ``-`` and truth testing; ``divide``
-    is the exact division of that type (``operator.truediv`` for Gaussian
-    rationals, ``MultiPoly.divide_exact`` for polynomials) and ``one`` its
-    unit.  Returns (pivots, sign), the pivots ending at the first zero one.
+    is the exact division of that type (``operator.floordiv`` for integers
+    and :class:`_GaussInt`, ``operator.truediv`` for Gaussian rationals,
+    ``MultiPoly.divide_exact`` for polynomials) and ``one`` its unit.
+    Returns (pivots, sign), the pivots ending at the first zero one.
     Without ``pivoting`` pivot k is the leading principal minor of order
     k + 1.  With ``pivoting`` a zero pivot is swapped for a nonzero entry
     below it (each swap flips ``sign``), so a full list ends in sign * det
@@ -376,9 +378,10 @@ def bareiss(rows: list[list], one, divide: Callable, pivoting: bool) -> tuple[li
 
 
 class _GaussInt:
-    """A Gaussian integer real + imag*i, with the operations of a lattice
-    determinant and square (Bareiss needs ``*``, ``-``, truth and an exact
-    division).  Its ``real`` and ``imag`` are also those of a Python int."""
+    """A Gaussian integer real + imag*i that mixes with ``int``: ``+``, ``-``
+    and ``*`` take an int on either side and ``//`` is exact division.  Only
+    the other operand's ``real`` and ``imag`` are read, which an int has too,
+    so integer code (:func:`bareiss`, ``sum``) runs unchanged over Z[i]."""
 
     __slots__ = ("real", "imag")
 
@@ -392,48 +395,50 @@ class _GaussInt:
     def __eq__(self, other) -> bool:
         return self.real == other.real and self.imag == other.imag
 
-    def __add__(self, other: "_GaussInt") -> "_GaussInt":
+    def __add__(self, other) -> "_GaussInt":
         return _GaussInt(self.real + other.real, self.imag + other.imag)
 
-    def __sub__(self, other: "_GaussInt") -> "_GaussInt":
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "_GaussInt":
         return _GaussInt(self.real - other.real, self.imag - other.imag)
+
+    def __rsub__(self, other) -> "_GaussInt":
+        return _GaussInt(other.real - self.real, other.imag - self.imag)
 
     def __neg__(self) -> "_GaussInt":
         return _GaussInt(-self.real, -self.imag)
 
-    def __mul__(self, other: "_GaussInt") -> "_GaussInt":
+    def __mul__(self, other) -> "_GaussInt":
         a, b, c, d = self.real, self.imag, other.real, other.imag
         return _GaussInt(a * c - b * d, a * d + b * c)
 
-    def divide_exact(self, other: "_GaussInt") -> "_GaussInt":
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other) -> "_GaussInt":
         a, b, c, d = self.real, self.imag, other.real, other.imag
         norm = c * c + d * d
         return _GaussInt((a * c + b * d) // norm, (b * c - a * d) // norm)
 
 
-def _over_integers(coeffs: Sequence[GaussianRational]):
-    """(D, number, scaled): the lcm D of the coefficients' denominators, the
-    type of their multiples by D (int, or _GaussInt when one is not real)
-    and the map c -> D*c into it."""
+def _over_integers(coeffs: Sequence[GaussianRational]) -> tuple[int, Callable]:
+    """(D, scaled): the lcm D of the coefficients' denominators and the map
+    c -> D*c, into int, or into _GaussInt when a coefficient is not real."""
     den = math.lcm(*{q.denominator for c in coeffs for q in (c.re, c.im)})
     if not any(c.im for c in coeffs):
-        return den, lambda real, imag: real, lambda c: c.re.numerator * (den // c.re.denominator)
-
-    def scaled(c: GaussianRational) -> _GaussInt:
-        return _GaussInt(c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
-
-    return den, _GaussInt, scaled
+        return den, lambda c: c.re.numerator * (den // c.re.denominator)
+    return den, lambda c: _GaussInt(c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
 
 
 def _integer_slices(matrices: Sequence[ConstMatrix]) -> tuple:
-    """(m, D, number, slices) for the m x m pencil sum_i x_i A_i: D the lcm
-    of its denominators, number the type of D*A_i (:func:`_over_integers`),
-    and each slice's nonzero entries as {(i, j): D*a}, found and scaled once."""
+    """(m, D, slices) for the m x m pencil sum_i x_i A_i: D the lcm of its
+    denominators and each slice's nonzero entries as {(i, j): D*a} over Z or
+    Z[i] (:func:`_over_integers`), found and scaled once."""
     # Zero entries are often the shared GR_ZERO, which `is` finds fast.
     cells = [{(i, j): a for i, row in enumerate(mat.entries) for j, a in enumerate(row) if a is not GR_ZERO and a}
              for mat in matrices]
-    den, number, scaled = _over_integers([a for nonzero in cells for a in nonzero.values()])
-    return matrices[0].size, den, number, [{ij: scaled(a) for ij, a in nonzero.items()} for nonzero in cells]
+    den, scaled = _over_integers([a for nonzero in cells for a in nonzero.values()])
+    return matrices[0].size, den, [{ij: scaled(a) for ij, a in nonzero.items()} for nonzero in cells]
 
 
 def first_nonpositive_minor(matrix: ConstMatrix) -> Optional[tuple[int, Fraction]]:
@@ -452,19 +457,18 @@ def first_nonpositive_minor_at(pencil: tuple, point: Sequence[RationalLike]) -> 
     it is diagonal, else the pivots of :func:`bareiss` without pivoting.  An
     imaginary minor breaks the symmetric/hermitian invariant and raises.
     """
-    m, den, number, slices = pencil
+    m, den, slices = pencil
     used = [(c, cells) for c, cells in zip(map(as_fraction, point), slices) if c]
-    point_den, zero = math.lcm(*(c.denominator for c, _ in used)), number(0, 0)
+    point_den = math.lcm(*(c.denominator for c, _ in used))
     rows: list[dict] = [{} for _ in range(m)]
     for c, cells in used:
-        factor = number(c.numerator * (point_den // c.denominator), 0)
+        factor = c.numerator * (point_den // c.denominator)
         for (i, j), a in cells.items():
-            rows[i][j] = rows[i].get(j, zero) + a * factor
+            rows[i][j] = rows[i].get(j, 0) + a * factor
     if all(i == j or not v for i, row in enumerate(rows) for j, v in row.items()):
-        pivots = list(itertools.accumulate([row.get(i, zero) for i, row in enumerate(rows)], operator.mul))
+        pivots = list(itertools.accumulate([row.get(i, 0) for i, row in enumerate(rows)], operator.mul))
     else:
-        divide = _GaussInt.divide_exact if number is _GaussInt else operator.floordiv
-        pivots = bareiss([[row.get(j, zero) for j in range(len(rows))] for row in rows], number(1, 0), divide, False)[0]
+        pivots = bareiss([[row.get(j, 0) for j in range(m)] for row in rows], 1, operator.floordiv, False)[0]
     bad = next((k for k, pivot in enumerate(pivots, 1) if pivot.imag), None)
     if bad is not None:
         raise ArithmeticError(f"leading principal minor {bad} is not real; hermitian invariant broken")

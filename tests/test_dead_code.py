@@ -134,8 +134,10 @@ def reached_only_from(roots, kept):
 # with it.  A pass by name cannot tell apart two definitions that share a
 # name: math.gcd and the local ``derivative`` of ``_TaylorTable.__init__``
 # hide ``UniPoly.gcd`` and ``UniPoly.derivative``, which hook-only code
-# alone reaches too (and ``primitive`` and ``divide_exact`` with them).
+# alone reaches too (and ``primitive`` with them).
 HOOK_ONLY_REACH = {
+    ("polyring", "MultiPoly.divide_exact"),
+    ("polyring", "UniPoly.divide_exact"),
     ("polyring", "UniPoly.leading"),
     ("realroots", "cauchy_root_bound"),
 }

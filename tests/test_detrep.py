@@ -17,6 +17,7 @@ from hypercert.clifford import build_Q, clifford_generators
 from hypercert.detrep import (
     PolyMatrix,
     _companion_match,
+    _evaluator,
     _involution,
     _lattice_match,
     _match_values,
@@ -1138,3 +1139,46 @@ class TestLatticeInvolution:
         got = sum((value.entries[i][k] * value.entries[k][j] for k in range(matrix.size)), GaussianRational(0))
         want = p.eval(x) if i == j else GaussianRational(0)
         assert (str(got), str(want)) == (found["got"], found["want"]) and got != want
+
+
+MONOMIALS = [(0, 0, 0), (1, 0, 0), (0, 2, 1), (2, 1, 0), (1, 1, 1), (0, 0, 3)]
+
+
+def term_dicts(gaussian: bool):
+    """Terms dicts over three variables whose monomials come from one small
+    pool, so that polynomials drawn together share monomials."""
+    part = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+    coeff = st.builds(GaussianRational, part, part if gaussian else st.just(0)).filter(bool)
+    return st.dictionaries(st.sampled_from(MONOMIALS), coeff, max_size=len(MONOMIALS))
+
+
+class TestEvaluator:
+    """_evaluator against MultiPoly.eval: values(x)[k] = D * polys[k](x),
+    with D the lcm of every coefficient's denominators."""
+
+    @given(st.booleans(), st.data())
+    def test_values_are_D_times_eval(self, gaussian, data):
+        ring = Ring.standard(("x0", "x1", "x2"), gaussian=gaussian)
+        polys = data.draw(st.lists(term_dicts(gaussian), min_size=1, max_size=4))
+        polys.insert(data.draw(st.integers(0, len(polys))), {})  # the zero polynomial
+        den, values = _evaluator(polys)
+        assert den == math.lcm(*(q.denominator for terms in polys for c in terms.values() for q in (c.re, c.im)))
+        for x in data.draw(st.lists(st.tuples(*[st.integers(-6, 6)] * 3), min_size=1, max_size=5)):
+            got = values(x)
+            want = [MultiPoly(ring, terms).eval(x) * GaussianRational(den) for terms in polys]
+            assert [GaussianRational(v.real, v.imag) for v in got] == want
+            if not gaussian:
+                assert all(type(v) is int for v in got)
+
+    def test_shared_monomials_and_the_same_dict_twice(self):
+        ring = Ring.standard(("x0", "x1"), gaussian=True)
+        p, q = parse("x0^2 - 1/3*x0*x1", ring), parse("(2 + 1/2*i)*x0*x1 + x1^3", ring)
+        den, values = _evaluator([p.terms, q.terms, p.terms, {}])
+        assert den == 6
+        for x in [(0, 0), (1, 0), (2, -3), (-1, 5)]:
+            got = [GaussianRational(v.real, v.imag) for v in values(x)]
+            assert got == [f.eval(x).scale(6) for f in (p, q, p, MultiPoly.zero(ring))]
+
+    def test_no_polynomials(self):
+        den, values = _evaluator([])
+        assert (den, values((1, 2))) == (1, [])

@@ -90,8 +90,6 @@ class TestInterlacing:
         f = from_roots([1, 1, -1])
         g = from_roots([1, -1])
         assert interlaces_univariate(f, g)
-        # strict mode rejects the equality case
-        assert not interlaces_univariate(f, g, strict=True)
 
     def test_repeated_root_needs_matching_partner(self):
         # roots {-2, 1, 1, 1} vs {1, 1, b}: weak chain iff -2 <= b <= 1
@@ -146,15 +144,11 @@ class TestInterlacing:
             b = sorted(Fraction(rng.randrange(-4, 5), rng.randrange(1, 3)) for _ in range(d - 1))
             f = from_roots(a, lead=rng.randrange(1, 4))
             g = from_roots(b, lead=rng.randrange(1, 4))
-            for strict in (False, True):
-                if strict:
-                    chain = all(a[k] < b[k] < a[k + 1] for k in range(d - 1))
-                else:
-                    chain = all(a[k] <= b[k] <= a[k + 1] for k in range(d - 1))
-                for sf, sg in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
-                    assert interlaces_univariate(f.scale(sf), g.scale(sg), strict) == chain
-                seen.add((strict, chain))
-        assert len(seen) == 4
+            chain = all(a[k] <= b[k] <= a[k + 1] for k in range(d - 1))
+            for sf, sg in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+                assert interlaces_univariate(f.scale(sf), g.scale(sg)) == chain
+            seen.add(chain)
+        assert len(seen) == 2
 
     def test_brute_force_multiset_oracle(self):
         # Rational-rooted pairs: compare against the sorted multiset chain.
@@ -313,14 +307,12 @@ class TestCountOracle:
         assert {2, 3, 4} <= mults
 
 
-def sympy_chain(f, g, strict):
-    """The (weak or strict) interlacing chain from sympy's sorted roots."""
+def sympy_chain(f, g):
+    """The weak interlacing chain from sympy's sorted roots."""
     a = sorted(sympy.real_roots(to_sympy(f)), key=lambda r: float(r))
     b = sorted(sympy.real_roots(to_sympy(g)), key=lambda r: float(r))
     if len(a) != f.degree or len(b) != g.degree:
         return None
-    if strict:
-        return all(a[k] < b[k] < a[k + 1] for k in range(len(b)))
     return all(a[k] <= b[k] <= a[k + 1] for k in range(len(b)))
 
 
@@ -343,12 +335,11 @@ class TestInterlacingOracle:
                 g = random_factored(rng, max_factors=3, max_mult=2)
                 while not is_real_rooted(g) or g.degree != f.degree - 1:
                     g = random_factored(rng, max_factors=3, max_mult=2)
-            for strict in (False, True):
-                expected = sympy_chain(f, g, strict)
-                assert expected is not None
-                assert interlaces_univariate(f, g, strict=strict) == expected, (f, g, strict)
-                seen.add((strict, expected))
-        assert seen == {(False, True), (False, False), (True, True), (True, False)}
+            expected = sympy_chain(f, g)
+            assert expected is not None
+            assert interlaces_univariate(f, g) == expected, (f, g)
+            seen.add(expected)
+        assert seen == {True, False}
 
 
 def _linear_factors(f):
@@ -373,17 +364,16 @@ class TestInterlacingCommonFactors:
             b = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(d - 1)]
             f = common * from_roots(a, lead=rng.choice([-2, 1, 3]))
             g = common * from_roots(b, lead=rng.choice([-1, 1, 2]))
-            for strict in (False, True):
-                expected = sympy_chain(f, g, strict)
-                assert interlaces_univariate(f, g, strict=strict) == expected, (f, g, strict)
-                seen.add((d == 1, strict, expected))
-        assert {(True, False, True), (True, True, False), (False, False, True), (False, False, False)} <= seen
+            expected = sympy_chain(f, g)
+            assert interlaces_univariate(f, g) == expected, (f, g)
+            seen.add((d == 1, expected))
+        assert {(True, True), (False, True), (False, False)} <= seen
 
 
 # -- interlacing against the order that decided g's real-rootedness first ---------
 
 
-def interlaces_g_checked_first(f, g, strict=False):
+def interlaces_g_checked_first(f, g):
     """Reference: both operands' real-rootedness before the index test."""
     if not is_real_rooted(f):
         raise NotRealRootedError("f")
@@ -391,14 +381,12 @@ def interlaces_g_checked_first(f, g, strict=False):
         raise NotRealRootedError("g")
     chain = sturm_chain(f, g)
     common = len(chain[-1]) - 1
-    if strict and common:
-        return False
     return abs(_index(chain)) == f.degree - common
 
 
-def _outcome(fn, f, g, strict):
+def _outcome(fn, f, g):
     try:
-        return fn(f, g, strict)
+        return fn(f, g)
     except NotRealRootedError as err:
         return ("not-real-rooted", err.which)
 
@@ -423,15 +411,12 @@ def interlacing_pairs(draw):
 
 
 class TestInterlacingOrder:
-    @given(interlacing_pairs(), st.booleans())
-    @example((from_roots([0, 1, 2]), UniPoly([1, 0, 1])), False)  # g not real-rooted
-    @example((from_roots([0, 1, 2]), UniPoly([1, 0, 1])), True)
-    @example((from_roots([0, 1, 1]), from_roots([1, 1])), True)  # strict, common root
-    @example((from_roots([0, 1, 1]), from_roots([1, 1])), False)
-    @example((from_roots([0, 1, 1]) * UniPoly([1, 0, 1]), from_roots([1, Fraction(1, 2)]) * UniPoly([1, 0, 1])), True)
-    def test_same_verdict_as_checking_g_first(self, pair, strict):
+    @given(interlacing_pairs())
+    @example((from_roots([0, 1, 2]), UniPoly([1, 0, 1])))  # g not real-rooted
+    @example((from_roots([0, 1, 1]), from_roots([1, 1])))
+    def test_same_verdict_as_checking_g_first(self, pair):
         f, g = pair
-        assert _outcome(interlaces_univariate, f, g, strict) == _outcome(interlaces_g_checked_first, f, g, strict)
+        assert _outcome(interlaces_univariate, f, g) == _outcome(interlaces_g_checked_first, f, g)
 
 
 # -- real-rootedness and interlacing against sympy on integer polynomials ----------
@@ -464,5 +449,4 @@ class TestRealRootedAgainstSympy:
         g_roots = data.draw(st.lists(st.integers(-3, 3), min_size=len(f_roots) - 1, max_size=len(f_roots) - 1))
         lead_f, lead_g = data.draw(st.sampled_from([-2, 1, 3])), data.draw(st.sampled_from([-1, 1, 2]))
         f, g = from_roots(f_roots, lead=lead_f), from_roots(g_roots, lead=lead_g)
-        for strict in (False, True):
-            assert interlaces_univariate(f, g, strict=strict) == sympy_chain(f, g, strict)
+        assert interlaces_univariate(f, g) == sympy_chain(f, g)
