@@ -45,9 +45,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .polyring import MultiPoly, ParseError, Ring, _sum_of_squares, parse, real_square_factorization
+from .polyring import MultiPoly, ParseError, Ring, _pair_pow, _sum_of_squares, parse, real_square_factorization
 from .scalars import (
-    GR_ONE,
     GR_ZERO,
     KIND_HERMITIAN,
     KIND_NONE,
@@ -57,7 +56,6 @@ from .scalars import (
     GaussianRational,
     RationalLike,
     _common_kind,
-    _GaussInt,
     _integer_slices,
     _kind_violation,
     _over_integers,
@@ -198,21 +196,25 @@ def polymatrix_from_json(data: Union[str, dict]) -> PolyMatrix:
 # Kept only as a hook of perfbench's tracer, until the benchmark drops it.
 def poly_det(matrix: PolyMatrix) -> MultiPoly:
     """Exact determinant by fraction-free Bareiss elimination; the divisions
-    are exact in the polynomial ring."""
-    return _det(matrix.rows, MultiPoly.constant(matrix.ring, 1), MultiPoly.divide_exact)
+    (``//``) are exact in the polynomial ring."""
+    return _det([list(row) for row in matrix.rows])[0] if matrix.size else MultiPoly.constant(matrix.ring, 1)
 
 
 def const_det(matrix: ConstMatrix) -> GaussianRational:
-    """Exact determinant of a constant matrix (fraction-free elimination)."""
-    return _det(matrix.entries, GR_ONE, operator.truediv)
+    """Exact determinant of a constant matrix: det(D*A) = D^m * det(A), for D
+    the lcm of its denominators, taken over Z or Z[i]."""
+    m, den, (cells,) = _integer_slices([matrix])
+    rows = [[cells.get(k * m + j, 0) for j in range(m)] for k in range(2 * m)]
+    return _exact(_det(rows[:m], rows[m:] if any(k >= m * m for k in cells) else None), den**m)
 
 
-def _det(rows, one, divide):
-    """sign * last pivot: zero once a column has no pivot, ``one`` when 0x0."""
-    pivots, sign = bareiss([list(row) for row in rows], one, divide, pivoting=True)
-    if not pivots:
-        return one
-    return pivots[-1] if sign > 0 else -pivots[-1]
+def _det(rows: list[list], im: Optional[list[list]] = None) -> tuple:
+    """det of the square ``rows``, or of rows + i*im, eliminated in place
+    (:func:`bareiss`), as an (re, im) pair: sign * last pivot, zero once a
+    column has no pivot, 1 when 0x0."""
+    pivots, sign = bareiss(rows, im, True)
+    det = pivots[-1] if pivots else (1, 0)
+    return det if sign > 0 else (-det[0], -det[1])
 
 
 def _lattice_match(pencil: tuple, h: MultiPoly, r: int, up_to_scalar: bool) -> tuple[Fraction, Optional[str]]:
@@ -220,12 +222,14 @@ def _lattice_match(pencil: tuple, h: MultiPoly, r: int, up_to_scalar: bool) -> t
     the identity holds, decided on the simplex lattice (see the module
     docstring).  ``pencil`` is the slices scaled by the lcm D of their
     denominators (:func:`~hypercert.scalars._integer_slices`), so each
-    lattice determinant is D^m times the value, taken over Z (or Z[i] when
-    an entry is not real) and compared by :func:`_match_values`."""
+    lattice determinant is D^m times the value, taken over Z or Z[i] from
+    one flat int list of real, then imaginary parts, and compared by
+    :func:`_match_values`."""
     m, den, cells = pencil
-    slices = [[nonzero.get((i, j), 0) for i in range(m) for j in range(m)] for nonzero in cells]
-    dets = ((x, _det([flat[i * m : (i + 1) * m] for i in range(m)], 1, operator.floordiv))
-            for x, flat in _on_lattice(slices, m))
+    parts = 1 + any(k >= m * m for nonzero in cells for k in nonzero)  # 2 when an entry is not real
+    slices = [[nonzero.get(k, 0) for k in range(parts * m * m)] for nonzero in cells]
+    points = ((x, [flat[k * m : k * m + m] for k in range(parts * m)]) for x, flat in _on_lattice(slices, m))
+    dets = ((x, _det(rows[:m], rows[m:] or None)) for x, rows in points)
     return _match_values(dets, den**m, h, r, up_to_scalar)
 
 
@@ -235,8 +239,8 @@ def _companion_match(matrix: PolyMatrix, h: MultiPoly, r: int) -> Optional[str]:
     in y of degree <= m with forms of degree <= m*w in x as coefficients, so
     y in {0..m} times the lattice of degree m*w decides the identity.  There
     det((y*D)*I - D*A(x)) = D^m * det(y*I - A(x)), with each distinct entry
-    of D*A(x) taken once by :func:`_evaluator`, is compared with h^r
-    (:func:`_match_values`).
+    of D*A(x) taken once by :func:`_evaluator`, over Z or, where A(x) has an
+    imaginary part, Z[i], is compared with h^r (:func:`_match_values`).
     """
     m, y_idx = matrix.size, h.ring.index("y")
     entries = list(_distinct(matrix.rows))
@@ -247,38 +251,39 @@ def _companion_match(matrix: PolyMatrix, h: MultiPoly, r: int) -> Optional[str]:
     def dets():
         for x in _lattice(matrix.ring.arity, m * h.ring.weights[y_idx], True):
             at = values(x)
+            im = [[-at[len(entries) + k] for k in row] for row in cells] if any(at[len(entries):]) else None
             for y in range(m + 1):
                 rows = [[y * den - at[k] if i == j else -at[k] for j, k in enumerate(row)] for i, row in enumerate(cells)]
-                yield x[:y_idx] + (y,) + x[y_idx:], _det(rows, 1, operator.floordiv)
+                yield x[:y_idx] + (y,) + x[y_idx:], _det(rows, im and [row[:] for row in im])
 
     return _match_values(dets(), den**m, h, r, False)[1]
 
 
 def _match_values(
-    dets: Iterable[tuple[tuple[int, ...], Union[int, _GaussInt]]], scale: int, h: MultiPoly, r: int, up_to_scalar: bool,
-    names: tuple[str, str, str] = ("det", "h^r", "c*h^r"),
+    dets: Iterable[tuple[tuple[int, ...], Union[int, tuple[int, int]]]], scale: int, h: MultiPoly, r: int,
+    up_to_scalar: bool, names: tuple[str, str, str] = ("det", "h^r", "c*h^r"),
 ) -> tuple[Fraction, Optional[str]]:
     """(c, witness) for det = c * h^r, with witness None when it holds, from
-    pairs (x, scale * det(x) over Z or Z[i]), in order, at points x of h's
-    ring that decide the identity: c = 1, or with ``up_to_scalar`` det/h^r
-    at the first x where h(x) != 0.  A failure is, in this precedence, a det
-    zero at every point, a ratio that is not real, or the first point where
-    the two sides differ, with both exact values labelled by ``names``.  The
-    pairs are read only until that is fixed: c known, a differing point and
-    a nonzero det seen."""
+    pairs (x, scale * det(x)), an (re, im) pair over Z[i] or an int over Z,
+    in order, at points x of h's ring that decide the identity: c = 1, or
+    with ``up_to_scalar`` det/h^r at the first x where h(x) != 0.  A failure
+    is, in this precedence, a det zero at every point, a ratio that is not
+    real, or the first point where the two sides differ, with both exact
+    values labelled by ``names``.  The pairs are read only until that is
+    fixed: c known, a differing point and a nonzero det seen."""
     h_den, h_at = _evaluator([h.terms])
     h_scale = h_den**r
 
     def at(x: tuple[int, ...], det) -> str:
         return f"at x = {','.join(map(str, x))}: {names[0]} = {_exact(det, scale)}"
 
-    # h_at(x) is [h_den * h(x)], whose r-th power is the target.
-    points = ((x, det, math.prod([v] * r)) for x, det in dets for v in h_at(x))
+    # h_at(x) is the (re, im) of h_den * h(x), whose r-th power is the target.
+    points = ((x, (det, 0) if type(det) is int else det, _pair_pow(*h_at(x), r)) for x, det in dets)
     read, c = [], Fraction(1)  # read: the points up to the one that fixes c
     if up_to_scalar:  # h^r is a nonzero form, so some h(x) != 0
         for x, det, t in points:
             read.append((x, det, t))
-            if t:
+            if any(t):
                 break
         ratio = _exact(det, scale) / _exact(t, h_scale)
         if ratio.im:  # so det(x) != 0: the determinant is not identically zero
@@ -288,8 +293,8 @@ def _match_values(
     left, right = c.denominator * h_scale, c.numerator * scale
     nonzero, witness = False, None
     for x, det, t in itertools.chain(read, points):
-        nonzero = nonzero or bool(det)
-        if witness is None and (det.real * left != t.real * right or det.imag * left != t.imag * right):
+        nonzero = nonzero or any(det)
+        if witness is None and (det[0] * left != t[0] * right or det[1] * left != t[1] * right):
             witness = f"{at(x, det)}, {names[2]} = {_exact(t, h_scale).scale(c)}"
         if witness is not None and nonzero:
             return (c, witness)
@@ -326,26 +331,28 @@ def _lattice(n: int, degree: int, homogeneous: bool) -> list[tuple[int, ...]]:
 
 def _evaluator(polys: Sequence[dict[tuple[int, ...], GaussianRational]]) -> tuple:
     """(D, values): D the lcm of the denominators in the terms dicts
-    ``polys`` and values(x) the list of D*poly(x) over Z or Z[i]
-    (:func:`~hypercert.scalars._over_integers`) at an integer point x, each
+    ``polys`` and values(x) the ints Re D*poly(x), then Im D*poly(x), at an
+    integer point x, from each terms dict split into a real and an
+    imaginary one (:func:`~hypercert.scalars._over_integers`), each
     distinct monomial once per point, from one table of the powers of x."""
     den, scaled = _over_integers([c for terms in polys for c in terms.values()])
     index: dict[tuple[int, ...], int] = {}  # monomial -> position in monos
     scaled_polys = [[(index.setdefault(e, len(index)), scaled(c)) for e, c in terms.items()] for terms in polys]
+    parts = [[(k, c[part]) for k, c in terms if c[part]] for part in (0, 1) for terms in scaled_polys]
     width = max([k for e in index for k in e], default=0) + 1  # the table: x_j^k, k < width, in one row
     places = [[j * width + k for j, k in enumerate(e) if k] for e in index]  # of each monomial's factors
 
     def values(x: tuple[int, ...]) -> list:
         at = [c**k for c in x for k in range(width)].__getitem__
         monos = [math.prod(map(at, p)) for p in places]
-        return [sum([c * monos[k] for k, c in terms]) for terms in scaled_polys]
+        return [sum([c * monos[k] for k, c in terms]) if terms else 0 for terms in parts]
 
     return den, values
 
 
-def _exact(v, den: int) -> GaussianRational:
-    """The int or Gaussian integer v divided by den, as a Gaussian rational."""
-    return GaussianRational(Fraction(v.real, den), Fraction(v.imag, den))
+def _exact(v: tuple[int, int], den: int) -> GaussianRational:
+    """The (re, im) pair v divided by den, as a Gaussian rational."""
+    return GaussianRational(Fraction(v[0], den), Fraction(v[1], den))
 
 
 def _square_on_lattice(
@@ -358,36 +365,43 @@ def _square_on_lattice(
     of A, and an entry missing from rows[i] is 0.
 
     D*A(x), each distinct terms dict evaluated once per point with D*p(x)
-    by :func:`_evaluator`, is squared row by row through its nonzero
-    entries, at most k+1 per row for a Clifford Q.  Without ``p``, p(x) is
-    the (0, 0) entry of A(x)^2.  Returns (values, witness): values[x] = p(x)
-    at each point checked; witness None when A(x)^2 = p(x)*I at every point,
-    else (x, i, j, got, want) at the first point, and its first entry in row
-    order, where the two differ.
+    by :func:`_evaluator`, is squared row by row in ints through its nonzero
+    entries, at most k+1 per row for a Clifford Q; R + i*I with I != 0 as
+    [[R, -I], [I, R]], whose first m rows square to Re and -Im of A(x)^2.
+    Without ``p``, p(x) is the (0, 0) entry of A(x)^2.  Returns (values,
+    witness): values[x] = p(x) at each point checked; witness None when
+    A(x)^2 = p(x)*I at every point, else (x, i, j, got, want) at the first
+    point, and its first entry in row order, where the two differ.
     """
     polys = list(_distinct([row.values() for row in rows]))
     place = {id(terms): k for k, terms in enumerate(polys)}
     cells = [[(j, place[id(terms)]) for j, terms in row.items()] for row in rows]
     den, values_at = _evaluator(polys + [p.terms] if p is not None else polys)
+    m, half = len(cells), len(polys) + (p is not None)  # values_at(x)[half:] are the imaginary parts
     values: dict[tuple[int, ...], GaussianRational] = {}
     for x in points:
         vals = values_at(x)
         at = [{j: v for j, k in row if (v := vals[k])} for row in cells]
+        if any(vals[half:]):
+            im = [{j: v for j, k in row if (v := vals[half + k])} for row in cells]
+            at = ([{**a, **{m + j: -v for j, v in b.items()}} for a, b in zip(at, im)]
+                  + [{**b, **{m + j: v for j, v in a.items()}} for a, b in zip(at, im)])
         want = None
-        for i, row in enumerate(at):
+        for i, row in enumerate(at[:m]):
             acc = {}
             for k, a in row.items():
                 for j, b in at[k].items():
                     acc[j] = acc.get(j, 0) + a * b
-            diag = acc.pop(i, 0)
+            diag = (acc.pop(i, 0), -acc.pop(m + i, 0))
             if want is None:
                 want, values[x] = diag, _exact(diag, den * den)
-                if p is not None and diag != vals[-1] * den:
+                if p is not None and diag != (vals[half - 1] * den, vals[-1] * den):
                     return values, (x, 0, 0, values[x], p.eval(x))
-            bad = [j for j, v in acc.items() if v] + [i] * (diag != want)
+            bad = [j % m for j, v in acc.items() if v] + [i] * (diag != want)
             if bad:
                 j = min(bad)
-                return values, (x, i, j, _exact(acc.get(j, diag), den * den), values[x] if j == i else GR_ZERO)
+                got = diag if j == i else (acc.get(j, 0), -acc.get(m + j, 0))
+                return values, (x, i, j, _exact(got, den * den), values[x] if j == i else GR_ZERO)
     return values, None
 
 
@@ -514,7 +528,7 @@ def verify_pencil(
             failures.append(CheckFailure("kind", f"matrix {idx} entry {bad} breaks {kind} symmetry"))
 
     pencil = _integer_slices(matrices)  # (m, D, slices)
-    if not ring.gaussian and any(a.imag for cells in pencil[2] for a in cells.values()):
+    if not ring.gaussian and any(k >= m * m for cells in pencil[2] for k in cells):  # an imaginary part
         raise ValueError("imaginary coefficient in a non-gaussian ring")
     matched = _match_branch(matrices, h, r, up_to_scalar) if deg == 2 else None
     notes["method"] = "lattice" if matched is None else "minimal-polynomial-shortcut"

@@ -22,7 +22,8 @@ identifiers from the ring, operators ``+ - * ^`` with standard precedence,
 parentheses, integer and ``p/q`` rational literals, and the literal token
 ``i`` for the imaginary unit in Gaussian rings.  Literals are ASCII digits
 and names ASCII identifiers; whitespace is insignificant, and any other
-character is a ParseError naming it and its position.
+character is a ParseError naming it and its position.  So is a literal
+power estimated to pass the longest literal int() converts.
 
 Parsing builds terms directly.  Each subexpression is a dict from exponent
 vectors to (re, im) pairs of ints or Fractions, and each signed term of a
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -539,6 +541,8 @@ class MultiPoly:
                             del rem[k]
         return MultiPoly(self.ring, quotient)
 
+    __floordiv__ = divide_exact  # so that the integer Bareiss loop runs on polynomials
+
     # -- formatting ------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -557,7 +561,8 @@ class MultiPoly:
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*^/()]")
 _BAD_CHAR = re.compile(r"[^\s0-9A-Za-z_*^/()+-]")
 _OPS = set("+-*^/()")
-_INTEGER = re.compile(r"-?[0-9]+")
+_UNITS = {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}  # (re, im) of zero and the units of Z[i]
+_LITERAL = re.compile(r"(-?[0-9]+)?(?:((?(1)[-+]|-?))(?:([0-9]+)\*)?(i))?")
 
 # A parsed subexpression: exponent vector -> (re, im), each part an int or a
 # Fraction.  Zero coefficients may be present until the final conversion.
@@ -643,6 +648,15 @@ class _Parser:
         except ValueError:
             raise ParseError(f"integer literal of {len(tok)} digits is too long at position {self.at()}") from None
 
+    def raised(self, re, im, n: int, k: int) -> tuple:
+        """(re + im*i)^n; a ParseError at token k, where the power starts, if the base is not 0 or a unit
+        and n times the bit length of its largest numerator or denominator passes what int() converts."""
+        limit = sys.get_int_max_str_digits()
+        bits = n * max(max(abs(q.numerator), q.denominator).bit_length() for q in (re, im))
+        if limit and bits > 3 * limit and (re, im) not in _UNITS and bits > (10**limit - 1).bit_length():
+            raise ParseError(f"power of about {bits} bits is too large at position {self.start(k)}")
+        return _pair_pow(re, im, n)
+
     def parse(self) -> MultiPoly:
         terms = self.expr()
         tok = self.tokens[self.pos]
@@ -677,7 +691,7 @@ class _Parser:
                 if tokens[after] == "^":
                     n, after = int(tokens[after + 1]), after + 2
                 if k is None:
-                    value = int(tok) ** n
+                    value = self.raised(int(tok), 0, n, self.pos)[0] if n > 1 else int(tok) ** n
                     re, im = re * value, im * value
                 elif k >= 0:
                     expo[k] += n
@@ -719,7 +733,7 @@ class _Parser:
         return {e: (-re, -im) for e, (re, im) in terms.items()} if sign == "-" else terms
 
     def power(self) -> _Terms:
-        base = self.atom()
+        start, base = self.pos, self.atom()
         if self.tokens[self.pos] != "^":
             return base
         self.pos += 1
@@ -731,7 +745,7 @@ class _Parser:
             return {self.one: (1, 0)}
         if len(base) > 1:
             return _terms_of(_poly_of(self.ring, base) ** n)
-        return {tuple(k * n for k in e): _pair_pow(re, im, n) for e, (re, im) in base.items()}
+        return {tuple(k * n for k in e): self.raised(re, im, n, start) for e, (re, im) in base.items()}
 
     def atom(self) -> _Terms:
         tok = self.next()
@@ -766,11 +780,15 @@ class _Parser:
 
 def parse(text: str, ring: Ring) -> MultiPoly:
     """Parse an expression in the polynomial grammar into ``ring``.  One
-    integer literal, maybe negated, skips the grammar unless int() refuses it."""
-    if _INTEGER.fullmatch(text):
-        try:
-            return _poly_of(ring, {(0,) * ring.arity: (int(text), 0)})
-        except ValueError:  # too long: the grammar names its position
+    integer literal, maybe negated, or in a Gaussian ring one Gaussian
+    integer literal (i, -b*i, a+i, a-b*i, ...), skips the grammar unless
+    int() refuses a part."""
+    match = _LITERAL.fullmatch(text)
+    if match and (match[1] or match[4]) and (ring.gaussian or not match[4]):
+        try:  # int() refuses a part that is too long: the grammar names its position
+            im = int(match[2] + (match[3] or "1")) if match[4] else 0
+            return _poly_of(ring, {(0,) * ring.arity: (int(match[1] or 0), im)})
+        except ValueError:
             pass
     parser = _Parser(text, ring)
     try:

@@ -5,8 +5,8 @@ denominator).  On top of that this module provides Gaussian rationals,
 Lagrange four-square decompositions of positive rationals, the one
 fraction-free (Bareiss) elimination behind every exact determinant and
 minor, and Sylvester's test of constant symmetric/hermitian matrices, run
-on their integer multiples in Z, or in Z[i] as Gaussian integers that mix
-with ``int``, so that one integer code path serves both rings.
+on their integer multiples in Z, or in Z[i] as a real and an imaginary
+matrix of plain ints.
 """
 
 from __future__ import annotations
@@ -335,110 +335,74 @@ def pencil_value(matrices: Sequence[ConstMatrix], point: Sequence[RationalLike])
     return ConstMatrix(acc, _common_kind(matrices))
 
 
-def bareiss(rows: list[list], one, divide: Callable, pivoting: bool) -> tuple[list, int]:
-    """Fraction-free (Bareiss) elimination of the square ``rows``, in place.
-
-    Works on any entry type with ``*``, ``-`` and truth testing; ``divide``
-    is the exact division of that type (``operator.floordiv`` for integers
-    and :class:`_GaussInt`, ``operator.truediv`` for Gaussian rationals,
-    ``MultiPoly.divide_exact`` for polynomials) and ``one`` its unit.
-    Returns (pivots, sign), the pivots ending at the first zero one.
-    Without ``pivoting`` pivot k is the leading principal minor of order
-    k + 1.  With ``pivoting`` a zero pivot is swapped for a nonzero entry
-    below it (each swap flips ``sign``), so a full list ends in sign * det
-    and a zero pivot means det = 0.  Zero entries are skipped.
+def bareiss(rows: list[list], im: Optional[list[list]], pivoting: bool) -> tuple[list, int]:
+    """Fraction-free (Bareiss 1968) elimination, in place, of the square int
+    matrix ``rows`` (or of entries with ``* - //``, such as polynomials),
+    or with ``im`` of rows + i*im over Z[i], its two int parts side by side.
+    Each update divides exactly by the previous pivot q: by ``//``, over
+    Z[i] as a product with conj(q) over |q|^2.  Returns (pivots, sign), the
+    pivots as (re, im) pairs ending at the first zero one.  Without
+    ``pivoting`` pivot k is the leading principal minor of order k + 1.
+    With ``pivoting`` a zero pivot is swapped for a nonzero entry below it
+    (each swap flips ``sign``), so a full list ends in sign * det.
     """
     n = len(rows)
-    pivots = []
-    sign = 1
-    prev = one
+    pivots: list = []
+    sign, prev, prev_im = 1, 1, 0
     for k in range(n):
-        if pivoting and not rows[k][k]:
+        if pivoting and not (rows[k][k] or im and im[k][k]):
             for p in range(k + 1, n):
-                if rows[p][k]:
-                    rows[k], rows[p] = rows[p], rows[k]
+                if rows[p][k] or im and im[p][k]:
+                    for part in (rows, im) if im else (rows,):
+                        part[k], part[p] = part[p], part[k]
                     sign = -sign
                     break
-        row_k = rows[k]
-        pivot = row_k[k]
-        pivots.append(pivot)
-        if not pivot:
+        row_k, pivot = rows[k], rows[k][k]
+        pivot_im = im[k][k] if im else 0
+        pivots.append((pivot, pivot_im))
+        if not (pivot or pivot_im):
             break
-        for row_i in rows[k + 1 :]:
-            aik = row_i[k]
-            if aik:
+        if not im:  # the first pivot divides nothing, so polynomial entries never meet an int divisor
+            for row_i in rows[k + 1 :]:
+                a = row_i[k]
                 for j in range(k + 1, n):
-                    row_i[j] = divide(pivot * row_i[j] - aik * row_k[j], prev)
-            else:
-                for j in range(k + 1, n):
-                    if row_i[j]:
-                        row_i[j] = divide(pivot * row_i[j], prev)
-        prev = pivot
+                    row_i[j] = (pivot * row_i[j] - a * row_k[j]) // prev if k else pivot * row_i[j] - a * row_k[j]
+        else:
+            im_k, norm = im[k], prev * prev + prev_im * prev_im
+            for row_i, im_i in zip(rows[k + 1 :], im[k + 1 :]):
+                a, b = row_i[k], im_i[k]
+                if pivot_im or prev_im:  # x + y*i = (u + v*i) * pivot - (a + b*i) * (w + z*i), then over q = prev
+                    for j in range(k + 1, n):  # (x + y*i) / q = (x + y*i) * conj(q) / |q|^2
+                        u, v, w, z = row_i[j], im_i[j], row_k[j], im_k[j]
+                        x, y = pivot * u - pivot_im * v - a * w + b * z, pivot * v + pivot_im * u - a * z - b * w
+                        row_i[j], im_i[j] = (x * prev + y * prev_im) // norm, (y * prev - x * prev_im) // norm
+                else:  # both real, as in a hermitian matrix without swaps
+                    for j in range(k + 1, n):
+                        u, v, w, z = row_i[j], im_i[j], row_k[j], im_k[j]
+                        row_i[j], im_i[j] = (pivot * u - a * w + b * z) // prev, (pivot * v - a * z - b * w) // prev
+        prev, prev_im = pivot, pivot_im
     return pivots, sign
-
-
-class _GaussInt:
-    """A Gaussian integer real + imag*i that mixes with ``int``: ``+``, ``-``
-    and ``*`` take an int on either side and ``//`` is exact division.  Only
-    the other operand's ``real`` and ``imag`` are read, which an int has too,
-    so integer code (:func:`bareiss`, ``sum``) runs unchanged over Z[i]."""
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real: int, imag: int):
-        self.real = real
-        self.imag = imag
-
-    def __bool__(self) -> bool:
-        return bool(self.real or self.imag)
-
-    def __eq__(self, other) -> bool:
-        return self.real == other.real and self.imag == other.imag
-
-    def __add__(self, other) -> "_GaussInt":
-        return _GaussInt(self.real + other.real, self.imag + other.imag)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "_GaussInt":
-        return _GaussInt(self.real - other.real, self.imag - other.imag)
-
-    def __rsub__(self, other) -> "_GaussInt":
-        return _GaussInt(other.real - self.real, other.imag - self.imag)
-
-    def __neg__(self) -> "_GaussInt":
-        return _GaussInt(-self.real, -self.imag)
-
-    def __mul__(self, other) -> "_GaussInt":
-        a, b, c, d = self.real, self.imag, other.real, other.imag
-        return _GaussInt(a * c - b * d, a * d + b * c)
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, other) -> "_GaussInt":
-        a, b, c, d = self.real, self.imag, other.real, other.imag
-        norm = c * c + d * d
-        return _GaussInt((a * c + b * d) // norm, (b * c - a * d) // norm)
 
 
 def _over_integers(coeffs: Sequence[GaussianRational]) -> tuple[int, Callable]:
     """(D, scaled): the lcm D of the coefficients' denominators and the map
-    c -> D*c, into int, or into _GaussInt when a coefficient is not real."""
+    c -> (re, im), the two int parts of D*c."""
     den = math.lcm(*{q.denominator for c in coeffs for q in (c.re, c.im)})
-    if not any(c.im for c in coeffs):
-        return den, lambda c: c.re.numerator * (den // c.re.denominator)
-    return den, lambda c: _GaussInt(c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+    return den, lambda c: (c.re.numerator * (den // c.re.denominator),
+                           0 if c.im is _ZERO else c.im.numerator * (den // c.im.denominator))
 
 
 def _integer_slices(matrices: Sequence[ConstMatrix]) -> tuple:
     """(m, D, slices) for the m x m pencil sum_i x_i A_i: D the lcm of its
-    denominators and each slice's nonzero entries as {(i, j): D*a} over Z or
-    Z[i] (:func:`_over_integers`), found and scaled once."""
+    denominators and each slice's nonzero int parts of D*a, found and scaled
+    once, as {k: part}, k = i*m + j for Re a_ij and m*m + i*m + j for Im."""
+    m = matrices[0].size
     # Zero entries are often the shared GR_ZERO, which `is` finds fast.
-    cells = [{(i, j): a for i, row in enumerate(mat.entries) for j, a in enumerate(row) if a is not GR_ZERO and a}
+    cells = [{i * m + j: a for i, row in enumerate(mat.entries) for j, a in enumerate(row) if a is not GR_ZERO and a}
              for mat in matrices]
     den, scaled = _over_integers([a for nonzero in cells for a in nonzero.values()])
-    return matrices[0].size, den, [{ij: scaled(a) for ij, a in nonzero.items()} for nonzero in cells]
+    return m, den, [{k + part * m * m: v for k, a in nonzero.items() for part, v in enumerate(scaled(a)) if v}
+                    for nonzero in cells]
 
 
 def first_nonpositive_minor(matrix: ConstMatrix) -> Optional[tuple[int, Fraction]]:
@@ -451,25 +415,28 @@ def first_nonpositive_minor_at(pencil: tuple, point: Sequence[RationalLike]) -> 
     of its first nonpositive leading minor, or None.
 
     s*A, for s = D*L with the slices scaled by D (:func:`_integer_slices`)
-    and L the lcm of the point's denominators, is summed over Z or Z[i]
-    through the nonzero entries of the slices with point_i != 0.  Its
+    and L the lcm of the point's denominators, is summed part by part in
+    ints through the nonzero cells of the slices with point_i != 0.  Its
     leading minors are s^k times A's: prefix products of its diagonal when
-    it is diagonal, else the pivots of :func:`bareiss` without pivoting.  An
+    it is real and diagonal, else the pivots of :func:`bareiss` without
+    pivoting, over Z or, when an imaginary part is nonzero, Z[i].  An
     imaginary minor breaks the symmetric/hermitian invariant and raises.
     """
     m, den, slices = pencil
     used = [(c, cells) for c, cells in zip(map(as_fraction, point), slices) if c]
     point_den = math.lcm(*(c.denominator for c, _ in used))
-    rows: list[dict] = [{} for _ in range(m)]
+    flat: dict[int, int] = {}
     for c, cells in used:
         factor = c.numerator * (point_den // c.denominator)
-        for (i, j), a in cells.items():
-            rows[i][j] = rows[i].get(j, 0) + a * factor
-    if all(i == j or not v for i, row in enumerate(rows) for j, v in row.items()):
-        pivots = list(itertools.accumulate([row.get(i, 0) for i, row in enumerate(rows)], operator.mul))
+        for k, a in cells.items():
+            flat[k] = flat.get(k, 0) + a * factor
+    if all(k < m * m and not k % (m + 1) or not v for k, v in flat.items()):
+        pivots = [(p, 0) for p in itertools.accumulate([flat.get(k, 0) for k in range(0, m * m, m + 1)], operator.mul)]
     else:
-        pivots = bareiss([[row.get(j, 0) for j in range(m)] for row in rows], 1, operator.floordiv, False)[0]
-    bad = next((k for k, pivot in enumerate(pivots, 1) if pivot.imag), None)
+        parts = 1 + any(k >= m * m and v for k, v in flat.items())
+        rows = [[flat.get(k * m + j, 0) for j in range(m)] for k in range(parts * m)]
+        pivots = bareiss(rows[:m], rows[m:] or None, False)[0]
+    bad = next((k for k, (_, im) in enumerate(pivots, 1) if im), None)
     if bad is not None:
         raise ArithmeticError(f"leading principal minor {bad} is not real; hermitian invariant broken")
-    return next(((k, Fraction(p.real, (den * point_den) ** k)) for k, p in enumerate(pivots, 1) if p.real <= 0), None)
+    return next(((k, Fraction(p, (den * point_den) ** k)) for k, (p, _) in enumerate(pivots, 1) if p <= 0), None)

@@ -13,10 +13,11 @@ serialize as JSON {"vars": [...], "kind": ..., "gaussian": ...,
 
 Polynomials, squares-file lines, polynomial-matrix entries and pencil cells
 all go through the one parser, ``polyring.parse`` (see the polyring
-docstring); its literals and names are ASCII.  A pencil's cells are parsed
-in the ring it declares, each distinct text once per file, so that equal
-cells share one value.  A JSON file of the wrong shape is a ParseError that
-names the bad field or cell.
+docstring); its literals and names are ASCII.  A text that is one Gaussian
+integer literal, such as a pencil cell "12-7*i", is read without the
+grammar.  A pencil's cells are parsed in the ring it declares, each
+distinct text once per file, so that equal cells share one value.  A JSON
+file of the wrong shape is a ParseError that names the bad field or cell.
 """
 
 from __future__ import annotations

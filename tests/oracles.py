@@ -1,6 +1,5 @@
 """Independent reference implementations used only by the tests."""
 
-import operator
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, lcm
@@ -9,7 +8,7 @@ from hypercert.detrep import PolyMatrix, const_det, pencil_to_polymatrix, poly_d
 from hypercert.polyring import MultiPoly, ParseError, UniPoly, sturm_chain
 from hypercert.quadratic import normalize_at_direction, rational_sos_quadratic
 from hypercert.realroots import _index
-from hypercert.scalars import ConstMatrix, GaussianRational, as_fraction, bareiss, pencil_value
+from hypercert.scalars import ConstMatrix, GaussianRational, as_fraction, pencil_value
 
 
 def perm_sign(perm):
@@ -175,14 +174,22 @@ def quadratic_detrep_reference(h, e, generators):
 
 def leading_principal_minors(matrix):
     """All leading principal minors of a ConstMatrix, as Fractions: the
-    pivots of Bareiss elimination over Q(i) without row swaps, ending at the
-    first zero one.  An imaginary minor (a broken hermitian invariant)
-    raises ArithmeticError."""
-    pivots, _ = bareiss([list(row) for row in matrix.entries], GaussianRational(1), operator.truediv, pivoting=False)
-    for k, pivot in enumerate(pivots):
-        if pivot.im:
+    prefix products of the pivots of Gaussian elimination over Q(i) without
+    row swaps, ending at the first zero one.  An imaginary minor (a broken
+    hermitian invariant) raises ArithmeticError."""
+    rows = [list(row) for row in matrix.entries]
+    minors, minor = [], GaussianRational(1)
+    for k, row_k in enumerate(rows):
+        minor = minor * row_k[k]
+        if minor.im:
             raise ArithmeticError(f"leading principal minor {k + 1} is not real; hermitian invariant broken")
-    return [pivot.re for pivot in pivots]
+        minors.append(minor.re)
+        if not minor:
+            break
+        for row in rows[k + 1 :]:
+            factor = row[k] / row_k[k]
+            row[k:] = [a - factor * b for a, b in zip(row[k:], row_k[k:])]
+    return minors
 
 
 def sylvester_reference(matrix):

@@ -101,7 +101,7 @@ class TestLongNumbers:
 
     def test_refutation_prints_a_long_witness(self, tmp_path, capsys):
         poly = tmp_path / "long.txt"
-        poly.write_text("ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\nx0^2 + x1^2 + 10^5000*x2^2\n")
+        poly.write_text("ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\nx0^2 + x1^2 + 10^2500*10^2500*x2^2\n")
         limit = sys.get_int_max_str_digits()
         for as_json in ([], ["--json"]):
             code = main(["check-hyperbolic", "--poly", str(poly), "--dir", "1,0,0", "--samples", "5"] + as_json)
@@ -111,6 +111,20 @@ class TestLongNumbers:
         payload = json.loads(captured.out)
         assert payload["status"] == "refuted"
         assert len(payload["witness"]["restricted_poly"]) > 5000
+
+    def test_a_literal_power_at_the_limit_and_one_past_it(self, tmp_path, capsys):
+        # 3 has two bits: 3^n is refused once 2*n passes the bit length of
+        # the longest literal int() converts, before the power is computed.
+        n = (10 ** sys.get_int_max_str_digits() - 1).bit_length() // 2
+        poly = tmp_path / "power.txt"
+        argv = ["check-hyperbolic", "--poly", str(poly), "--dir", "1,0", "--samples", "3", "--json"]
+        poly.write_text(f"ring: vars=x0,x1 weights=1,1 gaussian=false\nx0 + 3^{n}*x1\n")
+        assert main(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["status"] == "no-counterexample"
+        poly.write_text(f"ring: vars=x0,x1 weights=1,1 gaussian=false\nx0 + 3^{n + 1}*x1\n")
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"input error: power of about {2 * n + 2} bits is too large at position 5\n")
 
     def test_a_long_literal_is_still_an_input_error(self, tmp_path, capsys):
         poly = tmp_path / "literal.txt"
@@ -579,6 +593,16 @@ class TestExitCodes:
         # The cells are parsed in the ring the pencil declares, not in a
         # Gaussian one that would certify it against a Gaussian h.
         assert main(_imaginary_cells_in_a_real_pencil(tmp_path)) == EXIT_USAGE
+        assert capsys.readouterr().err == "input error: imaginary coefficient in a non-gaussian ring\n"
+
+    @pytest.mark.parametrize("cell", ["i", "-i", "3*i", "2-5*i"])
+    def test_imaginary_literal_cell_of_a_real_pencil(self, tmp_path, capsys, cell):
+        # A Gaussian integer literal skips the grammar only in a Gaussian ring.
+        argv = _imaginary_cells_in_a_real_pencil(tmp_path)
+        pencil = json.loads(Path(argv[2]).read_text())
+        pencil["matrices"][1] = [[cell, "1"], ["1", "0"]]  # the one cell that is not real
+        Path(argv[2]).write_text(json.dumps(pencil))
+        assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == "input error: imaginary coefficient in a non-gaussian ring\n"
 
     @pytest.mark.parametrize("case", REFUTED)

@@ -134,10 +134,11 @@ def reached_only_from(roots, kept):
 # with it.  A pass by name cannot tell apart two definitions that share a
 # name: math.gcd and the local ``derivative`` of ``_TaylorTable.__init__``
 # hide ``UniPoly.gcd`` and ``UniPoly.derivative``, which hook-only code
-# alone reaches too (and ``primitive`` with them).
+# alone reaches too (and ``primitive`` with them).  Nor does it see an
+# operator: ``poly_det`` divides through ``//``, and the class-level alias
+# ``MultiPoly.__floordiv__ = divide_exact`` reads as a use of that name,
+# which hides ``MultiPoly.divide_exact`` and ``UniPoly.divide_exact``.
 HOOK_ONLY_REACH = {
-    ("polyring", "MultiPoly.divide_exact"),
-    ("polyring", "UniPoly.divide_exact"),
     ("polyring", "UniPoly.leading"),
     ("realroots", "cauchy_root_bound"),
 }

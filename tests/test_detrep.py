@@ -1152,9 +1152,17 @@ def term_dicts(gaussian: bool):
     return st.dictionaries(st.sampled_from(MONOMIALS), coeff, max_size=len(MONOMIALS))
 
 
+def as_gaussians(values: list) -> list:
+    """The real parts, then the imaginary parts, of values(x) as Gaussian
+    rationals."""
+    half = len(values) // 2
+    return [GaussianRational(re, im) for re, im in zip(values[:half], values[half:])]
+
+
 class TestEvaluator:
-    """_evaluator against MultiPoly.eval: values(x)[k] = D * polys[k](x),
-    with D the lcm of every coefficient's denominators."""
+    """_evaluator against MultiPoly.eval: values(x)[k] and values(x)[n + k],
+    for n polynomials, are the int real and imaginary parts of
+    D * polys[k](x), with D the lcm of every coefficient's denominators."""
 
     @given(st.booleans(), st.data())
     def test_values_are_D_times_eval(self, gaussian, data):
@@ -1166,9 +1174,8 @@ class TestEvaluator:
         for x in data.draw(st.lists(st.tuples(*[st.integers(-6, 6)] * 3), min_size=1, max_size=5)):
             got = values(x)
             want = [MultiPoly(ring, terms).eval(x) * GaussianRational(den) for terms in polys]
-            assert [GaussianRational(v.real, v.imag) for v in got] == want
-            if not gaussian:
-                assert all(type(v) is int for v in got)
+            assert len(got) == 2 * len(polys) and all(type(v) is int for v in got)
+            assert as_gaussians(got) == want
 
     def test_shared_monomials_and_the_same_dict_twice(self):
         ring = Ring.standard(("x0", "x1"), gaussian=True)
@@ -1176,7 +1183,7 @@ class TestEvaluator:
         den, values = _evaluator([p.terms, q.terms, p.terms, {}])
         assert den == 6
         for x in [(0, 0), (1, 0), (2, -3), (-1, 5)]:
-            got = [GaussianRational(v.real, v.imag) for v in values(x)]
+            got = as_gaussians(values(x))
             assert got == [f.eval(x).scale(6) for f in (p, q, p, MultiPoly.zero(ring))]
 
     def test_no_polynomials(self):

@@ -1,7 +1,7 @@
 """Oracles for the exact kernel: MultiPoly products and exact division over
-real, Gaussian and weighted rings, the shared Bareiss elimination
-(polynomial and constant determinants, leading principal minors), pencil
-values.
+real, Gaussian and weighted rings, the shared Bareiss elimination (on int
+and Gaussian int rows, polynomial and constant determinants, leading
+principal minors), pencil values.
 
 The references here are written term by term on (re, im) Fraction pairs, so
 they share no code with the packed integer kernel or with GaussianRational
@@ -24,6 +24,7 @@ from hypercert.scalars import (
     KIND_SYMMETRIC,
     ConstMatrix,
     GaussianRational,
+    bareiss,
     pencil_value,
 )
 from oracles import const_matrix, leading_principal_minors
@@ -291,6 +292,75 @@ def test_const_det_row_swaps_and_singular_cases():
     assert const_det(const_matrix([[0, 1], [0, 2]])).is_zero()  # zero column
     assert const_det(const_matrix([[1, 2], [2, 4]])).is_zero()
     assert const_det(ConstMatrix([])) == GaussianRational(1)
+
+
+class TestIntegerBareiss:
+    """scalars.bareiss on int rows, and on (re, im) int rows over Z[i],
+    against sympy's field elimination: 0x0 to 6x6 matrices whose leading
+    columns are often zero (row swaps flip the sign) or that are singular."""
+
+    ENTRIES = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**15), 10**15))
+
+    @staticmethod
+    @st.composite
+    def matrices(draw, gaussian):
+        n = draw(st.integers(0, 6))
+        square = st.lists(st.lists(TestIntegerBareiss.ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)
+        re, im = draw(square), draw(square) if gaussian else [[0] * n for _ in range(n)]
+        shape = draw(st.sampled_from(["any", "zero-lead", "singular"]))
+        if shape == "zero-lead":  # a zero pivot at each of the first columns, unless a swap finds one
+            for k in range(n):
+                for i in range(k, n - 1):
+                    re[i][k] = im[i][k] = 0
+        if shape == "singular" and n > 1:  # the last row is the sum of the first two
+            for part in (re, im):
+                part[-1] = [a + b for a, b in zip(part[0], part[1 % (n - 1)])]
+        return re, im
+
+    @staticmethod
+    def reference(re, im):
+        n = len(re)
+        return sympy.expand(sympy.Matrix(n, n, lambda i, j: re[i][j] + sympy.I * im[i][j]).det(method="domain-ge"))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.booleans(), st.data())
+    def test_determinant(self, gaussian, data):
+        re, im = data.draw(self.matrices(gaussian))
+        pivots, sign = bareiss([row[:] for row in re], [row[:] for row in im] if gaussian else None, True)
+        expected = self.reference(re, im)
+        if pivots and not any(pivots[-1]):  # it stops at a zero pivot: det = 0
+            assert expected == 0
+        else:
+            assert len(pivots) == len(re)
+            det = (sign * pivots[-1][0], sign * pivots[-1][1]) if pivots else (1, 0)
+            assert det == (sympy.re(expected), sympy.im(expected))
+        assert gaussian or not any(im for _, im in pivots)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.booleans(), st.data())
+    def test_leading_minors_without_pivoting(self, gaussian, data):
+        re, im = data.draw(self.matrices(gaussian))
+        pivots, sign = bareiss([row[:] for row in re], [row[:] for row in im] if gaussian else None, False)
+        expected = []
+        for k in range(1, len(re) + 1):
+            minor = self.reference([row[:k] for row in re[:k]], [row[:k] for row in im[:k]])
+            expected.append((sympy.re(minor), sympy.im(minor)))
+            if not minor:
+                break
+        assert pivots == expected and sign == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 5), st.data())
+    def test_const_det_of_gaussian_rationals(self, m, data):
+        part = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+        entry = st.one_of(st.just(GaussianRational(0)), st.builds(GaussianRational, part, part))
+        rows = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+        assert sympy.expand(sympy_number(const_det(ConstMatrix(rows))) - sympy_det(rows)) == 0
+
+    def test_row_swaps_flip_the_sign(self):
+        assert bareiss([[0, 1], [1, 0]], None, True) == ([(1, 0), (1, 0)], -1)  # det = -1 * 1
+        assert bareiss([[0, 0], [0, 0]], [[0, 1], [1, 0]], True) == ([(0, 1), (-1, 0)], -1)  # det = -1 * i^2
+        assert bareiss([[0, 1], [1, 0]], None, False) == ([(0, 0)], 1)  # no swap: the first minor is 0
 
 
 def random_small_hermitian(rng, m, hermitian):

@@ -1,6 +1,7 @@
 """The polynomial grammar: term-dict parsing against the MultiPoly reference."""
 
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -251,6 +252,89 @@ class TestIntegerShortCircuit:
         with pytest.raises(ParseError) as err:
             parse(sign + "1" * 5000, REAL)
         assert str(err.value) == f"integer literal of 5000 digits is too long at position {pos}"
+
+
+GAUSSIAN_NEAR_MISSES = [
+    " 1+i", "1+i ", "1 + i", "+i", "+3*i", "+1-i", "0*i", "-0-i", "-0*i", "0+0*i", "1_0", "1_0*i", "2+1_0*i",
+    "\u0663+i", "1+\u0663*i", "3i", "i3", "1i", "1+-i", "1--i", "-+i", "--i", "1+i*i", "i*3", "i*i", "1*i", "2*3*i",
+    "1+2*i+3", "(1+i)", "1/2+i", "1+i/2", "i^2", "2^2+i", "1+2*i^3", "*i", "1+*i", "1+", "-", "", "i-1", "007-007*i",
+]
+
+
+class TestGaussianLiteralShortCircuit:
+    """A text that is one Gaussian integer literal (a, i, -b*i, a+b*i, ...)
+    skips the grammar in a Gaussian ring; the reference gives the same value
+    or the same ParseError on it and on the texts near it, in every ring."""
+
+    @given(
+        st.one_of(
+            st.tuples(st.sampled_from(["", "-"]), st.integers(0, 10**30), st.sampled_from(["+", "-"]),
+                      st.sampled_from(["", "0*", "1*", "7*", "12*", f"{10**25}*"])).map(lambda t: f"{t[0]}{t[1]}{t[2]}{t[3]}i"),
+            st.tuples(st.sampled_from(["", "-"]), st.integers(0, 10**30)).map(lambda t: f"{t[0]}{t[1]}*i"),
+            st.sampled_from(["i", "-i"] + GAUSSIAN_NEAR_MISSES),
+            st.text("0123456789-+*i _\u0663", max_size=7),
+        ),
+        st.sampled_from(RINGS),
+    )
+    def test_agrees_with_the_reference(self, text, ring):
+        assert outcome(parse, text, ring) == outcome(reference_parse, text, ring)
+
+    @pytest.mark.parametrize("text", ["i", "-i", "3*i", "-12*i", "12-7*i", "-1+i", "0-0*i", "-0-i"])
+    def test_a_literal_skips_the_grammar(self, monkeypatch, text):
+        expected, cell = reference_parse(text, GAUSSIAN), reference_parse(text, Ring((), (), gaussian=True))
+        monkeypatch.setattr(polyring, "_Parser", None)
+        assert parse(text, GAUSSIAN) == expected
+        assert _parse_cell(text) == cell.terms.get((), GaussianRational(0))
+
+    LONG = "7" * (sys.get_int_max_str_digits() + 1)
+
+    @pytest.mark.parametrize(
+        "text, pos", [(LONG + "-3*i", 0), ("-" + LONG + "+i", 1), ("2+" + LONG + "*i", 2), ("-" + LONG + "*i", 1)],
+        ids=["real-part", "signed-real-part", "imaginary-part", "signed-imaginary-part"],
+    )
+    def test_over_long_part_is_the_grammar_error(self, text, pos):
+        with pytest.raises(ParseError) as err:
+            parse(text, GAUSSIAN)
+        assert str(err.value) == f"integer literal of {len(self.LONG)} digits is too long at position {pos}"
+
+
+def max_power_bits():
+    """The bit length of the longest literal int() converts."""
+    return (10 ** sys.get_int_max_str_digits() - 1).bit_length()
+
+
+class TestLiteralPowerLimit:
+    """A literal power whose size, estimated as the bit length of its base
+    times its exponent, passes the longest literal int() converts is a
+    ParseError at the position of its base, found before it is computed."""
+
+    def test_at_the_limit_and_one_past_it(self):
+        n = max_power_bits() // 2  # 3 has two bits
+        assert parse(f"3^{n}*x0", REAL) == parse("x0", REAL).scale(3**n)
+        assert parse(f"x0 + (3)^{n}", REAL) == parse("x0", REAL) + MultiPoly.constant(REAL, 3**n)
+        for text, pos in ((f"3^{n + 1}*x0", 0), (f"x0 - 2*3^{n + 1}", 7), (f"x0 + (3)^{n + 1}", 5),
+                          (f"x0 + (3*x1)^{n + 1}", 5), (f"(1/3)^{n + 1}", 0)):
+            with pytest.raises(ParseError) as err:
+                parse(text, REAL)
+            assert str(err.value) == f"power of about {2 * (n + 1)} bits is too large at position {pos}", text
+
+    def test_gaussian_base(self):
+        n = max_power_bits()  # 1 + i: the largest part has one bit
+        assert parse(f"(1 + i)^{n}", GAUSSIAN) == reference_parse(f"(1 + i)^{n}", GAUSSIAN)
+        with pytest.raises(ParseError, match=f"^power of about {n + 1} bits is too large at position 0$"):
+            parse(f"(1 + i)^{n + 1}", GAUSSIAN)
+
+    def test_zero_and_units_are_not_bounded(self):
+        n = 10**6
+        assert parse(f"1^{n}*x0 + 0^{n}", REAL) == parse("x0", REAL)
+        assert parse(f"(-1)^{n + 1}*x0", REAL) == parse("-x0", REAL)
+        assert parse(f"(-i)^{n + 2} + i^{n}", GAUSSIAN).is_zero()
+
+    def test_a_huge_power_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="^power of about 12000000 bits is too large at position 0$"):
+            parse("999999999999^300000*x0 + x1", REAL)
+        assert time.perf_counter() - start < 0.1  # the power took 1.8 s before it was bounded
 
 
 def monomial_sums(ring):

@@ -1,6 +1,5 @@
 """Exact scalar arithmetic: Gaussian rationals, four squares, definiteness."""
 
-import operator
 import random
 import time
 from fractions import Fraction
@@ -13,7 +12,6 @@ from hypercert.scalars import (
     GR_ZERO,
     ConstMatrix,
     GaussianRational,
-    _GaussInt,
     _integer_slices,
     first_nonpositive_minor,
     first_nonpositive_minor_at,
@@ -64,45 +62,6 @@ class TestGaussianRational:
         assert _parse_cell("1/2-3*i") == GaussianRational(
             Fraction(1, 2), Fraction(-3)
         )
-
-
-BIG = st.integers(-(10**12), 10**12)
-gauss_ints = st.builds(_GaussInt, BIG, BIG)
-
-
-def as_gaussian(a) -> GaussianRational:
-    """An int or _GaussInt as the Gaussian rational it stands for."""
-    return GaussianRational(a.real, a.imag)
-
-
-class TestGaussInt:
-    """_GaussInt mixes with int: an int works on either side of + - *, and
-    // divides a product exactly, as GaussianRational arithmetic says."""
-
-    @given(gauss_ints, st.one_of(BIG, gauss_ints))
-    def test_ring_operations_either_side(self, a, b):
-        for op in (operator.add, operator.sub, operator.mul):
-            for x, y in ((a, b), (b, a)):
-                got = op(x, y)
-                assert type(got) is _GaussInt
-                assert as_gaussian(got) == op(as_gaussian(x), as_gaussian(y))
-        assert as_gaussian(-a) == -as_gaussian(a)
-        assert sum([b, a, b]) == a + 2 * b
-
-    @given(gauss_ints, st.one_of(BIG, gauss_ints))
-    def test_exact_division_of_a_product(self, a, b):
-        for x, y in ((a, b), (b, a)):
-            if y:
-                got = (x * y) // y
-                assert (got.real, got.imag) == (x.real, x.imag)
-                assert as_gaussian(got) == as_gaussian(x * y) / as_gaussian(y)
-
-    @given(BIG, BIG)
-    def test_equality_and_truth_against_int(self, re, im):
-        z = _GaussInt(re, im)
-        assert (z == re) == (re == z) == (not im)
-        assert (z != re) == (not z == re)
-        assert bool(z) == bool(re or im)
 
 
 class TestFourSquares:
