@@ -26,26 +26,26 @@ determinant identity det = c*h^r is decided by one of two routes:
 
 Values are D times the true ones, over Z or Z[i]: a pencil summed slice by
 slice along the lattice (:func:`_on_lattice`), every other polynomial (the
-cells of Q or A, p and h) by one evaluator, :func:`_evaluator`, each
-distinct monomial once per point.  One comparer, :func:`_match_values`,
-reads the points lazily and stops at a failure's witness: the first point
-where the two sides differ, which one constant determinant re-checks.  No
-route expands a polynomial determinant.  Definiteness at e is Sylvester's
-test on A(e) scaled into Z or Z[i]
-(:func:`~hypercert.scalars.first_nonpositive_minor_at`).
+cells of Q or A, p and h) by the one polynomial evaluator,
+:func:`~hypercert.polyring._evaluator`, each distinct monomial once per
+point.  One comparer, :func:`_match_values`, reads the points lazily and
+stops at a failure's witness: the first point where the two sides differ,
+which one constant determinant re-checks.  No route expands a polynomial
+determinant.  Definiteness at e is Sylvester's test on A(e) scaled into Z
+or Z[i] (:func:`~hypercert.scalars.first_nonpositive_minor_at`).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .polyring import MultiPoly, ParseError, Ring, _pair_pow, _sum_of_squares, parse, real_square_factorization
+from .polyring import (MultiPoly, ParseError, Ring, _evaluator, _exact, _pair_pow, _sum_of_squares, parse,
+                       real_square_factorization)
 from .scalars import (
     GR_ZERO,
     KIND_HERMITIAN,
@@ -146,8 +146,14 @@ class PolyMatrix:
         return None
 
     def eval_at(self, point: Sequence[RationalLike]) -> ConstMatrix:
-        pt = [as_fraction(c) for c in point]
-        return ConstMatrix([[p.eval(pt) for p in row] for row in self.rows], self.kind)
+        """The value at a rational point, each distinct entry evaluated once (:func:`_evaluator`)."""
+        if len(point) != self.ring.arity:
+            raise ValueError("point arity mismatch")
+        entries = list(_distinct(self.rows))
+        den, values = _evaluator([p.terms for p in entries])
+        at = values([as_fraction(c) for c in point])
+        value = {id(p): _exact(at[k :: len(entries)], den) for k, p in enumerate(entries)}
+        return ConstMatrix([[value[id(p)] for p in row] for row in self.rows], self.kind)
 
     def entry_degrees_homogeneous(self, degree: int) -> Optional[tuple[int, int]]:
         """First entry that is not weighted-homogeneous of the given degree
@@ -239,8 +245,9 @@ def _companion_match(matrix: PolyMatrix, h: MultiPoly, r: int) -> Optional[str]:
     in y of degree <= m with forms of degree <= m*w in x as coefficients, so
     y in {0..m} times the lattice of degree m*w decides the identity.  There
     det((y*D)*I - D*A(x)) = D^m * det(y*I - A(x)), with each distinct entry
-    of D*A(x) taken once by :func:`_evaluator`, over Z or, where A(x) has an
-    imaginary part, Z[i], is compared with h^r (:func:`_match_values`).
+    of D*A(x) taken once by :func:`~hypercert.polyring._evaluator`, over Z
+    or, where A(x) has an imaginary part, Z[i], is compared with h^r
+    (:func:`_match_values`).
     """
     m, y_idx = matrix.size, h.ring.index("y")
     entries = list(_distinct(matrix.rows))
@@ -329,32 +336,6 @@ def _lattice(n: int, degree: int, homogeneous: bool) -> list[tuple[int, ...]]:
     return [(t,) + b for t in range(degree + 1) for b in _lattice(n - 1, degree - t, False)]
 
 
-def _evaluator(polys: Sequence[dict[tuple[int, ...], GaussianRational]]) -> tuple:
-    """(D, values): D the lcm of the denominators in the terms dicts
-    ``polys`` and values(x) the ints Re D*poly(x), then Im D*poly(x), at an
-    integer point x, from each terms dict split into a real and an
-    imaginary one (:func:`~hypercert.scalars._over_integers`), each
-    distinct monomial once per point, from one table of the powers of x."""
-    den, scaled = _over_integers([c for terms in polys for c in terms.values()])
-    index: dict[tuple[int, ...], int] = {}  # monomial -> position in monos
-    scaled_polys = [[(index.setdefault(e, len(index)), scaled(c)) for e, c in terms.items()] for terms in polys]
-    parts = [[(k, c[part]) for k, c in terms if c[part]] for part in (0, 1) for terms in scaled_polys]
-    width = max([k for e in index for k in e], default=0) + 1  # the table: x_j^k, k < width, in one row
-    places = [[j * width + k for j, k in enumerate(e) if k] for e in index]  # of each monomial's factors
-
-    def values(x: tuple[int, ...]) -> list:
-        at = [c**k for c in x for k in range(width)].__getitem__
-        monos = [math.prod(map(at, p)) for p in places]
-        return [sum([c * monos[k] for k, c in terms]) if terms else 0 for terms in parts]
-
-    return den, values
-
-
-def _exact(v: tuple[int, int], den: int) -> GaussianRational:
-    """The (re, im) pair v divided by den, as a Gaussian rational."""
-    return GaussianRational(Fraction(v[0], den), Fraction(v[1], den))
-
-
 def _square_on_lattice(
     rows: Sequence[dict[int, dict[tuple[int, ...], GaussianRational]]],
     points: Sequence[tuple[int, ...]],
@@ -365,8 +346,9 @@ def _square_on_lattice(
     of A, and an entry missing from rows[i] is 0.
 
     D*A(x), each distinct terms dict evaluated once per point with D*p(x)
-    by :func:`_evaluator`, is squared row by row in ints through its nonzero
-    entries, at most k+1 per row for a Clifford Q; R + i*I with I != 0 as
+    by :func:`~hypercert.polyring._evaluator`, is squared row by row in ints
+    through its nonzero entries, at most k+1 per row for a Clifford Q;
+    R + i*I with I != 0 as
     [[R, -I], [I, R]], whose first m rows square to Re and -Im of A(x)^2.
     Without ``p``, p(x) is the (0, 0) entry of A(x)^2.  Returns (values,
     witness): values[x] = p(x) at each point checked; witness None when
@@ -396,7 +378,7 @@ def _square_on_lattice(
             if want is None:
                 want, values[x] = diag, _exact(diag, den * den)
                 if p is not None and diag != (vals[half - 1] * den, vals[-1] * den):
-                    return values, (x, 0, 0, values[x], p.eval(x))
+                    return values, (x, 0, 0, values[x], _exact((vals[half - 1], vals[-1]), den))
             bad = [j % m for j, v in acc.items() if v] + [i] * (diag != want)
             if bad:
                 j = min(bad)

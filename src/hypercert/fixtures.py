@@ -194,13 +194,9 @@ def _run_f4(fixture_id: str, spec: dict) -> FixtureResult:
         CheckOutcome("hermitian", bad is None, "ok" if bad is None else f"entry {bad}")
     )
 
-    member = not q1.eval_rational(base) and not q2.eval_rational(base)
+    at_base = q1.eval_rational(base), q2.eval_rational(base)
     result.checks.append(
-        CheckOutcome(
-            "base-point-on-surface",
-            member,
-            f"q1 = {q1.eval_rational(base)}, q2 = {q2.eval_rational(base)}",
-        )
+        CheckOutcome("base-point-on-surface", not any(at_base), "q1 = {}, q2 = {}".format(*at_base))
     )
 
     # The spanning line of the hyperbolicity subspace: x34 = 1, the rest 0.
@@ -220,24 +216,20 @@ def _run_f4(fixture_id: str, spec: dict) -> FixtureResult:
         result.checks.append(CheckOutcome("positive-definite-at-E", bad_minor is None, detail))
 
     vanished = 0
-    tried = 0
     index = 0
     worst = ""
-    while vanished + 1 <= wanted and index < 50 * wanted:
+    while vanished < wanted and index < 50 * wanted:
         q_point = sample_direction(seed, index, 5, box)
         index += 1
         try:
             coords = plucker_line(base, q_point)
         except ValueError:
             continue
-        tried += 1
         det = const_det(matrix.eval_at(coords))
         if det.is_zero():
             vanished += 1
         else:
             worst = f"line through {q_point} gives det {det}"
-            break
-        if vanished == wanted:
             break
     ok = vanished >= wanted
     result.checks.append(

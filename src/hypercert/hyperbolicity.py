@@ -149,18 +149,7 @@ def is_hyperbolic_sampled(
     would draw only v = 0.
     """
     _check_sampling(samples, box)
-    point = _check_inputs(h, e)
-    run = 0
-    for index in range(samples):
-        v = sample_direction(seed, index, h.ring.arity, box)
-        if all(Fraction(c) == pc for c, pc in zip(v, point)):
-            continue
-        run += 1
-        restricted = restrict_to_line(h, point, v)
-        if not is_real_rooted(restricted):
-            witness = Witness(tuple(Fraction(c) for c in v), restricted, REASON_NOT_REAL_ROOTED)
-            return SampledVerdict(STATUS_REFUTED, run, seed, witness)
-    return SampledVerdict(STATUS_NO_COUNTEREXAMPLE, run, seed)
+    return _sampled(h, None, _check_inputs(h, e), samples, seed, box)
 
 
 def interlaces_sampled(
@@ -185,24 +174,29 @@ def interlaces_sampled(
         raise ValueError("g and h must share one ring")
     if g.weighted_degree() != h.weighted_degree() - 1:
         raise ValueError("deg(g) must be deg(h) - 1")
+    return _sampled(h, g, point, samples, seed, box)
+
+
+def _sampled(h: MultiPoly, g: Optional[MultiPoly], point: list, samples: int, seed: int, box: int) -> SampledVerdict:
+    """The one sampling loop: each drawn line v but v = e, in turn, until
+    h's restriction has a nonreal root or, given an interlacer g, the two
+    restrictions break the chain."""
+    e = tuple([c.numerator for c in point]) if all(c.denominator == 1 for c in point) else None  # else no v is e
     run = 0
     for index in range(samples):
         v = sample_direction(seed, index, h.ring.arity, box)
-        if all(Fraction(c) == pc for c, pc in zip(v, point)):
+        if v == e:
             continue
         run += 1
-        rest_h = restrict_to_line(h, point, v)
-        rest_g = restrict_to_line(g, point, v)
-        reason = None
+        restricted = restrict_to_line(h, point, v)
         try:
-            if not interlaces_univariate(rest_h, rest_g):
-                reason = REASON_INTERLACING_FAILS
+            if g is None:
+                reason = None if is_real_rooted(restricted) else REASON_NOT_REAL_ROOTED
+            else:
+                interlaced = interlaces_univariate(restricted, restrict_to_line(g, point, v))
+                reason = None if interlaced else REASON_INTERLACING_FAILS
         except NotRealRootedError as err:
-            reason = (
-                REASON_NOT_REAL_ROOTED if err.which == "f" else REASON_INTERLACER_NOT_REAL_ROOTED
-            )
+            reason = REASON_NOT_REAL_ROOTED if err.which == "f" else REASON_INTERLACER_NOT_REAL_ROOTED
         if reason is not None:
-            witness = Witness(tuple(Fraction(c) for c in v), rest_h, reason)
-            return SampledVerdict(STATUS_REFUTED, run, seed, witness)
+            return SampledVerdict(STATUS_REFUTED, run, seed, Witness(tuple(map(Fraction, v)), restricted, reason))
     return SampledVerdict(STATUS_NO_COUNTEREXAMPLE, run, seed)
-

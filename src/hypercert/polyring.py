@@ -16,14 +16,20 @@ term.  Exact division keeps the remainder as one dict of int numerators on
 packed keys, updated in place, and finds its leading term with a max-heap
 of those keys.  Only the results are converted back to GaussianRational.
 
+One evaluator, :func:`_evaluator`, gives every value of a multivariate
+polynomial (``MultiPoly.eval``, ``PolyMatrix.eval_at``, a sampled line's
+Taylor table and the lattice checks of :mod:`hypercert.detrep`), in ints at
+an integer point.
+
 The ASCII grammar implemented by :func:`parse` / ``MultiPoly.__str__`` is the
 single wire format for polynomials in files, CLI arguments and matrix JSON:
 identifiers from the ring, operators ``+ - * ^`` with standard precedence,
 parentheses, integer and ``p/q`` rational literals, and the literal token
 ``i`` for the imaginary unit in Gaussian rings.  Literals are ASCII digits
 and names ASCII identifiers; whitespace is insignificant, and any other
-character is a ParseError naming it and its position.  So is a literal
-power estimated to pass the longest literal int() converts.
+character is a ParseError naming it and its position.  So is a power
+whose coefficients are estimated to pass the longest literal int()
+converts.
 
 Parsing builds terms directly.  Each subexpression is a dict from exponent
 vectors to (re, im) pairs of ints or Fractions, and each signed term of a
@@ -47,16 +53,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, getitem, mul
+from operator import add, mul
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .scalars import (
     _ZERO,
     GR_ONE,
-    GR_ZERO,
     GaussianRational,
     RationalLike,
     _gaussian,
+    _over_integers,
     as_fraction,
 )
 
@@ -205,6 +211,33 @@ def _from_numerators(
         if re or im:
             terms[unpack(key)] = _gaussian(frac(re) if re else _ZERO, frac(im) if im else _ZERO)
     return terms
+
+
+def _evaluator(polys: Sequence[dict[tuple[int, ...], GaussianRational]]) -> tuple:
+    """(D, values): D the lcm of the denominators in the terms dicts
+    ``polys`` and values(x) the parts Re D*poly(x), then Im D*poly(x), at a
+    rational point x, from each terms dict split into a real and an
+    imaginary one (:func:`~hypercert.scalars._over_integers`), each distinct
+    monomial once per point, from one table of the powers of x; integral
+    coordinates are taken as ints, so at an integer point so are the parts."""
+    den, scaled = _over_integers([c for terms in polys for c in terms.values()])
+    index: dict[tuple[int, ...], int] = {}  # monomial -> position in monos
+    scaled_polys = [[(index.setdefault(e, len(index)), scaled(c)) for e, c in terms.items()] for terms in polys]
+    parts = [[(k, c[part]) for k, c in terms if c[part]] for part in (0, 1) for terms in scaled_polys]
+    width = max([k for e in index for k in e], default=0) + 1  # the table: x_j^k, k < width, in one row
+    places = [[j * width + k for j, k in enumerate(e) if k] for e in index]  # of each monomial's factors
+
+    def values(x: Sequence[Union[int, Fraction]]) -> list:
+        at = [c**k for c in [c.numerator if c.denominator == 1 else c for c in x] for k in range(width)].__getitem__
+        monos = [math.prod(map(at, p)) for p in places]
+        return [sum([c * monos[k] for k, c in terms]) if terms else 0 for terms in parts]
+
+    return den, values
+
+
+def _exact(v: Sequence, den: int) -> GaussianRational:
+    """The (re, im) pair v divided by den, as a Gaussian rational."""
+    return GaussianRational(Fraction(v[0], den), Fraction(v[1], den))
 
 
 class MultiPoly:
@@ -376,21 +409,15 @@ class MultiPoly:
 
     # -- evaluation and substitution ------------------------------------------
 
-    def eval(self, point: Sequence[CoeffLike]) -> GaussianRational:
+    def eval(self, point: Sequence[RationalLike]) -> GaussianRational:
+        """The value at a rational point, by :func:`_evaluator`."""
         if len(point) != self.ring.arity:
             raise ValueError("point arity mismatch")
-        vals = [_as_coeff(p) for p in point]
-        total = GR_ZERO
-        for expo, coeff in self.terms.items():
-            acc = coeff
-            for v, e in zip(vals, expo):
-                for _ in range(e):
-                    acc = acc * v
-            total = total + acc
-        return total
+        den, values = _evaluator([self.terms])
+        return _exact(values([as_fraction(c) for c in point]), den)
 
     def eval_rational(self, point: Sequence[RationalLike]) -> Fraction:
-        value = self.eval([GaussianRational(as_fraction(p)) for p in point])
+        value = self.eval(point)
         if value.im:
             raise ArithmeticError("evaluation produced an imaginary value")
         return value.re
@@ -648,13 +675,17 @@ class _Parser:
         except ValueError:
             raise ParseError(f"integer literal of {len(tok)} digits is too long at position {self.at()}") from None
 
-    def raised(self, re, im, n: int, k: int) -> tuple:
-        """(re + im*i)^n; a ParseError at token k, where the power starts, if the base is not 0 or a unit
-        and n times the bit length of its largest numerator or denominator passes what int() converts."""
-        limit = sys.get_int_max_str_digits()
-        bits = n * max(max(abs(q.numerator), q.denominator).bit_length() for q in (re, im))
-        if limit and bits > 3 * limit and (re, im) not in _UNITS and bits > (10**limit - 1).bit_length():
+    def bound(self, n: int, size: int, k: int) -> None:
+        """A ParseError at token k, where a power starts, if n times the bit
+        length of ``size``, its base's, passes the longest literal int() converts."""
+        limit, bits = sys.get_int_max_str_digits(), n * size.bit_length()
+        if limit and bits > 3 * limit and bits > (10**limit - 1).bit_length():
             raise ParseError(f"power of about {bits} bits is too large at position {self.start(k)}")
+
+    def raised(self, re, im, n: int, k: int) -> tuple:
+        """(re + im*i)^n, bounded by the base's largest numerator or denominator unless it is 0 or a unit."""
+        if (re, im) not in _UNITS:
+            self.bound(n, max(max(abs(q.numerator), q.denominator) for q in (re, im)), k)
         return _pair_pow(re, im, n)
 
     def parse(self) -> MultiPoly:
@@ -743,7 +774,11 @@ class _Parser:
         n = self.integer(tok)
         if n == 0:
             return {self.one: (1, 0)}
-        if len(base) > 1:
+        if len(base) > 1:  # its size: the summed numerators over their common denominator, or that denominator
+            den = math.lcm(*[q.denominator for c in base.values() for q in c])
+            size = max(den, sum(abs(q.numerator) * (den // q.denominator) for c in base.values() for q in c))
+            if size > 1:  # else 0 or one monomial with a unit coefficient
+                self.bound(n, size, start)
             return _terms_of(_poly_of(self.ring, base) ** n)
         return {tuple(k * n for k in e): self.raised(re, im, n, start) for e, (re, im) in base.items()}
 
@@ -1064,17 +1099,16 @@ def sturm_chain(f: UniPoly, g: Optional[UniPoly] = None) -> list[tuple[int, ...]
 
 class _TaylorTable:
     """The rows (D_e^k h) / k!, k = 0..deg(h), of Taylor's formula
-    h(t*e - v) = sum_k t^k/k! * (D_e^k h)(-v).
+    h(t*e - v) = sum_k t^k/k! * (D_e^k h)(-v), and ``values``, which
+    evaluates them all at one point (:func:`_evaluator`) over their common
+    denominator ``den``.
 
-    Row k is a list of (exponent vector, int numerator) pairs over the
-    denominator ``dens[k]``; ``top[j]`` is the largest exponent of variable
-    j in h.  The rows are built in integers: with L the lcm of e's
-    denominators, row k + 1 is D_{L*e} of row k's numerators over
-    dens[k] * L * (k + 1), each row then divided by the gcd of its
-    numerators and denominator.
+    The rows are built in integers: with L the lcm of e's denominators,
+    row k + 1 is D_{L*e} of row k's numerators over row k's denominator
+    times L * (k + 1).
     """
 
-    __slots__ = ("h", "e", "rows", "dens", "top")
+    __slots__ = ("h", "e", "den", "values", "size")
 
     def __init__(self, h: MultiPoly, e: tuple[Fraction, ...]):
         if not h.is_real():
@@ -1084,45 +1118,23 @@ class _TaylorTable:
         along = [(j, c.numerator * (scale // c.denominator)) for j, c in enumerate(e) if c]
         den = math.lcm(*[c.re.denominator for c in h.terms.values()])
         row = {expo: c.re.numerator * (den // c.re.denominator) for expo, c in h.terms.items()}
-        self.top = [max(col) for col in zip(*row)]
-        self.rows: list[list[tuple[tuple[int, ...], int]]] = []
-        self.dens: list[int] = []
+        rows: list[dict[tuple[int, ...], GaussianRational]] = []
         while row:
-            g = math.gcd(den, *row.values())
-            self.rows.append([(expo, c // g) for expo, c in row.items()])
-            self.dens.append(den // g)
-            den = self.dens[-1] * scale * len(self.rows)
+            rows.append({expo: _gaussian(Fraction(c, den), _ZERO) for expo, c in row.items()})
+            den *= scale * len(rows)
             derivative: dict[tuple[int, ...], int] = {}
-            for expo, c in self.rows[-1]:
+            for expo, c in row.items():
                 for j, ej in along:
                     if expo[j]:
                         key = expo[:j] + (expo[j] - 1,) + expo[j + 1 :]
                         derivative[key] = derivative.get(key, 0) + c * expo[j] * ej
             row = {expo: c for expo, c in derivative.items() if c}
+        self.den, self.values = _evaluator(rows)
+        self.size = len(rows)
 
-    def at(self, v: Sequence[Fraction]) -> UniPoly:
+    def at(self, v: Sequence[Union[int, Fraction]]) -> UniPoly:
         """The coefficients of h(t*e - v): each row evaluated at w = -v."""
-        # With w_j = p_j / q_j, powers[j][a] = p_j^a * q_j^(top_j - a), so
-        # every monomial w^a is prod_j powers[j][a_j] over one denominator,
-        # prod_j q_j^top_j.
-        powers = []
-        scale = 1
-        for c, top in zip(v, self.top):
-            p, q = -c.numerator, c.denominator
-            col = [1]
-            for _ in range(top):
-                col.append(col[-1] * p)
-            if q != 1:
-                scale *= q**top
-                col = [x * q ** (top - a) for a, x in enumerate(col)]
-            powers.append(col)
-        coeffs = []
-        for row, den in zip(self.rows, self.dens):
-            total = 0
-            for expo, num in row:
-                total += num * math.prod(map(getitem, powers, expo))
-            coeffs.append(Fraction(total, den * scale))
-        return UniPoly(coeffs)
+        return UniPoly([Fraction(c, self.den) for c in self.values([-c for c in v])[: self.size]])
 
 
 # The two most recent tables, oldest first; interlaces_sampled alternates
@@ -1150,11 +1162,11 @@ def restrict_to_line(
 
     It is read off Taylor's formula along e at -v,
     h(t*e - v) = sum_k t^k/k! * (D_e^k h)(-v), with D_e the directional
-    derivative.  The table of the (D_e^k h) / k! as int numerators is built
-    once per (h, e) and cached for the two most recent pairs, found by the
-    identity of h and the value of e; each line then evaluates the table at
-    -v.  Any ring is accepted, weights play no part, and h must have real
-    coefficients.
+    derivative.  The table of the (D_e^k h) / k! is built in ints once per
+    (h, e) and cached for the two most recent pairs, found by the identity
+    of h and the value of e; each line then evaluates all its rows at -v in
+    one call of :func:`_evaluator`, in ints for an integer v.  Any ring is
+    accepted, weights play no part, and h must have real coefficients.
 
     For homogeneous h with h(e) != 0 the result has degree deg(h) with
     leading coefficient h(e).
@@ -1163,7 +1175,7 @@ def restrict_to_line(
     if len(e) != ring.arity or len(v) != ring.arity:
         raise ValueError("direction/point arity mismatch")
     table = _taylor_table(h, tuple([as_fraction(c) for c in e]))
-    return table.at([as_fraction(c) for c in v])
+    return table.at([c if type(c) is int else as_fraction(c) for c in v])
 
 
 # ---------------------------------------------------------------------------

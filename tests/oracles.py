@@ -1,6 +1,7 @@
 """Independent reference implementations used only by the tests."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 from math import gcd, lcm
 
@@ -125,6 +126,25 @@ def conjugate(matrix):
 def scaled(matrix, c):
     """c times a ConstMatrix, with the same kind tag."""
     return ConstMatrix([[e.scale(as_fraction(c)) for e in row] for row in matrix.entries], matrix.kind)
+
+
+def eval_reference(poly, point):
+    """poly at a rational point, term by term in Gaussian rationals: each
+    coefficient times repeated products of the coordinates."""
+    coords = [GaussianRational(as_fraction(c)) for c in point]
+    total = GaussianRational(0)
+    for expo, coeff in poly.terms.items():
+        term = coeff
+        for c, n in zip(coords, expo):
+            for _ in range(n):
+                term = term * c
+        total = total + term
+    return total
+
+
+def eval_at_reference(matrix, point):
+    """A PolyMatrix at a rational point, entry by entry (eval_reference)."""
+    return ConstMatrix([[eval_reference(p, point) for p in row] for row in matrix.rows], matrix.kind)
 
 
 def ell_minus(ell, matrix):
@@ -306,14 +326,15 @@ def _branch_reference(branch, h, r, up_to_scalar):
     if branch.is_zero():
         return Fraction(0), "determinant is identically zero"
     points = lattice_points(h.ring.arity, 2)
-    x = next(x for x in points if h.eval(x))
-    ratio = branch.eval(x) / h.eval(x)
+    at = cache(lambda x: (eval_reference(branch, x), eval_reference(h, x)))
+    x = next(x for x in points if at(x)[1])
+    ratio = at(x)[0] / at(x)[1]
     if ratio.im:
-        return Fraction(0), f"at x = {_point(x)}: ell^2 - P = {branch.eval(x)}, h = {h.eval(x)}, not a real multiple"
+        return Fraction(0), f"at x = {_point(x)}: ell^2 - P = {at(x)[0]}, h = {at(x)[1]}, not a real multiple"
     s, witness = ratio.re, None
     if branch != h.scale(s):
-        x = next(x for x in points if branch.eval(x) != h.eval(x).scale(s))
-        witness = f"at x = {_point(x)}: ell^2 - P = {branch.eval(x)}, s*h = {h.eval(x).scale(s)}"
+        x = next(x for x in points if at(x)[0] != at(x)[1].scale(s))
+        witness = f"at x = {_point(x)}: ell^2 - P = {at(x)[0]}, s*h = {at(x)[1].scale(s)}"
     c = s**r
     if up_to_scalar or not c:
         return c, witness
@@ -370,16 +391,17 @@ def _determinant_reference(det, target, m, up_to_scalar):
     if det.is_zero():
         return Fraction(0), "determinant is identically zero"
     points = lattice_points(target.ring.arity, m)
+    at = cache(lambda x: (eval_reference(det, x), eval_reference(target, x)))
     c = GaussianRational(1)
     if up_to_scalar:
-        x = next(x for x in points if target.eval(x))
-        c = det.eval(x) / target.eval(x)
+        x = next(x for x in points if at(x)[1])
+        c = at(x)[0] / at(x)[1]
     if c.im:
-        return Fraction(0), f"at x = {_point(x)}: det = {det.eval(x)}, h^r = {target.eval(x)}, not a real multiple"
+        return Fraction(0), f"at x = {_point(x)}: det = {at(x)[0]}, h^r = {at(x)[1]}, not a real multiple"
     if det == target.scale(c.re):
         return c.re, None
-    x = next(x for x in points if det.eval(x) != target.eval(x).scale(c.re))
-    return c.re, f"at x = {_point(x)}: det = {det.eval(x)}, c*h^r = {target.eval(x).scale(c.re)}"
+    x = next(x for x in points if at(x)[0] != at(x)[1].scale(c.re))
+    return c.re, f"at x = {_point(x)}: det = {at(x)[0]}, c*h^r = {at(x)[1].scale(c.re)}"
 
 
 def match_values_reference(values, h, r, up_to_scalar):
@@ -392,7 +414,7 @@ def match_values_reference(values, h, r, up_to_scalar):
     for x in values:
         targets[x] = GaussianRational(1)
         for _ in range(r):
-            targets[x] = targets[x] * h.eval(x)
+            targets[x] = targets[x] * eval_reference(h, x)
     if not any(values.values()):
         return Fraction(0), "determinant is identically zero"
     c = Fraction(1)
@@ -419,7 +441,7 @@ def companion_values(matrix, h):
     det = companion_det(matrix, h.ring)
     points = [x[:y_idx] + (y,) + x[y_idx:] for x in lattice_points(matrix.ring.arity, m * h.ring.weights[y_idx])
               for y in range(m + 1)]
-    return {x: det.eval(x) for x in points}
+    return {x: eval_reference(det, x) for x in points}
 
 
 def leading_scalar(det, target):

@@ -19,7 +19,7 @@ from hypercert.hyperbolicity import STATUS_NO_COUNTEREXAMPLE, is_hyperbolic_samp
 from hypercert.polyring import MultiPoly, Ring, UniPoly, parse, restrict_to_line
 from hypercert.realroots import interlaces_univariate, is_real_rooted
 from hypercert.scalars import ConstMatrix
-from oracles import const_matrix, count_distinct_roots, from_roots, leibniz_det
+from oracles import const_matrix, count_distinct_roots, eval_reference, from_roots, leibniz_det
 
 from test_detrep import random_sparse_matrix
 from test_hyperbolicity import lagrange_interpolate
@@ -146,7 +146,7 @@ def test_criterion_8_witness_soundness():
         if h.is_zero():
             continue
         e = (1, 0, 0)
-        if h.eval_rational(e) == 0:
+        if eval_reference(h, e).re == 0:
             continue
         verdict = is_hyperbolic_sampled(h, e, samples=60, seed=rng.randrange(10**6))
         if verdict.witness is None:
@@ -158,7 +158,7 @@ def test_criterion_8_witness_soundness():
         points = []
         for k in range(deg + 1):
             t = Fraction(k)
-            points.append((t, h.eval_rational([t * ei - vi for ei, vi in zip(e, w.v)])))
+            points.append((t, eval_reference(h, [t * ei - vi for ei, vi in zip(e, w.v)]).re))
         rebuilt = lagrange_interpolate(points)
         if rebuilt == w.restricted and not is_real_rooted(rebuilt):
             reverified += 1
@@ -177,7 +177,7 @@ def test_criterion_8_witness_soundness():
         except quadratic.IndefiniteFormError as err:
             emitted += 1
             found += 1
-            if p.eval_rational(err.witness) < 0:
+            if eval_reference(p, err.witness).re < 0:
                 reverified += 1
 
     # (c) Positive-definiteness failures: re-check the named minor by an
@@ -213,7 +213,7 @@ def test_criterion_8_witness_soundness():
         diff = det - wrong
         for _ in range(50):
             pt = [Fraction(rng.randrange(-9, 10)) for _ in range(3)]
-            if diff.eval_rational(pt) != 0:
+            if eval_reference(diff, pt).re != 0:
                 reverified += 1
                 break
 

@@ -12,6 +12,7 @@ from hypercert.cli import EXIT_OK, EXIT_REFUTED, EXIT_USAGE, build_parser, main
 from hypercert.detrep import const_det
 from hypercert.scalars import pencil_value
 from hypercert.wire import load_poly_file, pencil_from_json, pencil_to_json_dict
+from oracles import eval_reference
 
 QUADRIC = "ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\nx0^2 - x1^2 - x2^2\n"
 SPHERE = "ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\nx0^2 + x1^2 + x2^2\n"
@@ -125,6 +126,21 @@ class TestLongNumbers:
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"input error: power of about {2 * n + 2} bits is too large at position 5\n")
+
+    def test_a_power_of_a_sum_at_the_limit_and_one_past_it(self, tmp_path, capsys):
+        # 1 + 2^(b-1), the summed coefficients of the base, has b bits: its
+        # cube is at most the bit length of the longest literal int()
+        # converts, and its fourth power is refused before it is computed.
+        b = (10 ** sys.get_int_max_str_digits() - 1).bit_length() // 3
+        poly = tmp_path / "power.txt"
+        argv = ["check-hyperbolic", "--poly", str(poly), "--dir", "1,0", "--samples", "3", "--json"]
+        poly.write_text(f"ring: vars=x0,x1 weights=1,1 gaussian=false\n(x0 + 2^{b - 1}*x1)^3\n")
+        assert main(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["status"] == "no-counterexample"
+        poly.write_text(f"ring: vars=x0,x1 weights=1,1 gaussian=false\n(x0 + 2^{b - 1}*x1)^4\n")
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"input error: power of about {4 * b} bits is too large at position 0\n")
 
     def test_a_long_literal_is_still_an_input_error(self, tmp_path, capsys):
         poly = tmp_path / "literal.txt"
@@ -494,7 +510,7 @@ class TestVerifyDetrepPointWitness:
         assert report["failures"] == [{"name": "determinant", "witness": "at x = 1,1,0: det = 8, c*h^r = 4"}]
         matrices, _ = pencil_from_json(Path(pencil).read_text())
         assert const_det(pencil_value(matrices, (1, 1, 0))) == 8
-        assert load_poly_file(h).eval((1, 1, 0)) == 4
+        assert eval_reference(load_poly_file(h), (1, 1, 0)) == 4
 
 
 class TestSosRoundtrip:

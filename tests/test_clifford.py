@@ -22,7 +22,7 @@ from hypercert.fixtures import load_fixture_matrix, load_fixture_poly
 from hypercert.polyring import MultiPoly, Ring, _sum_of_squares, parse
 from hypercert.quadratic import quadratic_detrep
 from hypercert.scalars import GaussianRational
-from oracles import companion_det, dense_generators, hurwitz_defect, involution_reference
+from oracles import companion_det, dense_generators, eval_reference, hurwitz_defect, involution_reference
 
 
 def _dense_mul(a, b):
@@ -298,13 +298,13 @@ class TestSosToDetrep:
             for row in rep.matrix.rows:
                 rows.append(
                     [
-                        MultiPoly.constant(ring_y, entry.eval_rational(point))
+                        MultiPoly.constant(ring_y, eval_reference(entry, point).re)
                         for entry in row
                     ]
                 )
             y = MultiPoly.variable(ring_y, "y")
             det = companion_det(PolyMatrix(ring_y, rows, "none"), ring_y)
-            target = (y * y - MultiPoly.constant(ring_y, p.eval_rational(point))) ** 8
+            target = (y * y - MultiPoly.constant(ring_y, eval_reference(p, point).re)) ** 8
             assert det == target
 
     def test_roundtrip_sum_identity(self):

@@ -17,7 +17,7 @@ from hypercert.hyperbolicity import (
 from hypercert.polyring import Ring, UniPoly, parse, restrict_to_line
 from hypercert.realroots import interlaces_univariate, is_real_rooted
 from hypercert.scalars import ConstMatrix
-from oracles import const_matrix, directional_derivative
+from oracles import const_matrix, directional_derivative, eval_reference
 
 R2 = Ring.standard(("x0", "x1"))
 R3 = Ring.standard(("x0", "x1", "x2"))
@@ -55,7 +55,7 @@ class TestSampling:
         pts = []
         for k in range(3):
             t = Fraction(k)
-            pts.append((t, SPHERE.eval_rational([t * e - v for e, v in zip((1, 0, 0), w.v)])))
+            pts.append((t, eval_reference(SPHERE, [t * e - v for e, v in zip((1, 0, 0), w.v)]).re))
         rebuilt = lagrange_interpolate(pts)
         assert rebuilt == w.restricted
         assert not is_real_rooted(rebuilt)

@@ -330,10 +330,30 @@ class TestLiteralPowerLimit:
         assert parse(f"(-1)^{n + 1}*x0", REAL) == parse("-x0", REAL)
         assert parse(f"(-i)^{n + 2} + i^{n}", GAUSSIAN).is_zero()
 
+    def test_a_power_of_a_sum_at_the_limit_and_one_past_it(self):
+        # A multi-term base is bounded by its numerators over their common
+        # denominator, summed, or by that denominator: 1 + 2^(b-1) has b bits.
+        b = max_power_bits() // 3
+        base = f"(x0 + 2^{b - 1}*x1)"
+        assert parse(f"{base}^3", REAL) == parse(base, REAL) ** 3
+        cases = ((REAL, f"{base}^4", 4 * b, 0), (REAL, f"x2 - (x0 + 2^{b}*x1)^3", 3 * (b + 1), 5),
+                 (REAL, f"(1/{2 ** b}*x0 + x1)^3", 3 * (b + 1), 0), (GAUSSIAN, f"(x0 + 2^{b - 1}*i*x1)^4", 4 * b, 0))
+        for ring, text, bits, pos in cases:
+            with pytest.raises(ParseError) as err:
+                parse(text, ring)
+            assert str(err.value) == f"power of about {bits} bits is too large at position {pos}", text
+
+    def test_a_power_of_a_sum_of_one_unit_monomial_is_not_bounded(self):
+        n = 10**6
+        assert parse(f"(x0 + 0*x1)^{n}", REAL).terms == {(n, 0, 0): GaussianRational(1)}
+        assert parse(f"(x1 - x1 - i*x0)^{n + 1}", GAUSSIAN).terms == {(n + 1, 0): GaussianRational(0, -1)}
+
     def test_a_huge_power_is_refused_at_once(self):
         start = time.perf_counter()
         with pytest.raises(ParseError, match="^power of about 12000000 bits is too large at position 0$"):
             parse("999999999999^300000*x0 + x1", REAL)
+        with pytest.raises(ParseError, match="^power of about 80000 bits is too large at position 0$"):
+            parse("(x0 + 999999999999)^2000", REAL)  # had not returned after 100 s before it was bounded
         assert time.perf_counter() - start < 0.1  # the power took 1.8 s before it was bounded
 
 

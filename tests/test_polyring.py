@@ -1,24 +1,28 @@
 """Sparse multivariate polynomials: grammar, arithmetic, restrictions."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercert.detrep import PolyMatrix, plucker_line
+from hypercert.fixtures import load_fixture_matrix
 from hypercert.polyring import (
     MultiPoly,
     ParseError,
     Ring,
     UniPoly,
+    _evaluator,
     format_poly,
     parse,
     real_square_factorization,
     restrict_to_line,
 )
 from hypercert.scalars import GaussianRational
-from oracles import directional_derivative, from_roots, restrict_reference, shift
+from oracles import directional_derivative, eval_at_reference, eval_reference, from_roots, restrict_reference, shift
 
 R3 = Ring.standard(("x0", "x1", "x2"))
 R4 = Ring.standard(("x0", "x1", "x2", "x3"))
@@ -166,7 +170,7 @@ class TestRestrictToLine:
                 for _ in range(10):
                     t = Fraction(rng.randrange(-20, 21), rng.randrange(1, 5))
                     point = [t * ei - vi for ei, vi in zip(e, v)]
-                    assert f.eval(t) == h.eval_rational(point)
+                    assert f.eval(t) == eval_reference(h, point)
 
     def test_linear_in_h(self):
         rng = random.Random(29)
@@ -183,7 +187,7 @@ class TestRestrictToLine:
         h = parse("x0^2 - x1^2 - x2^2", R3)
         f = restrict_to_line(h, (2, 1, 0), (3, 5, 7))
         assert f.degree == 2
-        assert f.leading() == h.eval_rational((2, 1, 0))
+        assert f.leading() == eval_reference(h, (2, 1, 0))
 
 
 RATIONALS = st.one_of(
@@ -349,7 +353,7 @@ class TestDirectionalDerivative:
             v = [Fraction(rng.randrange(-4, 5)) for _ in range(3)]
             f = restrict_to_line(h, e, [-vi for vi in v])  # h(t*e + v)
             slope = f.coeffs[1] if f.degree >= 1 else Fraction(0)
-            assert slope == directional_derivative(h, e).eval_rational(v)
+            assert slope == eval_reference(directional_derivative(h, e), v)
 
 
 class TestSquareFactorization:
@@ -455,3 +459,95 @@ class TestUniPoly:
         g = shift(f, Fraction(1, 2))
         for t in (0, 1, Fraction(-3, 2)):
             assert g.eval(t) == f.eval(Fraction(t) + Fraction(1, 2))
+
+
+MONOMIALS = [(0, 0, 0), (1, 0, 0), (0, 2, 1), (2, 1, 0), (1, 1, 1), (0, 0, 3)]
+INTEGERS = st.tuples(*[st.integers(-6, 6)] * 3)
+RATIONAL_POINTS = st.tuples(*[st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))] * 3)  # integral or not
+
+
+def term_dicts(gaussian: bool):
+    """Terms dicts over three variables whose monomials come from one small
+    pool, so that polynomials drawn together share monomials."""
+    part = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+    coeff = st.builds(GaussianRational, part, part if gaussian else st.just(0)).filter(bool)
+    return st.dictionaries(st.sampled_from(MONOMIALS), coeff, max_size=len(MONOMIALS))
+
+
+def as_gaussians(values: list) -> list:
+    """The real parts, then the imaginary parts, of values(x) as Gaussian
+    rationals."""
+    half = len(values) // 2
+    return [GaussianRational(re, im) for re, im in zip(values[:half], values[half:])]
+
+
+class TestEvaluator:
+    """_evaluator, and MultiPoly.eval, eval_rational and PolyMatrix.eval_at
+    through it, against the term-by-term eval_reference of tests/oracles.py:
+    values(x)[k] and values(x)[n + k], for n polynomials, are the real and
+    imaginary parts of D * polys[k](x), with D the lcm of every
+    coefficient's denominators; ints at an integer point."""
+
+    @given(st.booleans(), st.data())
+    def test_values_are_D_times_the_reference(self, gaussian, data):
+        ring = Ring.standard(("x0", "x1", "x2"), gaussian=gaussian)
+        polys = data.draw(st.lists(term_dicts(gaussian), min_size=1, max_size=4))
+        polys.insert(data.draw(st.integers(0, len(polys))), {})  # the zero polynomial
+        den, values = _evaluator(polys)
+        assert den == math.lcm(*(q.denominator for terms in polys for c in terms.values() for q in (c.re, c.im)))
+        for x in data.draw(st.lists(st.one_of(INTEGERS, RATIONAL_POINTS), min_size=1, max_size=5)):
+            got = values(x)
+            want = [eval_reference(MultiPoly(ring, terms), x) * GaussianRational(den) for terms in polys]
+            assert len(got) == 2 * len(polys) and as_gaussians(got) == want
+            if all(Fraction(c).denominator == 1 for c in x):  # ints, integral Fractions included
+                assert all(type(v) is int for v in got)
+
+    def test_shared_monomials_and_the_same_dict_twice(self):
+        ring = Ring.standard(("x0", "x1"), gaussian=True)
+        p, q = parse("x0^2 - 1/3*x0*x1", ring), parse("(2 + 1/2*i)*x0*x1 + x1^3", ring)
+        den, values = _evaluator([p.terms, q.terms, p.terms, {}])
+        assert den == 6
+        for x in [(0, 0), (1, 0), (2, -3), (-1, 5), (Fraction(1, 2), Fraction(-3)), (Fraction(-2, 3), Fraction(5, 4))]:
+            got = as_gaussians(values(x))
+            assert got == [eval_reference(f, x).scale(6) for f in (p, q, p, MultiPoly.zero(ring))]
+
+    def test_no_polynomials(self):
+        den, values = _evaluator([])
+        assert (den, values((1, 2))) == (1, [])
+
+    @given(st.booleans(), term_dicts(True), st.one_of(INTEGERS, RATIONAL_POINTS))
+    def test_eval_and_eval_rational(self, real, terms, x):
+        ring = Ring.standard(("x0", "x1", "x2"), gaussian=True)
+        p = MultiPoly(ring, {e: GaussianRational(c.re) for e, c in terms.items() if c.re} if real else terms)
+        want = eval_reference(p, x)
+        assert p.eval(x) == want and p.eval([str(c) for c in x]) == want
+        if not want.im:
+            assert p.eval_rational(x) == want.re
+        else:
+            with pytest.raises(ArithmeticError, match="imaginary value"):
+                p.eval_rational(x)
+        with pytest.raises(ValueError, match="arity"):
+            p.eval(x[:2])
+
+    @settings(max_examples=50)
+    @given(st.booleans(), st.data())
+    def test_polymatrix_eval_at(self, gaussian, data):
+        # Cells drawn from a small pool share entries, each evaluated once.
+        ring = Ring.standard(("x0", "x1", "x2"), gaussian=gaussian)
+        pool = [MultiPoly(ring, terms) for terms in data.draw(st.lists(term_dicts(gaussian), min_size=1, max_size=3))]
+        m = data.draw(st.integers(1, 4))
+        cells = data.draw(st.lists(st.sampled_from(pool), min_size=m * m, max_size=m * m))
+        matrix = PolyMatrix(ring, [cells[k : k + m] for k in range(0, m * m, m)])
+        x = data.draw(st.one_of(INTEGERS, RATIONAL_POINTS))
+        assert matrix.eval_at(x) == eval_at_reference(matrix, x)
+        with pytest.raises(ValueError, match="arity"):
+            matrix.eval_at(x + (0,))
+
+    def test_hermitian_matrix_on_pluecker_lines(self):
+        # F4's 4x4 hermitian matrix of linear forms in ten Pluecker coordinates.
+        matrix = load_fixture_matrix("F4_matrix.json")
+        rng = random.Random(5)
+        for _ in range(20):
+            p = [Fraction(rng.randrange(-7, 8), rng.randrange(1, 4)) for _ in range(5)]
+            coords = plucker_line(p, [rng.randrange(-7, 8) for _ in range(5)])
+            assert matrix.eval_at(coords) == eval_at_reference(matrix, coords)
