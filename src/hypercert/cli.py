@@ -200,8 +200,6 @@ def _cmd_quadratic_detrep(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    if args.action != "run":
-        raise _UsageError(f"unknown fixtures action {args.action!r}")
     start = time.perf_counter()
     try:
         report = fixtures_mod.run_fixtures(args.id)

@@ -136,15 +136,6 @@ class PolyMatrix:
             out.append(acc)
         return PolyMatrix(self.ring, out, KIND_NONE)
 
-    def scalar_mismatch(self, p: MultiPoly) -> Optional[tuple[int, int, MultiPoly]]:
-        """First entry (i, j, value), row by row, where this matrix differs
-        from p*I, or None.  Checks an involution A^2 = p*I on A.matmul(A)."""
-        for i, row in enumerate(self.rows):
-            for j, entry in enumerate(row):
-                if (entry != p) if i == j else entry:
-                    return (i, j, entry)
-        return None
-
     def eval_at(self, point: Sequence[RationalLike]) -> ConstMatrix:
         """The value at a rational point, each distinct entry evaluated once (:func:`_evaluator`)."""
         if len(point) != self.ring.arity:
@@ -679,16 +670,28 @@ def _normalize_sign(p: MultiPoly) -> MultiPoly:
     return -p if key < 0 else p
 
 
+def _square_mismatch(matrix: PolyMatrix, p: MultiPoly) -> Optional[str]:
+    """None when A^2 = p*I, else the first point and entry where they differ,
+    with both values, decided at the x in N^n with |x| <= D, D the largest
+    degree of A^2 and p (:func:`_square_on_lattice`)."""
+    degree = max([2 * sum(e) for row in matrix.rows for q in row for e in q.terms] + [sum(e) for e in p.terms] + [0])
+    rows = [{j: q.terms for j, q in enumerate(row) if q} for row in matrix.rows]
+    _, bad = _square_on_lattice(rows, _lattice(matrix.ring.arity, degree, False), p)
+    if bad is None:
+        return None
+    x, i, j, got, want = bad
+    return f"A^2 != p*I at x = {','.join(map(str, x))}: entry ({i},{j}) of A^2 is {got}, of p*I {want}"
+
+
 def detrep_to_sos(matrix: PolyMatrix, p: MultiPoly, column: int = 0) -> SosDecomposition:
     """Extract a sum-of-squares decomposition of p from A with A^2 = p*I.
 
     Symmetric A: the entries of one column already satisfy sum a_ji^2 = p.
-    Hermitian A: real and imaginary parts of the column entries do.  The
-    entries need not be homogeneous, so A^2 = p*I is decided at the x in
-    N^n with |x| <= D, D the largest degree of A^2 and p
-    (:func:`_square_on_lattice`); a failure names the point, the entry and
-    both values.  Only such a refusal is a :class:`SosRefusal`.  The
-    extracted squares are re-summed exactly.
+    Hermitian A: real and imaginary parts of the column entries do.
+    A^2 = p*I is decided on lattice values (:func:`_square_mismatch`); a
+    failure names the point, the entry and both values.  Only such a
+    refusal is a :class:`SosRefusal`.  The extracted squares are re-summed
+    exactly.
     """
     if matrix.kind not in (KIND_SYMMETRIC, KIND_HERMITIAN):
         raise ValueError("SOS extraction needs a symmetric or hermitian matrix")
@@ -700,12 +703,8 @@ def detrep_to_sos(matrix: PolyMatrix, p: MultiPoly, column: int = 0) -> SosDecom
     m = matrix.size
     if not 0 <= column < m:
         raise ValueError("column index out of range")
-    degree = max([2 * sum(e) for row in matrix.rows for q in row for e in q.terms] + [sum(e) for e in p.terms] + [0])
-    rows = [{j: q.terms for j, q in enumerate(row) if q} for row in matrix.rows]
-    _, bad = _square_on_lattice(rows, _lattice(matrix.ring.arity, degree, False), p)
-    if bad is not None:
-        x, i, j, got, want = bad
-        raise SosRefusal(f"A^2 != p*I at x = {','.join(map(str, x))}: entry ({i},{j}) of A^2 is {got}, of p*I {want}")
+    if (bad := _square_mismatch(matrix, p)) is not None:
+        raise SosRefusal(bad)
 
     squares: list[MultiPoly] = []
     for j in range(m):

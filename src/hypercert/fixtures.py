@@ -20,6 +20,7 @@ from .detrep import (
     SosRefusal,
     _companion_match,
     _lattice_match,
+    _square_mismatch,
     const_det,
     detrep_to_sos,
     plucker_line,
@@ -150,9 +151,8 @@ def _run_f3(fixture_id: str, spec: dict) -> FixtureResult:
         CheckOutcome("hermitian", bad is None, "ok" if bad is None else f"entry {bad}")
     )
 
-    bad = matrix.matmul(matrix).scalar_mismatch(p)
-    detail = "A^2 = p*I" if bad is None else f"A^2 entry ({bad[0]},{bad[1]}) is {bad[2]}"
-    result.checks.append(CheckOutcome("involution", bad is None, detail))
+    bad = _square_mismatch(matrix, p)
+    result.checks.append(CheckOutcome("involution", bad is None, bad or "A^2 = p*I"))
 
     witness = _companion_match(matrix, h, r)
     result.checks.append(CheckOutcome("companion-determinant", witness is None, witness or "det(y*I - A) = h"))

@@ -7,14 +7,13 @@ variable, and whether Gaussian (complex) coefficients are allowed.
 machinery.
 
 The multivariate kernel works on integers.  A product scales each operand
-by the lcm of its coefficient denominators, packs every exponent vector
-into one int (sums of packed keys are packed sums, and the order of the
-keys is graded-lex order), carries the imaginary unit as one more packed
-exponent so that real and Gaussian rings share the loop, accumulates Python
-int numerators, and divides back into a normalised Fraction once per output
-term.  Exact division keeps the remainder as one dict of int numerators on
-packed keys, updated in place, and finds its leading term with a max-heap
-of those keys.  Only the results are converted back to GaussianRational.
+by the lcm of its coefficient denominators, accumulates the (re, im) int
+numerators of the product on exponent-vector keys, and divides back into
+a normalised Gaussian rational once per output term.  Exact division is
+long division by the divisor's graded-lex leading term on one remainder of
+(re, im) int numerators over a common denominator, whose leading term a
+heap of graded-lex keys yields.  Only the results are converted back to
+GaussianRational.
 
 One evaluator, :func:`_evaluator`, gives every value of a multivariate
 polynomial (``MultiPoly.eval``, ``PolyMatrix.eval_at``, a sampled line's
@@ -50,11 +49,10 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, mul
-from typing import Callable, Iterable, Optional, Sequence, Union
+from operator import add, mul, neg, sub
+from typing import Iterable, Optional, Sequence, Union
 
 from .scalars import (
     _ZERO,
@@ -132,87 +130,6 @@ class Ring:
         )
 
 
-class _Keys:
-    """Packs exponent vectors, each exponent at most ``bound``, into ints.
-
-    Bits 0-1 are left for a power of i (0, 1 or 2) in products.  Above them
-    sits one field per variable, the first variable highest, each with a
-    spare top bit (``guard``), and above those the weighted degree.  So the
-    sum of two keys is the key of the summed exponents, integer order is
-    graded-lex order, and ``key + guard - other`` keeps every guard bit
-    exactly when each exponent of ``key`` is at least that of ``other``.
-    """
-
-    __slots__ = ("scales", "shifts", "mask", "guard")
-
-    def __init__(self, weights: tuple[int, ...], bound: int):
-        width = bound.bit_length() + 1
-        n = len(weights)
-        self.shifts = [2 + width * (n - 1 - k) for k in range(n)]
-        top = 2 + width * n
-        # key = sum_k e_k * scale_k places e_k in its field and adds w_k*e_k
-        # to the degree field.
-        self.scales = [(1 << s) + (w << top) for s, w in zip(self.shifts, weights)]
-        self.mask = (1 << width) - 1
-        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
-
-    def pack(self, expo: tuple[int, ...]) -> int:
-        return sum(map(mul, expo, self.scales))
-
-    def unpack(self, key: int) -> tuple[int, ...]:
-        mask = self.mask
-        return tuple([(key >> s) & mask for s in self.shifts])
-
-
-_keys = lru_cache(maxsize=256)(_Keys)
-
-
-def _max_total_degree(poly: "MultiPoly") -> int:
-    return max(map(sum, poly.terms))
-
-
-def _numerators(
-    terms: dict[tuple[int, ...], GaussianRational], pack: Callable[[tuple[int, ...]], int]
-) -> tuple[list[tuple[int, int]], int]:
-    """The terms times the lcm of their denominators, as (packed key, int
-    numerator) pairs, and that lcm.  An imaginary part's key carries i^1."""
-    parts = []
-    for expo, c in terms.items():
-        key = pack(expo)
-        re, im = c.re, c.im
-        n = re.numerator
-        if n:
-            parts.append((key, n, re.denominator))
-        if im is not _ZERO:
-            parts.append((key + 1, im.numerator, im.denominator))
-    den = math.lcm(*[d for _, _, d in parts])
-    if den == 1:
-        return [(k, n) for k, n, _ in parts], 1
-    return [(k, n * (den // d)) for k, n, d in parts], den
-
-
-def _from_numerators(
-    acc: dict[int, int], den: int, unpack: Callable[[int], tuple[int, ...]]
-) -> dict[tuple[int, ...], GaussianRational]:
-    """Terms from packed numerators over ``den``: folds i^2 = -1, drops
-    zeros and normalises each coefficient once."""
-    get = acc.get
-    for key in [k for k in acc if k & 2]:
-        acc[key - 2] = get(key - 2, 0) - acc.pop(key)
-    frac = Fraction if den == 1 else lambda num: Fraction(num, den)
-    terms: dict[tuple[int, ...], GaussianRational] = {}
-    for key, num in acc.items():
-        if key & 1:
-            if key - 1 in acc:
-                continue  # taken with its real part
-            key, re, im = key - 1, 0, num
-        else:
-            re, im = num, get(key + 1, 0)
-        if re or im:
-            terms[unpack(key)] = _gaussian(frac(re) if re else _ZERO, frac(im) if im else _ZERO)
-    return terms
-
-
 def _evaluator(polys: Sequence[dict[tuple[int, ...], GaussianRational]]) -> tuple:
     """(D, values): D the lcm of the denominators in the terms dicts
     ``polys`` and values(x) the parts Re D*poly(x), then Im D*poly(x), at a
@@ -237,15 +154,16 @@ def _evaluator(polys: Sequence[dict[tuple[int, ...], GaussianRational]]) -> tupl
 
 def _exact(v: Sequence, den: int) -> GaussianRational:
     """The (re, im) pair v divided by den, as a Gaussian rational."""
-    return GaussianRational(Fraction(v[0], den), Fraction(v[1], den))
+    return _gaussian(Fraction(v[0], den), Fraction(v[1], den) if v[1] else _ZERO)
 
 
 class MultiPoly:
     """Sparse polynomial: exponent-vector -> nonzero GaussianRational.
 
-    The dict is the only storage.  Products and exact division convert it to
-    packed integer keys and integer numerators for their inner loops (see
-    the module docstring) and back, so their results are the same
+    The dict is the only storage.  Products and exact division scale its
+    coefficients to int numerators over one denominator for their inner
+    loops, keyed by the same exponent vectors (see the module docstring),
+    and divide back once per result term, so their results are the same
     normalised dicts that term-by-term arithmetic would give.
     """
 
@@ -368,18 +286,18 @@ class MultiPoly:
         self._check_ring(other)
         if not self.terms or not other.terms:
             return MultiPoly.zero(self.ring)
-        keys = _keys(self.ring.weights, _max_total_degree(self) + _max_total_degree(other))
-        a, den_a = _numerators(self.terms, keys.pack)
-        b, den_b = _numerators(other.terms, keys.pack)
-        if len(a) > len(b):
-            a, b = b, a
-        acc: dict[int, int] = {}
+        den_a, scaled_a = _over_integers(list(self.terms.values()))
+        den_b, scaled_b = _over_integers(list(other.terms.values()))
+        b = [(e, scaled_b(c)) for e, c in other.terms.items()]
+        acc: dict[tuple[int, ...], tuple[int, int]] = {}  # exponent vector -> (re, im) over den_a*den_b
         get = acc.get
-        for ka, na in a:
-            for kb, nb in b:
-                k = ka + kb
-                acc[k] = get(k, 0) + na * nb
-        return MultiPoly(self.ring, _from_numerators(acc, den_a * den_b, keys.unpack))
+        for ea, c in self.terms.items():
+            ar, ai = scaled_a(c)
+            for eb, (br, bi) in b:
+                e = tuple(map(add, ea, eb))
+                r, i = get(e, (0, 0))
+                acc[e] = r + ar * br - ai * bi, i + ar * bi + ai * br
+        return MultiPoly(self.ring, {e: _exact(v, den_a * den_b) for e, v in acc.items() if v[0] or v[1]})
 
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
@@ -488,84 +406,53 @@ class MultiPoly:
     def divide_exact(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact quotient self / divisor; raises ArithmeticError if inexact.
 
-        Long division by the graded-lex leading term.  In an integral domain
-        the leading monomial of the remainder strictly decreases, so this
-        terminates, and exactness fails loudly.
+        Long division by the divisor's graded-lex leading term L.  In an
+        integral domain the leading monomial of the remainder strictly
+        decreases, so this terminates, and exactness fails loudly.
 
-        The remainder is one dict of int numerators over a common
-        denominator ``scale``, on packed keys (an imaginary part at key + 1),
-        updated in place; a max-heap of its keys yields the leading term (a
-        key whose term cancelled is skipped when popped).  A quotient term is
-        R*conj(L)/N(L) for the remainder's leading numerator R and the
-        divisor's L; the remainder is multiplied through only by the part of
-        N(L) that does not cancel, which is 1 whenever the quotient term is
-        integral in the remainder's scale.
+        The remainder maps exponent vectors to (re, im) int numerators over
+        one denominator ``scale``; a heap of its negated graded-lex keys
+        yields its leading term.  A quotient term is R*conj(L)/|L|^2 for the
+        remainder's leading numerator R, and the remainder is multiplied
+        through only by the part of |L|^2 that does not cancel, which is 1
+        whenever the quotient term is integral in the remainder's scale.
         """
         self._check_ring(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return self
-        # A remainder exponent is at most the weighted degree of self.
-        degree = max(_max_total_degree(self), _max_total_degree(divisor))
-        keys = _keys(self.ring.weights, degree * max(self.ring.weights, default=1))
-        parts, scale = _numerators(self.terms, keys.pack)
-        rem = dict(parts)
-        heap = [-k for k in rem]
-        heapify(heap)
-        d_parts, den = _numerators(divisor.terms, keys.pack)
-        d_key = max(k for k, _ in d_parts) & ~3
-        lead_re = lead_im = 0
-        times_re: list[tuple[int, int]] = []  # the divisor's other terms
-        times_im: list[tuple[int, int]] = []  # the same times i
-        for k, n in d_parts:
-            if k & ~3 == d_key:
-                if k & 1:
-                    lead_im = n
-                else:
-                    lead_re = n
-                continue
-            times_re.append((k - d_key, n))
-            times_im.append((k - d_key - 1, -n) if k & 1 else (k - d_key + 1, n))
+        scale, scaled = _over_integers(list(self.terms.values()))
+        rem = {e: scaled(c) for e, c in self.terms.items()}  # a term that cancels stays, as (0, 0)
+        den, scaled = _over_integers(list(divisor.terms.values()))
+        lead, c = divisor.leading_term()
+        lead_re, lead_im = scaled(c)
+        others = [(e, scaled(c)) for e, c in divisor.terms.items() if e != lead]
         norm = lead_re * lead_re + lead_im * lead_im
-        guard = keys.guard
-        get = rem.get
+        wd = self.ring.weighted_degree
+        heap = [(-wd(e), tuple(map(neg, e))) for e in rem]  # one key per remainder term
+        heapify(heap)
         quotient: dict[tuple[int, ...], GaussianRational] = {}
         while heap:
-            key = -heappop(heap) & ~3
-            r_re = rem.pop(key, 0)
-            r_im = rem.pop(key + 1, 0)
+            expo = tuple(map(neg, heappop(heap)[1]))
+            r_re, r_im = rem.pop(expo)
             if not (r_re or r_im):
                 continue
-            if (key + guard - d_key) & guard != guard:
+            step = tuple(map(sub, expo, lead))
+            if min(step, default=0) < 0:
                 raise ArithmeticError("polynomial division is not exact")
-            t_re = r_re * lead_re + r_im * lead_im
-            t_im = r_im * lead_re - r_re * lead_im
+            t_re, t_im = r_re * lead_re + r_im * lead_im, r_im * lead_re - r_re * lead_im
             g = math.gcd(t_re, t_im, norm)
             u, v, f = t_re // g, t_im // g, norm // g
-            quotient[keys.unpack(key - d_key)] = _gaussian(
-                Fraction(u * den, scale * f) if u else _ZERO,
-                Fraction(v * den, scale * f) if v else _ZERO,
-            )
+            quotient[step] = _exact((u * den, v * den), scale * f)
             if f != 1:
-                for k in rem:
-                    rem[k] *= f
-                scale *= f
-            for mult, times in ((u, times_re), (v, times_im)):
-                if not mult:
-                    continue
-                for offset, n in times:
-                    k = key + offset
-                    old = get(k)
-                    if old is None:
-                        rem[k] = -mult * n
-                        heappush(heap, -k)
-                    else:
-                        old -= mult * n
-                        if old:
-                            rem[k] = old
-                        else:
-                            del rem[k]
+                rem, scale = {k: (a * f, b * f) for k, (a, b) in rem.items()}, scale * f
+            for e, (n_re, n_im) in others:
+                k = tuple(map(add, step, e))
+                if k not in rem:
+                    heappush(heap, (-wd(k), tuple(map(neg, k))))
+                a, b = rem.get(k, (0, 0))
+                rem[k] = a - u * n_re + v * n_im, b - u * n_im - v * n_re
         return MultiPoly(self.ring, quotient)
 
     __floordiv__ = divide_exact  # so that the integer Bareiss loop runs on polynomials

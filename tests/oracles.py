@@ -307,6 +307,17 @@ def _point(x):
     return ",".join(map(str, x))
 
 
+def scalar_mismatch(square, p):
+    """First entry (i, j, value), row by row, where the polynomial matrix
+    ``square`` differs from p*I, or None: an involution A^2 = p*I checked
+    on A.matmul(A)."""
+    for i, row in enumerate(square.rows):
+        for j, entry in enumerate(row):
+            if (entry != p) if i == j else entry:
+                return (i, j, entry)
+    return None
+
+
 def involution_reference(a):
     """P when trace(a) = 0 and a^2 = P*I, else None, with a^2 formed as a
     polynomial matrix (matmul) and compared entry by entry
@@ -315,7 +326,7 @@ def involution_reference(a):
         return None
     square = a.matmul(a)
     p = square.rows[0][0]
-    return p if square.scalar_mismatch(p) is None else None
+    return p if scalar_mismatch(square, p) is None else None
 
 
 def _branch_reference(branch, h, r, up_to_scalar):

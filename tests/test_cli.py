@@ -819,6 +819,12 @@ class TestFixturesCommand:
     def test_unknown_fixture(self, capsys):
         assert main(["fixtures", "run", "--id", "F9"]) == EXIT_USAGE
 
+    def test_unknown_action_is_a_usage_error(self, capsys):
+        assert main(["fixtures", "list"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ") and "'list'" in captured.err
+        assert captured.out == ""
+
     def test_json_report_is_byte_stable(self, capsys):
         assert main(["fixtures", "run", "--json"]) == EXIT_OK
         first = capsys.readouterr().out

@@ -93,6 +93,7 @@ def test_no_unreferenced_definitions():
 HOOK_ONLY = {
     ("detrep", "poly_det"),
     ("detrep", "pencil_to_polymatrix"),
+    ("detrep", "PolyMatrix.matmul"),
     ("polyring", "UniPoly.squarefree_part"),
     ("realroots", "_isolate_squarefree"),
     ("realroots", "refine_interval"),

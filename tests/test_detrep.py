@@ -48,6 +48,7 @@ from oracles import (
     match_values_reference,
     pencil_reference,
     pencil_values,
+    scalar_mismatch,
     scaled,
     sylvester_reference,
     transpose,
@@ -358,20 +359,21 @@ class TestDetrepToSos:
 
 
 class TestScalarMismatch:
-    """PolyMatrix.scalar_mismatch, the one A^2 = p*I check."""
+    """oracles.scalar_mismatch, the polynomial A^2 = p*I check that the
+    lattice decision is tested against."""
 
     def test_none_on_involutions(self):
         from hypercert.clifford import build_Q
 
         m = load_fixture_matrix("F3_matrix.json")
-        assert m.matmul(m).scalar_mismatch(load_fixture_poly("F3_p.txt")) is None
+        assert scalar_mismatch(m.matmul(m), load_fixture_poly("F3_p.txt")) is None
         forms = [parse("x0 + x1", R3), parse("x2", R3), parse("x0 - 2*x2", R3)]
         q = build_Q(forms)
         p = MultiPoly.zero(R3)
         for g in forms:
             p = p + g * g
-        assert q.matmul(q).scalar_mismatch(p) is None
-        assert q.matmul(q).scalar_mismatch(p.scale(2)) == (0, 0, p)
+        assert scalar_mismatch(q.matmul(q), p) is None
+        assert scalar_mismatch(q.matmul(q), p.scale(2)) == (0, 0, p)
 
     def _perturbed(self, changes):
         from hypercert.clifford import build_Q
@@ -386,17 +388,17 @@ class TestScalarMismatch:
 
     def test_first_bad_diagonal_entry(self):
         sq, p = self._perturbed({(5, 5): "x0^2", (2, 2): "x1^2"})
-        assert sq.scalar_mismatch(p) == (2, 2, parse("x1^2", R3))
+        assert scalar_mismatch(sq, p) == (2, 2, parse("x1^2", R3))
 
     def test_first_bad_offdiagonal_entry(self):
         sq, p = self._perturbed({(6, 1): "x2", (3, 4): "x0*x1"})
-        assert sq.scalar_mismatch(p) == (3, 4, parse("x0*x1", R3))
+        assert scalar_mismatch(sq, p) == (3, 4, parse("x0*x1", R3))
 
     def test_row_order_decides_between_kinds(self):
         sq, p = self._perturbed({(4, 4): "0", (3, 7): "1"})
-        assert sq.scalar_mismatch(p)[:2] == (3, 7)
+        assert scalar_mismatch(sq, p)[:2] == (3, 7)
         sq, p = self._perturbed({(3, 3): "0", (3, 7): "1"})
-        assert sq.scalar_mismatch(p)[:2] == (3, 3)
+        assert scalar_mismatch(sq, p)[:2] == (3, 3)
 
     def test_detrep_to_sos_names_the_entry(self):
         ring = Ring.standard(("x1",))
@@ -1123,7 +1125,7 @@ class TestLatticeInvolution:
     @given(sos_inputs())
     def test_detrep_to_sos_decides_as_polynomial_square(self, case):
         matrix, p = case
-        mismatch = matrix.matmul(matrix).scalar_mismatch(p)
+        mismatch = scalar_mismatch(matrix.matmul(matrix), p)
         try:
             sos = detrep_to_sos(matrix, p)
         except ValueError as err:

@@ -4,7 +4,7 @@ and Gaussian int rows, polynomial and constant determinants, leading
 principal minors), pencil values.
 
 The references here are written term by term on (re, im) Fraction pairs, so
-they share no code with the packed integer kernel or with GaussianRational
+they share no code with the kernel's int numerators or with GaussianRational
 arithmetic.  sympy is the determinant oracle (tests only).
 """
 
@@ -24,6 +24,7 @@ from hypercert.scalars import (
     KIND_SYMMETRIC,
     ConstMatrix,
     GaussianRational,
+    _ZERO,
     bareiss,
     pencil_value,
 )
@@ -143,6 +144,18 @@ class TestProductOracle:
         assert prod == parse(expected, ring)
         assert all(c for c in prod.terms.values())
 
+    @given(st.sampled_from((R3, W3, R0)).flatmap(lambda ring: st.tuples(polys(ring), polys(ring))))
+    def test_real_coefficients_share_the_zero_imaginary_part(self, pq):
+        # GaussianRational's and _over_integers' real fast paths test `im is _ZERO`.
+        p, q = pq
+        assert all(c.im is _ZERO for c in (p * q).terms.values())
+        if not q.is_zero():
+            assert all(c.im is _ZERO for c in (p * q).divide_exact(q).terms.values())
+
+    @given(st.sampled_from((G3, GW2)).flatmap(polys))
+    def test_a_real_norm_product_shares_the_zero_imaginary_part(self, p):
+        assert all(c.im is _ZERO for c in (p * p.conjugate()).terms.values())
+
     def test_zero_and_constant_operands(self):
         p = parse("x0^2 - 1/2*x1", R3)
         zero = MultiPoly.zero(R3)
@@ -196,6 +209,28 @@ class TestDivisionOracle:
         assert MultiPoly.zero(R3).divide_exact(q).is_zero()
         with pytest.raises(ZeroDivisionError):
             q.divide_exact(MultiPoly.zero(R3))
+
+    @pytest.mark.parametrize(
+        "ring, divisor, cofactor",
+        [
+            (G3, "(2+3*i)*x0 + 13*x1", "(2/13 - 3/13*i)*x0 + (1/2 + i)*x1 - 1/3*x2"),
+            (R3, "3*x0 + 3*x1", "1/3*x0 - 1/2*x1 + 1"),
+        ],
+    )
+    def test_the_remainder_is_rescaled_by_the_norm_that_does_not_cancel(self, ring, divisor, cofactor):
+        # The divisor's content, 2+3i or 3, does not divide the product's
+        # numerators (its leading coefficient is 1), so by Gauss's lemma the
+        # quotient is not integral in the remainder's scale: the remainder is
+        # multiplied through by N(L), 13 or 3 of 9, at the first step.  (A
+        # primitive divisor such as (2+3i)*x0 + x1 never rescales.)
+        d, q = parse(divisor, ring), parse(cofactor, ring)
+        product = d * q
+        assert product.leading_coefficient() == GaussianRational(1)
+        quotient = product.divide_exact(d)
+        assert quotient == q
+        assert pairs(quotient) == ref_divide(product, d)
+        with pytest.raises(ArithmeticError):
+            (product + parse("x2^2", ring)).divide_exact(d)
 
     def test_gaussian_and_weighted_examples(self):
         g = parse("(1+i)*x0 - 2*x1 + 3*i*x2", G3)

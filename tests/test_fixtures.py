@@ -46,6 +46,7 @@ class TestCorpus:
         assert checks["hermitian"].ok
         assert not checks["involution"].ok
         assert "entry (0,0)" in checks["involution"].detail
+        assert checks["involution"].detail.startswith("A^2 != p*I at x = ")  # decided on lattice values
         for name in ("three-square-identity", "sos-sums-to-p"):
             assert not checks[name].ok
             assert "A^2 != p*I" in checks[name].detail
