@@ -42,7 +42,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .polyring import (MultiPoly, ParseError, Ring, _evaluator, _exact, _pair_pow, _sum_of_squares, parse,
                        real_square_factorization)
@@ -136,15 +136,20 @@ class PolyMatrix:
             out.append(acc)
         return PolyMatrix(self.ring, out, KIND_NONE)
 
-    def eval_at(self, point: Sequence[RationalLike]) -> ConstMatrix:
-        """The value at a rational point, each distinct entry evaluated once (:func:`_evaluator`)."""
-        if len(point) != self.ring.arity:
-            raise ValueError("point arity mismatch")
+    def evaluator(self) -> Callable[[Sequence[RationalLike]], ConstMatrix]:
+        """point -> the value at a rational point, each distinct entry
+        evaluated once by one :func:`_evaluator`, built here once."""
         entries = list(_distinct(self.rows))
         den, values = _evaluator([p.terms for p in entries])
-        at = values([as_fraction(c) for c in point])
-        value = {id(p): _exact(at[k :: len(entries)], den) for k, p in enumerate(entries)}
-        return ConstMatrix([[value[id(p)] for p in row] for row in self.rows], self.kind)
+
+        def at(point: Sequence[RationalLike]) -> ConstMatrix:
+            if len(point) != self.ring.arity:
+                raise ValueError("point arity mismatch")
+            parts = values([as_fraction(c) for c in point])
+            value = {id(p): _exact(parts[k :: len(entries)], den) for k, p in enumerate(entries)}
+            return ConstMatrix([[value[id(p)] for p in row] for row in self.rows], self.kind)
+
+        return at
 
     def entry_degrees_homogeneous(self, degree: int) -> Optional[tuple[int, int]]:
         """First entry that is not weighted-homogeneous of the given degree

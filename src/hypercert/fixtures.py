@@ -151,17 +151,19 @@ def _run_f3(fixture_id: str, spec: dict) -> FixtureResult:
         CheckOutcome("hermitian", bad is None, "ok" if bad is None else f"entry {bad}")
     )
 
-    bad = _square_mismatch(matrix, p)
-    result.checks.append(CheckOutcome("involution", bad is None, bad or "A^2 = p*I"))
+    try:  # detrep_to_sos decides A^2 = p*I once the kind holds; it refuses on the kind first
+        sos, refusal = detrep_to_sos(matrix, p, column=0), None
+    except SosRefusal as err:
+        sos, refusal = None, str(err)
+    square = refusal if bad is None else _square_mismatch(matrix, p)
+    result.checks.append(CheckOutcome("involution", square is None, square or "A^2 = p*I"))
 
     witness = _companion_match(matrix, h, r)
     result.checks.append(CheckOutcome("companion-determinant", witness is None, witness or "det(y*I - A) = h"))
 
-    try:
-        sos = detrep_to_sos(matrix, p, column=0)
-    except SosRefusal as err:  # not involutive: no squares to check
+    if sos is None:  # not involutive: no squares to check
         for name in ("three-square-identity", "sos-sums-to-p"):
-            result.checks.append(CheckOutcome(name, False, str(err)))
+            result.checks.append(CheckOutcome(name, False, refusal))
         return result
     expected = [parse(s, matrix.ring) for s in spec["params"]["expected_squares"]]
     matches = sorted(map(str, sos.squares)) == sorted(map(str, expected))
@@ -200,8 +202,8 @@ def _run_f4(fixture_id: str, spec: dict) -> FixtureResult:
     )
 
     # The spanning line of the hyperbolicity subspace: x34 = 1, the rest 0.
-    e_coords = plucker_line((0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
-    at_e = matrix.eval_at(e_coords)
+    value_at = matrix.evaluator()  # built once, for E and every sampled line
+    at_e = value_at(plucker_line((0, 0, 0, 1, 0), (0, 0, 0, 0, 1)))
     is_twice_identity = all(
         at_e.entries[i][j] == (2 if i == j else 0)
         for i in range(at_e.size)
@@ -225,7 +227,7 @@ def _run_f4(fixture_id: str, spec: dict) -> FixtureResult:
             coords = plucker_line(base, q_point)
         except ValueError:
             continue
-        det = const_det(matrix.eval_at(coords))
+        det = const_det(value_at(coords))
         if det.is_zero():
             vanished += 1
         else:

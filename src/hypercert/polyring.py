@@ -3,8 +3,8 @@
 A ``Ring`` fixes the variable names, one positive integer weight per
 variable, and whether Gaussian (complex) coefficients are allowed.
 ``MultiPoly`` stores a map from exponent vectors to nonzero coefficients.
-``UniPoly`` is the dense univariate companion used by the real-root
-machinery.
+``UniPoly``, the dense univariate companion used by the real-root
+machinery, stores int numerators over one positive denominator.
 
 The multivariate kernel works on integers.  A product scales each operand
 by the lcm of its coefficient denominators, accumulates the (re, im) int
@@ -15,10 +15,11 @@ long division by the divisor's graded-lex leading term on one remainder of
 heap of graded-lex keys yields.  Only the results are converted back to
 GaussianRational.
 
-One evaluator, :func:`_evaluator`, gives every value of a multivariate
-polynomial (``MultiPoly.eval``, ``PolyMatrix.eval_at``, a sampled line's
-Taylor table and the lattice checks of :mod:`hypercert.detrep`), in ints at
-an integer point.
+One evaluator, :func:`_monomial_evaluator` (one multiply per monomial),
+gives every value of a multivariate polynomial (``MultiPoly.eval``,
+``PolyMatrix.evaluator`` and the lattice checks of :mod:`hypercert.detrep`
+through :func:`_evaluator`, and a sampled line's int Taylor rows), in ints
+at an integer point.
 
 The ASCII grammar implemented by :func:`parse` / ``MultiPoly.__str__`` is the
 single wire format for polynomials in files, CLI arguments and matrix JSON:
@@ -45,6 +46,7 @@ zero terms are dropped.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import sys
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, mul, neg, sub
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .scalars import (
     _ZERO,
@@ -130,26 +132,41 @@ class Ring:
         )
 
 
-def _evaluator(polys: Sequence[dict[tuple[int, ...], GaussianRational]]) -> tuple:
-    """(D, values): D the lcm of the denominators in the terms dicts
-    ``polys`` and values(x) the parts Re D*poly(x), then Im D*poly(x), at a
-    rational point x, from each terms dict split into a real and an
-    imaginary one (:func:`~hypercert.scalars._over_integers`), each distinct
-    monomial once per point, from one table of the powers of x; integral
-    coordinates are taken as ints, so at an integer point so are the parts."""
-    den, scaled = _over_integers([c for terms in polys for c in terms.values()])
-    index: dict[tuple[int, ...], int] = {}  # monomial -> position in monos
-    scaled_polys = [[(index.setdefault(e, len(index)), scaled(c)) for e, c in terms.items()] for terms in polys]
-    parts = [[(k, c[part]) for k, c in terms if c[part]] for part in (0, 1) for terms in scaled_polys]
-    width = max([k for e in index for k in e], default=0) + 1  # the table: x_j^k, k < width, in one row
-    places = [[j * width + k for j, k in enumerate(e) if k] for e in index]  # of each monomial's factors
+def _monomial_evaluator(polys: Sequence[Iterable[tuple[tuple[int, ...], int]]]) -> Callable:
+    """values(x) = [poly(x) for poly in polys] at a rational point x, for
+    polynomials given as (exponent vector, int coefficient) pairs: each
+    distinct monomial is one multiply from its parent, the monomial with the
+    exponent of its last variable that occurs lowered by one, in a tree of
+    monomials built once, down to 1.  At an integer point they are ints."""
+    child: dict[tuple[int, int], int] = {}  # (monomial, variable) -> their product, numbered from 1; 0 is 1
+
+    def node(e: tuple[int, ...]) -> int:
+        k = 0
+        for j, a in enumerate(e):
+            while a:
+                a, k = a - 1, child.setdefault((k, j), len(child) + 1)
+        return k
+
+    sums = [[(node(e), c) for e, c in terms] for terms in polys]
+    steps = list(child)  # monomial k + 1 is monomial steps[k][0] times x_{steps[k][1]}
 
     def values(x: Sequence[Union[int, Fraction]]) -> list:
-        at = [c**k for c in [c.numerator if c.denominator == 1 else c for c in x] for k in range(width)].__getitem__
-        monos = [math.prod(map(at, p)) for p in places]
-        return [sum([c * monos[k] for k, c in terms]) if terms else 0 for terms in parts]
+        x = [c.numerator if c.denominator == 1 else c for c in x]
+        monos = [1]
+        for k, j in steps:
+            monos.append(monos[k] * x[j])
+        return [sum([c * monos[k] for k, c in terms]) if terms else 0 for terms in sums]
 
-    return den, values
+    return values
+
+
+def _evaluator(polys: Sequence[dict[tuple[int, ...], GaussianRational]]) -> tuple:
+    """(D, values): D the lcm of the denominators in the terms dicts ``polys``
+    and values(x) the parts Re D*poly(x), then Im D*poly(x), at a rational
+    point x, by :func:`_monomial_evaluator` on each dict's two int parts."""
+    den, scaled = _over_integers([c for terms in polys for c in terms.values()])
+    pairs = [[(e, scaled(c)) for e, c in terms.items()] for terms in polys]
+    return den, _monomial_evaluator([[(e, c[part]) for e, c in terms if c[part]] for part in (0, 1) for terms in pairs])
 
 
 def _exact(v: Sequence, den: int) -> GaussianRational:
@@ -771,94 +788,93 @@ def format_poly(poly: MultiPoly) -> str:
 
 
 class UniPoly:
-    """Dense univariate polynomial over Q, coefficients ascending by degree."""
+    """Dense univariate polynomial over Q: int numerators ``nums``, ascending
+    by degree with no trailing zero, over one positive denominator ``den``,
+    in lowest terms; ``coeffs`` forms the normalised Fractions on demand."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Sequence[RationalLike]):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, coeffs: Sequence[RationalLike]):
+        return cls._over([c if type(c) is int else as_fraction(c) for c in coeffs], 1)
+
+    @classmethod
+    def _over(cls, coeffs: Sequence[Union[int, Fraction]], den: int) -> "UniPoly":
+        """sum_k coeffs[k]/den * t^k, for an int den > 0."""
+        scale = math.lcm(*[c.denominator for c in coeffs])  # 1 for ints
+        nums = [c.numerator * (scale // c.denominator) for c in coeffs]
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den * scale, *nums)
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nums", tuple([c // g for c in nums]))
+        object.__setattr__(poly, "den", den * scale // g)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(c, self.den) for c in self.nums])
 
     @classmethod
     def zero(cls) -> "UniPoly":
         return cls(())
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            [
-                (self.coeffs[k] if k < len(self.coeffs) else 0)
-                + (other.coeffs[k] if k < len(other.coeffs) else 0)
-                for k in range(n)
-            ]
-        )
+        pairs = itertools.zip_longest(self.nums, other.nums, fillvalue=0)
+        return UniPoly._over([a * other.den + b * self.den for a, b in pairs], self.den * other.den)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
+        return UniPoly._over([-c for c in self.nums], self.den)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if not self.coeffs or not other.coeffs:
-            return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for a, ca in enumerate(self.coeffs):
-            if not ca:
-                continue
-            for b, cb in enumerate(other.coeffs):
-                if cb:
-                    out[a + b] += ca * cb
-        return UniPoly(out)
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for a, ca in enumerate(self.nums):
+            for b, cb in enumerate(other.nums):
+                out[a + b] += ca * cb
+        return UniPoly._over(out, self.den * other.den)
 
     def scale(self, c: RationalLike) -> "UniPoly":
         c = as_fraction(c)
-        return UniPoly([k * c for k in self.coeffs])
+        return UniPoly._over([k * c.numerator for k in self.nums], self.den * c.denominator)
 
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("univariate division by zero")
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return UniPoly.zero(), self
-        quo = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + len(other.coeffs) - 1] / lead
-            quo[k] = c
-            if c:
-                for j, oc in enumerate(other.coeffs):
-                    rem[k + j] -= c * oc
+        rem, divisor = list(self.coeffs), other.coeffs
+        quo = [Fraction(0)] * max(len(rem) - len(divisor) + 1, 0)
+        for k in reversed(range(len(quo))):
+            quo[k] = c = rem[k + len(divisor) - 1] / divisor[-1]
+            for j, d in enumerate(divisor):
+                rem[k + j] -= c * d
         return UniPoly(quo), UniPoly(rem)
 
     def divide_exact(self, other: "UniPoly") -> "UniPoly":
@@ -868,30 +884,19 @@ class UniPoly:
         return quo
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([k * c for k, c in enumerate(self.coeffs)][1:])
+        return UniPoly._over([k * c for k, c in enumerate(self.nums)][1:], self.den)
 
     def eval(self, x: RationalLike) -> Fraction:
         x = as_fraction(x)
         total = Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.nums):
             total = total * x + c
-        return total
-
-    # -- integer normal forms (coefficient-growth control) -------------------
-
-    def _int_coeffs(self) -> list[int]:
-        lcm = math.lcm(*[c.denominator for c in self.coeffs])
-        return [c.numerator * (lcm // c.denominator) for c in self.coeffs]
+        return total / self.den
 
     def primitive(self) -> "UniPoly":
         """Integer-primitive associate with positive leading coefficient."""
-        ints = self._int_coeffs()
-        if not ints:
-            return UniPoly.zero()
-        g = math.gcd(*ints)
-        if ints[-1] < 0:
-            g = -g
-        return UniPoly([Fraction(c, g) for c in ints])
+        g = math.gcd(*self.nums) * (-1 if self.nums and self.nums[-1] < 0 else 1)
+        return UniPoly._over([c // g for c in self.nums], 1)
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Primitive gcd: the last term of the signed remainder sequence of
@@ -906,11 +911,12 @@ class UniPoly:
         return self.divide_exact(g).primitive()
 
     def format(self, var: str = "t") -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if not c:
                 continue
             mono = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
@@ -966,8 +972,8 @@ def sturm_chain(f: UniPoly, g: Optional[UniPoly] = None) -> list[tuple[int, ...]
     pseudo-remainder over Z divided by its positive content (Collins 1967;
     Brown-Traub 1971).  No Fraction is formed.
     """
-    first = _int_primitive(f._int_coeffs())
-    second = _int_primitive([k * c for k, c in enumerate(first)][1:] if g is None else g._int_coeffs())
+    first = _int_primitive(f.nums)
+    second = _int_primitive([k * c for k, c in enumerate(first)][1:] if g is None else g.nums)
     if not second:
         return [first]
     chain = [first, second]
@@ -985,17 +991,16 @@ def sturm_chain(f: UniPoly, g: Optional[UniPoly] = None) -> list[tuple[int, ...]
 
 
 class _TaylorTable:
-    """The rows (D_e^k h) / k!, k = 0..deg(h), of Taylor's formula
-    h(t*e - v) = sum_k t^k/k! * (D_e^k h)(-v), and ``values``, which
-    evaluates them all at one point (:func:`_evaluator`) over their common
-    denominator ``den``.
+    """The rows R_k = (D_e^k h) / k!, k = 0..deg(h), of Taylor's formula
+    h(t*e - v) = sum_k t^k * R_k(-v), as int rows over one denominator
+    ``den``, and ``values``, which evaluates them all at one point.
 
-    The rows are built in integers: with L the lcm of e's denominators,
-    row k + 1 is D_{L*e} of row k's numerators over row k's denominator
-    times L * (k + 1).
+    With h = H / D and e = E / L, H and E integral, R_k = S_k / (D * L^k):
+    S_k, the coefficient of t^k in H(x + t*E), is integral, and
+    S_(k+1) = D_E(S_k) / (k + 1) exactly.  Row k is S_k * L^(deg - k).
     """
 
-    __slots__ = ("h", "e", "den", "values", "size")
+    __slots__ = ("h", "e", "den", "values")
 
     def __init__(self, h: MultiPoly, e: tuple[Fraction, ...]):
         if not h.is_real():
@@ -1005,23 +1010,23 @@ class _TaylorTable:
         along = [(j, c.numerator * (scale // c.denominator)) for j, c in enumerate(e) if c]
         den = math.lcm(*[c.re.denominator for c in h.terms.values()])
         row = {expo: c.re.numerator * (den // c.re.denominator) for expo, c in h.terms.items()}
-        rows: list[dict[tuple[int, ...], GaussianRational]] = []
+        rows: list[dict[tuple[int, ...], int]] = []
         while row:
-            rows.append({expo: _gaussian(Fraction(c, den), _ZERO) for expo, c in row.items()})
-            den *= scale * len(rows)
+            rows.append(row)
             derivative: dict[tuple[int, ...], int] = {}
             for expo, c in row.items():
                 for j, ej in along:
                     if expo[j]:
                         key = expo[:j] + (expo[j] - 1,) + expo[j + 1 :]
                         derivative[key] = derivative.get(key, 0) + c * expo[j] * ej
-            row = {expo: c for expo, c in derivative.items() if c}
-        self.den, self.values = _evaluator(rows)
-        self.size = len(rows)
+            row = {expo: c // len(rows) for expo, c in derivative.items() if c}
+        top = max(len(rows) - 1, 0)
+        self.den = den * scale**top
+        self.values = _monomial_evaluator([[(x, c * scale ** (top - k)) for x, c in row.items()] for k, row in enumerate(rows)])
 
     def at(self, v: Sequence[Union[int, Fraction]]) -> UniPoly:
-        """The coefficients of h(t*e - v): each row evaluated at w = -v."""
-        return UniPoly([Fraction(c, self.den) for c in self.values([-c for c in v])[: self.size]])
+        """h(t*e - v): each row evaluated at w = -v."""
+        return UniPoly._over(self.values([-c for c in v]), self.den)
 
 
 # The two most recent tables, oldest first; interlaces_sampled alternates
@@ -1049,11 +1054,12 @@ def restrict_to_line(
 
     It is read off Taylor's formula along e at -v,
     h(t*e - v) = sum_k t^k/k! * (D_e^k h)(-v), with D_e the directional
-    derivative.  The table of the (D_e^k h) / k! is built in ints once per
-    (h, e) and cached for the two most recent pairs, found by the identity
-    of h and the value of e; each line then evaluates all its rows at -v in
-    one call of :func:`_evaluator`, in ints for an integer v.  Any ring is
-    accepted, weights play no part, and h must have real coefficients.
+    derivative.  The table of the (D_e^k h) / k!, int rows over one
+    denominator (:class:`_TaylorTable`), is built once per (h, e) and cached
+    for the two most recent pairs, found by the identity of h and the value
+    of e; each line's values of the rows at -v, ints for an integer v, are
+    its numerators over that denominator.  Any ring is accepted, weights
+    play no part, and h must have real coefficients.
 
     For homogeneous h with h(e) != 0 the result has degree deg(h) with
     leading coefficient h(e).

@@ -8,7 +8,9 @@ roots of f (Sturm).  Variations only see signs, so any sequence whose
 members are positive multiples of those does: ``polyring.sturm_chain`` is
 the primitive pseudo-remainder sequence over Z (Collins 1967; Brown-Traub
 1971), int coefficient tuples with no Fraction, and the one Euclid that
-also gives ``UniPoly.gcd``.  Signs at +-infinity are read off each
+also gives ``UniPoly.gcd``.  It starts from the int numerators that a
+``UniPoly`` stores, so a sampled line goes from its Taylor table to the
+last Sturm member in ints.  Signs at +-infinity are read off each
 member's leading coefficient and length.  The library isolates no roots;
 ``_isolate_squarefree`` and ``refine_interval`` remain only as benchmark
 hooks.

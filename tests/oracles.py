@@ -283,18 +283,24 @@ def directional_derivative(h, e):
     return MultiPoly(h.ring, {key: c for key, c in terms.items() if c})
 
 
-def restrict_reference(h, e, v):
-    """h(t*e - v) as a UniPoly, expanded term by term: each term of h times
-    the powers of the lines (e_k*t - v_k), with repeated products."""
-    lines = [UniPoly([-as_fraction(vk), as_fraction(ek)]) for ek, vk in zip(e, v)]
-    total = UniPoly.zero()
+def restrict_coefficients(h, e, v):
+    """The Fraction coefficients of h(t*e - v), ascending, trailing zeros
+    kept, expanded term by term on plain lists: each term of h times the
+    powers of the lines (e_k*t - v_k), with repeated products."""
+    total = [Fraction(0)] * (1 + max([sum(expo) for expo in h.terms], default=0))
     for expo, coeff in h.terms.items():
-        term = UniPoly([coeff.re])
-        for line, n in zip(lines, expo):
+        term = [coeff.re]
+        for ek, vk, n in zip(e, v, expo):
             for _ in range(n):
-                term = term * line
-        total = total + term
+                term = [a * -as_fraction(vk) + b * as_fraction(ek) for a, b in zip(term + [0], [0] + term)]
+        for k, c in enumerate(term):
+            total[k] += c
     return total
+
+
+def restrict_reference(h, e, v):
+    """h(t*e - v) as a UniPoly (:func:`restrict_coefficients`)."""
+    return UniPoly(restrict_coefficients(h, e, v))
 
 
 def lattice_points(n, m):

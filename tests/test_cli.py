@@ -3,6 +3,7 @@
 import hashlib
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,43 @@ class TestRestrictionCallCount:
              "--dir", "1,0,0", "--samples", "40", "--seed", "3", "--json"]
         ) == code
         assert len(calls) == 2 * json.loads(capsys.readouterr().out)["samples"]
+
+
+class TestNoFractionPerLine:
+    """A sampled line is decided in ints, from its Taylor table to the last
+    Sturm member: on the same integer h and e, each command forms as many
+    Fractions at 40 samples as at 10 (parsing, the check at e and the
+    report form a fixed number)."""
+
+    # Three linear forms positive at e = (1, 0, 0), and h's derivative along e.
+    CUBIC = "ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\n(x0 + x1)*(x0 - x2)*(2*x0 + x1 + 3*x2)\n"
+    DERIVATIVE = ("ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\n"
+                  "(x0 - x2)*(2*x0 + x1 + 3*x2) + (x0 + x1)*(2*x0 + x1 + 3*x2) + 2*(x0 + x1)*(x0 - x2)\n")
+
+    @staticmethod
+    def fractions_formed(monkeypatch, capsys, argv, samples):
+        new, count = Fraction.__new__, 0
+
+        def counting(cls, *args, **kwargs):
+            nonlocal count
+            count += 1
+            return new(cls, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", staticmethod(counting))
+            code = main(argv + ["--samples", str(samples), "--seed", "11", "--json"])
+        assert code == EXIT_OK and json.loads(capsys.readouterr().out)["samples"] == samples
+        return count
+
+    @pytest.mark.parametrize("command", ["check-hyperbolic", "check-interlacer"])
+    def test_fractions_do_not_grow_with_the_samples(self, tmp_path, monkeypatch, capsys, command):
+        (tmp_path / "h.txt").write_text(self.CUBIC, encoding="ascii")
+        (tmp_path / "g.txt").write_text(self.DERIVATIVE, encoding="ascii")
+        argv = [command, "--poly", str(tmp_path / "h.txt"), "--dir", "1,0,0"]
+        if command == "check-interlacer":
+            argv += ["--interlacer", str(tmp_path / "g.txt")]
+        counts = [self.fractions_formed(monkeypatch, capsys, argv, samples) for samples in (10, 40)]
+        assert counts[0] == counts[1]
 
 
 class TestVerifyDetrep:

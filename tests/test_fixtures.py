@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hypercert import fixtures
+from hypercert import detrep, fixtures
 from hypercert.detrep import PolyMatrix
 from hypercert.fixtures import FIXTURE_IDS, run_fixture, run_fixtures
 from hypercert.polyring import ParseError, Ring
@@ -50,6 +50,51 @@ class TestCorpus:
         for name in ("three-square-identity", "sos-sums-to-p"):
             assert not checks[name].ok
             assert "A^2 != p*I" in checks[name].detail
+
+    def test_f3_decides_the_involution_once(self, monkeypatch):
+        calls = []
+        mismatch = detrep._square_mismatch
+
+        def counting(matrix, p):
+            calls.append(p)
+            return mismatch(matrix, p)
+
+        monkeypatch.setattr(detrep, "_square_mismatch", counting)
+        monkeypatch.setattr(fixtures, "_square_mismatch", counting)
+        result = run_fixture("F3")
+        assert result.ok and len(calls) == 1  # inside detrep_to_sos
+
+    def test_f3_reports_a_broken_kind(self, monkeypatch):
+        # detrep_to_sos refuses on the kind before A^2 = p*I, so the fixture
+        # decides the involution itself.
+        load = fixtures.load_fixture_matrix
+
+        def unhermitian(name):
+            matrix = load(name)
+            if not name.startswith("F3"):
+                return matrix
+            rows = [list(row) for row in matrix.rows]
+            rows[0][1] = rows[0][1] + rows[0][1]
+            return PolyMatrix(matrix.ring, rows, matrix.kind)
+
+        monkeypatch.setattr(fixtures, "load_fixture_matrix", unhermitian)
+        checks = {c.name: c for c in run_fixture("F3").checks}
+        assert not checks["hermitian"].ok and checks["hermitian"].detail == "entry (0, 1)"
+        assert not checks["involution"].ok and checks["involution"].detail.startswith("A^2 != p*I at x = ")
+        for name in ("three-square-identity", "sos-sums-to-p"):
+            assert not checks[name].ok
+            assert checks[name].detail == "matrix entry (0, 1) breaks the declared hermitian symmetry"
+
+    def test_f4_builds_its_evaluator_once(self, monkeypatch):
+        builds = []
+        evaluator = detrep._evaluator
+
+        def counting(polys):
+            builds.append(len(polys))
+            return evaluator(polys)
+
+        monkeypatch.setattr(detrep, "_evaluator", counting)
+        assert run_fixture("F4").ok and len(builds) == 1
 
     def test_f3_reports_a_failed_companion_determinant(self, monkeypatch):
         load = fixtures.load_fixture_poly

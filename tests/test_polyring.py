@@ -18,11 +18,14 @@ from hypercert.polyring import (
     _evaluator,
     format_poly,
     parse,
+    _monomial_evaluator,
     real_square_factorization,
     restrict_to_line,
+    sturm_chain,
 )
 from hypercert.scalars import GaussianRational
-from oracles import directional_derivative, eval_at_reference, eval_reference, from_roots, restrict_reference, shift
+from oracles import (directional_derivative, eval_at_reference, eval_reference, from_roots, restrict_coefficients,
+                     restrict_reference, shift)
 
 R3 = Ring.standard(("x0", "x1", "x2"))
 R4 = Ring.standard(("x0", "x1", "x2", "x3"))
@@ -461,6 +464,62 @@ class TestUniPoly:
             assert g.eval(t) == f.eval(Fraction(t) + Fraction(1, 2))
 
 
+def assert_same_unipoly(f, g):
+    """f and g equal, hash equal and store the same pair, and every reading
+    of them agrees."""
+    assert f == g and hash(f) == hash(g) and (f.nums, f.den) == (g.nums, g.den)
+    assert (f.degree, f.is_zero(), f.format(), f.coeffs) == (g.degree, g.is_zero(), g.format(), g.coeffs)
+    if not g.is_zero():
+        assert f.leading() == g.leading() == g.coeffs[-1]
+    assert sturm_chain(f) == sturm_chain(g)
+
+
+class TestUniPolyStorage:
+    """A UniPoly stores int numerators over one positive denominator in
+    lowest terms; ``coeffs`` forms the normalised Fractions on demand.  A
+    restriction is built on that storage with no Fraction formed."""
+
+    @given(st.lists(st.one_of(st.integers(-9, 9), RATIONALS), max_size=6))
+    def test_coeffs_are_normalised_fractions_without_trailing_zeros(self, cs):
+        f = UniPoly(cs)
+        want = [Fraction(c) for c in cs]
+        while want and not want[-1]:
+            want.pop()
+        assert f.coeffs == tuple(want) and all(type(c) is Fraction for c in f.coeffs)
+        assert all(type(c) is int for c in f.nums) and f.den > 0 and math.gcd(f.den, *f.nums) == 1
+        assert f.degree == len(want) - 1 and f.is_zero() == (not want)
+        assert_same_unipoly(f, UniPoly(want + [0, Fraction(0)]))
+        assert_same_unipoly(f, UniPoly([str(c) for c in want]))
+
+    @given(lines())
+    def test_a_restriction_is_the_unipoly_of_its_coefficients(self, line):
+        h, e, v = line
+        assert_same_unipoly(restrict_to_line(h, e, v), UniPoly(restrict_coefficients(h, e, v)))
+
+    @pytest.mark.parametrize("h, e, v", [
+        ("0", (1, 0, 0), (1, 2, 3)),
+        ("x0^2 - x1^2 - x2^2", (Fraction(1, 2), Fraction(-2, 3), 0), (1, -1, 2)),  # rational e
+        ("1/2*x0^3 - 2/3*x0*x1^2 + 5/7*x1*x2^2", (1, 0, 0), (3, -1, 2)),  # rational h
+        ("1/2*x0^3 - 2/3*x0*x1^2 + 5/7*x1*x2^2", (Fraction(3, 2), 1, Fraction(1, 5)), (Fraction(1, 3), 0, 5)),
+        ("3*x0^2 - 3*x1^2", (1, 1, 0), (0, 1, 0)),  # h(e) = 0: 6*t - 3, one degree short
+    ])
+    def test_zero_rational_e_and_rational_h(self, h, e, v):
+        h = parse(h, R3)
+        f = restrict_to_line(h, e, v)
+        assert_same_unipoly(f, UniPoly(restrict_coefficients(h, e, v)))
+        assert f.den > 0 and math.gcd(f.den, *f.nums) == 1
+
+    def test_arithmetic_on_numerators(self):
+        f, g = UniPoly([Fraction(1, 2), 0, Fraction(-3, 4)]), UniPoly([Fraction(2, 3), Fraction(5, 6)])
+        assert (f + g).coeffs == (Fraction(7, 6), Fraction(5, 6), Fraction(-3, 4))
+        assert (f - f).is_zero() and (f - f).den == 1
+        assert (f * g).coeffs == (Fraction(1, 3), Fraction(5, 12), Fraction(-1, 2), Fraction(-5, 8))
+        assert f.scale(Fraction(-4, 3)).coeffs == (Fraction(-2, 3), 0, 1) and f.scale(0).is_zero()
+        assert f.derivative().coeffs == (0, Fraction(-3, 2))
+        assert f.eval(Fraction(2, 3)) == Fraction(1, 2) - Fraction(1, 3)
+        assert f.primitive() == UniPoly([-2, 0, 3]) and UniPoly.zero().primitive().is_zero()
+
+
 MONOMIALS = [(0, 0, 0), (1, 0, 0), (0, 2, 1), (2, 1, 0), (1, 1, 1), (0, 0, 3)]
 INTEGERS = st.tuples(*[st.integers(-6, 6)] * 3)
 RATIONAL_POINTS = st.tuples(*[st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))] * 3)  # integral or not
@@ -482,7 +541,7 @@ def as_gaussians(values: list) -> list:
 
 
 class TestEvaluator:
-    """_evaluator, and MultiPoly.eval, eval_rational and PolyMatrix.eval_at
+    """_evaluator, and MultiPoly.eval, eval_rational and PolyMatrix.evaluator
     through it, against the term-by-term eval_reference of tests/oracles.py:
     values(x)[k] and values(x)[n + k], for n polynomials, are the real and
     imaginary parts of D * polys[k](x), with D the lcm of every
@@ -515,6 +574,33 @@ class TestEvaluator:
         den, values = _evaluator([])
         assert (den, values((1, 2))) == (1, [])
 
+    # A monomial whose parents no polynomial has, a constant, the zero
+    # polynomial (an empty dict), and one monomial with a real and an
+    # imaginary part.
+    TREE_CASES = ["x0^5*x2^3", "-7/3", "0", "(2/3 - 3*i)*x1^2*x2", "x0^5*x2^3 - 1/2*x0 + (1 + i)*x1^2*x2 + 4"]
+    TREE_POINTS = [(0, 0, 0), (1, 1, 1), (2, -3, 5), (-1, 7, -2), (Fraction(1, 2), -3, Fraction(5, 4)),
+                   (Fraction(-2, 3), 1, Fraction(7, 2))]
+
+    @pytest.mark.parametrize("text", TREE_CASES)
+    def test_monomial_tree_against_the_reference(self, text):
+        p = parse(text, Ring.standard(("x0", "x1", "x2"), gaussian=True))
+        den, values = _evaluator([p.terms])
+        for x in self.TREE_POINTS:
+            assert as_gaussians(values(x)) == [eval_reference(p, x).scale(den)]
+            assert p.eval(x) == eval_reference(p, x)
+
+    def test_monomial_tree_on_int_pairs(self):
+        # The parents of x0^5*x2^3 (x0^5*x2^2, ..., x0, 1) are no terms; the
+        # second polynomial walks the same chain, the third is empty.
+        polys = [[((5, 0, 3), 2)], [((5, 0, 1), -3), ((0, 0, 0), 4), ((5, 0, 3), 1)], [], [((0, 0, 0), -4)]]
+        values = _monomial_evaluator(polys)
+        ring = Ring.standard(("x0", "x1", "x2"))
+        for x in self.TREE_POINTS:
+            want = [eval_reference(MultiPoly.from_terms(ring, terms), x).re for terms in polys]
+            got = values(x)
+            assert got == want
+            assert all(type(v) is int for v in got) == all(Fraction(c).denominator == 1 for c in x)
+
     @given(st.booleans(), term_dicts(True), st.one_of(INTEGERS, RATIONAL_POINTS))
     def test_eval_and_eval_rational(self, real, terms, x):
         ring = Ring.standard(("x0", "x1", "x2"), gaussian=True)
@@ -538,16 +624,18 @@ class TestEvaluator:
         m = data.draw(st.integers(1, 4))
         cells = data.draw(st.lists(st.sampled_from(pool), min_size=m * m, max_size=m * m))
         matrix = PolyMatrix(ring, [cells[k : k + m] for k in range(0, m * m, m)])
-        x = data.draw(st.one_of(INTEGERS, RATIONAL_POINTS))
-        assert matrix.eval_at(x) == eval_at_reference(matrix, x)
+        value_at = matrix.evaluator()  # one build, several points
+        for x in data.draw(st.lists(st.one_of(INTEGERS, RATIONAL_POINTS), min_size=1, max_size=3)):
+            assert value_at(x) == eval_at_reference(matrix, x)
         with pytest.raises(ValueError, match="arity"):
-            matrix.eval_at(x + (0,))
+            value_at(x + (0,))
 
     def test_hermitian_matrix_on_pluecker_lines(self):
         # F4's 4x4 hermitian matrix of linear forms in ten Pluecker coordinates.
         matrix = load_fixture_matrix("F4_matrix.json")
+        value_at = matrix.evaluator()
         rng = random.Random(5)
         for _ in range(20):
             p = [Fraction(rng.randrange(-7, 8), rng.randrange(1, 4)) for _ in range(5)]
             coords = plucker_line(p, [rng.randrange(-7, 8) for _ in range(5)])
-            assert matrix.eval_at(coords) == eval_at_reference(matrix, coords)
+            assert value_at(coords) == eval_at_reference(matrix, coords)
