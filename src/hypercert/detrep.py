@@ -57,7 +57,6 @@ from .scalars import (
     RationalLike,
     _common_kind,
     _integer_slices,
-    _kind_violation,
     _over_integers,
     as_fraction,
     bareiss,
@@ -109,8 +108,23 @@ class PolyMatrix:
         return self.ring == other.ring and self.rows == other.rows and self.kind == other.kind
 
     def kind_violation(self) -> Optional[tuple[int, int]]:
-        """First entry (i, j) breaking the declared symmetry kind, or None."""
-        return _kind_violation(self.rows, self.kind, lambda a, b: a == b.conjugate())
+        """First (i, j) with i <= j, row by row, where the matrix breaks its
+        kind, or None: symmetric needs a_ij = a_ji real, hermitian
+        a_ij = conj(a_ji).  Realness is tested once per distinct entry."""
+        if self.kind == KIND_NONE:
+            return None
+        rows, hermitian = self.rows, self.kind == KIND_HERMITIAN
+        real = {id(p): p.is_real() for p in _distinct(rows)}
+        for i, row in enumerate(rows):
+            for j in range(i, len(rows)):
+                a, b = row[j], rows[j][i]
+                if a is b:  # a diagonal entry or one shared with its mirror: it need only be real
+                    bad = not real[id(a)]
+                else:
+                    bad = a != b.conjugate() if hermitian else not real[id(a)] or a != b
+                if bad:
+                    return (i, j)
+        return None
 
     def trace(self) -> MultiPoly:
         return sum(filter(None, (row[k] for k, row in enumerate(self.rows))), MultiPoly.zero(self.ring))
@@ -467,6 +481,9 @@ def verify_pencil(
 
     Three named checks: symmetry kind, determinant identity (c = 1 unless
     ``up_to_scalar``), and Sylvester's test on sum e_i A_i over Z or Z[i].
+    The kind check and the integer routes read each slice's integer form
+    (:class:`~hypercert.scalars.ConstMatrix`), built once per slice unless
+    it was read so (:func:`~hypercert.wire.pencil_from_json`).
     For quadratic h whose pencil is ell*I - Q with Q^2 = P*I the determinant
     is (ell^2 - P)^r (:func:`_match_branch`).  Every other pencil is decided
     on its values at the simplex lattice (:func:`_lattice_match`).  A failed

@@ -29,7 +29,9 @@ parentheses, integer and ``p/q`` rational literals, and the literal token
 and names ASCII identifiers; whitespace is insignificant, and any other
 character is a ParseError naming it and its position.  So is a power
 whose coefficients are estimated to pass the longest literal int()
-converts.
+converts, and a power n > 1 of a sum that may expand to more than 1,000
+terms (``_MAX_TERMS``; :meth:`_Parser.expansion`): ``(x0+x1+x2)^43``, of
+990 terms, parses, and ``(x0+x1+x2)^44``, of up to 1,035, is refused.
 
 Parsing builds terms directly.  Each subexpression is a dict from exponent
 vectors to (re, im) pairs of ints or Fractions, and each signed term of a
@@ -53,7 +55,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, mul, neg, sub
+from operator import add, is_, mul, neg, sub
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .scalars import (
@@ -493,6 +495,7 @@ _TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*^/()]")
 _BAD_CHAR = re.compile(r"[^\s0-9A-Za-z_*^/()+-]")
 _OPS = set("+-*^/()")
 _UNITS = {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}  # (re, im) of zero and the units of Z[i]
+_MAX_TERMS = 1000  # the most terms a power of a sum may expand to (see the module docstring)
 _LITERAL = re.compile(r"(-?[0-9]+)?(?:((?(1)[-+]|-?))(?:([0-9]+)\*)?(i))?")
 
 # A parsed subexpression: exponent vector -> (re, im), each part an int or a
@@ -585,6 +588,16 @@ class _Parser:
         limit, bits = sys.get_int_max_str_digits(), n * size.bit_length()
         if limit and bits > 3 * limit and bits > (10**limit - 1).bit_length():
             raise ParseError(f"power of about {bits} bits is too large at position {self.start(k)}")
+
+    def expansion(self, base: _Terms, n: int, k: int) -> None:
+        """A ParseError at token k if base^n, n > 1, may have more than
+        _MAX_TERMS terms: C(t + n - 1, n) for its t nonzero terms, or the
+        monomials of degree at most n * deg(base) in its variables, if fewer."""
+        support = [e for e, (re, im) in base.items() if re or im]
+        used = sum(map(any, zip(*support)))
+        terms = min(math.comb(len(support) + n - 1, n), math.comb(used + n * max(map(sum, support), default=0), used))
+        if n > 1 and terms > _MAX_TERMS:
+            raise ParseError(f"power of up to {terms} terms is too large at position {self.start(k)}")
 
     def raised(self, re, im, n: int, k: int) -> tuple:
         """(re + im*i)^n, bounded by the base's largest numerator or denominator unless it is 0 or a unit."""
@@ -683,6 +696,7 @@ class _Parser:
             size = max(den, sum(abs(q.numerator) * (den // q.denominator) for c in base.values() for q in c))
             if size > 1:  # else 0 or one monomial with a unit coefficient
                 self.bound(n, size, start)
+                self.expansion(base, n, start)
             return _terms_of(_poly_of(self.ring, base) ** n)
         return {tuple(k * n for k in e): self.raised(re, im, n, start) for e, (re, im) in base.items()}
 
@@ -717,18 +731,25 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r} at position {self.at()}")
 
 
-def parse(text: str, ring: Ring) -> MultiPoly:
-    """Parse an expression in the polynomial grammar into ``ring``.  One
-    integer literal, maybe negated, or in a Gaussian ring one Gaussian
-    integer literal (i, -b*i, a+i, a-b*i, ...), skips the grammar unless
-    int() refuses a part."""
+def _gaussian_literal(text: str, gaussian: bool) -> Optional[tuple[int, int]]:
+    """(re, im) of one integer literal, maybe negated, or with ``gaussian``
+    one Gaussian integer literal (i, -b*i, a+i, a-b*i, ...); None for any
+    other text or a part int() refuses, which the grammar then names."""
     match = _LITERAL.fullmatch(text)
-    if match and (match[1] or match[4]) and (ring.gaussian or not match[4]):
-        try:  # int() refuses a part that is too long: the grammar names its position
-            im = int(match[2] + (match[3] or "1")) if match[4] else 0
-            return _poly_of(ring, {(0,) * ring.arity: (int(match[1] or 0), im)})
+    if match and (match[1] or match[4]) and (gaussian or not match[4]):
+        try:
+            return int(match[1] or 0), int(match[2] + (match[3] or "1")) if match[4] else 0
         except ValueError:
             pass
+    return None
+
+
+def parse(text: str, ring: Ring) -> MultiPoly:
+    """Parse an expression in the polynomial grammar into ``ring``.  A text
+    that :func:`_gaussian_literal` reads skips the grammar."""
+    literal = _gaussian_literal(text, ring.gaussian)
+    if literal is not None:
+        return _poly_of(ring, {(0,) * ring.arity: literal})
     parser = _Parser(text, ring)
     try:
         return parser.parse()
@@ -1036,7 +1057,14 @@ class _TaylorTable:
 _taylor_tables: list[_TaylorTable] = []
 
 
-def _taylor_table(h: MultiPoly, e: tuple[Fraction, ...]) -> _TaylorTable:
+def _taylor_table(h: MultiPoly, e: Sequence[RationalLike]) -> _TaylorTable:
+    """The table of (h, e), found first by the identity of e's coordinates
+    (a sampler passes the same Fractions on every line, which coerce to
+    themselves), and only then by the value of e, coerced."""
+    for table in _taylor_tables:
+        if table.h is h and all(map(is_, table.e, e)):
+            return table
+    e = tuple([as_fraction(c) for c in e])
     for table in _taylor_tables:
         if table.h is h and table.e == e:
             return table
@@ -1067,7 +1095,7 @@ def restrict_to_line(
     ring = h.ring
     if len(e) != ring.arity or len(v) != ring.arity:
         raise ValueError("direction/point arity mismatch")
-    table = _taylor_table(h, tuple([as_fraction(c) for c in e]))
+    table = _taylor_table(h, e)
     return table.at([c if type(c) is int else as_fraction(c) for c in v])
 
 

@@ -6,7 +6,8 @@ Lagrange four-square decompositions of positive rationals, the one
 fraction-free (Bareiss) elimination behind every exact determinant and
 minor, and Sylvester's test of constant symmetric/hermitian matrices, run
 on their integer multiples in Z, or in Z[i] as a real and an imaginary
-matrix of plain ints.
+matrix of plain ints.  A ``ConstMatrix`` keeps that integer form as its own
+data, beside its rows of Gaussian rationals, and checks its kind on it.
 """
 
 from __future__ import annotations
@@ -242,65 +243,103 @@ def _two_squares_int(n: int) -> Optional[tuple[int, int]]:
 
 
 class ConstMatrix:
-    """Square matrix of Gaussian rationals with a symmetry-kind tag."""
+    """Square matrix of Gaussian rationals with a symmetry-kind tag.
 
-    __slots__ = ("entries", "kind")
+    It has two forms, each built from the other on first use: ``entries``,
+    the rows of GaussianRationals the constructor takes, and the integer
+    form (D, cells) that ``_of_ints`` takes: D > 0 a common denominator and
+    the nonzero int parts of D*a_ij as {k: part}, k = i*m + j for the real
+    part and m*m + i*m + j for the imaginary part.  Rows built from the
+    integer form hold one object per distinct value.
+    """
+
+    __slots__ = ("size", "kind", "_entries", "_ints")
 
     def __init__(self, entries: Sequence[Sequence[GaussianRational]], kind: str = KIND_NONE):
-        if kind not in MATRIX_KINDS:
-            raise ValueError(f"unknown matrix kind {kind!r}")
         rows = tuple(map(tuple, entries))
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValueError("matrix must be square")
+        _check_rows(rows, kind)
         for row in rows:
             for e in row:
                 if not isinstance(e, GaussianRational):
                     raise TypeError("entries must be GaussianRational")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "kind", kind)
+        for name, value in (("size", len(rows)), ("kind", kind), ("_entries", rows), ("_ints", None)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of_ints(cls, m: int, den: int, cells: dict[int, int], kind: str) -> "ConstMatrix":
+        """The m x m matrix of integer form (den, cells), trusted as given."""
+        mat = object.__new__(cls)
+        for name, value in (("size", m), ("kind", kind), ("_entries", None), ("_ints", (den, cells))):
+            object.__setattr__(mat, name, value)
+        return mat
 
     def __setattr__(self, name, value):
         raise AttributeError("ConstMatrix is immutable")
 
     @property
-    def size(self) -> int:
-        return len(self.entries)
+    def entries(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        if self._entries is None:
+            (den, cells), m = self._ints, self.size
+            pairs = [(cells.get(k, 0), cells.get(m * m + k, 0)) for k in range(m * m)]
+            value = {(0, 0): GR_ZERO}  # one object per distinct (re, im)
+            for re, im in set(pairs) - value.keys():
+                value[re, im] = _gaussian(Fraction(re, den), Fraction(im, den) if im else _ZERO)
+            rows = tuple(tuple(map(value.get, pairs[i * m : i * m + m])) for i in range(m))
+            object.__setattr__(self, "_entries", rows)
+        return self._entries
+
+    def _integer_form(self) -> tuple[int, dict[int, int]]:
+        """(D, cells), scaled from the rows on first use."""
+        if self._ints is None:
+            m = self.size
+            # Zero entries are often the shared GR_ZERO, which `is` finds fast.
+            nonzero = {i * m + j: a for i, row in enumerate(self._entries) for j, a in enumerate(row)
+                       if a is not GR_ZERO and a}
+            den, scaled = _over_integers(list(nonzero.values()))
+            cells = {k + part * m * m: v for k, a in nonzero.items() for part, v in enumerate(scaled(a)) if v}
+            object.__setattr__(self, "_ints", (den, cells))
+        return self._ints
+
+    def _key(self) -> tuple:
+        """The kind, size and integer form over the least common denominator."""
+        den, cells = self._integer_form()
+        g = math.gcd(den, *cells.values())
+        return self.kind, self.size, den // g, frozenset((k, v // g) for k, v in cells.items())
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, ConstMatrix):
-            return NotImplemented
-        return self.entries == other.entries and self.kind == other.kind
+        return self._key() == other._key() if isinstance(other, ConstMatrix) else NotImplemented
 
     def __hash__(self):
-        return hash((self.entries, self.kind))
+        return hash(self._key())
 
     def kind_violation(self) -> Optional[tuple[int, int]]:
-        """First entry (i, j) breaking the declared symmetry kind, or None."""
-        return _kind_violation(self.entries, self.kind, lambda a, b: a.re == b.re and a.im == -b.im)
+        """First (i, j) with i <= j, row by row, where the matrix breaks its
+        kind, or None: symmetric needs a_ij = a_ji real, hermitian
+        a_ij = conj(a_ji).  The integer form is compared with its transpose,
+        conjugated when hermitian, in one dict."""
+        if self.kind == KIND_NONE:
+            return None
+        m, (_, cells) = self.size, self._integer_form()
+        mm, hermitian = m * m, self.kind == KIND_HERMITIAN
+        # Each part's cell (i, j) goes to (j, i) of the same part, negated if imaginary and hermitian.
+        mirror = {k % m * m + k // m + (mm - m if k >= mm else 0): -v if hermitian and k >= mm else v
+                  for k, v in cells.items()}
+        if mirror == cells and (hermitian or max(cells, default=-1) < mm):
+            return None
+        bad = (divmod(k % mm, m) for k in cells.keys() | mirror.keys()
+               if cells.get(k) != mirror.get(k) or k >= mm and not hermitian)
+        return min((min(ij), max(ij)) for ij in bad)
 
     def to_rows(self) -> list[list[str]]:
         return [[str(e) if e else "0" for e in row] for row in self.entries]
 
 
-def _kind_violation(rows: Sequence[Sequence], kind: str, mirrors: Callable) -> Optional[tuple[int, int]]:
-    """First (i, j) with i <= j, row by row, where the square ``rows`` break
-    ``kind``, or None: symmetric needs rows[i][j] = rows[j][i] real,
-    hermitian rows[i][j] = conj(rows[j][i]).  Entries are Gaussian rationals
-    or polynomials; ``mirrors(a, b)`` tells whether a = conj(b)."""
-    if kind == KIND_NONE:
-        return None
-    hermitian = kind == KIND_HERMITIAN
-    for i, row in enumerate(rows):
-        for j in range(i, len(rows)):
-            a, b = row[j], rows[j][i]
-            if a is b:  # a diagonal entry or the shared zero: it need only be real
-                bad = not a.is_real()
-            else:
-                bad = not mirrors(a, b) if hermitian else not a.is_real() or a != b
-            if bad:
-                return (i, j)
-    return None
+def _check_rows(rows: Sequence[Sequence], kind: str) -> None:
+    """Raise the ValueError of a ConstMatrix of ``kind`` with these rows, if any."""
+    if kind not in MATRIX_KINDS:
+        raise ValueError(f"unknown matrix kind {kind!r}")
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix must be square")
 
 
 def _common_kind(matrices: Sequence[ConstMatrix]) -> str:
@@ -393,16 +432,13 @@ def _over_integers(coeffs: Sequence[GaussianRational]) -> tuple[int, Callable]:
 
 
 def _integer_slices(matrices: Sequence[ConstMatrix]) -> tuple:
-    """(m, D, slices) for the m x m pencil sum_i x_i A_i: D the lcm of its
-    denominators and each slice's nonzero int parts of D*a, found and scaled
-    once, as {k: part}, k = i*m + j for Re a_ij and m*m + i*m + j for Im."""
-    m = matrices[0].size
-    # Zero entries are often the shared GR_ZERO, which `is` finds fast.
-    cells = [{i * m + j: a for i, row in enumerate(mat.entries) for j, a in enumerate(row) if a is not GR_ZERO and a}
-             for mat in matrices]
-    den, scaled = _over_integers([a for nonzero in cells for a in nonzero.values()])
-    return m, den, [{k + part * m * m: v for k, a in nonzero.items() for part, v in enumerate(scaled(a)) if v}
-                    for nonzero in cells]
+    """(m, D, slices) for the m x m pencil sum_i x_i A_i: D the lcm of the
+    slices' denominators and each slice's integer form over D (see
+    :class:`ConstMatrix`), rescaled only where its own denominator differs."""
+    forms = [mat._integer_form() for mat in matrices]
+    den = math.lcm(*[d for d, _ in forms])
+    return matrices[0].size, den, [cells if d == den else {k: v * (den // d) for k, v in cells.items()}
+                                   for d, cells in forms]
 
 
 def first_nonpositive_minor(matrix: ConstMatrix) -> Optional[tuple[int, Fraction]]:

@@ -15,22 +15,25 @@ Polynomials, squares-file lines, polynomial-matrix entries and pencil cells
 all go through the one parser, ``polyring.parse`` (see the polyring
 docstring); its literals and names are ASCII.  A text that is one Gaussian
 integer literal, such as a pencil cell "12-7*i", is read without the
-grammar.  A pencil's cells are parsed in the ring it declares, each
-distinct text once per file, so that equal cells share one value.  A JSON
-file of the wrong shape is a ParseError that names the bad field or cell.
+grammar, by the match ``polyring.parse`` uses.  A pencil's cells are read
+in the ring it declares, each distinct text once per file, into (re, im)
+ints, or the grammar's Fractions scaled by their lcm, which make each
+slice's integer form (``ConstMatrix``) with no GaussianRational formed.  A
+JSON file of the wrong shape is a ParseError that names the bad field or cell.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence, Union
 
-from .polyring import MultiPoly, ParseError, Ring, parse
-from .scalars import GR_ZERO, KIND_NONE, ConstMatrix, GaussianRational, _common_kind, as_fraction
+from .polyring import MultiPoly, ParseError, Ring, _gaussian_literal, parse
+from .scalars import GR_ZERO, KIND_NONE, ConstMatrix, GaussianRational, _check_rows, _common_kind, as_fraction
 
 PathLike = Union[str, Path]
 
@@ -139,6 +142,17 @@ def _parse_cell(text: str, ring: Ring = _CELL_RING) -> GaussianRational:
     return parse(text, ring).terms.get((), GR_ZERO)
 
 
+def _cell_parts(text: str, ring: Ring) -> tuple:
+    """(re, im) of a pencil cell in the empty ``ring``: ints for a Gaussian
+    integer literal (:func:`~hypercert.polyring._gaussian_literal`), else
+    the Fractions of the value the grammar reads."""
+    literal = _gaussian_literal(text, ring.gaussian)
+    if literal is not None:
+        return literal
+    value = _parse_cell(text, ring)
+    return value.re, value.im
+
+
 def _json_field(data, key: str, what: str):
     """data[key], where data must be a JSON object that has the key."""
     if not isinstance(data, dict):
@@ -183,13 +197,19 @@ def pencil_from_json(data: Union[str, dict]) -> tuple[list[ConstMatrix], Ring]:
     gaussian = _json_flag(data, "gaussian", "gaussian")
     ring, cell_ring = Ring.standard(names, gaussian), Ring((), (), gaussian)
     kind = data.get("kind", KIND_NONE)
-    cells: dict[str, GaussianRational] = {}  # each distinct text is parsed once
-    matrices = []
+    parts: dict[str, tuple] = {}  # each distinct text is read once, into (re, im)
+    slices = []
     for block in blocks:
-        for text in itertools.chain.from_iterable(block):
-            if text not in cells:
-                cells[text] = _parse_cell(text, cell_ring)
-        matrices.append(ConstMatrix([[cells[text] for text in row] for row in block], kind))
-    if len(matrices) != len(names):
+        pairs = [parts.get(t) or parts.setdefault(t, _cell_parts(t, cell_ring)) for t in itertools.chain(*block)]
+        _check_rows(block, kind)  # after the block's cells, so that a bad cell is named first
+        cells = {k: re for k, (re, _) in enumerate(pairs) if re}
+        if gaussian:  # a real ring refuses an imaginary part
+            cells.update((len(pairs) + k, im) for k, (_, im) in enumerate(pairs) if im)
+        slices.append((len(block), cells))
+    if len(slices) != len(names):
         raise ParseError("pencil needs one constant matrix per variable")
-    return matrices, ring
+    fractions = {q.denominator for pair in parts.values() for q in pair if type(q) is not int}
+    den = math.lcm(*fractions)
+    if fractions:  # parts the grammar read: scaled by the lcm of their denominators
+        slices = [(m, {k: v.numerator * (den // v.denominator) for k, v in cells.items()}) for m, cells in slices]
+    return [ConstMatrix._of_ints(m, den, cells, kind) for m, cells in slices], ring

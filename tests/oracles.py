@@ -107,6 +107,21 @@ def const_matrix(rows, kind="none"):
     return ConstMatrix([[GaussianRational(v) for v in row] for row in rows], kind)
 
 
+def kind_violation_reference(rows, kind):
+    """First (i, j), i <= j, row by row, where square rows of Gaussian
+    rationals break ``kind``, compared entry by entry: symmetric needs
+    a_ij = a_ji with no imaginary part, hermitian a_ij = conj(a_ji)."""
+    if kind == "none":
+        return None
+    n = len(rows)
+    for i in range(n):
+        for j in range(i, n):
+            a, b = rows[i][j], rows[j][i]
+            if a != b.conj() if kind == "hermitian" else a != b or a.im:
+                return (i, j)
+    return None
+
+
 def identity_matrix(n, kind="symmetric"):
     """The n x n identity as a ConstMatrix of the given kind."""
     return const_matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], kind)
@@ -373,7 +388,7 @@ def pencil_reference(matrices, h, r, e, up_to_scalar):
     if kind == "none":
         failures.append(("kind", "pencil has no declared symmetry kind"))
     for idx, mat in enumerate(matrices):
-        bad = mat.kind_violation()
+        bad = kind_violation_reference(mat.entries, kind)
         if bad is not None:
             failures.append(("kind", f"matrix {idx} entry {bad} breaks {kind} symmetry"))
     pencil = pencil_to_polymatrix(matrices, h.ring)

@@ -464,6 +464,21 @@ class TestKindViolation:
         assert ConstMatrix([[zero, unit], [unit, zero]], kind).kind_violation() == (0, 1)
 
 
+    def test_realness_is_tested_once_per_distinct_entry(self, monkeypatch):
+        ring = Ring.standard(("x0", "x1"), gaussian=True)
+        rows = [["x0", "x1 + i*x0", "x1"], ["x1 - i*x0", "x0 + x1", "i*x0"], ["x1", "-i*x0", "x0"]]
+        matrix = PolyMatrix.from_strings(ring, rows, "hermitian")
+        calls = []
+        real = MultiPoly.is_real
+        monkeypatch.setattr(MultiPoly, "is_real", lambda p: calls.append(p) or real(p))
+        assert matrix.kind_violation() is None
+        assert len(calls) == len({id(p) for row in matrix.rows for p in row}) == 7
+        calls.clear()
+        symmetric = PolyMatrix(ring, matrix.rows, "symmetric")
+        assert symmetric.kind_violation() == (0, 1)
+        assert len(calls) == 7
+
+
 class TestDistinctEntries:
     """Checks and formatting run once per distinct entry object, and give
     what the cell-by-cell versions gave."""

@@ -9,9 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypercert import polyring
-from hypercert.polyring import MultiPoly, ParseError, Ring, _Parser, parse
+from hypercert.polyring import MultiPoly, ParseError, Ring, _gaussian_literal, _Parser, parse
 from hypercert.scalars import _ZERO, GaussianRational
-from hypercert.wire import _parse_cell, parse_poly_text
+from hypercert.wire import _cell_parts, _parse_cell, parse_poly_text
 from oracles import reference_parse
 
 REAL = Ring.standard(("x0", "x1", "x2"))
@@ -288,6 +288,32 @@ class TestGaussianLiteralShortCircuit:
 
     LONG = "7" * (sys.get_int_max_str_digits() + 1)
 
+    @given(
+        st.one_of(
+            st.tuples(st.sampled_from(["", "-"]), st.sampled_from(["", "0", "00"]), st.integers(0, 10**20),
+                      st.sampled_from(["+", "-"]), st.sampled_from(["", "0", "007"]), st.integers(0, 10**20))
+            .map(lambda t: f"{t[0]}{t[1]}{t[2]}{t[3]}{t[4]}{t[5]}*i"),
+            st.tuples(st.sampled_from(["", "-"]), st.integers(0, 99), st.sampled_from(["", "+i", "-i", "*i"]))
+            .map(lambda t: f"{t[0]}{t[1]}{t[2]}"),
+            st.sampled_from(["i", "-i", "1/2+i", LONG, "-" + LONG, LONG + "+i", "1+" + LONG + "*i"] + GAUSSIAN_NEAR_MISSES),
+            st.text("0123456789-+*i/ ", max_size=7),
+        ),
+        st.booleans(),
+    )
+    def test_the_shared_helper_agrees_with_parse(self, text, gaussian):
+        # parse and the pencil cell reader both take a literal from
+        # _gaussian_literal; a text it leaves to the grammar gets the
+        # grammar's value or ParseError, an imaginary one in a real ring too.
+        ring, cell_ring = (GAUSSIAN if gaussian else REAL), Ring((), (), gaussian)
+        literal = _gaussian_literal(text, gaussian)
+        if literal is not None:
+            assert parse(text, ring) == MultiPoly.constant(ring, GaussianRational(*literal))
+            assert all(type(part) is int for part in literal)
+        parts = outcome(lambda t, r: MultiPoly.constant(r, GaussianRational(*_cell_parts(t, r))), text, cell_ring)
+        assert parts == outcome(lambda t, r: MultiPoly.constant(r, _parse_cell(t, r)), text, cell_ring)
+        if len(text) < 100:  # the reference reads no part past the int() limit
+            assert parts == outcome(reference_parse, text, cell_ring)
+
     @pytest.mark.parametrize(
         "text, pos", [(LONG + "-3*i", 0), ("-" + LONG + "+i", 1), ("2+" + LONG + "*i", 2), ("-" + LONG + "*i", 1)],
         ids=["real-part", "signed-real-part", "imaginary-part", "signed-imaginary-part"],
@@ -355,6 +381,42 @@ class TestLiteralPowerLimit:
         with pytest.raises(ParseError, match="^power of about 80000 bits is too large at position 0$"):
             parse("(x0 + 999999999999)^2000", REAL)  # had not returned after 100 s before it was bounded
         assert time.perf_counter() - start < 0.1  # the power took 1.8 s before it was bounded
+
+
+class TestPowerTermLimit:
+    """A power n > 1 of a sum is refused at its position, before it is
+    expanded, when it can have more than 1,000 terms: the lesser of
+    C(t + n - 1, n) for its t nonzero terms and the count of monomials of
+    degree at most n times its degree in the variables it uses."""
+
+    ONE = Ring.standard(("x0",))
+    # 18 terms of degree at most 333 in x0, cubed: min(C(20, 3), 3*333 + 1) = 1000.
+    AT_LIMIT = "(" + " + ".join(["1"] + [f"x0^{k}" for k in range(1, 17)] + ["x0^333"]) + ")^3"
+    # 11 terms of degree at most 250 in x0, to the 4th: min(C(14, 4), 4*250 + 1) = 1001.
+    PAST_LIMIT = "(" + " + ".join(["1"] + [f"x0^{k}" for k in range(1, 10)] + ["x0^250"]) + ")^4"
+
+    def test_at_the_limit_and_one_past_it(self):
+        base = parse(self.AT_LIMIT[: -len("^3")], self.ONE)
+        assert parse(self.AT_LIMIT, self.ONE) == base**3
+        with pytest.raises(ParseError, match="^power of up to 1001 terms is too large at position 0$"):
+            parse(self.PAST_LIMIT, self.ONE)
+        assert parse("(x0 + x1 + x2)^43", REAL) == parse("x0 + x1 + x2", REAL) ** 43  # 990 terms
+        with pytest.raises(ParseError, match="^power of up to 1035 terms is too large at position 5$"):
+            parse("x0 - (x0 + x1 + x2)^44", REAL)
+
+    def test_a_short_input_is_refused_at_once(self):
+        start = time.perf_counter()
+        for text, terms in (("(x0+x1+x2)^200", 20301), ("(x0+x1+x2)^90", 4186), ("(x0 + 1)^1000", 1001)):
+            with pytest.raises(ParseError, match=f"^power of up to {terms} terms is too large at position 0$"):
+                parse(text, REAL)
+        assert time.perf_counter() - start < 0.1  # (x0+x1+x2)^200 took 32.6 s before it was bounded
+
+    def test_zero_terms_and_the_first_power_are_not_counted(self):
+        big = " + ".join(f"{k}*x0^{k}" for k in range(1, 1101))  # 1,100 terms
+        assert len(parse(f"({big})^1", self.ONE).terms) == 1100
+        assert parse("(x0 + 0*x1 + 0*x2)^5000", REAL).terms == {(5000, 0, 0): GaussianRational(1)}
+        # Two nonzero terms: C(45, 44) = 45, where three would count C(46, 44) = 1035.
+        assert len(parse("(x0 + x1 + x2 - x2)^44", REAL).terms) == 45
 
 
 def monomial_sums(ring):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercert import polyring
 from hypercert.detrep import PolyMatrix, plucker_line
 from hypercert.fixtures import load_fixture_matrix
 from hypercert.polyring import (
@@ -284,6 +285,24 @@ class TestRestrictionCache:
             v = (step, 1, -step)
             for e in ((1, 0, 0), (2, 1, 0), (Fraction(1, 2), 0, 0)):
                 assert restrict_to_line(h, e, v) == restrict_reference(h, e, v)
+
+    def test_e_is_coerced_once_per_table(self, monkeypatch):
+        # A sampler passes the same Fractions on every line: the table is
+        # found by their identity, with no coercion; e given as new objects
+        # of the same value finds the same table after one coercion.
+        h = parse("x0^3 - x0*x1^2 - x0*x2^2 + x1*x2^2", R3)
+        e = [Fraction(2), Fraction(1, 3), Fraction(0)]
+        lines = [(step, 1 - step, 2) for step in range(5)]
+        expected = [restrict_reference(h, e, v) for v in lines]
+        coerced, built = [], []
+        as_fraction, table = polyring.as_fraction, polyring._TaylorTable
+        monkeypatch.setattr(polyring, "as_fraction", lambda c: coerced.append(c) or as_fraction(c))
+        monkeypatch.setattr(polyring, "_TaylorTable", lambda *args: built.append(args) or table(*args))
+        assert [restrict_to_line(h, e, v) for v in lines] == expected
+        assert (len(coerced), len(built)) == (3, 1)
+        for same in ((2, Fraction(1, 3), 0), ("2", "1/3", "0")):
+            assert restrict_to_line(h, same, lines[0]) == expected[0]
+        assert (len(coerced), len(built)) == (9, 1)
 
     def test_freed_polynomial_replaced_by_a_new_one(self):
         # CPython gives a new object the address, and so the id, of one of

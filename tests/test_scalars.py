@@ -18,13 +18,82 @@ from hypercert.scalars import (
     four_square_decompose,
     pencil_value,
 )
-from hypercert.wire import _parse_cell
-from oracles import const_matrix, identity_matrix, leading_principal_minors, sylvester_reference
+from hypercert.wire import _parse_cell, pencil_from_json
+from oracles import const_matrix, identity_matrix, kind_violation_reference, leading_principal_minors, sylvester_reference
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=50
 )
 gaussians = st.builds(GaussianRational, rationals, rationals)
+
+
+# Few distinct values, so that equal cells come up often.
+small_gaussians = st.builds(lambda re, im, d: GaussianRational(Fraction(re, d), Fraction(im, d)),
+                            st.integers(-2, 2), st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def kind_cases(draw):
+    """(rows, kind): a symmetric or hermitian matrix whose mirrored cells
+    are one shared object or equal but distinct ones, with up to two cells
+    then replaced, each alone or together with its mirror as one object."""
+    kind, m = draw(st.sampled_from(["symmetric", "hermitian"])), draw(st.integers(0, 4))
+    rows = [[GR_ZERO] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            a = draw(small_gaussians)
+            a = GaussianRational(a.re) if kind == "symmetric" or i == j else a
+            mirror = a if kind == "symmetric" else a.conj()
+            rows[i][j] = a
+            rows[j][i] = a if mirror == a and draw(st.booleans()) else GaussianRational(mirror.re, mirror.im)
+    for _ in range(draw(st.integers(0, 2)) if m else 0):
+        i, j, z = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1)), draw(small_gaussians)
+        rows[i][j] = z
+        if draw(st.booleans()):
+            rows[j][i] = z
+    return rows, kind
+
+
+class TestIntegerKindCheck:
+    """ConstMatrix.kind_violation, decided on the integer form, names the
+    first bad (i, j) of the entry-wise reference, for a matrix built from
+    rows and for one read from cell texts straight into ints; the two
+    compare and hash equal."""
+
+    @given(kind_cases())
+    def test_against_the_entrywise_reference(self, case):
+        rows, kind = case
+        expected = kind_violation_reference(rows, kind)
+        matrix = ConstMatrix(rows, kind)
+        assert matrix.kind_violation() == expected
+        # A second slice of sevenths gives the file a denominator the first lacks.
+        texts = [[str(z) if z else "0" for z in row] for row in rows]
+        sevenths = [["1/7" if i == j else "0" for j in range(len(rows))] for i in range(len(rows))]
+        read, _ = pencil_from_json({"vars": ["x0", "x1"], "gaussian": True, "kind": kind, "matrices": [texts, sevenths]})
+        assert read[0].kind_violation() == expected
+        assert read[0] == matrix and hash(read[0]) == hash(matrix)
+        assert read[1] == const_matrix([[Fraction(1, 7) if i == j else 0 for j in range(len(rows))]
+                                        for i in range(len(rows))], kind)
+        assert read[0].entries == matrix.entries
+
+    def test_rows_built_from_ints_share_one_object_per_value(self):
+        read, _ = pencil_from_json({"vars": ["x0"], "gaussian": True, "kind": "hermitian",
+                                    "matrices": [[["2", "1-i", "0"], ["1+i", "2", "1/2"], ["0", "2/4", "4/2"]]]})
+        entries = read[0].entries
+        assert entries[0][0] is entries[1][1] is entries[2][2] and entries[1][2] is entries[2][1]
+        assert entries[0][2] is entries[2][0] is GR_ZERO
+        assert len({id(z) for row in entries for z in row}) == 5
+        assert read[0].kind_violation() is None
+
+    def test_equality_compares_values_and_kind(self):
+        rows = [[GaussianRational(Fraction(1, 2)), GaussianRational(3)], [GaussianRational(3), GR_ZERO]]
+        read, _ = pencil_from_json({"vars": ["x0", "x1"], "gaussian": False, "kind": "symmetric",
+                                    "matrices": [[["2/4", "3"], ["3", "0"]], [["1/9", "0"], ["0", "0"]]]})
+        assert read[0] == ConstMatrix(rows, "symmetric") and hash(read[0]) == hash(ConstMatrix(rows, "symmetric"))
+        assert read[0] != ConstMatrix(rows, "hermitian")
+        assert read[0] != ConstMatrix([rows[0], [GaussianRational(3), GaussianRational(1)]], "symmetric")
+        assert ConstMatrix([], "symmetric") == pencil_from_json({"vars": ["x0"], "kind": "symmetric",
+                                                                  "matrices": [[]]})[0][0]
 
 
 class TestGaussianRational:

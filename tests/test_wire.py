@@ -11,6 +11,7 @@ from hypercert.cli import EXIT_USAGE, main
 from hypercert.polyring import MultiPoly, ParseError, Ring
 from hypercert.scalars import MATRIX_KINDS, ConstMatrix, GaussianRational
 from hypercert.wire import (
+    _parse_cell,
     dump_poly_text,
     parse_point,
     parse_ring_header,
@@ -83,6 +84,31 @@ class TestRoundTrips:
     @given(st.lists(fractions, min_size=1, max_size=6))
     def test_point(self, point):
         assert parse_point(",".join(str(Fraction(c)) for c in point)) == tuple(point)
+
+
+class TestLiteralCells:
+    """Gaussian integer literal cells are read straight into the pencil's
+    integer form, with no Fraction formed; the value is the grammar's."""
+
+    CELLS = [["-12+7*i", "0", "-i", "007"], ["-12-7*i", "5*i", "3-0*i", "i"], ["-i", "-5*i", "2", "0"],
+             ["7", "-i", "0", "-0"]]
+
+    def test_an_all_literal_pencil_forms_no_fraction(self, monkeypatch):
+        data = {"vars": ["x0", "x1"], "gaussian": True, "kind": "hermitian",
+                "matrices": [self.CELLS, [row[::-1] for row in self.CELLS]]}
+        new, count = Fraction.__new__, 0
+
+        def counting(cls, *args, **kwargs):
+            nonlocal count
+            count += 1
+            return new(cls, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", staticmethod(counting))
+            matrices, _ = pencil_from_json(json.dumps(data))
+        assert count == 0
+        assert matrices == [ConstMatrix([[_parse_cell(c) for c in row] for row in block], "hermitian")
+                            for block in data["matrices"]]
 
 
 class TestAsciiNumbers:
