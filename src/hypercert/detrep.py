@@ -65,17 +65,14 @@ from .scalars import (
 from .wire import _json_field, _json_flag, _json_list, _json_strings
 
 
-def _distinct(rows: Sequence[Sequence]) -> Iterable:
-    """Each distinct entry object of ``rows`` once, in row order."""
-    return {id(p): p for row in rows for p in row}.values()
-
-
 class PolyMatrix:
     """Square matrix of MultiPoly entries with a symmetry-kind tag.  Cells
     may share an entry, which is safe as both are immutable; the ring and
-    degree checks and the JSON formatting run once per distinct entry."""
+    degree checks and the JSON formatting run once per distinct entry, over
+    ``distinct``: each distinct entry object once, in row order, found once
+    at construction."""
 
-    __slots__ = ("ring", "rows", "kind")
+    __slots__ = ("ring", "rows", "kind", "distinct")
 
     def __init__(self, ring: Ring, rows: Sequence[Sequence[MultiPoly]], kind: str = KIND_NONE):
         if kind not in MATRIX_KINDS:
@@ -84,11 +81,11 @@ class PolyMatrix:
         n = len(mat)
         if any(len(row) != n for row in mat):
             raise ValueError("matrix must be square")
-        if any(p.ring is not ring and p.ring != ring for p in _distinct(mat)):
+        distinct = tuple({id(p): p for row in mat for p in row}.values())
+        if any(p.ring is not ring and p.ring != ring for p in distinct):
             raise ValueError("entry ring mismatch")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "rows", mat)
-        object.__setattr__(self, "kind", kind)
+        for name, value in (("ring", ring), ("rows", mat), ("kind", kind), ("distinct", distinct)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -114,7 +111,7 @@ class PolyMatrix:
         if self.kind == KIND_NONE:
             return None
         rows, hermitian = self.rows, self.kind == KIND_HERMITIAN
-        real = {id(p): p.is_real() for p in _distinct(rows)}
+        real = {id(p): p.is_real() for p in self.distinct}
         for i, row in enumerate(rows):
             for j in range(i, len(rows)):
                 a, b = row[j], rows[j][i]
@@ -153,7 +150,7 @@ class PolyMatrix:
     def evaluator(self) -> Callable[[Sequence[RationalLike]], ConstMatrix]:
         """point -> the value at a rational point, each distinct entry
         evaluated once by one :func:`_evaluator`, built here once."""
-        entries = list(_distinct(self.rows))
+        entries = self.distinct
         den, values = _evaluator([p.terms for p in entries])
 
         def at(point: Sequence[RationalLike]) -> ConstMatrix:
@@ -168,13 +165,13 @@ class PolyMatrix:
     def entry_degrees_homogeneous(self, degree: int) -> Optional[tuple[int, int]]:
         """First entry that is not weighted-homogeneous of the given degree
         (zero entries are fine), or None."""
-        bad = {id(p) for p in _distinct(self.rows)
+        bad = {id(p) for p in self.distinct
                if p and not (p.is_weighted_homogeneous() and p.weighted_degree() == degree)}
         cells = ((i, j) for i, row in enumerate(self.rows) for j, p in enumerate(row) if id(p) in bad)
         return next(cells) if bad else None
 
     def to_json_dict(self) -> dict:
-        text = {id(p): str(p) if p else "0" for p in _distinct(self.rows)}
+        text = {id(p): str(p) if p else "0" for p in self.distinct}
         return {
             "ring": {
                 "vars": list(self.ring.variables),
@@ -260,7 +257,7 @@ def _companion_match(matrix: PolyMatrix, h: MultiPoly, r: int) -> Optional[str]:
     (:func:`_match_values`).
     """
     m, y_idx = matrix.size, h.ring.index("y")
-    entries = list(_distinct(matrix.rows))
+    entries = matrix.distinct
     place = {id(p): k for k, p in enumerate(entries)}
     cells = [[place[id(p)] for p in row] for row in matrix.rows]
     den, values = _evaluator([p.terms for p in entries])
@@ -365,7 +362,7 @@ def _square_on_lattice(
     A(x)^2 = p(x)*I at every point, else (x, i, j, got, want) at the first
     point, and its first entry in row order, where the two differ.
     """
-    polys = list(_distinct([row.values() for row in rows]))
+    polys = list({id(terms): terms for row in rows for terms in row.values()}.values())
     place = {id(terms): k for k, terms in enumerate(polys)}
     cells = [[(j, place[id(terms)]) for j, terms in row.items()] for row in rows]
     den, values_at = _evaluator(polys + [p.terms] if p is not None else polys)

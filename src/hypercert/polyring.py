@@ -31,7 +31,10 @@ character is a ParseError naming it and its position.  So is a power
 whose coefficients are estimated to pass the longest literal int()
 converts, and a power n > 1 of a sum that may expand to more than 1,000
 terms (``_MAX_TERMS``; :meth:`_Parser.expansion`): ``(x0+x1+x2)^43``, of
-990 terms, parses, and ``(x0+x1+x2)^44``, of up to 1,035, is refused.
+990 terms, parses, and ``(x0+x1+x2)^44``, of up to 1,035, is refused.  So
+is a product of two sums with more than 10,000 pairs of nonzero terms
+(``_MAX_PAIRS``; :meth:`_Parser.product`), which seven linear forms in six
+variables, at most 462 * 6 = 2,772, stay under.
 
 Parsing builds terms directly.  Each subexpression is a dict from exponent
 vectors to (re, im) pairs of ints or Fractions, and each signed term of a
@@ -496,6 +499,7 @@ _BAD_CHAR = re.compile(r"[^\s0-9A-Za-z_*^/()+-]")
 _OPS = set("+-*^/()")
 _UNITS = {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}  # (re, im) of zero and the units of Z[i]
 _MAX_TERMS = 1000  # the most terms a power of a sum may expand to (see the module docstring)
+_MAX_PAIRS = 10000  # the most pairs of terms a product of two sums may multiply
 _LITERAL = re.compile(r"(-?[0-9]+)?(?:((?(1)[-+]|-?))(?:([0-9]+)\*)?(i))?")
 
 # A parsed subexpression: exponent vector -> (re, im), each part an int or a
@@ -647,19 +651,25 @@ class _Parser:
                     re, im = ((-im, re), (-re, -im), (im, -re))[n % 4 - 1]
                 self.pos = after
             except ValueError:
-                factor = self.factor()
-                rest = factor if rest is None else self.product(rest, factor)
+                start, factor = self.pos, self.factor()
+                rest = factor if rest is None else self.product(rest, factor, start)
             if tokens[self.pos] != "*":
                 break
             self.pos += 1
         mono = {tuple(expo): (re, im)}
         get = terms.get
-        for e, (re, im) in (mono if rest is None else self.product(rest, mono)).items():
+        for e, (re, im) in (mono if rest is None else self.product(rest, mono, self.pos)).items():
             old = get(e)
             terms[e] = (re, im) if old is None else (old[0] + re, old[1] + im)
 
-    def product(self, a: _Terms, b: _Terms) -> _Terms:
+    def product(self, a: _Terms, b: _Terms, k: int) -> _Terms:
+        """a*b, where b starts at token k: a ParseError there, before the
+        product is formed, if both have several nonzero terms and more than
+        _MAX_PAIRS pairs of them."""
         if len(a) > 1 and len(b) > 1:
+            ta, tb = (sum(1 for re, im in t.values() if re or im) for t in (a, b))
+            if ta * tb > _MAX_PAIRS:
+                raise ParseError(f"product of {ta} by {tb} terms is too large at position {self.start(k)}")
             return _terms_of(_poly_of(self.ring, a) * _poly_of(self.ring, b))
         if len(a) > len(b):
             a, b = b, a

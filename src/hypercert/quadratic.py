@@ -1,43 +1,47 @@
 """End-to-end constructive pipeline for quadratic hyperbolic polynomials.
 
-Given a quadratic form h with h(e) > 0, a rational change of coordinates T
-with T(e) = u_0 puts h into the normal form alpha*u_0^2 + u_0*q1 + q2.
-Completing the square exposes the branch form p = q1^2 - 4*alpha*q2 with
+Every step is linear algebra on Gram matrices with int entries over one
+denominator; no polynomial is multiplied or substituted.  h is read once as
+its Gram matrix G, h(x) = x^T G x.  With h(e) > 0 (else -h), T with
+T(e) = u_0 and S = T^-1 (columns e, then unit vectors) give the Gram matrix
+G' = S^T G S of h o T^-1 = alpha*u_0^2 + u_0*q1 + q2: alpha = G'_00 = h(e),
+q1 has the coefficients b = 2*G'_(0, 1..) and q2 the Gram matrix
+G'_(1.., 1..).  Completing the square exposes the branch form
+p = q1^2 - 4*alpha*q2, of Gram matrix B = b*b^T - 4*alpha*G'_(1.., 1..), and
+4*alpha*(h o T^-1) = (2*alpha*u_0 + q1)^2 - p reads, checked exactly,
 
-    4*alpha*(h o T^-1) = (2*alpha*u_0 + q1)^2 - p.
+    4*alpha*G' = L*L^T - (0 (+) B),  L = (2*alpha, b).
 
-If h is hyperbolic the branch p is positive semidefinite; a rational
-congruence diagonalization plus four-square decompositions writes it as a
-sum of squares of linear forms g_t, and the Clifford bridge turns k squares
-into a symmetric pencil M = (2*alpha*u_0 + q1)*I - Q of size 2d with
+If h is hyperbolic the branch p is positive semidefinite; fraction-free
+symmetric elimination (Bareiss) diagonalizes B by congruence and
+four-square decompositions of the pivots write p as a sum of squares of
+linear forms g_t, with sum_t g_t*g_t^T = B checked exactly.  The Clifford
+bridge turns k squares into a symmetric pencil M = (2*alpha*u_0 + q1)*I - Q
+of size 2d with
 
     det M = (4*alpha)^d * h^d,
 
 positive definite at e; d = d(k) <= 8 for k <= 8 squares (Hurwitz-Radon),
 or the paper's 2^k.  Every entry of M is linear, so its slices in x are
 read off the generator table and the coefficients of each form pulled back
-along u = T*x.  If p is indefinite the pipeline stops with an exact
-witness vector (and the line on which hyperbolicity fails).
+along u = T*x, in ints.  If p is indefinite the pipeline stops with an
+exact witness vector (and the line on which hyperbolicity fails).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .clifford import _q_rows, hurwitz_radon
 from .detrep import DetRepReport, verify_pencil
-from .polyring import MultiPoly, Ring, _sum_of_squares
-from .scalars import (
-    GR_ZERO,
-    KIND_SYMMETRIC,
-    ConstMatrix,
-    GaussianRational,
-    RationalLike,
-    as_fraction,
-    four_square_decompose,
-)
+from .polyring import MultiPoly
+from .scalars import KIND_SYMMETRIC, ConstMatrix, RationalLike, _over_integers, as_fraction, four_square_decompose
+
+IntRows = tuple[tuple[int, ...], ...]
+Form = tuple[tuple[int, ...], int]  # a linear form: int numerators over a nonzero int denominator
 
 
 class IndefiniteFormError(ValueError):
@@ -67,21 +71,32 @@ class PipelineError(ValueError):
 
 @dataclass(frozen=True)
 class QuadraticNormalForm:
-    """h o T^-1 = alpha*u0^2 + u0*q1 + q2 with T(e) = u0 and alpha = |h(e)|.
+    """h o T^-1 = alpha*u0^2 + u0*q1 + q2 with T(e) = u0 and alpha = |h(e)|,
+    as Gram matrices over u0..u_(n-1) with int entries.
 
-    ``flipped`` records that h was replaced by -h to make alpha positive.
-    The defining identity 4*alpha*(h o T^-1) = (2*alpha*u0 + q1)^2 - branch
-    is asserted exactly at construction time.
+    ``gram`` is scale * G', G' the Gram matrix of (+-h) o T^-1, so
+    alpha = gram[0][0] / scale, q1 = sum_j 2*gram[0][j]/scale * u_j and q2
+    has the Gram matrix gram[1..][1..] / scale.  ``branch`` is scale^2 * B,
+    B the Gram matrix of the branch p = q1^2 - 4*alpha*q2, with row and
+    column 0 zero.  The identity 4*alpha*G' = L*L^T - (0 (+) B) with
+    L = (2*alpha, b), b the coefficients of q1, is asserted exactly at
+    construction time.  ``flipped`` records that h was replaced by -h to
+    make alpha positive.
     """
 
-    ring_prime: Ring
     transform: tuple[tuple[Fraction, ...], ...]  # T, maps e to the first unit vector
     inverse: tuple[tuple[Fraction, ...], ...]  # T^-1 (columns: e, then unit vectors)
     alpha: Fraction
-    q1: MultiPoly
-    q2: MultiPoly
-    branch: MultiPoly
+    gram: IntRows
+    branch: IntRows
+    scale: int
     flipped: bool
+
+
+def _over_den(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(D, nums): D the lcm of the denominators and nums the ints D*v."""
+    den = math.lcm(*[v.denominator for v in values])
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def normalize_at_direction(h: MultiPoly, e: Sequence[RationalLike]) -> QuadraticNormalForm:
@@ -89,6 +104,9 @@ def normalize_at_direction(h: MultiPoly, e: Sequence[RationalLike]) -> Quadratic
 
     T^-1 has columns e followed by the unit vectors, skipping the first
     coordinate where e is nonzero (so T^-1 is invertible and T(e) = u0).
+    With h = x^T (G/(2*D)) x for the int matrix G of h's coefficients
+    scaled by their lcm D, and E*e integral, G' = S^T G S is formed as
+    sign * C^T G C / (2*D*E^2) from the int columns C = E*S.
     """
     ring = h.ring
     if any(w != 1 for w in ring.weights):
@@ -100,52 +118,42 @@ def normalize_at_direction(h: MultiPoly, e: Sequence[RationalLike]) -> Quadratic
     point = [as_fraction(c) for c in e]
     if len(point) != ring.arity:
         raise ValueError("direction arity mismatch")
-    value = h.eval_rational(point)
+
+    n = ring.arity
+    den, scaled = _over_integers(list(h.terms.values()))
+    gram = [[0] * n for _ in range(n)]  # 2*D times h's Gram matrix
+    for expo, c in h.terms.items():
+        i, j = [k for k, v in enumerate(expo) for _ in range(v)]
+        gram[i][j] += scaled(c)[0]
+        gram[j][i] += scaled(c)[0]
+    e_den, e_num = _over_den(point)
+    pivot = next((k for k in range(n) if e_num[k]), 0)
+    others = [j for j in range(n) if j != pivot]
+    cols = [e_num] + [[e_den * (r == j) for r in range(n)] for j in others]
+    g_cols = [[sum(a * c for a, c in zip(row, col) if c) for row in gram] for col in cols]  # G*C by columns
+    value = sum(a * b for a, b in zip(e_num, g_cols[0]))  # 2*D*E^2 * h(e)
     if not value:
         raise ValueError("h(e) = 0: the direction must be off the hypersurface")
     flipped = value < 0
-    hw = -h if flipped else h
-    alpha = abs(value)
+    sign = -1 if flipped else 1
+    g_prime = [[sign * sum(a * b for a, b in zip(col, g) if a) for g in g_cols] for col in cols]
+    scale = 2 * den * e_den * e_den
 
-    n = ring.arity
-    pivot = next(k for k in range(n) if point[k])
-    others = [j for j in range(n) if j != pivot]
+    a0, b = g_prime[0][0], [2 * g for g in g_prime[0][1:]]
+    branch = [[0] * n] + [[0] + [bi * bj - 4 * a0 * g for bj, g in zip(b, row[1:])] for bi, row in zip(b, g_prime[1:])]
+    ell = [2 * a0] + b  # scale * L
+    if any(4 * a0 * g != li * lj - p for li, row, p_row in zip(ell, g_prime, branch) for lj, g, p in zip(ell, row, p_row)):
+        raise AssertionError("internal error: completion-of-the-square identity failed")
+
     inverse = [[point[r]] + [Fraction(r == j) for j in others] for r in range(n)]
     # x = u0*e + sum_c u_c*(unit vector others[c-1]), solved for u:
     # u0 = x_p/e_p and u_c = x_j - (e_j/e_p)*x_p with j = others[c-1].
     transform = [[Fraction(0)] * n for _ in range(n)]
     transform[0][pivot] = 1 / point[pivot]
     for c, j in enumerate(others, 1):
-        transform[c][j] = Fraction(1)
-        transform[c][pivot] = -point[j] / point[pivot]
-
-    ring_prime = Ring.standard(tuple(f"u{k}" for k in range(n)))
-    hp = hw.substitute([_row_to_form(ring_prime, row) for row in inverse])  # x_r = sum_j inverse[r][j] * u_j
-
-    # Split hp by its degree in u0; q1 is the u0-linear part divided by u0,
-    # which shifts the u0 exponent from 1 to 0.
-    parts: tuple[dict, dict, dict] = ({}, {}, {})
-    for expo, coeff in hp.terms.items():
-        parts[expo[0]][(0,) + expo[1:]] = coeff
-    q2, q1, alpha_term = (MultiPoly(ring_prime, terms) for terms in parts)
-    if alpha_term != MultiPoly.constant(ring_prime, alpha):
-        raise AssertionError("internal error: u0^2 coefficient must be h(e)")
-    u0 = MultiPoly.variable(ring_prime, "u0")
-
-    branch = q1 * q1 - q2.scale(4 * alpha)
-    ell = u0.scale(2 * alpha) + q1
-    if hp.scale(4 * alpha) != ell * ell - branch:
-        raise AssertionError("internal error: completion-of-the-square identity failed")
-    return QuadraticNormalForm(
-        ring_prime=ring_prime,
-        transform=tuple(tuple(row) for row in transform),
-        inverse=tuple(tuple(row) for row in inverse),
-        alpha=alpha,
-        q1=q1,
-        q2=q2,
-        branch=branch,
-        flipped=flipped,
-    )
+        transform[c][j], transform[c][pivot] = Fraction(1), -point[j] / point[pivot]
+    rows = [tuple(map(tuple, m)) for m in (transform, inverse, g_prime, branch)]
+    return QuadraticNormalForm(rows[0], rows[1], Fraction(a0, scale), rows[2], rows[3], scale, flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -153,136 +161,113 @@ def normalize_at_direction(h: MultiPoly, e: Sequence[RationalLike]) -> Quadratic
 # ---------------------------------------------------------------------------
 
 
-def _gram_matrix(p: MultiPoly) -> list[list[Fraction]]:
-    n = p.ring.arity
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for expo, coeff in p.terms.items():
-        if coeff.im:
-            raise ValueError("quadratic form must be real")
-        support = [k for k, v in enumerate(expo) if v]
-        if sum(expo) != 2:
-            raise ValueError("not a quadratic form")
-        if len(support) == 1:
-            k = support[0]
-            gram[k][k] += coeff.re
-        else:
-            k, l = support
-            gram[k][l] += coeff.re / 2
-            gram[l][k] += coeff.re / 2
-    return gram
-
-
-def diagonalize_quadratic_form(p: MultiPoly) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
-    """p = sum c_j * l_j(x)^2 by symmetric (congruence) elimination.
+def diagonalize_quadratic_form(
+    gram: Sequence[Sequence[int]], den: int
+) -> list[tuple[Fraction, tuple[int, ...], int]]:
+    """x^T (gram/den) x = sum c_j * (l_j . x)^2 by symmetric (congruence)
+    elimination; each entry is (c_j, numerators, denominator) of l_j.
 
     Pivoting is deterministic: the first nonzero diagonal entry; if the
     diagonal is all zero but the form is not, the first off-diagonal pair
     (i, j) is split by x_i = u + v, x_j = u - v and elimination resumes.
+    The elimination is fraction-free (Bareiss): the working matrix is
+    prev*den times the Schur complement, prev the last pivot, so its
+    entries are minors of the split input and every division is exact.  A
+    pivot p in row k gives c = p/(prev*den) and l = (row k)*inv/(p*half),
+    where inv/half, half a power of two, undoes the splits.
     """
-    if p.is_zero():
-        return []
-    if not p.is_weighted_homogeneous() or p.weighted_degree() != 2:
-        raise ValueError("input must be a homogeneous quadratic form")
-    n = p.ring.arity
-    gram = _gram_matrix(p)
-    # z = inv x for the accumulated splits; each form is emitted in x.
-    inv = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    n = len(gram)
+    work = [list(row) for row in gram]
+    inv, half, prev = [[int(i == j) for j in range(n)] for i in range(n)], 1, 1
     out = []
     while True:
-        k = next((i for i in range(n) if gram[i][i]), None)
+        k = next((i for i in range(n) if work[i][i]), None)
         if k is not None:
-            a = gram[k][k]
-            row = [gram[k][j] / a for j in range(n)]
-            out.append((a, tuple(sum(row[t] * inv[t][s] for t in range(n)) for s in range(n))))
-            for i in range(n):
-                if row[i]:
-                    for j in range(n):
-                        gram[i][j] -= a * row[i] * row[j]
+            p, top = work[k][k], work[k]
+            row = tuple(sum(a * v[s] for a, v in zip(top, inv) if a) for s in range(n))
+            out.append((Fraction(p, prev * den), row, p * half))
+            work = [[(p * a - r[k] * b) // prev for a, b in zip(r, top)] for r in work]
+            prev = p
             continue
-        pair = next(
-            ((i, j) for i in range(n) for j in range(i + 1, n) if gram[i][j]), None
-        )
+        pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if work[i][j]), None)
         if pair is None:
-            break
+            return out
         i, j = pair
         # Old z = E * new z with E the identity but [[1, 1], [1, -1]] on
-        # (i, j): gram <- E^T gram E by column then row operations, and
+        # (i, j): work <- E^T work E by column then row operations, and
         # inv <- E^-1 inv, E^-1 being E with that block halved.
-        for r in gram:
+        for r in work:
             r[i], r[j] = r[i] + r[j], r[i] - r[j]
-        gi, gj, vi, vj = gram[i], gram[j], inv[i], inv[j]
-        gram[i], gram[j] = [x + y for x, y in zip(gi, gj)], [x - y for x, y in zip(gi, gj)]
-        inv[i], inv[j] = [(x + y) / 2 for x, y in zip(vi, vj)], [(x - y) / 2 for x, y in zip(vi, vj)]
-    return out
+        gi, gj, vi, vj = work[i], work[j], inv[i], inv[j]
+        work[i], work[j] = [x + y for x, y in zip(gi, gj)], [x - y for x, y in zip(gi, gj)]
+        inv = [[2 * x for x in v] for v in inv]
+        inv[i], inv[j] = [x + y for x, y in zip(vi, vj)], [x - y for x, y in zip(vi, vj)]
+        half *= 2
 
 
-def _row_to_form(ring: Ring, coeffs: Sequence[Fraction]) -> MultiPoly:
-    return MultiPoly.from_terms(
-        ring,
-        [
-            (tuple(1 if t == k else 0 for t in range(ring.arity)), c)
-            for k, c in enumerate(coeffs)
-            if c
-        ],
-    )
-
-
-def _solve_unit_preimage(
-    rows: list[tuple[Fraction, tuple[Fraction, ...]]], target_index: int, n: int
-) -> tuple[Fraction, ...]:
-    """Vector v with l_target(v) = 1 and l_other(v) = 0 (free variables 0)."""
-    m = len(rows)
-    aug = [list(rows[r][1]) + [Fraction(1 if r == target_index else 0)] for r in range(m)]
+def _solve_unit_preimage(rows: list[tuple[Fraction, tuple[int, ...], int]], target_index: int) -> tuple[Fraction, ...]:
+    """Vector v with l_target(v) = 1 and l_other(v) = 0 (free variables 0)
+    for the forms l_r = numerators_r / d_r: the reduced row echelon form of
+    [numerators | d_target at the target row], by fraction-free
+    Gauss-Jordan elimination with each combined row divided by its gcd."""
+    m, n = len(rows), len(rows[0][1])
+    aug = [list(row) + [d if r == target_index else 0] for r, (_, row, d) in enumerate(rows)]
     pivots: list[tuple[int, int]] = []
-    row = 0
     for col in range(n):
-        pivot = next((r for r in range(row, m) if aug[r][col]), None)
+        top = len(pivots)
+        pivot = next((r for r in range(top, m) if aug[r][col]), None)
         if pivot is None:
             continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
+        aug[top], aug[pivot] = aug[pivot], aug[top]
+        p_row, p = aug[top], aug[top][col]
         for r in range(m):
-            if r != row and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
+            factor = aug[r][col]
+            if r != top and factor:
+                combined = [p * a - factor * b for a, b in zip(aug[r], p_row)]
+                g = math.gcd(*combined)
+                aug[r] = [a // g for a in combined]
+        pivots.append((top, col))
+        if len(pivots) == m:
             break
     v = [Fraction(0)] * n
     for r, col in pivots:
-        v[col] = aug[r][n]
-    for r in range(m):
-        lhs = sum(rows[r][1][k] * v[k] for k in range(n))
-        if lhs != (1 if r == target_index else 0):  # pragma: no cover - defensive
+        v[col] = Fraction(aug[r][n], aug[r][col])
+    vd, ints = _over_den(v)
+    for r, (_, row, d) in enumerate(rows):
+        if sum(a * x for a, x in zip(row, ints)) != (d * vd if r == target_index else 0):  # pragma: no cover - defensive
             raise AssertionError("diagonalization rows are not independent")
     return tuple(v)
 
 
-def rational_sos_quadratic(p: MultiPoly) -> list[MultiPoly]:
-    """Write a PSD quadratic form exactly as a sum of squares of linear forms.
+def rational_sos_quadratic(gram: Sequence[Sequence[int]], den: int) -> list[Form]:
+    """Write the PSD form x^T (gram/den) x exactly as a sum of squares of
+    linear forms, each (numerators, denominator).
 
     Diagonalize by rational congruence, then expand each positive
     coefficient through a four-square decomposition, giving at most 4*rank
-    unit-weight squares.  An indefinite form raises
-    :class:`IndefiniteFormError` with an exact witness vector v, p(v) < 0.
+    unit-weight squares, whose Gram matrices must re-sum to gram/den.  An
+    indefinite form raises :class:`IndefiniteFormError` with an exact
+    witness vector v, v^T (gram/den) v < 0.
     """
-    diag = diagonalize_quadratic_form(p)
-    for idx, (c, _) in enumerate(diag):
+    diag = diagonalize_quadratic_form(gram, den)
+    for idx, (c, _, _) in enumerate(diag):
         if c < 0:
-            v = _solve_unit_preimage(diag, idx, p.ring.arity)
-            value = p.eval_rational(v)
+            v = _solve_unit_preimage(diag, idx)
+            vd, ints = _over_den(v)
+            value = Fraction(sum(a * x * y for row, x in zip(gram, ints) for a, y in zip(row, ints)), den * vd * vd)
             if value >= 0:  # pragma: no cover - defensive
                 raise AssertionError("witness does not refute nonnegativity")
             raise IndefiniteFormError(v, value)
-    forms: list[MultiPoly] = []
-    for c, row in diag:
-        ell = _row_to_form(p.ring, row)
+    forms: list[Form] = []
+    for c, row, d in diag:
         for q in four_square_decompose(c):
             if q:
-                forms.append(ell.scale(q))
-    if _sum_of_squares(p.ring, forms) != p:  # pragma: no cover - defensive
+                forms.append((tuple(q.numerator * a for a in row), q.denominator * d))
+    common = math.lcm(*[d for _, d in forms])
+    scaled = [[a * (common // d) for a in g] for g, d in forms]
+    n = len(gram)
+    if any(den * sum(g[i] * g[j] for g in scaled) != common * common * gram[i][j]
+           for i in range(n) for j in range(i, n)):  # pragma: no cover - defensive
         raise AssertionError("SOS expansion does not reproduce the form")
     return forms
 
@@ -309,19 +294,7 @@ def _hyperbolicity_witness_line(
 ) -> tuple[Fraction, ...]:
     """Map an indefiniteness witness of the branch form to a line w on which
     h(t*e - w) has no real roots: 4*alpha*h'(t*u0 - v) = (2*alpha*t - q1(v))^2 - p(v)."""
-    n = len(v)
-    return tuple(
-        sum(nf.inverse[r][j] * v[j] for j in range(n)) for r in range(n)
-    )
-
-
-def _pulled_back(form: MultiPoly, transform: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    """The coefficients on x of a linear form in u after u = T*x."""
-    coeffs = [Fraction(0)] * len(transform)
-    for expo, c in form.terms.items():
-        for s, t in enumerate(transform[expo.index(1)]):
-            coeffs[s] += c.re * t
-    return coeffs
+    return tuple(sum((a * b for a, b in zip(row, v) if a and b), Fraction(0)) for row in nf.inverse)
 
 
 def quadratic_detrep(h: MultiPoly, e: Sequence[RationalLike], generators=hurwitz_radon) -> QuadraticDetRep:
@@ -333,15 +306,16 @@ def quadratic_detrep(h: MultiPoly, e: Sequence[RationalLike], generators=hurwitz
     ``clifford_generators``) for the k squares of the branch.  h(e) < 0
     needs r even, so a lone square g is then split as (3g/5)^2 + (4g/5)^2
     when d = 1.  Slice s of ell*I - Q, pulled back along u = T*x, is
-    ell_s*I - [[0, S_s], [S_s^T, 0]] with S_s = sum_t (g_t T)_s M_t.  The
-    final verify_pencil (up to a positive scalar, definite at e) must pass.
+    ell_s*I - [[0, S_s], [S_s^T, 0]] with S_s = sum_t (g_t T)_s M_t, built
+    in ints over the lcm of the forms' and T's denominators.  The final
+    verify_pencil (up to a positive scalar, definite at e) must pass.
     If the branch form p vanishes identically (h is a scalar multiple of a
     squared linear form) the same loop with no forms gives a 4x4 pencil
     ell*I with r = 2.
     """
     nf = normalize_at_direction(h, e)
     try:
-        forms = rational_sos_quadratic(nf.branch)
+        forms = rational_sos_quadratic(nf.branch, nf.scale * nf.scale)
     except IndefiniteFormError as err:
         line = _hyperbolicity_witness_line(nf, err.witness)
         raise PipelineError(
@@ -356,22 +330,29 @@ def quadratic_detrep(h: MultiPoly, e: Sequence[RationalLike], generators=hurwitz
     if forms:
         gens = generators(len(forms))
         if nf.flipped and gens.dimension == 1:
-            forms = [forms[0].scale(Fraction(3, 5)), forms[0].scale(Fraction(4, 5))]
+            (g, d), = forms
+            forms = [(tuple(3 * a for a in g), 5 * d), (tuple(4 * a for a in g), 5 * d)]
             gens = generators(2)
         dim, columns = gens.dimension, list(zip(gens.perms, gens.signs))
     r = dim
     scalar = (4 * nf.alpha) ** r
 
-    ell = MultiPoly.variable(nf.ring_prime, "u0").scale(2 * nf.alpha) + nf.q1
-    pulled = [_pulled_back(g, nf.transform) for g in forms]
+    # ell = 2*alpha*u0 + q1 has the coefficients 2*gram[0]/scale; each form
+    # row g over d pulls back to (g*T)_s = sum_j g_j*T_js, all over `den`.
+    n = len(nf.transform)
+    t_den, t_num = _over_den([t for row in nf.transform for t in row])
+    lines = [(tuple(2 * a for a in nf.gram[0]), nf.scale)] + forms
+    den = math.lcm(*[d for _, d in lines]) * t_den
+    pulled = [[sum(a * t_num[j * n + s] for j, a in enumerate(g) if a) * (den // (d * t_den)) for s in range(n)]
+              for g, d in lines]
+    m, ell = 2 * dim, pulled[0]
     slices = []
-    for s, ell_s in enumerate(_pulled_back(ell, nf.transform)):
-        terms = [(GaussianRational(-g[s]), perm, sign) for g, (perm, sign) in zip(pulled, columns) if g[s]]
-        rows = _q_rows(dim, GR_ZERO, terms)
-        diagonal = GaussianRational(ell_s)
-        for i, row in enumerate(rows):
-            row[i] = diagonal
-        slices.append(ConstMatrix(rows, KIND_SYMMETRIC))
+    for s in range(n):
+        terms = [(-g[s], perm, sign) for g, (perm, sign) in zip(pulled[1:], columns) if g[s]]
+        cells = {i * m + j: a for i, row in enumerate(_q_rows(dim, 0, terms)) for j, a in enumerate(row) if a}
+        if ell[s]:
+            cells.update((i * (m + 1), ell[s]) for i in range(m))
+        slices.append(ConstMatrix._of_ints(m, den, cells, KIND_SYMMETRIC))
     pencil = tuple(slices)
 
     report = verify_pencil(pencil, h, r, e, up_to_scalar=True)

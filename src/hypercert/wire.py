@@ -180,7 +180,16 @@ def _json_flag(data: dict, key: str, where: str) -> bool:
 def _json_strings(value, where: str, depth: int = 1) -> list:
     """A JSON list of strings, or with ``depth`` > 1 a list of such lists
     (rows of a matrix, blocks of a pencil); the error names the first bad
-    item by its index path."""
+    item by its index path.  A first check reads the types of each level's
+    items in one pass, and of all the strings in one, and formats no path."""
+    lists = [value]
+    for _ in range(depth):
+        if not set(map(type, lists)) <= {list}:
+            break
+        lists = list(itertools.chain.from_iterable(lists))
+    else:
+        if set(map(type, lists)) <= {str}:
+            return value
     for k, item in enumerate(_json_list(value, where)):
         if depth > 1:
             _json_strings(item, f"{where}[{k}]", depth - 1)

@@ -1,15 +1,15 @@
 """Independent reference implementations used only by the tests."""
 
+import json
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 from math import gcd, lcm
 
 from hypercert.detrep import PolyMatrix, const_det, pencil_to_polymatrix, poly_det, polymatrix_to_pencil
-from hypercert.polyring import MultiPoly, ParseError, UniPoly, sturm_chain
-from hypercert.quadratic import normalize_at_direction, rational_sos_quadratic
+from hypercert.polyring import MultiPoly, ParseError, Ring, UniPoly, sturm_chain
 from hypercert.realroots import _index
-from hypercert.scalars import ConstMatrix, GaussianRational, as_fraction, pencil_value
+from hypercert.scalars import ConstMatrix, GaussianRational, as_fraction, four_square_decompose, pencil_value
 
 
 def perm_sign(perm):
@@ -184,27 +184,150 @@ def clifford_q(forms, gens):
     return PolyMatrix(ring, rows, "symmetric")
 
 
+def linear_form(ring, coeffs):
+    """sum_k coeffs[k]*x_k, coefficients rational."""
+    units = [tuple(int(t == k) for t in range(ring.arity)) for k in range(ring.arity)]
+    return MultiPoly.from_terms(ring, [(u, c) for u, c in zip(units, coeffs) if c])
+
+
+def gram_of(p):
+    """(rows, den): int rows with p(x) = x^T (rows/den) x for a real
+    quadratic form p; den is twice the lcm of p's denominators."""
+    n, den = p.ring.arity, 2 * lcm(*[c.re.denominator for c in p.terms.values()])
+    rows = [[0] * n for _ in range(n)]
+    for expo, c in p.terms.items():
+        i, j = [k for k, v in enumerate(expo) for _ in range(v)]
+        rows[i][j] += int(c.re * den / 2)
+        rows[j][i] += int(c.re * den / 2)
+    return rows, den
+
+
+def form_of(ring, rows, den):
+    """x^T (rows/den) x as a MultiPoly of ``ring``, one term per cell."""
+    n = ring.arity
+    return MultiPoly.from_terms(ring, [(tuple((k == i) + (k == j) for k in range(n)), Fraction(a, den))
+                                       for i, row in enumerate(rows) for j, a in enumerate(row) if a])
+
+
+def normal_form_reference(h, e):
+    """(ring', alpha, q1, q2, branch, flipped, transform) of h at e, through
+    polynomials: T^-1 (columns e, then the unit vectors but the first
+    coordinate where e is nonzero) substituted into +-h, the result split
+    by the power of u0, and branch = q1^2 - 4*alpha*q2.  alpha is |h(e)|."""
+    n = h.ring.arity
+    point = [as_fraction(c) for c in e]
+    value = eval_reference(h, point).re
+    flipped, alpha = value < 0, abs(value)
+    pivot = next(k for k in range(n) if point[k])
+    others = [j for j in range(n) if j != pivot]
+    inverse = [[point[r]] + [Fraction(r == j) for j in others] for r in range(n)]
+    ring = Ring.standard(tuple(f"u{k}" for k in range(n)))
+    hp = (-h if flipped else h).substitute([linear_form(ring, row) for row in inverse])
+    parts = ({}, {}, {})
+    for expo, coeff in hp.terms.items():
+        parts[expo[0]][(0,) + expo[1:]] = coeff
+    q2, q1, top = (MultiPoly(ring, terms) for terms in parts)
+    assert top == MultiPoly.constant(ring, alpha)
+    return ring, alpha, q1, q2, q1 * q1 - q2.scale(4 * alpha), flipped, mat_inverse(inverse)
+
+
+def diagonalize_reference(p):
+    """[(c, row)]: p = sum c*(row . x)^2 by congruence elimination on
+    Fractions, pivoting on the first nonzero diagonal entry, else splitting
+    the first off-diagonal pair (i, j) by x_i = u + v, x_j = u - v."""
+    rows, den = gram_of(p)
+    n = len(rows)
+    gram = [[Fraction(a, den) for a in row] for row in rows]
+    inv = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    out = []
+    while True:
+        k = next((i for i in range(n) if gram[i][i]), None)
+        if k is not None:
+            a = gram[k][k]
+            row = [gram[k][j] / a for j in range(n)]
+            out.append((a, tuple(sum(row[t] * inv[t][s] for t in range(n)) for s in range(n))))
+            gram = [[g - a * row[i] * row[j] for j, g in enumerate(grow)] for i, grow in enumerate(gram)]
+            continue
+        pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if gram[i][j]), None)
+        if pair is None:
+            return out
+        i, j = pair
+        for r in gram:
+            r[i], r[j] = r[i] + r[j], r[i] - r[j]
+        gi, gj, vi, vj = gram[i], gram[j], inv[i], inv[j]
+        gram[i], gram[j] = [x + y for x, y in zip(gi, gj)], [x - y for x, y in zip(gi, gj)]
+        inv[i], inv[j] = [(x + y) / 2 for x, y in zip(vi, vj)], [(x - y) / 2 for x, y in zip(vi, vj)]
+
+
+def unit_preimage_reference(rows, target):
+    """v with row_target . v = 1 and row_r . v = 0 otherwise, from the
+    reduced row echelon form over Fractions with the free variables 0."""
+    m, n = len(rows), len(rows[0])
+    aug = [list(row) + [Fraction(r == target)] for r, row in enumerate(rows)]
+    pivots = []
+    for col in range(n):
+        top = len(pivots)
+        pivot = next((r for r in range(top, m) if aug[r][col]), None)
+        if pivot is None:
+            continue
+        aug[top], aug[pivot] = aug[pivot], aug[top]
+        aug[top] = [v / aug[top][col] for v in aug[top]]
+        for r in range(m):
+            if r != top and aug[r][col]:
+                aug[r] = [v - aug[r][col] * w for v, w in zip(aug[r], aug[top])]
+        pivots.append((top, col))
+    v = [Fraction(0)] * n
+    for r, col in pivots:
+        v[col] = aug[r][n]
+    return tuple(v)
+
+
+def sos_reference(p):
+    """The forms sum g^2 = p of the rational SOS route on polynomials
+    (:func:`diagonalize_reference`, then four squares of each coefficient),
+    or ("indefinite", v) with v the witness of the first negative one."""
+    diag = diagonalize_reference(p)
+    negative = next((k for k, (c, _) in enumerate(diag) if c < 0), None)
+    if negative is not None:
+        return "indefinite", unit_preimage_reference([row for _, row in diag], negative)
+    return [linear_form(p.ring, row).scale(q) for c, row in diag for q in four_square_decompose(c) if q]
+
+
 def quadratic_detrep_reference(h, e, generators):
     """(pencil, r, c) that quadratic_detrep must return, built through
-    polynomial matrices: Q from the dense table over u, ell*I - Q with
-    ell = 2*alpha*u0 + q1, u = T*x substituted into every entry, and the
-    result cut into slices by polymatrix_to_pencil.  h(e) < 0 with a 1x1
-    table splits the lone square g as (3g/5)^2 + (4g/5)^2; a zero branch
-    gives ell*I of size 4."""
-    nf = normalize_at_direction(h, e)
-    forms = rational_sos_quadratic(nf.branch)
-    ell = MultiPoly.variable(nf.ring_prime, "u0").scale(2 * nf.alpha) + nf.q1
-    q = PolyMatrix(nf.ring_prime, [[MultiPoly.zero(nf.ring_prime)] * 4] * 4, "symmetric")
+    polynomials: the normal form and branch of :func:`normal_form_reference`,
+    its squares from :func:`sos_reference`, Q from the dense table over u,
+    ell*I - Q with ell = 2*alpha*u0 + q1, u = T*x substituted into every
+    entry, and the result cut into slices by polymatrix_to_pencil.  h(e) < 0
+    with a 1x1 table splits the lone square g as (3g/5)^2 + (4g/5)^2; a zero
+    branch gives ell*I of size 4."""
+    ring, alpha, q1, _, branch, flipped, transform = normal_form_reference(h, e)
+    forms = sos_reference(branch)
+    ell = MultiPoly.variable(ring, "u0").scale(2 * alpha) + q1
+    q = PolyMatrix(ring, [[MultiPoly.zero(ring)] * 4] * 4, "symmetric")
     if forms:
         q = clifford_q(forms, generators(len(forms)))
-        if nf.flipped and q.size % 4:
+        if flipped and q.size % 4:
             q = clifford_q([forms[0].scale(Fraction(3, 5)), forms[0].scale(Fraction(4, 5))], generators(2))
-    n = h.ring.arity
-    units = [tuple(int(k == s) for k in range(n)) for s in range(n)]
-    images = [MultiPoly.from_terms(h.ring, [(u, t) for u, t in zip(units, row) if t]) for row in nf.transform]
+    images = [linear_form(h.ring, row) for row in transform]
     rows = [[p.substitute(images) for p in row] for row in ell_minus(ell, q).rows]
     r = q.size // 2
-    return polymatrix_to_pencil(PolyMatrix(h.ring, rows, "symmetric")), r, (4 * nf.alpha) ** r
+    return polymatrix_to_pencil(PolyMatrix(h.ring, rows, "symmetric")), r, (4 * alpha) ** r
+
+
+def json_strings_reference(value, where, depth=1):
+    """The JSON string-list check item by item: the ParseError message for
+    the first bad item by its index path, or None."""
+    if not isinstance(value, list):
+        return f"{where} must be a list, not {json.dumps(value)}"
+    for k, item in enumerate(value):
+        if depth > 1:
+            message = json_strings_reference(item, f"{where}[{k}]", depth - 1)
+            if message:
+                return message
+        elif not isinstance(item, str):
+            return f"{where}[{k}] must be a string, not {json.dumps(item)}"
+    return None
 
 
 def leading_principal_minors(matrix):

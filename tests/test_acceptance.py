@@ -19,7 +19,7 @@ from hypercert.hyperbolicity import STATUS_NO_COUNTEREXAMPLE, is_hyperbolic_samp
 from hypercert.polyring import MultiPoly, Ring, UniPoly, parse, restrict_to_line
 from hypercert.realroots import interlaces_univariate, is_real_rooted
 from hypercert.scalars import ConstMatrix
-from oracles import const_matrix, count_distinct_roots, eval_reference, from_roots, leibniz_det
+from oracles import const_matrix, count_distinct_roots, eval_reference, from_roots, gram_of, leibniz_det
 
 from test_detrep import random_sparse_matrix
 from test_hyperbolicity import lagrange_interpolate
@@ -173,7 +173,7 @@ def test_criterion_8_witness_soundness():
         if p.is_zero():
             continue
         try:
-            quadratic.rational_sos_quadratic(p)
+            quadratic.rational_sos_quadratic(*gram_of(p))
         except quadratic.IndefiniteFormError as err:
             emitted += 1
             found += 1

@@ -154,6 +154,17 @@ class TestLongNumbers:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "input error: power of up to 20301 terms is too large at position 0\n")
 
+    def test_a_product_of_two_large_sums_is_an_input_error(self, tmp_path, capsys):
+        poly = tmp_path / "product.txt"
+        argv = ["check-hyperbolic", "--poly", str(poly), "--dir", "1,0,0", "--samples", "3", "--json"]
+        poly.write_text("ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\n(x0+x1+x2)^43*(x0+x1+x2)^3\n")
+        assert main(argv) == EXIT_OK  # 990 by 10 pairs
+        capsys.readouterr()
+        poly.write_text("ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\n(x0+x1+x2)^43*(x0+x1+x2)^43\n")
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "input error: product of 990 by 990 terms is too large at position 14\n")
+
     def test_a_long_literal_is_still_an_input_error(self, tmp_path, capsys):
         poly = tmp_path / "literal.txt"
         poly.write_text("ring: vars=x0 weights=1 gaussian=false\n" + "7" * 5000 + "*x0^2\n")

@@ -94,6 +94,7 @@ HOOK_ONLY = {
     ("detrep", "poly_det"),
     ("detrep", "pencil_to_polymatrix"),
     ("detrep", "PolyMatrix.matmul"),
+    ("polyring", "MultiPoly.substitute"),
     ("polyring", "UniPoly.squarefree_part"),
     ("realroots", "_isolate_squarefree"),
     ("realroots", "refine_interval"),
@@ -140,6 +141,7 @@ def reached_only_from(roots, kept):
 # ``MultiPoly.__floordiv__ = divide_exact`` reads as a use of that name,
 # which hides ``MultiPoly.divide_exact`` and ``UniPoly.divide_exact``.
 HOOK_ONLY_REACH = {
+    ("polyring", "MultiPoly.from_terms"),
     ("polyring", "UniPoly.leading"),
     ("realroots", "cauchy_root_bound"),
 }

@@ -501,6 +501,14 @@ class TestDistinctEntries:
         entries = PolyMatrix(self.R2, rows).to_json_dict()["entries"]
         assert entries == [[str(p) if p else "0" for p in row] for row in rows]
 
+    def test_the_distinct_entries_are_kept_in_row_order(self):
+        a, a_copy, zero = parse("x1 - x2", self.R2), parse("x1 - x2", self.R2), MultiPoly.zero(self.R2)
+        matrix = PolyMatrix(self.R2, [[zero, a, a_copy], [a, zero, a], [a_copy, a, zero]], "symmetric")
+        assert [id(p) for p in matrix.distinct] == [id(zero), id(a), id(a_copy)]
+        assert matrix.kind_violation() is None and matrix.entry_degrees_homogeneous(1) is None
+        assert matrix.evaluator()([1, 3]) == ConstMatrix([[GaussianRational(v) for v in row]
+                                                           for row in ([0, -2, -2], [-2, 0, -2], [-2, -2, 0])], "symmetric")
+
     def test_equal_cell_texts_parse_to_one_object(self):
         matrix = PolyMatrix.from_strings(self.R2, [["x1", "x2 - x1"], ["x2 - x1", "x1"]], "symmetric")
         assert matrix.rows[0][1] is matrix.rows[1][0] and matrix.rows[0][0] is matrix.rows[1][1]

@@ -1,5 +1,6 @@
 """The polynomial grammar: term-dict parsing against the MultiPoly reference."""
 
+import random
 import sys
 import time
 from fractions import Fraction
@@ -417,6 +418,47 @@ class TestPowerTermLimit:
         assert parse("(x0 + 0*x1 + 0*x2)^5000", REAL).terms == {(5000, 0, 0): GaussianRational(1)}
         # Two nonzero terms: C(45, 44) = 45, where three would count C(46, 44) = 1035.
         assert len(parse("(x0 + x1 + x2 - x2)^44", REAL).terms) == 45
+
+
+class TestProductPairLimit:
+    """A product of two sums is refused at the start of its second factor,
+    before it is formed, when it pairs more than 10,000 nonzero terms."""
+
+    ONE = Ring.standard(("x0",))
+    SIX = Ring.standard(tuple(f"x{k}" for k in range(6)))
+
+    @staticmethod
+    def sums(a, b, step):
+        """(sum of x0^k, k < a) * (sum of x0^(step*k), k < b): a*b pairs."""
+        left = " + ".join(f"x0^{k}" for k in range(a))
+        return f"({left})*(" + " + ".join(f"x0^{step * k}" for k in range(b)) + ")", len(left) + 3
+
+    def test_at_the_limit_and_one_past_it(self):
+        text, _ = self.sums(100, 100, 100)  # 10,000 pairs, 10,000 distinct products
+        assert parse(text, self.ONE) == parse(f"({' + '.join(f'x0^{k}' for k in range(10000))})", self.ONE)
+        text, start = self.sums(73, 137, 73)  # 10,001 pairs
+        with pytest.raises(ParseError, match=f"^product of 73 by 137 terms is too large at position {start}$"):
+            parse(text, self.ONE)
+
+    def test_a_short_input_is_refused(self):
+        with pytest.raises(ParseError, match="^product of 990 by 990 terms is too large at position 14$"):
+            parse("(x0+x1+x2)^43*(x0+x1+x2)^43", REAL)  # took 0.92 s before it was bounded
+        # 861 by 10 pairs, then the product's 990 terms by 15
+        with pytest.raises(ParseError, match="^product of 990 by 15 terms is too large at position 27$"):
+            parse("(x0+x1+x2)^40*(x0+x1+x2)^3*(x0+x1+x2)^4", REAL)
+
+    def test_products_of_linear_forms_parse(self):
+        rng = random.Random(5)
+        forms = ["(" + " + ".join(f"{rng.randint(1, 9)}*x{k}" for k in range(6)) + ")" for _ in range(7)]
+        expected = MultiPoly.constant(self.SIX, 1)
+        for form in forms:
+            expected = expected * parse(form, self.SIX)
+        assert parse("*".join(forms), self.SIX) == expected  # 462 by 6 pairs at the last factor
+        assert len(expected.terms) == 792
+
+    def test_zero_terms_are_not_counted(self):
+        zeros = " + ".join(f"0*x0^{k}" for k in range(200))
+        assert parse(f"(x0 + 1 + {zeros})*({zeros} + x0 - 1)", self.ONE) == parse("x0^2 - 1", self.ONE)
 
 
 def monomial_sums(ring):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypercert import clifford, detrep
@@ -21,7 +21,17 @@ from hypercert.quadratic import (
     rational_sos_quadratic,
 )
 from hypercert.realroots import is_real_rooted
-from oracles import eval_reference, mat_inverse, quadratic_detrep_reference
+from oracles import (
+    diagonalize_reference,
+    eval_reference,
+    form_of,
+    gram_of,
+    linear_form,
+    mat_inverse,
+    normal_form_reference,
+    quadratic_detrep_reference,
+    sos_reference,
+)
 
 R2 = Ring.standard(("x0", "x1"))
 R3 = Ring.standard(("x0", "x1", "x2"))
@@ -41,41 +51,56 @@ def random_quadratic(rng, ring, span=5):
     return MultiPoly.from_terms(ring, items)
 
 
+def checked_normal_form(h, e):
+    """(ring', alpha, q1, q2, branch, flipped) of :func:`normal_form_reference`,
+    after checking that the library's Gram matrices give the same alpha,
+    q1, q2, branch, sign and T."""
+    nf = normalize_at_direction(h, e)
+    ring, alpha, q1, q2, branch, flipped, transform = normal_form_reference(h, e)
+    n = ring.arity
+    assert (nf.alpha, Fraction(nf.gram[0][0], nf.scale), nf.flipped) == (alpha, alpha, flipped)
+    assert [list(row) for row in nf.transform] == transform
+    assert linear_form(ring, [0] + [Fraction(2 * g, nf.scale) for g in nf.gram[0][1:]]) == q1
+    assert form_of(ring, [[0] * n] + [[0, *row[1:]] for row in nf.gram[1:]], nf.scale) == q2
+    assert form_of(ring, nf.branch, nf.scale**2) == branch
+    return ring, alpha, q1, q2, branch, flipped
+
+
+def sos(p):
+    """rational_sos_quadratic on a polynomial, its squares as polynomials."""
+    return [linear_form(p.ring, [Fraction(a, d) for a in g]) for g, d in rational_sos_quadratic(*gram_of(p))]
+
+
+def diagonalized(p):
+    """diagonalize_quadratic_form on a polynomial, as (c, row of Fractions)."""
+    return [(c, tuple(Fraction(a, d) for a in row)) for c, row, d in diagonalize_quadratic_form(*gram_of(p))]
+
+
 class TestNormalForm:
     def test_already_normalized(self):
         h = parse("x0^2 - x1^2 - x2^2", R3)
-        nf = normalize_at_direction(h, (1, 0, 0))
-        assert nf.alpha == 1
-        assert nf.q1.is_zero()
-        assert nf.q2 == parse("0 - u1^2 - u2^2", nf.ring_prime)
-        assert nf.branch == parse("4*u1^2 + 4*u2^2", nf.ring_prime)
-        assert not nf.flipped
+        ring, alpha, q1, q2, branch, flipped = checked_normal_form(h, (1, 0, 0))
+        assert alpha == 1
+        assert q1.is_zero()
+        assert q2 == parse("0 - u1^2 - u2^2", ring)
+        assert branch == parse("4*u1^2 + 4*u2^2", ring)
+        assert not flipped
 
     def test_bilinear_form(self):
         h = parse("x0*x1", R2)
-        nf = normalize_at_direction(h, (1, 1))
-        assert nf.alpha == 1
+        ring, alpha, q1, _, branch, _ = checked_normal_form(h, (1, 1))
+        assert alpha == 1
         # Re-verify the defining identity by expansion: 4*alpha*h(T^-1 u)
         # must equal ell(u)^2 - branch(u).
-        ell = MultiPoly.variable(nf.ring_prime, "u0").scale(2 * nf.alpha) + nf.q1
-        images = [
-            MultiPoly.from_terms(
-                nf.ring_prime,
-                [
-                    (tuple(1 if t == j else 0 for t in range(2)), nf.inverse[r][j])
-                    for j in range(2)
-                    if nf.inverse[r][j]
-                ],
-            )
-            for r in range(2)
-        ]
-        hp = h.substitute(images)
-        assert hp.scale(4 * nf.alpha) == ell * ell - nf.branch
+        ell = MultiPoly.variable(ring, "u0").scale(2 * alpha) + q1
+        inverse = normalize_at_direction(h, (1, 1)).inverse
+        hp = h.substitute([linear_form(ring, row) for row in inverse])
+        assert hp.scale(4 * alpha) == ell * ell - branch
 
     def test_nonhyperbolic_passes_this_stage(self):
         h = parse("x0^2 + x1^2", R2)
-        nf = normalize_at_direction(h, (1, 0))
-        assert nf.branch == parse("0 - 4*u1^2", nf.ring_prime)
+        ring, _, _, _, branch, _ = checked_normal_form(h, (1, 0))
+        assert branch == parse("0 - 4*u1^2", ring)
 
     def test_rejects_vanishing_direction(self):
         with pytest.raises(ValueError):
@@ -87,9 +112,9 @@ class TestNormalForm:
 
     def test_sign_flip(self):
         h = parse("0 - x0^2 + x1^2", R2)
-        nf = normalize_at_direction(h, (1, 0))
-        assert nf.flipped
-        assert nf.alpha == 1
+        _, alpha, _, _, _, flipped = checked_normal_form(h, (1, 0))
+        assert flipped
+        assert alpha == 1
 
     def test_stage_identity_random(self):
         rng = random.Random(113)
@@ -102,35 +127,24 @@ class TestNormalForm:
             if not any(e) or eval_reference(h, e).re == 0:
                 continue
             nf = normalize_at_direction(h, e)
-            ell = MultiPoly.variable(nf.ring_prime, "u0").scale(2 * nf.alpha) + nf.q1
-            hw = -h if nf.flipped else h
-            n = R3.arity
-            images = [
-                MultiPoly.from_terms(
-                    nf.ring_prime,
-                    [
-                        (tuple(1 if t == j else 0 for t in range(n)), nf.inverse[r][j])
-                        for j in range(n)
-                        if nf.inverse[r][j]
-                    ],
-                )
-                for r in range(n)
-            ]
-            hp = hw.substitute(images)
-            assert hp.scale(4 * nf.alpha) + nf.branch == ell * ell
+            ring, alpha, q1, _, branch, flipped = checked_normal_form(h, e)
+            ell = MultiPoly.variable(ring, "u0").scale(2 * alpha) + q1
+            hw = -h if flipped else h
+            hp = hw.substitute([linear_form(ring, row) for row in nf.inverse])
+            assert hp.scale(4 * alpha) + branch == ell * ell
             checked += 1
 
 
 class TestRationalSos:
     def test_diagonal_form(self):
         p = parse("4*u1^2 + 4*u2^2", Ring.standard(("u0", "u1", "u2")))
-        forms = rational_sos_quadratic(p)
+        forms = sos(p)
         assert [str(g) for g in forms] == ["2*u1", "2*u2"]
 
     def test_cross_term(self):
         ring = Ring.standard(("x1", "x2"))
         p = parse("x1^2 + x1*x2 + x2^2", ring)
-        forms = rational_sos_quadratic(p)
+        forms = sos(p)
         assert [str(g) for g in forms] == [
             "x1 + 1/2*x2",
             "1/2*x2",
@@ -145,7 +159,7 @@ class TestRationalSos:
     def test_indefinite_witness(self):
         ring = Ring.standard(("x1", "x2"))
         with pytest.raises(IndefiniteFormError) as info:
-            rational_sos_quadratic(parse("0 - x1^2", ring))
+            sos(parse("0 - x1^2", ring))
         v = info.value.witness
         assert eval_reference(parse("0 - x1^2", ring), v).re < 0
 
@@ -153,7 +167,7 @@ class TestRationalSos:
         ring = Ring.standard(("x1", "x2"))
         p = parse("x1*x2", ring)
         with pytest.raises(IndefiniteFormError) as info:
-            rational_sos_quadratic(p)
+            sos(p)
         assert eval_reference(p, info.value.witness).re < 0
 
     def test_psd_rank_bound(self):
@@ -176,9 +190,8 @@ class TestRationalSos:
             p = MultiPoly.zero(ring)
             for g in forms:
                 p = p + g * g
-            diag = diagonalize_quadratic_form(p)
-            rank = len(diag)
-            out = rational_sos_quadratic(p)
+            rank = len(diagonalized(p))
+            out = sos(p)
             assert len(out) <= 4 * rank
             total = MultiPoly.zero(ring)
             for g in out:
@@ -198,7 +211,7 @@ class TestRationalSos:
                 p = MultiPoly(ring, {e: c for e, c in p.terms.items() if 2 not in e})
             if p.is_zero():
                 continue
-            diag = diagonalize_quadratic_form(p)
+            diag = diagonalized(p)
             splits += all(not p.terms.get(tuple(2 * (t == k) for t in range(4))) for k in range(4))
             total = MultiPoly.zero(ring)
             for c, row in diag:
@@ -218,11 +231,110 @@ class TestRationalSos:
             if p.is_zero():
                 continue
             try:
-                rational_sos_quadratic(p)
+                sos(p)
             except IndefiniteFormError as err:
                 assert eval_reference(p, err.witness).re < 0
                 refuted += 1
         assert refuted == 30
+
+
+@st.composite
+def quadrics_at(draw):
+    """(h, e) with h(e) != 0 in n = 2..6 variables, e with 0..n-1 leading
+    zero coordinates, of one of three shapes: a dense form with rational
+    coefficients; a*x_p^2 plus products x_i*x_j of the other variables at
+    e = c*(unit vector p), whose branch has an all-zero diagonal; or
+    c*l(x)^2, whose branch is zero.  Negative values at e flip h."""
+    n = draw(st.integers(2, 6))
+    ring = Ring.standard(tuple(f"x{k}" for k in range(n)))
+    lead = draw(st.integers(0, n - 1))
+    small = st.integers(-3, 3)
+    nonzero = st.integers(1, 3).flatmap(lambda k: st.sampled_from([k, -k]))
+    shape = draw(st.sampled_from(["dense", "split", "rank-one"]))
+    units = [tuple(int(t == k) for t in range(n)) for k in range(n)]
+    if shape == "split":
+        e = [Fraction(draw(nonzero), draw(st.integers(1, 3))) * (k == lead) for k in range(n)]
+        others = [k for k in range(n) if k != lead]
+        items = [(tuple(2 * t for t in units[lead]), draw(nonzero))]
+        items += [(tuple(map(sum, zip(units[i], units[j]))), draw(small)) for i in others for j in others if i < j]
+        h = MultiPoly.from_terms(ring, items)
+    else:
+        e = [Fraction(0)] * lead + [Fraction(draw(nonzero), draw(st.integers(1, 3)))]
+        e += [Fraction(draw(small), draw(st.integers(1, 4))) for _ in range(n - lead - 1)]
+        if shape == "rank-one":
+            ell = linear_form(ring, [Fraction(draw(small), draw(st.integers(1, 2))) for _ in range(n)])
+            h = (ell * ell).scale(draw(nonzero))
+        else:
+            cells = [(i, j) for i in range(n) for j in range(i, n)]
+            h = MultiPoly.from_terms(ring, [(tuple(map(sum, zip(units[i], units[j]))),
+                                             Fraction(draw(small), draw(st.sampled_from([1, 1, 2, 3])))) for i, j in cells])
+    assume(not h.is_zero() and eval_reference(h, e).re != 0)
+    return h, e
+
+
+class TestGramRoute:
+    """The Gram route against the substitution-and-split reference: alpha,
+    q1, q2, the branch, the diagonal rows and the indefiniteness witness."""
+
+    @settings(max_examples=80)
+    @given(quadrics_at())
+    def test_against_the_polynomial_route(self, drawn):
+        h, e = drawn
+        nf = normalize_at_direction(h, e)
+        _, _, _, _, branch, _ = checked_normal_form(h, e)
+        diag = diagonalize_quadratic_form(nf.branch, nf.scale**2)
+        assert [(c, tuple(Fraction(a, d) for a in row)) for c, row, d in diag] == diagonalize_reference(branch)
+        expected = sos_reference(branch)
+        if isinstance(expected, tuple):
+            with pytest.raises(IndefiniteFormError) as info:
+                rational_sos_quadratic(nf.branch, nf.scale**2)
+            assert info.value.witness == expected[1]
+            assert info.value.value == eval_reference(branch, expected[1]).re < 0
+        else:
+            forms = rational_sos_quadratic(nf.branch, nf.scale**2)
+            assert [linear_form(branch.ring, [Fraction(a, d) for a in g]) for g, d in forms] == expected
+
+    def test_each_shape_is_drawn(self):
+        seen = set()
+
+        @settings(max_examples=60)
+        @given(quadrics_at())
+        def record(drawn):
+            h, e = drawn
+            nf = normalize_at_direction(h, e)
+            diagonal = [nf.branch[k][k] for k in range(len(e))]
+            seen.add(("flipped", nf.flipped))
+            seen.add(("leading zero", not e[0]))
+            seen.add(("zero branch", not any(map(any, nf.branch))))
+            seen.add(("split", not any(diagonal) and any(map(any, nf.branch))))
+            seen.add(("n", len(e)))
+
+        record()
+        assert {("flipped", True), ("leading zero", True), ("zero branch", True), ("split", True)} <= seen
+        assert {("n", n) for n in range(2, 7)} <= seen
+
+
+class TestNoPolynomialAlgebra:
+    """quadratic_detrep runs on Gram matrices: on the test family it
+    multiplies no polynomials and substitutes none."""
+
+    def test_a_family_input_calls_neither_product_nor_substitute(self, monkeypatch):
+        h, e = random_hyperbolic_quadratic(random.Random(7), 3)
+        calls = []
+
+        def tripwire(name):
+            original = getattr(MultiPoly, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(MultiPoly, name, counted)
+
+        tripwire("__mul__")
+        tripwire("substitute")
+        assert quadratic_detrep(h, e).report.ok
+        assert calls == []
 
 
 class TestQuadraticDetrep:
@@ -412,7 +524,8 @@ class TestSlicesFromTheTable:
     @given(hyperbolic_quadrics())
     def test_slices_match_the_polynomial_route(self, drawn):
         h, e, paper = drawn
-        k = len(rational_sos_quadratic(normalize_at_direction(h, e).branch))
+        nf = normalize_at_direction(h, e)
+        k = len(rational_sos_quadratic(nf.branch, nf.scale**2))
         self._agrees(h, e, clifford_generators if paper and k <= 4 else hurwitz_radon)
 
     @pytest.mark.parametrize("generators", [hurwitz_radon, clifford_generators])

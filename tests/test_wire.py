@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from hypercert.cli import EXIT_USAGE, main
 from hypercert.polyring import MultiPoly, ParseError, Ring
 from hypercert.scalars import MATRIX_KINDS, ConstMatrix, GaussianRational
+from oracles import json_strings_reference
 from hypercert.wire import (
+    _json_strings,
     _parse_cell,
     dump_poly_text,
     parse_point,
@@ -133,3 +135,37 @@ class TestAsciiNumbers:
         assert main(["check-hyperbolic", "--poly", str(poly), "--dir", "1,٣"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "unexpected character '_'" in err and "unexpected character '٣'" in err
+
+
+class TestJsonStrings:
+    """The one-pass check of nested string lists names the same first bad
+    item, by the same index path, as the item-by-item reference."""
+
+    leaves = st.one_of(st.sampled_from(["0", "x0", "1/2", ""]), st.sampled_from([None, 1, 2.5, True, {"a": 1}]))
+
+    @staticmethod
+    def nested(leaf, depth):
+        inner = leaf
+        for _ in range(depth):
+            inner = st.one_of(st.lists(inner, max_size=4), leaf)
+        return inner
+
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), TestJsonStrings.nested(TestJsonStrings.leaves, d))))
+    def test_against_the_item_by_item_reference(self, drawn):
+        depth, value = drawn
+        expected = json_strings_reference(value, "matrices", depth)
+        if expected is None:
+            assert _json_strings(value, "matrices", depth) is value
+        else:
+            with pytest.raises(ParseError) as info:
+                _json_strings(value, "matrices", depth)
+            assert str(info.value) == expected
+
+    def test_valid_rows_and_a_string_subclass(self):
+        class Text(str):
+            pass
+
+        rows = [["0", Text("x0")], ["1", "2"]]
+        assert _json_strings(rows, "entries", 2) is rows
+        with pytest.raises(ParseError, match=r"^entries\[1\]\[0\] must be a string, not 1$"):
+            _json_strings([["0", "1"], [1, "2"]], "entries", 2)
