@@ -8,7 +8,8 @@ G' = S^T G S of h o T^-1 = alpha*u_0^2 + u_0*q1 + q2: alpha = G'_00 = h(e),
 q1 has the coefficients b = 2*G'_(0, 1..) and q2 the Gram matrix
 G'_(1.., 1..).  Completing the square exposes the branch form
 p = q1^2 - 4*alpha*q2, of Gram matrix B = b*b^T - 4*alpha*G'_(1.., 1..), and
-4*alpha*(h o T^-1) = (2*alpha*u_0 + q1)^2 - p reads, checked exactly,
+4*alpha*(h o T^-1) = (2*alpha*u_0 + q1)^2 - p reads, checked exactly as
+T^T (L*L^T - (0 (+) B)) T = 4*alpha*(+-G) with T built from e apart from S,
 
     4*alpha*G' = L*L^T - (0 (+) B),  L = (2*alpha, b).
 
@@ -80,8 +81,8 @@ class QuadraticNormalForm:
     B the Gram matrix of the branch p = q1^2 - 4*alpha*q2, with row and
     column 0 zero.  The identity 4*alpha*G' = L*L^T - (0 (+) B) with
     L = (2*alpha, b), b the coefficients of q1, is asserted exactly at
-    construction time.  ``flipped`` records that h was replaced by -h to
-    make alpha positive.
+    construction time, pulled back along T onto h's own Gram matrix.
+    ``flipped`` records that h was replaced by -h to make alpha positive.
     """
 
     transform: tuple[tuple[Fraction, ...], ...]  # T, maps e to the first unit vector
@@ -134,17 +135,12 @@ def normalize_at_direction(h: MultiPoly, e: Sequence[RationalLike]) -> Quadratic
     value = sum(a * b for a, b in zip(e_num, g_cols[0]))  # 2*D*E^2 * h(e)
     if not value:
         raise ValueError("h(e) = 0: the direction must be off the hypersurface")
-    flipped = value < 0
-    sign = -1 if flipped else 1
+    sign = -1 if value < 0 else 1
     g_prime = [[sign * sum(a * b for a, b in zip(col, g) if a) for g in g_cols] for col in cols]
     scale = 2 * den * e_den * e_den
 
     a0, b = g_prime[0][0], [2 * g for g in g_prime[0][1:]]
     branch = [[0] * n] + [[0] + [bi * bj - 4 * a0 * g for bj, g in zip(b, row[1:])] for bi, row in zip(b, g_prime[1:])]
-    ell = [2 * a0] + b  # scale * L
-    if any(4 * a0 * g != li * lj - p for li, row, p_row in zip(ell, g_prime, branch) for lj, g, p in zip(ell, row, p_row)):
-        raise AssertionError("internal error: completion-of-the-square identity failed")
-
     inverse = [[point[r]] + [Fraction(r == j) for j in others] for r in range(n)]
     # x = u0*e + sum_c u_c*(unit vector others[c-1]), solved for u:
     # u0 = x_p/e_p and u_c = x_j - (e_j/e_p)*x_p with j = others[c-1].
@@ -152,8 +148,24 @@ def normalize_at_direction(h: MultiPoly, e: Sequence[RationalLike]) -> Quadratic
     transform[0][pivot] = 1 / point[pivot]
     for c, j in enumerate(others, 1):
         transform[c][j], transform[c][pivot] = Fraction(1), -point[j] / point[pivot]
+    _check_completion(gram, 2 * den, transform, [2 * a0] + b, branch, scale, sign)
     rows = [tuple(map(tuple, m)) for m in (transform, inverse, g_prime, branch)]
-    return QuadraticNormalForm(rows[0], rows[1], Fraction(a0, scale), rows[2], rows[3], scale, flipped)
+    return QuadraticNormalForm(rows[0], rows[1], Fraction(a0, scale), rows[2], rows[3], scale, sign < 0)
+
+
+def _check_completion(gram, gram_den, transform, ell, branch, scale, sign) -> None:
+    """Assert T^T (L*L^T - (0 (+) B)) T = 4*alpha*sign*gram/gram_den with
+    L = ell/scale, B = branch/scale^2 and alpha = L_0/2: the completed square
+    in h's own coordinates.  T is read from e apart from the int columns that
+    formed ell and branch, so a wrong column or scale there fails it."""
+    t_den, t_num = _over_den([t for row in transform for t in row])
+    t_cols = [t_num[s::len(gram)] for s in range(len(gram))]  # the columns of t_den*T
+    square = [[li * lj - p for lj, p in zip(ell, p_row)] for li, p_row in zip(ell, branch)]
+    m_cols = [[sum(a * t for a, t in zip(row, col) if t) for row in square] for col in t_cols]
+    factor = 2 * ell[0] * scale * t_den * t_den * sign
+    if any(gram_den * sum(t * a for t, a in zip(t_cols[i], m_col) if t) != factor * gram[i][s]
+           for s, m_col in enumerate(m_cols) for i in range(s + 1)):
+        raise AssertionError("internal error: completion-of-the-square identity failed")
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +301,6 @@ class QuadraticDetRep:
     normal_form: QuadraticNormalForm
 
 
-def _hyperbolicity_witness_line(
-    nf: QuadraticNormalForm, v: tuple[Fraction, ...]
-) -> tuple[Fraction, ...]:
-    """Map an indefiniteness witness of the branch form to a line w on which
-    h(t*e - w) has no real roots: 4*alpha*h'(t*u0 - v) = (2*alpha*t - q1(v))^2 - p(v)."""
-    return tuple(sum((a * b for a, b in zip(row, v) if a and b), Fraction(0)) for row in nf.inverse)
-
-
 def quadratic_detrep(h: MultiPoly, e: Sequence[RationalLike], generators=hurwitz_radon) -> QuadraticDetRep:
     """Compose normalize -> branch SOS -> Clifford slices -> verify.  Input
     that :func:`normalize_at_direction` rejects raises its ValueError.
@@ -317,7 +321,9 @@ def quadratic_detrep(h: MultiPoly, e: Sequence[RationalLike], generators=hurwitz
     try:
         forms = rational_sos_quadratic(nf.branch, nf.scale * nf.scale)
     except IndefiniteFormError as err:
-        line = _hyperbolicity_witness_line(nf, err.witness)
+        # h(t*e - w) has no real root in t at w = T^-1 v, v the witness:
+        # 4*alpha*h'(t*u0 - v) = (2*alpha*t - q1(v))^2 - p(v) with p(v) < 0.
+        line = tuple(sum((a * b for a, b in zip(row, err.witness) if a and b), Fraction(0)) for row in nf.inverse)
         raise PipelineError(
             "branch-sos",
             f"branch form is negative at {tuple(map(str, err.witness))}; "

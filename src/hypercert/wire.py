@@ -177,24 +177,17 @@ def _json_flag(data: dict, key: str, where: str) -> bool:
     return value
 
 
-def _json_strings(value, where: str, depth: int = 1) -> list:
+def _json_strings(value, where: str, depth: int = 1, path: tuple[int, ...] = ()) -> list:
     """A JSON list of strings, or with ``depth`` > 1 a list of such lists
     (rows of a matrix, blocks of a pencil); the error names the first bad
-    item by its index path.  A first check reads the types of each level's
-    items in one pass, and of all the strings in one, and formats no path."""
-    lists = [value]
-    for _ in range(depth):
-        if not set(map(type, lists)) <= {list}:
-            break
-        lists = list(itertools.chain.from_iterable(lists))
-    else:
-        if set(map(type, lists)) <= {str}:
-            return value
-    for k, item in enumerate(_json_list(value, where)):
+    item by its index path below ``where``, formatted only when raised."""
+    if not isinstance(value, list):
+        raise ParseError(f"{where}{''.join(f'[{k}]' for k in path)} must be a list, not {json.dumps(value)}")
+    for k, item in enumerate(value):
         if depth > 1:
-            _json_strings(item, f"{where}[{k}]", depth - 1)
+            _json_strings(item, where, depth - 1, (*path, k))
         elif not isinstance(item, str):
-            raise ParseError(f"{where}[{k}] must be a string, not {json.dumps(item)}")
+            raise ParseError(f"{where}{''.join(f'[{i}]' for i in (*path, k))} must be a string, not {json.dumps(item)}")
     return value
 
 

@@ -1,5 +1,6 @@
 """The quadratic pipeline: normal form, branch SOS, pencil construction."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from hypercert.polyring import MultiPoly, Ring, parse, restrict_to_line
 from hypercert.quadratic import (
     IndefiniteFormError,
     PipelineError,
+    _check_completion,
     diagonalize_quadratic_form,
     normalize_at_direction,
     quadratic_detrep,
@@ -133,6 +135,37 @@ class TestNormalForm:
             hp = hw.substitute([linear_form(ring, row) for row in nf.inverse])
             assert hp.scale(4 * alpha) + branch == ell * ell
             checked += 1
+
+
+class TestCompletionCheck:
+    """The check inside normalize_at_direction pulls the completed square
+    back along T, read from e, and compares it with h's own Gram matrix, so
+    a normal form formed with a wrong column or scale fails it."""
+
+    h = parse("x0^2 - x1^2 - 2*x1*x2 - 3*x2^2 + x0*x2", R3)
+
+    @classmethod
+    def check(cls, transform, nf):
+        ell = [2 * g for g in nf.gram[0]]
+        _check_completion(*gram_of(cls.h), transform, ell, nf.branch, nf.scale, -1 if nf.flipped else 1)
+
+    def test_the_normal_form_passes(self):
+        nf = normalize_at_direction(self.h, (Fraction(1, 2), 1, 0))
+        assert nf.flipped and nf.scale % 4 == 0
+        self.check(nf.transform, nf)
+
+    def test_a_wrong_first_column_fails(self):
+        nf = normalize_at_direction(self.h, (Fraction(1, 2), 1, 0))
+        other = normalize_at_direction(self.h, (Fraction(1, 2), 1, 1))
+        self.check(other.transform, other)
+        with pytest.raises(AssertionError, match="completion-of-the-square"):
+            self.check(nf.transform, other)
+
+    @pytest.mark.parametrize("factor", [Fraction(2), Fraction(1, 2), Fraction(1, 4)])
+    def test_a_wrong_scale_fails(self, factor):
+        nf = normalize_at_direction(self.h, (Fraction(1, 2), 1, 0))
+        with pytest.raises(AssertionError, match="completion-of-the-square"):
+            self.check(nf.transform, dataclasses.replace(nf, scale=int(nf.scale * factor)))
 
 
 class TestRationalSos:

@@ -138,8 +138,9 @@ class TestAsciiNumbers:
 
 
 class TestJsonStrings:
-    """The one-pass check of nested string lists names the same first bad
-    item, by the same index path, as the item-by-item reference."""
+    """The check of nested string lists, which formats an index path only
+    when it raises, names the same first bad item, by the same path, as the
+    reference that formats one for every item."""
 
     leaves = st.one_of(st.sampled_from(["0", "x0", "1/2", ""]), st.sampled_from([None, 1, 2.5, True, {"a": 1}]))
 
