@@ -16,9 +16,10 @@ determinant identity det = c*h^r is decided by one of two routes:
 - *involution*: if trace Q = 0 and Q^2 = P*I then
   det(y*I - Q) = (y^2 - P)^(m/2) (:func:`_involution`), and Q^2 = P*I, a
   matrix identity of degree 2d for entries of degree d, is decided by
-  squaring Q(x) on that lattice (:func:`_square_on_lattice`).  That serves
-  a pencil ell*I - Q for quadratic h, whose branch ell^2 - P = s*h is
-  compared on the same points, and a symmetric/hermitian A with h = y^2 - P;
+  squaring Q(x) in ints on that lattice, in the one loop :func:`_squared`.
+  That serves a pencil ell*I - Q for quadratic h, read off its integer
+  slices (:func:`_match_branch`), whose branch ell^2 - P = s*h is compared
+  on the same points, and a symmetric/hermitian A with h = y^2 - P;
 - *lattice* (everything else): determinants at the T lattice points for a
   pencil (:func:`_lattice_match`), and for a companion at y in {0..m} times
   the lattice of degree m*w (:func:`_companion_match`), are compared with
@@ -26,7 +27,7 @@ determinant identity det = c*h^r is decided by one of two routes:
 
 Values are D times the true ones, over Z or Z[i]: a pencil summed slice by
 slice along the lattice (:func:`_on_lattice`), every other polynomial (the
-cells of Q or A, p and h) by the one polynomial evaluator,
+cells of A, p and h) by the one polynomial evaluator,
 :func:`~hypercert.polyring._evaluator`, each distinct monomial once per
 point.  One comparer, :func:`_match_values`, reads the points lazily and
 stops at a failure's witness: the first point where the two sides differ,
@@ -57,7 +58,6 @@ from .scalars import (
     RationalLike,
     _common_kind,
     _integer_slices,
-    _over_integers,
     as_fraction,
     bareiss,
     first_nonpositive_minor_at,
@@ -235,14 +235,10 @@ def _lattice_match(pencil: tuple, h: MultiPoly, r: int, up_to_scalar: bool) -> t
     the identity holds, decided on the simplex lattice (see the module
     docstring).  ``pencil`` is the slices scaled by the lcm D of their
     denominators (:func:`~hypercert.scalars._integer_slices`), so each
-    lattice determinant is D^m times the value, taken over Z or Z[i] from
-    one flat int list of real, then imaginary parts, and compared by
-    :func:`_match_values`."""
-    m, den, cells = pencil
-    parts = 1 + any(k >= m * m for nonzero in cells for k in nonzero)  # 2 when an entry is not real
-    slices = [[nonzero.get(k, 0) for k in range(parts * m * m)] for nonzero in cells]
-    points = ((x, [flat[k * m : k * m + m] for k in range(parts * m)]) for x, flat in _on_lattice(slices, m))
-    dets = ((x, _det(rows[:m], rows[m:] or None)) for x, rows in points)
+    lattice determinant, taken over Z or Z[i] from the rows of
+    :func:`_pencil_on_lattice`, is D^m times the value (:func:`_match_values`)."""
+    m, den, _ = pencil
+    dets = ((x, _det(rows[:m], rows[m:] or None)) for x, rows in _pencil_on_lattice(pencil, m))
     return _match_values(dets, den**m, h, r, up_to_scalar)
 
 
@@ -343,55 +339,62 @@ def _lattice(n: int, degree: int, homogeneous: bool) -> list[tuple[int, ...]]:
     return [(t,) + b for t in range(degree + 1) for b in _lattice(n - 1, degree - t, False)]
 
 
-def _square_on_lattice(
-    rows: Sequence[dict[int, dict[tuple[int, ...], GaussianRational]]],
-    points: Sequence[tuple[int, ...]],
-    p: Optional[MultiPoly] = None,
-) -> tuple[dict[tuple[int, ...], GaussianRational], Optional[tuple]]:
-    """Decide A^2 = p*I at ``points``, which must decide the entries of
-    A^2 - p*I (:func:`_lattice`); rows[i][j] holds the terms of entry (i, j)
-    of A, and an entry missing from rows[i] is 0.
+def _pencil_on_lattice(pencil: tuple, degree: int) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
+    """(x, rows) along :func:`_on_lattice` of the given degree for a pencil
+    as :func:`_lattice_match` takes it: the m int rows of D*M(x), then, when
+    an entry of M = sum x_i A_i is not real, the m rows of its imaginary part."""
+    m, _, cells = pencil
+    parts = 1 + any(k >= m * m for nonzero in cells for k in nonzero)  # 2 when an entry is not real
+    slices = [[nonzero.get(k, 0) for k in range(parts * m * m)] for nonzero in cells]
+    return ((x, [flat[k * m : k * m + m] for k in range(parts * m)]) for x, flat in _on_lattice(slices, degree))
 
-    D*A(x), each distinct terms dict evaluated once per point with D*p(x)
-    by :func:`~hypercert.polyring._evaluator`, is squared row by row in ints
-    through its nonzero entries, at most k+1 per row for a Clifford Q;
-    R + i*I with I != 0 as
-    [[R, -I], [I, R]], whose first m rows square to Re and -Im of A(x)^2.
-    Without ``p``, p(x) is the (0, 0) entry of A(x)^2.  Returns (values,
-    witness): values[x] = p(x) at each point checked; witness None when
-    A(x)^2 = p(x)*I at every point, else (x, i, j, got, want) at the first
-    point, and its first entry in row order, where the two differ.
-    """
-    polys = list({id(terms): terms for row in rows for terms in row.values()}.values())
-    place = {id(terms): k for k, terms in enumerate(polys)}
-    cells = [[(j, place[id(terms)]) for j, terms in row.items()] for row in rows]
-    den, values_at = _evaluator(polys + [p.terms] if p is not None else polys)
-    m, half = len(cells), len(polys) + (p is not None)  # values_at(x)[half:] are the imaginary parts
-    values: dict[tuple[int, ...], GaussianRational] = {}
+
+def _squared(re_rows: list[dict], im_rows: Optional[list[dict]]) -> tuple:
+    """(p, bad) for the int matrix A = R + i*I given by the nonzero entries
+    {j: a_ij} of each row of R and of I (None when I = 0): p = (A^2)_00 as
+    (re, im), and bad None when A^2 = p*I, else (i, j, got, want) at the
+    first entry in row order where A^2 and p*I differ.  The one squaring
+    loop of the involution routes: row by row through the nonzero entries,
+    at most k+1 per row for a Clifford Q; with I != 0 as [[R, -I], [I, R]],
+    whose first m rows square to Re and -Im of A^2."""
+    m, at, p = len(re_rows), re_rows, (0, 0)
+    if im_rows is not None:
+        at = ([{**a, **{m + j: -v for j, v in b.items()}} for a, b in zip(re_rows, im_rows)]
+              + [{**b, **{m + j: v for j, v in a.items()}} for a, b in zip(re_rows, im_rows)])
+    for i, row in enumerate(at[:m]):
+        acc = {}
+        for k, a in row.items():
+            for j, b in at[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        diag = (acc.pop(i, 0), -acc.pop(m + i, 0))
+        p = p if i else diag
+        bad = [j % m for j, v in acc.items() if v] + [i] * (diag != p)
+        if bad:
+            j = min(bad)
+            return p, (i, j, diag, p) if j == i else (i, j, (acc.get(j, 0), -acc.get(m + j, 0)), (0, 0))
+    return p, None
+
+
+def _square_on_lattice(matrix: PolyMatrix, points: Sequence[tuple], p: Optional[MultiPoly] = None) -> Optional[tuple]:
+    """Witness (x, i, j, got, want) for A^2 = p*I at the first of ``points``
+    (which decide A^2 - p*I, :func:`_lattice`) and entry in row order where
+    the two differ, or None: D*A(x) and D*p(x), each distinct entry taken
+    once by :func:`~hypercert.polyring._evaluator`, squared by
+    :func:`_squared`.  Without ``p``, p(x) is the (0, 0) entry of A(x)^2."""
+    place = {id(q): k for k, q in enumerate(matrix.distinct)}
+    cells = [[(j, place[id(q)]) for j, q in enumerate(row) if q] for row in matrix.rows]
+    den, values_at = _evaluator([q.terms for q in matrix.distinct] + ([p.terms] if p is not None else []))
+    half = len(place) + (p is not None)  # values_at(x)[half:] are the imaginary parts
     for x in points:
         vals = values_at(x)
-        at = [{j: v for j, k in row if (v := vals[k])} for row in cells]
-        if any(vals[half:]):
-            im = [{j: v for j, k in row if (v := vals[half + k])} for row in cells]
-            at = ([{**a, **{m + j: -v for j, v in b.items()}} for a, b in zip(at, im)]
-                  + [{**b, **{m + j: v for j, v in a.items()}} for a, b in zip(at, im)])
-        want = None
-        for i, row in enumerate(at[:m]):
-            acc = {}
-            for k, a in row.items():
-                for j, b in at[k].items():
-                    acc[j] = acc.get(j, 0) + a * b
-            diag = (acc.pop(i, 0), -acc.pop(m + i, 0))
-            if want is None:
-                want, values[x] = diag, _exact(diag, den * den)
-                if p is not None and diag != (vals[half - 1] * den, vals[-1] * den):
-                    return values, (x, 0, 0, values[x], _exact((vals[half - 1], vals[-1]), den))
-            bad = [j % m for j, v in acc.items() if v] + [i] * (diag != want)
-            if bad:
-                j = min(bad)
-                got = diag if j == i else (acc.get(j, 0), -acc.get(m + j, 0))
-                return values, (x, i, j, _exact(got, den * den), values[x] if j == i else GR_ZERO)
-    return values, None
+        re = [{j: v for j, k in row if (v := vals[k])} for row in cells]
+        im = [{j: v for j, k in row if (v := vals[half + k])} for row in cells] if any(vals[half:]) else None
+        want, bad = _squared(re, im)
+        if p is not None and want != (vals[half - 1] * den, vals[-1] * den):
+            return (x, 0, 0, _exact(want, den * den), _exact((vals[half - 1], vals[-1]), den))
+        if bad is not None:
+            return (x, bad[0], bad[1], _exact(bad[2], den * den), _exact(bad[3], den * den))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +481,11 @@ def verify_pencil(
 
     Three named checks: symmetry kind, determinant identity (c = 1 unless
     ``up_to_scalar``), and Sylvester's test on sum e_i A_i over Z or Z[i].
-    The kind check and the integer routes read each slice's integer form
+    Every check reads only each slice's integer form
     (:class:`~hypercert.scalars.ConstMatrix`), built once per slice unless
     it was read so (:func:`~hypercert.wire.pencil_from_json`).
     For quadratic h whose pencil is ell*I - Q with Q^2 = P*I the determinant
-    is (ell^2 - P)^r (:func:`_match_branch`).  Every other pencil is decided
+    is (ell^2 - P)^r (:func:`_match_branch`, on the same integer walk).  Every other pencil is decided
     on its values at the simplex lattice (:func:`_lattice_match`).  A failed
     identity is witnessed by the first lattice point x where the two sides
     differ, with both exact values.
@@ -522,7 +525,7 @@ def verify_pencil(
     pencil = _integer_slices(matrices)  # (m, D, slices)
     if not ring.gaussian and any(k >= m * m for cells in pencil[2] for k in cells):  # an imaginary part
         raise ValueError("imaginary coefficient in a non-gaussian ring")
-    matched = _match_branch(matrices, h, r, up_to_scalar) if deg == 2 else None
+    matched = _match_branch(pencil, h, r, up_to_scalar) if deg == 2 else None
     notes["method"] = "lattice" if matched is None else "minimal-polynomial-shortcut"
     scalar, det_witness = matched or _lattice_match(pencil, h, r, up_to_scalar)
     if det_witness is not None:
@@ -549,43 +552,36 @@ def _involution(a: PolyMatrix, degree: int) -> Optional[MultiPoly]:
     a^2 = P*I is decided on the lattice of degree 2*degree, and
     P = sum_j a_0j * a_j0 is read off one row.
     """
-    rows = [{j: p.terms for j, p in enumerate(row) if p} for row in a.rows]
-    if a.trace() or _square_on_lattice(rows, _lattice(a.ring.arity, 2 * degree, True))[1]:
+    if a.trace() or _square_on_lattice(a, _lattice(a.ring.arity, 2 * degree, True)) is not None:
         return None
-    return sum((a.rows[0][j] * a.rows[j][0] for j in rows[0] if 0 in rows[j]), MultiPoly.zero(a.ring))
+    return sum((q * row[0] for q, row in zip(a.rows[0], a.rows) if q and row[0]), MultiPoly.zero(a.ring))
 
 
-def _match_branch(
-    matrices: Sequence[ConstMatrix], h: MultiPoly, r: int, up_to_scalar: bool
-) -> Optional[tuple[Fraction, Optional[str]]]:
+def _match_branch(pencil: tuple, h: MultiPoly, r: int, up_to_scalar: bool) -> Optional[tuple[Fraction, Optional[str]]]:
     """(c, witness) for det M = c * h^r, with witness None when it holds, or
     None when the traceless part Q = ell*I - M of the pencil
     M = sum x_i A_i, with ell = trace(M)/m, is not an involution.
 
     Otherwise det M = (ell^2 - P)^r, which is a multiple c of h^r exactly
-    when the branch ell^2 - P is a multiple s of h, and then c = s^r.  Q is
-    read off the slices; Q^2 = P*I and the branch identity are decided on
-    the lattice of degree 2 (:func:`_match_values`), with s the ratio at
-    its first point where h(x) != 0.
+    when the branch ell^2 - P is a multiple s of h, and then c = s^r.  Both
+    are decided on the lattice of degree 2 from the int rows of D*M(x)
+    (:func:`_pencil_on_lattice`): m*D*Q(x) = t*I - m*D*M(x), t the trace of
+    D*M(x), is squared (:func:`_squared`), and (m*D)^2 * (ell^2 - P)(x) =
+    t^2 - (m*D*Q(x))^2_00 goes to :func:`_match_values`.
     """
-    m, n = matrices[0].size, len(matrices)
-    units = [tuple(int(k == v) for k in range(n)) for v in range(n)]
-    ell = [sum((mat.entries[i][i] for i in range(m)), GR_ZERO).scale(Fraction(1, m)) for mat in matrices]
-    rows: list[dict] = [{} for _ in range(m)]
-    for unit, mat, ell_v in zip(units, matrices, ell):
-        for i, row in enumerate(mat.entries):
-            # Zero entries are often the shared GR_ZERO, which `is` finds fast.
-            for j in [j for j, c in enumerate(row) if c is not GR_ZERO and c]:
-                rows[i].setdefault(j, {})[unit] = -row[j]
-            terms = rows[i].setdefault(i, {})
-            terms[unit] = terms.get(unit, GR_ZERO) + ell_v
-    values, witness = _square_on_lattice(rows, _lattice(n, 2, True))
-    if witness is not None:
-        return None
-    ell_at = {x: sum((c.scale(t) for c, t in zip(ell, x)), GR_ZERO) for x in values}
-    branch = {x: ell_at[x] * ell_at[x] - p for x, p in values.items()}
-    den, scaled = _over_integers(list(branch.values()))
-    s, witness = _match_values(((x, scaled(b)) for x, b in branch.items()), den, h, 1, True, ("ell^2 - P", "h", "s*h"))
+    m, den, _ = pencil
+    branch = []
+    for x, rows in _pencil_on_lattice(pencil, 2):
+        diag = [row[k % m] for k, row in enumerate(rows)]
+        t = (sum(diag[:m]), sum(diag[m:]))  # the trace of D*M(x), re and im
+        mq = [{j: m * a for j, a in enumerate(row) if a} for row in rows]  # m*D*M(x) - t*I: -m*D*Q(x)
+        for k, row in enumerate(mq):
+            row[k % m] = m * diag[k] - t[k // m]
+        p, bad = _squared(mq[:m], mq[m:] if any(map(any, rows[m:])) else None)
+        if bad is not None:
+            return None
+        branch.append((x, (t[0] * t[0] - t[1] * t[1] - p[0], 2 * t[0] * t[1] - p[1])))
+    s, witness = _match_values(branch, (m * den) ** 2, h, 1, True, ("ell^2 - P", "h", "s*h"))
     c = s**r
     if up_to_scalar or not c:  # c = 0: a zero determinant or branch
         return (c, witness)
@@ -694,8 +690,7 @@ def _square_mismatch(matrix: PolyMatrix, p: MultiPoly) -> Optional[str]:
     with both values, decided at the x in N^n with |x| <= D, D the largest
     degree of A^2 and p (:func:`_square_on_lattice`)."""
     degree = max([2 * sum(e) for row in matrix.rows for q in row for e in q.terms] + [sum(e) for e in p.terms] + [0])
-    rows = [{j: q.terms for j, q in enumerate(row) if q} for row in matrix.rows]
-    _, bad = _square_on_lattice(rows, _lattice(matrix.ring.arity, degree, False), p)
+    bad = _square_on_lattice(matrix, _lattice(matrix.ring.arity, degree, False), p)
     if bad is None:
         return None
     x, i, j, got, want = bad

@@ -131,6 +131,8 @@ def _check_sampling(samples: int, box: int) -> None:
         raise ValueError(f"samples must be at least 1, got {samples}: fewer test no line")
     if box < 1:
         raise ValueError(f"box must be at least 1, got {box}: a smaller box samples no line")
+    if box >= 1 << 255:  # then 2*box + 1 > 2^256, and no digest could hold one coordinate
+        raise ValueError(f"box must be at most 2^255 - 1, got {box}: one coordinate must fit a 256-bit digest")
 
 
 def is_hyperbolic_sampled(
@@ -145,8 +147,9 @@ def is_hyperbolic_sampled(
     The first failing line yields status "refuted" with an exact witness;
     otherwise "no-counterexample" (the universal quantifier over all real v
     is not decided by sampling).  The sample v = e is skipped.  ``samples``
-    and ``box`` must be at least 1: fewer samples test no line, and box 0
-    would draw only v = 0.
+    must be at least 1 and ``box`` in [1, 2^255 - 1]: fewer samples test no
+    line, box 0 would draw only v = 0, and a coordinate of a larger box
+    does not fit one SHA-256 digest (:func:`sample_direction`).
     """
     _check_sampling(samples, box)
     return _sampled(h, None, _check_inputs(h, e), samples, seed, box)
@@ -164,8 +167,7 @@ def interlaces_sampled(
 
     Along each line the roots of the degree d restriction of h and the
     degree d-1 restriction of g must form the weak alternating chain.
-    ``samples`` and ``box`` must be at least 1, as for
-    :func:`is_hyperbolic_sampled`.
+    ``samples`` and ``box`` are bounded as for :func:`is_hyperbolic_sampled`.
     """
     _check_sampling(samples, box)
     point = _check_inputs(h, e)

@@ -85,6 +85,14 @@ class TestCheckHyperbolic:
         assert code == EXIT_USAGE
         assert "box must be at least 1" in capsys.readouterr().err
 
+    def test_box_above_2_pow_255_minus_1_exit_64(self, files, capsys):
+        # A 77-digit box: 2*box + 1 > 2^256, whose rejection loop never ended.
+        argv = ["check-hyperbolic", "--poly", files["q.txt"], "--dir", "1,0,0", "--samples", "5", "--json"]
+        assert main(argv + ["--box", str((1 << 255) - 1)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["samples"] == 5
+        assert main(argv + ["--box", str(1 << 255)]) == EXIT_USAGE
+        assert "box must be at most 2^255 - 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("samples", ["0", "-2"])
     def test_samples_below_one_exit_64(self, files, capsys, samples):
         # No sampled line would be tested, yet the sphere was reported as
@@ -195,6 +203,14 @@ class TestCheckInterlacer:
         )
         assert code == EXIT_USAGE
         assert "box must be at least 1" in capsys.readouterr().err
+
+    def test_box_above_2_pow_255_minus_1_exit_64(self, files, tmp_path, capsys):
+        g = tmp_path / "g.txt"
+        g.write_text("ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\n2*x0\n", encoding="ascii")
+        argv = ["check-interlacer", "--poly", files["q.txt"], "--interlacer", str(g), "--dir", "1,0,0", "--samples", "5"]
+        assert main(argv + ["--box", str((1 << 255) - 1)]) == EXIT_OK
+        assert main(argv + ["--box", str(1 << 255)]) == EXIT_USAGE
+        assert "box must be at most 2^255 - 1" in capsys.readouterr().err
 
     def test_samples_below_one_exit_64(self, files, tmp_path, capsys):
         g = tmp_path / "g.txt"

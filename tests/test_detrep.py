@@ -242,6 +242,42 @@ class TestVerifyPencil:
         assert poly_det(pencil_to_polymatrix(rep.pencil, R3)) == (h ** rep.power).scale(256)
 
 
+class TestPencilStaysInIntegerForm:
+    """verify_pencil reads only each slice's integer form: slices built by
+    ConstMatrix._of_ints never form their GaussianRational rows, on either
+    route."""
+
+    @staticmethod
+    def _of_ints(matrices):
+        return [ConstMatrix._of_ints(mat.size, *mat._integer_form(), mat.kind) for mat in matrices]
+
+    @pytest.mark.parametrize("h", ["x0^2 - x1^2 - x2^2", "x0^2 - x1^2 - 2*x2^2"], ids=["holds", "fails"])
+    def test_involution(self, h):
+        pencil = self._of_ints(QUADRIC_PENCIL)
+        report = verify_pencil(pencil, parse(h, R3), 1, (1, 0, 0))
+        assert report.notes["method"] == "minimal-polynomial-shortcut"
+        assert [mat._entries for mat in pencil] == [None] * 3
+
+    def test_non_involution(self):
+        # diag(x0 + x1, x0 - x1, x0 + x2, x0 - x2) - x0*I squares to no scalar.
+        rows = [[f"x0 {sign} x{k}" if i == j else "0" for j in range(4)]
+                for i, (sign, k) in enumerate([("+", 1), ("-", 1), ("+", 2), ("-", 2)])]
+        pencil = self._of_ints(polymatrix_to_pencil(PolyMatrix.from_strings(R3, rows, "symmetric")))
+        report = verify_pencil(pencil, parse("x0^2 - x1^2", R3), 2, (1, 0, 0))
+        assert report.notes["method"] == "lattice"
+        assert [f.name for f in report.failures] == ["determinant"]
+        assert [mat._entries for mat in pencil] == [None] * 3
+
+    def test_quadratic_detrep_pencil(self):
+        from hypercert.quadratic import quadratic_detrep
+
+        h = parse("x0^2 - x1^2 - 2*x2^2", R3)
+        rep = quadratic_detrep(h, (1, 0, 0))
+        report = verify_pencil(rep.pencil, h, rep.power, (1, 0, 0), up_to_scalar=True)
+        assert report.ok and report.notes["method"] == "minimal-polynomial-shortcut"
+        assert all(mat._entries is None for mat in rep.pencil)
+
+
 class TestVerifyCompanion:
     def test_ternary_quartic(self):
         m = load_fixture_matrix("F3_matrix.json")
@@ -616,10 +652,19 @@ def _with_pair(matrix, i, j, delta):
 def quadratic_pencils(draw):
     """(matrices, h, r, e, up_to_scalar, involutive) for ell*I - Q with
     Q^2 = P*I: valid, with h a (possibly negative) multiple of ell^2 - P,
-    then maybe tampered through ell, h, or one entry pair."""
-    shape = draw(st.sampled_from(["2x2", "2x2-hermitian", "clifford-4", "clifford-8"]))
-    ring = G3 if shape == "2x2-hermitian" else R3
-    if shape.startswith("2x2"):
+    then maybe tampered through ell, h, or one entry pair.  The 4x4
+    hermitian shape is [[0, S], [S*, 0]] with S = [[u, -conj(v)], [v, conj(u)]]
+    for Gaussian forms u, v: S*S^* = (u*conj(u) + v*conj(v))*I."""
+    shape = draw(st.sampled_from(["2x2", "2x2-hermitian", "4x4-hermitian", "clifford-4", "clifford-8"]))
+    ring = G3 if shape.endswith("hermitian") else R3
+    if shape == "4x4-hermitian":
+        u, v = (draw(linear_forms(ring)) + draw(linear_forms(ring)).scale(I_UNIT) for _ in range(2))
+        zero = MultiPoly.zero(ring)
+        s = [[u, -v.conjugate()], [v, u.conjugate()]]
+        s_star = [[s[j][i].conjugate() for j in range(2)] for i in range(2)]
+        q = PolyMatrix(ring, [[zero, zero] + s[0], [zero, zero] + s[1], s_star[0] + [zero, zero],
+                              s_star[1] + [zero, zero]], "hermitian")
+    elif shape.startswith("2x2"):
         a, b, c = (draw(linear_forms(ring)) for _ in range(3))
         if shape == "2x2":
             q = PolyMatrix(ring, [[a, b], [b, -a]], "symmetric")

@@ -79,6 +79,21 @@ class TestSampling:
         with pytest.raises(ValueError, match="samples must be at least 1"):
             interlaces_sampled(parse("x0", R3), SPHERE, (1, 0, 0), samples=samples)
 
+    def test_box_up_to_2_pow_255_minus_1_samples(self):
+        # 2*box + 1 = 2^256 - 1: each digest gives one coordinate, kept when below the base.
+        box = (1 << 255) - 1
+        v = sample_direction(4, 0, 3, box)
+        assert len(v) == 3 and all(-box <= c <= box for c in v)
+        verdict = is_hyperbolic_sampled(LORENTZ, (1, 0, 0), samples=5, seed=4, box=box)
+        assert verdict.status == STATUS_NO_COUNTEREXAMPLE and verdict.samples_run == 5
+
+    def test_box_of_2_pow_255_raises(self):
+        # 2*box + 1 > 2^256 left no digest below the rejection limit 0, and the draw never ended.
+        with pytest.raises(ValueError, match=r"box must be at most 2\^255 - 1"):
+            is_hyperbolic_sampled(LORENTZ, (1, 0, 0), box=1 << 255)
+        with pytest.raises(ValueError, match=r"box must be at most 2\^255 - 1"):
+            interlaces_sampled(parse("x0", R3), LORENTZ, (1, 0, 0), box=1 << 255)
+
     def test_sample_stream_is_order_independent(self):
         first = [sample_direction(9, k, 3, 50) for k in range(10)]
         shuffled_indices = [7, 2, 9, 0, 4, 1, 8, 3, 6, 5]
