@@ -26,6 +26,7 @@ from .detrep import (
     verify_pencil,
 )
 from .hyperbolicity import DEFAULT_BOX, DEFAULT_SAMPLES, interlaces_sampled, is_hyperbolic_sampled
+from .polyring import ParseError
 from .quadratic import PipelineError, quadratic_detrep
 from .scalars import KIND_SYMMETRIC
 from .wire import (
@@ -98,7 +99,10 @@ def _cmd_check_interlacer(args) -> int:
 
 
 def _load_matrix_or_pencil(path: str):
-    data = json.loads(Path(path).read_text(encoding="ascii"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="ascii"))
+    except RecursionError:
+        raise ParseError("matrix JSON is nested too deeply") from None
     if isinstance(data, dict) and "matrices" in data:
         matrices, ring = pencil_from_json(data)
         return None, matrices, ring

@@ -14,12 +14,14 @@ they agree at the x in N^n with |x| <= D (:func:`_lattice`).  A
 determinant identity det = c*h^r is decided by one of two routes:
 
 - *involution*: if trace Q = 0 and Q^2 = P*I then
-  det(y*I - Q) = (y^2 - P)^(m/2) (:func:`_involution`), and Q^2 = P*I, a
+  det(y*I - Q) = (y^2 - P)^(m/2): the eigenvalues are +-sqrt(P), equally
+  often since the trace is 0 (Q is nilpotent when P = 0).  Q^2 = P*I, a
   matrix identity of degree 2d for entries of degree d, is decided by
-  squaring Q(x) in ints on that lattice, in the one loop :func:`_squared`.
-  That serves a pencil ell*I - Q for quadratic h, read off its integer
-  slices (:func:`_match_branch`), whose branch ell^2 - P = s*h is compared
-  on the same points, and a symmetric/hermitian A with h = y^2 - P;
+  squaring Q(x) in ints on that lattice, in the one loop :func:`_squared`:
+  for a pencil ell*I - Q for quadratic h, read off its integer slices
+  (:func:`_match_branch`), whose branch ell^2 - P = s*h is compared on the
+  same points, and by :func:`_square_on_lattice` for the A of
+  :func:`detrep_to_sos` and a companion A with P read off h = y^2 - P;
 - *lattice* (everything else): determinants at the T lattice points for a
   pencil (:func:`_lattice_match`), and for a companion at y in {0..m} times
   the lattice of degree m*w (:func:`_companion_match`), are compared with
@@ -43,7 +45,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .polyring import (MultiPoly, ParseError, Ring, _evaluator, _exact, _pair_pow, _sum_of_squares, parse,
                        real_square_factorization)
@@ -146,21 +148,6 @@ class PolyMatrix:
                         acc[j] = acc[j] + p * q
             out.append(acc)
         return PolyMatrix(self.ring, out, KIND_NONE)
-
-    def evaluator(self) -> Callable[[Sequence[RationalLike]], ConstMatrix]:
-        """point -> the value at a rational point, each distinct entry
-        evaluated once by one :func:`_evaluator`, built here once."""
-        entries = self.distinct
-        den, values = _evaluator([p.terms for p in entries])
-
-        def at(point: Sequence[RationalLike]) -> ConstMatrix:
-            if len(point) != self.ring.arity:
-                raise ValueError("point arity mismatch")
-            parts = values([as_fraction(c) for c in point])
-            value = {id(p): _exact(parts[k :: len(entries)], den) for k, p in enumerate(entries)}
-            return ConstMatrix([[value[id(p)] for p in row] for row in self.rows], self.kind)
-
-        return at
 
     def entry_degrees_homogeneous(self, degree: int) -> Optional[tuple[int, int]]:
         """First entry that is not weighted-homogeneous of the given degree
@@ -375,22 +362,22 @@ def _squared(re_rows: list[dict], im_rows: Optional[list[dict]]) -> tuple:
     return p, None
 
 
-def _square_on_lattice(matrix: PolyMatrix, points: Sequence[tuple], p: Optional[MultiPoly] = None) -> Optional[tuple]:
+def _square_on_lattice(matrix: PolyMatrix, points: Sequence[tuple], p: MultiPoly) -> Optional[tuple]:
     """Witness (x, i, j, got, want) for A^2 = p*I at the first of ``points``
     (which decide A^2 - p*I, :func:`_lattice`) and entry in row order where
     the two differ, or None: D*A(x) and D*p(x), each distinct entry taken
     once by :func:`~hypercert.polyring._evaluator`, squared by
-    :func:`_squared`.  Without ``p``, p(x) is the (0, 0) entry of A(x)^2."""
+    :func:`_squared`."""
     place = {id(q): k for k, q in enumerate(matrix.distinct)}
     cells = [[(j, place[id(q)]) for j, q in enumerate(row) if q] for row in matrix.rows]
-    den, values_at = _evaluator([q.terms for q in matrix.distinct] + ([p.terms] if p is not None else []))
-    half = len(place) + (p is not None)  # values_at(x)[half:] are the imaginary parts
+    den, values_at = _evaluator([q.terms for q in matrix.distinct] + [p.terms])
+    half = len(place) + 1  # values_at(x)[half:] are the imaginary parts
     for x in points:
         vals = values_at(x)
         re = [{j: v for j, k in row if (v := vals[k])} for row in cells]
         im = [{j: v for j, k in row if (v := vals[half + k])} for row in cells] if any(vals[half:]) else None
         want, bad = _squared(re, im)
-        if p is not None and want != (vals[half - 1] * den, vals[-1] * den):
+        if want != (vals[half - 1] * den, vals[-1] * den):
             return (x, 0, 0, _exact(want, den * den), _exact((vals[half - 1], vals[-1]), den))
         if bad is not None:
             return (x, bad[0], bad[1], _exact(bad[2], den * den), _exact(bad[3], den * den))
@@ -420,8 +407,8 @@ class DetRepReport:
     s = (ell^2 - P)/h on the involution route.  A failed check reports the
     c it tried, and 0 for a zero determinant or a ratio that is not real.
     The lattice walk stops at the first point that refutes the identity, and
-    Sylvester's test at e runs over Z or Z[i].  The companion route records
-    whether its branch P is a square.
+    Sylvester's test at e runs over Z or Z[i].  A companion on the
+    involution route records whether its branch P, read off h, is a square.
     """
 
     ok: bool
@@ -542,21 +529,6 @@ def verify_pencil(
     return DetRepReport(ok=not failures and scalar > 0, scalar=scalar, power=r, failures=failures, notes=notes)
 
 
-def _involution(a: PolyMatrix, degree: int) -> Optional[MultiPoly]:
-    """P when trace(a) = 0 and a^2 = P*I, else None, for a matrix of forms
-    of the given degree.
-
-    Then det(y*I - a) = (y^2 - P)^(m/2) exactly: for P != 0 the minimal
-    polynomial divides the squarefree y^2 - P, so the eigenvalues are
-    +-sqrt(P), equally often since the trace is 0; for P = 0, a is nilpotent.
-    a^2 = P*I is decided on the lattice of degree 2*degree, and
-    P = sum_j a_0j * a_j0 is read off one row.
-    """
-    if a.trace() or _square_on_lattice(a, _lattice(a.ring.arity, 2 * degree, True)) is not None:
-        return None
-    return sum((q * row[0] for q, row in zip(a.rows[0], a.rows) if q and row[0]), MultiPoly.zero(a.ring))
-
-
 def _match_branch(pencil: tuple, h: MultiPoly, r: int, up_to_scalar: bool) -> Optional[tuple[Fraction, Optional[str]]]:
     """(c, witness) for det M = c * h^r, with witness None when it holds, or
     None when the traceless part Q = ell*I - M of the pencil
@@ -593,11 +565,11 @@ def verify_companion(matrix: PolyMatrix, h: MultiPoly, r: int) -> DetRepReport:
 
     ``h`` lives in a ring containing the distinguished variable ``y`` of
     weight equal to the common degree of A's entries; ``matrix`` lives in the
-    same ring without y.  When A is symmetric or hermitian and
-    h = y^2 - P with A^2 = P*I and trace 0 (see :func:`_involution`), the
-    identity holds; every other input is decided on values
-    (:func:`_companion_match`), and a failure names the point, y included,
-    where det(y*I - A(x)) and h^r differ.
+    same ring without y.  When A is symmetric or hermitian with trace 0,
+    h = y^2 - P (a y^2 coefficient of 1, and y in no other term) and
+    A^2 = P*I (:func:`_square_on_lattice`), the identity holds; every other
+    input is decided on values (:func:`_companion_match`), and a failure
+    names the point, y included, where det(y*I - A(x)) and h^r differ.
     """
     if r < 1:
         raise ValueError(f"power r = {r} must be at least 1")
@@ -634,10 +606,10 @@ def verify_companion(matrix: PolyMatrix, h: MultiPoly, r: int) -> DetRepReport:
     elif (bad := matrix.kind_violation()) is not None:
         failures.append(CheckFailure("kind", f"entry {bad} breaks {matrix.kind} symmetry"))
 
-    p = None
-    if d == 2 and matrix.kind in (KIND_SYMMETRIC, KIND_HERMITIAN):
-        p = _involution(matrix, weight_e)
-    if p is not None and MultiPoly.variable(ring_h, "y") ** 2 - p.lift(ring_h) == h:
+    p = MultiPoly(ring_x, {e[:y_idx] + e[y_idx + 1 :]: -c for e, c in h.terms.items() if not e[y_idx]})
+    branch = [(e[y_idx], c) for e, c in h.terms.items() if e[y_idx]] == [(2, 1)]  # h = y^2 - P
+    if (branch and matrix.kind in (KIND_SYMMETRIC, KIND_HERMITIAN) and not matrix.trace()
+            and _square_on_lattice(matrix, _lattice(ring_x.arity, 2 * weight_e, True), p) is None):
         notes["method"] = "minimal-polynomial-shortcut"
         square = real_square_factorization(p)
         notes["branch-not-a-square"] = "verified" if square is None else f"p = {square[0]}*({square[1]})^2"

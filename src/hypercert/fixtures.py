@@ -36,7 +36,7 @@ from .hyperbolicity import (
 )
 from .polyring import MultiPoly, _sum_of_squares, parse, restrict_to_line
 from .realroots import is_real_rooted
-from .scalars import _integer_slices, first_nonpositive_minor
+from .scalars import ConstMatrix, _integer_slices, _pencil_at, first_nonpositive_minor
 from .wire import parse_point, parse_poly_text
 
 FIXTURE_IDS = ("F1", "F2", "F3", "F4", "F5", "F6")
@@ -201,8 +201,12 @@ def _run_f4(fixture_id: str, spec: dict) -> FixtureResult:
         CheckOutcome("base-point-on-surface", not any(at_base), "q1 = {}, q2 = {}".format(*at_base))
     )
 
+    pencil = _integer_slices(polymatrix_to_pencil(matrix))  # read once, for E and every sampled line
+
+    def value_at(point) -> ConstMatrix:
+        return ConstMatrix._of_ints(pencil[0], *_pencil_at(pencil, point), matrix.kind)
+
     # The spanning line of the hyperbolicity subspace: x34 = 1, the rest 0.
-    value_at = matrix.evaluator()  # built once, for E and every sampled line
     at_e = value_at(plucker_line((0, 0, 0, 1, 0), (0, 0, 0, 0, 1)))
     is_twice_identity = all(
         at_e.entries[i][j] == (2 if i == j else 0)

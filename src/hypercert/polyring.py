@@ -16,10 +16,9 @@ heap of graded-lex keys yields.  Only the results are converted back to
 GaussianRational.
 
 One evaluator, :func:`_monomial_evaluator` (one multiply per monomial),
-gives every value of a multivariate polynomial (``MultiPoly.eval``,
-``PolyMatrix.evaluator`` and the lattice checks of :mod:`hypercert.detrep`
-through :func:`_evaluator`, and a sampled line's int Taylor rows), in ints
-at an integer point.
+gives every value of a multivariate polynomial (``MultiPoly.eval`` and
+the lattice checks of :mod:`hypercert.detrep` through :func:`_evaluator`,
+and a sampled line's int Taylor rows), in ints at an integer point.
 
 The ASCII grammar implemented by :func:`parse` / ``MultiPoly.__str__`` is the
 single wire format for polynomials in files, CLI arguments and matrix JSON:

@@ -8,6 +8,8 @@ minor, and Sylvester's test of constant symmetric/hermitian matrices, run
 on their integer multiples in Z, or in Z[i] as a real and an imaginary
 matrix of plain ints.  A ``ConstMatrix`` keeps that integer form as its own
 data, beside its rows of Gaussian rationals, and checks its kind on it.
+A pencil sum_i x_i A_i at a rational point is one int sum over its slices'
+integer forms (:func:`_pencil_at`).
 """
 
 from __future__ import annotations
@@ -350,7 +352,7 @@ def _common_kind(matrices: Sequence[ConstMatrix]) -> str:
 
 # Kept only as a hook of perfbench's tracer, until the benchmark drops it.
 def pencil_value(matrices: Sequence[ConstMatrix], point: Sequence[RationalLike]) -> ConstMatrix:
-    """Evaluate sum_i point_i * A_i, touching only the nonzero entries.
+    """sum_i point_i * A_i in integer form (:func:`_pencil_at`).
 
     The result keeps the slices' common kind, or is KIND_NONE if they differ.
     """
@@ -361,17 +363,7 @@ def pencil_value(matrices: Sequence[ConstMatrix], point: Sequence[RationalLike])
     m = matrices[0].size
     if any(mat.size != m for mat in matrices):
         raise ValueError("size mismatch")
-    acc = [[GR_ZERO] * m for _ in range(m)]
-    for c, mat in zip(point, matrices):
-        c = as_fraction(c)
-        if not c:
-            continue
-        factor = _gaussian(c, _ZERO)
-        for acc_row, row in zip(acc, mat.entries):
-            for j, entry in enumerate(row):
-                if entry:
-                    acc_row[j] = acc_row[j] + entry * factor
-    return ConstMatrix(acc, _common_kind(matrices))
+    return ConstMatrix._of_ints(m, *_pencil_at(_integer_slices(matrices), point), _common_kind(matrices))
 
 
 def bareiss(rows: list[list], im: Optional[list[list]], pivoting: bool) -> tuple[list, int]:
@@ -446,19 +438,13 @@ def first_nonpositive_minor(matrix: ConstMatrix) -> Optional[tuple[int, Fraction
     return first_nonpositive_minor_at(_integer_slices([matrix]), [1])
 
 
-def first_nonpositive_minor_at(pencil: tuple, point: Sequence[RationalLike]) -> Optional[tuple[int, Fraction]]:
-    """Sylvester's test on A = sum_i point_i * A_i: (1-based order k, value)
-    of its first nonpositive leading minor, or None.
-
-    s*A, for s = D*L with the slices scaled by D (:func:`_integer_slices`)
-    and L the lcm of the point's denominators, is summed part by part in
-    ints through the nonzero cells of the slices with point_i != 0.  Its
-    leading minors are s^k times A's: prefix products of its diagonal when
-    it is real and diagonal, else the pivots of :func:`bareiss` without
-    pivoting, over Z or, when an imaginary part is nonzero, Z[i].  An
-    imaginary minor breaks the symmetric/hermitian invariant and raises.
-    """
-    m, den, slices = pencil
+def _pencil_at(pencil: tuple, point: Sequence[RationalLike]) -> tuple[int, dict[int, int]]:
+    """(s, cells): A = sum_i point_i * A_i in the integer form of
+    :class:`ConstMatrix`, over s = D*L for the slices scaled by D
+    (:func:`_integer_slices`) and L the lcm of the point's denominators,
+    summed part by part in ints through the nonzero cells of the slices with
+    point_i != 0.  The one sum of a pencil at a point."""
+    _, den, slices = pencil
     used = [(c, cells) for c, cells in zip(map(as_fraction, point), slices) if c]
     point_den = math.lcm(*(c.denominator for c, _ in used))
     flat: dict[int, int] = {}
@@ -466,13 +452,28 @@ def first_nonpositive_minor_at(pencil: tuple, point: Sequence[RationalLike]) -> 
         factor = c.numerator * (point_den // c.denominator)
         for k, a in cells.items():
             flat[k] = flat.get(k, 0) + a * factor
-    if all(k < m * m and not k % (m + 1) or not v for k, v in flat.items()):
-        pivots = [(p, 0) for p in itertools.accumulate([flat.get(k, 0) for k in range(0, m * m, m + 1)], operator.mul)]
+    return den * point_den, {k: v for k, v in flat.items() if v}
+
+
+def first_nonpositive_minor_at(pencil: tuple, point: Sequence[RationalLike]) -> Optional[tuple[int, Fraction]]:
+    """Sylvester's test on A = sum_i point_i * A_i: (1-based order k, value)
+    of its first nonpositive leading minor, or None.
+
+    s*A, summed in ints by :func:`_pencil_at`, has leading minors s^k times
+    A's: prefix products of its diagonal when it is real and diagonal, else
+    the pivots of :func:`bareiss` without pivoting, over Z or, when an
+    imaginary part is nonzero, Z[i].  An imaginary minor breaks the
+    symmetric/hermitian invariant and raises.
+    """
+    m = pencil[0]
+    scale, cells = _pencil_at(pencil, point)
+    if all(k < m * m and not k % (m + 1) for k in cells):
+        pivots = [(p, 0) for p in itertools.accumulate([cells.get(k, 0) for k in range(0, m * m, m + 1)], operator.mul)]
     else:
-        parts = 1 + any(k >= m * m and v for k, v in flat.items())
-        rows = [[flat.get(k * m + j, 0) for j in range(m)] for k in range(parts * m)]
+        parts = 1 + any(k >= m * m for k in cells)
+        rows = [[cells.get(k * m + j, 0) for j in range(m)] for k in range(parts * m)]
         pivots = bareiss(rows[:m], rows[m:] or None, False)[0]
     bad = next((k for k, (_, im) in enumerate(pivots, 1) if im), None)
     if bad is not None:
         raise ArithmeticError(f"leading principal minor {bad} is not real; hermitian invariant broken")
-    return next(((k, Fraction(p, (den * point_den) ** k)) for k, (p, _) in enumerate(pivots, 1) if p <= 0), None)
+    return next(((k, Fraction(p, scale**k)) for k, (p, _) in enumerate(pivots, 1) if p <= 0), None)

@@ -7,7 +7,7 @@ from itertools import permutations, product
 from math import gcd, lcm
 
 from hypercert.detrep import PolyMatrix, const_det, pencil_to_polymatrix, poly_det, polymatrix_to_pencil
-from hypercert.polyring import MultiPoly, ParseError, Ring, UniPoly, sturm_chain
+from hypercert.polyring import MultiPoly, ParseError, Ring, UniPoly, real_square_factorization, sturm_chain
 from hypercert.realroots import _index
 from hypercert.scalars import ConstMatrix, GaussianRational, as_fraction, four_square_decompose, pencil_value
 
@@ -471,6 +471,18 @@ def involution_reference(a):
     square = a.matmul(a)
     p = square.rows[0][0]
     return p if scalar_mismatch(square, p) is None else None
+
+
+def companion_notes_reference(a, h):
+    """The notes of verify_companion: the involution route exactly when a
+    is symmetric or hermitian and involution_reference(a) is a P with
+    y^2 - P == h as polynomials, and then whether that P is c*q^2."""
+    p = involution_reference(a) if a.kind in ("symmetric", "hermitian") else None
+    if p is None or MultiPoly.variable(h.ring, "y") ** 2 - p.lift(h.ring) != h:
+        return {"method": "lattice"}
+    square = real_square_factorization(p)
+    return {"method": "minimal-polynomial-shortcut",
+            "branch-not-a-square": "verified" if square is None else f"p = {square[0]}*({square[1]})^2"}
 
 
 def _branch_reference(branch, h, r, up_to_scalar):

@@ -10,7 +10,8 @@ import pytest
 
 from hypercert import clifford, detrep, hyperbolicity, scalars
 from hypercert.cli import EXIT_OK, EXIT_REFUTED, EXIT_USAGE, build_parser, main
-from hypercert.detrep import const_det
+from hypercert.detrep import PolyMatrix, const_det
+from hypercert.polyring import Ring, parse
 from hypercert.scalars import pencil_value
 from hypercert.wire import load_poly_file, pencil_from_json, pencil_to_json_dict
 from oracles import eval_reference
@@ -520,6 +521,14 @@ class TestMalformedMatrixJson:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"input error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["verify-detrep", "detrep-to-sos"])
+    def test_deeply_nested_json_exit_64(self, files, tmp_path, capsys, command):
+        # json's decoder raises RecursionError here, which is no ValueError.
+        matrix = tmp_path / "m.json"
+        matrix.write_text("[" * 100_000 + "]" * 100_000)
+        assert main([command, "--matrix", str(matrix), "--poly", files["q.txt"]]) == EXIT_USAGE
+        assert capsys.readouterr().err == "input error: matrix JSON is nested too deeply\n"
+
     def test_well_formed_files_still_verify(self, files, tmp_path, capsys):
         for data in (PENCIL, POLYMATRIX):
             matrix = tmp_path / "m.json"
@@ -862,6 +871,54 @@ class TestSosToDetrepReportBytes:
         lines = ["ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false"] + SOS_CASES[case]
         squares.write_text("".join(f"{line}\n" for line in lines))
         assert main(["sos-to-detrep", "--squares", str(squares), "--json"]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
+
+
+# `verify-detrep --companion --json` on F3 (involution route), x1*I against
+# y^2 - x1^2 (trace 2*x1 != 0: lattice route, refuted), and Clifford Qs:
+# for P = (x1 + 2*x2)^2 + (3*x1 - x2)^2 against h = y^2 - P (involution
+# route) and h shifted by x1^2 (lattice route, refuted), and for the square
+# P = (x1 + 2*x2)^2 against y^2 - P (involution route, a square branch).
+COMPANION_CASES = {
+    "x1*I": ([["x1", "0"], ["0", "x1"]], "y^2 - x1^2"),
+    "clifford": (["x1 + 2*x2", "3*x1 - x2"], "y^2 - (x1 + 2*x2)^2 - (3*x1 - x2)^2"),
+    "clifford-shifted": (["x1 + 2*x2", "3*x1 - x2"], "y^2 - (x1 + 2*x2)^2 - (3*x1 - x2)^2 + x1^2"),
+    "clifford-square": (["x1 + 2*x2"], "y^2 - (x1 + 2*x2)^2"),
+}
+
+
+def _companion(tmp_path, case):
+    if case == "F3":
+        return ["verify-detrep", "--companion", "--matrix", str(DATA / "F3_matrix.json"),
+                "--poly", str(DATA / "F3_h.txt"), "--json"]
+    rows, text = COMPANION_CASES[case]
+    ring = Ring.standard(("x1", "x2"))
+    if case == "x1*I":
+        matrix = PolyMatrix.from_strings(ring, rows, "symmetric")
+    else:
+        matrix = clifford.build_Q([parse(form, ring) for form in rows])
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(matrix.to_json_dict()))
+    h = _write_poly(tmp_path / "h.txt", ["y", "x1", "x2"], text)
+    return ["verify-detrep", "--companion", "--matrix", str(path), "--poly", h,
+            "--power", str(matrix.size // 2), "--json"]
+
+
+# SHA-256 of `verify-detrep --companion --json` stdout, captured while the
+# involution route still formed P and y^2 - P as polynomials.
+COMPANION_SHA256 = [
+    ("F3", EXIT_OK, "ee53cff0560c859a579bfe63c4a43da5b73b67c75c43cec1997ce61a81e16581"),
+    ("x1*I", EXIT_REFUTED, "fc2595b86d57ec4fe856d6bd1ebe019312d0ab5d9cb460b7befa4ed859e4715c"),
+    ("clifford", EXIT_OK, "76c0777910c2c06f8139724758adb88daeaa3e192e867ed9ebec0c8af85eb555"),
+    ("clifford-shifted", EXIT_REFUTED, "a10e88e4d2891fe19ba6e643da3a30e9923f259ea688757b38188e2904927b66"),
+    ("clifford-square", EXIT_OK, "36b7d11dc2fe8fb6a55b0f1a9d4aeb6e55aa4816106c8e689ab40379bf43cd3c"),
+]
+
+
+class TestCompanionReportBytes:
+    @pytest.mark.parametrize("case, code, digest", COMPANION_SHA256)
+    def test_report_bytes_are_pinned(self, tmp_path, capsys, case, code, digest):
+        assert main(_companion(tmp_path, case)) == code
         assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
 
 

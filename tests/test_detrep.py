@@ -17,7 +17,6 @@ from hypercert.clifford import build_Q, clifford_generators
 from hypercert.detrep import (
     PolyMatrix,
     _companion_match,
-    _involution,
     _lattice_match,
     _match_values,
     _on_lattice,
@@ -35,6 +34,7 @@ from hypercert.polyring import MultiPoly, ParseError, Ring, parse
 from hypercert.scalars import ConstMatrix, GaussianRational, _integer_slices, pencil_value
 from oracles import (
     companion_det,
+    companion_notes_reference,
     companion_values,
     conjugate,
     const_matrix,
@@ -542,8 +542,9 @@ class TestDistinctEntries:
         matrix = PolyMatrix(self.R2, [[zero, a, a_copy], [a, zero, a], [a_copy, a, zero]], "symmetric")
         assert [id(p) for p in matrix.distinct] == [id(zero), id(a), id(a_copy)]
         assert matrix.kind_violation() is None and matrix.entry_degrees_homogeneous(1) is None
-        assert matrix.evaluator()([1, 3]) == ConstMatrix([[GaussianRational(v) for v in row]
-                                                           for row in ([0, -2, -2], [-2, 0, -2], [-2, -2, 0])], "symmetric")
+        value = pencil_value(polymatrix_to_pencil(matrix), [1, 3])
+        assert value == ConstMatrix([[GaussianRational(v) for v in row]
+                                     for row in ([0, -2, -2], [-2, 0, -2], [-2, -2, 0])], "symmetric")
 
     def test_equal_cell_texts_parse_to_one_object(self):
         matrix = PolyMatrix.from_strings(self.R2, [["x1", "x2 - x1"], ["x2 - x1", "x1"]], "symmetric")
@@ -925,6 +926,7 @@ class TestRouteAgreement:
         a, h, r = case
         report = verify_companion(a, h, r)
         assert report.ok == (companion_det(a, h.ring) == h ** r)
+        assert report.notes == companion_notes_reference(a, h)
 
     @given(companion_inputs())
     def test_companion_witnesses_recheck(self, case):
@@ -1109,15 +1111,19 @@ def _diagonal(ring, entries, kind="symmetric"):
 @st.composite
 def involution_matrices(draw):
     """(A, degree): a symmetric Clifford Q from build_Q on 1-3 random forms,
-    a hermitian [[a, b + i*c], [b - i*c, -a]], or diag(a, -a, c, -c) whose
+    a hermitian [[a, b + i*c], [b - i*c, -a]], diag(a, -a, c, -c) whose
     square is scalar at every lattice point of degree 2*degree - 1 but not
-    at the last one (:func:`_last_point_pair`), of forms of degree 1 or 2 in
-    2-4 variables; maybe with one real or imaginary coefficient of one entry
+    at the last one (:func:`_last_point_pair`), or diag(a, a), whose square
+    is scalar but whose trace is not 0, of forms of degree 1 or 2 in 2-4
+    variables; maybe with one real or imaginary coefficient of one entry
     perturbed."""
     n, degree = draw(st.integers(2, 4)), draw(st.sampled_from([1, 2]))
     ring = Ring.standard(tuple(f"x{k}" for k in range(n)), gaussian=True)
-    shape = draw(st.sampled_from(["clifford", "hermitian", "last-point"]))
-    if shape == "last-point":
+    shape = draw(st.sampled_from(["clifford", "hermitian", "last-point", "traced"]))
+    if shape == "traced":
+        a = _form(draw, ring, degree)
+        a = _diagonal(ring, [a, a])
+    elif shape == "last-point":
         a, c = _last_point_pair(ring, draw(st.integers(1, n - 1)), degree)
         a = _diagonal(ring, [a, -a, c, -c])
     elif shape == "clifford":
@@ -1161,14 +1167,28 @@ def sos_inputs(draw):
 SOS_WITNESS = re.compile(r"A\^2 != p\*I at x = (?P<x>[\d,]*): entry \((?P<i>\d+),(?P<j>\d+)\) of A\^2 is (?P<got>\S+), of p\*I (?P<want>\S+)")
 
 
+def _against_its_square(case):
+    """(A, h, r) for verify_companion from involution_matrices: h = y^2 - P
+    for P the (0, 0) entry of A^2, y of the entries' degree, r = m/2."""
+    a, degree = case
+    ring_h = Ring(("y",) + a.ring.variables, (degree,) + a.ring.weights, a.ring.gaussian)
+    p = a.matmul(a).rows[0][0]
+    return a, MultiPoly.variable(ring_h, "y") ** 2 - p.lift(ring_h), a.size // 2
+
+
 class TestLatticeInvolution:
     """_square_on_lattice against the polynomial square (matmul and
     scalar_mismatch) of tests/oracles.py."""
 
-    @given(involution_matrices())
+    @given(st.one_of(involution_matrices().map(_against_its_square), companion_inputs()))
     def test_same_verdict_and_p_as_polynomial_square(self, case):
-        a, degree = case
-        assert _involution(a, degree) == involution_reference(a)
+        # The involution route, which reads P off h and squares A on lattice
+        # values, is taken exactly when the polynomial square gives a P with
+        # y^2 - P == h.
+        a, h, r = case
+        p = involution_reference(a)
+        shortcut = p is not None and MultiPoly.variable(h.ring, "y") ** 2 - p.lift(h.ring) == h
+        assert (verify_companion(a, h, r).notes["method"] == "minimal-polynomial-shortcut") == shortcut
 
     def test_the_last_lattice_point_decides_a_pencil(self):
         # Q = diag(a, -a, c, -c) squares to a scalar at (1, 0) and (1, 1)

@@ -85,16 +85,14 @@ class TestCorpus:
             assert not checks[name].ok
             assert checks[name].detail == "matrix entry (0, 1) breaks the declared hermitian symmetry"
 
-    def test_f4_builds_its_evaluator_once(self, monkeypatch):
-        builds = []
-        evaluator = detrep._evaluator
-
-        def counting(polys):
-            builds.append(len(polys))
-            return evaluator(polys)
-
-        monkeypatch.setattr(detrep, "_evaluator", counting)
-        assert run_fixture("F4").ok and len(builds) == 1
+    def test_f4_converts_its_matrix_once(self, monkeypatch):
+        # One polymatrix_to_pencil for E and every sampled line, and no
+        # polynomial evaluator per line: each value is one int sum.
+        conversions, builds = [], []
+        to_pencil, evaluator = fixtures.polymatrix_to_pencil, detrep._evaluator
+        monkeypatch.setattr(fixtures, "polymatrix_to_pencil", lambda matrix: conversions.append(1) or to_pencil(matrix))
+        monkeypatch.setattr(detrep, "_evaluator", lambda polys: builds.append(1) or evaluator(polys))
+        assert run_fixture("F4").ok and len(conversions) == 1 and not builds
 
     def test_f3_reports_a_failed_companion_determinant(self, monkeypatch):
         load = fixtures.load_fixture_poly

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercert import polyring
-from hypercert.detrep import PolyMatrix, plucker_line
+from hypercert.detrep import PolyMatrix, plucker_line, polymatrix_to_pencil
 from hypercert.fixtures import load_fixture_matrix
 from hypercert.polyring import (
     MultiPoly,
@@ -24,7 +24,7 @@ from hypercert.polyring import (
     restrict_to_line,
     sturm_chain,
 )
-from hypercert.scalars import GaussianRational
+from hypercert.scalars import ConstMatrix, GaussianRational, _integer_slices, _pencil_at, pencil_value
 from oracles import (directional_derivative, eval_at_reference, eval_reference, from_roots, restrict_coefficients,
                      restrict_reference, shift)
 
@@ -540,16 +540,17 @@ class TestUniPolyStorage:
 
 
 MONOMIALS = [(0, 0, 0), (1, 0, 0), (0, 2, 1), (2, 1, 0), (1, 1, 1), (0, 0, 3)]
+LINEAR = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 INTEGERS = st.tuples(*[st.integers(-6, 6)] * 3)
 RATIONAL_POINTS = st.tuples(*[st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))] * 3)  # integral or not
 
 
-def term_dicts(gaussian: bool):
+def term_dicts(gaussian: bool, monomials=MONOMIALS):
     """Terms dicts over three variables whose monomials come from one small
     pool, so that polynomials drawn together share monomials."""
     part = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
     coeff = st.builds(GaussianRational, part, part if gaussian else st.just(0)).filter(bool)
-    return st.dictionaries(st.sampled_from(MONOMIALS), coeff, max_size=len(MONOMIALS))
+    return st.dictionaries(st.sampled_from(monomials), coeff, max_size=len(monomials))
 
 
 def as_gaussians(values: list) -> list:
@@ -560,11 +561,13 @@ def as_gaussians(values: list) -> list:
 
 
 class TestEvaluator:
-    """_evaluator, and MultiPoly.eval, eval_rational and PolyMatrix.evaluator
-    through it, against the term-by-term eval_reference of tests/oracles.py:
-    values(x)[k] and values(x)[n + k], for n polynomials, are the real and
-    imaginary parts of D * polys[k](x), with D the lcm of every
-    coefficient's denominators; ints at an integer point."""
+    """_evaluator, and MultiPoly.eval and eval_rational through it, against
+    the term-by-term eval_reference of tests/oracles.py: values(x)[k] and
+    values(x)[n + k], for n polynomials, are the real and imaginary parts
+    of D * polys[k](x), with D the lcm of every coefficient's denominators;
+    ints at an integer point.  A matrix of linear forms is evaluated as a
+    pencil instead, by the one int sum _pencil_at, against the same
+    reference entry by entry."""
 
     @given(st.booleans(), st.data())
     def test_values_are_D_times_the_reference(self, gaussian, data):
@@ -637,24 +640,26 @@ class TestEvaluator:
     @settings(max_examples=50)
     @given(st.booleans(), st.data())
     def test_polymatrix_eval_at(self, gaussian, data):
-        # Cells drawn from a small pool share entries, each evaluated once.
+        # Cells drawn from a small pool of linear forms share entries.
         ring = Ring.standard(("x0", "x1", "x2"), gaussian=gaussian)
-        pool = [MultiPoly(ring, terms) for terms in data.draw(st.lists(term_dicts(gaussian), min_size=1, max_size=3))]
+        pool = data.draw(st.lists(term_dicts(gaussian, LINEAR), min_size=1, max_size=3))
         m = data.draw(st.integers(1, 4))
-        cells = data.draw(st.lists(st.sampled_from(pool), min_size=m * m, max_size=m * m))
+        cells = data.draw(st.lists(st.sampled_from([MultiPoly(ring, terms) for terms in pool]), min_size=m * m,
+                                   max_size=m * m))
         matrix = PolyMatrix(ring, [cells[k : k + m] for k in range(0, m * m, m)])
-        value_at = matrix.evaluator()  # one build, several points
+        pencil = polymatrix_to_pencil(matrix)  # one conversion, several points
         for x in data.draw(st.lists(st.one_of(INTEGERS, RATIONAL_POINTS), min_size=1, max_size=3)):
-            assert value_at(x) == eval_at_reference(matrix, x)
+            assert pencil_value(pencil, x) == eval_at_reference(matrix, x)
         with pytest.raises(ValueError, match="arity"):
-            value_at(x + (0,))
+            pencil_value(pencil, x + (0,))
 
     def test_hermitian_matrix_on_pluecker_lines(self):
         # F4's 4x4 hermitian matrix of linear forms in ten Pluecker coordinates.
         matrix = load_fixture_matrix("F4_matrix.json")
-        value_at = matrix.evaluator()
+        pencil = _integer_slices(polymatrix_to_pencil(matrix))
         rng = random.Random(5)
         for _ in range(20):
             p = [Fraction(rng.randrange(-7, 8), rng.randrange(1, 4)) for _ in range(5)]
             coords = plucker_line(p, [rng.randrange(-7, 8) for _ in range(5)])
-            assert value_at(coords) == eval_at_reference(matrix, coords)
+            value = ConstMatrix._of_ints(4, *_pencil_at(pencil, coords), matrix.kind)
+            assert value == eval_at_reference(matrix, coords)

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: Gaussian rationals, four squares, definiteness."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -8,18 +9,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hypercert.detrep import PolyMatrix
+from hypercert.polyring import MultiPoly, Ring
 from hypercert.scalars import (
     GR_ZERO,
     ConstMatrix,
     GaussianRational,
+    _common_kind,
     _integer_slices,
+    _pencil_at,
     first_nonpositive_minor,
     first_nonpositive_minor_at,
     four_square_decompose,
     pencil_value,
 )
 from hypercert.wire import _parse_cell, pencil_from_json
-from oracles import const_matrix, identity_matrix, kind_violation_reference, leading_principal_minors, sylvester_reference
+from oracles import (const_matrix, eval_at_reference, identity_matrix, kind_violation_reference, leading_principal_minors,
+                     sylvester_reference)
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=50
@@ -316,3 +322,39 @@ class TestPencilValue:
         assert v2.entries[0][0] == GaussianRational(3)
         assert v2.entries[0][1] == GaussianRational(3)
         assert v2.entries[1][1] == GaussianRational(-1)
+
+
+@st.composite
+def pencils_at(draw):
+    """(slices, point): 1-4 real or Gaussian slices of size 1-3 whose cells
+    have denominators and are often zero, with kind tags that may differ,
+    and a point with denominators and zero coordinates."""
+    gaussian, n, m = draw(st.booleans()), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    cell = small_gaussians if gaussian else small_gaussians.map(lambda z: GaussianRational(z.re))
+    kinds = st.sampled_from(["symmetric", "hermitian", "none"])
+    slices = [ConstMatrix([[draw(cell) for _ in range(m)] for _ in range(m)], draw(kinds)) for _ in range(n)]
+    coordinate = st.one_of(st.just(0), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+    return slices, draw(st.lists(coordinate, min_size=n, max_size=n))
+
+
+class TestPencilAt:
+    """pencil_value and _pencil_at, the one int sum of a pencil at a point,
+    against the entry-by-entry eval_at_reference of tests/oracles.py on the
+    pencil's matrix of linear forms."""
+
+    @given(pencils_at())
+    def test_matches_the_reference(self, case):
+        slices, point = case
+        n, m = len(slices), slices[0].size
+        ring = Ring.standard(tuple(f"x{k}" for k in range(n)), gaussian=True)
+        units = [tuple(int(k == v) for k in range(n)) for v in range(n)]
+        kind = _common_kind(slices)
+        forms = PolyMatrix(ring, [[MultiPoly.from_terms(ring, [(u, a.entries[i][j]) for u, a in zip(units, slices)])
+                                   for j in range(m)] for i in range(m)], kind)
+        expected = eval_at_reference(forms, point)
+        value = pencil_value(slices, point)
+        assert value == expected and value.kind == kind and value.entries == expected.entries
+        pencil = _integer_slices(slices)
+        scale, cells = _pencil_at(pencil, point)
+        assert scale == pencil[1] * math.lcm(*(Fraction(c).denominator for c in point if c))
+        assert all(cells.values()) and ConstMatrix._of_ints(m, scale, cells, kind) == expected
