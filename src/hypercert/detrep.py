@@ -566,7 +566,7 @@ def verify_companion(matrix: PolyMatrix, h: MultiPoly, r: int) -> DetRepReport:
     ``h`` lives in a ring containing the distinguished variable ``y`` of
     weight equal to the common degree of A's entries; ``matrix`` lives in the
     same ring without y.  When A is symmetric or hermitian with trace 0,
-    h = y^2 - P (a y^2 coefficient of 1, and y in no other term) and
+    h = y^2 - P (d = 2, y^2 with coefficient 1, y in no other term) and
     A^2 = P*I (:func:`_square_on_lattice`), the identity holds; every other
     input is decided on values (:func:`_companion_match`), and a failure
     names the point, y included, where det(y*I - A(x)) and h^r differ.
@@ -607,7 +607,7 @@ def verify_companion(matrix: PolyMatrix, h: MultiPoly, r: int) -> DetRepReport:
         failures.append(CheckFailure("kind", f"entry {bad} breaks {matrix.kind} symmetry"))
 
     p = MultiPoly(ring_x, {e[:y_idx] + e[y_idx + 1 :]: -c for e, c in h.terms.items() if not e[y_idx]})
-    branch = [(e[y_idx], c) for e, c in h.terms.items() if e[y_idx]] == [(2, 1)]  # h = y^2 - P
+    branch = d == 2 and [(e[y_idx], c) for e, c in h.terms.items() if e[y_idx]] == [(2, 1)]  # h = y^2 - P
     if (branch and matrix.kind in (KIND_SYMMETRIC, KIND_HERMITIAN) and not matrix.trace()
             and _square_on_lattice(matrix, _lattice(ring_x.arity, 2 * weight_e, True), p) is None):
         notes["method"] = "minimal-polynomial-shortcut"

@@ -773,7 +773,9 @@ def dense_pencils(draw):
 @st.composite
 def companion_inputs(draw):
     """(A, h, r): Clifford Q from 1-3 forms or F3's A, with h = y^2 - P,
-    then maybe perturbed in one entry pair or in h (negated, or shifted)."""
+    then maybe perturbed in one entry pair or in h (negated, or shifted),
+    or, for Q, h = x1^2*y^2 - x1^2*P - c*x1*x2*(x2 - x1)*(x2 - 2*x1) of
+    d = 4, which agrees with x1^2*(y^2 - P) on the degree-2 lattice."""
     source = draw(st.sampled_from(["clifford", "F3"]))
     if source == "F3":
         a = load_fixture_matrix("F3_matrix.json")
@@ -791,7 +793,12 @@ def companion_inputs(draw):
     g = MultiPoly.constant(forms_ring, 1)
     for _ in range(weight):
         g = g * draw(linear_forms(forms_ring, nonzero=True))
-    variant = draw(st.sampled_from(["valid", "entry", "negated-h", "shifted-h"]))
+    variants = ["valid", "entry", "negated-h", "shifted-h"] + (["quartic-h"] if source == "clifford" else [])
+    variant = draw(st.sampled_from(variants))
+    if variant == "quartic-h":
+        x1, x2 = MultiPoly.variable(ring_h, "x1"), MultiPoly.variable(ring_h, "x2")
+        c = draw(st.integers(-3, 3).filter(bool))
+        return a, x1 * x1 * h - (x1 * x2 * (x2 - x1) * (x2 - x1 - x1)).scale(c), a.size // 4
     if variant == "entry":
         i, j = draw(st.integers(0, a.size - 1)), draw(st.integers(0, a.size - 1))
         a = _with_pair(a, i, j, g)
@@ -1189,6 +1196,19 @@ class TestLatticeInvolution:
         p = involution_reference(a)
         shortcut = p is not None and MultiPoly.variable(h.ring, "y") ** 2 - p.lift(h.ring) == h
         assert (verify_companion(a, h, r).notes["method"] == "minimal-polynomial-shortcut") == shortcut
+
+    def test_a_y_squared_term_of_higher_degree_takes_the_lattice_route(self):
+        # h = x1*y^2 - P has one y-term, y^2 with coefficient 1, but d = 3:
+        # P = x2*(x2 - x1)*(x2 - 2*x1) vanishes on the degree-2 lattice, where
+        # the zero A squares to P*I, yet det(y*I - 0) = y^3 != h.
+        ring_h = Ring(("y", "x1", "x2"), (1, 1, 1))
+        h = parse("x1*y^2 - x2*(x2 - x1)*(x2 - 2*x1)", ring_h)
+        zero = MultiPoly.zero(ring_h.without("y"))
+        report = verify_companion(PolyMatrix(zero.ring, [[zero] * 3 for _ in range(3)], "symmetric"), h, 1)
+        assert report.to_json_dict() == {
+            "ok": False, "scalar": "1", "power": 1, "notes": {"method": "lattice"},
+            "failures": [{"name": "determinant", "witness": "at x = 2,1,0: det = 8, c*h^r = 4"}],
+        }
 
     def test_the_last_lattice_point_decides_a_pencil(self):
         # Q = diag(a, -a, c, -c) squares to a scalar at (1, 0) and (1, 1)
