@@ -225,7 +225,15 @@ class CompanionRepresentation:
 
 def sos_to_detrep(forms: Sequence[MultiPoly]) -> CompanionRepresentation:
     """From P = sum G_i^2 build the paper's Q (size 2^(k+1)) and certify
-    det(y*I - Q) = (y^2 - P)^(2^k) via verify_companion."""
+    det(y*I - Q) = (y^2 - P)^(2^k) via verify_companion.  h adds y, weighted
+    by the forms' degree, to their ring: constant forms, a weighted ring and
+    a ring that names y are refused before any table is built."""
+    if forms and "y" in forms[0].ring.variables:
+        raise ValueError("the forms' ring names a variable y, which h = y^2 - P adds")
+    if forms and any(w != 1 for w in forms[0].ring.weights):
+        raise ValueError("the forms' ring is weighted: every variable of h = y^2 - P but y needs weight 1")
+    if forms and all(g.weighted_degree() == 0 for g in forms):
+        raise ValueError("the forms are constants: y takes their degree, which must be positive")
     q = build_Q(forms)
     ring = q.ring
     weight_e = forms[0].weighted_degree()

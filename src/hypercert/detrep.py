@@ -438,11 +438,9 @@ def pencil_to_polymatrix(matrices: Sequence[ConstMatrix], ring: Ring) -> PolyMat
     if any(mat.size != m for mat in matrices):
         raise ValueError("pencil matrices must share one size")
     units = [tuple(int(k == v) for k in range(ring.arity)) for v in range(ring.arity)]
-    rows = [
-        [MultiPoly.from_terms(ring, [(u, mat.entries[i][j]) for u, mat in zip(units, matrices) if mat.entries[i][j]])
-         for j in range(m)]
-        for i in range(m)
-    ]
+    slices = [mat.entries for mat in matrices]  # each read once
+    rows = [[MultiPoly.from_terms(ring, [(u, a[i][j]) for u, a in zip(units, slices) if a[i][j]]) for j in range(m)]
+            for i in range(m)]
     return PolyMatrix(ring, rows, _common_kind(matrices))
 
 
@@ -468,9 +466,8 @@ def verify_pencil(
 
     Three named checks: symmetry kind, determinant identity (c = 1 unless
     ``up_to_scalar``), and Sylvester's test on sum e_i A_i over Z or Z[i].
-    Every check reads only each slice's integer form
-    (:class:`~hypercert.scalars.ConstMatrix`), built once per slice unless
-    it was read so (:func:`~hypercert.wire.pencil_from_json`).
+    Every check reads each slice's integer form, the one form a
+    :class:`~hypercert.scalars.ConstMatrix` keeps.
     For quadratic h whose pencil is ell*I - Q with Q^2 = P*I the determinant
     is (ell^2 - P)^r (:func:`_match_branch`, on the same integer walk).  Every other pencil is decided
     on its values at the simplex lattice (:func:`_lattice_match`).  A failed

@@ -3,8 +3,8 @@
 A ``Ring`` fixes the variable names, one positive integer weight per
 variable, and whether Gaussian (complex) coefficients are allowed.
 ``MultiPoly`` stores a map from exponent vectors to nonzero coefficients.
-``UniPoly``, the dense univariate companion used by the real-root
-machinery, stores int numerators over one positive denominator.
+``UniPoly``, the real-root machinery's dense univariate polynomial, keeps
+int numerators over one positive denominator, and no ring arithmetic.
 
 The multivariate kernel works on integers.  A product scales each operand
 by the lcm of its coefficient denominators, accumulates the (re, im) int
@@ -50,7 +50,6 @@ zero terms are dropped.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 import sys
@@ -847,10 +846,6 @@ class UniPoly:
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple([Fraction(c, self.den) for c in self.nums])
 
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls(())
-
     def is_zero(self) -> bool:
         return not self.nums
 
@@ -874,27 +869,6 @@ class UniPoly:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        pairs = itertools.zip_longest(self.nums, other.nums, fillvalue=0)
-        return UniPoly._over([a * other.den + b * self.den for a, b in pairs], self.den * other.den)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly._over([-c for c in self.nums], self.den)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        out = [0] * (len(self.nums) + len(other.nums) - 1)
-        for a, ca in enumerate(self.nums):
-            for b, cb in enumerate(other.nums):
-                out[a + b] += ca * cb
-        return UniPoly._over(out, self.den * other.den)
-
-    def scale(self, c: RationalLike) -> "UniPoly":
-        c = as_fraction(c)
-        return UniPoly._over([k * c.numerator for k in self.nums], self.den * c.denominator)
 
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero():

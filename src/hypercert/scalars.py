@@ -6,8 +6,8 @@ Lagrange four-square decompositions of positive rationals, the one
 fraction-free (Bareiss) elimination behind every exact determinant and
 minor, and Sylvester's test of constant symmetric/hermitian matrices, run
 on their integer multiples in Z, or in Z[i] as a real and an imaginary
-matrix of plain ints.  A ``ConstMatrix`` keeps that integer form as its own
-data, beside its rows of Gaussian rationals, and checks its kind on it.
+matrix of plain ints.  A ``ConstMatrix`` keeps only that integer form; it
+checks its kind on it and reads its rows of Gaussian rationals off it.
 A pencil sum_i x_i A_i at a rational point is one int sum over its slices'
 integer forms (:func:`_pencil_at`).
 """
@@ -245,33 +245,33 @@ def _two_squares_int(n: int) -> Optional[tuple[int, int]]:
 
 
 class ConstMatrix:
-    """Square matrix of Gaussian rationals with a symmetry-kind tag.
-
-    It has two forms, each built from the other on first use: ``entries``,
-    the rows of GaussianRationals the constructor takes, and the integer
-    form (D, cells) that ``_of_ints`` takes: D > 0 a common denominator and
-    the nonzero int parts of D*a_ij as {k: part}, k = i*m + j for the real
-    part and m*m + i*m + j for the imaginary part.  Rows built from the
-    integer form hold one object per distinct value.
+    """Square matrix of Gaussian rationals with a symmetry-kind tag, kept
+    only in integer form (D, cells): D > 0 a common denominator and the
+    nonzero int parts of D*a_ij as {k: part}, k = i*m + j for the real part
+    and m*m + i*m + j for the imaginary part.  The constructor scales its
+    rows into that form; ``entries`` rebuilds them on each read, with one
+    object per distinct value.
     """
 
-    __slots__ = ("size", "kind", "_entries", "_ints")
+    __slots__ = ("size", "kind", "_ints")
 
     def __init__(self, entries: Sequence[Sequence[GaussianRational]], kind: str = KIND_NONE):
         rows = tuple(map(tuple, entries))
         _check_rows(rows, kind)
-        for row in rows:
-            for e in row:
-                if not isinstance(e, GaussianRational):
-                    raise TypeError("entries must be GaussianRational")
-        for name, value in (("size", len(rows)), ("kind", kind), ("_entries", rows), ("_ints", None)):
+        if not all(isinstance(a, GaussianRational) for row in rows for a in row):
+            raise TypeError("entries must be GaussianRational")
+        m = len(rows)  # zero entries are often the shared GR_ZERO, which `is` finds fast
+        nonzero = {i * m + j: a for i, row in enumerate(rows) for j, a in enumerate(row) if a is not GR_ZERO and a}
+        den, scaled = _over_integers(list(nonzero.values()))
+        cells = {k + part * m * m: v for k, a in nonzero.items() for part, v in enumerate(scaled(a)) if v}
+        for name, value in (("size", m), ("kind", kind), ("_ints", (den, cells))):
             object.__setattr__(self, name, value)
 
     @classmethod
     def _of_ints(cls, m: int, den: int, cells: dict[int, int], kind: str) -> "ConstMatrix":
         """The m x m matrix of integer form (den, cells), trusted as given."""
         mat = object.__new__(cls)
-        for name, value in (("size", m), ("kind", kind), ("_entries", None), ("_ints", (den, cells))):
+        for name, value in (("size", m), ("kind", kind), ("_ints", (den, cells))):
             object.__setattr__(mat, name, value)
         return mat
 
@@ -280,31 +280,16 @@ class ConstMatrix:
 
     @property
     def entries(self) -> tuple[tuple[GaussianRational, ...], ...]:
-        if self._entries is None:
-            (den, cells), m = self._ints, self.size
-            pairs = [(cells.get(k, 0), cells.get(m * m + k, 0)) for k in range(m * m)]
-            value = {(0, 0): GR_ZERO}  # one object per distinct (re, im)
-            for re, im in set(pairs) - value.keys():
-                value[re, im] = _gaussian(Fraction(re, den), Fraction(im, den) if im else _ZERO)
-            rows = tuple(tuple(map(value.get, pairs[i * m : i * m + m])) for i in range(m))
-            object.__setattr__(self, "_entries", rows)
-        return self._entries
-
-    def _integer_form(self) -> tuple[int, dict[int, int]]:
-        """(D, cells), scaled from the rows on first use."""
-        if self._ints is None:
-            m = self.size
-            # Zero entries are often the shared GR_ZERO, which `is` finds fast.
-            nonzero = {i * m + j: a for i, row in enumerate(self._entries) for j, a in enumerate(row)
-                       if a is not GR_ZERO and a}
-            den, scaled = _over_integers(list(nonzero.values()))
-            cells = {k + part * m * m: v for k, a in nonzero.items() for part, v in enumerate(scaled(a)) if v}
-            object.__setattr__(self, "_ints", (den, cells))
-        return self._ints
+        (den, cells), m = self._ints, self.size
+        pairs = [(cells.get(k, 0), cells.get(m * m + k, 0)) for k in range(m * m)]
+        value = {(0, 0): GR_ZERO}  # one object per distinct (re, im)
+        for re, im in set(pairs) - value.keys():
+            value[re, im] = _gaussian(Fraction(re, den), Fraction(im, den) if im else _ZERO)
+        return tuple(tuple(map(value.get, pairs[i * m : i * m + m])) for i in range(m))
 
     def _key(self) -> tuple:
         """The kind, size and integer form over the least common denominator."""
-        den, cells = self._integer_form()
+        den, cells = self._ints
         g = math.gcd(den, *cells.values())
         return self.kind, self.size, den // g, frozenset((k, v // g) for k, v in cells.items())
 
@@ -321,7 +306,7 @@ class ConstMatrix:
         conjugated when hermitian, in one dict."""
         if self.kind == KIND_NONE:
             return None
-        m, (_, cells) = self.size, self._integer_form()
+        m, (_, cells) = self.size, self._ints
         mm, hermitian = m * m, self.kind == KIND_HERMITIAN
         # Each part's cell (i, j) goes to (j, i) of the same part, negated if imaginary and hermitian.
         mirror = {k % m * m + k // m + (mm - m if k >= mm else 0): -v if hermitian and k >= mm else v
@@ -427,7 +412,7 @@ def _integer_slices(matrices: Sequence[ConstMatrix]) -> tuple:
     """(m, D, slices) for the m x m pencil sum_i x_i A_i: D the lcm of the
     slices' denominators and each slice's integer form over D (see
     :class:`ConstMatrix`), rescaled only where its own denominator differs."""
-    forms = [mat._integer_form() for mat in matrices]
+    forms = [mat._ints for mat in matrices]
     den = math.lcm(*[d for d, _ in forms])
     return matrices[0].size, den, [cells if d == den else {k: v * (den // d) for k, v in cells.items()}
                                    for d, cells in forms]

@@ -17,9 +17,9 @@ docstring); its literals and names are ASCII.  A text that is one Gaussian
 integer literal, such as a pencil cell "12-7*i", is read without the
 grammar, by the match ``polyring.parse`` uses.  A pencil's cells are read
 in the ring it declares, each distinct text once per file, into (re, im)
-ints, or the grammar's Fractions scaled by their lcm, which make each
-slice's integer form (``ConstMatrix``) with no GaussianRational formed.  A
-JSON file of the wrong shape is a ParseError that names the bad field or cell.
+ints, or the grammar's Fractions scaled by their lcm: each slice's integer
+form, the one form a ``ConstMatrix`` keeps, with no GaussianRational formed.
+A JSON file of the wrong shape is a ParseError that names the bad field or cell.
 """
 
 from __future__ import annotations

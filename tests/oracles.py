@@ -356,24 +356,59 @@ def sylvester_reference(matrix):
     return next(((k + 1, v) for k, v in enumerate(leading_principal_minors(matrix)) if v <= 0), None)
 
 
+# Univariate arithmetic on ascending lists of Fraction coefficients, which
+# builds a UniPoly only from its result: the references and the polynomials
+# the tests construct run on none of the library's own arithmetic.
+
+
+def _coefficient_list(poly):
+    """A UniPoly's or a list of rationals' Fraction coefficients, ascending."""
+    return list(poly.coeffs) if isinstance(poly, UniPoly) else [as_fraction(c) for c in poly]
+
+
+def coeff_sum(*polys):
+    """The coefficient list of the sum of UniPolys or coefficient lists."""
+    lists = [_coefficient_list(p) for p in polys]
+    return [sum((c[k] for c in lists if k < len(c)), Fraction(0)) for k in range(max(map(len, lists), default=0))]
+
+
+def coeff_product(*polys):
+    """The coefficient list of the product of UniPolys or coefficient lists."""
+    out = [Fraction(1)]
+    for poly in map(_coefficient_list, polys):
+        prod = [Fraction(0)] * max(len(out) + len(poly) - 1, 0)
+        for i, a in enumerate(out):
+            for j, b in enumerate(poly):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def unipoly_product(*polys):
+    """The product of UniPolys or coefficient lists, as a UniPoly."""
+    return UniPoly(coeff_product(*polys))
+
+
 def from_roots(roots, lead=1):
     """lead * prod (t - root) as a UniPoly."""
-    poly = UniPoly([lead])
-    for root in roots:
-        poly = poly * UniPoly([-as_fraction(root), 1])
-    return poly
+    return unipoly_product([lead], *([-as_fraction(root), 1] for root in roots))
 
 
 def shift(f, q):
-    """f(t + q) for a UniPoly f."""
-    q = as_fraction(q)
-    result = UniPoly.zero()
-    base = UniPoly([q, 1])
-    power = UniPoly([1])
-    for c in f.coeffs:
-        result = result + power.scale(c)
-        power = power * base
-    return result
+    """f(t + q) = sum_k c_k (t + q)^k for a UniPoly f."""
+    return UniPoly(coeff_sum(*(coeff_product([c], *[[q, 1]] * k) for k, c in enumerate(f.coeffs))))
+
+
+def sympy_restriction(text, names, e, v):
+    """p(t*e - v) as a sympy Poly in t, for the polynomial ``text`` over the
+    variables ``names``, read by sympy from the text alone."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    symbols = {name: sympy.Symbol(name) for name in names}
+    expr = sympy.sympify(text.replace("^", "**"), locals=symbols)
+    line = {symbols[n]: t * sympy.Rational(str(a)) - sympy.Rational(str(b)) for n, a, b in zip(names, e, v)}
+    return sympy.Poly(expr.subs(line, simultaneous=True), t)
 
 
 def count_distinct_roots(f, lo=None, hi=None):
@@ -406,7 +441,7 @@ def sturm_chain_reference(f, g=None):
             break
         num = gcd(*[c.numerator for c in rem.coeffs])
         den = lcm(*[c.denominator for c in rem.coeffs])
-        chain.append(rem.scale(Fraction(-den, num)))
+        chain.append(unipoly_product(rem, [Fraction(-den, num)]))
     return chain
 
 

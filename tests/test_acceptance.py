@@ -16,10 +16,11 @@ from hypercert.detrep import (
 )
 from hypercert.fixtures import run_fixture
 from hypercert.hyperbolicity import STATUS_NO_COUNTEREXAMPLE, is_hyperbolic_sampled
-from hypercert.polyring import MultiPoly, Ring, UniPoly, parse, restrict_to_line
+from hypercert.polyring import MultiPoly, Ring, parse, restrict_to_line
 from hypercert.realroots import interlaces_univariate, is_real_rooted
 from hypercert.scalars import ConstMatrix
-from oracles import const_matrix, count_distinct_roots, eval_reference, from_roots, gram_of, leibniz_det
+from oracles import (const_matrix, count_distinct_roots, eval_reference, from_roots, gram_of, leibniz_det,
+                     unipoly_product)
 
 from test_detrep import random_sparse_matrix
 from test_hyperbolicity import lagrange_interpolate
@@ -102,9 +103,7 @@ def test_criterion_7_property_suites():
     for _ in range(100):
         distinct = sorted({Fraction(rng.randrange(-8, 9), rng.randrange(1, 4)) for _ in range(rng.randrange(1, 6))})
         mults = [rng.randrange(1, 3) for _ in distinct]
-        f = UniPoly([1])
-        for root, mult in zip(distinct, mults):
-            f = f * from_roots([root] * mult)
+        f = unipoly_product(*(from_roots([root] * mult) for root, mult in zip(distinct, mults)))
         ok = ok and count_distinct_roots(f) == len(distinct)
 
     # interlaces(f, f') for 100 random real-rooted f.

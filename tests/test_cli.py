@@ -15,6 +15,7 @@ from hypercert.polyring import Ring, parse
 from hypercert.scalars import pencil_value
 from hypercert.wire import load_poly_file, pencil_from_json, pencil_to_json_dict
 from oracles import eval_reference
+from test_hyperbolicity import RAISED_REFUTATIONS, assert_raised_refutation
 
 QUADRIC = "ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\nx0^2 - x1^2 - x2^2\n"
 SPHERE = "ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\nx0^2 + x1^2 + x2^2\n"
@@ -224,6 +225,19 @@ class TestCheckInterlacer:
         )
         assert code == EXIT_USAGE
         assert "samples must be at least 1" in capsys.readouterr().err
+
+
+class TestRaisedRefutations:
+    @pytest.mark.parametrize("case", RAISED_REFUTATIONS)
+    def test_check_interlacer_exits_1(self, tmp_path, capsys, case):
+        h, g, _, _ = RAISED_REFUTATIONS[case]
+        names = ["x0", "x1", "x2"]
+        argv = ["check-interlacer", "--poly", _write_poly(tmp_path / "h.txt", names, h),
+                "--interlacer", _write_poly(tmp_path / "g.txt", names, g), "--dir", "1,0,0", "--json"]
+        assert main(argv) == EXIT_REFUTED
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "refuted" and payload["seed"] == 0
+        assert_raised_refutation(case, payload["witness"])
 
 
 class TestRestrictionCallCount:
@@ -713,6 +727,119 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(err)
 
 
+def _text(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def _polymatrix(path, names, entries, weights=None):
+    ring = {"vars": names, "weights": weights or [1] * len(names), "gaussian": False}
+    path.write_text(json.dumps({"ring": ring, "kind": "symmetric", "entries": entries}))
+    return str(path)
+
+
+def _pencil_check(t, h_text, direction="1,0,0", header="vars=x0,x1,x2"):
+    """verify-detrep in pencil mode: QUADRIC_SLICES in x0, x1, x2 against h."""
+    pencil = _write_pencil(t / "p.json", ["x0", "x1", "x2"], QUADRIC_SLICES)
+    h = _text(t / "h.txt", f"ring: {header}\n{h_text}\n")
+    return ["verify-detrep", "--matrix", pencil, "--poly", h, "--dir", direction]
+
+
+def _companion_check(t, h_header, h_text, names=("x1", "x2")):
+    """verify-detrep --companion: [[0, x1], [x1, 0]] in ``names`` against h."""
+    matrix = _polymatrix(t / "a.json", list(names), [["0", "x1"], ["x1", "0"]])
+    h = _text(t / "h.txt", f"ring: {h_header}\n{h_text}\n")
+    return ["verify-detrep", "--companion", "--matrix", matrix, "--poly", h]
+
+
+def _squares(t, text):
+    return ["sos-to-detrep", "--squares", _text(t / "s.txt", text)]
+
+
+# Usage and input errors that no other test reaches, one table per layer:
+# each exits 64 with exactly this line on stderr and nothing on stdout.
+CLI_USAGE_ERRORS = {
+    "companion-with-a-pencil-file": (
+        lambda t: _pencil_check(t, "x0^2 - x1^2 - x2^2")[:-2] + ["--companion"],
+        "usage error: companion verification needs a polynomial matrix file"),
+    "pencil-mode-without-dir": (
+        lambda t: _pencil_check(t, "x0^2 - x1^2 - x2^2")[:-2],
+        "usage error: pencil verification needs --dir"),
+    "detrep-to-sos-with-a-pencil-file": (
+        lambda t: ["detrep-to-sos", "--matrix", _write_pencil(t / "p.json", ["x0", "x1", "x2"], QUADRIC_SLICES),
+                   "--poly", _write_poly(t / "p.txt", ["x0", "x1", "x2"], "x0^2")],
+        "usage error: SOS extraction needs a polynomial matrix file"),
+}
+VERIFY_PENCIL_ERRORS = {
+    "weighted-ring": (lambda t: _pencil_check(t, "x0^2 - x1^2 - x2", header="vars=x0,x1,x2 weights=1,1,2"),
+                      "input error: pencil verification needs an unweighted ring"),
+    "direction-arity": (lambda t: _pencil_check(t, "x0^2 - x1^2 - x2^2", direction="1,0"),
+                        "input error: direction arity mismatch"),
+    "h-not-homogeneous": (lambda t: _pencil_check(t, "x0^2 - x1^2 - x2"),
+                          "input error: h must be nonzero and homogeneous"),
+}
+VERIFY_COMPANION_ERRORS = {
+    "no-y": (lambda t: _companion_check(t, "vars=x0,x1,x2", "x0^2 - x1^2"),
+             "input error: companion form needs a distinguished variable named 'y'"),
+    "weighted-x": (lambda t: _companion_check(t, "vars=y,x1,x2 weights=1,2,1", "y^2 - x1"),
+                   "input error: all non-y variables must have weight 1"),
+    "matrix-in-another-ring": (lambda t: _companion_check(t, "vars=y,x1,x2", "y^2 - x1^2", names=("x1",)),
+                               "input error: companion matrix must live in h's ring without y"),
+    "h-not-homogeneous": (lambda t: _companion_check(t, "vars=y,x1,x2", "y^2 - x1"),
+                          "input error: h must be weighted-homogeneous"),
+    "degree-not-a-multiple-of-y": (lambda t: _companion_check(t, "vars=y,x1,x2 weights=2,1,1", "x1^3"),
+                                   "input error: deg(h) must be a multiple of the weight of y"),
+}
+# build_Q's checks and sos_to_detrep's own refusals, all before any table is built.
+SOS_TO_DETREP_ERRORS = {
+    "complex-form": (lambda t: _squares(t, "ring: vars=x1,x2 gaussian=true\ni*x1\nx2\n"),
+                     "input error: forms must have real coefficients"),
+    "zero-form": (lambda t: _squares(t, "ring: vars=x1,x2\nx1\n0\n"), "input error: forms must be nonzero"),
+    "inhomogeneous-form": (lambda t: _squares(t, "ring: vars=x1,x2\nx1 + x2^2\n"),
+                           "input error: forms must be homogeneous"),
+    "mixed-degrees": (lambda t: _squares(t, "ring: vars=x1,x2\nx1\nx2^2\n"),
+                      "input error: mixed degrees [1, 2]: forms must share one degree"),
+    "constant-forms": (lambda t: _squares(t, "ring: vars=x0\n1\n2\n"),
+                       "input error: the forms are constants: y takes their degree, which must be positive"),
+    "a-variable-named-y": (lambda t: _squares(t, "ring: vars=x0,y\nx0\ny\n"),
+                           "input error: the forms' ring names a variable y, which h = y^2 - P adds"),
+    "weighted-ring": (lambda t: _squares(t, "ring: vars=x0,x1 weights=2,1\nx0\nx1^2\n"),
+                      "input error: the forms' ring is weighted: every variable of h = y^2 - P but y needs weight 1"),
+}
+WIRE_ERRORS = {
+    "malformed-header-field": (
+        lambda t: ["check-hyperbolic", "--poly", _text(t / "h.txt", "ring: vars=x0,x1 junk\nx0^2\n"), "--dir", "1,0"],
+        "input error: malformed ring header field 'junk'"),
+    "empty-file": (lambda t: ["check-hyperbolic", "--poly", _text(t / "h.txt", "\n \n"), "--dir", "1,0"],
+                   "input error: empty polynomial file"),
+    "header-without-expression": (
+        lambda t: ["check-hyperbolic", "--poly", _text(t / "h.txt", "ring: vars=x0,x1\n\n"), "--dir", "1,0"],
+        "input error: polynomial file has no expression after the header"),
+    "squares-without-a-polynomial": (lambda t: _squares(t, "ring: vars=x1,x2\n"),
+                                     "input error: squares file needs a ring header and at least one polynomial"),
+    "wrong-matrix-count": (
+        lambda t: ["verify-detrep", "--matrix", _write_pencil(t / "p.json", ["x0", "x1", "x2"], QUADRIC_SLICES[:2]),
+                   "--poly", _write_poly(t / "h.txt", ["x0", "x1", "x2"], "x0^2 - x1^2 - x2^2"), "--dir", "1,0,0"],
+        "input error: pencil needs one constant matrix per variable"),
+}
+
+
+LAYER_ERRORS = {"cli": CLI_USAGE_ERRORS, "verify_pencil": VERIFY_PENCIL_ERRORS,
+                "verify_companion": VERIFY_COMPANION_ERRORS, "sos_to_detrep": SOS_TO_DETREP_ERRORS, "wire": WIRE_ERRORS}
+
+
+class TestLayerErrors:
+    @pytest.mark.parametrize("layer, case", [(layer, case) for layer, table in LAYER_ERRORS.items() for case in table])
+    def test_exits_64(self, tmp_path, capsys, monkeypatch, layer, case):
+        def tripwire(*args, **kwargs):
+            raise AssertionError("a generator table was built")
+
+        monkeypatch.setattr(clifford, "clifford_generators", tripwire)  # each refusal comes before any table
+        argv, err = LAYER_ERRORS[layer][case]
+        assert main(argv(tmp_path)) == EXIT_USAGE
+        assert capsys.readouterr() == ("", err + "\n")
+
+
 class TestQuadraticDetrepCompact:
     def test_twelve_squares_certify_in_128_rows(self, tmp_path, capsys):
         # 28 = 4^2 + 2^2 + 2^2 + 2^2 per variable: 12 branch squares, which
@@ -932,7 +1059,8 @@ class TestSharedCells:
         pencil = {"vars": ["x0", "x1"], "gaussian": True, "kind": kind,
                   "matrices": [[["1", "0"], ["0", "1"]], [["0", cell], [cell, "0"]]]}
         matrices, _ = pencil_from_json(pencil)
-        assert matrices[1].entries[0][1] is matrices[1].entries[1][0]
+        rows = matrices[1].entries  # one read holds one object per distinct value
+        assert rows[0][1] is rows[1][0]
         assert matrices[1].kind_violation() == (0, 1)
         path = tmp_path / "p.json"
         path.write_text(json.dumps(pencil))
@@ -957,6 +1085,11 @@ class TestFixturesCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("usage error: ") and "'list'" in captured.err
         assert captured.out == ""
+
+    def test_json_report_bytes_are_pinned(self, capsys):
+        assert main(["fixtures", "run", "--json"]) == EXIT_OK
+        digest = hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
+        assert digest == "4aed7fdbb3c15a1c5485e14e6e7acf50bdc26ae83878371adca32e2b008d5d8e"
 
     def test_json_report_is_byte_stable(self, capsys):
         assert main(["fixtures", "run", "--json"]) == EXIT_OK

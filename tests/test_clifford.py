@@ -194,6 +194,22 @@ class TestBuildQ:
             assert involution_reference(q) == _sum_of_squares(R3, forms)
 
 
+# build_Q's checks that the CLI cannot reach, since a squares file holds at
+# least one form and one ring (tests/test_cli.py::SOS_TO_DETREP_ERRORS has
+# the others).
+BUILD_Q_ERRORS = {
+    "no-form": ([], "need at least one form"),
+    "two-rings": ([parse("x1", R2), parse("x1", Ring.standard(("x1",)))], "forms must share one ring"),
+}
+
+
+@pytest.mark.parametrize("case", BUILD_Q_ERRORS)
+def test_build_q_refuses(case):
+    forms, message = BUILD_Q_ERRORS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_Q(forms)
+
+
 class TestBuildQHurwitzRadon:
     @settings(max_examples=40)
     @given(radon_forms())

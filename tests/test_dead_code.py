@@ -7,6 +7,13 @@ it by (module, name); the definitions kept only by a hook are pinned, and
 so are those that only such definitions reach.
 Dunder methods are called implicitly and are skipped.  Test-only helpers
 belong in ``tests/oracles.py``.
+
+The pass has two blind spots.  It skips every dunder, so an operator no
+library code applies looks used; and it matches by name alone, so a method
+reads as used when another class's method of the same name is called.
+``UniPoly``'s ring arithmetic hid in both: ``__add__``, ``__neg__``,
+``__sub__`` and ``__mul__`` as dunders, ``scale`` and ``zero`` behind
+``MultiPoly.scale`` and ``MultiPoly.zero``, while only tests called them.
 """
 
 import ast

@@ -161,6 +161,23 @@ QUADRIC_PENCIL = [
 ]
 
 
+# verify_pencil's checks that the CLI cannot reach, since a pencil file has
+# one kind and one slice per variable of h (tests/test_cli.py::
+# VERIFY_PENCIL_ERRORS has the others).
+VERIFY_PENCIL_ERRORS = {
+    "slice-count": (QUADRIC_PENCIL[:2], "need one pencil matrix per variable of h"),
+    "mixed-kinds": ([*QUADRIC_PENCIL[:2], const_matrix([[0, 1], [1, 0]], "hermitian")],
+                    "pencil matrices must share one symmetry kind"),
+}
+
+
+@pytest.mark.parametrize("case", VERIFY_PENCIL_ERRORS)
+def test_verify_pencil_refuses(case):
+    matrices, message = VERIFY_PENCIL_ERRORS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_pencil(matrices, parse("x0^2 - x1^2 - x2^2", R3), 1, (1, 0, 0))
+
+
 class TestVerifyPencil:
     def test_quadric_ok(self):
         h = parse("x0^2 - x1^2 - x2^2", R3)
@@ -243,30 +260,29 @@ class TestVerifyPencil:
 
 
 class TestPencilStaysInIntegerForm:
-    """verify_pencil reads only each slice's integer form: slices built by
-    ConstMatrix._of_ints never form their GaussianRational rows, on either
-    route."""
+    """verify_pencil reads only each slice's integer form: it never asks a
+    ConstMatrix for its GaussianRational rows, on either route."""
 
-    @staticmethod
-    def _of_ints(matrices):
-        return [ConstMatrix._of_ints(mat.size, *mat._integer_form(), mat.kind) for mat in matrices]
+    @pytest.fixture(autouse=True)
+    def rows_unread(self, monkeypatch):
+        def entries(mat):
+            raise AssertionError("a slice's rows were read")
+
+        monkeypatch.setattr(ConstMatrix, "entries", property(entries))
 
     @pytest.mark.parametrize("h", ["x0^2 - x1^2 - x2^2", "x0^2 - x1^2 - 2*x2^2"], ids=["holds", "fails"])
     def test_involution(self, h):
-        pencil = self._of_ints(QUADRIC_PENCIL)
-        report = verify_pencil(pencil, parse(h, R3), 1, (1, 0, 0))
+        report = verify_pencil(QUADRIC_PENCIL, parse(h, R3), 1, (1, 0, 0))
         assert report.notes["method"] == "minimal-polynomial-shortcut"
-        assert [mat._entries for mat in pencil] == [None] * 3
 
     def test_non_involution(self):
         # diag(x0 + x1, x0 - x1, x0 + x2, x0 - x2) - x0*I squares to no scalar.
         rows = [[f"x0 {sign} x{k}" if i == j else "0" for j in range(4)]
                 for i, (sign, k) in enumerate([("+", 1), ("-", 1), ("+", 2), ("-", 2)])]
-        pencil = self._of_ints(polymatrix_to_pencil(PolyMatrix.from_strings(R3, rows, "symmetric")))
+        pencil = polymatrix_to_pencil(PolyMatrix.from_strings(R3, rows, "symmetric"))
         report = verify_pencil(pencil, parse("x0^2 - x1^2", R3), 2, (1, 0, 0))
         assert report.notes["method"] == "lattice"
         assert [f.name for f in report.failures] == ["determinant"]
-        assert [mat._entries for mat in pencil] == [None] * 3
 
     def test_quadratic_detrep_pencil(self):
         from hypercert.quadratic import quadratic_detrep
@@ -275,7 +291,6 @@ class TestPencilStaysInIntegerForm:
         rep = quadratic_detrep(h, (1, 0, 0))
         report = verify_pencil(rep.pencil, h, rep.power, (1, 0, 0), up_to_scalar=True)
         assert report.ok and report.notes["method"] == "minimal-polynomial-shortcut"
-        assert all(mat._entries is None for mat in rep.pencil)
 
 
 class TestVerifyCompanion:

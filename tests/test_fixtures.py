@@ -5,9 +5,10 @@ import json
 import pytest
 
 from hypercert import detrep, fixtures
+from hypercert.cli import EXIT_REFUTED, main
 from hypercert.detrep import PolyMatrix
 from hypercert.fixtures import FIXTURE_IDS, run_fixture, run_fixtures
-from hypercert.polyring import ParseError, Ring
+from hypercert.polyring import ParseError, Ring, parse
 from hypercert.wire import (
     dump_poly_text,
     parse_point,
@@ -123,6 +124,60 @@ class TestCorpus:
         assert not checks["value-at-E-is-2I"].ok
         assert not checks["positive-definite-at-E"].ok
         assert checks["positive-definite-at-E"].detail == "leading principal minor of order 1 at E is -2"
+
+    # F1's h doubled, or its entry (0, 1) made x2 + 2*x3, which breaks the
+    # symmetry of slices 2 and 3: the report names the first failure of
+    # each name (name, witness of the failing checks).
+    F1_TAMPERED = {
+        "doubled-h": {"determinant-equals-h": "at x = 1,0,0,0: det = 1, c*h^r = 2"},
+        "asymmetric": {"symmetric": "matrix 2 entry (0, 1) breaks symmetric symmetry",
+                       "determinant-equals-h": "at x = 1,0,0,1: det = -1, c*h^r = 0"},
+    }
+
+    @staticmethod
+    def _tamper_f1(monkeypatch, case):
+        load_poly, load_matrix = fixtures.load_fixture_poly, fixtures.load_fixture_matrix
+
+        def poly(name):
+            h = load_poly(name)
+            return h + h if case == "doubled-h" and name == "F1_poly.txt" else h
+
+        def matrix(name):
+            a = load_matrix(name)
+            if case != "asymmetric" or name != "F1_matrix.json":
+                return a
+            rows = [list(row) for row in a.rows]
+            rows[0][1] = parse("x2 + 2*x3", a.ring)
+            return PolyMatrix(a.ring, rows, a.kind)
+
+        monkeypatch.setattr(fixtures, "load_fixture_poly", poly)
+        monkeypatch.setattr(fixtures, "load_fixture_matrix", matrix)
+
+    @pytest.mark.parametrize("case", F1_TAMPERED)
+    def test_f1_reports_its_failed_checks(self, monkeypatch, capsys, case):
+        self._tamper_f1(monkeypatch, case)
+        result = run_fixture("F1")
+        assert not result.ok
+        assert {c.name: c.detail for c in result.checks if not c.ok} == self.F1_TAMPERED[case]
+        assert main(["fixtures", "run", "--id", "F1"]) == EXIT_REFUTED
+        assert "F1 FAIL" in capsys.readouterr().out
+
+    def test_f4_reports_a_line_whose_determinant_does_not_vanish(self, monkeypatch):
+        # A base point off the surface: the sampled lines through it miss it.
+        manifest = fixtures._manifest
+
+        def moved_point():
+            data = manifest()
+            data["F4"]["params"]["point"] = "0,0,1,1,4"
+            return data
+
+        monkeypatch.setattr(fixtures, "_manifest", moved_point)
+        failed = {c.name: c.detail for c in run_fixture("F4").checks if not c.ok}
+        assert failed == {
+            "base-point-on-surface": "q1 = 0, q2 = -7",
+            "chow-form-vanishes-on-incident-lines":
+                "0/20 sampled lines through the base point; line through (8, 7, 9, -1, -4) gives det 69482896",
+        }
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):

