@@ -16,20 +16,23 @@ determinant identity det = c*h^r is decided by one of two routes:
 - *involution*: if trace Q = 0 and Q^2 = P*I then
   det(y*I - Q) = (y^2 - P)^(m/2): the eigenvalues are +-sqrt(P), equally
   often since the trace is 0 (Q is nilpotent when P = 0).  Q^2 = P*I, a
-  matrix identity of degree 2d for entries of degree d, is decided by
-  squaring Q(x) in ints on that lattice, in the one loop :func:`_squared`:
-  for a pencil ell*I - Q for quadratic h, read off its integer slices
-  (:func:`_match_branch`), whose branch ell^2 - P = s*h is compared on the
-  same points, and by :func:`_square_on_lattice` for the A of
-  :func:`detrep_to_sos` and a companion A with P read off h = y^2 - P;
+  matrix identity of degree 2d for entries of degree d, is decided once per
+  matrix by :func:`_squared`, which writes each cell of Q^2 as an integer
+  combination of products of Q's distinct entries up to sign; on a Clifford
+  Q only the one diagonal combination is left to evaluate on that lattice.
+  The entries are the polynomials of the A of :func:`detrep_to_sos` or a
+  companion A with P read off h = y^2 - P (:func:`_square_on_lattice`), or
+  the linear cells of a pencil ell*I - Q for quadratic h, whose branch
+  ell^2 - P = s*h is compared on the same points (:func:`_match_branch`);
 - *lattice* (everything else): determinants at the T lattice points for a
   pencil (:func:`_lattice_match`), and for a companion at y in {0..m} times
   the lattice of degree m*w (:func:`_companion_match`), are compared with
   c*h(x)^r.
 
 Values are D times the true ones, over Z or Z[i]: a pencil summed slice by
-slice along the lattice (:func:`_on_lattice`), every other polynomial (the
-cells of A, p and h) by the one polynomial evaluator,
+slice along the lattice (:func:`_on_lattice`), a linear cell of a pencil
+from its coefficient vector, every other polynomial (the cells of A, p and
+h) by the one polynomial evaluator,
 :func:`~hypercert.polyring._evaluator`, each distinct monomial once per
 point.  One comparer, :func:`_match_values`, reads the points lazily and
 stops at a failure's witness: the first point where the two sides differ,
@@ -336,51 +339,65 @@ def _pencil_on_lattice(pencil: tuple, degree: int) -> Iterator[tuple[tuple[int, 
     return ((x, [flat[k * m : k * m + m] for k in range(parts * m)]) for x, flat in _on_lattice(slices, degree))
 
 
-def _squared(re_rows: list[dict], im_rows: Optional[list[dict]]) -> tuple:
-    """(p, bad) for the int matrix A = R + i*I given by the nonzero entries
-    {j: a_ij} of each row of R and of I (None when I = 0): p = (A^2)_00 as
-    (re, im), and bad None when A^2 = p*I, else (i, j, got, want) at the
-    first entry in row order where A^2 and p*I differ.  The one squaring
-    loop of the involution routes: row by row through the nonzero entries,
-    at most k+1 per row for a Clifford Q; with I != 0 as [[R, -I], [I, R]],
-    whose first m rows square to Re and -Im of A^2."""
-    m, at, p = len(re_rows), re_rows, (0, 0)
-    if im_rows is not None:
-        at = ([{**a, **{m + j: -v for j, v in b.items()}} for a, b in zip(re_rows, im_rows)]
-              + [{**b, **{m + j: v for j, v in a.items()}} for a, b in zip(re_rows, im_rows)])
-    for i, row in enumerate(at[:m]):
-        acc = {}
-        for k, a in row.items():
-            for j, b in at[k].items():
-                acc[j] = acc.get(j, 0) + a * b
-        diag = (acc.pop(i, 0), -acc.pop(m + i, 0))
-        p = p if i else diag
-        bad = [j % m for j, v in acc.items() if v] + [i] * (diag != p)
-        if bad:
-            j = min(bad)
-            return p, (i, j, diag, p) if j == i else (i, j, (acc.get(j, 0), -acc.get(m + j, 0)), (0, 0))
-    return p, None
+def _squared(rows: list[list[tuple[int, int, int]]]) -> tuple[list[tuple], list[tuple[int, int, int]]]:
+    """A^2 from the entry structure of A, once per matrix: row i lists the
+    nonzero cells (j, b, s), a_ij = s*B_b with s = +-1, over base entries
+    B_b.  Returns (combinations, checks): each distinct (A^2)_ij as
+    ((a, b, c), ...), the sum of c*B_a*B_b over a <= b, (A^2)_00's first;
+    and in row order the cells (i, j, k) of combination k that
+    A^2 = (A^2)_00*I leaves open: (0, 0), a diagonal cell whose combination
+    is not (A^2)_00's, and a nonzero off-diagonal one.  On a Clifford Q the
+    off-diagonal products cancel, the diagonal cells agree: (0, 0) alone."""
+    combos: dict[tuple, int] = {}  # combination -> its index
+    checks: list[tuple[int, int, int]] = []
+    for i, row in enumerate(rows):
+        acc: dict[tuple[int, int, int], int] = {}
+        for k, a, s in row:
+            for j, b, t in rows[k]:
+                key = (j, a, b) if a <= b else (j, b, a)
+                acc[key] = acc.get(key, 0) + s * t
+        cells: dict[int, list] = {i: []}
+        for (j, a, b), c in sorted([item for item in acc.items() if item[1]]):
+            cells.setdefault(j, []).append((a, b, c))
+        for j in sorted(cells):
+            k = combos.setdefault(tuple(cells[j]), len(combos))
+            if i != j or k or not i:
+                checks.append((i, j, k))
+    return list(combos), checks
+
+
+def _square_values(combos: list[tuple], re: list, im: list) -> list[tuple]:
+    """The (re, im) value of each combination of :func:`_squared` from the
+    values re + i*im of the base entries at one point."""
+    return [(sum(c * (re[a] * re[b] - im[a] * im[b]) for a, b, c in terms),
+             sum(c * (re[a] * im[b] + im[a] * re[b]) for a, b, c in terms)) for terms in combos]
 
 
 def _square_on_lattice(matrix: PolyMatrix, points: Sequence[tuple], p: MultiPoly) -> Optional[tuple]:
     """Witness (x, i, j, got, want) for A^2 = p*I at the first of ``points``
-    (which decide A^2 - p*I, :func:`_lattice`) and entry in row order where
-    the two differ, or None: D*A(x) and D*p(x), each distinct entry taken
-    once by :func:`~hypercert.polyring._evaluator`, squared by
-    :func:`_squared`."""
-    place = {id(q): k for k, q in enumerate(matrix.distinct)}
-    cells = [[(j, place[id(q)]) for j, q in enumerate(row) if q] for row in matrix.rows]
-    den, values_at = _evaluator([q.terms for q in matrix.distinct] + [p.terms])
-    half = len(place) + 1  # values_at(x)[half:] are the imaginary parts
+    (which decide A^2 - p*I, :func:`_lattice`) and cell in row order where
+    (A^2)_ij != delta_ij*p(x), or None.  The distinct entries of A, q and -q
+    as one base entry, are squared once (:func:`_squared`); at each point
+    only the combinations it leaves are evaluated, from D*B_b(x) and D*p(x)
+    taken by :func:`~hypercert.polyring._evaluator`."""
+    bases: dict[frozenset, int] = {}  # B_b, its lowest term's first nonzero part positive
+    place = {}  # id(q) -> (b, s) with q = s*B_b
+    for q in matrix.distinct:
+        if q.terms:
+            low = q.terms[min(q.terms)]
+            s = -1 if (low.re or low.im) < 0 else 1
+            key = frozenset((e, c) if s > 0 else (e, -c) for e, c in q.terms.items())
+            place[id(q)] = (bases.setdefault(key, len(bases)), s)
+    combos, checks = _squared([[(j,) + place[id(q)] for j, q in enumerate(row) if q.terms] for row in matrix.rows])
+    den, values_at = _evaluator([dict(key) for key in bases] + [p.terms])
+    half = len(bases) + 1  # values_at(x)[half:] are the imaginary parts
     for x in points:
         vals = values_at(x)
-        re = [{j: v for j, k in row if (v := vals[k])} for row in cells]
-        im = [{j: v for j, k in row if (v := vals[half + k])} for row in cells] if any(vals[half:]) else None
-        want, bad = _squared(re, im)
-        if want != (vals[half - 1] * den, vals[-1] * den):
-            return (x, 0, 0, _exact(want, den * den), _exact((vals[half - 1], vals[-1]), den))
-        if bad is not None:
-            return (x, bad[0], bad[1], _exact(bad[2], den * den), _exact(bad[3], den * den))
+        got = _square_values(combos, vals, vals[half:])
+        want = (vals[half - 1] * den, vals[-1] * den)
+        for i, j, k in checks:
+            if got[k] != (want if i == j else (0, 0)):
+                return (x, i, j, _exact(got[k], den * den), _exact((vals[half - 1], vals[-1]), den) if i == j else GR_ZERO)
     return None
 
 
@@ -469,10 +486,10 @@ def verify_pencil(
     Every check reads each slice's integer form, the one form a
     :class:`~hypercert.scalars.ConstMatrix` keeps.
     For quadratic h whose pencil is ell*I - Q with Q^2 = P*I the determinant
-    is (ell^2 - P)^r (:func:`_match_branch`, on the same integer walk).  Every other pencil is decided
-    on its values at the simplex lattice (:func:`_lattice_match`).  A failed
-    identity is witnessed by the first lattice point x where the two sides
-    differ, with both exact values.
+    is (ell^2 - P)^r (:func:`_match_branch`, from the integer slices).  Every
+    other pencil is decided on its values at the simplex lattice
+    (:func:`_lattice_match`).  A failed identity is witnessed by the first
+    lattice point x where the two sides differ, with both exact values.
     """
     if r < 1:
         raise ValueError(f"power r = {r} must be at least 1")
@@ -532,24 +549,36 @@ def _match_branch(pencil: tuple, h: MultiPoly, r: int, up_to_scalar: bool) -> Op
     M = sum x_i A_i, with ell = trace(M)/m, is not an involution.
 
     Otherwise det M = (ell^2 - P)^r, which is a multiple c of h^r exactly
-    when the branch ell^2 - P is a multiple s of h, and then c = s^r.  Both
-    are decided on the lattice of degree 2 from the int rows of D*M(x)
-    (:func:`_pencil_on_lattice`): m*D*Q(x) = t*I - m*D*M(x), t the trace of
-    D*M(x), is squared (:func:`_squared`), and (m*D)^2 * (ell^2 - P)(x) =
-    t^2 - (m*D*Q(x))^2_00 goes to :func:`_match_values`.
+    when the branch ell^2 - P is a multiple s of h, and then c = s^r.  The
+    cells of m*D*M - t*I = -m*D*Q, t = trace(D*M), are linear forms whose
+    int coefficient vectors over the slices, v and -v as one, are the base
+    entries of :func:`_squared`.  On the lattice of degree 2, which decides
+    both, the combinations it leaves must agree, and (m*D)^2 * (ell^2 - P)(x)
+    = t^2 - (m*D*Q(x))^2_00 goes to :func:`_match_values`.
     """
-    m, den, _ = pencil
+    m, den, slices = pencil
+    n, size = len(slices), m * m
+    trace = [sum(cells.get(part + k * (m + 1), 0) for k in range(m)) for part in (0, size) for cells in slices]
+    vectors: dict[int, list[int]] = {k * (m + 1): [-t for t in trace] for k in range(m)}
+    for v, cells in enumerate(slices):
+        for k, a in cells.items():
+            vectors.setdefault(k % size, [0] * 2 * n)[v + n * (k >= size)] += m * a
+    bases: dict[tuple, int] = {}  # B_b, its first nonzero coefficient positive
+    rows: list[list] = [[] for _ in range(m)]
+    for k in sorted(vectors):
+        if any(vec := vectors[k]):
+            sign = 1 if next(filter(None, vec)) > 0 else -1
+            rows[k // m].append((k % m, bases.setdefault(tuple(sign * a for a in vec), len(bases)), sign))
+    combos, checks = _squared(rows)
+    re_parts, im_parts = [vec[:n] for vec in bases], [vec[n:] for vec in bases]
     branch = []
-    for x, rows in _pencil_on_lattice(pencil, 2):
-        diag = [row[k % m] for k, row in enumerate(rows)]
-        t = (sum(diag[:m]), sum(diag[m:]))  # the trace of D*M(x), re and im
-        mq = [{j: m * a for j, a in enumerate(row) if a} for row in rows]  # m*D*M(x) - t*I: -m*D*Q(x)
-        for k, row in enumerate(mq):
-            row[k % m] = m * diag[k] - t[k // m]
-        p, bad = _squared(mq[:m], mq[m:] if any(map(any, rows[m:])) else None)
-        if bad is not None:
+    for x in _lattice(n, 2, True):
+        at = [sum(map(operator.mul, x, vec)) for vec in re_parts]
+        got = _square_values(combos, at, [sum(map(operator.mul, x, vec)) for vec in im_parts])
+        if any(got[k] != (got[0] if i == j else (0, 0)) for i, j, k in checks):
             return None
-        branch.append((x, (t[0] * t[0] - t[1] * t[1] - p[0], 2 * t[0] * t[1] - p[1])))
+        t = (sum(map(operator.mul, x, trace[:n])), sum(map(operator.mul, x, trace[n:])))
+        branch.append((x, (t[0] * t[0] - t[1] * t[1] - got[0][0], 2 * t[0] * t[1] - got[0][1])))
     s, witness = _match_values(branch, (m * den) ** 2, h, 1, True, ("ell^2 - P", "h", "s*h"))
     c = s**r
     if up_to_scalar or not c:  # c = 0: a zero determinant or branch

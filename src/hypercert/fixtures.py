@@ -104,18 +104,6 @@ def load_fixture_matrix(name: str) -> PolyMatrix:
     return polymatrix_from_json(_data_text(name))
 
 
-def _report_checks(result: FixtureResult, report, names: dict[str, str]) -> None:
-    """Map DetRepReport failures onto named fixture checks."""
-    failed = {}
-    for f in report.failures:
-        failed.setdefault(f.name, f.witness)
-    for check_name, report_name in names.items():
-        if report_name in failed:
-            result.checks.append(CheckOutcome(check_name, False, failed[report_name]))
-        else:
-            result.checks.append(CheckOutcome(check_name, True, "ok"))
-
-
 def _run_pencil_fixture(fixture_id: str, spec: dict) -> FixtureResult:
     result = FixtureResult(fixture_id, spec["title"])
     matrix = load_fixture_matrix(spec["files"]["matrix"])
@@ -124,18 +112,22 @@ def _run_pencil_fixture(fixture_id: str, spec: dict) -> FixtureResult:
     r = int(spec["params"]["power"])
     pencil = polymatrix_to_pencil(matrix)
     report = verify_pencil(pencil, h, r, e, up_to_scalar=False)
-    _report_checks(
-        result,
-        report,
-        {
-            matrix.kind: "kind",
-            "determinant-equals-h": "determinant",
-            "positive-definite-at-e": "positive-definite",
-        },
-    )
-    result.checks.append(
-        CheckOutcome("scalar-is-one", report.scalar == 1, f"c = {report.scalar}")
-    )
+    failed: dict[str, str] = {}
+    for f in report.failures:
+        failed.setdefault(f.name, f.witness)
+    # (check, ok, detail, the check it runs after): no Sylvester test runs after
+    # a kind failure, and c means nothing beside a failed determinant.
+    passed: dict[str, bool] = {}
+    for name, ok, detail, after in (
+        (matrix.kind, "kind" not in failed, failed.get("kind", "ok"), None),
+        ("determinant-equals-h", "determinant" not in failed, failed.get("determinant", "ok"), None),
+        ("positive-definite-at-e", "positive-definite" not in failed, failed.get("positive-definite", "ok"), matrix.kind),
+        ("scalar-is-one", report.scalar == 1, f"c = {report.scalar}", "determinant-equals-h"),
+    ):
+        if after is not None and not passed[after]:
+            ok, detail = False, f"not run: {after} failed"
+        passed[name] = ok
+        result.checks.append(CheckOutcome(name, ok, detail))
     return result
 
 

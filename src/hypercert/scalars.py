@@ -61,9 +61,6 @@ class GaussianRational:
 
     # -- predicates ------------------------------------------------------
 
-    def is_real(self) -> bool:
-        return not self.im
-
     def is_zero(self) -> bool:
         return not self.re and not self.im
 

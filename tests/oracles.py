@@ -6,8 +6,10 @@ from functools import cache
 from itertools import permutations, product
 from math import gcd, lcm
 
-from hypercert.detrep import PolyMatrix, const_det, pencil_to_polymatrix, poly_det, polymatrix_to_pencil
-from hypercert.polyring import MultiPoly, ParseError, Ring, UniPoly, real_square_factorization, sturm_chain
+from hypercert.detrep import (PolyMatrix, _match_values, _pencil_on_lattice, const_det, pencil_to_polymatrix, poly_det,
+                              polymatrix_to_pencil)
+from hypercert.polyring import (MultiPoly, ParseError, Ring, UniPoly, _evaluator, _exact, real_square_factorization,
+                                sturm_chain)
 from hypercert.realroots import _index
 from hypercert.scalars import ConstMatrix, GaussianRational, as_fraction, four_square_decompose, pencil_value
 
@@ -506,6 +508,74 @@ def involution_reference(a):
     square = a.matmul(a)
     p = square.rows[0][0]
     return p if scalar_mismatch(square, p) is None else None
+
+
+def squared_reference(re_rows, im_rows):
+    """(p, bad) for the int matrix A = R + i*I at one point, given by the
+    nonzero entries {j: a_ij} of each row of R and of I (None when I = 0):
+    p = (A^2)_00 as (re, im), and bad None when A^2 = p*I, else
+    (i, j, got, want) at the first entry in row order where A^2 and p*I
+    differ.  Squares row by row through the nonzero entries; with I != 0
+    as [[R, -I], [I, R]], whose first m rows square to Re and -Im of A^2."""
+    m, at, p = len(re_rows), re_rows, (0, 0)
+    if im_rows is not None:
+        at = ([{**a, **{m + j: -v for j, v in b.items()}} for a, b in zip(re_rows, im_rows)]
+              + [{**b, **{m + j: v for j, v in a.items()}} for a, b in zip(re_rows, im_rows)])
+    for i, row in enumerate(at[:m]):
+        acc = {}
+        for k, a in row.items():
+            for j, b in at[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        diag = (acc.pop(i, 0), -acc.pop(m + i, 0))
+        p = p if i else diag
+        bad = [j % m for j, v in acc.items() if v] + [i] * (diag != p)
+        if bad:
+            j = min(bad)
+            return p, (i, j, diag, p) if j == i else (i, j, (acc.get(j, 0), -acc.get(m + j, 0)), (0, 0))
+    return p, None
+
+
+def square_on_lattice_reference(matrix, points, p):
+    """The witness (x, i, j, got, want) of detrep._square_on_lattice, or
+    None, with A(x) squared in ints at every point (squared_reference)."""
+    place = {id(q): k for k, q in enumerate(matrix.distinct)}
+    cells = [[(j, place[id(q)]) for j, q in enumerate(row) if q] for row in matrix.rows]
+    den, values_at = _evaluator([q.terms for q in matrix.distinct] + [p.terms])
+    half = len(place) + 1  # values_at(x)[half:] are the imaginary parts
+    for x in points:
+        vals = values_at(x)
+        re = [{j: v for j, k in row if (v := vals[k])} for row in cells]
+        im = [{j: v for j, k in row if (v := vals[half + k])} for row in cells] if any(vals[half:]) else None
+        want, bad = squared_reference(re, im)
+        if want != (vals[half - 1] * den, vals[-1] * den):
+            return (x, 0, 0, _exact(want, den * den), _exact((vals[half - 1], vals[-1]), den))
+        if bad is not None:
+            return (x, bad[0], bad[1], _exact(bad[2], den * den), _exact(bad[3], den * den))
+    return None
+
+
+def match_branch_reference(pencil, h, r, up_to_scalar):
+    """detrep._match_branch with m*D*Q(x) formed and squared in ints at
+    each point of the lattice of degree 2 (squared_reference): None at the
+    first point where it is not scalar, else (c, witness) from the branch
+    values t^2 - (m*D*Q(x))^2_00, t the trace of D*M(x)."""
+    m, den, _ = pencil
+    branch = []
+    for x, rows in _pencil_on_lattice(pencil, 2):
+        diag = [row[k % m] for k, row in enumerate(rows)]
+        t = (sum(diag[:m]), sum(diag[m:]))
+        mq = [{j: m * a for j, a in enumerate(row) if a} for row in rows]
+        for k, row in enumerate(mq):
+            row[k % m] = m * diag[k] - t[k // m]
+        p, bad = squared_reference(mq[:m], mq[m:] if any(map(any, rows[m:])) else None)
+        if bad is not None:
+            return None
+        branch.append((x, (t[0] * t[0] - t[1] * t[1] - p[0], 2 * t[0] * t[1] - p[1])))
+    s, witness = _match_values(branch, (m * den) ** 2, h, 1, True, ("ell^2 - P", "h", "s*h"))
+    c = s**r
+    if up_to_scalar or not c:
+        return (c, witness)
+    return (Fraction(1), witness if witness or c == 1 else f"det = {c}*h^r, not h^r")
 
 
 def companion_notes_reference(a, h):

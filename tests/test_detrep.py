@@ -13,13 +13,17 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypercert.clifford import build_Q, clifford_generators
+from hypercert.clifford import _q_rows, build_Q, clifford_generators, hurwitz_radon
 from hypercert.detrep import (
     PolyMatrix,
     _companion_match,
+    _lattice,
     _lattice_match,
+    _match_branch,
     _match_values,
     _on_lattice,
+    _square_on_lattice,
+    _squared,
     const_det,
     detrep_to_sos,
     pencil_to_polymatrix,
@@ -45,11 +49,13 @@ from oracles import (
     lattice_points,
     leading_scalar,
     leibniz_det,
+    match_branch_reference,
     match_values_reference,
     pencil_reference,
     pencil_values,
     scalar_mismatch,
     scaled,
+    square_on_lattice_reference,
     sylvester_reference,
     transpose,
 )
@@ -1264,3 +1270,99 @@ class TestLatticeInvolution:
         got = sum((value.entries[i][k] * value.entries[k][j] for k in range(matrix.size)), GaussianRational(0))
         want = eval_reference(p, x) if i == j else GaussianRational(0)
         assert (str(got), str(want)) == (found["got"], found["want"]) and got != want
+
+
+def _table_q(table, forms):
+    """Q from the generator table ``table(k)`` for k forms, which need not
+    be homogeneous (build_Q refuses those)."""
+    gens = table(len(forms))
+    zero = MultiPoly.zero(forms[0].ring)
+    return PolyMatrix(zero.ring, _q_rows(gens.dimension, zero, zip(forms, gens.perms, gens.signs)), "symmetric")
+
+
+@st.composite
+def square_cases(draw):
+    """(A, points, p) for _square_on_lattice: Clifford Q from the paper's
+    or the compact table on 1-3 forms with p their sum of squares, the
+    hermitian [[a, b + i*c], [b - i*c, -a]] or [[0, S], [S*, 0]] for
+    S = [[u, -conj(v)], [v, conj(u)]], a matrix with a row and column of
+    zeros, or the zero matrix with p = 0; the entries of degree 1 or 2,
+    made non-homogeneous (a constant added) for the lattice x in N^n of
+    _square_mismatch.  Then maybe one cell perturbed or negated, or p
+    perturbed."""
+    n, degree = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2]))
+    ring = Ring.standard(tuple(f"x{k}" for k in range(n)), gaussian=True)
+    homogeneous = draw(st.booleans())
+    zero = MultiPoly.zero(ring)
+
+    def form():
+        return _form(draw, ring, degree) + (zero if homogeneous else _form(draw, ring, 0))
+
+    shape = draw(st.sampled_from(["paper", "compact", "hermitian", "hermitian-4", "zero-row", "zero"]))
+    if shape in ("paper", "compact", "zero-row"):
+        forms = [form() for _ in range(draw(st.integers(1, 3)))]
+        assume(all(forms))
+        a = _table_q(clifford_generators if shape == "paper" else hurwitz_radon, forms)
+        p = sum((f * f for f in forms), zero)
+        if shape == "zero-row":
+            k = draw(st.integers(0, a.size - 1))
+            a = PolyMatrix(ring, [[zero if k in (i, j) else q for j, q in enumerate(row)] for i, row in enumerate(a.rows)],
+                           a.kind)
+    elif shape == "hermitian":
+        x, y, z = form(), form(), form()
+        off = y + z.scale(I_UNIT)
+        a = PolyMatrix(ring, [[x, off], [off.conjugate(), -x]], "hermitian")
+        p = x * x + y * y + z * z
+    elif shape == "hermitian-4":
+        u, v = (form() + form().scale(I_UNIT) for _ in range(2))
+        s = [[u, -v.conjugate()], [v, u.conjugate()]]
+        rows = [[zero, zero] + s[0], [zero, zero] + s[1]] + [[s[j][i].conjugate() for j in range(2)] + [zero, zero]
+                                                              for i in range(2)]
+        a = PolyMatrix(ring, rows, "hermitian")
+        p = u * u.conjugate() + v * v.conjugate()
+    else:
+        a, p = _diagonal(ring, [zero] * draw(st.integers(1, 3))), zero
+    variant = draw(st.sampled_from(["valid", "cell", "sign", "p"]))
+    if variant == "cell":
+        a = _perturbed(draw, a, degree, pair=False)
+    elif variant == "sign":
+        i, j = draw(st.integers(0, a.size - 1)), draw(st.integers(0, a.size - 1))
+        rows = [list(row) for row in a.rows]
+        rows[i][j] = -rows[i][j]
+        a = PolyMatrix(ring, rows, a.kind)
+    elif variant == "p":
+        p = p + _form(draw, ring, draw(st.integers(0, 2 * degree)))
+    points = _lattice(n, 2 * degree, homogeneous)
+    return a, points, p
+
+
+class TestStructuralSquare:
+    """The involution routes square A once from its entry structure; the
+    references of tests/oracles.py square A(x) in ints at every point."""
+
+    @given(square_cases())
+    @settings(max_examples=150)
+    def test_same_witness_as_squaring_at_each_point(self, case):
+        a, points, p = case
+        assert _square_on_lattice(a, points, p) == square_on_lattice_reference(a, points, p)
+
+    @given(st.one_of(quadratic_pencils(), dense_pencils().map(lambda case: case + (False,))))
+    def test_match_branch_as_squaring_at_each_point(self, case):
+        matrices, h, r, e, up_to_scalar, _ = case
+        pencil = _integer_slices(matrices)
+        matched = _match_branch(pencil, h, r, up_to_scalar)
+        assert matched == match_branch_reference(pencil, h, r, up_to_scalar)
+        if matched is None and h.weighted_degree() == 2:  # not an involution: the lattice route decides
+            assert verify_pencil(matrices, h, r, e, up_to_scalar).notes["method"] == "lattice"
+
+    @pytest.mark.parametrize("table", [clifford_generators, hurwitz_radon])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_a_clifford_q_leaves_only_its_first_diagonal_cell(self, table, k):
+        # Off-diagonal products cancel and every diagonal cell is
+        # sum_t c_t*B_t^2, so each point evaluates one combination.
+        forms = [parse(f"{t + 1}*x0 - {2 * t + 1}*x1 + x2", R3) for t in range(k)]
+        a = _table_q(table, forms)
+        signed = {(t, s): f if s > 0 else -f for t, f in enumerate(forms) for s in (1, -1)}
+        rows = [[(j,) + next(b for b, f in signed.items() if f == q) for j, q in enumerate(row) if q] for row in a.rows]
+        combos, checks = _squared(rows)
+        assert checks == [(0, 0, 0)] and combos == [tuple((t, t, 1) for t in range(k))]

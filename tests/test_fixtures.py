@@ -129,9 +129,12 @@ class TestCorpus:
     # symmetry of slices 2 and 3: the report names the first failure of
     # each name (name, witness of the failing checks).
     F1_TAMPERED = {
-        "doubled-h": {"determinant-equals-h": "at x = 1,0,0,0: det = 1, c*h^r = 2"},
+        "doubled-h": {"determinant-equals-h": "at x = 1,0,0,0: det = 1, c*h^r = 2",
+                      "scalar-is-one": "not run: determinant-equals-h failed"},
         "asymmetric": {"symmetric": "matrix 2 entry (0, 1) breaks symmetric symmetry",
-                       "determinant-equals-h": "at x = 1,0,0,1: det = -1, c*h^r = 0"},
+                       "determinant-equals-h": "at x = 1,0,0,1: det = -1, c*h^r = 0",
+                       "positive-definite-at-e": "not run: symmetric failed",
+                       "scalar-is-one": "not run: determinant-equals-h failed"},
     }
 
     @staticmethod
