@@ -2,6 +2,13 @@
 
 Exit codes: 0 = verified/constructed, 1 = refuted or a check failed (the
 report carries the witness), 64 = usage, input or capacity error.
+
+Each certificate is checked in a fresh process, which compiles every module
+it imports.  So the module level holds only the parser, ``main`` and the
+input formats (``wire``), and each command imports its own modules as it
+runs: check-hyperbolic and check-interlacer ``hyperbolicity``, verify-detrep
+and detrep-to-sos ``detrep``, sos-to-detrep ``clifford``, quadratic-detrep
+``quadratic`` and fixtures ``fixtures``, each with what that module imports.
 """
 
 from __future__ import annotations
@@ -15,20 +22,8 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import fixtures as fixtures_mod
-from .clifford import CapacityError, sos_to_detrep
-from .detrep import (
-    SosRefusal,
-    detrep_to_sos,
-    polymatrix_from_json,
-    polymatrix_to_pencil,
-    verify_companion,
-    verify_pencil,
-)
-from .hyperbolicity import DEFAULT_BOX, DEFAULT_SAMPLES, interlaces_sampled, is_hyperbolic_sampled
 from .polyring import ParseError
-from .quadratic import PipelineError, quadratic_detrep
-from .scalars import KIND_SYMMETRIC
+from .scalars import DEFAULT_BOX, DEFAULT_SAMPLES, KIND_SYMMETRIC, CapacityError
 from .wire import (
     load_poly_file,
     load_squares_file,
@@ -84,6 +79,7 @@ def _emit_sampled(verdict, as_json: bool, label: str) -> int:
 
 
 def _cmd_check_hyperbolic(args) -> int:
+    from .hyperbolicity import is_hyperbolic_sampled
     h = load_poly_file(args.poly)
     e = parse_point(args.dir)
     verdict = is_hyperbolic_sampled(h, e, samples=args.samples, seed=args.seed, box=args.box)
@@ -91,6 +87,7 @@ def _cmd_check_hyperbolic(args) -> int:
 
 
 def _cmd_check_interlacer(args) -> int:
+    from .hyperbolicity import interlaces_sampled
     h = load_poly_file(args.poly)
     g = load_poly_file(args.interlacer)
     e = parse_point(args.dir)
@@ -99,6 +96,7 @@ def _cmd_check_interlacer(args) -> int:
 
 
 def _load_matrix_or_pencil(path: str):
+    from .detrep import polymatrix_from_json
     try:
         data = json.loads(Path(path).read_text(encoding="ascii"))
     except RecursionError:
@@ -111,6 +109,7 @@ def _load_matrix_or_pencil(path: str):
 
 
 def _cmd_verify_detrep(args) -> int:
+    from .detrep import polymatrix_to_pencil, verify_companion, verify_pencil
     h = load_poly_file(args.poly)
     matrix, matrices, ring = _load_matrix_or_pencil(args.matrix)
     if args.companion:
@@ -142,6 +141,7 @@ def _cmd_verify_detrep(args) -> int:
 
 
 def _cmd_detrep_to_sos(args) -> int:
+    from .detrep import SosRefusal, detrep_to_sos
     matrix, matrices, _ = _load_matrix_or_pencil(args.matrix)
     if matrix is None:
         raise _UsageError("SOS extraction needs a polynomial matrix file")
@@ -159,6 +159,7 @@ def _cmd_detrep_to_sos(args) -> int:
 
 
 def _cmd_sos_to_detrep(args) -> int:
+    from .clifford import sos_to_detrep
     forms = load_squares_file(args.squares)
     rep = sos_to_detrep(forms)
     with _long_numbers():
@@ -174,6 +175,7 @@ def _cmd_sos_to_detrep(args) -> int:
 
 
 def _cmd_quadratic_detrep(args) -> int:
+    from .quadratic import PipelineError, quadratic_detrep
     h = load_poly_file(args.poly)
     e = parse_point(args.dir)
     try:
@@ -204,9 +206,10 @@ def _cmd_quadratic_detrep(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
+    from .fixtures import run_fixtures
     start = time.perf_counter()
     try:
-        report = fixtures_mod.run_fixtures(args.id)
+        report = run_fixtures(args.id)
     except KeyError as err:
         raise _UsageError(str(err)) from None
     elapsed = time.perf_counter() - start

@@ -18,20 +18,15 @@ verifier that certifies Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .detrep import DetRepReport, PolyMatrix, verify_companion
 from .polyring import MultiPoly, Ring, _sum_of_squares
-from .scalars import KIND_SYMMETRIC
+from .scalars import KIND_SYMMETRIC, CapacityError
 
 MAX_PENCIL = 512  # largest Q from either table: 8 forms in the paper's, 17 in the compact one
-
-
-class CapacityError(ValueError):
-    """k forms need a Q over MAX_PENCIL rows; raised before any table is built."""
 
 
 def _capped(k: int, dimension: int) -> None:
@@ -43,8 +38,7 @@ def _capped(k: int, dimension: int) -> None:
         raise CapacityError(f"{k} forms need a {size}x{size} pencil; at most {MAX_PENCIL} rows are supported")
 
 
-@dataclass(frozen=True)
-class CliffordGenerators:
+class CliffordGenerators(NamedTuple):
     """A generator table M_1..M_n of signed permutations, stored sparsely:
     column j of M_i holds ``signs[i][j]`` in row ``perms[i][j]`` and zeros
     elsewhere.
@@ -213,8 +207,7 @@ def build_Q(forms: Sequence[MultiPoly]) -> PolyMatrix:
     return PolyMatrix(ring, rows, KIND_SYMMETRIC)
 
 
-@dataclass
-class CompanionRepresentation:
+class CompanionRepresentation(NamedTuple):
     """det(y*I - Q) = (y^2 - P)^r, built from an SOS decomposition of P."""
 
     matrix: PolyMatrix

@@ -46,9 +46,8 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .polyring import (MultiPoly, ParseError, Ring, _evaluator, _exact, _pair_pow, _sum_of_squares, parse,
                        real_square_factorization)
@@ -406,14 +405,12 @@ def _square_on_lattice(matrix: PolyMatrix, points: Sequence[tuple], p: MultiPoly
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(NamedTuple):
     name: str
     witness: str
 
 
-@dataclass
-class DetRepReport:
+class DetRepReport(NamedTuple):
     """Outcome of a determinantal-representation verification.
 
     ``ok`` implies no failures and scalar > 0.  ``notes["method"]`` names
@@ -431,15 +428,15 @@ class DetRepReport:
     ok: bool
     scalar: Fraction
     power: int
-    failures: list[CheckFailure] = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
+    failures: list[CheckFailure]
+    notes: dict
 
     def to_json_dict(self) -> dict:
         return {
             "ok": self.ok,
             "scalar": str(self.scalar),
             "power": self.power,
-            "failures": [{"name": f.name, "witness": f.witness} for f in self.failures],
+            "failures": [f._asdict() for f in self.failures],
             "notes": {k: str(v) for k, v in sorted(self.notes.items())},
         }
 
@@ -652,15 +649,14 @@ def verify_companion(matrix: PolyMatrix, h: MultiPoly, r: int) -> DetRepReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SosDecomposition:
+class SosDecomposition(NamedTuple):
     """p = sum of squares of the listed real polynomials (verified exactly)."""
 
     squares: list[MultiPoly]
     target: MultiPoly
     kind: str
     column: int
-    notes: dict = field(default_factory=dict)
+    notes: dict
 
     def to_json_dict(self) -> dict:
         return {

@@ -3,18 +3,17 @@ named, independently re-runnable checks.
 
 Fixture inputs ship as data files in the wire formats (see ``data/``), so
 they double as format documentation.  Reports are byte-stable for fixed
-seeds.
+seeds.  The runners of F4-F6 import ``hyperbolicity``, ``realroots``,
+``quadratic`` and ``clifford`` themselves, so loading fixture data compiles
+none of them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from . import quadratic
-from .clifford import clifford_generators
 from .detrep import (
     PolyMatrix,
     SosRefusal,
@@ -28,35 +27,23 @@ from .detrep import (
     polymatrix_to_pencil,
     verify_pencil,
 )
-from .hyperbolicity import (
-    STATUS_NO_COUNTEREXAMPLE,
-    STATUS_REFUTED,
-    is_hyperbolic_sampled,
-    sample_direction,
-)
 from .polyring import MultiPoly, _sum_of_squares, parse, restrict_to_line
-from .realroots import is_real_rooted
 from .scalars import ConstMatrix, _integer_slices, _pencil_at, first_nonpositive_minor
 from .wire import parse_point, parse_poly_text
 
 FIXTURE_IDS = ("F1", "F2", "F3", "F4", "F5", "F6")
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     name: str
     ok: bool
     detail: str
 
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
-
-@dataclass
-class FixtureResult:
+class FixtureResult(NamedTuple):
     fixture_id: str
     title: str
-    checks: list[CheckOutcome] = field(default_factory=list)
+    checks: list[CheckOutcome]
 
     @property
     def ok(self) -> bool:
@@ -67,12 +54,11 @@ class FixtureResult:
             "id": self.fixture_id,
             "title": self.title,
             "ok": self.ok,
-            "checks": [c.to_json_dict() for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
         }
 
 
-@dataclass
-class FixtureReport:
+class FixtureReport(NamedTuple):
     results: list[FixtureResult]
 
     @property
@@ -105,7 +91,7 @@ def load_fixture_matrix(name: str) -> PolyMatrix:
 
 
 def _run_pencil_fixture(fixture_id: str, spec: dict) -> FixtureResult:
-    result = FixtureResult(fixture_id, spec["title"])
+    result = FixtureResult(fixture_id, spec["title"], [])
     matrix = load_fixture_matrix(spec["files"]["matrix"])
     h = load_fixture_poly(spec["files"]["poly"])
     e = parse_point(spec["params"]["dir"])
@@ -132,7 +118,7 @@ def _run_pencil_fixture(fixture_id: str, spec: dict) -> FixtureResult:
 
 
 def _run_f3(fixture_id: str, spec: dict) -> FixtureResult:
-    result = FixtureResult(fixture_id, spec["title"])
+    result = FixtureResult(fixture_id, spec["title"], [])
     matrix = load_fixture_matrix(spec["files"]["matrix"])
     h = load_fixture_poly(spec["files"]["h"])
     p = load_fixture_poly(spec["files"]["p"])
@@ -174,7 +160,8 @@ def _run_f3(fixture_id: str, spec: dict) -> FixtureResult:
 
 
 def _run_f4(fixture_id: str, spec: dict) -> FixtureResult:
-    result = FixtureResult(fixture_id, spec["title"])
+    from .hyperbolicity import sample_direction
+    result = FixtureResult(fixture_id, spec["title"], [])
     matrix = load_fixture_matrix(spec["files"]["matrix"])
     q1 = load_fixture_poly(spec["files"]["quadric1"])
     q2 = load_fixture_poly(spec["files"]["quadric2"])
@@ -238,7 +225,9 @@ def _run_f4(fixture_id: str, spec: dict) -> FixtureResult:
 
 
 def _run_f5(fixture_id: str, spec: dict) -> FixtureResult:
-    result = FixtureResult(fixture_id, spec["title"])
+    from .hyperbolicity import STATUS_NO_COUNTEREXAMPLE, STATUS_REFUTED, is_hyperbolic_sampled
+    from .realroots import is_real_rooted
+    result = FixtureResult(fixture_id, spec["title"], [])
     h = load_fixture_poly(spec["files"]["poly"])
     control = load_fixture_poly(spec["files"]["control"])
     e = parse_point(spec["params"]["dir"])
@@ -286,10 +275,12 @@ def _run_f5(fixture_id: str, spec: dict) -> FixtureResult:
 
 
 def _run_f6(fixture_id: str, spec: dict) -> FixtureResult:
-    result = FixtureResult(fixture_id, spec["title"])
+    from .clifford import clifford_generators
+    from .quadratic import quadratic_detrep
+    result = FixtureResult(fixture_id, spec["title"], [])
     h = load_fixture_poly(spec["files"]["poly"])
     e = parse_point(spec["params"]["dir"])
-    rep = quadratic.quadratic_detrep(h, e, clifford_generators)
+    rep = quadratic_detrep(h, e, clifford_generators)
     size = rep.pencil[0].size
     result.checks.append(
         CheckOutcome(
@@ -306,7 +297,7 @@ def _run_f6(fixture_id: str, spec: dict) -> FixtureResult:
 
     h5 = load_fixture_poly(spec["files"]["poly5"])
     e5 = parse_point(spec["params"]["dir5"])
-    rep5 = quadratic.quadratic_detrep(h5, e5, clifford_generators)
+    rep5 = quadratic_detrep(h5, e5, clifford_generators)
     size5 = rep5.pencil[0].size
     used_shortcut = rep5.report.notes.get("method") == "minimal-polynomial-shortcut"
     result.checks.append(

@@ -11,28 +11,23 @@ polynomial of a hermitian matrix has only real zeros.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .polyring import MultiPoly, UniPoly, restrict_to_line
 from .realroots import NotRealRootedError, interlaces_univariate, is_real_rooted
-from .scalars import RationalLike, as_fraction
+from .scalars import DEFAULT_BOX, DEFAULT_SAMPLES, RationalLike, as_fraction
 
 STATUS_NO_COUNTEREXAMPLE = "no-counterexample"
 STATUS_REFUTED = "refuted"
-
-DEFAULT_SAMPLES = 500
-DEFAULT_BOX = 50
 
 REASON_NOT_REAL_ROOTED = "restriction-not-real-rooted"
 REASON_INTERLACER_NOT_REAL_ROOTED = "interlacer-restriction-not-real-rooted"
 REASON_INTERLACING_FAILS = "interlacing-fails"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A refutation: the sampled line v, the restriction of the subject
     polynomial along it, and what failed there."""
 
@@ -48,8 +43,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class SampledVerdict:
+class SampledVerdict(NamedTuple):
     status: str
     samples_run: int
     seed: int

@@ -53,7 +53,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, is_, mul, neg, sub
@@ -82,7 +81,6 @@ def _as_coeff(value: CoeffLike) -> GaussianRational:
     return GaussianRational(value)
 
 
-@dataclass(frozen=True)
 class Ring:
     """An ordered list of variables (ASCII identifiers) with positive weights.
 
@@ -91,22 +89,36 @@ class Ring:
     weight > 1, which is how companion-form gradings are expressed.
     """
 
-    variables: tuple[str, ...]
-    weights: tuple[int, ...]
-    gaussian: bool = False
+    __slots__ = ("variables", "weights", "gaussian")
 
-    def __post_init__(self):
-        if len(self.variables) != len(self.weights):
+    def __init__(self, variables: tuple[str, ...], weights: tuple[int, ...], gaussian: bool = False):
+        if len(variables) != len(weights):
             raise ValueError("one weight per variable required")
-        if len(set(self.variables)) != len(self.variables):
+        if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
-        for name in self.variables:
+        for name in variables:
             if not (name.isascii() and name.isidentifier()):
                 raise ValueError(f"invalid variable name {name!r}")
-        if self.gaussian and "i" in self.variables:
+        if gaussian and "i" in variables:
             raise ValueError("'i' denotes the imaginary unit in a gaussian ring")
-        if any(w < 1 for w in self.weights):
+        if any(w < 1 for w in weights):
             raise ValueError("weights must be positive integers")
+        for name, value in (("variables", variables), ("weights", weights), ("gaussian", gaussian)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Ring is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Ring:
+            return NotImplemented
+        return (self.variables, self.weights, self.gaussian) == (other.variables, other.weights, other.gaussian)
+
+    def __hash__(self):
+        return hash((self.variables, self.weights, self.gaussian))
+
+    def __repr__(self) -> str:
+        return f"Ring(variables={self.variables!r}, weights={self.weights!r}, gaussian={self.gaussian!r})"
 
     @classmethod
     def standard(cls, variables: Sequence[str], gaussian: bool = False) -> "Ring":

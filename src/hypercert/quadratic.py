@@ -32,9 +32,8 @@ exact witness vector (and the line on which hyperbolicity fails).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .clifford import _q_rows, hurwitz_radon
 from .detrep import DetRepReport, verify_pencil
@@ -70,8 +69,7 @@ class PipelineError(ValueError):
         self.witness_line = witness_line
 
 
-@dataclass(frozen=True)
-class QuadraticNormalForm:
+class QuadraticNormalForm(NamedTuple):
     """h o T^-1 = alpha*u0^2 + u0*q1 + q2 with T(e) = u0 and alpha = |h(e)|,
     as Gram matrices over u0..u_(n-1) with int entries.
 
@@ -289,8 +287,7 @@ def rational_sos_quadratic(gram: Sequence[Sequence[int]], den: int) -> list[Form
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class QuadraticDetRep:
+class QuadraticDetRep(NamedTuple):
     """Definite symmetric pencil with det(sum x_i A_i) = scalar * h^power."""
 
     pencil: tuple[ConstMatrix, ...]

@@ -27,6 +27,14 @@ KIND_HERMITIAN = "hermitian"
 KIND_NONE = "none"
 MATRIX_KINDS = (KIND_SYMMETRIC, KIND_HERMITIAN, KIND_NONE)
 
+# Here, not in hyperbolicity and clifford, so that the CLI's parser and main need neither.
+DEFAULT_SAMPLES = 500
+DEFAULT_BOX = 50
+
+
+class CapacityError(ValueError):
+    """k forms need a Q over clifford's MAX_PENCIL rows; raised before any table is built."""
+
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce ints, strings ("p/q" or "p") and Fractions to Fraction."""

@@ -1,6 +1,5 @@
 """The quadratic pipeline: normal form, branch SOS, pencil construction."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -165,7 +164,7 @@ class TestCompletionCheck:
     def test_a_wrong_scale_fails(self, factor):
         nf = normalize_at_direction(self.h, (Fraction(1, 2), 1, 0))
         with pytest.raises(AssertionError, match="completion-of-the-square"):
-            self.check(nf.transform, dataclasses.replace(nf, scale=int(nf.scale * factor)))
+            self.check(nf.transform, nf._replace(scale=int(nf.scale * factor)))
 
 
 class TestRationalSos:
