@@ -45,11 +45,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .polyring import (MultiPoly, ParseError, Ring, _evaluator, _exact, _pair_pow, _sum_of_squares, parse,
+from .polyring import (MultiPoly, ParseError, Ring, _evaluator, _exact, _normal, _pair_pow, _sum_of_squares, parse,
                        real_square_factorization)
 from .scalars import (
     GR_ZERO,
@@ -182,11 +183,9 @@ def polymatrix_from_json(data: Union[str, dict]) -> PolyMatrix:
     entries = _json_strings(_json_field(data, "entries", "polynomial matrix"), "entries", depth=2)
     names = tuple(_json_strings(_json_field(header, "vars", "ring"), "ring.vars"))
     weights = _json_list(_json_field(header, "weights", "ring"), "ring.weights")
-    try:
-        weights = tuple(int(w) for w in weights)
-    except (TypeError, ValueError):
-        raise ParseError(f"ring.weights must be integers, not {json.dumps(weights)}") from None
-    ring = Ring(names, weights, _json_flag(header, "gaussian", "ring.gaussian"))
+    if any(type(w) is not int for w in weights):  # not a float, bool or string that int() would take
+        raise ParseError(f"ring.weights must be integers, not {json.dumps(weights)}")
+    ring = Ring(names, tuple(weights), _json_flag(header, "gaussian", "ring.gaussian"))
     return PolyMatrix.from_strings(ring, entries, data.get("kind", KIND_NONE))
 
 
@@ -245,7 +244,7 @@ def _companion_match(matrix: PolyMatrix, h: MultiPoly, r: int) -> Optional[str]:
     entries = matrix.distinct
     place = {id(p): k for k, p in enumerate(entries)}
     cells = [[place[id(p)] for p in row] for row in matrix.rows]
-    den, values = _evaluator([p.terms for p in entries])
+    den, values = _evaluator(entries)
 
     def dets():
         for x in _lattice(matrix.ring.arity, m * h.ring.weights[y_idx], True):
@@ -269,8 +268,12 @@ def _match_values(
     is, in this precedence, a det zero at every point, a ratio that is not
     real, or the first point where the two sides differ, with both exact
     values labelled by ``names``.  The pairs are read only until that is
-    fixed: c known, a differing point and a nonzero det seen."""
-    h_den, h_at = _evaluator([h.terms])
+    fixed: c known, a differing point and a nonzero det seen.  Every
+    comparison is made on ints: h's values are the (re, im) parts of
+    D*h(x) from its integer form (:func:`~hypercert.polyring._evaluator`),
+    and c = det/h^r is det * conj(t) / |t|^2 on those pairs, t = (D*h(x))^r.
+    Gaussian rationals are formed only for a witness's text."""
+    h_den, h_at = _evaluator([h])
     h_scale = h_den**r
 
     def at(x: tuple[int, ...], det) -> str:
@@ -284,17 +287,19 @@ def _match_values(
             read.append((x, det, t))
             if any(t):
                 break
-        ratio = _exact(det, scale) / _exact(t, h_scale)
-        if ratio.im:  # so det(x) != 0: the determinant is not identically zero
+        # det/h^r = (det * conj(t)) * h_scale / (scale * |t|^2) at x.
+        re, im = det[0] * t[0] + det[1] * t[1], det[1] * t[0] - det[0] * t[1]
+        if im:  # so det(x) != 0: the determinant is not identically zero
             return (Fraction(0), f"{at(x, det)}, {names[1]} = {_exact(t, h_scale)}, not a real multiple")
-        c = ratio.re
+        c = Fraction(re * h_scale, scale * (t[0] * t[0] + t[1] * t[1]))
     # det = c * h^r at x, with c = p/q: q * h_scale * value = p * scale * target.
     left, right = c.denominator * h_scale, c.numerator * scale
     nonzero, witness = False, None
     for x, det, t in itertools.chain(read, points):
         nonzero = nonzero or any(det)
         if witness is None and (det[0] * left != t[0] * right or det[1] * left != t[1] * right):
-            witness = f"{at(x, det)}, {names[2]} = {_exact(t, h_scale).scale(c)}"
+            value = _exact((t[0] * c.numerator, t[1] * c.numerator), h_scale * c.denominator)  # c*h^r at x
+            witness = f"{at(x, det)}, {names[2]} = {value}"
         if witness is not None and nonzero:
             return (c, witness)
     return (c, witness) if nonzero else (Fraction(0), "determinant is identically zero")
@@ -376,19 +381,20 @@ def _square_on_lattice(matrix: PolyMatrix, points: Sequence[tuple], p: MultiPoly
     """Witness (x, i, j, got, want) for A^2 = p*I at the first of ``points``
     (which decide A^2 - p*I, :func:`_lattice`) and cell in row order where
     (A^2)_ij != delta_ij*p(x), or None.  The distinct entries of A, q and -q
-    as one base entry, are squared once (:func:`_squared`); at each point
-    only the combinations it leaves are evaluated, from D*B_b(x) and D*p(x)
-    taken by :func:`~hypercert.polyring._evaluator`."""
-    bases: dict[frozenset, int] = {}  # B_b, its lowest term's first nonzero part positive
+    as one base entry B_b (whichever has its lowest term's first nonzero part
+    positive, read off the integer form), are squared once
+    (:func:`_squared`); at each point only the combinations it leaves are
+    evaluated, from the int parts of D*B_b(x) and D*p(x) taken by
+    :func:`~hypercert.polyring._evaluator`."""
+    bases: dict[MultiPoly, int] = {}  # B_b, its lowest term's first nonzero part positive
     place = {}  # id(q) -> (b, s) with q = s*B_b
     for q in matrix.distinct:
-        if q.terms:
-            low = q.terms[min(q.terms)]
-            s = -1 if (low.re or low.im) < 0 else 1
-            key = frozenset((e, c) if s > 0 else (e, -c) for e, c in q.terms.items())
-            place[id(q)] = (bases.setdefault(key, len(bases)), s)
-    combos, checks = _squared([[(j,) + place[id(q)] for j, q in enumerate(row) if q.terms] for row in matrix.rows])
-    den, values_at = _evaluator([dict(key) for key in bases] + [p.terms])
+        if q.nums:
+            low = q.nums[min(q.nums)]
+            s = -1 if (low[0] or low[1]) < 0 else 1
+            place[id(q)] = (bases.setdefault(q if s > 0 else -q, len(bases)), s)
+    combos, checks = _squared([[(j,) + place[id(q)] for j, q in enumerate(row) if q.nums] for row in matrix.rows])
+    den, values_at = _evaluator([*bases, p])
     half = len(bases) + 1  # values_at(x)[half:] are the imaginary parts
     for x in points:
         vals = values_at(x)
@@ -459,14 +465,26 @@ def pencil_to_polymatrix(matrices: Sequence[ConstMatrix], ring: Ring) -> PolyMat
 
 
 def polymatrix_to_pencil(matrix: PolyMatrix) -> list[ConstMatrix]:
-    """Decompose a matrix of homogeneous linear forms into constant slices."""
+    """Decompose a matrix of homogeneous linear forms into constant slices,
+    each in integer form over the lcm of the entries' denominators."""
     n = matrix.ring.arity
+    if not n:
+        return []
     degrees = ((i, j, p.weighted_degree()) for i, row in enumerate(matrix.rows) for j, p in enumerate(row))
-    bad = next(((i, j) for i, j, d in degrees if d not in (None, 1)), None) if n else None
+    bad = next(((i, j) for i, j, d in degrees if d not in (None, 1)), None)
     if bad is not None:
         raise ValueError(f"entry ({bad[0]},{bad[1]}) is not a linear form")
-    units = [tuple(int(k == v) for k in range(n)) for v in range(n)]
-    return [ConstMatrix([[p.terms.get(u, GR_ZERO) for p in row] for row in matrix.rows], matrix.kind) for u in units]
+    m, den = matrix.size, math.lcm(*[p.den for p in matrix.distinct])
+    slices: list[dict[int, int]] = [{} for _ in range(n)]  # slice v: the cells of den times the coefficients of x_v
+    for k, p in enumerate(itertools.chain(*matrix.rows)):
+        f = den // p.den
+        for e, (re, im) in p.nums.items():
+            cells = slices[e.index(1)]
+            if re:
+                cells[k] = re * f
+            if im:
+                cells[m * m + k] = im * f
+    return [ConstMatrix._of_ints(m, den, cells, matrix.kind) for cells in slices]
 
 
 def verify_pencil(
@@ -629,8 +647,9 @@ def verify_companion(matrix: PolyMatrix, h: MultiPoly, r: int) -> DetRepReport:
     elif (bad := matrix.kind_violation()) is not None:
         failures.append(CheckFailure("kind", f"entry {bad} breaks {matrix.kind} symmetry"))
 
-    p = MultiPoly(ring_x, {e[:y_idx] + e[y_idx + 1 :]: -c for e, c in h.terms.items() if not e[y_idx]})
-    branch = d == 2 and [(e[y_idx], c) for e, c in h.terms.items() if e[y_idx]] == [(2, 1)]  # h = y^2 - P
+    p = _normal(ring_x, h.den,
+                {e[:y_idx] + e[y_idx + 1 :]: (-re, -im) for e, (re, im) in h.nums.items() if not e[y_idx]})
+    branch = d == 2 and [(e[y_idx], v) for e, v in h.nums.items() if e[y_idx]] == [(2, (h.den, 0))]  # h = y^2 - P
     if (branch and matrix.kind in (KIND_SYMMETRIC, KIND_HERMITIAN) and not matrix.trace()
             and _square_on_lattice(matrix, _lattice(ring_x.arity, 2 * weight_e, True), p) is None):
         notes["method"] = "minimal-polynomial-shortcut"
@@ -674,16 +693,15 @@ class SosRefusal(ValueError):
 
 
 def _normalize_sign(p: MultiPoly) -> MultiPoly:
-    lc = p.leading_coefficient()
-    key = lc.re if lc.re else lc.im
-    return -p if key < 0 else p
+    re, im = p.leading_term()[1]
+    return -p if (re or im) < 0 else p
 
 
 def _square_mismatch(matrix: PolyMatrix, p: MultiPoly) -> Optional[str]:
     """None when A^2 = p*I, else the first point and entry where they differ,
     with both values, decided at the x in N^n with |x| <= D, D the largest
     degree of A^2 and p (:func:`_square_on_lattice`)."""
-    degree = max([2 * sum(e) for row in matrix.rows for q in row for e in q.terms] + [sum(e) for e in p.terms] + [0])
+    degree = max([2 * sum(e) for q in matrix.distinct for e in q.nums] + [sum(e) for e in p.nums] + [0])
     bad = _square_on_lattice(matrix, _lattice(matrix.ring.arity, degree, False), p)
     if bad is None:
         return None
@@ -722,9 +740,8 @@ def detrep_to_sos(matrix: PolyMatrix, p: MultiPoly, column: int = 0) -> SosDecom
         if matrix.kind == KIND_SYMMETRIC:
             squares.append(_normalize_sign(entry))
             continue
-        real = {e: GaussianRational(c.re) for e, c in entry.terms.items() if c.re}
-        imag = {e: GaussianRational(c.im) for e, c in entry.terms.items() if c.im}
-        squares.extend(_normalize_sign(MultiPoly(matrix.ring, part)) for part in (real, imag) if part)
+        parts = [_normal(matrix.ring, entry.den, {e: (v[part], 0) for e, v in entry.nums.items()}) for part in (0, 1)]
+        squares.extend(_normalize_sign(part) for part in parts if part)
 
     if _sum_of_squares(matrix.ring, squares) != p:
         raise AssertionError("internal error: extracted squares do not sum to p")

@@ -2,18 +2,21 @@
 
 A ``Ring`` fixes the variable names, one positive integer weight per
 variable, and whether Gaussian (complex) coefficients are allowed.
-``MultiPoly`` stores a map from exponent vectors to nonzero coefficients.
-``UniPoly``, the real-root machinery's dense univariate polynomial, keeps
-int numerators over one positive denominator, and no ring arithmetic.
+``MultiPoly`` keeps one canonical integer form: a denominator D > 0 and a
+map from exponent vectors to the (re, im) int parts of D times each nonzero
+coefficient, with D and the parts coprime as a whole.  ``UniPoly``, the
+real-root machinery's dense univariate polynomial, likewise keeps int
+numerators over one positive denominator, and no ring arithmetic.
 
-The multivariate kernel works on integers.  A product scales each operand
-by the lcm of its coefficient denominators, accumulates the (re, im) int
-numerators of the product on exponent-vector keys, and divides back into
-a normalised Gaussian rational once per output term.  Exact division is
-long division by the divisor's graded-lex leading term on one remainder of
-(re, im) int numerators over a common denominator, whose leading term a
-heap of graded-lex keys yields.  Only the results are converted back to
-GaussianRational.
+The multivariate kernel works on that form alone.  A sum brings both
+operands over the lcm of their denominators, a product accumulates the
+(re, im) parts of the product on exponent-vector keys over the product of
+the denominators, and each result is divided by the gcd of its denominator
+and parts (:func:`_normal`).  Exact division is long division by the
+divisor's graded-lex leading term on one remainder of (re, im) int parts
+over a common denominator, whose leading term a heap of graded-lex keys
+yields.  The ring operations form neither Fractions nor GaussianRationals:
+``terms`` builds the Gaussian rational coefficients only when it is read.
 
 One evaluator, :func:`_monomial_evaluator` (one multiply per monomial),
 gives every value of a multivariate polynomial (``MultiPoly.eval`` and
@@ -44,8 +47,9 @@ from its first token, so every ParseError has one source.  A product with a
 one-term factor shifts the exponent vectors and multiplies the pairs, and a
 one-term base is raised to its power directly.  Only a product or power of
 two multi-term subexpressions (parenthesised sums) runs the MultiPoly
-kernel.  The coefficients become GaussianRational once, at the end, where
-zero terms are dropped.
+kernel, whose result comes back as its int pairs, or as Fractions when its
+denominator is not 1.  At the end the term dict becomes the integer form
+once (:func:`_poly_of`), where zero terms are dropped.
 """
 
 from __future__ import annotations
@@ -58,15 +62,7 @@ from heapq import heapify, heappop, heappush
 from operator import add, is_, mul, neg, sub
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .scalars import (
-    _ZERO,
-    GR_ONE,
-    GaussianRational,
-    RationalLike,
-    _gaussian,
-    _over_integers,
-    as_fraction,
-)
+from .scalars import _ZERO, GaussianRational, RationalLike, _gaussian, _over_den, as_fraction
 
 CoeffLike = Union[GaussianRational, Fraction, int]
 
@@ -75,10 +71,12 @@ class ParseError(ValueError):
     """Raised for malformed polynomial text."""
 
 
-def _as_coeff(value: CoeffLike) -> GaussianRational:
+def _parts(value: CoeffLike) -> tuple:
+    """(re, im) of a coefficient: a Gaussian rational's parts, else the
+    rational value (an int as it is, a Fraction or "p/q" string) and 0."""
     if isinstance(value, GaussianRational):
-        return value
-    return GaussianRational(value)
+        return value.re, value.im
+    return value if type(value) is int else as_fraction(value), 0
 
 
 class Ring:
@@ -175,13 +173,13 @@ def _monomial_evaluator(polys: Sequence[Iterable[tuple[tuple[int, ...], int]]]) 
     return values
 
 
-def _evaluator(polys: Sequence[dict[tuple[int, ...], GaussianRational]]) -> tuple:
-    """(D, values): D the lcm of the denominators in the terms dicts ``polys``
-    and values(x) the parts Re D*poly(x), then Im D*poly(x), at a rational
-    point x, by :func:`_monomial_evaluator` on each dict's two int parts."""
-    den, scaled = _over_integers([c for terms in polys for c in terms.values()])
-    pairs = [[(e, scaled(c)) for e, c in terms.items()] for terms in polys]
-    return den, _monomial_evaluator([[(e, c[part]) for e, c in terms if c[part]] for part in (0, 1) for terms in pairs])
+def _evaluator(polys: Sequence["MultiPoly"]) -> tuple:
+    """(D, values): D the lcm of the polynomials' denominators and values(x)
+    the parts Re D*poly(x), then Im D*poly(x), at a rational point x, by
+    :func:`_monomial_evaluator` on each one's int parts brought over D."""
+    den = math.lcm(*[p.den for p in polys])
+    return den, _monomial_evaluator([[(e, v[part] * (den // p.den)) for e, v in p.nums.items() if v[part]]
+                                     for part in (0, 1) for p in polys])
 
 
 def _exact(v: Sequence, den: int) -> GaussianRational:
@@ -189,103 +187,109 @@ def _exact(v: Sequence, den: int) -> GaussianRational:
     return _gaussian(Fraction(v[0], den), Fraction(v[1], den) if v[1] else _ZERO)
 
 
-class MultiPoly:
-    """Sparse polynomial: exponent-vector -> nonzero GaussianRational.
+def _normal(ring: Ring, den: int, nums: dict[tuple[int, ...], tuple[int, int]]) -> "MultiPoly":
+    """The MultiPoly of {exponent vector: (re, im)} int parts over den > 0,
+    put in canonical form: (0, 0) pairs dropped, then den and every part
+    divided by their gcd."""
+    nums = {e: v for e, v in nums.items() if v[0] or v[1]}
+    if den != 1:
+        g = math.gcd(den, *[c for v in nums.values() for c in v])
+        if g != 1:
+            den, nums = den // g, {e: (re // g, im // g) for e, (re, im) in nums.items()}
+    return MultiPoly(ring, den, nums)
 
-    The dict is the only storage.  Products and exact division scale its
-    coefficients to int numerators over one denominator for their inner
-    loops, keyed by the same exponent vectors (see the module docstring),
-    and divide back once per result term, so their results are the same
-    normalised dicts that term-by-term arithmetic would give.
+
+class MultiPoly:
+    """Sparse polynomial over Q(i), kept only in integer form (den, nums):
+    den > 0 and nums {exponent vector: (re, im)}, the int parts of den times
+    each nonzero coefficient, with no (0, 0) pair and gcd(den, every part)
+    = 1, so that equal polynomials have equal forms.  Every operation reads
+    and builds that form (see the module docstring); ``terms`` forms the
+    normalised GaussianRational coefficients on each read.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "den", "nums")
 
-    def __init__(self, ring: Ring, terms: dict[tuple[int, ...], GaussianRational]):
-        # Trusted constructor: terms must already be normalized (no zeros,
-        # correct arity).  Use the class methods for safe construction.
+    def __init__(self, ring: Ring, den: int, nums: dict[tuple[int, ...], tuple[int, int]]):
+        # Trusted constructor: (den, nums) must already be canonical and of
+        # the ring's arity.  _normal and the class methods build it safely.
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], GaussianRational]:
+        """Exponent vector -> nonzero coefficient, built from the integer form."""
+        return {e: _exact(v, self.den) for e, v in self.nums.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, ring: Ring) -> "MultiPoly":
-        return cls(ring, {})
+        return cls(ring, 1, {})
 
     @classmethod
     def constant(cls, ring: Ring, value: CoeffLike) -> "MultiPoly":
-        c = _as_coeff(value)
-        if c.im and not ring.gaussian:
-            raise ValueError("imaginary coefficient in a non-gaussian ring")
-        if c.is_zero():
-            return cls.zero(ring)
-        return cls(ring, {(0,) * ring.arity: c})
+        return cls.from_terms(ring, [((0,) * ring.arity, value)])
 
     @classmethod
     def variable(cls, ring: Ring, name: str) -> "MultiPoly":
         idx = ring.index(name)
         expo = tuple(1 if k == idx else 0 for k in range(ring.arity))
-        return cls(ring, {expo: GR_ONE})
+        return cls(ring, 1, {expo: (1, 0)})
 
     @classmethod
     def from_terms(
         cls, ring: Ring, items: Iterable[tuple[tuple[int, ...], CoeffLike]]
     ) -> "MultiPoly":
-        terms: dict[tuple[int, ...], GaussianRational] = {}
+        """sum c*x^e over the (e, c) pairs, whose coefficients at one e add up."""
+        terms: _Terms = {}
         for expo, coeff in items:
             expo = tuple(expo)
             if len(expo) != ring.arity or any(e < 0 for e in expo):
                 raise ValueError(f"bad exponent vector {expo}")
-            c = _as_coeff(coeff)
-            if c.im and not ring.gaussian:
+            re, im = _parts(coeff)
+            if im and not ring.gaussian:
                 raise ValueError("imaginary coefficient in a non-gaussian ring")
-            acc = terms.get(expo)
-            c = acc + c if acc is not None else c
-            if c.is_zero():
-                terms.pop(expo, None)
-            else:
-                terms[expo] = c
-        return cls(ring, terms)
+            old = terms.get(expo, (0, 0))
+            terms[expo] = (old[0] + re, old[1] + im)
+        return _poly_of(ring, terms)
 
     # -- basic predicates --------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def is_real(self) -> bool:
-        return all(not c.im for c in self.terms.values())
+        return all(not im for _, im in self.nums.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, self.den, frozenset(self.nums.items())))
 
     # -- degree and homogeneity ---------------------------------------------
 
     def weighted_degree(self) -> Optional[int]:
         """Max weighted degree over terms; None for the zero polynomial
         (callers must branch on it, there is no sentinel number)."""
-        if not self.terms:
+        if not self.nums:
             return None
         wd = self.ring.weighted_degree
-        return max(wd(e) for e in self.terms)
+        return max(wd(e) for e in self.nums)
 
     def is_weighted_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
         wd = self.ring.weighted_degree
-        degrees = {wd(e) for e in self.terms}
-        return len(degrees) == 1
+        return len({wd(e) for e in self.nums}) <= 1
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -295,41 +299,32 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_ring(other)
-        terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            acc = terms.get(expo)
-            if acc is None:
-                terms[expo] = coeff
-            else:
-                s = acc + coeff
-                if s.is_zero():
-                    del terms[expo]
-                else:
-                    terms[expo] = s
-        return MultiPoly(self.ring, terms)
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        nums = dict(self.nums) if fa == 1 else {e: (re * fa, im * fa) for e, (re, im) in self.nums.items()}
+        get = nums.get
+        for e, (re, im) in other.nums.items():
+            old = get(e)
+            nums[e] = (re * fb, im * fb) if old is None else (old[0] + re * fb, old[1] + im * fb)
+        return _normal(self.ring, den, nums)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return MultiPoly(self.ring, self.den, {e: (-re, -im) for e, (re, im) in self.nums.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_ring(other)
-        if not self.terms or not other.terms:
-            return MultiPoly.zero(self.ring)
-        den_a, scaled_a = _over_integers(list(self.terms.values()))
-        den_b, scaled_b = _over_integers(list(other.terms.values()))
-        b = [(e, scaled_b(c)) for e, c in other.terms.items()]
-        acc: dict[tuple[int, ...], tuple[int, int]] = {}  # exponent vector -> (re, im) over den_a*den_b
+        b = list(other.nums.items())
+        acc: dict[tuple[int, ...], tuple[int, int]] = {}  # exponent vector -> (re, im) over both dens
         get = acc.get
-        for ea, c in self.terms.items():
-            ar, ai = scaled_a(c)
+        for ea, (ar, ai) in self.nums.items():
             for eb, (br, bi) in b:
                 e = tuple(map(add, ea, eb))
                 r, i = get(e, (0, 0))
                 acc[e] = r + ar * br - ai * bi, i + ar * bi + ai * br
-        return MultiPoly(self.ring, {e: _exact(v, den_a * den_b) for e, v in acc.items() if v[0] or v[1]})
+        return _normal(self.ring, self.den * other.den, acc)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
@@ -348,14 +343,13 @@ class MultiPoly:
             base = base * base
 
     def scale(self, c: CoeffLike) -> "MultiPoly":
-        c = _as_coeff(c)
-        if c.is_zero():
-            return MultiPoly.zero(self.ring)
-        return MultiPoly(self.ring, {e: k * c for e, k in self.terms.items()})
+        den, (c_re, c_im) = _over_den(_parts(c))
+        return _normal(self.ring, self.den * den,
+                       {e: (re * c_re - im * c_im, re * c_im + im * c_re) for e, (re, im) in self.nums.items()})
 
     def conjugate(self) -> "MultiPoly":
         """Coefficient-wise complex conjugation (an involution)."""
-        return MultiPoly(self.ring, {e: c.conj() for e, c in self.terms.items()})
+        return MultiPoly(self.ring, self.den, {e: (re, -im) for e, (re, im) in self.nums.items()})
 
     # -- evaluation and substitution ------------------------------------------
 
@@ -363,7 +357,7 @@ class MultiPoly:
         """The value at a rational point, by :func:`_evaluator`."""
         if len(point) != self.ring.arity:
             raise ValueError("point arity mismatch")
-        den, values = _evaluator([self.terms])
+        den, values = _evaluator([self])
         return _exact(values([as_fraction(c) for c in point]), den)
 
     def eval_rational(self, point: Sequence[RationalLike]) -> Fraction:
@@ -407,31 +401,26 @@ class MultiPoly:
     def lift(self, target: Ring) -> "MultiPoly":
         """Reinterpret in a larger ring containing the same variable names."""
         idx = [target.index(v) for v in self.ring.variables]
-        terms = {}
-        for expo, coeff in self.terms.items():
+        nums = {}
+        for expo, v in self.nums.items():
             new = [0] * target.arity
             for k, e in zip(idx, expo):
                 new[k] = e
-            terms[tuple(new)] = coeff
-        return MultiPoly(target, terms)
+            nums[tuple(new)] = v
+        return MultiPoly(target, self.den, nums)
 
     # -- term order -------------------------------------------------------------
 
     def _glex_key(self, expo: tuple[int, ...]) -> tuple:
         return (self.ring.weighted_degree(expo), expo)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], GaussianRational]]:
-        """Terms in descending graded-lex order (grading by ring weights)."""
-        return sorted(self.terms.items(), key=lambda t: self._glex_key(t[0]), reverse=True)
-
-    def leading_term(self) -> tuple[tuple[int, ...], GaussianRational]:
-        if not self.terms:
+    def leading_term(self) -> tuple[tuple[int, ...], tuple[int, int]]:
+        """(exponent vector, (re, im) over ``den``) of the graded-lex leading
+        term (grading by ring weights)."""
+        if not self.nums:
             raise ValueError("zero polynomial has no leading term")
-        expo = max(self.terms, key=self._glex_key)
-        return expo, self.terms[expo]
-
-    def leading_coefficient(self) -> GaussianRational:
-        return self.leading_term()[1]
+        expo = max(self.nums, key=self._glex_key)
+        return expo, self.nums[expo]
 
     # -- exact division -----------------------------------------------------------
 
@@ -443,28 +432,27 @@ class MultiPoly:
         decreases, so this terminates, and exactness fails loudly.
 
         The remainder maps exponent vectors to (re, im) int numerators over
-        one denominator ``scale``; a heap of its negated graded-lex keys
-        yields its leading term.  A quotient term is R*conj(L)/|L|^2 for the
-        remainder's leading numerator R, and the remainder is multiplied
-        through only by the part of |L|^2 that does not cancel, which is 1
-        whenever the quotient term is integral in the remainder's scale.
+        one denominator ``scale``, at first the dividend's own form; a heap
+        of its negated graded-lex keys yields its leading term.  A quotient
+        term is R*conj(L)/|L|^2 for the remainder's leading numerator R, and
+        the remainder is multiplied through only by the part of |L|^2 that
+        does not cancel, which is 1 whenever the quotient term is integral
+        in the remainder's scale.
         """
         self._check_ring(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return self
-        scale, scaled = _over_integers(list(self.terms.values()))
-        rem = {e: scaled(c) for e, c in self.terms.items()}  # a term that cancels stays, as (0, 0)
-        den, scaled = _over_integers(list(divisor.terms.values()))
-        lead, c = divisor.leading_term()
-        lead_re, lead_im = scaled(c)
-        others = [(e, scaled(c)) for e, c in divisor.terms.items() if e != lead]
+        scale, rem = self.den, dict(self.nums)  # a term that cancels stays, as (0, 0)
+        den = divisor.den
+        lead, (lead_re, lead_im) = divisor.leading_term()
+        others = [(e, v) for e, v in divisor.nums.items() if e != lead]
         norm = lead_re * lead_re + lead_im * lead_im
         wd = self.ring.weighted_degree
         heap = [(-wd(e), tuple(map(neg, e))) for e in rem]  # one key per remainder term
         heapify(heap)
-        quotient: dict[tuple[int, ...], GaussianRational] = {}
+        quotient: dict[tuple[int, ...], tuple[int, int, int]] = {}  # step -> (re, im, the scale they are over)
         while heap:
             expo = tuple(map(neg, heappop(heap)[1]))
             r_re, r_im = rem.pop(expo)
@@ -476,16 +464,16 @@ class MultiPoly:
             t_re, t_im = r_re * lead_re + r_im * lead_im, r_im * lead_re - r_re * lead_im
             g = math.gcd(t_re, t_im, norm)
             u, v, f = t_re // g, t_im // g, norm // g
-            quotient[step] = _exact((u * den, v * den), scale * f)
             if f != 1:
                 rem, scale = {k: (a * f, b * f) for k, (a, b) in rem.items()}, scale * f
+            quotient[step] = (u * den, v * den, scale)
             for e, (n_re, n_im) in others:
                 k = tuple(map(add, step, e))
                 if k not in rem:
                     heappush(heap, (-wd(k), tuple(map(neg, k))))
                 a, b = rem.get(k, (0, 0))
                 rem[k] = a - u * n_re + v * n_im, b - u * n_im - v * n_re
-        return MultiPoly(self.ring, quotient)
+        return _normal(self.ring, scale, {e: (a * (scale // s), b * (scale // s)) for e, (a, b, s) in quotient.items()})
 
     __floordiv__ = divide_exact  # so that the integer Bareiss loop runs on polynomials
 
@@ -517,21 +505,22 @@ _LITERAL = re.compile(r"(-?[0-9]+)?(?:((?(1)[-+]|-?))(?:([0-9]+)\*)?(i))?")
 _Terms = dict[tuple[int, ...], tuple[Union[int, Fraction], Union[int, Fraction]]]
 
 
-def _terms_of(poly: MultiPoly) -> _Terms:
-    return {e: (c.re, c.im) for e, c in poly.terms.items()}
-
-
 def _poly_of(ring: Ring, terms: _Terms) -> MultiPoly:
-    """The MultiPoly of a term dict: each coefficient becomes a
-    GaussianRational once, and zero terms are dropped."""
-    return MultiPoly(
-        ring,
-        {
-            e: _gaussian(as_fraction(re), as_fraction(im) if im else _ZERO)
-            for e, (re, im) in terms.items()
-            if re or im
-        },
-    )
+    """The MultiPoly of a term dict: zero terms dropped, and the parts
+    scaled to ints by the lcm of their denominators
+    (:func:`~hypercert.scalars._over_den`), which is the canonical form."""
+    nonzero = {e: v for e, v in terms.items() if v[0] or v[1]}
+    den, nums = _over_den([q for v in nonzero.values() for q in v])
+    return MultiPoly(ring, den, dict(zip(nonzero, zip(nums[::2], nums[1::2]))))
+
+
+def _pairs_of(poly: MultiPoly) -> _Terms:
+    """A MultiPoly as a term dict: its int pairs, divided by its denominator
+    only when that is not 1."""
+    den = poly.den
+    if den == 1:
+        return dict(poly.nums)
+    return {e: (Fraction(re, den), Fraction(im, den) if im else 0) for e, (re, im) in poly.nums.items()}
 
 
 def _pair_pow(re, im, n: int):
@@ -680,7 +669,7 @@ class _Parser:
             ta, tb = (sum(1 for re, im in t.values() if re or im) for t in (a, b))
             if ta * tb > _MAX_PAIRS:
                 raise ParseError(f"product of {ta} by {tb} terms is too large at position {self.start(k)}")
-            return _terms_of(_poly_of(self.ring, a) * _poly_of(self.ring, b))
+            return _pairs_of(_poly_of(self.ring, a) * _poly_of(self.ring, b))
         if len(a) > len(b):
             a, b = b, a
         if not a:
@@ -711,13 +700,13 @@ class _Parser:
         n = self.integer(tok)
         if n == 0:
             return {self.one: (1, 0)}
-        if len(base) > 1:  # its size: the summed numerators over their common denominator, or that denominator
-            den = math.lcm(*[q.denominator for c in base.values() for q in c])
-            size = max(den, sum(abs(q.numerator) * (den // q.denominator) for c in base.values() for q in c))
+        if len(base) > 1:  # its size: the summed parts of its integer form, or their denominator
+            poly = _poly_of(self.ring, base)
+            size = max(poly.den, sum(abs(c) for v in poly.nums.values() for c in v))
             if size > 1:  # else 0 or one monomial with a unit coefficient
                 self.bound(n, size, start)
                 self.expansion(base, n, start)
-            return _terms_of(_poly_of(self.ring, base) ** n)
+            return _pairs_of(poly**n)
         return {tuple(k * n for k in e): self.raised(re, im, n, start) for e, (re, im) in base.items()}
 
     def atom(self) -> _Terms:
@@ -787,21 +776,19 @@ def _monomial_str(ring: Ring, expo: tuple[int, ...]) -> str:
     return "*".join(parts)
 
 
-def _coeff_pieces(coeff: GaussianRational, with_mono: bool) -> tuple[int, str]:
-    """(sign, magnitude-string); magnitude "" means an implicit 1 factor."""
-    if not coeff.im:
-        sign = 1 if coeff.re > 0 else -1
-        mag = abs(coeff.re)
-        if mag == 1 and with_mono:
-            return sign, ""
-        return sign, str(mag)
-    if not coeff.re:
-        sign = 1 if coeff.im > 0 else -1
-        mag = abs(coeff.im)
-        body = "i" if mag == 1 else f"{mag}*i"
-        return sign, body
-    # Mixed complex coefficient: parenthesized, sign carried inside.
-    return 1, f"({coeff})"
+def _coeff_pieces(re: int, im: int, den: int, with_mono: bool) -> tuple[int, str]:
+    """(sign, magnitude-string) of the coefficient (re + im*i)/den;
+    magnitude "" means an implicit 1 factor."""
+    if re and im:  # mixed complex coefficient: parenthesized, sign carried inside
+        return 1, f"({_exact((re, im), den)})"
+    part = re or im
+    g = math.gcd(part, den)
+    mag = str(abs(part) // g) if g == den else f"{abs(part) // g}/{den // g}"
+    if im:
+        mag = "i" if mag == "1" else f"{mag}*i"
+    elif mag == "1" and with_mono:
+        mag = ""
+    return (1 if part > 0 else -1), mag
 
 
 def format_poly(poly: MultiPoly) -> str:
@@ -809,9 +796,9 @@ def format_poly(poly: MultiPoly) -> str:
     if poly.is_zero():
         return "0"
     out: list[str] = []
-    for expo, coeff in poly.sorted_terms():
+    for expo, (re, im) in sorted(poly.nums.items(), key=lambda t: poly._glex_key(t[0]), reverse=True):
         mono = _monomial_str(poly.ring, expo)
-        sign, body = _coeff_pieces(coeff, with_mono=bool(mono))
+        sign, body = _coeff_pieces(re, im, poly.den, with_mono=bool(mono))
         if body and mono:
             chunk = f"{body}*{mono}"
         else:
@@ -841,8 +828,7 @@ class UniPoly:
     @classmethod
     def _over(cls, coeffs: Sequence[Union[int, Fraction]], den: int) -> "UniPoly":
         """sum_k coeffs[k]/den * t^k, for an int den > 0."""
-        scale = math.lcm(*[c.denominator for c in coeffs])  # 1 for ints
-        nums = [c.numerator * (scale // c.denominator) for c in coeffs]
+        scale, nums = _over_den(coeffs)
         while nums and not nums[-1]:
             nums.pop()
         g = math.gcd(den * scale, *nums)
@@ -1022,10 +1008,9 @@ class _TaylorTable:
         if not h.is_real():
             raise ValueError("restriction needs real coefficients")
         self.h, self.e = h, e
-        scale = math.lcm(*[c.denominator for c in e])
-        along = [(j, c.numerator * (scale // c.denominator)) for j, c in enumerate(e) if c]
-        den = math.lcm(*[c.re.denominator for c in h.terms.values()])
-        row = {expo: c.re.numerator * (den // c.re.denominator) for expo, c in h.terms.items()}
+        scale, along = _over_den(e)
+        along = [(j, c) for j, c in enumerate(along) if c]
+        den, row = h.den, {expo: re for expo, (re, _) in h.nums.items()}
         rows: list[dict[tuple[int, ...], int]] = []
         while row:
             rows.append(row)
@@ -1119,24 +1104,24 @@ def real_square_factorization(p: MultiPoly) -> Optional[tuple[Fraction, MultiPol
         return (Fraction(1), p)
     if not p.is_real():
         return None
-    lead_expo, lead_coeff = p.leading_term()
-    if lead_coeff.re <= 0 or any(e % 2 for e in lead_expo):
+    lead_expo, (lead, _) = p.leading_term()
+    if lead <= 0 or any(e % 2 for e in lead_expo):
         return None
-    # Work on the primitive integer part: p = content * pp, and pp must be a
-    # rational square for p to be a real square.
-    content = _poly_content(p)
-    pp = p.scale(Fraction(1, 1) / content)
+    # Work on the primitive integer part: p = content * pp, with content the
+    # gcd of the parts over den, and pp must be a rational square for p to be
+    # a real square.  Its leading coefficient is then an integer square.
+    g = math.gcd(*[re for re, _ in p.nums.values()])
+    content = Fraction(g, p.den)
+    pp = MultiPoly(p.ring, 1, {e: (re // g, 0) for e, (re, _) in p.nums.items()})
+    root_lead = math.isqrt(lead // g)
+    if root_lead * root_lead != lead // g:
+        return None
     half = tuple(e // 2 for e in lead_expo)
-    pp_lead = pp.terms[lead_expo].re
-    root_lead = _rational_sqrt(pp_lead)
-    if root_lead is None:
-        return None
-    q = MultiPoly(p.ring, {half: GaussianRational(root_lead)})
+    q = MultiPoly(p.ring, 1, {half: (root_lead, 0)})
     rem = pp - q * q
-    double_lead = GaussianRational(2 * root_lead)
     half_key = (p.ring.weighted_degree(half), half)
-    while rem.terms:
-        r_expo, r_coeff = rem.leading_term()
+    while rem:
+        r_expo, (r_re, _) = rem.leading_term()
         step = tuple(a - b for a, b in zip(r_expo, half))
         if any(e < 0 for e in step):
             return None
@@ -1145,25 +1130,6 @@ def real_square_factorization(p: MultiPoly) -> Optional[tuple[Fraction, MultiPol
             # The correction term would not be below the root's leading
             # monomial, so no square root exists.
             return None
-        u = MultiPoly(p.ring, {step: r_coeff / double_lead})
-        q = q + u
+        q = q + _normal(p.ring, rem.den * 2 * root_lead, {step: (r_re, 0)})
         rem = pp - q * q
     return (content, q)
-
-
-def _poly_content(p: MultiPoly) -> Fraction:
-    """Positive rational content of a real polynomial (gcd of coefficients)."""
-    values = p.terms.values()
-    num = math.gcd(*[c.re.numerator for c in values])
-    den = math.lcm(*[c.re.denominator for c in values])
-    return Fraction(num, den)
-
-
-def _rational_sqrt(c: Fraction) -> Optional[Fraction]:
-    if c < 0:
-        return None
-    n = math.isqrt(c.numerator)
-    d = math.isqrt(c.denominator)
-    if n * n == c.numerator and d * d == c.denominator:
-        return Fraction(n, d)
-    return None

@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence
 from .clifford import _q_rows, hurwitz_radon
 from .detrep import DetRepReport, verify_pencil
 from .polyring import MultiPoly
-from .scalars import KIND_SYMMETRIC, ConstMatrix, RationalLike, _over_integers, as_fraction, four_square_decompose
+from .scalars import KIND_SYMMETRIC, ConstMatrix, RationalLike, _over_den, as_fraction, four_square_decompose
 
 IntRows = tuple[tuple[int, ...], ...]
 Form = tuple[tuple[int, ...], int]  # a linear form: int numerators over a nonzero int denominator
@@ -92,12 +92,6 @@ class QuadraticNormalForm(NamedTuple):
     flipped: bool
 
 
-def _over_den(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(D, nums): D the lcm of the denominators and nums the ints D*v."""
-    den = math.lcm(*[v.denominator for v in values])
-    return den, [v.numerator * (den // v.denominator) for v in values]
-
-
 def normalize_at_direction(h: MultiPoly, e: Sequence[RationalLike]) -> QuadraticNormalForm:
     """Deterministic completion of the square at direction e.
 
@@ -119,12 +113,12 @@ def normalize_at_direction(h: MultiPoly, e: Sequence[RationalLike]) -> Quadratic
         raise ValueError("direction arity mismatch")
 
     n = ring.arity
-    den, scaled = _over_integers(list(h.terms.values()))
+    den = h.den
     gram = [[0] * n for _ in range(n)]  # 2*D times h's Gram matrix
-    for expo, c in h.terms.items():
+    for expo, (c, _) in h.nums.items():
         i, j = [k for k, v in enumerate(expo) for _ in range(v)]
-        gram[i][j] += scaled(c)[0]
-        gram[j][i] += scaled(c)[0]
+        gram[i][j] += c
+        gram[j][i] += c
     e_den, e_num = _over_den(point)
     pivot = next((k for k in range(n) if e_num[k]), 0)
     others = [j for j in range(n) if j != pivot]

@@ -1,7 +1,8 @@
 """Exact scalar arithmetic over Q and Q(i).
 
 Rationals are ``fractions.Fraction`` throughout (always normalized, positive
-denominator).  On top of that this module provides Gaussian rationals,
+denominator), brought to ints over their lcm by one helper, :func:`_over_den`.
+On top of that this module provides Gaussian rationals as values,
 Lagrange four-square decompositions of positive rationals, the one
 fraction-free (Bareiss) elimination behind every exact determinant and
 minor, and Sylvester's test of constant symmetric/hermitian matrices, run
@@ -18,7 +19,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -50,12 +51,12 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 
 class GaussianRational:
-    """An exact element a + b*i of Q(i).
+    """An exact element a + b*i of Q(i), as the library reports it.
 
-    Immutable; real and imaginary parts are Fractions.  ``conj`` is an
-    involution and ``z * z.conj()`` is real and nonnegative.  A zero
-    imaginary part is the shared ``_ZERO`` Fraction, which the arithmetic
-    uses to take its real fast paths without a Fraction call.
+    Immutable; real and imaginary parts are Fractions, and a zero imaginary
+    part is the shared ``_ZERO`` Fraction.  It has no arithmetic: every
+    computation runs on the int parts of a ``MultiPoly`` or ``ConstMatrix``
+    over one denominator, and GaussianRational values are read off those.
     """
 
     __slots__ = ("re", "im")
@@ -67,58 +68,11 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
-    # -- predicates ------------------------------------------------------
-
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
-
-    # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        if self.im is _ZERO and other.im is _ZERO:
-            return _gaussian(self.re + other.re, _ZERO)
-        return _gaussian(self.re + other.re, (self.im + other.im) or _ZERO)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        if self.im is _ZERO and other.im is _ZERO:
-            return _gaussian(self.re - other.re, _ZERO)
-        return _gaussian(self.re - other.re, (self.im - other.im) or _ZERO)
-
-    def __neg__(self) -> "GaussianRational":
-        im = self.im
-        return _gaussian(-self.re, _ZERO if im is _ZERO else -im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        if self.im is _ZERO and other.im is _ZERO:
-            return _gaussian(self.re * other.re, _ZERO)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return _gaussian(a * c - b * d, (a * d + b * c) or _ZERO)
-
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        if self.im is _ZERO and other.im is _ZERO and other.re:
-            return _gaussian(self.re / other.re, _ZERO)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        n = other.norm()
-        a, b, c, d = self.re, self.im, other.re, -other.im
-        return _gaussian((a * c - b * d) / n, ((a * d + b * c) / n) or _ZERO)
-
-    def conj(self) -> "GaussianRational":
-        im = self.im
-        return _gaussian(self.re, _ZERO if im is _ZERO else -im)
-
-    def norm(self) -> Fraction:
-        """z * conj(z) as a rational (always >= 0)."""
-        return self.re * self.re + self.im * self.im
-
-    def scale(self, c: RationalLike) -> "GaussianRational":
-        c = as_fraction(c)
-        return _gaussian(self.re * c, (self.im * c) or _ZERO)
-
-    # -- comparisons and hashing -----------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussianRational):
@@ -129,8 +83,6 @@ class GaussianRational:
 
     def __hash__(self):
         return hash((self.re, self.im))
-
-    # -- wire format -----------------------------------------------------
 
     def __str__(self) -> str:
         if not self.im:
@@ -159,8 +111,8 @@ _set_im = GaussianRational.im.__set__
 
 
 def _gaussian(re: Fraction, im: Fraction) -> GaussianRational:
-    """Trusted constructor for the arithmetic: both parts must already be
-    Fractions, and a zero imaginary part must be ``_ZERO``."""
+    """Trusted constructor: both parts must already be Fractions, and a
+    zero imaginary part must be ``_ZERO``."""
     z = _new_object(GaussianRational)
     _set_re(z, re)
     _set_im(z, im)
@@ -168,7 +120,6 @@ def _gaussian(re: Fraction, im: Fraction) -> GaussianRational:
 
 
 GR_ZERO = GaussianRational(0)
-GR_ONE = GaussianRational(1)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +218,8 @@ class ConstMatrix:
             raise TypeError("entries must be GaussianRational")
         m = len(rows)  # zero entries are often the shared GR_ZERO, which `is` finds fast
         nonzero = {i * m + j: a for i, row in enumerate(rows) for j, a in enumerate(row) if a is not GR_ZERO and a}
-        den, scaled = _over_integers(list(nonzero.values()))
-        cells = {k + part * m * m: v for k, a in nonzero.items() for part, v in enumerate(scaled(a)) if v}
+        den, nums = _over_den([q for a in nonzero.values() for q in (a.re, a.im)])
+        cells = {k + part * m * m: v for (k, part), v in zip(itertools.product(nonzero, (0, 1)), nums) if v}
         for name, value in (("size", m), ("kind", kind), ("_ints", (den, cells))):
             object.__setattr__(self, name, value)
 
@@ -405,12 +356,12 @@ def bareiss(rows: list[list], im: Optional[list[list]], pivoting: bool) -> tuple
     return pivots, sign
 
 
-def _over_integers(coeffs: Sequence[GaussianRational]) -> tuple[int, Callable]:
-    """(D, scaled): the lcm D of the coefficients' denominators and the map
-    c -> (re, im), the two int parts of D*c."""
-    den = math.lcm(*{q.denominator for c in coeffs for q in (c.re, c.im)})
-    return den, lambda c: (c.re.numerator * (den // c.re.denominator),
-                           0 if c.im is _ZERO else c.im.numerator * (den // c.im.denominator))
+def _over_den(values: Sequence[Union[int, Fraction]]) -> tuple[int, list[int]]:
+    """(D, nums): D the lcm of the denominators of the ints or Fractions
+    ``values`` and nums the ints D*v, coprime to D as a whole when every
+    Fraction is normalised.  The one scaling of rationals into ints."""
+    den = math.lcm(*[v.denominator for v in values])
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def _integer_slices(matrices: Sequence[ConstMatrix]) -> tuple:
@@ -436,10 +387,9 @@ def _pencil_at(pencil: tuple, point: Sequence[RationalLike]) -> tuple[int, dict[
     point_i != 0.  The one sum of a pencil at a point."""
     _, den, slices = pencil
     used = [(c, cells) for c, cells in zip(map(as_fraction, point), slices) if c]
-    point_den = math.lcm(*(c.denominator for c, _ in used))
+    point_den, factors = _over_den([c for c, _ in used])
     flat: dict[int, int] = {}
-    for c, cells in used:
-        factor = c.numerator * (point_den // c.denominator)
+    for factor, (_, cells) in zip(factors, used):
         for k, a in cells.items():
             flat[k] = flat.get(k, 0) + a * factor
     return den * point_den, {k: v for k, v in flat.items() if v}

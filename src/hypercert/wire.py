@@ -17,23 +17,25 @@ docstring); its literals and names are ASCII.  A text that is one Gaussian
 integer literal, such as a pencil cell "12-7*i", is read without the
 grammar, by the match ``polyring.parse`` uses.  A pencil's cells are read
 in the ring it declares, each distinct text once per file, into (re, im)
-ints, or the grammar's Fractions scaled by their lcm: each slice's integer
-form, the one form a ``ConstMatrix`` keeps, with no GaussianRational formed.
-A JSON file of the wrong shape is a ParseError that names the bad field or cell.
+ints, or for any other text the Fractions of the value the grammar reads.
+All parts are scaled by the lcm of their denominators
+(``scalars._over_den``) into each slice's integer form, the one form a
+``ConstMatrix`` keeps.  A polynomial matrix's ``ring.weights`` must be
+JSON integers.  A JSON file of the wrong shape is a ParseError that names
+the bad field or cell.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence, Union
 
-from .polyring import MultiPoly, ParseError, Ring, _gaussian_literal, parse
-from .scalars import GR_ZERO, KIND_NONE, ConstMatrix, GaussianRational, _check_rows, _common_kind, as_fraction
+from .polyring import MultiPoly, ParseError, Ring, _exact, _gaussian_literal, parse
+from .scalars import KIND_NONE, ConstMatrix, GaussianRational, _check_rows, _common_kind, _over_den, as_fraction
 
 PathLike = Union[str, Path]
 
@@ -139,7 +141,8 @@ def pencil_to_json_dict(
 def _parse_cell(text: str, ring: Ring = _CELL_RING) -> GaussianRational:
     """A pencil entry "a+b*i" (literal token i): any constant expression in
     the polynomial grammar, parsed over an empty ring, Gaussian by default."""
-    return parse(text, ring).terms.get((), GR_ZERO)
+    value = parse(text, ring)
+    return _exact(value.nums.get((), (0, 0)), value.den)
 
 
 def _cell_parts(text: str, ring: Ring) -> tuple:
@@ -210,8 +213,8 @@ def pencil_from_json(data: Union[str, dict]) -> tuple[list[ConstMatrix], Ring]:
         slices.append((len(block), cells))
     if len(slices) != len(names):
         raise ParseError("pencil needs one constant matrix per variable")
-    fractions = {q.denominator for pair in parts.values() for q in pair if type(q) is not int}
-    den = math.lcm(*fractions)
-    if fractions:  # parts the grammar read: scaled by the lcm of their denominators
-        slices = [(m, {k: v.numerator * (den // v.denominator) for k, v in cells.items()}) for m, cells in slices]
-    return [ConstMatrix._of_ints(m, den, cells, kind) for m, cells in slices], ring
+    # The parts, ints or the grammar's Fractions, scaled by the lcm of their
+    # denominators; each slice's zip stops at its last cell, so one iterator serves all.
+    den, nums = _over_den([v for _, cells in slices for v in cells.values()])
+    nums = iter(nums)
+    return [ConstMatrix._of_ints(m, den, dict(zip(cells, nums)), kind) for m, cells in slices], ring

@@ -14,6 +14,49 @@ from hypercert.realroots import _index
 from hypercert.scalars import ConstMatrix, GaussianRational, as_fraction, four_square_decompose, pencil_value
 
 
+# Q(i) arithmetic on GaussianRational values, on their Fraction parts.  The
+# library applies none of it: its polynomials and matrices keep int parts
+# over one denominator, and a GaussianRational is only a value it reports.
+
+
+def gsum(*zs):
+    """The sum of Gaussian rationals."""
+    return GaussianRational(sum(z.re for z in zs), sum(z.im for z in zs))
+
+
+def gprod(*zs):
+    """The product of Gaussian rationals, ints or Fractions."""
+    re, im = Fraction(1), 0
+    for z in zs:
+        z_re, z_im = (z.re, z.im) if isinstance(z, GaussianRational) else (z, 0)
+        if im or z_im:
+            re, im = re * z_re - im * z_im, re * z_im + im * z_re
+        else:
+            re *= z_re
+    return GaussianRational(re, im)
+
+
+def gneg(z):
+    return GaussianRational(-z.re, -z.im)
+
+
+def gconj(z):
+    return GaussianRational(z.re, -z.im)
+
+
+def gnorm(z):
+    """z * conj(z), a nonnegative Fraction."""
+    return z.re * z.re + z.im * z.im
+
+
+def gdiv(a, b):
+    """a / b for Gaussian rationals, b nonzero."""
+    norm = gnorm(b)
+    if not norm:
+        raise ZeroDivisionError("division by zero Gaussian rational")
+    return gprod(a, GaussianRational(b.re / norm, -b.im / norm))
+
+
 def perm_sign(perm):
     """Sign of a permutation of range(n), from its cycle lengths."""
     seen = [False] * len(perm)
@@ -119,7 +162,7 @@ def kind_violation_reference(rows, kind):
     for i in range(n):
         for j in range(i, n):
             a, b = rows[i][j], rows[j][i]
-            if a != b.conj() if kind == "hermitian" else a != b or a.im:
+            if a != gconj(b) if kind == "hermitian" else a != b or a.im:
                 return (i, j)
     return None
 
@@ -142,21 +185,15 @@ def conjugate(matrix):
 
 def scaled(matrix, c):
     """c times a ConstMatrix, with the same kind tag."""
-    return ConstMatrix([[e.scale(as_fraction(c)) for e in row] for row in matrix.entries], matrix.kind)
+    return ConstMatrix([[gprod(e, as_fraction(c)) for e in row] for row in matrix.entries], matrix.kind)
 
 
 def eval_reference(poly, point):
     """poly at a rational point, term by term in Gaussian rationals: each
     coefficient times repeated products of the coordinates."""
-    coords = [GaussianRational(as_fraction(c)) for c in point]
-    total = GaussianRational(0)
-    for expo, coeff in poly.terms.items():
-        term = coeff
-        for c, n in zip(coords, expo):
-            for _ in range(n):
-                term = term * c
-        total = total + term
-    return total
+    coords = [as_fraction(c) for c in point]
+    return gsum(*[gprod(coeff, *[c for c, n in zip(coords, expo) for _ in range(n)])
+                  for expo, coeff in poly.terms.items()])
 
 
 def eval_at_reference(matrix, point):
@@ -228,7 +265,7 @@ def normal_form_reference(h, e):
     parts = ({}, {}, {})
     for expo, coeff in hp.terms.items():
         parts[expo[0]][(0,) + expo[1:]] = coeff
-    q2, q1, top = (MultiPoly(ring, terms) for terms in parts)
+    q2, q1, top = (MultiPoly.from_terms(ring, terms.items()) for terms in parts)
     assert top == MultiPoly.constant(ring, alpha)
     return ring, alpha, q1, q2, q1 * q1 - q2.scale(4 * alpha), flipped, mat_inverse(inverse)
 
@@ -340,15 +377,15 @@ def leading_principal_minors(matrix):
     rows = [list(row) for row in matrix.entries]
     minors, minor = [], GaussianRational(1)
     for k, row_k in enumerate(rows):
-        minor = minor * row_k[k]
+        minor = gprod(minor, row_k[k])
         if minor.im:
             raise ArithmeticError(f"leading principal minor {k + 1} is not real; hermitian invariant broken")
         minors.append(minor.re)
         if not minor:
             break
         for row in rows[k + 1 :]:
-            factor = row[k] / row_k[k]
-            row[k:] = [a - factor * b for a, b in zip(row[k:], row_k[k:])]
+            factor = gdiv(row[k], row_k[k])
+            row[k:] = [gsum(a, gneg(gprod(factor, b))) for a, b in zip(row[k:], row_k[k:])]
     return minors
 
 
@@ -454,8 +491,8 @@ def directional_derivative(h, e):
         for k, c in enumerate(e):
             if c and expo[k]:
                 key = expo[:k] + (expo[k] - 1,) + expo[k + 1 :]
-                terms[key] = terms.get(key, GaussianRational(0)) + coeff.scale(expo[k] * as_fraction(c))
-    return MultiPoly(h.ring, {key: c for key, c in terms.items() if c})
+                terms[key] = gsum(terms.get(key, GaussianRational(0)), gprod(coeff, expo[k], as_fraction(c)))
+    return MultiPoly.from_terms(h.ring, terms.items())
 
 
 def restrict_coefficients(h, e, v):
@@ -540,7 +577,7 @@ def square_on_lattice_reference(matrix, points, p):
     None, with A(x) squared in ints at every point (squared_reference)."""
     place = {id(q): k for k, q in enumerate(matrix.distinct)}
     cells = [[(j, place[id(q)]) for j, q in enumerate(row) if q] for row in matrix.rows]
-    den, values_at = _evaluator([q.terms for q in matrix.distinct] + [p.terms])
+    den, values_at = _evaluator([*matrix.distinct, p])
     half = len(place) + 1  # values_at(x)[half:] are the imaginary parts
     for x in points:
         vals = values_at(x)
@@ -600,13 +637,13 @@ def _branch_reference(branch, h, r, up_to_scalar):
     points = lattice_points(h.ring.arity, 2)
     at = cache(lambda x: (eval_reference(branch, x), eval_reference(h, x)))
     x = next(x for x in points if at(x)[1])
-    ratio = at(x)[0] / at(x)[1]
+    ratio = gdiv(at(x)[0], at(x)[1])
     if ratio.im:
         return Fraction(0), f"at x = {_point(x)}: ell^2 - P = {at(x)[0]}, h = {at(x)[1]}, not a real multiple"
     s, witness = ratio.re, None
     if branch != h.scale(s):
-        x = next(x for x in points if at(x)[0] != at(x)[1].scale(s))
-        witness = f"at x = {_point(x)}: ell^2 - P = {at(x)[0]}, s*h = {at(x)[1].scale(s)}"
+        x = next(x for x in points if at(x)[0] != gprod(at(x)[1], s))
+        witness = f"at x = {_point(x)}: ell^2 - P = {at(x)[0]}, s*h = {gprod(at(x)[1], s)}"
     c = s**r
     if up_to_scalar or not c:
         return c, witness
@@ -667,13 +704,13 @@ def _determinant_reference(det, target, m, up_to_scalar):
     c = GaussianRational(1)
     if up_to_scalar:
         x = next(x for x in points if at(x)[1])
-        c = at(x)[0] / at(x)[1]
+        c = gdiv(at(x)[0], at(x)[1])
     if c.im:
         return Fraction(0), f"at x = {_point(x)}: det = {at(x)[0]}, h^r = {at(x)[1]}, not a real multiple"
     if det == target.scale(c.re):
         return c.re, None
-    x = next(x for x in points if at(x)[0] != at(x)[1].scale(c.re))
-    return c.re, f"at x = {_point(x)}: det = {at(x)[0]}, c*h^r = {at(x)[1].scale(c.re)}"
+    x = next(x for x in points if at(x)[0] != gprod(at(x)[1], c.re))
+    return c.re, f"at x = {_point(x)}: det = {at(x)[0]}, c*h^r = {gprod(at(x)[1], c.re)}"
 
 
 def match_values_reference(values, h, r, up_to_scalar):
@@ -682,22 +719,18 @@ def match_values_reference(values, h, r, up_to_scalar):
     identity, in order.  The rules, in turn: a determinant zero at every
     point; up to scalar, a ratio det/h^r that is not real at the first x
     with h(x) != 0, else c is that ratio; the first x with det != c*h^r."""
-    targets = {}
-    for x in values:
-        targets[x] = GaussianRational(1)
-        for _ in range(r):
-            targets[x] = targets[x] * eval_reference(h, x)
+    targets = {x: gprod(*[eval_reference(h, x)] * r) for x in values}
     if not any(values.values()):
         return Fraction(0), "determinant is identically zero"
     c = Fraction(1)
     if up_to_scalar:
         x = next(x for x, t in targets.items() if t)
-        ratio = values[x] / targets[x]
+        ratio = gdiv(values[x], targets[x])
         if ratio.im:
             return Fraction(0), f"at x = {_point(x)}: det = {values[x]}, h^r = {targets[x]}, not a real multiple"
         c = ratio.re
-    x = next((x for x in values if values[x] != targets[x].scale(c)), None)
-    return c, None if x is None else f"at x = {_point(x)}: det = {values[x]}, c*h^r = {targets[x].scale(c)}"
+    x = next((x for x in values if values[x] != gprod(targets[x], c)), None)
+    return c, None if x is None else f"at x = {_point(x)}: det = {values[x]}, c*h^r = {gprod(targets[x], c)}"
 
 
 def pencil_values(matrices, h):
@@ -716,12 +749,17 @@ def companion_values(matrix, h):
     return {x: eval_reference(det, x) for x in points}
 
 
+def leading_coefficient(p):
+    """The coefficient of a MultiPoly's graded-lex leading term."""
+    return p.terms[p.leading_term()[0]]
+
+
 def leading_scalar(det, target):
     """The c with det = c * target if there is one, read off the leading
     coefficients: None when det is zero or the ratio is not real."""
     if det.is_zero():
         return None
-    ratio = det.leading_coefficient() / target.leading_coefficient()
+    ratio = gdiv(leading_coefficient(det), leading_coefficient(target))
     return None if ratio.im else ratio.re
 
 

@@ -525,6 +525,11 @@ class TestMalformedMatrixJson:
         (_changed(POLYMATRIX, ["entries"], "x0"), 'entries must be a list, not "x0"'),
         ([["x0"]], "polynomial matrix must be a JSON object"),
         (5, "polynomial matrix must be a JSON object"),
+        (_changed(POLYMATRIX, ["ring", "weights", 1], 2.7), "ring.weights must be integers, not [1, 2.7, 1]"),
+        (_changed(POLYMATRIX, ["ring", "weights", 1], True), "ring.weights must be integers, not [1, true, 1]"),
+        (_changed(POLYMATRIX, ["ring", "weights", 1], "3"), 'ring.weights must be integers, not [1, "3", 1]'),
+        (_changed(POLYMATRIX, ["ring", "weights", 1], "\u0663"),
+         'ring.weights must be integers, not [1, "\\u0663", 1]'),
     ]
 
     @pytest.mark.parametrize("data, message", CASES, ids=range(len(CASES)))
@@ -1112,3 +1117,40 @@ class TestParserReuse:
         assert main(["fixtures", "run", "--id", "F1", "--nope"]) == EXIT_USAGE
         assert main(["fixtures", "run", "--id", "F1"]) == EXIT_OK
         assert "F1 pass" in capsys.readouterr().out
+
+
+# GaussianRational's arithmetic lives in tests/oracles.py (gsum, gprod, gneg,
+# gconj, gnorm, gdiv): the library computes on int parts and only reports
+# Gaussian rationals.  The dead-code pass skips dunders, so this guards the
+# operators against coming back into use.
+GAUSSIAN_ARITHMETIC = ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__", "conj", "norm", "scale")
+
+
+def test_no_command_applies_gaussian_arithmetic(tmp_path, monkeypatch, capsys):
+    ring = "ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\n"
+    (tmp_path / "q.txt").write_text(ring + "x0^2 - x1^2 - x2^2\n", encoding="ascii")
+    (tmp_path / "g.txt").write_text(ring + "2*x0\n", encoding="ascii")
+    (tmp_path / "s.txt").write_text("ring: vars=x1,x2 weights=1,1 gaussian=false\n2*x1\n2*x2\n", encoding="ascii")
+    q, g, s, pencil = (str(tmp_path / name) for name in ("q.txt", "g.txt", "s.txt", "pencil.json"))
+    runs = [
+        ["check-hyperbolic", "--poly", q, "--dir", "1,0,0", "--samples", "5"],
+        ["check-interlacer", "--poly", q, "--interlacer", g, "--dir", "1,0,0", "--samples", "5"],
+        ["quadratic-detrep", "--poly", q, "--dir", "1,0,0", "--out", pencil],
+        ["verify-detrep", "--matrix", pencil, "--poly", q, "--dir", "1,0,0", "--power", "2", "--up-to-scalar"],
+        ["verify-detrep", "--companion", "--matrix", str(DATA / "F3_matrix.json"), "--poly", str(DATA / "F3_h.txt")],
+        ["detrep-to-sos", "--matrix", str(DATA / "F3_matrix.json"), "--poly", str(DATA / "F3_p.txt")],
+        ["sos-to-detrep", "--squares", s],
+        ["fixtures", "run"],
+    ]
+    # F1's pencil against F2's cubic: a determinant witness, with c = 1 and up to a scalar.
+    wrong = ["verify-detrep", "--matrix", str(DATA / "F1_matrix.json"), "--poly", str(DATA / "F2_poly.txt"),
+             "--dir", "1,0,0,0"]
+    refuted = [wrong, wrong + ["--up-to-scalar"]]
+
+    def refuse(*args):
+        raise AssertionError("GaussianRational arithmetic applied")
+
+    for name in GAUSSIAN_ARITHMETIC:
+        monkeypatch.setattr(scalars.GaussianRational, name, refuse, raising=False)
+    assert [main(argv) for argv in runs + refuted] == [EXIT_OK] * len(runs) + [EXIT_REFUTED] * len(refuted)
+    assert capsys.readouterr().out.count("failed determinant: at x = ") == len(refuted)

@@ -14,6 +14,9 @@ reads as used when another class's method of the same name is called.
 ``UniPoly``'s ring arithmetic hid in both: ``__add__``, ``__neg__``,
 ``__sub__`` and ``__mul__`` as dunders, ``scale`` and ``zero`` behind
 ``MultiPoly.scale`` and ``MultiPoly.zero``, while only tests called them.
+So did ``GaussianRational``'s, now in ``tests/oracles.py``; that no command
+applies it again is checked by running every command with it patched to
+raise (``tests/test_cli.py::test_no_command_applies_gaussian_arithmetic``).
 """
 
 import ast
@@ -148,7 +151,6 @@ def reached_only_from(roots, kept):
 # ``MultiPoly.__floordiv__ = divide_exact`` reads as a use of that name,
 # which hides ``MultiPoly.divide_exact`` and ``UniPoly.divide_exact``.
 HOOK_ONLY_REACH = {
-    ("polyring", "MultiPoly.from_terms"),
     ("polyring", "UniPoly.leading"),
     ("realroots", "cauchy_root_bound"),
 }

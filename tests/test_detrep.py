@@ -45,6 +45,11 @@ from oracles import (
     ell_minus,
     eval_at_reference,
     eval_reference,
+    gconj,
+    gdiv,
+    gneg,
+    gprod,
+    gsum,
     involution_reference,
     lattice_points,
     leading_scalar,
@@ -726,7 +731,7 @@ def _rational(draw, gaussian, span=3):
 
 def _const_product(a, b):
     m = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(m)), GaussianRational(0)) for j in range(m)] for i in range(m)]
+    return [[gsum(*[gprod(a[i][k], b[k][j]) for k in range(m)]) for j in range(m)] for i in range(m)]
 
 
 @st.composite
@@ -767,7 +772,7 @@ def dense_pencils(draw):
         for _ in range(draw(st.integers(1, 2 * m))):
             i, j = draw(st.permutations(range(m)))[:2]
             c = _rational(draw, gaussian)
-            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+            u[i] = [gsum(a, gprod(c, b)) for a, b in zip(u[i], u[j])]
         if variant == "singular":
             u[1] = list(u[0])
         return u
@@ -776,7 +781,7 @@ def dense_pencils(draw):
     if kind == "none":
         right = unimodular()
     else:
-        right, left = left, [[left[j][i].conj() for j in range(m)] for i in range(m)]
+        right, left = left, [[gconj(left[j][i]) for j in range(m)] for i in range(m)]
     slices = []
     for k in range(n):
         diag = [[GaussianRational(forms[i][k]) if i == j else zero for j in range(m)] for i in range(m)]
@@ -785,9 +790,9 @@ def dense_pencils(draw):
         k, i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
         delta = _rational(draw, gaussian and (i != j or kind == "none"))
         assume(delta)
-        slices[k][i][j] = slices[k][i][j] + delta
+        slices[k][i][j] = gsum(slices[k][i][j], delta)
         if i != j and kind != "none":
-            slices[k][j][i] = slices[k][j][i] + (delta.conj() if kind == "hermitian" else delta)
+            slices[k][j][i] = gsum(slices[k][j][i], gconj(delta) if kind == "hermitian" else delta)
     return [ConstMatrix(rows, kind) for rows in slices], h, r, e, draw(st.booleans())
 
 
@@ -868,13 +873,10 @@ class TestRouteAgreement:
             assert found, failure.witness
             x = tuple(int(c) for c in found["x"].split(","))
             branch, value = (eval_reference(parse(found[k], G3), (0, 0, 0)) for k in ("branch", "value"))
-            power = GaussianRational(1)
-            for _ in range(r):
-                power = power * branch
-            assert const_det(pencil_value(matrices, x)) == power
+            assert const_det(pencil_value(matrices, x)) == gprod(*[branch] * r)
             assert branch != value
             if found["rhs"] == "h":
-                assert value == eval_reference(h, x) and (branch / value).im and report.scalar == 0
+                assert value == eval_reference(h, x) and gdiv(branch, value).im and report.scalar == 0
 
     @given(dense_pencils())
     def test_dense_pencil_report_matches_bareiss_reference(self, case):
@@ -917,12 +919,10 @@ class TestRouteAgreement:
             assert found, failure.witness
             x = tuple(int(c) for c in found["x"].split(","))
             det = const_det(pencil_value(matrices, x))
-            h_r = GaussianRational(1)
-            for _ in range(r):
-                h_r = h_r * eval_reference(h, x)
+            h_r = gprod(*[eval_reference(h, x)] * r)
             assert found["det"] == str(det)
             if found["rhs"] == "c*h^r":
-                assert found["value"] == str(h_r.scale(report.scalar)) != found["det"]
+                assert found["value"] == str(gprod(h_r, report.scalar)) != found["det"]
             else:  # no real c: det / h^r is not real at x
                 assert up_to_scalar and report.scalar == 0
                 assert found["value"] == str(h_r) and (det / h_r).im
@@ -969,11 +969,9 @@ class TestRouteAgreement:
             assert found, failure.witness
             point = tuple(int(c) for c in found["x"].split(","))
             y, value = point[y_idx], eval_at_reference(a, point[:y_idx] + point[y_idx + 1 :])
-            shifted = [[GaussianRational(y if i == j else 0) - c for j, c in enumerate(row)]
+            shifted = [[gsum(GaussianRational(y if i == j else 0), gneg(c)) for j, c in enumerate(row)]
                        for i, row in enumerate(value.entries)]
-            h_r = GaussianRational(1)
-            for _ in range(r):
-                h_r = h_r * eval_reference(h, point)
+            h_r = gprod(*[eval_reference(h, point)] * r)
             assert found["det"] == str(const_det(ConstMatrix(shifted)))
             assert found["value"] == str(h_r) != found["det"]
 
@@ -1267,7 +1265,7 @@ class TestLatticeInvolution:
         x = tuple(int(v) for v in found["x"].split(","))
         value = eval_at_reference(matrix, x)
         i, j = int(found["i"]), int(found["j"])
-        got = sum((value.entries[i][k] * value.entries[k][j] for k in range(matrix.size)), GaussianRational(0))
+        got = gsum(*[gprod(value.entries[i][k], value.entries[k][j]) for k in range(matrix.size)])
         want = eval_reference(p, x) if i == j else GaussianRational(0)
         assert (str(got), str(want)) == (found["got"], found["want"]) and got != want
 

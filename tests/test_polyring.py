@@ -24,9 +24,10 @@ from hypercert.polyring import (
     restrict_to_line,
     sturm_chain,
 )
-from hypercert.scalars import ConstMatrix, GaussianRational, _integer_slices, _pencil_at, pencil_value
-from oracles import (coeff_sum, directional_derivative, eval_at_reference, eval_reference, from_roots,
+from hypercert.scalars import _ZERO, ConstMatrix, GaussianRational, _integer_slices, _pencil_at, pencil_value
+from oracles import (coeff_sum, directional_derivative, eval_at_reference, eval_reference, from_roots, gprod,
                      restrict_coefficients, restrict_reference, shift, unipoly_product)
+from test_exact_kernel import RINGS, pairs, poly_pairs, polys
 
 R3 = Ring.standard(("x0", "x1", "x2"))
 R4 = Ring.standard(("x0", "x1", "x2", "x3"))
@@ -308,11 +309,11 @@ class TestRestrictionCache:
         # CPython gives a new object the address, and so the id, of one of
         # its size freed just before; the trusted constructor allocates
         # nothing else in between.
-        terms = [parse(f"{k}*x0^2 - x1^2 + x2", R3).terms for k in range(1, 30)]
+        forms = [(p.den, p.nums) for p in (parse(f"{k}*x0^2 - x1^2 + x2", R3) for k in range(1, 30))]
         e, v = (1, 0, 0), (1, 2, 3)
-        expected = [restrict_reference(MultiPoly(R3, t), e, v) for t in terms]
-        for t, want in zip(terms, expected):
-            h = MultiPoly(R3, t)
+        expected = [restrict_reference(MultiPoly(R3, *form), e, v) for form in forms]
+        for form, want in zip(forms, expected):
+            h = MultiPoly(R3, *form)
             assert restrict_to_line(h, e, v) == want
             del h
 
@@ -535,6 +536,112 @@ class TestUniPolyStorage:
         assert f.primitive() == UniPoly([-2, 0, 3]) and UniPoly([]).primitive().is_zero()
 
 
+def assert_canonical(p):
+    """p's integer form is canonical: den > 0, int (re, im) parts, no (0, 0)
+    pair, no imaginary part in a real ring, gcd(den, every part) = 1; and
+    its terms are normalised Gaussian rationals whose zero imaginary parts
+    are the shared _ZERO."""
+    assert type(p.den) is int and p.den > 0
+    for e, v in p.nums.items():
+        assert type(e) is tuple and len(e) == p.ring.arity and all(type(k) is int and k >= 0 for k in e)
+        assert type(v) is tuple and len(v) == 2 and all(type(c) is int for c in v) and v != (0, 0)
+        assert p.ring.gaussian or not v[1]
+    assert math.gcd(p.den, *[c for v in p.nums.values() for c in v]) == 1
+    terms = p.terms
+    assert terms.keys() == p.nums.keys()
+    assert all(c == GaussianRational(Fraction(re, p.den), Fraction(im, p.den))
+               for c, (re, im) in zip(terms.values(), p.nums.values()))
+    assert all(c.im or c.im is _ZERO for c in terms.values())
+
+
+def ref_sum(*terms):
+    """The sum of term dicts of (re, im) Fraction pairs, zero sums dropped."""
+    acc = {}
+    for t in terms:
+        for e, (re, im) in t.items():
+            a, b = acc.get(e, (Fraction(0), Fraction(0)))
+            acc[e] = (a + re, b + im)
+    return {e: v for e, v in acc.items() if v != (0, 0)}
+
+
+def ref_scale(terms, c_re, c_im):
+    """Each (re, im) pair times c_re + c_im*i, zero products dropped."""
+    return ref_sum({e: (re * c_re - im * c_im, re * c_im + im * c_re) for e, (re, im) in terms.items()})
+
+
+def lifted_ring(ring):
+    """A ring with the same names and weights, in reverse order, and one more variable."""
+    return Ring(tuple(reversed(ring.variables)) + ("u",), tuple(reversed(ring.weights)) + (1,), ring.gaussian)
+
+
+COEFFS = st.one_of(st.integers(-5, 5), RATIONALS, st.builds(GaussianRational, RATIONALS, RATIONALS))
+
+
+class TestMultiPolyStorage:
+    """A MultiPoly stores one canonical integer form (den, nums), the
+    counterpart of TestUniPolyStorage: every route to one polynomial gives
+    that form and its hash, ``terms`` is a view that round-trips through
+    from_terms, and the operations agree with term-by-term references on
+    (re, im) Fraction pairs, which share no code with the int form."""
+
+    @given(st.sampled_from(RINGS).flatmap(polys), st.integers(1, 6))
+    def test_every_route_gives_one_canonical_form(self, p, k):
+        assert_canonical(p)
+        split = [(e, GaussianRational(c.re / k, c.im / k)) for e, c in p.terms.items() for _ in range(k)]
+        routes = [
+            parse(str(p), p.ring),
+            MultiPoly.from_terms(p.ring, split),
+            MultiPoly.from_terms(p.ring, [(e, c.re * k) for e, c in p.terms.items()]
+                                 + [(e, GaussianRational(c.re * (1 - k), c.im)) for e, c in p.terms.items()]),
+            p.scale(k).scale(Fraction(1, k)),
+            (p + p.scale(k)) - p.scale(k),
+            p * MultiPoly.constant(p.ring, 1),
+            -(-p),
+            p.conjugate().conjugate(),
+        ]
+        for q in routes:
+            assert_canonical(q)
+            assert (q.den, q.nums) == (p.den, p.nums) and q == p and hash(q) == hash(p)
+
+    @given(st.sampled_from(RINGS).flatmap(polys))
+    def test_terms_round_trip_through_from_terms(self, p):
+        q = MultiPoly.from_terms(p.ring, p.terms.items())
+        assert (q.den, q.nums) == (p.den, p.nums)
+        assert q.terms == p.terms
+
+    @given(poly_pairs())
+    def test_operations_match_term_by_term_references(self, pq):
+        p, q = pq
+        neg = {e: (-re, -im) for e, (re, im) in pairs(q).items()}
+        results = [
+            (p + q, ref_sum(pairs(p), pairs(q))),
+            (p - q, ref_sum(pairs(p), neg)),
+            (-q, neg),
+            (p.conjugate(), {e: (re, -im) for e, (re, im) in pairs(p).items()}),
+        ]
+        for got, want in results:
+            assert_canonical(got)
+            assert pairs(got) == want
+
+    @given(st.sampled_from(RINGS).flatmap(polys), COEFFS)
+    def test_scale_matches_the_reference(self, p, c):
+        if not p.ring.gaussian and isinstance(c, GaussianRational):
+            c = c.re
+        c_re, c_im = (c.re, c.im) if isinstance(c, GaussianRational) else (Fraction(c), Fraction(0))
+        got = p.scale(c)
+        assert_canonical(got)
+        assert pairs(got) == ref_scale(pairs(p), c_re, c_im)
+
+    @given(st.sampled_from(RINGS).flatmap(polys))
+    def test_lift_matches_the_reference(self, p):
+        target = lifted_ring(p.ring)
+        got = p.lift(target)
+        place = [p.ring.variables.index(v) if v in p.ring.variables else None for v in target.variables]
+        want = {tuple(0 if k is None else e[k] for k in place): v for e, v in pairs(p).items()}
+        assert_canonical(got)
+        assert got.ring == target and pairs(got) == want
+
+
 MONOMIALS = [(0, 0, 0), (1, 0, 0), (0, 2, 1), (2, 1, 0), (1, 1, 1), (0, 0, 3)]
 LINEAR = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 INTEGERS = st.tuples(*[st.integers(-6, 6)] * 3)
@@ -570,11 +677,11 @@ class TestEvaluator:
         ring = Ring.standard(("x0", "x1", "x2"), gaussian=gaussian)
         polys = data.draw(st.lists(term_dicts(gaussian), min_size=1, max_size=4))
         polys.insert(data.draw(st.integers(0, len(polys))), {})  # the zero polynomial
-        den, values = _evaluator(polys)
+        den, values = _evaluator([MultiPoly.from_terms(ring, terms.items()) for terms in polys])
         assert den == math.lcm(*(q.denominator for terms in polys for c in terms.values() for q in (c.re, c.im)))
         for x in data.draw(st.lists(st.one_of(INTEGERS, RATIONAL_POINTS), min_size=1, max_size=5)):
             got = values(x)
-            want = [eval_reference(MultiPoly(ring, terms), x) * GaussianRational(den) for terms in polys]
+            want = [gprod(eval_reference(MultiPoly.from_terms(ring, terms.items()), x), den) for terms in polys]
             assert len(got) == 2 * len(polys) and as_gaussians(got) == want
             if all(Fraction(c).denominator == 1 for c in x):  # ints, integral Fractions included
                 assert all(type(v) is int for v in got)
@@ -582,11 +689,11 @@ class TestEvaluator:
     def test_shared_monomials_and_the_same_dict_twice(self):
         ring = Ring.standard(("x0", "x1"), gaussian=True)
         p, q = parse("x0^2 - 1/3*x0*x1", ring), parse("(2 + 1/2*i)*x0*x1 + x1^3", ring)
-        den, values = _evaluator([p.terms, q.terms, p.terms, {}])
+        den, values = _evaluator([p, q, p, MultiPoly.zero(ring)])
         assert den == 6
         for x in [(0, 0), (1, 0), (2, -3), (-1, 5), (Fraction(1, 2), Fraction(-3)), (Fraction(-2, 3), Fraction(5, 4))]:
             got = as_gaussians(values(x))
-            assert got == [eval_reference(f, x).scale(6) for f in (p, q, p, MultiPoly.zero(ring))]
+            assert got == [gprod(eval_reference(f, x), 6) for f in (p, q, p, MultiPoly.zero(ring))]
 
     def test_no_polynomials(self):
         den, values = _evaluator([])
@@ -602,9 +709,9 @@ class TestEvaluator:
     @pytest.mark.parametrize("text", TREE_CASES)
     def test_monomial_tree_against_the_reference(self, text):
         p = parse(text, Ring.standard(("x0", "x1", "x2"), gaussian=True))
-        den, values = _evaluator([p.terms])
+        den, values = _evaluator([p])
         for x in self.TREE_POINTS:
-            assert as_gaussians(values(x)) == [eval_reference(p, x).scale(den)]
+            assert as_gaussians(values(x)) == [gprod(eval_reference(p, x), den)]
             assert p.eval(x) == eval_reference(p, x)
 
     def test_monomial_tree_on_int_pairs(self):
@@ -622,7 +729,7 @@ class TestEvaluator:
     @given(st.booleans(), term_dicts(True), st.one_of(INTEGERS, RATIONAL_POINTS))
     def test_eval_and_eval_rational(self, real, terms, x):
         ring = Ring.standard(("x0", "x1", "x2"), gaussian=True)
-        p = MultiPoly(ring, {e: GaussianRational(c.re) for e, c in terms.items() if c.re} if real else terms)
+        p = MultiPoly.from_terms(ring, [(e, c.re) for e, c in terms.items()] if real else terms.items())
         want = eval_reference(p, x)
         assert p.eval(x) == want and p.eval([str(c) for c in x]) == want
         if not want.im:
@@ -640,7 +747,7 @@ class TestEvaluator:
         ring = Ring.standard(("x0", "x1", "x2"), gaussian=gaussian)
         pool = data.draw(st.lists(term_dicts(gaussian, LINEAR), min_size=1, max_size=3))
         m = data.draw(st.integers(1, 4))
-        cells = data.draw(st.lists(st.sampled_from([MultiPoly(ring, terms) for terms in pool]), min_size=m * m,
+        cells = data.draw(st.lists(st.sampled_from([MultiPoly.from_terms(ring, terms.items()) for terms in pool]), min_size=m * m,
                                    max_size=m * m))
         matrix = PolyMatrix(ring, [cells[k : k + m] for k in range(0, m * m, m)])
         pencil = polymatrix_to_pencil(matrix)  # one conversion, several points

@@ -240,7 +240,7 @@ class TestRationalSos:
         for _ in range(60):
             p = random_quadratic(rng, ring)
             if rng.random() < 0.5:
-                p = MultiPoly(ring, {e: c for e, c in p.terms.items() if 2 not in e})
+                p = MultiPoly.from_terms(ring, [(e, c) for e, c in p.terms.items() if 2 not in e])
             if p.is_zero():
                 continue
             diag = diagonalized(p)
