@@ -19,6 +19,7 @@ import functools
 import json
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -190,10 +191,11 @@ def _cmd_quadratic_detrep(args) -> int:
             _emit(payload, args.json, [f"failed: {err}"])
         return EXIT_REFUTED
     with _long_numbers():
+        nf = rep.normal_form
         payload = {
             "r": rep.power,
             "c": str(rep.scalar),
-            "coordinate_map": [[str(v) for v in row] for row in rep.transform],
+            "coordinate_map": [[str(Fraction(v, nf.t_den)) for v in row] for row in nf.transform],
             "kind": KIND_SYMMETRIC,
             "pencil": pencil_to_json_dict(rep.pencil, h.ring.variables, h.ring.gaussian),
             "report": rep.report.to_json_dict(),

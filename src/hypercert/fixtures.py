@@ -28,7 +28,7 @@ from .detrep import (
     verify_pencil,
 )
 from .polyring import MultiPoly, _sum_of_squares, parse, restrict_to_line
-from .scalars import ConstMatrix, _integer_slices, _pencil_at, first_nonpositive_minor
+from .scalars import _integer_slices, first_nonpositive_minor, pencil_value
 from .wire import parse_point, parse_poly_text
 
 FIXTURE_IDS = ("F1", "F2", "F3", "F4", "F5", "F6")
@@ -180,13 +180,10 @@ def _run_f4(fixture_id: str, spec: dict) -> FixtureResult:
         CheckOutcome("base-point-on-surface", not any(at_base), "q1 = {}, q2 = {}".format(*at_base))
     )
 
-    pencil = _integer_slices(polymatrix_to_pencil(matrix))  # read once, for E and every sampled line
-
-    def value_at(point) -> ConstMatrix:
-        return ConstMatrix._of_ints(pencil[0], *_pencil_at(pencil, point), matrix.kind)
+    pencil = polymatrix_to_pencil(matrix)  # read once, for E and every sampled line
 
     # The spanning line of the hyperbolicity subspace: x34 = 1, the rest 0.
-    at_e = value_at(plucker_line((0, 0, 0, 1, 0), (0, 0, 0, 0, 1)))
+    at_e = pencil_value(pencil, plucker_line((0, 0, 0, 1, 0), (0, 0, 0, 0, 1)))
     scale, cells = at_e._ints  # 2*I is 2*scale on the diagonal, zero elsewhere
     is_twice_identity = cells == {i * (at_e.size + 1): 2 * scale for i in range(at_e.size)}
     result.checks.append(
@@ -207,7 +204,7 @@ def _run_f4(fixture_id: str, spec: dict) -> FixtureResult:
             coords = plucker_line(base, q_point)
         except ValueError:
             continue
-        det = const_det(value_at(coords))
+        det = const_det(pencil_value(pencil, coords))
         if det.is_zero():
             vanished += 1
         else:

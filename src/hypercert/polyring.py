@@ -344,6 +344,8 @@ class MultiPoly:
 
     def scale(self, c: CoeffLike) -> "MultiPoly":
         den, (c_re, c_im) = _over_den(_parts(c))
+        if c_im and not self.ring.gaussian:
+            raise ValueError("imaginary coefficient in a non-gaussian ring")
         return _normal(self.ring, self.den * den,
                        {e: (re * c_re - im * c_im, re * c_im + im * c_re) for e, (re, im) in self.nums.items()})
 

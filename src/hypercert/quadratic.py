@@ -1,7 +1,8 @@
 """End-to-end constructive pipeline for quadratic hyperbolic polynomials.
 
-Every step is linear algebra on Gram matrices with int entries over one
-denominator; no polynomial is multiplied or substituted.  h is read once as
+Every step is linear algebra on int matrices over one denominator each
+(the Gram matrices, T and T^-1); no polynomial is multiplied or substituted,
+and Fractions are formed only for what is reported.  h is read once as
 its Gram matrix G, h(x) = x^T G x.  With h(e) > 0 (else -h), T with
 T(e) = u_0 and S = T^-1 (columns e, then unit vectors) give the Gram matrix
 G' = S^T G S of h o T^-1 = alpha*u_0^2 + u_0*q1 + q2: alpha = G'_00 = h(e),
@@ -45,12 +46,13 @@ Form = tuple[tuple[int, ...], int]  # a linear form: int numerators over a nonze
 
 
 class IndefiniteFormError(ValueError):
-    """The quadratic form is not PSD; ``witness`` evaluates to a negative value."""
+    """The quadratic form is not PSD; ``witness``, the int numerators
+    ``nums`` over ``den``, evaluates to a negative value."""
 
-    def __init__(self, witness: tuple[Fraction, ...], value: Fraction):
-        super().__init__(f"form is negative at {tuple(map(str, witness))}: value {value}")
-        self.witness = witness
-        self.value = value
+    def __init__(self, den: int, nums: Sequence[int], value: Fraction):
+        self.den, self.nums, self.value = den, tuple(nums), value
+        self.witness = tuple(Fraction(a, den) for a in nums)
+        super().__init__(f"form is negative at {tuple(map(str, self.witness))}: value {value}")
 
 
 class PipelineError(ValueError):
@@ -71,7 +73,7 @@ class PipelineError(ValueError):
 
 class QuadraticNormalForm(NamedTuple):
     """h o T^-1 = alpha*u0^2 + u0*q1 + q2 with T(e) = u0 and alpha = |h(e)|,
-    as Gram matrices over u0..u_(n-1) with int entries.
+    as Gram matrices over u0..u_(n-1) and T and T^-1 as rows, all of ints.
 
     ``gram`` is scale * G', G' the Gram matrix of (+-h) o T^-1, so
     alpha = gram[0][0] / scale, q1 = sum_j 2*gram[0][j]/scale * u_j and q2
@@ -80,12 +82,16 @@ class QuadraticNormalForm(NamedTuple):
     column 0 zero.  The identity 4*alpha*G' = L*L^T - (0 (+) B) with
     L = (2*alpha, b), b the coefficients of q1, is asserted exactly at
     construction time, pulled back along T onto h's own Gram matrix.
-    ``flipped`` records that h was replaced by -h to make alpha positive.
+    ``transform`` is t_den * T, t_den = |E*e_p| with E the lcm of e's
+    denominators and p the first coordinate where e is nonzero, and
+    ``inverse`` is e_den * T^-1 with e_den = E.  ``flipped`` records that h
+    was replaced by -h to make alpha positive.
     """
 
-    transform: tuple[tuple[Fraction, ...], ...]  # T, maps e to the first unit vector
-    inverse: tuple[tuple[Fraction, ...], ...]  # T^-1 (columns: e, then unit vectors)
-    alpha: Fraction
+    transform: IntRows  # t_den * T, T maps e to the first unit vector
+    t_den: int
+    inverse: IntRows  # e_den * T^-1 (columns: E*e, then E times unit vectors)
+    e_den: int
     gram: IntRows
     branch: IntRows
     scale: int
@@ -96,10 +102,11 @@ def normalize_at_direction(h: MultiPoly, e: Sequence[RationalLike]) -> Quadratic
     """Deterministic completion of the square at direction e.
 
     T^-1 has columns e followed by the unit vectors, skipping the first
-    coordinate where e is nonzero (so T^-1 is invertible and T(e) = u0).
+    coordinate p where e is nonzero (so T^-1 is invertible and T(e) = u0).
     With h = x^T (G/(2*D)) x for the int matrix G of h's coefficients
     scaled by their lcm D, and E*e integral, G' = S^T G S is formed as
-    sign * C^T G C / (2*D*E^2) from the int columns C = E*S.
+    sign * C^T G C / (2*D*E^2) from the int columns C = E*S, and T is read
+    from E*e alone, over |E*e_p|.
     """
     ring = h.ring
     if any(w != 1 for w in ring.weights):
@@ -133,25 +140,24 @@ def normalize_at_direction(h: MultiPoly, e: Sequence[RationalLike]) -> Quadratic
 
     a0, b = g_prime[0][0], [2 * g for g in g_prime[0][1:]]
     branch = [[0] * n] + [[0] + [bi * bj - 4 * a0 * g for bj, g in zip(b, row[1:])] for bi, row in zip(b, g_prime[1:])]
-    inverse = [[point[r]] + [Fraction(r == j) for j in others] for r in range(n)]
     # x = u0*e + sum_c u_c*(unit vector others[c-1]), solved for u:
-    # u0 = x_p/e_p and u_c = x_j - (e_j/e_p)*x_p with j = others[c-1].
-    transform = [[Fraction(0)] * n for _ in range(n)]
-    transform[0][pivot] = 1 / point[pivot]
-    for c, j in enumerate(others, 1):
-        transform[c][j], transform[c][pivot] = Fraction(1), -point[j] / point[pivot]
-    _check_completion(gram, 2 * den, transform, [2 * a0] + b, branch, scale, sign)
-    rows = [tuple(map(tuple, m)) for m in (transform, inverse, g_prime, branch)]
-    return QuadraticNormalForm(rows[0], rows[1], Fraction(a0, scale), rows[2], rows[3], scale, sign < 0)
+    # u0 = x_p/e_p and u_c = x_j - (e_j/e_p)*x_p with j = others[c-1],
+    # times t_den = |E*e_p| = e_sign*E*e_p.
+    t_den, e_sign = abs(e_num[pivot]), (1 if e_num[pivot] > 0 else -1)
+    transform = [[e_sign * e_den * (k == pivot) for k in range(n)]]
+    transform += [[t_den * (k == j) - e_sign * e_num[j] * (k == pivot) for k in range(n)] for j in others]
+    _check_completion(gram, 2 * den, transform, t_den, [2 * a0] + b, branch, scale, sign)
+    transform, g_prime, branch = [tuple(map(tuple, m)) for m in (transform, g_prime, branch)]
+    return QuadraticNormalForm(transform, t_den, tuple(zip(*cols)), e_den, g_prime, branch, scale, sign < 0)
 
 
-def _check_completion(gram, gram_den, transform, ell, branch, scale, sign) -> None:
+def _check_completion(gram, gram_den, transform, t_den, ell, branch, scale, sign) -> None:
     """Assert T^T (L*L^T - (0 (+) B)) T = 4*alpha*sign*gram/gram_den with
-    L = ell/scale, B = branch/scale^2 and alpha = L_0/2: the completed square
-    in h's own coordinates.  T is read from e apart from the int columns that
-    formed ell and branch, so a wrong column or scale there fails it."""
-    t_den, t_num = _over_den([t for row in transform for t in row])
-    t_cols = [t_num[s::len(gram)] for s in range(len(gram))]  # the columns of t_den*T
+    T = transform/t_den, L = ell/scale, B = branch/scale^2 and alpha = L_0/2:
+    the completed square in h's own coordinates.  T is read from e apart
+    from the int columns that formed ell and branch, so a wrong column or
+    scale there fails it."""
+    t_cols = list(zip(*transform))  # the columns of t_den*T
     square = [[li * lj - p for lj, p in zip(ell, p_row)] for li, p_row in zip(ell, branch)]
     m_cols = [[sum(a * t for a, t in zip(row, col) if t) for row in square] for col in t_cols]
     factor = 2 * ell[0] * scale * t_den * t_den * sign
@@ -209,10 +215,10 @@ def diagonalize_quadratic_form(
         half *= 2
 
 
-def _solve_unit_preimage(rows: list[tuple[Fraction, tuple[int, ...], int]], target_index: int) -> tuple[Fraction, ...]:
-    """Vector v with l_target(v) = 1 and l_other(v) = 0 (free variables 0)
-    for the forms l_r = numerators_r / d_r: the reduced row echelon form of
-    [numerators | d_target at the target row], by fraction-free
+def _solve_unit_preimage(rows: list[tuple[Fraction, tuple[int, ...], int]], target_index: int) -> tuple[int, list[int]]:
+    """(vd, ints): v = ints/vd with l_target(v) = 1 and l_other(v) = 0 (free
+    variables 0) for the forms l_r = numerators_r / d_r: the reduced row
+    echelon form of [numerators | d_target at the target row], by fraction-free
     Gauss-Jordan elimination with each combined row divided by its gcd."""
     m, n = len(rows), len(rows[0][1])
     aug = [list(row) + [d if r == target_index else 0] for r, (_, row, d) in enumerate(rows)]
@@ -240,7 +246,7 @@ def _solve_unit_preimage(rows: list[tuple[Fraction, tuple[int, ...], int]], targ
     for r, (_, row, d) in enumerate(rows):
         if sum(a * x for a, x in zip(row, ints)) != (d * vd if r == target_index else 0):  # pragma: no cover - defensive
             raise AssertionError("diagonalization rows are not independent")
-    return tuple(v)
+    return vd, ints
 
 
 def rational_sos_quadratic(gram: Sequence[Sequence[int]], den: int) -> list[Form]:
@@ -256,12 +262,11 @@ def rational_sos_quadratic(gram: Sequence[Sequence[int]], den: int) -> list[Form
     diag = diagonalize_quadratic_form(gram, den)
     for idx, (c, _, _) in enumerate(diag):
         if c < 0:
-            v = _solve_unit_preimage(diag, idx)
-            vd, ints = _over_den(v)
+            vd, ints = _solve_unit_preimage(diag, idx)
             value = Fraction(sum(a * x * y for row, x in zip(gram, ints) for a, y in zip(row, ints)), den * vd * vd)
             if value >= 0:  # pragma: no cover - defensive
                 raise AssertionError("witness does not refute nonnegativity")
-            raise IndefiniteFormError(v, value)
+            raise IndefiniteFormError(vd, ints, value)
     forms: list[Form] = []
     for c, row, d in diag:
         for q in four_square_decompose(c):
@@ -282,12 +287,12 @@ def rational_sos_quadratic(gram: Sequence[Sequence[int]], den: int) -> list[Form
 
 
 class QuadraticDetRep(NamedTuple):
-    """Definite symmetric pencil with det(sum x_i A_i) = scalar * h^power."""
+    """Definite symmetric pencil with det(sum x_i A_i) = scalar * h^power;
+    its slices are pulled back along u = T*x, T of ``normal_form``."""
 
     pencil: tuple[ConstMatrix, ...]
     power: int
     scalar: Fraction
-    transform: tuple[tuple[Fraction, ...], ...]
     report: DetRepReport
     normal_form: QuadraticNormalForm
 
@@ -314,7 +319,7 @@ def quadratic_detrep(h: MultiPoly, e: Sequence[RationalLike], generators=hurwitz
     except IndefiniteFormError as err:
         # h(t*e - w) has no real root in t at w = T^-1 v, v the witness:
         # 4*alpha*h'(t*u0 - v) = (2*alpha*t - q1(v))^2 - p(v) with p(v) < 0.
-        line = tuple(sum((a * b for a, b in zip(row, err.witness) if a and b), Fraction(0)) for row in nf.inverse)
+        line = tuple(Fraction(sum(a * b for a, b in zip(row, err.nums) if a), nf.e_den * err.den) for row in nf.inverse)
         raise PipelineError(
             "branch-sos",
             f"branch form is negative at {tuple(map(str, err.witness))}; "
@@ -332,15 +337,14 @@ def quadratic_detrep(h: MultiPoly, e: Sequence[RationalLike], generators=hurwitz
             gens = generators(2)
         dim, columns = gens.dimension, list(zip(gens.perms, gens.signs))
     r = dim
-    scalar = (4 * nf.alpha) ** r
+    scalar = Fraction(4 * nf.gram[0][0], nf.scale) ** r
 
     # ell = 2*alpha*u0 + q1 has the coefficients 2*gram[0]/scale; each form
     # row g over d pulls back to (g*T)_s = sum_j g_j*T_js, all over `den`.
-    n = len(nf.transform)
-    t_den, t_num = _over_den([t for row in nf.transform for t in row])
+    n, t_den = len(nf.transform), nf.t_den
     lines = [(tuple(2 * a for a in nf.gram[0]), nf.scale)] + forms
     den = math.lcm(*[d for _, d in lines]) * t_den
-    pulled = [[sum(a * t_num[j * n + s] for j, a in enumerate(g) if a) * (den // (d * t_den)) for s in range(n)]
+    pulled = [[sum(a * row[s] for a, row in zip(g, nf.transform) if a) * (den // (d * t_den)) for s in range(n)]
               for g, d in lines]
     m, ell = 2 * dim, pulled[0]
     slices = []
@@ -360,11 +364,4 @@ def quadratic_detrep(h: MultiPoly, e: Sequence[RationalLike], generators=hurwitz
         )
     if report.scalar != scalar:  # pragma: no cover - defensive
         raise AssertionError(f"scalar mismatch: expected {scalar}, verified {report.scalar}")
-    return QuadraticDetRep(
-        pencil=pencil,
-        power=r,
-        scalar=scalar,
-        transform=nf.transform,
-        report=report,
-        normal_form=nf,
-    )
+    return QuadraticDetRep(pencil, r, scalar, report, nf)

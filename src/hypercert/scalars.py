@@ -291,7 +291,6 @@ def _common_kind(matrices: Sequence[ConstMatrix]) -> str:
     return kinds.pop() if len(kinds) == 1 else KIND_NONE
 
 
-# Kept only as a hook of perfbench's tracer, until the benchmark drops it.
 def pencil_value(matrices: Sequence[ConstMatrix], point: Sequence[RationalLike]) -> ConstMatrix:
     """sum_i point_i * A_i in integer form (:func:`_pencil_at`).
 

@@ -876,22 +876,31 @@ class TestQuadraticDetrepCompact:
 # SHA-256 of `quadratic-detrep --json` stdout, computed with the
 # polynomial-matrix construction of the pencil (Q as forms, ell*I - Q, u = T*x
 # substituted into every entry, then cut into slices) that
-# oracles.quadratic_detrep_reference keeps.
+# oracles.quadratic_detrep_reference keeps.  The last three rows have
+# rational directions, so their coordinate maps are over |E*e_p| and, in the
+# refused row, the witness line is over E (E the lcm of e's denominators, p
+# the first coordinate where e is nonzero).  (names, h, e, digest, exit code)
 QUADRATIC_DETREP_SHA256 = [
     (["x0", "x1", "x2"], "x0^2 - x1^2 - x2^2", "1,0,0",
-     "7872bc519a9a4b663334c4916281075f0c0383581b4fa3204966aef82df19a5a"),
-    (["x0", "x1"], "3*x1^2 - x0^2", "1,0", "2c9fc5aef344c596a0546308f0fb63bde092235c4b61aa11c803869d2b4521b1"),
-    (["x0", "x1"], "(x0 + x1)^2", "1,0", "962f1f4c3734900f14d8bbe5e25edff51e524df377319dbbcbfa74f779a4e83d"),
+     "7872bc519a9a4b663334c4916281075f0c0383581b4fa3204966aef82df19a5a", EXIT_OK),
+    (["x0", "x1"], "3*x1^2 - x0^2", "1,0", "2c9fc5aef344c596a0546308f0fb63bde092235c4b61aa11c803869d2b4521b1", EXIT_OK),
+    (["x0", "x1"], "(x0 + x1)^2", "1,0", "962f1f4c3734900f14d8bbe5e25edff51e524df377319dbbcbfa74f779a4e83d", EXIT_OK),
     (["x0", "x1", "x2", "x3"], "x0^2 - 7*x1^2 - 7*x2^2 - 7*x3^2", "1,0,0,0",
-     "d70c7cc5e795f51bf618890b0f5e058d811950466418050e5fbfe6d091565762"),
+     "d70c7cc5e795f51bf618890b0f5e058d811950466418050e5fbfe6d091565762", EXIT_OK),
+    (["x0", "x1", "x2"], "x0^2 - x1^2 - x2^2", "-2,1/2,0",
+     "895034b447f5e10e1463d3f865a7d9bff6765157eae16544d9bac51d640311a5", EXIT_OK),
+    (["x0", "x1", "x2"], "x0*x1 - x2^2 + 3*x0*x2", "1/2,3,-1/4",
+     "0847acfda13709d727a6a9f0ca933ac661b693010e44be198e913a926e162e4d", EXIT_OK),
+    (["x0", "x1", "x2"], "3*x0*x1 - x2^2 + x1*x2", "0,-1/3,1",  # branch-sos, witness line -7/3,0,1
+     "4fb340b6703f95f75711cf6f0cf66a0a31a4916232d76e588e23f28a2041d350", EXIT_REFUTED),
 ]
 
 
 class TestQuadraticDetrepReportBytes:
-    @pytest.mark.parametrize("names, text, direction, digest", QUADRATIC_DETREP_SHA256)
-    def test_report_bytes_are_pinned(self, tmp_path, capsys, names, text, direction, digest):
+    @pytest.mark.parametrize("names, text, direction, digest, code", QUADRATIC_DETREP_SHA256)
+    def test_report_bytes_are_pinned(self, tmp_path, capsys, names, text, direction, digest, code):
         h = _write_poly(tmp_path / "h.txt", names, text)
-        assert main(["quadratic-detrep", "--poly", h, "--dir", direction, "--json"]) == EXIT_OK
+        assert main(["quadratic-detrep", "--poly", h, f"--dir={direction}", "--json"]) == code
         assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
 
 

@@ -632,6 +632,13 @@ class TestMultiPolyStorage:
         assert_canonical(got)
         assert pairs(got) == ref_scale(pairs(p), c_re, c_im)
 
+    @pytest.mark.parametrize("c", [GaussianRational(0, 1), GaussianRational(Fraction(1, 2), -3)])
+    def test_scale_refuses_an_imaginary_factor_in_a_real_ring(self, c):
+        p = parse("x0", Ring.standard(("x0",)))
+        with pytest.raises(ValueError, match="imaginary coefficient in a non-gaussian ring"):
+            p.scale(c)
+        assert p.scale(GaussianRational(3, 0)) == parse("3*x0", p.ring)
+
     @given(st.sampled_from(RINGS).flatmap(polys))
     def test_lift_matches_the_reference(self, p):
         target = lifted_ring(p.ring)

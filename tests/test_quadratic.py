@@ -1,5 +1,6 @@
 """The quadratic pipeline: normal form, branch SOS, pencil construction."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -55,12 +56,17 @@ def random_quadratic(rng, ring, span=5):
 def checked_normal_form(h, e):
     """(ring', alpha, q1, q2, branch, flipped) of :func:`normal_form_reference`,
     after checking that the library's Gram matrices give the same alpha,
-    q1, q2, branch, sign and T."""
+    q1, q2, branch, sign and T, that T is over |E*e_p| (E the lcm of e's
+    denominators, p the pivot) and T^-1 over E, and that T*T^-1 = I."""
     nf = normalize_at_direction(h, e)
     ring, alpha, q1, q2, branch, flipped, transform = normal_form_reference(h, e)
     n = ring.arity
-    assert (nf.alpha, Fraction(nf.gram[0][0], nf.scale), nf.flipped) == (alpha, alpha, flipped)
-    assert [list(row) for row in nf.transform] == transform
+    e_den = math.lcm(*[Fraction(c).denominator for c in e])
+    assert (nf.e_den, nf.t_den) == (e_den, abs(e_den * next(c for c in e if c)))
+    assert (Fraction(nf.gram[0][0], nf.scale), nf.flipped) == (alpha, flipped)
+    assert [[Fraction(a, nf.t_den) for a in row] for row in nf.transform] == transform
+    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*nf.inverse)] for row in nf.transform] == \
+        [[nf.t_den * nf.e_den * (i == j) for j in range(n)] for i in range(n)]
     assert linear_form(ring, [0] + [Fraction(2 * g, nf.scale) for g in nf.gram[0][1:]]) == q1
     assert form_of(ring, [[0] * n] + [[0, *row[1:]] for row in nf.gram[1:]], nf.scale) == q2
     assert form_of(ring, nf.branch, nf.scale**2) == branch
@@ -94,8 +100,8 @@ class TestNormalForm:
         # Re-verify the defining identity by expansion: 4*alpha*h(T^-1 u)
         # must equal ell(u)^2 - branch(u).
         ell = MultiPoly.variable(ring, "u0").scale(2 * alpha) + q1
-        inverse = normalize_at_direction(h, (1, 1)).inverse
-        hp = h.substitute([linear_form(ring, row) for row in inverse])
+        nf = normalize_at_direction(h, (1, 1))
+        hp = h.substitute([linear_form(ring, [Fraction(a, nf.e_den) for a in row]) for row in nf.inverse])
         assert hp.scale(4 * alpha) == ell * ell - branch
 
     def test_nonhyperbolic_passes_this_stage(self):
@@ -118,22 +124,28 @@ class TestNormalForm:
         assert alpha == 1
 
     def test_stage_identity_random(self):
+        # Integer and rational directions (denominators 1..4), so that T^-1
+        # is over E = 1 and over E > 1, and T over |E*e_p| with e_p of
+        # either sign.
         rng = random.Random(113)
-        checked = 0
+        checked, seen = 0, set()
         while checked < 200:
             h = random_quadratic(rng, R3)
             if h.is_zero():
                 continue
-            e = [Fraction(rng.randrange(-4, 5)) for _ in range(3)]
+            dens = (1,) if checked % 2 else (1, 2, 3, 4)
+            e = [Fraction(rng.randrange(-4, 5), rng.choice(dens)) for _ in range(3)]
             if not any(e) or eval_reference(h, e).re == 0:
                 continue
             nf = normalize_at_direction(h, e)
             ring, alpha, q1, _, branch, flipped = checked_normal_form(h, e)
             ell = MultiPoly.variable(ring, "u0").scale(2 * alpha) + q1
             hw = -h if flipped else h
-            hp = hw.substitute([linear_form(ring, row) for row in nf.inverse])
+            hp = hw.substitute([linear_form(ring, [Fraction(a, nf.e_den) for a in row]) for row in nf.inverse])
             assert hp.scale(4 * alpha) + branch == ell * ell
+            seen.add((nf.e_den > 1, next(c for c in e if c) < 0))
             checked += 1
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 class TestCompletionCheck:
@@ -144,27 +156,27 @@ class TestCompletionCheck:
     h = parse("x0^2 - x1^2 - 2*x1*x2 - 3*x2^2 + x0*x2", R3)
 
     @classmethod
-    def check(cls, transform, nf):
+    def check(cls, transform, t_den, nf):
         ell = [2 * g for g in nf.gram[0]]
-        _check_completion(*gram_of(cls.h), transform, ell, nf.branch, nf.scale, -1 if nf.flipped else 1)
+        _check_completion(*gram_of(cls.h), transform, t_den, ell, nf.branch, nf.scale, -1 if nf.flipped else 1)
 
     def test_the_normal_form_passes(self):
         nf = normalize_at_direction(self.h, (Fraction(1, 2), 1, 0))
         assert nf.flipped and nf.scale % 4 == 0
-        self.check(nf.transform, nf)
+        self.check(nf.transform, nf.t_den, nf)
 
     def test_a_wrong_first_column_fails(self):
         nf = normalize_at_direction(self.h, (Fraction(1, 2), 1, 0))
         other = normalize_at_direction(self.h, (Fraction(1, 2), 1, 1))
-        self.check(other.transform, other)
+        self.check(other.transform, other.t_den, other)
         with pytest.raises(AssertionError, match="completion-of-the-square"):
-            self.check(nf.transform, other)
+            self.check(nf.transform, nf.t_den, other)
 
     @pytest.mark.parametrize("factor", [Fraction(2), Fraction(1, 2), Fraction(1, 4)])
     def test_a_wrong_scale_fails(self, factor):
         nf = normalize_at_direction(self.h, (Fraction(1, 2), 1, 0))
         with pytest.raises(AssertionError, match="completion-of-the-square"):
-            self.check(nf.transform, nf._replace(scale=int(nf.scale * factor)))
+            self.check(nf.transform, nf.t_den, nf._replace(scale=int(nf.scale * factor)))
 
 
 class TestRationalSos:
