@@ -300,10 +300,24 @@ def build_parser() -> _ArgumentParser:
     return parser
 
 
+def _joined_points(argv: Sequence[str]) -> list[str]:
+    """argv with each ``--dir -1,0`` joined into ``--dir=-1,0``: argparse
+    takes an argument that starts with '-' and is not a plain negative
+    number for an option, so a point with a negative first coordinate would
+    be refused, while ``--dir --json`` stays a missing value."""
+    out: list[str] = []
+    for arg in argv:
+        if out[-1:] == ["--dir"] and arg[:1] == "-" and arg[1:2] and arg[1] in "0123456789.":
+            out[-1] = f"--dir={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined_points(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -53,7 +53,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 from .polyring import (MultiPoly, ParseError, Ring, _evaluator, _exact, _normal, _pair_pow, _sum_of_squares, parse,
                        real_square_factorization)
 from .scalars import (
-    GR_ZERO,
     KIND_HERMITIAN,
     KIND_NONE,
     KIND_SYMMETRIC,
@@ -62,6 +61,7 @@ from .scalars import (
     GaussianRational,
     RationalLike,
     _common_kind,
+    _exact_str,
     _integer_slices,
     as_fraction,
     bareiss,
@@ -161,7 +161,7 @@ class PolyMatrix:
         return next(cells) if bad else None
 
     def to_json_dict(self) -> dict:
-        text = {id(p): str(p) if p else "0" for p in self.distinct}
+        text = {id(p): str(p) for p in self.distinct}
         return {
             "ring": {
                 "vars": list(self.ring.variables),
@@ -272,12 +272,13 @@ def _match_values(
     comparison is made on ints: h's values are the (re, im) parts of
     D*h(x) from its integer form (:func:`~hypercert.polyring._evaluator`),
     and c = det/h^r is det * conj(t) / |t|^2 on those pairs, t = (D*h(x))^r.
-    Gaussian rationals are formed only for a witness's text."""
+    A witness's values are written from those int pairs
+    (:func:`~hypercert.scalars._exact_str`)."""
     h_den, h_at = _evaluator([h])
     h_scale = h_den**r
 
     def at(x: tuple[int, ...], det) -> str:
-        return f"at x = {','.join(map(str, x))}: {names[0]} = {_exact(det, scale)}"
+        return f"at x = {','.join(map(str, x))}: {names[0]} = {_exact_str(*det, scale)}"
 
     # h_at(x) is the (re, im) of h_den * h(x), whose r-th power is the target.
     points = ((x, (det, 0) if type(det) is int else det, _pair_pow(*h_at(x), r)) for x, det in dets)
@@ -290,7 +291,7 @@ def _match_values(
         # det/h^r = (det * conj(t)) * h_scale / (scale * |t|^2) at x.
         re, im = det[0] * t[0] + det[1] * t[1], det[1] * t[0] - det[0] * t[1]
         if im:  # so det(x) != 0: the determinant is not identically zero
-            return (Fraction(0), f"{at(x, det)}, {names[1]} = {_exact(t, h_scale)}, not a real multiple")
+            return (Fraction(0), f"{at(x, det)}, {names[1]} = {_exact_str(*t, h_scale)}, not a real multiple")
         c = Fraction(re * h_scale, scale * (t[0] * t[0] + t[1] * t[1]))
     # det = c * h^r at x, with c = p/q: q * h_scale * value = p * scale * target.
     left, right = c.denominator * h_scale, c.numerator * scale
@@ -298,7 +299,7 @@ def _match_values(
     for x, det, t in itertools.chain(read, points):
         nonzero = nonzero or any(det)
         if witness is None and (det[0] * left != t[0] * right or det[1] * left != t[1] * right):
-            value = _exact((t[0] * c.numerator, t[1] * c.numerator), h_scale * c.denominator)  # c*h^r at x
+            value = _exact_str(t[0] * c.numerator, t[1] * c.numerator, h_scale * c.denominator)  # c*h^r at x
             witness = f"{at(x, det)}, {names[2]} = {value}"
         if witness is not None and nonzero:
             return (c, witness)
@@ -380,9 +381,10 @@ def _square_values(combos: list[tuple], re: list, im: list) -> list[tuple]:
 def _square_on_lattice(matrix: PolyMatrix, points: Sequence[tuple], p: MultiPoly) -> Optional[tuple]:
     """Witness (x, i, j, got, want) for A^2 = p*I at the first of ``points``
     (which decide A^2 - p*I, :func:`_lattice`) and cell in row order where
-    (A^2)_ij != delta_ij*p(x), or None.  The distinct entries of A, q and -q
-    as one base entry B_b (whichever has its lowest term's first nonzero part
-    positive, read off the integer form), are squared once
+    (A^2)_ij != delta_ij*p(x), or None; got and want are the two values'
+    texts (:func:`~hypercert.scalars._exact_str`).  The distinct entries of
+    A, q and -q as one base entry B_b (whichever has its lowest term's first
+    nonzero part positive, read off the integer form), are squared once
     (:func:`_squared`); at each point only the combinations it leaves are
     evaluated, from the int parts of D*B_b(x) and D*p(x) taken by
     :func:`~hypercert.polyring._evaluator`."""
@@ -401,8 +403,8 @@ def _square_on_lattice(matrix: PolyMatrix, points: Sequence[tuple], p: MultiPoly
         got = _square_values(combos, vals, vals[half:])
         want = (vals[half - 1] * den, vals[-1] * den)
         for i, j, k in checks:
-            if got[k] != (want if i == j else (0, 0)):
-                return (x, i, j, _exact(got[k], den * den), _exact((vals[half - 1], vals[-1]), den) if i == j else GR_ZERO)
+            if got[k] != (expected := want if i == j else (0, 0)):
+                return (x, i, j, _exact_str(*got[k], den * den), _exact_str(*expected, den * den))
     return None
 
 

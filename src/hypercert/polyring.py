@@ -17,6 +17,9 @@ divisor's graded-lex leading term on one remainder of (re, im) int parts
 over a common denominator, whose leading term a heap of graded-lex keys
 yields.  The ring operations form neither Fractions nor GaussianRationals:
 ``terms`` builds the Gaussian rational coefficients only when it is read.
+Nor does the text form: :func:`format_poly` writes each coefficient from
+its int parts by :func:`~hypercert.scalars._exact_str`, the writer of every
+exact value, and ``UniPoly.format`` goes through :func:`format_poly`.
 
 One evaluator, :func:`_monomial_evaluator` (one multiply per monomial),
 gives every value of a multivariate polynomial (``MultiPoly.eval`` and
@@ -62,7 +65,7 @@ from heapq import heapify, heappop, heappush
 from operator import add, is_, mul, neg, sub
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .scalars import _ZERO, GaussianRational, RationalLike, _gaussian, _over_den, as_fraction
+from .scalars import _ZERO, GaussianRational, RationalLike, _exact_str, _gaussian, _over_den, as_fraction
 
 CoeffLike = Union[GaussianRational, Fraction, int]
 
@@ -183,7 +186,10 @@ def _evaluator(polys: Sequence["MultiPoly"]) -> tuple:
 
 
 def _exact(v: Sequence, den: int) -> GaussianRational:
-    """The (re, im) pair v divided by den, as a Gaussian rational."""
+    """The (re, im) pair v divided by den, as a Gaussian rational: the
+    value views ``MultiPoly.terms`` and ``eval`` and ``detrep.const_det``
+    only, since a text is written from the pair itself
+    (:func:`~hypercert.scalars._exact_str`)."""
     return _gaussian(Fraction(v[0], den), Fraction(v[1], den) if v[1] else _ZERO)
 
 
@@ -341,13 +347,6 @@ class MultiPoly:
             if not n:
                 return result
             base = base * base
-
-    def scale(self, c: CoeffLike) -> "MultiPoly":
-        den, (c_re, c_im) = _over_den(_parts(c))
-        if c_im and not self.ring.gaussian:
-            raise ValueError("imaginary coefficient in a non-gaussian ring")
-        return _normal(self.ring, self.den * den,
-                       {e: (re * c_re - im * c_im, re * c_im + im * c_re) for e, (re, im) in self.nums.items()})
 
     def conjugate(self) -> "MultiPoly":
         """Coefficient-wise complex conjugation (an involution)."""
@@ -768,48 +767,19 @@ def parse(text: str, ring: Ring) -> MultiPoly:
         raise ParseError("expression is nested too deeply") from None
 
 
-def _monomial_str(ring: Ring, expo: tuple[int, ...]) -> str:
-    parts = []
-    for name, e in zip(ring.variables, expo):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
-
-
-def _coeff_pieces(re: int, im: int, den: int, with_mono: bool) -> tuple[int, str]:
-    """(sign, magnitude-string) of the coefficient (re + im*i)/den;
-    magnitude "" means an implicit 1 factor."""
-    if re and im:  # mixed complex coefficient: parenthesized, sign carried inside
-        return 1, f"({_exact((re, im), den)})"
-    part = re or im
-    g = math.gcd(part, den)
-    mag = str(abs(part) // g) if g == den else f"{abs(part) // g}/{den // g}"
-    if im:
-        mag = "i" if mag == "1" else f"{mag}*i"
-    elif mag == "1" and with_mono:
-        mag = ""
-    return (1 if part > 0 else -1), mag
-
-
 def format_poly(poly: MultiPoly) -> str:
-    """Canonical text form (graded-lex descending); parse round-trips it."""
-    if poly.is_zero():
-        return "0"
+    """Canonical text form (graded-lex descending); parse round-trips it.
+    Each coefficient is written by :func:`~hypercert.scalars._exact_str`: in
+    parentheses when both parts are nonzero, else as a sign and a magnitude
+    whose 1 is left out before a monomial."""
     out: list[str] = []
     for expo, (re, im) in sorted(poly.nums.items(), key=lambda t: poly._glex_key(t[0]), reverse=True):
-        mono = _monomial_str(poly.ring, expo)
-        sign, body = _coeff_pieces(re, im, poly.den, with_mono=bool(mono))
-        if body and mono:
-            chunk = f"{body}*{mono}"
-        else:
-            chunk = body or mono or "1"
-        if not out:
-            out.append(chunk if sign > 0 else f"-{chunk}")
-        else:
-            out.append(f"+ {chunk}" if sign > 0 else f"- {chunk}")
-    return " ".join(out)
+        mono = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(poly.ring.variables, expo) if e)
+        sign = "-" if re + im < 0 and not (re and im) else "+"
+        body = f"({_exact_str(re, im, poly.den)})" if re and im else _exact_str(abs(re), abs(im), poly.den)
+        chunk = mono if body == "1" and mono else f"{body}*{mono}" if mono else body
+        out.append(f"{sign} {chunk}" if out else chunk if sign == "+" else f"-{chunk}")
+    return " ".join(out) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +790,9 @@ def format_poly(poly: MultiPoly) -> str:
 class UniPoly:
     """Dense univariate polynomial over Q: int numerators ``nums``, ascending
     by degree with no trailing zero, over one positive denominator ``den``,
-    in lowest terms; ``coeffs`` forms the normalised Fractions on demand."""
+    in lowest terms; ``coeffs`` forms the normalised Fractions on demand.
+    ``format`` hands that form to :func:`format_poly` as a polynomial in
+    one variable, so both write terms by the same rules."""
 
     __slots__ = ("nums", "den")
 
@@ -915,23 +887,9 @@ class UniPoly:
         return self.divide_exact(g).primitive()
 
     def format(self, var: str = "t") -> str:
-        coeffs = self.coeffs
-        if not coeffs:
-            return "0"
-        parts = []
-        for k in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[k]
-            if not c:
-                continue
-            mono = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
-            mag = abs(c)
-            body = str(mag) if not mono or mag != 1 else ""
-            chunk = f"{body}*{mono}" if body and mono else (body or mono)
-            if not parts:
-                parts.append(chunk if c > 0 else f"-{chunk}")
-            else:
-                parts.append(f"+ {chunk}" if c > 0 else f"- {chunk}")
-        return " ".join(parts)
+        """The text :func:`format_poly` gives this polynomial in the one variable ``var``."""
+        nums = {(k,): (c, 0) for k, c in enumerate(self.nums) if c}
+        return format_poly(MultiPoly(Ring((var,), (1,)), self.den, nums))
 
     def __str__(self) -> str:
         return self.format()
@@ -1034,23 +992,19 @@ class _TaylorTable:
 
 # The two most recent tables, oldest first; interlaces_sampled alternates
 # between h and g along one e.  A table is found by the identity of h, since
-# hashing a MultiPoly builds a frozenset of its terms, and by the value of
-# e.  Each table holds h, so the id of a cached h is never reused.
+# hashing a MultiPoly builds a frozenset of its terms, and of e's
+# coordinates.  Each table holds h, so the id of a cached h is never reused.
 _taylor_tables: list[_TaylorTable] = []
 
 
 def _taylor_table(h: MultiPoly, e: Sequence[RationalLike]) -> _TaylorTable:
-    """The table of (h, e), found first by the identity of e's coordinates
-    (a sampler passes the same Fractions on every line, which coerce to
-    themselves), and only then by the value of e, coerced."""
+    """The table of (h, e), found by the identity of h and of e's
+    coordinates: a sampler passes the same Fractions on every line, which
+    coerce to themselves.  Any other e builds a table of its own."""
     for table in _taylor_tables:
         if table.h is h and all(map(is_, table.e, e)):
             return table
-    e = tuple([as_fraction(c) for c in e])
-    for table in _taylor_tables:
-        if table.h is h and table.e == e:
-            return table
-    table = _TaylorTable(h, e)
+    table = _TaylorTable(h, tuple([as_fraction(c) for c in e]))
     _taylor_tables.append(table)
     if len(_taylor_tables) > 2:
         del _taylor_tables[0]
@@ -1066,10 +1020,11 @@ def restrict_to_line(
     h(t*e - v) = sum_k t^k/k! * (D_e^k h)(-v), with D_e the directional
     derivative.  The table of the (D_e^k h) / k!, int rows over one
     denominator (:class:`_TaylorTable`), is built once per (h, e) and cached
-    for the two most recent pairs, found by the identity of h and the value
-    of e; each line's values of the rows at -v, ints for an integer v, are
-    its numerators over that denominator.  Any ring is accepted, weights
-    play no part, and h must have real coefficients.
+    for the two most recent pairs, found by the identity of h and of e's
+    coordinates (:func:`_taylor_table`); each line's values of the rows at
+    -v, ints for an integer v, are its numerators over that denominator.
+    Any ring is accepted, weights play no part, and h must have real
+    coefficients.
 
     For homogeneous h with h(e) != 0 the result has degree deg(h) with
     leading coefficient h(e).

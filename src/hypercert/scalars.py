@@ -11,6 +11,10 @@ matrix of plain ints.  A ``ConstMatrix`` keeps only that integer form; it
 checks its kind on it and reads its rows of Gaussian rationals off it.
 A pencil sum_i x_i A_i at a rational point is one int sum over its slices'
 integer forms (:func:`_pencil_at`).
+
+Every exact value a report prints, a polynomial's coefficient, a matrix
+cell or a witness, is written from its int parts over one denominator by
+one routine, :func:`_exact_str`, in the form the polynomial grammar reads.
 """
 
 from __future__ import annotations
@@ -51,12 +55,16 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 
 class GaussianRational:
-    """An exact element a + b*i of Q(i), as the library reports it.
+    """An exact element a + b*i of Q(i), as the library's value views
+    return it (``MultiPoly.terms`` and ``eval``, ``ConstMatrix.entries``,
+    ``detrep.const_det``).
 
     Immutable; real and imaginary parts are Fractions, and a zero imaginary
     part is the shared ``_ZERO`` Fraction.  It has no arithmetic: every
     computation runs on the int parts of a ``MultiPoly`` or ``ConstMatrix``
     over one denominator, and GaussianRational values are read off those.
+    No report is written through it: ``str`` brings its parts over their
+    lcm and hands them to :func:`_exact_str`, as every report does.
     """
 
     __slots__ = ("re", "im")
@@ -85,23 +93,27 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return _imag_str(self.im)
-        sep = "+" if self.im > 0 else "-"
-        return f"{self.re}{sep}{_imag_str(abs(self.im))}"
+        den, (re, im) = _over_den((self.re, self.im))
+        return _exact_str(re, im, den)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self})"
 
 
-def _imag_str(b: Fraction) -> str:
-    if b == 1:
-        return "i"
-    if b == -1:
-        return "-i"
-    return f"{b}*i"
+def _exact_str(re: int, im: int, den: int) -> str:
+    """The text of (re + im*i)/den for ints over den > 0, which the
+    polynomial grammar reads back: each part a reduced "p/q" or "p", the
+    imaginary one as i, -i or b*i, both as a+b*i or a-b*i.  The one writer
+    of an exact value, from the int parts every polynomial and matrix keeps."""
+
+    def ratio(n: int) -> str:
+        g = math.gcd(n, den)
+        return f"{n // g}" if g == den else f"{n // g}/{den // g}"
+
+    if not im:
+        return ratio(re)
+    b = "" if abs(im) == den else f"{ratio(abs(im))}*"
+    return f"{ratio(re) if re else ''}{'-' if im < 0 else '+' if re else ''}{b}i"
 
 
 _ZERO = Fraction(0)
@@ -206,7 +218,9 @@ class ConstMatrix:
     nonzero int parts of D*a_ij as {k: part}, k = i*m + j for the real part
     and m*m + i*m + j for the imaginary part.  The constructor scales its
     rows into that form; ``entries`` rebuilds them on each read, with one
-    object per distinct value.
+    object per distinct value, and ``to_rows`` writes each distinct
+    (re, im) pair of that form once (:func:`_exact_str`), with no
+    GaussianRational between.
     """
 
     __slots__ = ("size", "kind", "_ints")
@@ -274,7 +288,11 @@ class ConstMatrix:
         return min((min(ij), max(ij)) for ij in bad)
 
     def to_rows(self) -> list[list[str]]:
-        return [[str(e) if e else "0" for e in row] for row in self.entries]
+        """The rows as text, each distinct (re, im) of the integer form written once (:func:`_exact_str`)."""
+        (den, cells), m = self._ints, self.size
+        pairs = [(cells.get(k, 0), cells.get(m * m + k, 0)) for k in range(m * m)]
+        text = {pair: _exact_str(*pair, den) for pair in set(pairs)}
+        return [list(map(text.get, pairs[i * m : i * m + m])) for i in range(m)]
 
 
 def _check_rows(rows: Sequence[Sequence], kind: str) -> None:

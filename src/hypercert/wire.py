@@ -17,12 +17,13 @@ docstring); its literals and names are ASCII.  A text that is one Gaussian
 integer literal, such as a pencil cell "12-7*i", is read without the
 grammar, by the match ``polyring.parse`` uses.  A pencil's cells are read
 in the ring it declares, each distinct text once per file, into (re, im)
-ints, or for any other text the Fractions of the value the grammar reads.
-All parts are scaled by the lcm of their denominators
-(``scalars._over_den``) into each slice's integer form, the one form a
-``ConstMatrix`` keeps.  A polynomial matrix's ``ring.weights`` must be
-JSON integers.  A JSON file of the wrong shape is a ParseError that names
-the bad field or cell.
+ints, or for any other text the parts of the int form ``polyring.parse``
+gives it over its denominator.  All parts are scaled by the lcm of their
+denominators (``scalars._over_den``) into each slice's integer form, the
+one form a ``ConstMatrix`` keeps, and ``pencil_to_json_dict`` writes the
+cells back from that form (``ConstMatrix.to_rows``).  A polynomial
+matrix's ``ring.weights`` must be JSON integers.  A JSON file of the wrong
+shape is a ParseError that names the bad field or cell.
 """
 
 from __future__ import annotations
@@ -34,12 +35,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence, Union
 
-from .polyring import MultiPoly, ParseError, Ring, _exact, _gaussian_literal, parse
-from .scalars import KIND_NONE, ConstMatrix, GaussianRational, _check_rows, _common_kind, _over_den, as_fraction
+from .polyring import MultiPoly, ParseError, Ring, _gaussian_literal, parse
+from .scalars import KIND_NONE, ConstMatrix, _check_rows, _common_kind, _over_den, as_fraction
 
 PathLike = Union[str, Path]
 
-_CELL_RING = Ring((), (), gaussian=True)
 _NON_ASCII_NUMBER = re.compile(r"[^\x00-\x7f]|_")
 
 
@@ -138,22 +138,15 @@ def pencil_to_json_dict(
     }
 
 
-def _parse_cell(text: str, ring: Ring = _CELL_RING) -> GaussianRational:
-    """A pencil entry "a+b*i" (literal token i): any constant expression in
-    the polynomial grammar, parsed over an empty ring, Gaussian by default."""
-    value = parse(text, ring)
-    return _exact(value.nums.get((), (0, 0)), value.den)
-
-
 def _cell_parts(text: str, ring: Ring) -> tuple:
     """(re, im) of a pencil cell in the empty ``ring``: ints for a Gaussian
     integer literal (:func:`~hypercert.polyring._gaussian_literal`), else
-    the Fractions of the value the grammar reads."""
+    Fractions of the int form of the constant that ``parse`` reads."""
     literal = _gaussian_literal(text, ring.gaussian)
     if literal is not None:
         return literal
-    value = _parse_cell(text, ring)
-    return value.re, value.im
+    value = parse(text, ring)
+    return tuple(Fraction(part, value.den) for part in value.nums.get((), (0, 0)))
 
 
 def _json_field(data, key: str, what: str):

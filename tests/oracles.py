@@ -8,10 +8,11 @@ from math import gcd, lcm
 
 from hypercert.detrep import (PolyMatrix, _match_values, _pencil_on_lattice, const_det, pencil_to_polymatrix, poly_det,
                               polymatrix_to_pencil)
-from hypercert.polyring import (MultiPoly, ParseError, Ring, UniPoly, _evaluator, _exact, real_square_factorization,
-                                sturm_chain)
+from hypercert.polyring import (MultiPoly, ParseError, Ring, UniPoly, _evaluator, _exact, _normal, _parts,
+                                real_square_factorization, sturm_chain)
 from hypercert.realroots import _index
-from hypercert.scalars import ConstMatrix, GaussianRational, as_fraction, four_square_decompose, pencil_value
+from hypercert.scalars import ConstMatrix, GaussianRational, _over_den, as_fraction, four_square_decompose, pencil_value
+from hypercert.wire import _cell_parts
 
 
 # Q(i) arithmetic on GaussianRational values, on their Fraction parts.  The
@@ -55,6 +56,62 @@ def gdiv(a, b):
     if not norm:
         raise ZeroDivisionError("division by zero Gaussian rational")
     return gprod(a, GaussianRational(b.re / norm, -b.im / norm))
+
+
+def gaussian_str_reference(z):
+    """The text of a Gaussian rational as GaussianRational.__str__ wrote it
+    from its Fraction parts before scalars._exact_str: each part's str, the
+    imaginary one as i, -i or b*i."""
+
+    def imag(b):
+        return "i" if b == 1 else "-i" if b == -1 else f"{b}*i"
+
+    if not z.im:
+        return str(z.re)
+    if not z.re:
+        return imag(z.im)
+    return f"{z.re}{'+' if z.im > 0 else '-'}{imag(abs(z.im))}"
+
+
+def unipoly_format_reference(f, var="t"):
+    """UniPoly.format as it was before it went through format_poly: its own
+    sign, implicit-one and joining rules on Fraction coefficients."""
+    coeffs = f.coeffs
+    if not coeffs:
+        return "0"
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if not c:
+            continue
+        mono = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
+        mag = abs(c)
+        body = str(mag) if not mono or mag != 1 else ""
+        chunk = f"{body}*{mono}" if body and mono else (body or mono)
+        if not parts:
+            parts.append(chunk if c > 0 else f"-{chunk}")
+        else:
+            parts.append(f"+ {chunk}" if c > 0 else f"- {chunk}")
+    return " ".join(parts)
+
+
+def scale(p, c):
+    """c*p for an int, Fraction or Gaussian rational c, on p's int parts;
+    a real ring refuses an imaginary c.  Only tests scale polynomials."""
+    den, (c_re, c_im) = _over_den(_parts(c))
+    if c_im and not p.ring.gaussian:
+        raise ValueError("imaginary coefficient in a non-gaussian ring")
+    return _normal(p.ring, p.den * den,
+                   {e: (re * c_re - im * c_im, re * c_im + im * c_re) for e, (re, im) in p.nums.items()})
+
+
+CELL_RING = Ring((), (), gaussian=True)
+
+
+def cell_value(text, ring=CELL_RING):
+    """A pencil cell's value as the pencil reader takes it (wire._cell_parts),
+    as a GaussianRational."""
+    return GaussianRational(*_cell_parts(text, ring))
 
 
 def perm_sign(perm):
@@ -218,7 +275,7 @@ def clifford_q(forms, gens):
         for i, row in enumerate(dense):
             for j, v in enumerate(row):
                 if v:
-                    s[i][j] = s[i][j] + g.scale(v)
+                    s[i][j] = s[i][j] + scale(g, v)
     rows = [[zero] * dim + s[i] for i in range(dim)] + [[s[j][i] for j in range(dim)] + [zero] * dim for i in range(dim)]
     return PolyMatrix(ring, rows, "symmetric")
 
@@ -267,7 +324,7 @@ def normal_form_reference(h, e):
         parts[expo[0]][(0,) + expo[1:]] = coeff
     q2, q1, top = (MultiPoly.from_terms(ring, terms.items()) for terms in parts)
     assert top == MultiPoly.constant(ring, alpha)
-    return ring, alpha, q1, q2, q1 * q1 - q2.scale(4 * alpha), flipped, mat_inverse(inverse)
+    return ring, alpha, q1, q2, q1 * q1 - scale(q2, 4 * alpha), flipped, mat_inverse(inverse)
 
 
 def diagonalize_reference(p):
@@ -329,7 +386,7 @@ def sos_reference(p):
     negative = next((k for k, (c, _) in enumerate(diag) if c < 0), None)
     if negative is not None:
         return "indefinite", unit_preimage_reference([row for _, row in diag], negative)
-    return [linear_form(p.ring, row).scale(q) for c, row in diag for q in four_square_decompose(c) if q]
+    return [scale(linear_form(p.ring, row), q) for c, row in diag for q in four_square_decompose(c) if q]
 
 
 def quadratic_detrep_reference(h, e, generators):
@@ -342,12 +399,12 @@ def quadratic_detrep_reference(h, e, generators):
     branch gives ell*I of size 4."""
     ring, alpha, q1, _, branch, flipped, transform = normal_form_reference(h, e)
     forms = sos_reference(branch)
-    ell = MultiPoly.variable(ring, "u0").scale(2 * alpha) + q1
+    ell = scale(MultiPoly.variable(ring, "u0"), 2 * alpha) + q1
     q = PolyMatrix(ring, [[MultiPoly.zero(ring)] * 4] * 4, "symmetric")
     if forms:
         q = clifford_q(forms, generators(len(forms)))
         if flipped and q.size % 4:
-            q = clifford_q([forms[0].scale(Fraction(3, 5)), forms[0].scale(Fraction(4, 5))], generators(2))
+            q = clifford_q([scale(forms[0], Fraction(3, 5)), scale(forms[0], Fraction(4, 5))], generators(2))
     images = [linear_form(h.ring, row) for row in transform]
     rows = [[p.substitute(images) for p in row] for row in ell_minus(ell, q).rows]
     r = q.size // 2
@@ -641,7 +698,7 @@ def _branch_reference(branch, h, r, up_to_scalar):
     if ratio.im:
         return Fraction(0), f"at x = {_point(x)}: ell^2 - P = {at(x)[0]}, h = {at(x)[1]}, not a real multiple"
     s, witness = ratio.re, None
-    if branch != h.scale(s):
+    if branch != scale(h, s):
         x = next(x for x in points if at(x)[0] != gprod(at(x)[1], s))
         witness = f"at x = {_point(x)}: ell^2 - P = {at(x)[0]}, s*h = {gprod(at(x)[1], s)}"
     c = s**r
@@ -671,7 +728,7 @@ def pencil_reference(matrices, h, r, e, up_to_scalar):
     pencil = pencil_to_polymatrix(matrices, h.ring)
     p = None
     if h.weighted_degree() == 2:
-        ell = pencil.trace().scale(Fraction(1, pencil.size))
+        ell = scale(pencil.trace(), Fraction(1, pencil.size))
         p = involution_reference(ell_minus(ell, pencil))
     if p is not None:
         scalar, witness = _branch_reference(ell * ell - p, h, r, up_to_scalar)
@@ -707,7 +764,7 @@ def _determinant_reference(det, target, m, up_to_scalar):
         c = gdiv(at(x)[0], at(x)[1])
     if c.im:
         return Fraction(0), f"at x = {_point(x)}: det = {at(x)[0]}, h^r = {at(x)[1]}, not a real multiple"
-    if det == target.scale(c.re):
+    if det == scale(target, c.re):
         return c.re, None
     x = next(x for x in points if at(x)[0] != gprod(at(x)[1], c.re))
     return c.re, f"at x = {_point(x)}: det = {at(x)[0]}, c*h^r = {gprod(at(x)[1], c.re)}"

@@ -1163,3 +1163,84 @@ def test_no_command_applies_gaussian_arithmetic(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(scalars.GaussianRational, name, refuse, raising=False)
     assert [main(argv) for argv in runs + refuted] == [EXIT_OK] * len(runs) + [EXIT_REFUTED] * len(refuted)
     assert capsys.readouterr().out.count("failed determinant: at x = ") == len(refuted)
+
+
+def test_no_command_prints_through_gaussian_rational(tmp_path, monkeypatch, capsys):
+    # Every report writes its exact values from int parts (scalars._exact_str),
+    # so each command prints the same with GaussianRational's str and repr
+    # patched to raise: polynomials, pencil rows, and the witnesses of the
+    # determinant and A^2 = p*I checks, Gaussian ones included.
+    ring = "ring: vars=x0,x1,x2 weights=1,1,1 gaussian=false\n"
+    for name, text in (("q.txt", QUADRIC), ("sphere.txt", SPHERE), ("g.txt", ring + "2*x0\n"), ("s.txt", SQUARES),
+                       ("p.txt", DATA.joinpath("F3_p.txt").read_text() + " + 1/2*i*x0*x1*x2^2\n")):
+        (tmp_path / name).write_text(text, encoding="ascii")
+    q, sphere, g, s, p = (str(tmp_path / name) for name in ("q.txt", "sphere.txt", "g.txt", "s.txt", "p.txt"))
+    # x0*I + x1*diag(i, 0) against x0^2 up to a scalar: det = x0^2 + i*x0*x1 at (1, 1) is 1+i.
+    gaussian = tmp_path / "gaussian.json"
+    gaussian.write_text(json.dumps({"vars": ["x0", "x1"], "kind": "none", "gaussian": True,
+                                    "matrices": [[["1", "0"], ["0", "1"]], [["i", "0"], ["0", "0"]]]}))
+    h = _write_poly(tmp_path / "x0-squared.txt", ["x0", "x1"], "x0^2", gaussian=True)
+    (tmp_path / "hermitian").mkdir(), (tmp_path / "companion").mkdir()
+    hermitian = _dense_pencil(tmp_path / "hermitian", "hermitian", "tampered")
+    companion = _companion(tmp_path / "companion", "x1*I")
+    runs = [
+        ["check-hyperbolic", "--poly", sphere, "--dir", "1,0,0", "--samples", "5"],
+        ["check-interlacer", "--poly", q, "--interlacer", g, "--dir", "1,0,0", "--samples", "5"],
+        hermitian, hermitian[:-1],
+        ["verify-detrep", "--matrix", str(gaussian), "--poly", h, "--dir", "1,0", "--power", "1", "--up-to-scalar"],
+        companion, companion[:-1],
+        ["detrep-to-sos", "--matrix", str(DATA / "F3_matrix.json"), "--poly", p],
+        ["sos-to-detrep", "--squares", s, "--json"],
+        ["quadratic-detrep", "--poly", q, "--dir", "2,1/2,0", "--json"],
+        ["fixtures", "run"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err.split("total runtime: ")[0]
+
+    unpatched = [run(argv) for argv in runs]
+    assert [code for code, _, _ in unpatched] == [EXIT_REFUTED, EXIT_OK] + [EXIT_REFUTED] * 6 + [EXIT_OK] * 3
+    assert "1+i" in unpatched[4][1] and "refused: A^2 != p*I at x = " in unpatched[7][2]
+
+    def refuse(self):
+        raise AssertionError("a GaussianRational was printed")
+
+    monkeypatch.setattr(scalars.GaussianRational, "__str__", refuse)
+    monkeypatch.setattr(scalars.GaussianRational, "__repr__", refuse)
+    assert [run(argv) for argv in runs] == unpatched
+
+
+class TestDirectionWithANegativeFirstCoordinate:
+    """argparse reads an argument that starts with '-' and is not a plain
+    negative number as an option; a point after --dir is still its value,
+    in every command that takes one."""
+
+    @staticmethod
+    def argv(tmp_path, command):
+        h = _write_poly(tmp_path / "h.txt", ["x0", "x1"], "x0^2 - x1^2")
+        if command == "check-interlacer":
+            return [command, "--poly", h, "--interlacer", _write_poly(tmp_path / "g.txt", ["x0", "x1"], "x0"),
+                    "--samples", "5"]
+        if command == "verify-detrep":
+            pencil = tmp_path / "pencil.json"
+            pencil.write_text(json.dumps({"vars": ["x0", "x1"], "kind": "symmetric", "gaussian": False,
+                                          "matrices": [[["1", "0"], ["0", "1"]], [["-1", "0"], ["0", "1"]]]}))
+            return [command, "--matrix", str(pencil), "--poly", h]
+        return [command, "--poly", h] + (["--samples", "5"] if command == "check-hyperbolic" else [])
+
+    COMMANDS = ["check-hyperbolic", "check-interlacer", "verify-detrep", "quadratic-detrep"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("point", ["-1,0", "-1/2,1"])
+    def test_a_separate_point_reads_as_the_joined_one(self, tmp_path, capsys, command, point):
+        argv = self.argv(tmp_path, command)
+        joined = main(argv + [f"--dir={point}"]), capsys.readouterr().out
+        assert main(argv + ["--dir", point]) == joined[0] != EXIT_USAGE
+        assert capsys.readouterr().out == joined[1]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_missing_point_is_still_a_usage_error(self, tmp_path, capsys, command):
+        assert main(self.argv(tmp_path, command) + ["--dir", "--json"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: argument --dir: expected one argument\n"

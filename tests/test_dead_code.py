@@ -14,6 +14,9 @@ reads as used when another class's method of the same name is called.
 ``UniPoly``'s ring arithmetic hid in both: ``__add__``, ``__neg__``,
 ``__sub__`` and ``__mul__`` as dunders, ``scale`` and ``zero`` behind
 ``MultiPoly.scale`` and ``MultiPoly.zero``, while only tests called them.
+A field's name counts too: ``MultiPoly.scale``, which nothing in ``src/``
+called, read as used because the field ``QuadraticNormalForm.scale`` is
+read as ``nf.scale``; it is ``tests/oracles.py``'s ``scale`` now.
 So did ``GaussianRational``'s, now in ``tests/oracles.py``; that no command
 applies it again is checked by running every command with it patched to
 raise (``tests/test_cli.py::test_no_command_applies_gaussian_arithmetic``).

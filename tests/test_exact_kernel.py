@@ -28,7 +28,7 @@ from hypercert.scalars import (
     bareiss,
     pencil_value,
 )
-from oracles import const_matrix, gconj, gprod, gsum, leading_coefficient, leading_principal_minors
+from oracles import const_matrix, gconj, gprod, gsum, leading_coefficient, leading_principal_minors, scale
 
 R3 = Ring.standard(("x0", "x1", "x2"))
 G3 = Ring.standard(("x0", "x1", "x2"), gaussian=True)
@@ -161,7 +161,7 @@ class TestProductOracle:
         zero = MultiPoly.zero(R3)
         assert (p * zero).is_zero() and (zero * p).is_zero()
         assert p * MultiPoly.constant(R3, 1) == p
-        assert p * MultiPoly.constant(R3, Fraction(-2, 3)) == p.scale(Fraction(-2, 3))
+        assert p * MultiPoly.constant(R3, Fraction(-2, 3)) == scale(p, Fraction(-2, 3))
 
 
 # -- exact division -----------------------------------------------------------

@@ -24,9 +24,10 @@ from hypercert.polyring import (
     restrict_to_line,
     sturm_chain,
 )
-from hypercert.scalars import _ZERO, ConstMatrix, GaussianRational, _integer_slices, _pencil_at, pencil_value
-from oracles import (coeff_sum, directional_derivative, eval_at_reference, eval_reference, from_roots, gprod,
-                     restrict_coefficients, restrict_reference, shift, unipoly_product)
+from hypercert.scalars import _ZERO, ConstMatrix, GaussianRational, _exact_str, _integer_slices, _pencil_at, pencil_value
+from oracles import (coeff_sum, directional_derivative, eval_at_reference, eval_reference, from_roots,
+                     gaussian_str_reference, gprod, restrict_coefficients, restrict_reference, scale, shift,
+                     unipoly_format_reference, unipoly_product)
 from test_exact_kernel import RINGS, pairs, poly_pairs, polys
 
 R3 = Ring.standard(("x0", "x1", "x2"))
@@ -168,7 +169,7 @@ class TestRestrictToLine:
         rng = random.Random(23)
         for dens in ((1, 1, 1), (2, 2, 2), (3, 3, 3), (7, 7, 7), (2, 3, 7)):
             for _ in range(50):
-                h = random_poly(rng, R3).scale(Fraction(rng.randrange(1, 12), 7))
+                h = scale(random_poly(rng, R3), Fraction(rng.randrange(1, 12), 7))
                 e = [Fraction(rng.randrange(-5, 6), d) for d in dens]
                 v = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(3)]
                 f = restrict_to_line(h, e, v)
@@ -290,7 +291,7 @@ class TestRestrictionCache:
     def test_e_is_coerced_once_per_table(self, monkeypatch):
         # A sampler passes the same Fractions on every line: the table is
         # found by their identity, with no coercion; e given as new objects
-        # of the same value finds the same table after one coercion.
+        # of the same value is coerced and builds a table of its own.
         h = parse("x0^3 - x0*x1^2 - x0*x2^2 + x1*x2^2", R3)
         e = [Fraction(2), Fraction(1, 3), Fraction(0)]
         lines = [(step, 1 - step, 2) for step in range(5)]
@@ -303,7 +304,7 @@ class TestRestrictionCache:
         assert (len(coerced), len(built)) == (3, 1)
         for same in ((2, Fraction(1, 3), 0), ("2", "1/3", "0")):
             assert restrict_to_line(h, same, lines[0]) == expected[0]
-        assert (len(coerced), len(built)) == (9, 1)
+        assert (len(coerced), len(built)) == (9, 3)
 
     def test_freed_polynomial_replaced_by_a_new_one(self):
         # CPython gives a new object the address, and so the id, of one of
@@ -385,16 +386,16 @@ class TestSquareFactorization:
         got = real_square_factorization(p)
         assert got is not None
         c, q = got
-        assert (q * q).scale(c) == p
+        assert scale(q * q, c) == p
         assert c == 1
 
     def test_scaled_square(self):
         q = parse("x0^2 - x1*x2", R3)
-        p = (q * q).scale(Fraction(3, 4))
+        p = scale(q * q, Fraction(3, 4))
         got = real_square_factorization(p)
         assert got is not None
         c, root = got
-        assert (root * root).scale(c) == p
+        assert scale(root * root, c) == p
         assert c > 0
 
     def test_not_a_square(self):
@@ -409,12 +410,12 @@ class TestSquareFactorization:
             q = random_poly(rng, R3, max_terms=4, max_deg=2)
             if q.is_zero():
                 continue
-            scale = Fraction(rng.randrange(1, 10), rng.randrange(1, 10))
-            p = (q * q).scale(scale)
+            factor = Fraction(rng.randrange(1, 10), rng.randrange(1, 10))
+            p = scale(q * q, factor)
             got = real_square_factorization(p)
             assert got is not None
             c, root = got
-            assert (root * root).scale(c) == p
+            assert scale(root * root, c) == p
 
     def test_against_sympy_factor_list(self):
         # p = c*q^2 for a random form q of degree 1..3, a third of the time
@@ -428,7 +429,7 @@ class TestSquareFactorization:
             d = rng.randrange(1, 4)
             q = random_form(rng, R3, d)
             c = Fraction(rng.choice([-3, -1, 1, 2, 3, 4]), rng.randrange(1, 4))
-            p = (q * q).scale(c)
+            p = scale(q * q, c)
             if rng.random() < 1 / 3:
                 p = p + random_form(rng, R3, 2 * d)
             assert not p.is_zero()
@@ -438,7 +439,7 @@ class TestSquareFactorization:
             got = real_square_factorization(p)
             assert (got is not None) == expected, p
             if got is not None:
-                assert (got[1] * got[1]).scale(got[0]) == p
+                assert scale(got[1] * got[1], got[0]) == p
             seen.add(expected)
         assert seen == {True, False}
 
@@ -482,6 +483,50 @@ class TestUniPoly:
         g = shift(f, Fraction(1, 2))
         for t in (0, 1, Fraction(-3, 2)):
             assert g.eval(t) == f.eval(Fraction(t) + Fraction(1, 2))
+
+
+@st.composite
+def exact_parts(draw):
+    """(re, im, den) with den > 0: each part zero, +-den, a multiple of
+    den, or any small int, which often shares a factor with den."""
+    den = draw(st.one_of(st.sampled_from([1, 2, 3, 4, 6, 12]), st.integers(1, 10**12)))
+    part = st.one_of(st.just(0), st.sampled_from([den, -den]), st.integers(-4, 4).map(lambda k: k * den),
+                     st.integers(-40, 40), st.integers(-(10**15), 10**15))
+    return draw(part), draw(part), den
+
+
+# Coefficients of a UniPoly: zeros (in the middle too), +-1 and reducible
+# fractions; a one-element list is degree 0.
+unipoly_coeffs = st.lists(st.one_of(st.just(0), st.sampled_from([1, -1]),
+                                    st.fractions(min_value=-50, max_value=50, max_denominator=12)), max_size=6)
+
+
+class TestOneWriter:
+    """Every exact value is written by scalars._exact_str from its int
+    parts; the references of tests/oracles.py write GaussianRational and
+    UniPoly values from their Fractions with rules of their own."""
+
+    @given(exact_parts())
+    def test_exact_str_matches_the_reference(self, parts):
+        re, im, den = parts
+        z = GaussianRational(Fraction(re, den), Fraction(im, den))
+        assert _exact_str(re, im, den) == str(z) == gaussian_str_reference(z)
+
+    @given(exact_parts(), st.integers(0, 3))
+    def test_format_poly_writes_a_coefficient_as_the_reference(self, parts, k):
+        re, im, den = parts
+        z = GaussianRational(Fraction(re, den), Fraction(im, den))
+        text = f"({gaussian_str_reference(z)})" if z.re and z.im else gaussian_str_reference(z)
+        mono = "" if not k else "x" if k == 1 else f"x^{k}"
+        if mono and z:  # an implicit 1 before a monomial
+            text = mono if text == "1" else f"-{mono}" if text == "-1" else f"{text}*{mono}"
+        assert format_poly(MultiPoly.from_terms(Ring.standard(("x",), gaussian=True), [((k,), z)])) == text
+
+    @given(unipoly_coeffs, st.sampled_from(["t", "x0"]))
+    def test_unipoly_and_format_poly_match_the_reference(self, coeffs, var):
+        f = UniPoly(coeffs)
+        poly = MultiPoly.from_terms(Ring.standard((var,)), [((k,), c) for k, c in enumerate(coeffs)])
+        assert f.format(var) == format_poly(poly) == unipoly_format_reference(f, var)
 
 
 def assert_same_unipoly(f, g):
@@ -593,8 +638,8 @@ class TestMultiPolyStorage:
             MultiPoly.from_terms(p.ring, split),
             MultiPoly.from_terms(p.ring, [(e, c.re * k) for e, c in p.terms.items()]
                                  + [(e, GaussianRational(c.re * (1 - k), c.im)) for e, c in p.terms.items()]),
-            p.scale(k).scale(Fraction(1, k)),
-            (p + p.scale(k)) - p.scale(k),
+            scale(scale(p, k), Fraction(1, k)),
+            (p + scale(p, k)) - scale(p, k),
             p * MultiPoly.constant(p.ring, 1),
             -(-p),
             p.conjugate().conjugate(),
@@ -628,16 +673,19 @@ class TestMultiPolyStorage:
         if not p.ring.gaussian and isinstance(c, GaussianRational):
             c = c.re
         c_re, c_im = (c.re, c.im) if isinstance(c, GaussianRational) else (Fraction(c), Fraction(0))
-        got = p.scale(c)
+        got = scale(p, c)
         assert_canonical(got)
         assert pairs(got) == ref_scale(pairs(p), c_re, c_im)
 
     @pytest.mark.parametrize("c", [GaussianRational(0, 1), GaussianRational(Fraction(1, 2), -3)])
     def test_scale_refuses_an_imaginary_factor_in_a_real_ring(self, c):
-        p = parse("x0", Ring.standard(("x0",)))
+        # A real ring's constructors refuse an imaginary coefficient.
+        ring = Ring.standard(("x0",))
         with pytest.raises(ValueError, match="imaginary coefficient in a non-gaussian ring"):
-            p.scale(c)
-        assert p.scale(GaussianRational(3, 0)) == parse("3*x0", p.ring)
+            MultiPoly.from_terms(ring, [((1,), c)])
+        with pytest.raises(ValueError, match="imaginary coefficient in a non-gaussian ring"):
+            MultiPoly.constant(ring, c)
+        assert MultiPoly.from_terms(ring, [((1,), GaussianRational(3, 0))]) == parse("3*x0", ring)
 
     @given(st.sampled_from(RINGS).flatmap(polys))
     def test_lift_matches_the_reference(self, p):

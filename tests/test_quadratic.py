@@ -32,6 +32,7 @@ from oracles import (
     mat_inverse,
     normal_form_reference,
     quadratic_detrep_reference,
+    scale,
     sos_reference,
 )
 
@@ -99,10 +100,10 @@ class TestNormalForm:
         assert alpha == 1
         # Re-verify the defining identity by expansion: 4*alpha*h(T^-1 u)
         # must equal ell(u)^2 - branch(u).
-        ell = MultiPoly.variable(ring, "u0").scale(2 * alpha) + q1
+        ell = scale(MultiPoly.variable(ring, "u0"), 2 * alpha) + q1
         nf = normalize_at_direction(h, (1, 1))
         hp = h.substitute([linear_form(ring, [Fraction(a, nf.e_den) for a in row]) for row in nf.inverse])
-        assert hp.scale(4 * alpha) == ell * ell - branch
+        assert scale(hp, 4 * alpha) == ell * ell - branch
 
     def test_nonhyperbolic_passes_this_stage(self):
         h = parse("x0^2 + x1^2", R2)
@@ -139,10 +140,10 @@ class TestNormalForm:
                 continue
             nf = normalize_at_direction(h, e)
             ring, alpha, q1, _, branch, flipped = checked_normal_form(h, e)
-            ell = MultiPoly.variable(ring, "u0").scale(2 * alpha) + q1
+            ell = scale(MultiPoly.variable(ring, "u0"), 2 * alpha) + q1
             hw = -h if flipped else h
             hp = hw.substitute([linear_form(ring, [Fraction(a, nf.e_den) for a in row]) for row in nf.inverse])
-            assert hp.scale(4 * alpha) + branch == ell * ell
+            assert scale(hp, 4 * alpha) + branch == ell * ell
             seen.add((nf.e_den > 1, next(c for c in e if c) < 0))
             checked += 1
         assert seen == {(False, False), (False, True), (True, False), (True, True)}
@@ -260,7 +261,7 @@ class TestRationalSos:
             total = MultiPoly.zero(ring)
             for c, row in diag:
                 ell = MultiPoly.from_terms(ring, [(tuple(int(t == k) for t in range(4)), v) for k, v in enumerate(row)])
-                total = total + (ell * ell).scale(c)
+                total = total + scale(ell * ell, c)
             assert total == p
         assert splits >= 20
 
@@ -307,7 +308,7 @@ def quadrics_at(draw):
         e += [Fraction(draw(small), draw(st.integers(1, 4))) for _ in range(n - lead - 1)]
         if shape == "rank-one":
             ell = linear_form(ring, [Fraction(draw(small), draw(st.integers(1, 2))) for _ in range(n)])
-            h = (ell * ell).scale(draw(nonzero))
+            h = scale(ell * ell, draw(nonzero))
         else:
             cells = [(i, j) for i in range(n) for j in range(i, n)]
             h = MultiPoly.from_terms(ring, [(tuple(map(sum, zip(units[i], units[j]))),
@@ -392,7 +393,7 @@ class TestQuadraticDetrep:
         from hypercert.detrep import pencil_to_polymatrix, poly_det
 
         det = poly_det(pencil_to_polymatrix(rep.pencil, R3))
-        assert det == (h ** 4).scale(Fraction(256))
+        assert det == scale(h ** 4, Fraction(256))
 
     def test_lorentz_five_vars_shortcut(self):
         ring = Ring.standard(("x0", "x1", "x2", "x3", "x4"))
@@ -411,7 +412,7 @@ class TestQuadraticDetrep:
         assert (rep.power, rep.scalar) == (8, 65536)
         from hypercert.detrep import pencil_to_polymatrix, poly_det
 
-        assert poly_det(pencil_to_polymatrix(rep.pencil, R2)) == (h ** 8).scale(65536)
+        assert poly_det(pencil_to_polymatrix(rep.pencil, R2)) == scale(h ** 8, 65536)
 
     def test_non_hyperbolic_fails_with_witnesses(self):
         h = parse("x0^2 + x1^2", R2)
@@ -440,7 +441,7 @@ class TestQuadraticDetrep:
         assert (rep.pencil[0].size, rep.power, rep.scalar) == (4, 2, 16)
         from hypercert.detrep import pencil_to_polymatrix, poly_det
 
-        assert poly_det(pencil_to_polymatrix(rep.pencil, R2)) == (h ** 2).scale(16)
+        assert poly_det(pencil_to_polymatrix(rep.pencil, R2)) == scale(h ** 2, 16)
 
     def test_flipped_sign_direction(self):
         h = parse("0 - x0^2 + x1^2 + x2^2", R3)  # -Lorentz
@@ -546,7 +547,7 @@ def hyperbolic_quadrics(draw):
     h = MultiPoly.zero(ring)
     for d, row in zip(diagonal, rows):
         if d:
-            h = h + (row * row).scale(sign * d)
+            h = h + scale(row * row, sign * d)
     y = [Fraction(1)] + [Fraction(draw(small), 4) for _ in range(n - 1)]
     inverse = mat_inverse(cong)
     e = tuple(sum(inverse[r][k] * y[k] for k in range(n)) for r in range(n))

@@ -23,8 +23,8 @@ from hypercert.scalars import (
     four_square_decompose,
     pencil_value,
 )
-from hypercert.wire import _parse_cell, pencil_from_json
-from oracles import (const_matrix, eval_at_reference, gconj, gdiv, gneg, gnorm, gprod, identity_matrix,
+from hypercert.wire import pencil_from_json
+from oracles import (cell_value, const_matrix, eval_at_reference, gconj, gdiv, gneg, gnorm, gprod, identity_matrix,
                      kind_violation_reference, leading_principal_minors, sylvester_reference)
 
 rationals = st.fractions(
@@ -130,13 +130,13 @@ class TestGaussianRational:
 
     @given(gaussians)
     def test_string_round_trip(self, z):
-        assert _parse_cell(str(z)) == z
+        assert cell_value(str(z)) == z
 
     def test_wire_format(self):
         assert str(GaussianRational(Fraction(1, 2), Fraction(-3))) == "1/2-3*i"
         assert str(GaussianRational(0, 1)) == "i"
         assert str(GaussianRational(-2, 0)) == "-2"
-        assert _parse_cell("1/2-3*i") == GaussianRational(
+        assert cell_value("1/2-3*i") == GaussianRational(
             Fraction(1, 2), Fraction(-3)
         )
 
@@ -287,7 +287,7 @@ class TestIntegerSylvester:
 
     @pytest.mark.parametrize("rows", [[["1", "0"], ["0", "i"]], [["1", "1"], ["1", "i"]]], ids=["diagonal", "dense"])
     def test_nonreal_minor_of_hermitian_input_raises(self, rows):
-        matrix = ConstMatrix([[_parse_cell(c) for c in row] for row in rows], "hermitian")
+        matrix = ConstMatrix([[cell_value(c) for c in row] for row in rows], "hermitian")
         with pytest.raises(ArithmeticError, match="^leading principal minor 2 is not real"):
             first_nonpositive_minor(matrix)
         with pytest.raises(ArithmeticError, match="^leading principal minor 2 is not real"):

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from hypercert.cli import EXIT_USAGE, main
 from hypercert.polyring import MultiPoly, ParseError, Ring
 from hypercert.scalars import MATRIX_KINDS, ConstMatrix, GaussianRational
-from oracles import json_strings_reference
+from oracles import cell_value, json_strings_reference
 from hypercert.wire import (
     _json_strings,
-    _parse_cell,
     dump_poly_text,
     parse_point,
     parse_ring_header,
@@ -109,7 +108,7 @@ class TestLiteralCells:
             patch.setattr(Fraction, "__new__", staticmethod(counting))
             matrices, _ = pencil_from_json(json.dumps(data))
         assert count == 0
-        assert matrices == [ConstMatrix([[_parse_cell(c) for c in row] for row in block], "hermitian")
+        assert matrices == [ConstMatrix([[cell_value(c) for c in row] for row in block], "hermitian")
                             for block in data["matrices"]]
 
 
